@@ -27,7 +27,7 @@ use kdchoice_storage::{
 
 use crate::report::{median, steady_rate, steady_time, Outcome};
 use crate::spans::Row;
-use crate::{Passes, Scale};
+use crate::{Clock, Passes, Reference, Scale};
 
 const SERVERS: usize = 1000;
 const REPLICAS: usize = 3;
@@ -150,31 +150,33 @@ fn timed_setup(scale: Scale, seed: u64) -> f64 {
     median(&times)
 }
 
-/// One untraced pass: the storage half, then the scheduler half.
+/// One untraced pass: the storage half, then the scheduler half, each
+/// with its wall seconds and the clock's factor to the reference host
+/// speed.
 struct Pass {
     storage: ClusterReport,
     storage_secs: f64,
+    storage_speed: f64,
     jobs: SchedulerReport,
     jobs_secs: f64,
+    jobs_speed: f64,
 }
 
-fn pass(seed: u64, scale: Scale, out: &mut Outcome) -> Pass {
+fn pass(seed: u64, scale: Scale, clock: &mut Clock, out: &mut Outcome) -> Pass {
     let (files, reads, _) = shape(scale);
     let storage_cfg = storage_config(derive_seed(seed, 0), scale);
-    let t = Instant::now();
-    let storage = run_cluster_workload(&storage_cfg);
-    let storage_secs = t.elapsed().as_secs_f64();
+    let (storage, storage_secs, storage_speed) = clock.time(|| run_cluster_workload(&storage_cfg));
     check_storage(out, &storage, files, reads);
     let jobs_cfg = jobs_config(derive_seed(seed, 1), scale);
-    let t = Instant::now();
-    let jobs = simulate(&jobs_cfg, STRATEGY);
-    let jobs_secs = t.elapsed().as_secs_f64();
+    let (jobs, jobs_secs, jobs_speed) = clock.time(|| simulate(&jobs_cfg, STRATEGY));
     check_jobs(out, &jobs, &jobs_cfg);
     Pass {
         storage,
         storage_secs,
+        storage_speed,
         jobs,
         jobs_secs,
+        jobs_speed,
     }
 }
 
@@ -185,28 +187,34 @@ pub fn run(seed: u64, seconds: f64, scale: Scale) -> Outcome {
     let mut out = Outcome::default();
     let (mut setups, mut aggregate, mut storage_rate, mut jobs_rate) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    let (mut msgs, mut gaps) = (Vec::new(), Vec::new());
+    let (mut msgs, mut gaps, mut unscaled) = (Vec::new(), Vec::new(), Vec::new());
+    let mut clock = Clock::start(Reference::CACHE);
     let mut passes = Passes::new(seconds);
     while let Some(n) = passes.next_pass() {
         let pass_seed = derive_seed(seed, n);
         setups.push(timed_setup(scale, pass_seed));
-        let p = pass(pass_seed, scale, &mut out);
+        let p = pass(pass_seed, scale, &mut clock, &mut out);
         let replicas = replicas_placed(&p.storage, files) as f64;
-        storage_rate.push(replicas / p.storage_secs);
-        jobs_rate.push(tasks / p.jobs_secs);
-        aggregate.push((replicas + tasks) / (p.storage_secs + p.jobs_secs));
+        let storage_secs = p.storage_secs * p.storage_speed;
+        let jobs_secs = p.jobs_secs * p.jobs_speed;
+        storage_rate.push(replicas / storage_secs);
+        jobs_rate.push(tasks / jobs_secs);
+        aggregate.push((replicas + tasks) / (storage_secs + jobs_secs));
+        unscaled.push((replicas + tasks) / (p.storage_secs + p.jobs_secs));
         let probes = (p.storage.stats.placement_messages
             + p.storage.stats.recovery_messages
             + p.jobs.probe_messages) as f64;
         msgs.push(probes / (replicas + tasks));
         gaps.push(p.storage.stats.max_load as f64 - p.storage.stats.mean_load);
     }
+    clock.log();
+    eprintln!("unscaled balls_per_s {}", median(&unscaled));
     out.metric("setup_s", median(&setups), "s");
     out.metric("peak_rss_mb", passes.first_pass_rss(), "MiB");
-    out.metric("balls_per_s", steady_rate(&aggregate), "balls/s");
+    out.metric("balls_per_s", median(&aggregate), "balls/s");
     out.metric(
         "balls_per_s.slowest",
-        steady_rate(&storage_rate).min(steady_rate(&jobs_rate)),
+        median(&storage_rate).min(median(&jobs_rate)),
         "balls/s",
     );
     out.metric("msgs_per_ball", median(&msgs), "probes/ball");
@@ -325,10 +333,11 @@ pub fn run_traced(seed: u64, seconds: f64, scale: Scale) -> Outcome {
     let (mut storage_ops, mut jobs_rate, mut p99s) = (Vec::new(), Vec::new(), Vec::new());
     let (mut on_secs, mut off_secs) = (Vec::new(), Vec::new());
     let (mut repair_attempts, mut crashes) = (0u64, 0u64);
+    let mut clock = Clock::start(Reference::CACHE);
     let mut passes = Passes::new(seconds);
     while let Some(n) = passes.next_pass() {
         let pass_seed = derive_seed(seed, n);
-        let p = pass(pass_seed, scale, &mut out);
+        let p = pass(pass_seed, scale, &mut clock, &mut out);
         let ops = (files * REPLICAS) as u64 + p.storage.degradation.repair_attempts + reads as u64;
         storage_ops.push(ops as f64 / p.storage_secs);
         jobs_rate.push(jobs as f64 / p.jobs_secs);

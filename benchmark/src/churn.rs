@@ -24,9 +24,9 @@ use kdchoice_service::{
 };
 use kdchoice_theory::bounds::theorem2_gap_band;
 
-use crate::report::{median, steady_rate, steady_time, Outcome};
+use crate::report::{median, steady_time, Outcome};
 use crate::spans::Row;
-use crate::{Passes, Scale, D, K};
+use crate::{Clock, Passes, Reference, Scale, D, K};
 
 /// Offered load as a share of churn capacity.
 const LAMBDA: f64 = 0.9;
@@ -102,33 +102,42 @@ pub fn run(seed: u64, seconds: f64, threads: usize, scale: Scale) -> Outcome {
     let mut rates: [Vec<f64>; 3] = Default::default();
     let (mut aggregate, mut setups, mut gaps, mut msgs) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut unscaled = Vec::new();
+    let mut clock = Clock::start(Reference::CACHE);
     let mut passes = Passes::new(seconds);
     while let Some(pass) = passes.next_pass() {
         let pass_seed = derive_seed(seed, pass);
-        let (mut balls, mut secs, mut worst_gap) = (0u64, 0.0, 0.0f64);
+        let (mut balls, mut secs, mut wall_secs, mut worst_gap) = (0u64, 0.0, 0.0, 0.0f64);
         // The three backends replay the same trace: generate it once.
         let (setup, sched) = schedule(&config(BACKENDS[0], threads, pass_seed, scale));
         setups.push(setup);
         for turn in 0..BACKENDS.len() {
             let b = (turn + pass as usize) % BACKENDS.len();
-            let report = run_open_loop(&config(BACKENDS[b], threads, pass_seed, scale));
+            let (report, _, speed) =
+                clock.time(|| run_open_loop(&config(BACKENDS[b], threads, pass_seed, scale)));
             check_report(&mut out, &report, &sched, BACKENDS[b].name());
-            rates[b].push(report.balls_placed as f64 / report.wall_secs);
+            // The drive loop's own seconds, at the reference host speed.
+            let drive_secs = report.wall_secs * speed;
+            rates[b].push(report.balls_placed as f64 / drive_secs);
             msgs.push((report.requests_committed * D as u64) as f64 / report.balls_placed as f64);
             worst_gap = worst_gap.max(report.steady_gap_mean);
             balls += report.balls_placed;
-            secs += report.wall_secs;
+            secs += drive_secs;
+            wall_secs += report.wall_secs;
         }
         aggregate.push(balls as f64 / secs);
+        unscaled.push(balls as f64 / wall_secs);
         gaps.push(worst_gap);
     }
+    clock.log();
+    eprintln!("unscaled balls_per_s {}", median(&unscaled));
     let slowest = rates
         .iter()
-        .map(|r| steady_rate(r))
+        .map(|r| median(r))
         .fold(f64::INFINITY, f64::min);
     out.metric("setup_s", median(&setups), "s");
     out.metric("peak_rss_mb", passes.first_pass_rss(), "MiB");
-    out.metric("balls_per_s", steady_rate(&aggregate), "balls/s");
+    out.metric("balls_per_s", median(&aggregate), "balls/s");
     out.metric("balls_per_s.slowest", slowest, "balls/s");
     out.metric("msgs_per_ball", median(&msgs), "probes/ball");
     out.metric("gap", median(&gaps), "balls");

@@ -84,6 +84,110 @@ impl Passes {
     }
 }
 
+/// The reference work a [`Clock`] runs after each section: a two-choice
+/// fill of a table of `bins` counters from a splitmix64 stream, `draws`
+/// draws long. It calls no library code, so only the host's speed moves
+/// it.
+#[derive(Debug, Clone, Copy)]
+pub struct Reference {
+    bins: usize,
+    draws: u32,
+    /// Seconds one call takes on an unslowed core of the host the
+    /// benchmark was tuned on: 2 vCPUs of an Intel Xeon VM with 2 MiB of
+    /// L2 and 105 MiB of shared L3. Sections are scaled to this speed.
+    nominal_secs: f64,
+}
+
+impl Reference {
+    /// 256 KiB, the churn workloads' table: works from L2, as the service
+    /// stack and the applications do.
+    pub const CACHE: Self = Self {
+        bins: 1 << 16,
+        draws: 1 << 22,
+        nominal_secs: 0.03,
+    };
+
+    /// 32 MiB: works from L3 and memory, as the static fill does.
+    pub const MEMORY: Self = Self {
+        bins: 1 << 23,
+        draws: 1 << 21,
+        nominal_secs: 0.07,
+    };
+
+    /// Runs the reference once on `table` and returns its seconds.
+    fn secs(&self, table: &mut [u32]) -> f64 {
+        table.fill(0);
+        let mask = table.len() - 1;
+        let mut x = 0u64;
+        let start = Instant::now();
+        for _ in 0..self.draws {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let (a, b) = (z as usize & mask, (z >> 32) as usize & mask);
+            let bin = if table[a] <= table[b] { a } else { b };
+            table[bin] += 1;
+        }
+        std::hint::black_box(&*table);
+        start.elapsed().as_secs_f64()
+    }
+}
+
+/// Times the sections of an untraced run against the host's speed.
+///
+/// On a shared host another tenant slows a core by up to half, in phases
+/// of seconds to minutes, so whole runs land in a slow or a fast phase
+/// and no statistic over one run's passes removes that. The reference
+/// work, run after every section, slows with the host and never with the
+/// program under test.
+pub struct Clock {
+    reference: Reference,
+    table: Vec<u32>,
+    refs: Vec<f64>,
+}
+
+impl Clock {
+    /// A clock whose reference has run once to warm up and once timed.
+    pub fn start(reference: Reference) -> Self {
+        let mut table = vec![0; reference.bins];
+        reference.secs(&mut table);
+        let refs = vec![reference.secs(&mut table)];
+        Self {
+            reference,
+            table,
+            refs,
+        }
+    }
+
+    /// Runs `f`. Returns its result, its wall seconds, and the factor that
+    /// scales a duration measured within it to the reference host speed:
+    /// the reference's nominal seconds over the mean of its times just
+    /// before and just after `f`.
+    pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> (T, f64, f64) {
+        let start = Instant::now();
+        let out = f();
+        let secs = start.elapsed().as_secs_f64();
+        let before = *self.refs.last().expect("start timed the reference");
+        let after = self.reference.secs(&mut self.table);
+        self.refs.push(after);
+        let speed = 2.0 * self.reference.nominal_secs / (before + after);
+        (out, secs, speed)
+    }
+
+    /// Prints the run's reference times on stderr: how slow the host ran,
+    /// against the reference's nominal seconds.
+    pub fn log(&self) {
+        eprintln!(
+            "reference_secs median {} fastest {} calls {}",
+            report::median(&self.refs),
+            self.refs.iter().copied().fold(f64::INFINITY, f64::min),
+            self.refs.len()
+        );
+    }
+}
+
 /// The workloads, by name.
 pub const WORKLOADS: [&str; 4] = ["static_large", "churn_1t", "churn_2t", "apps"];
 

@@ -17,9 +17,9 @@ use kdchoice_prng::sample::fill_with_replacement;
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 use kdchoice_theory::bounds::theorem1_band;
 
-use crate::report::{median, steady_rate, steady_time, Outcome};
+use crate::report::{median, steady_time, Outcome};
 use crate::spans::Row;
-use crate::{Passes, Scale, D, K};
+use crate::{Clock, Passes, Reference, Scale, D, K};
 
 /// Additive slack standing in for Theorem 1's `O(1)` terms, as in the
 /// workspace's own envelope tests.
@@ -84,53 +84,58 @@ pub fn run(seed: u64, seconds: f64, scale: Scale) -> Outcome {
     let m = n as f64;
     let mut out = Outcome::default();
     let (mut exact, mut packed, mut aggregate) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut setups, mut gaps, mut msgs) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut setups, mut gaps, mut msgs, mut unscaled) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut clock = Clock::start(Reference::MEMORY);
     let mut passes = Passes::new(seconds);
     while let Some(pass) = passes.next_pass() {
         let config = RunConfig::new(n, derive_seed(seed, pass));
-        let mut pass_secs = 0.0;
+        let (mut pass_secs, mut wall_secs) = (0.0, 0.0);
         for variant in 0..2 {
             let exact_turn = (variant + pass) % 2 == 0;
-            let (result, secs) = if exact_turn {
+            let (result, wall, speed) = if exact_turn {
                 let (setup, state) = timed_setup(n);
                 setups.push(setup);
                 let mut kd = KdChoice::new(K, D).expect("(2,4) is a valid (k,d)");
-                let t = Instant::now();
-                let (result, state) = run_once_on(&mut kd, &config, state);
-                let secs = t.elapsed().as_secs_f64();
+                let ((result, state), wall, speed) =
+                    clock.time(|| run_once_on(&mut kd, &config, state));
                 drop(state);
                 check_fill(&mut out, &result, n, "exact");
-                exact.push(m / secs);
-                (result, secs)
+                exact.push(m / (wall * speed));
+                (result, wall, speed)
             } else {
-                let t = Instant::now();
-                let (result, slab) = run_once_compact(
-                    StoreKind::Packed4,
-                    K,
-                    D,
-                    &ProbeDistribution::Uniform,
-                    None,
-                    &config,
-                );
-                let secs = t.elapsed().as_secs_f64();
+                let ((result, slab), wall, speed) = clock.time(|| {
+                    run_once_compact(
+                        StoreKind::Packed4,
+                        K,
+                        D,
+                        &ProbeDistribution::Uniform,
+                        None,
+                        &config,
+                    )
+                });
                 let lossless = matches!(&slab, BinSlab::Packed(p) if p.is_lossless());
                 out.check(lossless, "packed4: store reports lossless");
                 check_fill(&mut out, &result, n, "packed4");
-                packed.push(m / secs);
-                (result, secs)
+                packed.push(m / (wall * speed));
+                (result, wall, speed)
             };
             gaps.push(result.gap);
             msgs.push(result.messages_per_ball());
-            pass_secs += secs;
+            pass_secs += wall * speed;
+            wall_secs += wall;
         }
         aggregate.push(2.0 * m / pass_secs);
+        unscaled.push(2.0 * m / wall_secs);
     }
+    clock.log();
+    eprintln!("unscaled balls_per_s {}", median(&unscaled));
     out.metric("setup_s", median(&setups), "s");
     out.metric("peak_rss_mb", passes.first_pass_rss(), "MiB");
-    out.metric("balls_per_s", steady_rate(&aggregate), "balls/s");
+    out.metric("balls_per_s", median(&aggregate), "balls/s");
     out.metric(
         "balls_per_s.slowest",
-        steady_rate(&exact).min(steady_rate(&packed)),
+        median(&exact).min(median(&packed)),
         "balls/s",
     );
     out.metric("msgs_per_ball", median(&msgs), "probes/ball");
