@@ -21,6 +21,22 @@
 //!   ([`RecoveryConfig`]), retrying with exponential backoff when the
 //!   chosen destination is dead, saturated, or constrained away.
 //!
+//! # Cost model
+//!
+//! No per-create or per-tick step scans the server list. A create costs
+//! O(d + |excluded|) up to log factors: it samples from a view of the
+//! alive list minus the excluded servers (the chunk's holders and the
+//! replicas chosen so far, plus every member of their racks under
+//! [`ReplicaDiscipline::DistinctRacks`]). A tick costs O(due fault
+//! events + servers whose load changed since the last heartbeat +
+//! repair attempts): heartbeats report only servers whose load changed,
+//! since every other up server already reported its true load; a crash
+//! back-fills the time its server was last heard; detection walks the
+//! downed servers, and only while a crash awaits detection; the recovery
+//! drain stops at its budget, passing over only the queued repairs still
+//! in backoff ahead of it. `tick` and `create_chunk` are therefore cheap
+//! enough to drive a 1000-server cluster one call at a time.
+//!
 //! Configured with zero heartbeat lag ([`HeartbeatConfig::synchronous`]),
 //! an unbounded budget ([`RecoveryConfig::unbounded`]) and the
 //! [`ReplicaDiscipline::Multiplicity`] legacy placement rule, the whole
@@ -36,7 +52,7 @@ use rand::RngCore;
 use crate::cluster::{ClusterError, StorageStats};
 use crate::fault::{FaultEvent, FaultInjector, FaultPlan};
 use crate::heartbeat::{HeartbeatConfig, HeartbeatTable};
-use crate::placement::{choose_constrained, choose_destinations, PlacementPolicy};
+use crate::placement::{choose_constrained, choose_destinations, rack_of, PlacementPolicy};
 use crate::replication::{RecoveryConfig, RecoveryQueue, Repair};
 
 /// How strictly a chunk's `k` replicas must spread.
@@ -138,12 +154,56 @@ enum Status {
 
 #[derive(Debug, Clone)]
 struct Node {
-    rack: usize,
     capacity: f64,
     status: Status,
     crashed_at: u64,
+    /// Whether the load changed since the server last reported it (it is
+    /// then on [`ChunkCluster::dirty`]).
+    dirty: bool,
     /// Replica slots held, for recovery enumeration: `(chunk, slot)`.
     held: Vec<(u32, u16)>,
+}
+
+impl Node {
+    fn new(capacity: f64) -> Self {
+        Self {
+            capacity,
+            status: Status::Up,
+            crashed_at: 0,
+            dirty: false,
+            held: Vec::new(),
+        }
+    }
+}
+
+/// Per-destination repair counts of the current tick, reset through the
+/// list of servers touched so a tick never clears the whole table.
+#[derive(Debug, Default)]
+struct IngestCounts {
+    counts: Vec<u32>,
+    touched: Vec<usize>,
+}
+
+impl IngestCounts {
+    fn get(&self, server: usize) -> u32 {
+        self.counts.get(server).copied().unwrap_or(0)
+    }
+
+    fn add(&mut self, server: usize) {
+        if server >= self.counts.len() {
+            self.counts.resize(server + 1, 0);
+        }
+        if self.counts[server] == 0 {
+            self.touched.push(server);
+        }
+        self.counts[server] += 1;
+    }
+
+    fn clear(&mut self) {
+        for s in self.touched.drain(..) {
+            self.counts[s] = 0;
+        }
+    }
 }
 
 /// Robustness counters accumulated over a run; snapshot via
@@ -222,8 +282,14 @@ pub struct ChunkCluster {
     up_pos: Vec<usize>,
     chunks: Vec<ChunkState>,
     heartbeats: HeartbeatTable,
+    /// Servers whose load changed since their last report, each once
+    /// ([`Node::dirty`]); the next heartbeat flushes only these. Every
+    /// other up server's reported load already equals its true load.
+    dirty: Vec<usize>,
     injector: FaultInjector,
     queue: RecoveryQueue,
+    /// Repair ingest per destination in the current tick.
+    ingest: IngestCounts,
     /// Downed servers in crash order (for [`FaultEvent::RecoverOldest`]).
     down_fifo: VecDeque<usize>,
     crashed_undetected: usize,
@@ -284,15 +350,7 @@ impl ChunkCluster {
         Self {
             config,
             now: 0,
-            servers: (0..n)
-                .map(|s| Node {
-                    rack: s % config.racks,
-                    capacity: 1.0,
-                    status: Status::Up,
-                    crashed_at: 0,
-                    held: Vec::new(),
-                })
-                .collect(),
+            servers: (0..n).map(|_| Node::new(1.0)).collect(),
             loads: vec![0; n],
             alive: (0..n).collect(),
             alive_pos: (0..n).collect(),
@@ -300,8 +358,10 @@ impl ChunkCluster {
             up_pos: (0..n).collect(),
             chunks: Vec::new(),
             heartbeats: HeartbeatTable::new(n),
+            dirty: Vec::new(),
             injector: FaultInjector::new(plan),
             queue: RecoveryQueue::new(),
+            ingest: IngestCounts::default(),
             down_fifo: VecDeque::new(),
             crashed_undetected: 0,
             under_replicated: 0,
@@ -453,8 +513,7 @@ impl ChunkCluster {
         for slot in 0..k {
             if let Some(&s) = dest.get(slot) {
                 if self.servers[s].status == Status::Up {
-                    self.servers[s].held.push((id, slot as u16));
-                    self.loads[s] += 1;
+                    self.add_replica(s, id, slot as u16);
                     replicas.push(Replica::On(s));
                     live += 1;
                     continue;
@@ -491,7 +550,8 @@ impl ChunkCluster {
                 choose_destinations(self.config.policy, &self.alive, load, capacity, count, rng)
             }
             ReplicaDiscipline::DistinctServers | ReplicaDiscipline::DistinctRacks => {
-                let rack_aware = self.config.discipline == ReplicaDiscipline::DistinctRacks;
+                let racks = (self.config.discipline == ReplicaDiscipline::DistinctRacks)
+                    .then_some(self.config.racks);
                 let holders: Vec<usize> = self
                     .chunks
                     .get(chunk as usize)
@@ -505,20 +565,14 @@ impl ChunkCluster {
                             .collect()
                     })
                     .unwrap_or_default();
-                let racks_used: Vec<usize> = if rack_aware {
-                    holders.iter().map(|&s| self.servers[s].rack).collect()
-                } else {
-                    Vec::new()
-                };
                 choose_constrained(
                     self.config.policy,
                     &self.alive,
+                    &self.alive_pos,
                     load,
                     capacity,
-                    |s| self.servers[s].rack,
-                    rack_aware,
-                    |s| holders.contains(&s),
-                    &racks_used,
+                    racks,
+                    &holders,
                     count,
                     rng,
                 )
@@ -564,22 +618,35 @@ impl ChunkCluster {
         }
 
         // 2. Heartbeats: up servers report their true load periodically.
+        // Only servers whose load changed since their last report are
+        // visited; `crash` back-fills the time the others were last heard.
         let period = self.config.heartbeat.period;
         if period > 0 && now.is_multiple_of(u64::from(period)) {
-            for i in 0..self.up.len() {
-                let s = self.up[i];
-                self.heartbeats.report(s, self.loads[s], now);
+            for i in 0..self.dirty.len() {
+                let s = self.dirty[i];
+                self.servers[s].dirty = false;
+                if self.servers[s].status == Status::Up {
+                    self.heartbeats.report(s, self.loads[s], now);
+                }
             }
+            self.dirty.clear();
         }
 
-        // 3. Detection: silent servers past the timeout are declared dead.
+        // 3. Detection: silent servers past the timeout are declared dead,
+        // in server-id order (which fixes the repair-queue order).
         if self.crashed_undetected > 0 {
-            for s in 0..self.servers.len() {
-                if self.servers[s].status == Status::Crashed
-                    && self.heartbeats.overdue(s, now, self.config.heartbeat)
-                {
-                    self.detect_dead(s);
-                }
+            let mut overdue: Vec<usize> = self
+                .down_fifo
+                .iter()
+                .copied()
+                .filter(|&s| {
+                    self.servers[s].status == Status::Crashed
+                        && self.heartbeats.overdue(s, now, self.config.heartbeat)
+                })
+                .collect();
+            overdue.sort_unstable();
+            for s in overdue {
+                self.detect_dead(s);
             }
         }
 
@@ -610,8 +677,8 @@ impl ChunkCluster {
                 if rack >= self.config.racks {
                     Err(ClusterError::UnknownServer { server: rack })
                 } else {
-                    for s in 0..self.servers.len() {
-                        if self.servers[s].rack == rack && self.servers[s].status == Status::Up {
+                    for s in (rack..self.servers.len()).step_by(self.config.racks) {
+                        if self.servers[s].status == Status::Up {
                             let _ = self.crash(s);
                         }
                     }
@@ -644,6 +711,13 @@ impl ChunkCluster {
         }
         self.servers[server].status = Status::Crashed;
         self.servers[server].crashed_at = self.now;
+        // Up until now, the server answered every heartbeat before this
+        // tick's: it was last heard at the later of its last report and
+        // the last beat tick before `now`.
+        let period = u64::from(self.config.heartbeat.period);
+        if let Some(beats) = self.now.saturating_sub(1).checked_div(period) {
+            self.heartbeats.heard_at_least(server, beats * period);
+        }
         remove_member(&mut self.up, &mut self.up_pos, server);
         self.down_fifo.push_back(server);
         self.crashed_undetected += 1;
@@ -666,6 +740,8 @@ impl ChunkCluster {
         self.detection_latency_sum += latency;
         self.detection_latency_max = self.detection_latency_max.max(latency);
         remove_member(&mut self.alive, &mut self.alive_pos, server);
+        // Not marked dirty: a dead server sends no heartbeats, and
+        // `recover` reports its zero load explicitly.
         self.loads[server] = 0;
         let held = std::mem::take(&mut self.servers[server].held);
         for (chunk, slot) in held {
@@ -716,17 +792,12 @@ impl ChunkCluster {
     /// Adds a brand-new empty server (round-robin rack assignment).
     fn join(&mut self, capacity: f64) {
         let server = self.servers.len();
-        self.servers.push(Node {
-            rack: server % self.config.racks,
-            capacity: if capacity.is_finite() && capacity > 0.0 {
+        self.servers
+            .push(Node::new(if capacity.is_finite() && capacity > 0.0 {
                 capacity
             } else {
                 1.0
-            },
-            status: Status::Up,
-            crashed_at: 0,
-            held: Vec::new(),
-        });
+            }));
         self.loads.push(0);
         self.heartbeats.push(self.now);
         self.alive_pos.push(usize::MAX);
@@ -734,6 +805,18 @@ impl ChunkCluster {
         push_member(&mut self.alive, &mut self.alive_pos, server);
         push_member(&mut self.up, &mut self.up_pos, server);
         self.joins += 1;
+    }
+
+    /// Stores replica `slot` of `chunk` on `server`, marking its load
+    /// unreported.
+    fn add_replica(&mut self, server: usize, chunk: u32, slot: u16) {
+        let node = &mut self.servers[server];
+        node.held.push((chunk, slot));
+        self.loads[server] += 1;
+        if self.config.heartbeat.period > 0 && !node.dirty {
+            node.dirty = true;
+            self.dirty.push(server);
+        }
     }
 
     /// Bookkeeping when a chunk loses one up replica.
@@ -782,13 +865,15 @@ impl ChunkCluster {
         if self.queue.is_empty() {
             return;
         }
-        let mut ingest = vec![0u32; self.servers.len()];
         let mut queue = std::mem::take(&mut self.queue);
+        let mut ingest = std::mem::take(&mut self.ingest);
         let now = self.now;
         let recovery = self.config.recovery;
         queue.drain(now, recovery, |repair| {
             self.attempt_repair(repair, &mut ingest, rng)
         });
+        ingest.clear();
+        self.ingest = ingest;
         self.queue = queue;
     }
 
@@ -799,7 +884,7 @@ impl ChunkCluster {
     fn attempt_repair<R: RngCore + ?Sized>(
         &mut self,
         repair: Repair,
-        ingest: &mut [u32],
+        ingest: &mut IngestCounts,
         rng: &mut R,
     ) -> Result<(), ()> {
         debug_assert_eq!(
@@ -825,13 +910,14 @@ impl ChunkCluster {
             return Err(());
         }
         let cap = self.config.recovery.max_ingest_per_tick;
-        if cap > 0 && ingest[server] >= cap {
-            self.failed_overloaded += 1;
-            return Err(());
+        if cap > 0 {
+            if ingest.get(server) >= cap {
+                self.failed_overloaded += 1;
+                return Err(());
+            }
+            ingest.add(server);
         }
-        ingest[server] += 1;
-        self.servers[server].held.push((repair.chunk, repair.slot));
-        self.loads[server] += 1;
+        self.add_replica(server, repair.chunk, repair.slot);
         self.chunks[repair.chunk as usize].replicas[repair.slot as usize] = Replica::On(server);
         self.recovered_chunks += 1;
         self.replica_restored(repair.chunk as usize);
@@ -920,8 +1006,21 @@ impl ChunkCluster {
     /// membership lists, and — under the distinct disciplines — that no
     /// chunk keeps two replicas on one server (or one rack).
     pub fn check_invariants(&self) -> bool {
+        // The dirty list holds each flagged server once, and an up server
+        // off it has reported its true load.
+        let flagged = self.servers.iter().filter(|node| node.dirty).count();
+        if flagged != self.dirty.len() || self.dirty.iter().any(|&s| !self.servers[s].dirty) {
+            return false;
+        }
         // Membership lists vs statuses.
         for (s, node) in self.servers.iter().enumerate() {
+            if self.config.heartbeat.period > 0
+                && node.status == Status::Up
+                && !node.dirty
+                && self.heartbeats.snapshot(s) != self.loads[s]
+            {
+                return false;
+            }
             let in_alive = self.alive_pos[s] != usize::MAX;
             let in_up = self.up_pos[s] != usize::MAX;
             let (want_alive, want_up) = match node.status {
@@ -1002,8 +1101,10 @@ impl ChunkCluster {
                     }
                 }
                 ReplicaDiscipline::DistinctRacks => {
-                    let mut racks: Vec<usize> =
-                        on_servers.iter().map(|&s| self.servers[s].rack).collect();
+                    let mut racks: Vec<usize> = on_servers
+                        .iter()
+                        .map(|&s| rack_of(s, self.config.racks))
+                        .collect();
                     racks.sort_unstable();
                     racks.dedup();
                     if racks.len() != on_servers.len() {
@@ -1071,6 +1172,118 @@ mod tests {
         assert_eq!(d.detections, 1);
         assert_eq!(d.detection_latency_max, 6);
         assert!(d.healed);
+    }
+
+    /// Runs a 4-server (2,4)-choice cluster under `heartbeat` and `plan`:
+    /// 12 creates, ticks up to `crash_tick - 1`, 12 more creates (so the
+    /// true load of `server` moves past anything it reported), then ticks
+    /// until `server` is declared dead. No repair runs before the crash,
+    /// so every report `server` sent carried its load from before the
+    /// second batch. Returns the detection tick, the load probes saw for
+    /// `server` right after the crash tick, that earlier load, and the
+    /// true load at the crash.
+    fn crash_and_detect(
+        heartbeat: HeartbeatConfig,
+        plan: &FaultPlan,
+        server: usize,
+        crash_tick: u64,
+    ) -> (u64, u32, u32, u32) {
+        let mut config = ClusterConfig::new(4, 2, kd(4));
+        config.heartbeat = heartbeat;
+        let mut cluster = ChunkCluster::new(config, plan);
+        let mut rng = Xoshiro256PlusPlus::from_u64(8);
+        for _ in 0..12 {
+            cluster.create_chunk(&mut rng).unwrap();
+        }
+        while cluster.now() + 1 < crash_tick {
+            cluster.tick(&mut rng);
+        }
+        let reported = cluster.loads.get(server).copied().unwrap_or(0);
+        for _ in 0..12 {
+            cluster.create_chunk(&mut rng).unwrap();
+        }
+        cluster.tick(&mut rng);
+        assert_eq!(cluster.servers[server].status, Status::Crashed);
+        let probed = cluster.probe_load(server);
+        let truth = cluster.loads[server];
+        while cluster.servers[server].status == Status::Crashed {
+            assert_eq!(cluster.probe_load(server), probed, "tick {}", cluster.now());
+            cluster.tick(&mut rng);
+            assert!(cluster.check_invariants(), "tick {}", cluster.now());
+        }
+        (cluster.now(), probed, reported, truth)
+    }
+
+    /// The tick an eagerly heartbeating master declares a server dead:
+    /// the first past `last_heard + period * (timeout_beats + 1)`.
+    fn eager_detection(heartbeat: HeartbeatConfig, last_heard: u64) -> u64 {
+        last_heard + u64::from(heartbeat.period) * (u64::from(heartbeat.timeout_beats) + 1) + 1
+    }
+
+    #[test]
+    fn crash_on_a_beat_tick_was_last_heard_at_the_previous_beat() {
+        let hb = HeartbeatConfig::new(2, 1);
+        let plan = FaultPlan::new().at(6, FaultEvent::Crash { server: 0 });
+        let (detected, probed, reported, truth) = crash_and_detect(hb, &plan, 0, 6);
+        assert_eq!(detected, eager_detection(hb, 4));
+        assert_eq!(probed, reported, "the beat at 4 carried the load");
+        assert_ne!(probed, truth, "the second batch went unreported");
+    }
+
+    #[test]
+    fn crash_at_tick_one_was_never_heard() {
+        let hb = HeartbeatConfig::new(3, 1);
+        let plan = FaultPlan::new().at(1, FaultEvent::Crash { server: 0 });
+        let (detected, probed, reported, _) = crash_and_detect(hb, &plan, 0, 1);
+        assert_eq!(detected, eager_detection(hb, 0));
+        assert_eq!(probed, 0, "no beat ran before the crash");
+        assert!(reported > 0);
+    }
+
+    #[test]
+    fn crash_after_a_recover_was_last_heard_at_the_recovery() {
+        let hb = HeartbeatConfig::new(5, 1);
+        let plan = FaultPlan::new()
+            .at(2, FaultEvent::Crash { server: 0 })
+            .at(3, FaultEvent::Recover { server: 0 })
+            .at(4, FaultEvent::Crash { server: 0 });
+        let (detected, probed, reported, truth) = crash_and_detect(hb, &plan, 0, 4);
+        assert_eq!(detected, eager_detection(hb, 3));
+        assert_eq!(probed, reported, "the recovery reported the intact load");
+        assert_ne!(probed, truth);
+    }
+
+    #[test]
+    fn crash_after_a_join_was_last_heard_at_the_join() {
+        let hb = HeartbeatConfig::new(5, 1);
+        let plan = FaultPlan::new()
+            .at(3, FaultEvent::Join { capacity: 1.0 })
+            .at(4, FaultEvent::Crash { server: 4 });
+        let (detected, probed, reported, truth) = crash_and_detect(hb, &plan, 4, 4);
+        assert_eq!(detected, eager_detection(hb, 3));
+        assert_eq!(
+            (probed, reported),
+            (0, 0),
+            "the join reported an empty server"
+        );
+        assert!(
+            truth > 0,
+            "the joined server took replicas before it crashed"
+        );
+    }
+
+    #[test]
+    fn period_one_timeout_zero_detects_two_ticks_after_the_last_beat() {
+        let hb = HeartbeatConfig::new(1, 0);
+        for crash_tick in [1, 5] {
+            let plan = FaultPlan::new().at(crash_tick, FaultEvent::Crash { server: 1 });
+            let (detected, probed, reported, truth) = crash_and_detect(hb, &plan, 1, crash_tick);
+            assert_eq!(detected, eager_detection(hb, crash_tick - 1));
+            assert_eq!(detected, crash_tick + 1);
+            let expected = if crash_tick > 1 { reported } else { 0 };
+            assert_eq!(probed, expected, "crash at {crash_tick}");
+            assert_ne!(probed, truth);
+        }
     }
 
     #[test]

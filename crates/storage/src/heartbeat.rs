@@ -79,6 +79,15 @@ impl HeartbeatTable {
         self.last_heard[server] = now;
     }
 
+    /// Raises the tick `server` was last heard from to at least `tick`,
+    /// keeping its reported load. A server whose load has not changed
+    /// since its last report need not send its periodic reports one by
+    /// one; this records the latest of them in one step.
+    pub(crate) fn heard_at_least(&mut self, server: usize, tick: u64) {
+        let heard = &mut self.last_heard[server];
+        *heard = (*heard).max(tick);
+    }
+
     /// The last load `server` reported (possibly stale).
     pub fn snapshot(&self, server: usize) -> u32 {
         self.reported[server]
@@ -135,6 +144,17 @@ mod tests {
         assert!(!table.overdue(0, 8, config));
         assert_eq!(table.snapshot(0), 9);
         assert_eq!(table.last_heard(0), 6);
+    }
+
+    #[test]
+    fn heard_at_least_only_moves_the_clock_forward() {
+        let mut table = HeartbeatTable::new(1);
+        table.report(0, 5, 8);
+        table.heard_at_least(0, 6);
+        assert_eq!(table.last_heard(0), 8);
+        table.heard_at_least(0, 10);
+        assert_eq!(table.last_heard(0), 10);
+        assert_eq!(table.snapshot(0), 5);
     }
 
     #[test]

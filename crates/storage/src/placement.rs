@@ -162,9 +162,75 @@ where
 /// returning a shortfall (each round costs the policy's probe messages).
 const MAX_PROBE_ROUNDS: usize = 4;
 
-/// Places up to `count` replicas on *distinct* servers drawn from `alive`,
-/// skipping servers where `forbidden` holds and — when `rack_aware` —
-/// racks already occupied (`rack_used`) or picked earlier in this call.
+/// The rack of `server` among `racks` racks: servers are assigned
+/// round-robin, initial and joined alike.
+pub(crate) fn rack_of(server: usize, racks: usize) -> usize {
+    server % racks
+}
+
+/// The survivors of `alive` after removing an excluded set, in `alive`
+/// order, as an indexable view: `get(j)` is the `j`-th element of
+/// `alive.iter().filter(|s| !excluded.contains(s))` without that pool
+/// ever being built. Construction costs O(|excluded| log |excluded|) and
+/// a lookup O(log |excluded|), independent of `alive.len()`.
+#[derive(Debug)]
+pub(crate) struct EligiblePool<'a> {
+    alive: &'a [usize],
+    /// `p_i - i` for the sorted, deduped `alive` positions `p_i` of the
+    /// excluded servers. The sequence is non-decreasing, and the number
+    /// of its entries `<= j` is how many excluded positions precede the
+    /// `j`-th survivor.
+    shifted: Vec<usize>,
+}
+
+impl<'a> EligiblePool<'a> {
+    /// The view of `alive` without `excluded`, where `alive_pos[s]` is
+    /// the position of `s` in `alive` (`usize::MAX` when absent).
+    /// Duplicates and servers missing from `alive` are ignored.
+    pub(crate) fn new(
+        alive: &'a [usize],
+        alive_pos: &[usize],
+        excluded: impl IntoIterator<Item = usize>,
+    ) -> Self {
+        let mut shifted: Vec<usize> = excluded
+            .into_iter()
+            .map(|s| alive_pos[s])
+            .filter(|&p| p != usize::MAX)
+            .collect();
+        shifted.sort_unstable();
+        shifted.dedup();
+        for (i, p) in shifted.iter_mut().enumerate() {
+            *p -= i;
+        }
+        Self { alive, shifted }
+    }
+
+    /// The number of surviving servers.
+    pub(crate) fn len(&self) -> usize {
+        self.alive.len() - self.shifted.len()
+    }
+
+    /// Whether no server survives.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The `j`-th surviving server in `alive` order (`j < len()`).
+    pub(crate) fn get(&self, j: usize) -> usize {
+        self.alive[j + self.shifted.partition_point(|&q| q <= j)]
+    }
+}
+
+/// Places up to `count` replicas on *distinct* servers drawn from `alive`
+/// (with `alive_pos` its position index), skipping the `holders` of the
+/// chunk and — when `racks` is `Some(r)`, rack-aware over `r` racks —
+/// every server in a rack a holder occupies or a replica picked earlier
+/// in this call took.
+///
+/// Each probe round samples from an [`EligiblePool`] over the excluded
+/// set, so a call costs O(d + |excluded|) up to log factors, not
+/// O(`alive.len()`); the RNG draws equal those of sampling the filtered
+/// pool itself.
 ///
 /// Returns `(destinations, probe_messages)`; `destinations.len()` may be
 /// smaller than `count` when the constraints exhaust the eligible set
@@ -175,15 +241,14 @@ const MAX_PROBE_ROUNDS: usize = 4;
 /// spends no probe messages, `PerChunkTwoChoice` spends 2 per replica,
 /// `KdChoice { d }` spends `d` per probe round.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn choose_constrained<R, L, C, F, K>(
+pub(crate) fn choose_constrained<R, L, C>(
     policy: PlacementPolicy,
     alive: &[usize],
+    alive_pos: &[usize],
     load: L,
     capacity: C,
-    rack_of: K,
-    rack_aware: bool,
-    forbidden: F,
-    rack_used: &[usize],
+    racks: Option<usize>,
+    holders: &[usize],
     count: usize,
     rng: &mut R,
 ) -> (Vec<usize>, u64)
@@ -191,49 +256,59 @@ where
     R: RngCore + ?Sized,
     L: Fn(usize) -> u32,
     C: Fn(usize) -> f64,
-    F: Fn(usize) -> bool,
-    K: Fn(usize) -> usize,
 {
     let mut chosen: Vec<usize> = Vec::with_capacity(count);
-    let mut racks_taken: Vec<usize> = rack_used.to_vec();
+    let mut racks_taken: Vec<usize> = match racks {
+        Some(r) => holders.iter().map(|&s| rack_of(s, r)).collect(),
+        None => Vec::new(),
+    };
     let mut messages = 0u64;
     let effective = |s: usize| f64::from(load(s)) / capacity(s);
     let eligible = |s: usize, chosen: &[usize], racks_taken: &[usize]| {
-        !forbidden(s) && !chosen.contains(&s) && (!rack_aware || !racks_taken.contains(&rack_of(s)))
+        !holders.contains(&s)
+            && !chosen.contains(&s)
+            && racks.is_none_or(|r| !racks_taken.contains(&rack_of(s, r)))
+    };
+    // Rack-aware, the taken racks' members cover the holders and the
+    // chosen servers too.
+    let pool = |chosen: &[usize], racks_taken: &[usize]| match racks {
+        Some(r) => EligiblePool::new(
+            alive,
+            alive_pos,
+            racks_taken
+                .iter()
+                .flat_map(|&rack| (rack..alive_pos.len()).step_by(r)),
+        ),
+        None => EligiblePool::new(alive, alive_pos, holders.iter().chain(chosen).copied()),
+    };
+    let take = |s: usize, chosen: &mut Vec<usize>, racks_taken: &mut Vec<usize>| {
+        if let Some(r) = racks {
+            racks_taken.push(rack_of(s, r));
+        }
+        chosen.push(s);
     };
 
     match policy {
         PlacementPolicy::Random => {
             for _ in 0..count {
-                let pool: Vec<usize> = alive
-                    .iter()
-                    .copied()
-                    .filter(|&s| eligible(s, &chosen, &racks_taken))
-                    .collect();
+                let pool = pool(&chosen, &racks_taken);
                 if pool.is_empty() {
                     break;
                 }
-                let s = pool[UniformBin::new(pool.len()).sample(rng)];
-                if rack_aware {
-                    racks_taken.push(rack_of(s));
-                }
-                chosen.push(s);
+                let s = pool.get(UniformBin::new(pool.len()).sample(rng));
+                take(s, &mut chosen, &mut racks_taken);
             }
         }
         PlacementPolicy::PerChunkTwoChoice => {
             for _ in 0..count {
-                let pool: Vec<usize> = alive
-                    .iter()
-                    .copied()
-                    .filter(|&s| eligible(s, &chosen, &racks_taken))
-                    .collect();
+                let pool = pool(&chosen, &racks_taken);
                 if pool.is_empty() {
                     break;
                 }
                 messages += 2;
                 let pick = UniformBin::new(pool.len());
-                let a = pool[pick.sample(rng)];
-                let b = pool[pick.sample(rng)];
+                let a = pool.get(pick.sample(rng));
+                let b = pool.get(pick.sample(rng));
                 let (la, lb) = (effective(a), effective(b));
                 let s = if la < lb {
                     a
@@ -244,10 +319,7 @@ where
                 } else {
                     b
                 };
-                if rack_aware {
-                    racks_taken.push(rack_of(s));
-                }
-                chosen.push(s);
+                take(s, &mut chosen, &mut racks_taken);
             }
         }
         PlacementPolicy::KdChoice { d } => {
@@ -255,17 +327,13 @@ where
                 if chosen.len() == count {
                     break;
                 }
-                let pool: Vec<usize> = alive
-                    .iter()
-                    .copied()
-                    .filter(|&s| eligible(s, &chosen, &racks_taken))
-                    .collect();
+                let pool = pool(&chosen, &racks_taken);
                 if pool.is_empty() {
                     break;
                 }
                 messages += d as u64;
                 let pick = UniformBin::new(pool.len());
-                let mut sampled: Vec<usize> = (0..d).map(|_| pool[pick.sample(rng)]).collect();
+                let mut sampled: Vec<usize> = (0..d).map(|_| pool.get(pick.sample(rng))).collect();
                 sampled.sort_unstable();
                 let mut slots: Vec<(f64, u64, usize)> = Vec::with_capacity(d);
                 let mut i = 0;
@@ -286,10 +354,7 @@ where
                         break;
                     }
                     if eligible(s, &chosen, &racks_taken) {
-                        if rack_aware {
-                            racks_taken.push(rack_of(s));
-                        }
-                        chosen.push(s);
+                        take(s, &mut chosen, &mut racks_taken);
                     }
                 }
             }
@@ -301,21 +366,26 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kdchoice_prng::sample::shuffle;
     use kdchoice_prng::Xoshiro256PlusPlus;
+    use proptest::prelude::*;
+
+    fn identity(n: usize) -> Vec<usize> {
+        (0..n).collect()
+    }
 
     #[test]
     fn constrained_kd_yields_distinct_servers() {
         let mut rng = Xoshiro256PlusPlus::from_u64(1);
-        let alive: Vec<usize> = (0..10).collect();
+        let alive = identity(10);
         for _ in 0..200 {
             let (dest, msgs) = choose_constrained(
                 PlacementPolicy::KdChoice { d: 6 },
                 &alive,
+                &alive,
                 |_| 0,
                 |_| 1.0,
-                |s| s,
-                false,
-                |_| false,
+                None,
                 &[],
                 3,
                 &mut rng,
@@ -332,7 +402,7 @@ mod tests {
     #[test]
     fn constrained_rack_aware_yields_distinct_racks() {
         let mut rng = Xoshiro256PlusPlus::from_u64(2);
-        let alive: Vec<usize> = (0..12).collect();
+        let alive = identity(12);
         // 4 racks of 3 servers each: rack = s % 4.
         for policy in [
             PlacementPolicy::KdChoice { d: 8 },
@@ -343,11 +413,10 @@ mod tests {
                 let (dest, _) = choose_constrained(
                     policy,
                     &alive,
+                    &alive,
                     |_| 0,
                     |_| 1.0,
-                    |s| s % 4,
-                    true,
-                    |_| false,
+                    Some(4),
                     &[],
                     3,
                     &mut rng,
@@ -362,19 +431,39 @@ mod tests {
     }
 
     #[test]
+    fn rack_aware_skips_the_racks_of_holders() {
+        let mut rng = Xoshiro256PlusPlus::from_u64(5);
+        let alive = identity(12);
+        for _ in 0..100 {
+            let (dest, _) = choose_constrained(
+                PlacementPolicy::KdChoice { d: 6 },
+                &alive,
+                &alive,
+                |_| 0,
+                |_| 1.0,
+                Some(4),
+                &[1, 6],
+                2,
+                &mut rng,
+            );
+            assert_eq!(dest.len(), 2);
+            assert!(dest.iter().all(|&s| s % 4 == 0 || s % 4 == 3), "{dest:?}");
+        }
+    }
+
+    #[test]
     fn constrained_reports_shortfall_instead_of_panicking() {
         let mut rng = Xoshiro256PlusPlus::from_u64(3);
         // Only 2 eligible servers but 4 replicas wanted.
-        let alive: Vec<usize> = vec![0, 1, 2];
+        let alive = identity(3);
         let (dest, _) = choose_constrained(
             PlacementPolicy::KdChoice { d: 4 },
             &alive,
+            &alive,
             |_| 0,
             |_| 1.0,
-            |s| s,
-            false,
-            |s| s == 2,
-            &[],
+            None,
+            &[2],
             4,
             &mut rng,
         );
@@ -384,21 +473,72 @@ mod tests {
     #[test]
     fn forbidden_servers_are_never_chosen() {
         let mut rng = Xoshiro256PlusPlus::from_u64(4);
-        let alive: Vec<usize> = (0..8).collect();
+        let alive = identity(8);
         for _ in 0..100 {
             let (dest, _) = choose_constrained(
                 PlacementPolicy::Random,
                 &alive,
+                &alive,
                 |_| 0,
                 |_| 1.0,
-                |s| s,
-                false,
-                |s| s % 2 == 0,
-                &[],
+                None,
+                &[0, 2, 4, 6],
                 2,
                 &mut rng,
             );
             assert!(dest.iter().all(|&s| s % 2 == 1), "{dest:?}");
+        }
+    }
+
+    #[test]
+    fn eligible_pool_skips_excluded_positions() {
+        let alive = vec![7, 3, 0, 5, 1];
+        let mut alive_pos = vec![usize::MAX; 9];
+        for (p, &s) in alive.iter().enumerate() {
+            alive_pos[s] = p;
+        }
+        // 8 is not alive; 3 is listed twice.
+        let pool = EligiblePool::new(&alive, &alive_pos, [3, 8, 7, 3]);
+        assert_eq!(pool.len(), 3);
+        let survivors: Vec<usize> = (0..pool.len()).map(|j| pool.get(j)).collect();
+        assert_eq!(survivors, vec![0, 5, 1]);
+        assert!(EligiblePool::new(&alive, &alive_pos, alive.clone()).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The view equals the filtered pool it replaces, element for
+        /// element, for any `alive` order (a shuffled subset of the
+        /// servers) and any excluded multiset, including servers that are
+        /// not alive.
+        #[test]
+        fn eligible_pool_matches_the_filtered_vec(
+            servers in 1usize..80,
+            alive_frac in 0.0f64..1.0,
+            excluded in prop::collection::vec(0usize..80, 0..40),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = Xoshiro256PlusPlus::from_u64(seed);
+            let mut order = identity(servers);
+            shuffle(&mut rng, &mut order);
+            let alive = &order[..(servers as f64 * alive_frac) as usize];
+            let mut alive_pos = vec![usize::MAX; servers];
+            for (p, &s) in alive.iter().enumerate() {
+                alive_pos[s] = p;
+            }
+            let excluded: Vec<usize> = excluded.into_iter().map(|s| s % servers).collect();
+            let filtered: Vec<usize> = alive
+                .iter()
+                .copied()
+                .filter(|s| !excluded.contains(s))
+                .collect();
+            let pool = EligiblePool::new(alive, &alive_pos, excluded.iter().copied());
+            prop_assert_eq!(pool.len(), filtered.len());
+            prop_assert_eq!(pool.is_empty(), filtered.is_empty());
+            for (j, &s) in filtered.iter().enumerate() {
+                prop_assert_eq!(pool.get(j), s);
+            }
         }
     }
 }

@@ -127,33 +127,41 @@ impl RecoveryQueue {
     /// returns `Ok(())` on success or `Err(delay_attempts)` — on error
     /// the entry re-queues with incremented attempts and its backoff
     /// deadline. Returns the number of attempts made.
+    ///
+    /// The walk stops once the budget is spent, and kept entries are
+    /// compacted in place, so a drain touches only the attempted entries
+    /// and those still in backoff ahead of them — not the whole backlog.
     pub fn drain<F>(&mut self, now: u64, config: RecoveryConfig, mut attempt: F) -> u32
     where
         F: FnMut(Repair) -> Result<(), ()>,
     {
-        let mut kept: VecDeque<Repair> = VecDeque::with_capacity(self.queue.len());
         let mut attempts_made = 0u32;
-        while let Some(entry) = self.queue.pop_front() {
-            let within_budget = config.is_unbounded() || attempts_made < config.budget_per_tick;
-            if !within_budget || entry.not_before > now {
-                kept.push_back(entry);
-                continue;
-            }
-            attempts_made += 1;
-            match attempt(entry) {
-                Ok(()) => {}
-                Err(()) => {
-                    let attempts = entry.attempts + 1;
-                    kept.push_back(Repair {
-                        attempts,
-                        not_before: now + config.backoff(attempts),
-                        ..entry
-                    });
+        let (mut kept, mut read) = (0usize, 0usize);
+        while read < self.queue.len()
+            && (config.is_unbounded() || attempts_made < config.budget_per_tick)
+        {
+            let entry = self.queue[read];
+            read += 1;
+            let retained = if entry.not_before > now {
+                entry
+            } else {
+                attempts_made += 1;
+                match attempt(entry) {
+                    Ok(()) => continue,
+                    Err(()) => {
+                        let attempts = entry.attempts + 1;
+                        Repair {
+                            attempts,
+                            not_before: now + config.backoff(attempts),
+                            ..entry
+                        }
+                    }
                 }
-            }
+            };
+            self.queue[kept] = retained;
+            kept += 1;
         }
-        self.queue = kept;
-        self.peak_len = self.peak_len.max(self.queue.len());
+        self.queue.drain(kept..read);
         attempts_made
     }
 
