@@ -9,7 +9,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use kdchoice_baselines::{AdaptiveProbing, DChoice, SingleChoice};
 use kdchoice_core::{run_once, BallsIntoBins, KdChoice, RoundPolicy, RunConfig};
 use kdchoice_scheduler::{simulate, ClusterConfig, PlacementStrategy};
-use kdchoice_storage::{run_workload, PlacementPolicy, WorkloadConfig};
+use kdchoice_storage::{
+    run_cluster_workload, ClusterWorkloadConfig, PlacementPolicy, WorkloadConfig,
+};
 
 const N: usize = 1 << 14;
 
@@ -80,8 +82,12 @@ fn bench_scheduler(c: &mut Criterion) {
 fn bench_storage(c: &mut Criterion) {
     let mut group = c.benchmark_group("storage");
     group.sample_size(10);
-    let cfg = WorkloadConfig::new(200, 4, PlacementPolicy::KdChoice { d: 8 }).with_seed(5);
-    group.bench_function("workload_2000_files", |b| b.iter(|| run_workload(&cfg)));
+    let cfg = ClusterWorkloadConfig::legacy_compat(
+        &WorkloadConfig::new(200, 4, PlacementPolicy::KdChoice { d: 8 }).with_seed(5),
+    );
+    group.bench_function("workload_2000_files", |b| {
+        b.iter(|| run_cluster_workload(&cfg))
+    });
     group.finish();
 }
 

@@ -30,7 +30,6 @@ use crate::state::LoadVector;
 /// assert_eq!(heavy.balls, 8192);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunConfig {
     /// Number of bins `n`.
     pub n: usize,
@@ -112,7 +111,6 @@ impl HeightSink for HeightHistogram {
 
 /// The outcome of one run: the paper's observables plus accounting.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunResult {
     /// The process's self-reported name.
     pub name: String,

@@ -14,7 +14,6 @@ use crate::state::LoadVector;
 
 /// One trajectory checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TracePoint {
     /// Balls thrown so far.
     pub balls: u64,

@@ -68,7 +68,6 @@ use rand::Rng;
 
 /// Configuration of one cluster-scheduling simulation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClusterConfig {
     /// Number of worker machines.
     pub workers: usize,

@@ -37,7 +37,6 @@ impl Ord for TotalF64 {
 
 /// How a job's `k` tasks pick their workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PlacementStrategy {
     /// Each task goes to a uniformly random worker; zero probes.
     Random,

@@ -5,7 +5,6 @@ use rand::RngCore;
 
 /// Per-task service time distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ServiceDistribution {
     /// Exponential with the given mean (the M/M/· textbook case).
     Exponential {

@@ -39,27 +39,92 @@
 //!
 //! Configured with zero heartbeat lag ([`HeartbeatConfig::synchronous`]),
 //! an unbounded budget ([`RecoveryConfig::unbounded`]) and the
-//! [`ReplicaDiscipline::Multiplicity`] legacy placement rule, the whole
-//! pipeline collapses to the synchronous [`crate::StorageCluster`]
-//! semantics and reproduces its RNG stream bit-identically (locked by
-//! the `legacy_equivalence` integration test).
+//! [`ReplicaDiscipline::Multiplicity`] placement rule
+//! ([`ClusterConfig::legacy_compat`]), the pipeline collapses to the
+//! synchronous §1.3 model: a crash is detected in the tick it happens and
+//! every replica the server held is re-placed in that same tick, in the
+//! order the server received them. The `storage` scenario runs in this
+//! configuration; the `storage_golden` integration test pins its results.
 
 use std::collections::VecDeque;
 
 use kdchoice_prng::sample::UniformBin;
 use rand::RngCore;
 
-use crate::cluster::{ClusterError, StorageStats};
 use crate::fault::{FaultEvent, FaultInjector, FaultPlan};
 use crate::heartbeat::{HeartbeatConfig, HeartbeatTable};
 use crate::placement::{choose_constrained, choose_destinations, rack_of, PlacementPolicy};
 use crate::replication::{RecoveryConfig, RecoveryQueue, Repair};
 
+/// Errors from cluster fault operations.
+///
+/// Fault plans may legitimately target servers that another event already
+/// killed (overlapping rack outages, double crashes); these are reported
+/// as values so callers degrade gracefully instead of panicking.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ClusterError {
+    /// The targeted server is already dead.
+    AlreadyDead {
+        /// The server in question.
+        server: usize,
+    },
+    /// The targeted server id is out of range.
+    UnknownServer {
+        /// The server in question.
+        server: usize,
+    },
+    /// No alive server is available for the operation (creating a chunk
+    /// with every server declared dead, or sampling a victim or a server
+    /// to recover from an empty set).
+    NoAliveServers,
+    /// The targeted server is not down, so it cannot be recovered.
+    NotDown {
+        /// The server in question.
+        server: usize,
+    },
+}
+
+impl std::fmt::Display for ClusterError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ClusterError::AlreadyDead { server } => write!(f, "server {server} is already dead"),
+            ClusterError::UnknownServer { server } => write!(f, "unknown server {server}"),
+            ClusterError::NoAliveServers => write!(f, "no alive servers left"),
+            ClusterError::NotDown { server } => write!(f, "server {server} is not down"),
+        }
+    }
+}
+
+impl std::error::Error for ClusterError {}
+
+/// Message-cost and load statistics of a cluster.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StorageStats {
+    /// Alive servers.
+    pub alive_servers: usize,
+    /// Total chunks stored on alive servers.
+    pub total_chunks: u64,
+    /// Maximum chunks on any alive server.
+    pub max_load: u32,
+    /// Mean chunks per alive server.
+    pub mean_load: f64,
+    /// `max_load / mean_load` (1.0 when empty).
+    pub imbalance: f64,
+    /// Probe messages spent on placement so far.
+    pub placement_messages: u64,
+    /// Messages spent on reads so far.
+    pub read_messages: u64,
+    /// Chunks re-replicated due to failures so far.
+    pub recovered_chunks: u64,
+    /// Probe messages spent during recovery so far.
+    pub recovery_messages: u64,
+}
+
 /// How strictly a chunk's `k` replicas must spread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicaDiscipline {
-    /// The legacy §1.3 multiplicity rule: one server may hold several
-    /// replicas of a chunk (needed for bit-identical legacy equivalence).
+    /// The §1.3 multiplicity rule: one server may hold several replicas
+    /// of a chunk.
     Multiplicity,
     /// Replicas of a chunk land on distinct servers.
     DistinctServers,
@@ -113,9 +178,10 @@ impl ClusterConfig {
         }
     }
 
-    /// The configuration under which [`ChunkCluster`] is bit-identical to
-    /// the legacy [`crate::StorageCluster`]: multiplicity placement, zero
-    /// heartbeat lag, instant detection, unbounded recovery.
+    /// The synchronous §1.3 storage model: multiplicity placement,
+    /// synchronous heartbeats (probes see true loads and a crash is
+    /// detected in its own tick) and unbounded recovery (every lost
+    /// replica is re-placed in the detection tick).
     pub fn legacy_compat(servers: usize, replicas: usize, policy: PlacementPolicy) -> Self {
         Self {
             discipline: ReplicaDiscipline::Multiplicity,
@@ -295,7 +361,7 @@ pub struct ChunkCluster {
     crashed_undetected: usize,
     under_replicated: usize,
     unavailable: usize,
-    // Legacy-compatible message/recovery accounting.
+    // Message and recovery accounting.
     placement_messages: u64,
     read_messages: u64,
     recovered_chunks: u64,
@@ -929,8 +995,7 @@ impl ChunkCluster {
         self.alive.iter().map(|&s| self.loads[s]).collect()
     }
 
-    /// Legacy-compatible statistics snapshot (same fields and semantics
-    /// as [`crate::StorageCluster::stats`], over the master's alive set).
+    /// Load and message statistics over the master's alive set.
     pub fn stats(&self) -> StorageStats {
         let loads = self.alive_loads();
         let total: u64 = loads.iter().map(|&l| u64::from(l)).sum();
@@ -1145,6 +1210,140 @@ mod tests {
 
     fn kd(d: usize) -> PlacementPolicy {
         PlacementPolicy::KdChoice { d }
+    }
+
+    /// A synchronous §1.3 cluster ([`ClusterConfig::legacy_compat`]) that
+    /// runs `plan`.
+    fn legacy(servers: usize, k: usize, policy: PlacementPolicy, plan: &FaultPlan) -> ChunkCluster {
+        ChunkCluster::new(ClusterConfig::legacy_compat(servers, k, policy), plan)
+    }
+
+    #[test]
+    fn placement_and_read_costs_match_section_1_3() {
+        let mut rng = Xoshiro256PlusPlus::from_u64(1);
+        // Probes per create: d, 2k and 0. Reads: k + 1 through the
+        // directory, 2k for per-chunk two-choice.
+        for (policy, probes, read) in [
+            (kd(4), 4, 4),
+            (PlacementPolicy::PerChunkTwoChoice, 6, 6),
+            (PlacementPolicy::Random, 0, 4),
+        ] {
+            let mut cluster = legacy(20, 3, policy, &FaultPlan::new());
+            assert_eq!(cluster.alive_servers(), 20);
+            assert_eq!(cluster.chunks(), 0);
+            assert!(cluster.check_invariants());
+            cluster.create_chunk(&mut rng).unwrap();
+            assert_eq!(cluster.stats().placement_messages, probes, "{policy}");
+            assert_eq!(cluster.read_chunk(0), read, "{policy}");
+            for _ in 1..50 {
+                cluster.create_chunk(&mut rng).unwrap();
+            }
+            assert_eq!(cluster.stats().total_chunks, 150, "{policy}");
+            assert!(cluster.check_invariants(), "{policy}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn read_unknown_chunk_panics() {
+        let _ = legacy(5, 2, PlacementPolicy::Random, &FaultPlan::new()).read_chunk(7);
+    }
+
+    #[test]
+    #[should_panic(expected = "d >= k")]
+    fn kd_policy_needs_enough_probes() {
+        let _ = legacy(10, 4, kd(3), &FaultPlan::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "one capacity per server")]
+    fn capacities_length_checked() {
+        let _ = legacy(3, 1, PlacementPolicy::Random, &FaultPlan::new()).with_capacities(&[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn capacities_value_checked() {
+        let _ =
+            legacy(2, 1, PlacementPolicy::Random, &FaultPlan::new()).with_capacities(&[1.0, 0.0]);
+    }
+
+    #[test]
+    fn heterogeneous_capacities_absorb_proportionally() {
+        let mut rng = Xoshiro256PlusPlus::from_u64(20);
+        // Half the servers have double capacity.
+        let caps: Vec<f64> = (0..40).map(|i| if i < 20 { 2.0 } else { 1.0 }).collect();
+        let mut cluster = legacy(40, 2, kd(8), &FaultPlan::new()).with_capacities(&caps);
+        for _ in 0..600 {
+            cluster.create_chunk(&mut rng).unwrap();
+        }
+        let loads = cluster.alive_loads();
+        let big: u64 = loads[..20].iter().map(|&l| u64::from(l)).sum();
+        let small: u64 = loads[20..].iter().map(|&l| u64::from(l)).sum();
+        let ratio = big as f64 / small as f64;
+        assert!(
+            (1.5..=2.6).contains(&ratio),
+            "capacity-2 servers should hold ~2x the replicas, ratio {ratio}"
+        );
+        assert!(cluster.check_invariants());
+    }
+
+    #[test]
+    fn kd_placement_respects_multiplicity_and_prefers_cold_servers() {
+        let mut rng = Xoshiro256PlusPlus::from_u64(4);
+        let mut cluster = legacy(4, 2, kd(8), &FaultPlan::new());
+        for _ in 0..40 {
+            cluster.create_chunk(&mut rng).unwrap();
+        }
+        let loads = cluster.alive_loads();
+        let max = *loads.iter().max().unwrap();
+        let min = *loads.iter().min().unwrap();
+        // 80 replicas over 4 servers with d=8 probing: very tight balance.
+        assert!(max - min <= 3, "loads {loads:?}");
+    }
+
+    #[test]
+    fn kd_beats_random_on_imbalance() {
+        let mut rng_a = Xoshiro256PlusPlus::from_u64(8);
+        let mut rng_b = Xoshiro256PlusPlus::from_u64(8);
+        let mut kd_cluster = legacy(100, 3, kd(6), &FaultPlan::new());
+        let mut random = legacy(100, 3, PlacementPolicy::Random, &FaultPlan::new());
+        for _ in 0..300 {
+            kd_cluster.create_chunk(&mut rng_a).unwrap();
+            random.create_chunk(&mut rng_b).unwrap();
+        }
+        let (kd_stats, random_stats) = (kd_cluster.stats(), random.stats());
+        assert!(
+            kd_stats.max_load < random_stats.max_load,
+            "kd {} vs random {}",
+            kd_stats.max_load,
+            random_stats.max_load
+        );
+        assert!(
+            kd_stats.imbalance < random_stats.imbalance,
+            "kd {} vs random {}",
+            kd_stats.imbalance,
+            random_stats.imbalance
+        );
+    }
+
+    #[test]
+    fn cascading_failures_keep_invariants() {
+        let plan = (1..=12).fold(FaultPlan::new(), |plan, tick| {
+            plan.at(tick, FaultEvent::CrashRandom)
+        });
+        let mut cluster = legacy(16, 2, kd(4), &plan);
+        let mut rng = Xoshiro256PlusPlus::from_u64(7);
+        for _ in 0..64 {
+            cluster.create_chunk(&mut rng).unwrap();
+        }
+        for _ in 0..12 {
+            cluster.tick(&mut rng);
+            assert!(cluster.check_invariants(), "tick {}", cluster.now());
+        }
+        assert_eq!(cluster.alive_servers(), 4);
+        assert_eq!(cluster.stats().total_chunks, 128);
+        assert_eq!(cluster.under_replicated(), 0);
     }
 
     #[test]
@@ -1396,15 +1595,29 @@ mod tests {
             .at(1, FaultEvent::Crash { server: 0 })
             .at(2, FaultEvent::Crash { server: 0 })
             .at(2, FaultEvent::Recover { server: 2 })
-            .at(3, FaultEvent::Crash { server: 99 });
+            .at(3, FaultEvent::Crash { server: 99 })
+            .at(4, FaultEvent::Crash { server: 1 })
+            .at(4, FaultEvent::Crash { server: 2 })
+            .at(5, FaultEvent::CrashRandom);
         let mut cluster = ChunkCluster::new(config, &plan);
         let mut rng = Xoshiro256PlusPlus::from_u64(6);
-        for _ in 0..5 {
+        for _ in 0..3 {
             cluster.tick(&mut rng);
         }
         let d = cluster.degradation();
         assert_eq!(d.crashes, 1);
         assert_eq!(d.plan_errors, 3);
+        assert_eq!(cluster.alive_servers(), 2);
+        assert!(cluster.check_invariants());
+        // Draining the cluster: crashing the last servers is fine, then
+        // sampling a victim from the empty up set is a plan error too.
+        for _ in 0..3 {
+            cluster.tick(&mut rng);
+        }
+        let d = cluster.degradation();
+        assert_eq!(d.crashes, 3);
+        assert_eq!(d.plan_errors, 4);
+        assert_eq!(cluster.alive_servers(), 0);
         assert!(cluster.check_invariants());
     }
 

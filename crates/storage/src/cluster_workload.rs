@@ -1,17 +1,85 @@
 //! The scripted degradation workload over the fault-injected
 //! [`ChunkCluster`]: create chunks on the virtual clock while a
 //! [`FaultPlan`] injects failures, drain the recovery backlog, then issue
-//! Zipf-popular reads and report both the legacy placement statistics and
-//! the robustness observables.
+//! Zipf-popular reads and report both the placement statistics and the
+//! robustness observables. [`WorkloadConfig`] describes the synchronous
+//! §1.3 experiment, which [`ClusterWorkloadConfig::legacy_compat`] turns
+//! into such a run.
 
 use kdchoice_prng::dist::Zipf;
 use kdchoice_prng::Xoshiro256PlusPlus;
 use kdchoice_stats::quantile::quantiles;
 
-use crate::chunk_cluster::{ChunkCluster, ClusterConfig, DegradationReport};
-use crate::cluster::StorageStats;
+use crate::chunk_cluster::{ChunkCluster, ClusterConfig, DegradationReport, StorageStats};
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::workload::WorkloadConfig;
+use crate::placement::PlacementPolicy;
+
+/// Configuration of the synchronous §1.3 storage experiment: create
+/// `files` files (failures injected at even intervals), then issue
+/// `reads` Zipf-popular reads. Run it through
+/// [`ClusterWorkloadConfig::legacy_compat`] and [`run_cluster_workload`].
+///
+/// ```
+/// use kdchoice_storage::{
+///     run_cluster_workload, ClusterWorkloadConfig, PlacementPolicy, WorkloadConfig,
+/// };
+///
+/// let cfg = WorkloadConfig::new(50, 4, PlacementPolicy::KdChoice { d: 8 })
+///     .with_failures(2)
+///     .with_seed(7);
+/// let report = run_cluster_workload(&ClusterWorkloadConfig::legacy_compat(&cfg));
+/// assert_eq!(report.stats.alive_servers, 48);
+/// assert!((report.read_cost_per_op - 5.0).abs() < 1e-9); // k+1
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkloadConfig {
+    /// Number of servers.
+    pub servers: usize,
+    /// Chunks (or replicas) per file, `k`.
+    pub chunks_per_file: usize,
+    /// Placement policy.
+    pub policy: PlacementPolicy,
+    /// Files to create.
+    pub files: usize,
+    /// Read operations to issue (Zipf-popular files).
+    pub reads: usize,
+    /// Zipf exponent for read popularity (0 = uniform).
+    pub zipf_exponent: f64,
+    /// Servers to fail, evenly spread through the create phase.
+    pub failures: usize,
+    /// Master seed.
+    pub seed: u64,
+}
+
+impl WorkloadConfig {
+    /// A sensible default workload.
+    pub fn new(servers: usize, chunks_per_file: usize, policy: PlacementPolicy) -> Self {
+        Self {
+            servers,
+            chunks_per_file,
+            policy,
+            files: servers * 10,
+            reads: servers * 20,
+            zipf_exponent: 0.9,
+            failures: 0,
+            seed: 0,
+        }
+    }
+
+    /// Sets the number of mid-workload server failures.
+    #[must_use]
+    pub fn with_failures(mut self, failures: usize) -> Self {
+        self.failures = failures;
+        self
+    }
+
+    /// Sets the seed.
+    #[must_use]
+    pub fn with_seed(mut self, seed: u64) -> Self {
+        self.seed = seed;
+        self
+    }
+}
 
 /// Configuration of a fault-injected cluster workload run.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,18 +120,23 @@ impl ClusterWorkloadConfig {
         }
     }
 
-    /// The exact fault-injected equivalent of the legacy
-    /// [`crate::run_workload`] experiment: multiplicity placement,
-    /// synchronous heartbeats, unbounded recovery, and random crashes
-    /// scheduled at the legacy failure intervals. Running it reproduces
-    /// the legacy RNG stream — and therefore every statistic —
-    /// bit-identically.
+    /// The synchronous §1.3 experiment `config` describes, as a run of
+    /// the fault-injected cluster: [`ClusterConfig::legacy_compat`]
+    /// (multiplicity placement, synchronous heartbeats, unbounded
+    /// recovery) with one random crash every `files / (failures + 1)`
+    /// creates. Each crash is detected and healed in its own tick, so
+    /// recovery completes before the next create.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.failures >= config.servers`.
     pub fn legacy_compat(config: &WorkloadConfig) -> Self {
+        assert!(config.failures < config.servers, "cannot fail every server");
         let cluster =
             ClusterConfig::legacy_compat(config.servers, config.chunks_per_file, config.policy);
-        // Replicate the legacy failure schedule: after creating file `f`
-        // (tick `f + 1`), fail a random server when the interval divides;
-        // leftovers fire back-to-back after the create phase.
+        // After creating file `f` (tick `f + 1`), crash a random server
+        // when the interval divides; leftovers fire back to back after
+        // the create phase.
         let mut plan = FaultPlan::new();
         let failure_every = if config.failures > 0 {
             (config.files / (config.failures + 1)).max(1)
@@ -108,7 +181,7 @@ impl ClusterWorkloadConfig {
 pub struct ClusterReport {
     /// Policy name.
     pub policy: String,
-    /// Legacy-compatible cluster statistics.
+    /// Cluster statistics over the master's alive servers.
     pub stats: StorageStats,
     /// Load percentiles `[p50, p90, p99]` over the master's alive servers.
     pub load_percentiles: [f64; 3],
@@ -199,7 +272,6 @@ pub fn run_cluster_workload(config: &ClusterWorkloadConfig) -> ClusterReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::PlacementPolicy;
     use crate::replication::RecoveryConfig;
 
     #[test]
@@ -256,5 +328,23 @@ mod tests {
         // Conservation: every chunk is back at full replication, so the
         // alive servers hold exactly files * k replicas.
         assert_eq!(r.stats.total_chunks, (config.files * 3) as u64);
+    }
+
+    #[test]
+    fn zero_reads_and_files_are_handled() {
+        let mut config = WorkloadConfig::new(10, 2, PlacementPolicy::Random).with_seed(5);
+        config.files = 0;
+        config.reads = 0;
+        let r = run_cluster_workload(&ClusterWorkloadConfig::legacy_compat(&config));
+        assert_eq!(r.stats.total_chunks, 0);
+        assert_eq!(r.read_cost_per_op, 0.0);
+        assert_eq!(r.create_cost_per_file, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot fail every server")]
+    fn all_failures_rejected() {
+        let config = WorkloadConfig::new(3, 1, PlacementPolicy::Random).with_failures(3);
+        let _ = ClusterWorkloadConfig::legacy_compat(&config);
     }
 }

@@ -10,8 +10,8 @@
 //! periods pass with no report — the *detection latency* observable.
 //!
 //! `period == 0` is the synchronous degenerate mode: snapshots always
-//! equal true loads and crashes are detected in the same tick, which is
-//! one leg of the legacy bit-identical equivalence lock.
+//! equal true loads and crashes are detected in the same tick, as the
+//! synchronous §1.3 model of `ClusterConfig::legacy_compat` requires.
 
 /// Heartbeat timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -14,37 +14,35 @@
 //! two-choice, per §1.3); servers can fail, triggering re-replication of
 //! their chunks.
 //!
-//! Two clusters share the placement machinery:
-//!
-//! - [`StorageCluster`]: the legacy synchronous model — failures are
-//!   announced, detection is instant, and recovery heals atomically inside
-//!   `fail_server`. See [`run_workload`] for its scripted experiment.
-//! - [`ChunkCluster`]: the fault-injected virtual-clock model — silent
-//!   crashes, heartbeat-lagged load views, missed-heartbeat death
-//!   detection, and bounded-rate re-replication driven by a declarative
-//!   [`FaultPlan`]. See [`run_cluster_workload`] for the degradation
-//!   experiment and [`ClusterScenario`] for the experiment-framework
-//!   binding.
+//! [`ChunkCluster`] is the cluster: a virtual-clock model with silent
+//! crashes, heartbeat-lagged load views, missed-heartbeat death
+//! detection, and bounded-rate re-replication driven by a declarative
+//! [`FaultPlan`]. [`run_cluster_workload`] runs the scripted degradation
+//! experiment on it and [`ClusterScenario`] binds that to the experiment
+//! framework. The synchronous §1.3 experiment — instant detection,
+//! recovery healed in the crash's own tick — is the special case
+//! [`ClusterWorkloadConfig::legacy_compat`] builds from a
+//! [`WorkloadConfig`], and [`StorageScenario`] is its binding.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod chunk_cluster;
-mod cluster;
 mod cluster_workload;
 mod fault;
 mod heartbeat;
 mod placement;
 mod replication;
 mod scenario;
-mod workload;
 
-pub use chunk_cluster::{ChunkCluster, ClusterConfig, DegradationReport, ReplicaDiscipline};
-pub use cluster::{ClusterError, StorageCluster, StorageStats};
-pub use cluster_workload::{run_cluster_workload, ClusterReport, ClusterWorkloadConfig};
+pub use chunk_cluster::{
+    ChunkCluster, ClusterConfig, ClusterError, DegradationReport, ReplicaDiscipline, StorageStats,
+};
+pub use cluster_workload::{
+    run_cluster_workload, ClusterReport, ClusterWorkloadConfig, WorkloadConfig,
+};
 pub use fault::{FaultEvent, FaultInjector, FaultPlan};
 pub use heartbeat::{HeartbeatConfig, HeartbeatTable};
 pub use placement::PlacementPolicy;
 pub use replication::{RecoveryConfig, RecoveryQueue, Repair};
 pub use scenario::{ClusterScenario, StorageScenario};
-pub use workload::{run_workload, StorageReport, WorkloadConfig};

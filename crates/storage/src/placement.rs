@@ -1,14 +1,12 @@
-//! Placement policies and destination selection, shared by the legacy
-//! synchronous [`crate::StorageCluster`] and the fault-injected
+//! Placement policies and destination selection for
 //! [`crate::ChunkCluster`].
 //!
 //! Two selection routines live here:
 //!
-//! - [`choose_destinations`] is the original §1.3 selection, *bit-exact*
-//!   with the pre-refactor `StorageCluster::place`: probes are drawn with
+//! - [`choose_destinations`] is the §1.3 selection: probes are drawn with
 //!   replacement and the multiplicity rule lets one server receive
-//!   several chunks of a file. Both clusters call it, so the legacy
-//!   `storage` scenario stream is reproducible from either.
+//!   several chunks of a file. The `storage` scenario places through it,
+//!   and the `storage_golden` test pins its probe stream.
 //! - [`choose_constrained`] enforces replica *distinctness* (no two
 //!   replicas of a chunk on one server, optionally no two on one rack)
 //!   by greedy selection over sorted probe slots with bounded re-probe
@@ -22,7 +20,6 @@ use rand::{Rng, RngCore};
 
 /// How a file's `k` chunks (or a chunk's `k` replicas) pick their servers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PlacementPolicy {
     /// The paper's scheme: sample `d` alive servers i.u.r. (with
     /// replacement) and store the `k` chunks on the `k` least loaded,
@@ -47,7 +44,7 @@ impl PlacementPolicy {
     /// Parameter-free policies return a borrowed `&'static str` — no
     /// allocation on reporting paths; `KdChoice` formats once per call,
     /// so report builders cache it per run (as
-    /// [`crate::StorageReport`] does) rather than fetching per event.
+    /// [`crate::ClusterReport`] does) rather than fetching per event.
     pub fn name(&self) -> Cow<'static, str> {
         match self {
             PlacementPolicy::KdChoice { d } => Cow::Owned(format!("(k,{d})-choice")),
@@ -67,10 +64,8 @@ impl std::fmt::Display for PlacementPolicy {
 /// reading per-server chunk counts through `load` and relative capacities
 /// through `capacity`; returns `(destinations, probe_messages)`.
 ///
-/// This is the legacy multiplicity-respecting selection: the probe and
-/// tie-break RNG stream is identical to the original
-/// `StorageCluster::place`, which the bit-identical `storage`-scenario
-/// lock depends on.
+/// This is the multiplicity-respecting §1.3 selection; the `storage`
+/// scenario's golden digests pin its probe and tie-break RNG stream.
 ///
 /// # Panics
 ///

@@ -18,8 +18,8 @@ use std::collections::VecDeque;
 /// Rate limits and retry policy of the re-replication pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Repair attempts per tick; `0` means unbounded (the legacy
-    /// instantaneous-heal behavior).
+    /// Repair attempts per tick; `0` means unbounded (every queued repair
+    /// is attempted in the tick it becomes due).
     pub budget_per_tick: u32,
     /// Base of the exponential retry backoff in ticks: retry `a` waits
     /// `backoff_base << min(a - 1, 6)` ticks. `0` retries next tick.
@@ -31,7 +31,8 @@ pub struct RecoveryConfig {
 }
 
 impl RecoveryConfig {
-    /// Unbounded instantaneous recovery (the legacy-equivalent mode).
+    /// Unbounded instantaneous recovery, as in the synchronous §1.3
+    /// model.
     pub const fn unbounded() -> Self {
         Self {
             budget_per_tick: 0,

@@ -4,19 +4,21 @@
 use kdchoice_expt::{Axis, Fields, GridError, GridSpec, Params, Scenario, Value};
 
 use crate::chunk_cluster::ClusterConfig;
-use crate::cluster_workload::{run_cluster_workload, ClusterReport, ClusterWorkloadConfig};
+use crate::cluster_workload::{
+    run_cluster_workload, ClusterReport, ClusterWorkloadConfig, WorkloadConfig,
+};
 use crate::placement::PlacementPolicy;
-use crate::workload::{run_workload, StorageReport, WorkloadConfig};
 
 /// The §1.3 distributed-storage experiment family. The config is the
 /// crate's [`WorkloadConfig`] unchanged — the master seed lives inside
-/// it, and the runner overrides it per trial.
+/// it, and the runner overrides it per trial. Each trial runs
+/// [`ClusterWorkloadConfig::legacy_compat`] of it.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StorageScenario;
 
 impl Scenario for StorageScenario {
     type Config = WorkloadConfig;
-    type Record = StorageReport;
+    type Record = ClusterReport;
 
     fn name(&self) -> &'static str {
         "storage"
@@ -26,8 +28,8 @@ impl Scenario for StorageScenario {
         "distributed storage: chunk placement, Zipf reads, failure recovery (section 1.3)"
     }
 
-    fn run(&self, config: &Self::Config, seed: u64) -> StorageReport {
-        run_workload(&config.clone().with_seed(seed))
+    fn run(&self, config: &Self::Config, seed: u64) -> ClusterReport {
+        run_cluster_workload(&ClusterWorkloadConfig::legacy_compat(config).with_seed(seed))
     }
 
     fn base_seed(&self, config: &Self::Config) -> u64 {
@@ -380,7 +382,7 @@ mod tests {
     use kdchoice_prng::derive_seed;
 
     #[test]
-    fn storage_sweep_is_bit_identical_to_serial_run_workload() {
+    fn storage_sweep_is_bit_identical_to_serial_cluster_workload() {
         let grid =
             GridSpec::parse_str("servers=30 k=3 policy=kd,two-choice,random failures=2").unwrap();
         let configs = configs_from_grid(&StorageScenario, &grid, 5).unwrap();
@@ -389,7 +391,9 @@ mod tests {
         for (cell, config) in cells.iter().zip(&configs) {
             for run in &cell.runs {
                 let seed = derive_seed(config.seed, run.trial as u64);
-                let serial = run_workload(&config.clone().with_seed(seed));
+                let serial = run_cluster_workload(&ClusterWorkloadConfig::legacy_compat(
+                    &config.clone().with_seed(seed),
+                ));
                 assert_eq!(run.record.stats, serial.stats);
                 assert_eq!(run.record.policy, serial.policy);
                 assert_eq!(run.record.load_percentiles, serial.load_percentiles);

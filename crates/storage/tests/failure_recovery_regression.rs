@@ -4,25 +4,42 @@
 //! count, and reproduce the exact same final state on every run.
 
 use kdchoice_prng::Xoshiro256PlusPlus;
-use kdchoice_storage::{run_workload, PlacementPolicy, StorageCluster, WorkloadConfig};
+use kdchoice_storage::{
+    run_cluster_workload, ChunkCluster, ClusterConfig, ClusterReport, ClusterWorkloadConfig,
+    FaultEvent, FaultPlan, PlacementPolicy, WorkloadConfig,
+};
+
+/// Runs the synchronous §1.3 storage workload `config` describes.
+fn run_storage(config: &WorkloadConfig) -> ClusterReport {
+    run_cluster_workload(&ClusterWorkloadConfig::legacy_compat(config))
+}
 
 #[test]
 fn fixed_seed_failures_conserve_chunks_and_avoid_dead_servers() {
-    let mut cluster = StorageCluster::new(24, 3, PlacementPolicy::KdChoice { d: 6 });
+    // One random crash per tick; synchronous detection and unbounded
+    // recovery heal each within its own tick.
+    let plan = (1..=4).fold(FaultPlan::new(), |plan, tick| {
+        plan.at(tick, FaultEvent::CrashRandom)
+    });
+    let config = ClusterConfig::legacy_compat(24, 3, PlacementPolicy::KdChoice { d: 6 });
+    let mut cluster = ChunkCluster::new(config, &plan);
     let mut rng = Xoshiro256PlusPlus::from_u64(0xFA11);
     for _ in 0..120 {
-        cluster.create_file(&mut rng);
+        cluster.create_chunk(&mut rng).unwrap();
     }
     let chunks_before = cluster.stats().total_chunks;
     assert_eq!(chunks_before, 360);
 
-    let mut failed = Vec::new();
     for _ in 0..4 {
-        let (server, moved) = cluster.fail_random_server(&mut rng).unwrap();
-        failed.push(server);
+        let recovered = cluster.stats().recovered_chunks;
+        let alive = cluster.alive_servers();
+        cluster.tick(&mut rng);
+        assert_eq!(cluster.alive_servers(), alive - 1, "one server died");
+        let moved = cluster.stats().recovered_chunks - recovered;
         assert!(moved > 0, "a loaded server must have had chunks to move");
         // Chunk conservation after every single failure.
         assert_eq!(cluster.stats().total_chunks, chunks_before);
+        assert_eq!(cluster.under_replicated(), 0);
         assert!(cluster.check_invariants());
     }
     assert_eq!(cluster.alive_servers(), 20);
@@ -47,8 +64,8 @@ fn workload_with_failures_is_a_pure_function_of_the_seed() {
     let config = WorkloadConfig::new(32, 3, PlacementPolicy::KdChoice { d: 6 })
         .with_failures(5)
         .with_seed(2024);
-    let a = run_workload(&config);
-    let b = run_workload(&config);
+    let a = run_storage(&config);
+    let b = run_storage(&config);
     assert_eq!(a.stats, b.stats);
     assert_eq!(a.load_percentiles, b.load_percentiles);
 
@@ -72,7 +89,7 @@ fn recovery_under_every_policy_keeps_the_directory_alive_only() {
         let config = WorkloadConfig::new(20, 2, policy)
             .with_failures(6)
             .with_seed(99);
-        let report = run_workload(&config);
+        let report = run_storage(&config);
         assert_eq!(report.stats.alive_servers, 14, "{policy}");
         assert_eq!(
             report.stats.total_chunks,

@@ -6,19 +6,30 @@
 //! ```
 
 use kdchoice::prng::Xoshiro256PlusPlus;
-use kdchoice::storage::{run_workload, PlacementPolicy, StorageCluster, WorkloadConfig};
+use kdchoice::storage::{
+    run_cluster_workload, ChunkCluster, ClusterConfig, ClusterWorkloadConfig, FaultEvent,
+    FaultPlan, PlacementPolicy, WorkloadConfig,
+};
 
 fn main() {
     // --- Interactive-style walk-through ---------------------------------
     let mut rng = Xoshiro256PlusPlus::from_u64(99);
     let k = 4;
-    let mut cluster = StorageCluster::new(100, k, PlacementPolicy::KdChoice { d: k + 1 });
+    // Synchronous heartbeats and unbounded recovery: each crash the plan
+    // schedules is detected and healed within its own tick.
+    let config = ClusterConfig::legacy_compat(100, k, PlacementPolicy::KdChoice { d: k + 1 });
+    let plan = (1..=5).fold(FaultPlan::new(), |plan, tick| {
+        plan.at(tick, FaultEvent::CrashRandom)
+    });
+    let mut cluster = ChunkCluster::new(config, &plan);
     println!(
         "creating 500 files of {k} chunks on 100 servers with (k,{})-choice...",
         k + 1
     );
     for _ in 0..500 {
-        cluster.create_file(&mut rng);
+        cluster
+            .create_chunk(&mut rng)
+            .expect("every server is alive");
     }
     let s = cluster.stats();
     println!(
@@ -29,7 +40,7 @@ fn main() {
         "  placement probes per file: {:.1}",
         s.placement_messages as f64 / 500.0
     );
-    let cost = cluster.read_file(0);
+    let cost = cluster.read_chunk(0);
     println!(
         "  reading one file costs {cost} messages (k+1, vs 2k = {} for per-chunk 2-choice)",
         2 * k
@@ -37,10 +48,13 @@ fn main() {
 
     println!("\nkilling 5 servers...");
     for _ in 0..5 {
-        let (server, moved) = cluster
-            .fail_random_server(&mut rng)
-            .expect("more servers than failures");
-        println!("  server {server} died, {moved} chunks re-replicated");
+        let before = cluster.stats().recovered_chunks;
+        cluster.tick(&mut rng);
+        let moved = cluster.stats().recovered_chunks - before;
+        println!(
+            "  tick {}: a server died, {moved} chunks re-replicated",
+            cluster.now()
+        );
     }
     let s = cluster.stats();
     println!(
@@ -66,7 +80,7 @@ fn main() {
             .with_failures(10);
         cfg.files = 20_000;
         cfg.reads = 5_000;
-        let r = run_workload(&cfg);
+        let r = run_cluster_workload(&ClusterWorkloadConfig::legacy_compat(&cfg));
         println!(
             "{:<20} {:>8} {:>10.3} {:>12.1} {:>12.1}",
             r.policy,

@@ -18,7 +18,9 @@ use kdchoice::baselines::{AdaptiveProbing, DChoice, OnePlusBeta, SingleChoice};
 use kdchoice::cli::CliArgs;
 use kdchoice::kd::{run_trials, run_with_trace, BallsIntoBins, KdChoice, RoundPolicy, RunConfig};
 use kdchoice::scheduler::{simulate, ClusterConfig, PlacementStrategy};
-use kdchoice::storage::{run_workload, PlacementPolicy, WorkloadConfig};
+use kdchoice::storage::{
+    run_cluster_workload, ClusterWorkloadConfig, PlacementPolicy, WorkloadConfig,
+};
 use kdchoice::theory::bounds::{theorem1_prediction, theorem2_gap_band};
 use kdchoice::theory::cost::messages_per_ball;
 
@@ -272,7 +274,7 @@ fn cmd_storage(args: &CliArgs) -> Result<(), Box<dyn Error>> {
             .with_seed(seed)
             .with_failures(failures);
         cfg.files = files;
-        let r = run_workload(&cfg);
+        let r = run_cluster_workload(&ClusterWorkloadConfig::legacy_compat(&cfg));
         println!(
             "{:<20} {:>8} {:>10.3} {:>12.1} {:>12.1}",
             r.policy,

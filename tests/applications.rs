@@ -1,7 +1,14 @@
 //! End-to-end integration tests for the two §1.3 applications.
 
 use kdchoice::scheduler::{simulate, ClusterConfig, PlacementStrategy, ServiceDistribution};
-use kdchoice::storage::{run_workload, PlacementPolicy, WorkloadConfig};
+use kdchoice::storage::{
+    run_cluster_workload, ClusterReport, ClusterWorkloadConfig, PlacementPolicy, WorkloadConfig,
+};
+
+/// Runs the synchronous §1.3 storage workload `config` describes.
+fn run_storage(config: &WorkloadConfig) -> ClusterReport {
+    run_cluster_workload(&ClusterWorkloadConfig::legacy_compat(config))
+}
 
 #[test]
 fn scheduler_end_to_end_determinism_and_accounting() {
@@ -50,7 +57,7 @@ fn storage_end_to_end_with_failures() {
     let cfg = WorkloadConfig::new(100, 4, PlacementPolicy::KdChoice { d: 8 })
         .with_failures(10)
         .with_seed(45);
-    let r = run_workload(&cfg);
+    let r = run_storage(&cfg);
     assert_eq!(r.stats.alive_servers, 90);
     assert_eq!(r.stats.total_chunks, (cfg.files * 4) as u64);
     assert!(r.stats.recovered_chunks > 0);
@@ -59,12 +66,10 @@ fn storage_end_to_end_with_failures() {
 
 #[test]
 fn storage_kd_read_cost_is_half_of_two_choice() {
-    let kd = run_workload(
-        &WorkloadConfig::new(100, 6, PlacementPolicy::KdChoice { d: 7 }).with_seed(46),
-    );
-    let two = run_workload(
-        &WorkloadConfig::new(100, 6, PlacementPolicy::PerChunkTwoChoice).with_seed(46),
-    );
+    let kd =
+        run_storage(&WorkloadConfig::new(100, 6, PlacementPolicy::KdChoice { d: 7 }).with_seed(46));
+    let two =
+        run_storage(&WorkloadConfig::new(100, 6, PlacementPolicy::PerChunkTwoChoice).with_seed(46));
     // §1.3: k+1 = 7 vs 2k = 12 — "approximately half".
     assert_eq!(kd.read_cost_per_op, 7.0);
     assert_eq!(two.read_cost_per_op, 12.0);
@@ -75,9 +80,8 @@ fn storage_kd_read_cost_is_half_of_two_choice() {
 
 #[test]
 fn storage_balance_ordering_random_vs_kd() {
-    let kd = run_workload(
-        &WorkloadConfig::new(200, 3, PlacementPolicy::KdChoice { d: 6 }).with_seed(47),
-    );
-    let rnd = run_workload(&WorkloadConfig::new(200, 3, PlacementPolicy::Random).with_seed(47));
+    let kd =
+        run_storage(&WorkloadConfig::new(200, 3, PlacementPolicy::KdChoice { d: 6 }).with_seed(47));
+    let rnd = run_storage(&WorkloadConfig::new(200, 3, PlacementPolicy::Random).with_seed(47));
     assert!(kd.stats.max_load <= rnd.stats.max_load);
 }
