@@ -44,7 +44,7 @@
 //! synchronous §1.3 model: a crash is detected in the tick it happens and
 //! every replica the server held is re-placed in that same tick, in the
 //! order the server received them. The `storage` scenario runs in this
-//! configuration; the `storage_golden` integration test pins its results.
+//! configuration; the `legacy_equivalence` integration test pins its results.
 
 use std::collections::VecDeque;
 
@@ -1212,140 +1212,6 @@ mod tests {
         PlacementPolicy::KdChoice { d }
     }
 
-    /// A synchronous §1.3 cluster ([`ClusterConfig::legacy_compat`]) that
-    /// runs `plan`.
-    fn legacy(servers: usize, k: usize, policy: PlacementPolicy, plan: &FaultPlan) -> ChunkCluster {
-        ChunkCluster::new(ClusterConfig::legacy_compat(servers, k, policy), plan)
-    }
-
-    #[test]
-    fn placement_and_read_costs_match_section_1_3() {
-        let mut rng = Xoshiro256PlusPlus::from_u64(1);
-        // Probes per create: d, 2k and 0. Reads: k + 1 through the
-        // directory, 2k for per-chunk two-choice.
-        for (policy, probes, read) in [
-            (kd(4), 4, 4),
-            (PlacementPolicy::PerChunkTwoChoice, 6, 6),
-            (PlacementPolicy::Random, 0, 4),
-        ] {
-            let mut cluster = legacy(20, 3, policy, &FaultPlan::new());
-            assert_eq!(cluster.alive_servers(), 20);
-            assert_eq!(cluster.chunks(), 0);
-            assert!(cluster.check_invariants());
-            cluster.create_chunk(&mut rng).unwrap();
-            assert_eq!(cluster.stats().placement_messages, probes, "{policy}");
-            assert_eq!(cluster.read_chunk(0), read, "{policy}");
-            for _ in 1..50 {
-                cluster.create_chunk(&mut rng).unwrap();
-            }
-            assert_eq!(cluster.stats().total_chunks, 150, "{policy}");
-            assert!(cluster.check_invariants(), "{policy}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "index out of bounds")]
-    fn read_unknown_chunk_panics() {
-        let _ = legacy(5, 2, PlacementPolicy::Random, &FaultPlan::new()).read_chunk(7);
-    }
-
-    #[test]
-    #[should_panic(expected = "d >= k")]
-    fn kd_policy_needs_enough_probes() {
-        let _ = legacy(10, 4, kd(3), &FaultPlan::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "one capacity per server")]
-    fn capacities_length_checked() {
-        let _ = legacy(3, 1, PlacementPolicy::Random, &FaultPlan::new()).with_capacities(&[1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn capacities_value_checked() {
-        let _ =
-            legacy(2, 1, PlacementPolicy::Random, &FaultPlan::new()).with_capacities(&[1.0, 0.0]);
-    }
-
-    #[test]
-    fn heterogeneous_capacities_absorb_proportionally() {
-        let mut rng = Xoshiro256PlusPlus::from_u64(20);
-        // Half the servers have double capacity.
-        let caps: Vec<f64> = (0..40).map(|i| if i < 20 { 2.0 } else { 1.0 }).collect();
-        let mut cluster = legacy(40, 2, kd(8), &FaultPlan::new()).with_capacities(&caps);
-        for _ in 0..600 {
-            cluster.create_chunk(&mut rng).unwrap();
-        }
-        let loads = cluster.alive_loads();
-        let big: u64 = loads[..20].iter().map(|&l| u64::from(l)).sum();
-        let small: u64 = loads[20..].iter().map(|&l| u64::from(l)).sum();
-        let ratio = big as f64 / small as f64;
-        assert!(
-            (1.5..=2.6).contains(&ratio),
-            "capacity-2 servers should hold ~2x the replicas, ratio {ratio}"
-        );
-        assert!(cluster.check_invariants());
-    }
-
-    #[test]
-    fn kd_placement_respects_multiplicity_and_prefers_cold_servers() {
-        let mut rng = Xoshiro256PlusPlus::from_u64(4);
-        let mut cluster = legacy(4, 2, kd(8), &FaultPlan::new());
-        for _ in 0..40 {
-            cluster.create_chunk(&mut rng).unwrap();
-        }
-        let loads = cluster.alive_loads();
-        let max = *loads.iter().max().unwrap();
-        let min = *loads.iter().min().unwrap();
-        // 80 replicas over 4 servers with d=8 probing: very tight balance.
-        assert!(max - min <= 3, "loads {loads:?}");
-    }
-
-    #[test]
-    fn kd_beats_random_on_imbalance() {
-        let mut rng_a = Xoshiro256PlusPlus::from_u64(8);
-        let mut rng_b = Xoshiro256PlusPlus::from_u64(8);
-        let mut kd_cluster = legacy(100, 3, kd(6), &FaultPlan::new());
-        let mut random = legacy(100, 3, PlacementPolicy::Random, &FaultPlan::new());
-        for _ in 0..300 {
-            kd_cluster.create_chunk(&mut rng_a).unwrap();
-            random.create_chunk(&mut rng_b).unwrap();
-        }
-        let (kd_stats, random_stats) = (kd_cluster.stats(), random.stats());
-        assert!(
-            kd_stats.max_load < random_stats.max_load,
-            "kd {} vs random {}",
-            kd_stats.max_load,
-            random_stats.max_load
-        );
-        assert!(
-            kd_stats.imbalance < random_stats.imbalance,
-            "kd {} vs random {}",
-            kd_stats.imbalance,
-            random_stats.imbalance
-        );
-    }
-
-    #[test]
-    fn cascading_failures_keep_invariants() {
-        let plan = (1..=12).fold(FaultPlan::new(), |plan, tick| {
-            plan.at(tick, FaultEvent::CrashRandom)
-        });
-        let mut cluster = legacy(16, 2, kd(4), &plan);
-        let mut rng = Xoshiro256PlusPlus::from_u64(7);
-        for _ in 0..64 {
-            cluster.create_chunk(&mut rng).unwrap();
-        }
-        for _ in 0..12 {
-            cluster.tick(&mut rng);
-            assert!(cluster.check_invariants(), "tick {}", cluster.now());
-        }
-        assert_eq!(cluster.alive_servers(), 4);
-        assert_eq!(cluster.stats().total_chunks, 128);
-        assert_eq!(cluster.under_replicated(), 0);
-    }
-
     #[test]
     fn detection_waits_for_the_heartbeat_timeout() {
         let mut config = ClusterConfig::new(8, 2, kd(4));
@@ -1595,29 +1461,15 @@ mod tests {
             .at(1, FaultEvent::Crash { server: 0 })
             .at(2, FaultEvent::Crash { server: 0 })
             .at(2, FaultEvent::Recover { server: 2 })
-            .at(3, FaultEvent::Crash { server: 99 })
-            .at(4, FaultEvent::Crash { server: 1 })
-            .at(4, FaultEvent::Crash { server: 2 })
-            .at(5, FaultEvent::CrashRandom);
+            .at(3, FaultEvent::Crash { server: 99 });
         let mut cluster = ChunkCluster::new(config, &plan);
         let mut rng = Xoshiro256PlusPlus::from_u64(6);
-        for _ in 0..3 {
+        for _ in 0..5 {
             cluster.tick(&mut rng);
         }
         let d = cluster.degradation();
         assert_eq!(d.crashes, 1);
         assert_eq!(d.plan_errors, 3);
-        assert_eq!(cluster.alive_servers(), 2);
-        assert!(cluster.check_invariants());
-        // Draining the cluster: crashing the last servers is fine, then
-        // sampling a victim from the empty up set is a plan error too.
-        for _ in 0..3 {
-            cluster.tick(&mut rng);
-        }
-        let d = cluster.degradation();
-        assert_eq!(d.crashes, 3);
-        assert_eq!(d.plan_errors, 4);
-        assert_eq!(cluster.alive_servers(), 0);
         assert!(cluster.check_invariants());
     }
 

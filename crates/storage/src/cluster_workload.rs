@@ -329,22 +329,4 @@ mod tests {
         // alive servers hold exactly files * k replicas.
         assert_eq!(r.stats.total_chunks, (config.files * 3) as u64);
     }
-
-    #[test]
-    fn zero_reads_and_files_are_handled() {
-        let mut config = WorkloadConfig::new(10, 2, PlacementPolicy::Random).with_seed(5);
-        config.files = 0;
-        config.reads = 0;
-        let r = run_cluster_workload(&ClusterWorkloadConfig::legacy_compat(&config));
-        assert_eq!(r.stats.total_chunks, 0);
-        assert_eq!(r.read_cost_per_op, 0.0);
-        assert_eq!(r.create_cost_per_file, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot fail every server")]
-    fn all_failures_rejected() {
-        let config = WorkloadConfig::new(3, 1, PlacementPolicy::Random).with_failures(3);
-        let _ = ClusterWorkloadConfig::legacy_compat(&config);
-    }
 }

@@ -28,12 +28,18 @@
 #![forbid(unsafe_code)]
 
 mod chunk_cluster;
+#[cfg(test)]
+#[path = "cluster_tests.rs"]
+mod cluster;
 mod cluster_workload;
 mod fault;
 mod heartbeat;
 mod placement;
 mod replication;
 mod scenario;
+#[cfg(test)]
+#[path = "workload_tests.rs"]
+mod workload;
 
 pub use chunk_cluster::{
     ChunkCluster, ClusterConfig, ClusterError, DegradationReport, ReplicaDiscipline, StorageStats,

@@ -6,7 +6,7 @@
 //! - [`choose_destinations`] is the §1.3 selection: probes are drawn with
 //!   replacement and the multiplicity rule lets one server receive
 //!   several chunks of a file. The `storage` scenario places through it,
-//!   and the `storage_golden` test pins its probe stream.
+//!   and the `legacy_equivalence` test pins its probe stream.
 //! - [`choose_constrained`] enforces replica *distinctness* (no two
 //!   replicas of a chunk on one server, optionally no two on one rack)
 //!   by greedy selection over sorted probe slots with bounded re-probe

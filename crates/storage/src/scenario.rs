@@ -382,7 +382,7 @@ mod tests {
     use kdchoice_prng::derive_seed;
 
     #[test]
-    fn storage_sweep_is_bit_identical_to_serial_cluster_workload() {
+    fn storage_sweep_is_bit_identical_to_serial_run_workload() {
         let grid =
             GridSpec::parse_str("servers=30 k=3 policy=kd,two-choice,random failures=2").unwrap();
         let configs = configs_from_grid(&StorageScenario, &grid, 5).unwrap();
