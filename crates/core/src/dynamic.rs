@@ -13,16 +13,9 @@
 use rand::RngCore;
 
 use crate::error::ConfigError;
+use crate::kernel::{expand_slots, height_slot, select_k_least};
 use crate::process::{HeightSink, RoundProcess, RoundStats};
 use crate::state::LoadVector;
-
-/// One tentative ball of a round.
-#[derive(Debug, Clone, Copy)]
-struct Tentative {
-    height: u32,
-    key: u64,
-    bin: u32,
-}
 
 /// (k,d)-choice with a per-round dynamic `k` (§7 future work).
 ///
@@ -46,7 +39,8 @@ pub struct DynamicKChoice {
     d: usize,
     slack: u32,
     samples: Vec<usize>,
-    tentative: Vec<Tentative>,
+    /// The round's tentative slots `(height, tie key, bin)`.
+    tentative: Vec<(u32, u64, usize)>,
 }
 
 impl DynamicKChoice {
@@ -98,43 +92,25 @@ impl RoundProcess for DynamicKChoice {
         let n = state.n();
         kdchoice_prng::sample::fill_with_replacement(rng, n, self.d, &mut self.samples);
         self.samples.sort_unstable();
-        self.tentative.clear();
-        let mut i = 0;
-        while i < self.samples.len() {
-            let bin = self.samples[i];
-            let base = state.load(bin);
-            let mut occ = 0u32;
-            while i < self.samples.len() && self.samples[i] == bin {
-                occ += 1;
-                self.tentative.push(Tentative {
-                    height: base + occ,
-                    key: rng.next_u64(),
-                    bin: bin as u32,
-                });
-                i += 1;
-            }
-        }
+        expand_slots(
+            &self.samples,
+            rng,
+            &mut self.tentative,
+            |bin| state.load(bin),
+            height_slot,
+        );
         let threshold = ((state.total_balls() + 1).div_ceil(n as u64)) as u32 + self.slack;
         // Dynamic k: accept slots under the threshold; at least 1 (the
         // globally least loaded slot), at most what the driver still wants.
-        let under = self
-            .tentative
-            .iter()
-            .filter(|t| t.height <= threshold)
-            .count();
+        let under = self.tentative.iter().filter(|t| t.0 <= threshold).count();
         let k_max =
             usize::try_from(balls_remaining.max(1).min(self.d as u64)).expect("bounded by d");
         let balls = under.clamp(1, k_max);
-        if balls < self.tentative.len() {
-            self.tentative.select_nth_unstable_by(balls - 1, |a, b| {
-                (a.height, a.key).cmp(&(b.height, b.key))
-            });
-        }
-        let kept = &mut self.tentative[..balls];
-        kept.sort_unstable_by_key(|a| (a.bin, a.height));
-        for t in kept.iter() {
-            let h = state.add_ball(t.bin as usize);
-            debug_assert_eq!(h, t.height);
+        let kept = select_k_least(&mut self.tentative, balls);
+        kept.sort_unstable_by_key(|&(height, _, bin)| (bin, height));
+        for &(height, _, bin) in kept.iter() {
+            let h = state.add_ball(bin);
+            debug_assert_eq!(h, height);
             heights_out.record(h);
         }
         RoundStats {

@@ -60,6 +60,7 @@ mod driver;
 mod dynamic;
 mod error;
 mod kd;
+mod kernel;
 mod policy;
 pub mod probes;
 mod process;
@@ -79,6 +80,7 @@ pub use driver::{
 pub use dynamic::DynamicKChoice;
 pub use error::ConfigError;
 pub use kd::{EngineVersion, KdChoice};
+pub use kernel::{cmp_slots, expand_slots, height_slot, select_k_least, SlotKey, TentativeSlot};
 pub use policy::RoundPolicy;
 pub use probes::{two_tier_capacities, ProbeDistribution};
 pub use process::{BallsIntoBins, HeightSink, RoundProcess, RoundStats};

@@ -3,6 +3,7 @@
 use rand::RngCore;
 
 use crate::error::ConfigError;
+use crate::kernel::{cmp_slots, expand_slots, height_slot};
 use crate::process::{HeightSink, RoundProcess, RoundStats};
 use crate::state::LoadVector;
 
@@ -38,14 +39,6 @@ impl SigmaSchedule {
     }
 }
 
-/// One tentative slot of the current round.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    height: u32,
-    key: u64,
-    bin: u32,
-}
-
 /// The serialized (k,d)-choice process Aσ (Definition 1).
 ///
 /// Each round draws `d` slots i.u.r. with replacement; a bin of load `L`
@@ -74,7 +67,8 @@ pub struct SerializedKdChoice {
     k: usize,
     d: usize,
     schedule: SigmaSchedule,
-    slots: Vec<Slot>,
+    /// The round's tentative slots `(height, tie key, bin)`.
+    slots: Vec<(u32, u64, usize)>,
     samples: Vec<usize>,
     perm: Vec<usize>,
 }
@@ -146,24 +140,15 @@ impl RoundProcess for SerializedKdChoice {
         // tentative slots with multiplicity-consistent heights.
         kdchoice_prng::sample::fill_with_replacement(rng, n, self.d, &mut self.samples);
         self.samples.sort_unstable();
-        self.slots.clear();
-        let mut i = 0;
-        while i < self.samples.len() {
-            let bin = self.samples[i];
-            let base = state.load(bin);
-            let mut occ = 0u32;
-            while i < self.samples.len() && self.samples[i] == bin {
-                occ += 1;
-                self.slots.push(Slot {
-                    height: base + occ,
-                    key: rng.next_u64(),
-                    bin: bin as u32,
-                });
-                i += 1;
-            }
-        }
+        expand_slots(
+            &self.samples,
+            rng,
+            &mut self.slots,
+            |bin| state.load(bin),
+            height_slot,
+        );
         // Rank all d slots once: "the i-th least loaded bin in S_r".
-        self.slots.sort_unstable_by_key(|a| (a.height, a.key));
+        self.slots.sort_unstable_by(cmp_slots);
         // σ determines the order in which balls claim ranks 1..=balls.
         let sigma: &[usize] = match self.schedule {
             SigmaSchedule::Identity => {
@@ -186,9 +171,9 @@ impl RoundProcess for SerializedKdChoice {
         // co-located round balls distinct ascending heights no matter the
         // placement order.
         for &rank in sigma.iter().take(balls) {
-            let slot = self.slots[rank];
-            state.add_ball(slot.bin as usize);
-            heights_out.record(slot.height);
+            let (height, _, bin) = self.slots[rank];
+            state.add_ball(bin);
+            heights_out.record(height);
         }
         RoundStats {
             thrown: balls as u32,

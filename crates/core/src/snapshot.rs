@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use rand::RngCore;
 
+use crate::kernel::{expand_slots, height_slot, select_k_least};
 use crate::state::LoadVector;
 
 /// Issues a best-effort read prefetch for the cache line holding `*ptr`.
@@ -203,26 +204,24 @@ impl LoadView for SharedLoadSnapshot {
     }
 }
 
-/// The (k,d)-choice decision kernel over any [`LoadView`]: given the
-/// probed bins, pick the `k` tentative slots of least `(height, tie
-/// key)` under the paper's multiplicity rule.
+/// The [`LoadView`] instance of the decision kernel: expands
+/// `sorted_probes` (ascending) at heights `view_load(bin) + occ` with
+/// [`expand_slots`], keeps the `k` least with [`select_k_least`], and
+/// appends the winner bins to `bins_out` in selection order.
 ///
-/// `sorted_probes` **must already be sorted ascending** (duplicates
-/// allowed — a bin probed `m` times contributes tentative slots at
-/// heights `L+1..=L+m`). One `rng.next_u64()` tie key is drawn per
-/// tentative slot in sorted-probe order, exactly like
-/// `ShardedStore::place_k_least`, so a caller replaying the same RNG
-/// stream against an exact view reproduces the locked path bit for bit.
+/// Before the expansion, every probed bin is prefetched, so the batch's
+/// cache misses resolve in parallel instead of serially in probe order.
+/// Prefetching draws nothing, so the RNG stream is the kernel's: a caller
+/// replaying it against an exact view reproduces
+/// `ShardedStore::place_k_least` bit for bit.
 ///
-/// Winner bins are appended to `bins_out` in selection order; the return
-/// value is the maximum tentative height among the winners (equal to the
-/// committed maximum height when the view is exact, a snapshot-tentative
-/// estimate otherwise). `slots` is caller-provided scratch, cleared on
-/// entry.
+/// Returns the maximum tentative height among the winners (the committed
+/// maximum height when the view is exact, a snapshot-tentative estimate
+/// otherwise). `slots` is caller-provided scratch.
 ///
 /// # Panics
 ///
-/// Panics if `k == 0` or `k > sorted_probes.len()`.
+/// Panics unless `1 <= k <= sorted_probes.len()` ([`select_k_least`]).
 pub fn decide_k_least<V, R>(
     view: &V,
     sorted_probes: &[usize],
@@ -235,35 +234,18 @@ where
     V: LoadView + ?Sized,
     R: RngCore + ?Sized,
 {
-    assert!(
-        k >= 1 && k <= sorted_probes.len(),
-        "need 1 <= k <= d tentative slots (k={k}, d={})",
-        sorted_probes.len()
-    );
-    slots.clear();
-    // Issue the whole batch's prefetches before the first load read:
-    // the expansion loop's cache misses then resolve in parallel
-    // (memory-level parallelism) instead of serially in probe order.
-    // Prefetching consumes no RNG, so the decision stream is unchanged.
     for &bin in sorted_probes {
         view.prefetch(bin);
     }
-    let mut i = 0;
-    while i < sorted_probes.len() {
-        let bin = sorted_probes[i];
-        let base = view.view_load(bin);
-        let mut occ = 0u32;
-        while i < sorted_probes.len() && sorted_probes[i] == bin {
-            occ += 1;
-            slots.push((base + occ, rng.next_u64(), bin));
-            i += 1;
-        }
-    }
-    if k < slots.len() {
-        slots.select_nth_unstable_by(k - 1, |a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-    }
+    expand_slots(
+        sorted_probes,
+        rng,
+        slots,
+        |bin| view.view_load(bin),
+        height_slot,
+    );
     let mut max_height = 0;
-    for &(height, _, bin) in &slots[..k] {
+    for &(height, _, bin) in select_k_least(slots, k).iter() {
         max_height = max_height.max(height);
         bins_out.push(bin);
     }

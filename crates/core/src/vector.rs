@@ -33,6 +33,7 @@ use kdchoice_prng::demand::DemandDistribution;
 use kdchoice_prng::Xoshiro256PlusPlus;
 
 use crate::driver::{HeightHistogram, RunConfig, RunResult};
+use crate::kernel::{expand_slots, select_k_least};
 use crate::probes::ProbeDistribution;
 use crate::process::HeightSink;
 use crate::state::LoadVector;
@@ -549,26 +550,22 @@ impl BinStore for VectorLoad {
 /// tie-break, scalar ball height, bin index)`.
 pub type VectorSlot = (f64, u64, u32, usize);
 
-/// The vector analogue of `decide_k_least`: selects the `k` tentative
-/// slots with the smallest `(objective key, tie)` among the (multiset of)
-/// `sorted_probes`, where the `occ`-th tentative ball of a probed bin is
-/// keyed at `objective(load + occ · demand)`.
+/// The [`VectorLoad`] instance of the decision kernel: the `occ`-th
+/// tentative ball of a probed bin is keyed at
+/// `objective(load + occ · demand)` ([`expand_slots`]), the `k` least
+/// `(key, tie)` slots win ([`select_k_least`], `total_cmp` on the key),
+/// and the winner bins are appended to `bins_out` in selection order.
 ///
-/// The RNG contract is **identical** to the scalar kernel: exactly one
-/// `rng.next_u64()` tie-break per tentative slot, drawn in sorted-probe
-/// run order; comparison is `total_cmp` on the key then integer on the
-/// tie. With `dims = 1`, `objective = Scalar`, and unit `demand`, keys
-/// are the scalar heights as integer `f64`s, so the selected winners,
-/// their order in `slots[..k]`, and their recorded heights coincide
-/// bit-exactly with the scalar kernel's.
-///
-/// Appends the winning bins to `bins_out` and returns the maximum scalar
-/// height among the winners.
+/// Each slot also records its scalar ball height, and the return value
+/// is the maximum of those among the winners. With `dims = 1`,
+/// `objective = Scalar` and unit `demand` the keys are the scalar heights
+/// as integer `f64`s, so winners, their order and their heights coincide
+/// bit for bit with `decide_k_least`'s.
 ///
 /// # Panics
 ///
-/// Panics unless `1 <= k <= sorted_probes.len()` and `demand.len()`
-/// matches the store's dimensionality.
+/// Panics unless `1 <= k <= sorted_probes.len()` ([`select_k_least`])
+/// and `demand.len()` matches the store's dimensionality.
 #[allow(clippy::too_many_arguments)]
 pub fn decide_k_least_vector<R: RngCore + ?Sized>(
     store: &VectorLoad,
@@ -580,32 +577,22 @@ pub fn decide_k_least_vector<R: RngCore + ?Sized>(
     slots: &mut Vec<VectorSlot>,
     bins_out: &mut Vec<usize>,
 ) -> u32 {
-    assert!(
-        k >= 1 && k <= sorted_probes.len(),
-        "need 1 <= k <= probes (k={k}, probes={})",
-        sorted_probes.len()
-    );
     assert_eq!(demand.len(), store.dims(), "demand/dims mismatch");
-    slots.clear();
-    let mut i = 0;
-    while i < sorted_probes.len() {
-        let bin = sorted_probes[i];
-        let load = store.load_vec(bin);
-        let caps = store.capacity_vec(bin);
-        let base_balls = store.balls().load(bin);
-        let mut occ = 0u32;
-        while i < sorted_probes.len() && sorted_probes[i] == bin {
-            occ += 1;
+    expand_slots(
+        sorted_probes,
+        rng,
+        slots,
+        |bin| {
+            let balls = store.balls().load(bin);
+            (store.load_vec(bin), store.capacity_vec(bin), balls)
+        },
+        |&(load, caps, balls), bin, occ, tie| {
             let key = objective.tentative_key(load, demand, occ, caps);
-            slots.push((key, rng.next_u64(), base_balls + occ, bin));
-            i += 1;
-        }
-    }
-    if k < slots.len() {
-        slots.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    }
+            (key, tie, balls + occ, bin)
+        },
+    );
     let mut max_height = 0;
-    for &(_, _, height, bin) in &slots[..k] {
+    for &(_, _, height, bin) in select_k_least(slots, k).iter() {
         max_height = max_height.max(height);
         bins_out.push(bin);
     }

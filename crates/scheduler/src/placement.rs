@@ -3,7 +3,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-use kdchoice_core::PlacementObjective;
+use kdchoice_core::{expand_slots, height_slot, select_k_least, PlacementObjective, TentativeSlot};
 use kdchoice_prng::sample::fill_with_replacement;
 use rand::RngCore;
 
@@ -284,17 +284,15 @@ impl std::fmt::Display for PlacementStrategy {
 }
 
 /// Selects destinations for `k` tasks from `samples` (worker indices, with
-/// multiplicity) under the paper's rule: a worker sampled `m` times receives
-/// at most `m` tasks, and tasks go to the least loaded tentative slots
-/// (height = load + occurrence), ties broken randomly.
-///
-/// This is the (k,d)-choice round kernel operating on an arbitrary load
-/// slice instead of a `LoadVector`, shared by the batch-sampling and
-/// (k,d)-choice strategies.
+/// multiplicity) through the core decision kernel
+/// ([`kdchoice_core::expand_slots`] at heights `loads[w] + occ`, then
+/// [`kdchoice_core::select_k_least`]): a worker sampled `m` times receives
+/// at most `m` tasks. `samples` may be unsorted; a sorted copy is decided.
+/// Shared by the batch-sampling and (k,d)-choice strategies.
 ///
 /// # Panics
 ///
-/// Panics if `k > samples.len()`.
+/// Panics unless `1 <= k <= samples.len()`.
 ///
 /// ```
 /// use kdchoice_scheduler::select_k_least_loaded;
@@ -312,47 +310,24 @@ pub fn select_k_least_loaded<R: RngCore + ?Sized>(
     k: usize,
     rng: &mut R,
 ) -> Vec<usize> {
-    assert!(
-        k <= samples.len(),
-        "cannot place {k} tasks on {} slots",
-        samples.len()
-    );
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    // (height, random key, worker)
-    let mut slots: Vec<(u32, u64, usize)> = Vec::with_capacity(sorted.len());
-    let mut i = 0;
-    while i < sorted.len() {
-        let w = sorted[i];
-        let base = loads[w];
-        let mut occ = 0u32;
-        while i < sorted.len() && sorted[i] == w {
-            occ += 1;
-            slots.push((base + occ, rng.next_u64(), w));
-            i += 1;
-        }
-    }
-    if k < slots.len() {
-        slots.select_nth_unstable_by(k - 1, |a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-    }
-    slots[..k].iter().map(|&(_, _, w)| w).collect()
+    let mut slots = Vec::with_capacity(samples.len());
+    expand_slots(&sorted(samples), rng, &mut slots, |w| loads[w], height_slot);
+    winners(&mut slots, k)
 }
 
 /// [`select_k_least_loaded`] over D-dimensional worker loads: the
-/// `occ`-th tentative task of a worker sampled with multiplicity is
-/// keyed at `objective(load + occ · demand)`, and the `k` smallest
-/// `(key, tie)` slots win under `total_cmp`. Exactly one `rng.next_u64()`
-/// tie-break per tentative slot in sorted-sample order — the scalar
-/// kernel's RNG contract, which is what makes the dims=1 path
-/// stream-identical.
+/// `occ`-th tentative task of a worker is keyed at
+/// `objective(load + occ · demand)` and the kernel keeps the `k` least.
+/// With dims=1, the scalar objective and unit demand this is
+/// stream-identical to the scalar selection.
 ///
 /// `loads_strided`/`caps_strided` use the `[w * dims + j]` layout of
 /// `kdchoice_core::VectorLoad::loads_strided`.
 ///
 /// # Panics
 ///
-/// Panics if `k > samples.len()` or the strided slices are not
-/// multiples of `dims`.
+/// Panics unless `1 <= k <= samples.len()`, or if the strided slices are
+/// not multiples of `dims`.
 #[allow(clippy::too_many_arguments)]
 pub fn select_k_least_loaded_vector<R: RngCore + ?Sized>(
     samples: &[usize],
@@ -365,38 +340,33 @@ pub fn select_k_least_loaded_vector<R: RngCore + ?Sized>(
     rng: &mut R,
 ) -> Vec<usize> {
     assert!(
-        k <= samples.len(),
-        "cannot place {k} tasks on {} slots",
-        samples.len()
-    );
-    assert!(
         dims >= 1 && loads_strided.len().is_multiple_of(dims),
         "strided loads must be a multiple of dims"
     );
+    let mut slots = Vec::with_capacity(samples.len());
+    expand_slots(
+        &sorted(samples),
+        rng,
+        &mut slots,
+        |w| {
+            let load = &loads_strided[w * dims..(w + 1) * dims];
+            (load, caps_strided.map(|c| &c[w * dims..(w + 1) * dims]))
+        },
+        |&(load, caps), w, occ, tie| (objective.tentative_key(load, demand, occ, caps), tie, w),
+    );
+    winners(&mut slots, k)
+}
+
+/// An ascending copy of `samples`, the kernel's probe order.
+fn sorted(samples: &[usize]) -> Vec<usize> {
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
-    // (objective key, random tie-break, worker)
-    let mut slots: Vec<(f64, u64, usize)> = Vec::with_capacity(sorted.len());
-    let mut i = 0;
-    while i < sorted.len() {
-        let w = sorted[i];
-        let load = &loads_strided[w * dims..(w + 1) * dims];
-        let caps = caps_strided.map(|c| &c[w * dims..(w + 1) * dims]);
-        let mut occ = 0u32;
-        while i < sorted.len() && sorted[i] == w {
-            occ += 1;
-            slots.push((
-                objective.tentative_key(load, demand, occ, caps),
-                rng.next_u64(),
-                w,
-            ));
-            i += 1;
-        }
-    }
-    if k < slots.len() {
-        slots.select_nth_unstable_by(k - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    }
-    slots[..k].iter().map(|&(_, _, w)| w).collect()
+    sorted
+}
+
+/// The workers of the `k` least slots, in selection order.
+fn winners<S: TentativeSlot>(slots: &mut [S], k: usize) -> Vec<usize> {
+    select_k_least(slots, k).iter().map(S::bin).collect()
 }
 
 #[cfg(test)]
@@ -459,6 +429,13 @@ mod tests {
     fn select_rejects_k_above_slots() {
         let mut rng = Xoshiro256PlusPlus::from_u64(5);
         let _ = select_k_least_loaded(&[0], &[0], 2, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot place 0 balls")]
+    fn select_rejects_k_zero() {
+        let mut rng = Xoshiro256PlusPlus::from_u64(5);
+        let _ = select_k_least_loaded(&[0, 1], &[0, 0], 0, &mut rng);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard};
 
-use kdchoice_core::{BinSlab, BinStore, StoreKind};
+use kdchoice_core::{expand_slots, height_slot, select_k_least, BinSlab, BinStore, StoreKind};
 use rand::RngCore;
 
 /// A shard slot padded out to a 64-byte cache line.
@@ -267,10 +267,12 @@ impl ShardedStore {
         self.serve_on_guards(&mut guards, &shard_ids, &sorted, k, rng)
     }
 
-    /// The read–decide–commit kernel shared by [`ShardedStore::place_k_least`]
-    /// and [`ShardedStore::place_batch`]: `sorted_probes` are the request's
-    /// probes in ascending order, `guards` hold (at least) every shard they
-    /// touch, keyed by the sorted `shard_ids`.
+    /// The read–decide–commit step shared by [`ShardedStore::place_k_least`]
+    /// and [`ShardedStore::place_batch`]: decides `sorted_probes` (ascending)
+    /// through the core kernel ([`expand_slots`], [`select_k_least`]),
+    /// reading each distinct bin's load once from the held `guards`
+    /// (keyed by the sorted `shard_ids`, covering every probed shard), then
+    /// commits the winners in selection order under the same guards.
     fn serve_on_guards<R: RngCore + ?Sized>(
         &self,
         guards: &mut [MutexGuard<'_, BinSlab>],
@@ -279,34 +281,23 @@ impl ShardedStore {
         k: usize,
         rng: &mut R,
     ) -> Placement {
-        // Tentative slots (height, tie key, bin), multiplicities expanded.
-        let mut slots: Vec<(u32, u64, usize)> = Vec::with_capacity(sorted_probes.len());
-        let mut i = 0;
-        while i < sorted_probes.len() {
-            let bin = sorted_probes[i];
-            let pos = shard_ids
+        let pos = |bin: usize| {
+            shard_ids
                 .binary_search(&self.shard_of(bin))
-                .expect("shard was locked");
-            let base = guards[pos].load(self.local_of(bin));
-            let mut occ = 0u32;
-            while i < sorted_probes.len() && sorted_probes[i] == bin {
-                occ += 1;
-                slots.push((base + occ, rng.next_u64(), bin));
-                i += 1;
-            }
-        }
-        if k < slots.len() {
-            slots.select_nth_unstable_by(k - 1, |a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-        }
-
-        // Commit the k winners while still holding every involved lock.
+                .expect("shard was locked")
+        };
+        let mut slots = Vec::with_capacity(sorted_probes.len());
+        expand_slots(
+            sorted_probes,
+            rng,
+            &mut slots,
+            |bin| guards[pos(bin)].load(self.local_of(bin)),
+            height_slot,
+        );
         let mut bins = Vec::with_capacity(k);
         let mut max_height = 0u32;
-        for &(_, _, bin) in &slots[..k] {
-            let pos = shard_ids
-                .binary_search(&self.shard_of(bin))
-                .expect("shard was locked");
-            let height = guards[pos].add_ball(self.local_of(bin));
+        for &(_, _, bin) in select_k_least(&mut slots, k).iter() {
+            let height = guards[pos(bin)].add_ball(self.local_of(bin));
             max_height = max_height.max(height);
             bins.push(bin);
         }

@@ -12,9 +12,13 @@
 //!   by greedy selection over sorted probe slots with bounded re-probe
 //!   rounds — the hypergraph-probe model where probe sets are correlated
 //!   by rack.
+//!
+//! Both expand their `KdChoice` probes through the core decision kernel
+//! (`kdchoice_core::expand_slots`), keyed by `(load + occ) / capacity`.
 
 use std::borrow::Cow;
 
+use kdchoice_core::{cmp_slots, expand_slots, select_k_least};
 use kdchoice_prng::sample::UniformBin;
 use rand::{Rng, RngCore};
 
@@ -64,13 +68,16 @@ impl std::fmt::Display for PlacementPolicy {
 /// reading per-server chunk counts through `load` and relative capacities
 /// through `capacity`; returns `(destinations, probe_messages)`.
 ///
-/// This is the multiplicity-respecting §1.3 selection; the `storage`
-/// scenario's golden digests pin its probe and tie-break RNG stream.
+/// This is the multiplicity-respecting §1.3 selection. `KdChoice` keys
+/// the sorted probes by capacity ratio and keeps the `count` least
+/// through the core kernel ([`select_k_least`]); the winners, in
+/// selection order, are the destinations. The `storage` scenario's golden
+/// digests pin its probe and tie-break RNG stream.
 ///
 /// # Panics
 ///
-/// Panics if `alive` is empty or a `KdChoice` policy probes fewer than
-/// `count` slots.
+/// Panics if `alive` is empty, or under `KdChoice { d }` unless
+/// `1 <= count <= d`.
 pub(crate) fn choose_destinations<R, L, C>(
     policy: PlacementPolicy,
     alive: &[usize],
@@ -117,40 +124,40 @@ where
             (dest, 2 * count as u64)
         }
         PlacementPolicy::KdChoice { d } => {
-            // Sample d alive servers with replacement; take the `count`
-            // least loaded slots with the multiplicity rule (tentative
-            // heights (load+occ)/capacity, ties broken randomly).
             let pick = UniformBin::new(alive.len());
-            let mut sampled: Vec<usize> = (0..d).map(|_| alive[pick.sample(rng)]).collect();
-            sampled.sort_unstable();
-            let mut slots: Vec<(f64, u64, usize)> = Vec::with_capacity(d);
-            let mut i = 0;
-            while i < sampled.len() {
-                let s = sampled[i];
-                let base = load(s);
-                let cap = capacity(s);
-                let mut occ = 0u32;
-                while i < sampled.len() && sampled[i] == s {
-                    occ += 1;
-                    slots.push((f64::from(base + occ) / cap, rng.next_u64(), s));
-                    i += 1;
-                }
-            }
-            assert!(
-                count <= slots.len(),
-                "placement needs at least k sampled slots"
-            );
-            if count < slots.len() {
-                slots.select_nth_unstable_by(count - 1, |a, b| {
-                    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
-                });
-            }
-            (
-                slots[..count].iter().map(|&(_, _, s)| s).collect(),
-                d as u64,
-            )
+            let mut slots = capacity_slots(d, |rng| alive[pick.sample(rng)], load, capacity, rng);
+            let dest = select_k_least(&mut slots, count).iter().map(|s| s.2);
+            (dest.collect(), d as u64)
         }
     }
+}
+
+/// Draws `d` servers with `draw`, sorts them, and expands them through
+/// the core kernel ([`expand_slots`]): the `occ`-th tentative chunk of a
+/// server is keyed at `(load + occ) / capacity`.
+fn capacity_slots<R, L, C>(
+    d: usize,
+    mut draw: impl FnMut(&mut R) -> usize,
+    load: L,
+    capacity: C,
+    rng: &mut R,
+) -> Vec<(f64, u64, usize)>
+where
+    R: RngCore + ?Sized,
+    L: Fn(usize) -> u32,
+    C: Fn(usize) -> f64,
+{
+    let mut sampled: Vec<usize> = (0..d).map(|_| draw(rng)).collect();
+    sampled.sort_unstable();
+    let mut slots = Vec::with_capacity(d);
+    expand_slots(
+        &sampled,
+        rng,
+        &mut slots,
+        |s| (load(s), capacity(s)),
+        |&(base, cap), s, occ, tie| (f64::from(base + occ) / cap, tie, s),
+    );
+    slots
 }
 
 /// How many fresh probe rounds [`choose_constrained`] spends before
@@ -231,6 +238,10 @@ impl<'a> EligiblePool<'a> {
 /// smaller than `count` when the constraints exhaust the eligible set
 /// (the caller keeps the missing replicas pending and retries later, so
 /// degradation is graceful rather than a panic).
+///
+/// A `KdChoice` probe round expands its probes like
+/// [`choose_destinations`], ranks all of them in the kernel's slot order
+/// ([`cmp_slots`]), and takes eligible servers in that order.
 ///
 /// Probe/message accounting mirrors [`choose_destinations`]: `Random`
 /// spends no probe messages, `PerChunkTwoChoice` spends 2 per replica,
@@ -328,22 +339,9 @@ where
                 }
                 messages += d as u64;
                 let pick = UniformBin::new(pool.len());
-                let mut sampled: Vec<usize> = (0..d).map(|_| pool.get(pick.sample(rng))).collect();
-                sampled.sort_unstable();
-                let mut slots: Vec<(f64, u64, usize)> = Vec::with_capacity(d);
-                let mut i = 0;
-                while i < sampled.len() {
-                    let s = sampled[i];
-                    let base = load(s);
-                    let cap = capacity(s);
-                    let mut occ = 0u32;
-                    while i < sampled.len() && sampled[i] == s {
-                        occ += 1;
-                        slots.push((f64::from(base + occ) / cap, rng.next_u64(), s));
-                        i += 1;
-                    }
-                }
-                slots.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                let mut slots =
+                    capacity_slots(d, |rng| pool.get(pick.sample(rng)), &load, &capacity, rng);
+                slots.sort_unstable_by(cmp_slots);
                 for &(_, _, s) in &slots {
                     if chosen.len() == count {
                         break;
