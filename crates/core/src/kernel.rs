@@ -1,36 +1,18 @@
 //! The paper's multiplicity rule as one kernel: a bin of load `L` probed
 //! `m` times offers tentative slots at heights `L+1..=L+m`, and the `k`
-//! least slots win.
-//!
-//! The rule is split in two steps so that callers can put their own
-//! selection between them:
-//!
-//! * [`expand_slots`] turns sorted probes into tentative slots, reading
-//!   each distinct bin's base once and drawing one `rng.next_u64()` tie
-//!   key per slot in sorted-probe run order.
-//! * [`select_k_least`] moves the `k` slots of least `(key, tie)` to the
-//!   front with one `select_nth_unstable_by(k - 1)`, skipped when `k`
-//!   equals the slot count. Winners are read from `slots[..k]` in that
-//!   order, which fixes replica and commit order downstream.
-//!
-//! Both are generic over the slot key ([`SlotKey`]): a `u32` height, or an
-//! `f64` objective (a load/capacity ratio or a vector-load norm, as in
-//! Narang–Dutta multidimensional allocation). Every eager-tie-key decision
-//! in the workspace runs through them: [`crate::decide_k_least`],
-//! [`crate::decide_k_least_vector`], the dynamic-k and serialized
-//! processes, the scheduler's and storage's selections, and the striped
-//! service backend. `KdChoice`'s own round engines stay separate: the
-//! batched engine draws tie keys lazily at the boundary, and the legacy
-//! engine is the independent oracle the equivalence tests compare against.
+//! least slots win. [`expand_slots`] builds the slots and
+//! [`select_k_least`] picks the winners; a caller that ranks every slot
+//! or picks `k` from the slots runs its own step between the two. Both
+//! are generic over the slot key ([`SlotKey`]).
 
 use std::cmp::Ordering;
 
 use rand::RngCore;
 
-/// The primary key of a tentative slot, compared before the tie key.
+/// The primary key of a tentative slot: a `u32` height compared by `Ord`,
+/// or an `f64` objective compared by `total_cmp`.
 pub trait SlotKey: Copy {
-    /// The total order on keys: `Ord` for integer heights, `total_cmp`
-    /// for floating-point objectives.
+    /// The key order.
     fn slot_cmp(&self, other: &Self) -> Ordering;
 }
 
@@ -48,79 +30,42 @@ impl SlotKey for f64 {
     }
 }
 
-/// A tentative slot the kernel can rank: a tuple that leads with its key
-/// and its tie key.
+/// A tentative slot tuple that leads with its key and its tie key:
+/// `(key, tie, bin)`, or [`crate::VectorSlot`]'s `(key, tie, height, bin)`.
 pub trait TentativeSlot: Copy {
-    /// The slot's primary key type.
+    /// The primary key type.
     type Key: SlotKey;
-
     /// The slot's `(key, tie key)`.
     fn rank(&self) -> (Self::Key, u64);
-
-    /// The bin the slot belongs to.
-    fn bin(&self) -> usize;
 }
 
-/// `(key, tie key, bin)`: the scalar height slot and the
-/// capacity-ratio slot.
 impl<K: SlotKey> TentativeSlot for (K, u64, usize) {
     type Key = K;
-
     #[inline]
     fn rank(&self) -> (K, u64) {
         (self.0, self.1)
     }
-
-    #[inline]
-    fn bin(&self) -> usize {
-        self.2
-    }
 }
 
-/// `(objective key, tie key, ball height, bin)`: the vector slot
-/// ([`crate::VectorSlot`]).
 impl TentativeSlot for (f64, u64, u32, usize) {
     type Key = f64;
-
     #[inline]
     fn rank(&self) -> (f64, u64) {
         (self.0, self.1)
     }
-
-    #[inline]
-    fn bin(&self) -> usize {
-        self.3
-    }
 }
 
-/// The kernel's slot order: key by [`SlotKey::slot_cmp`], then tie key.
+/// The kernel's slot order: key, then tie key.
 #[inline]
 pub fn cmp_slots<S: TentativeSlot>(a: &S, b: &S) -> Ordering {
     let ((ka, ta), (kb, tb)) = (a.rank(), b.rank());
     ka.slot_cmp(&kb).then(ta.cmp(&tb))
 }
 
-/// Expands `sorted_probes` into `slots` (cleared on entry) under the
-/// multiplicity rule.
-///
-/// `sorted_probes` **must be sorted ascending**; duplicates are a bin's
-/// multiplicity. For each distinct bin, `base(bin)` is called once; then
-/// for its `occ`-th probe (`occ = 1..=m`) one tie key is drawn and
-/// `slot(&base, bin, occ, tie)` builds the slot. Tie keys are drawn in
-/// sorted-probe run order, one per slot.
-///
-/// ```
-/// use kdchoice_core::{expand_slots, height_slot, select_k_least};
-/// use kdchoice_prng::Xoshiro256PlusPlus;
-///
-/// let loads = [3u32, 0, 5];
-/// let mut rng = Xoshiro256PlusPlus::from_u64(1);
-/// let mut slots: Vec<(u32, u64, usize)> = Vec::new();
-/// expand_slots(&[0, 1, 1], &mut rng, &mut slots, |b| loads[b], height_slot);
-/// // Bin 1 offers heights 1 and 2, both below bin 0's height 4.
-/// let winners: Vec<usize> = select_k_least(&mut slots, 2).iter().map(|s| s.2).collect();
-/// assert_eq!(winners, vec![1, 1]);
-/// ```
+/// Expands `sorted_probes` (ascending; a repeated bin is its
+/// multiplicity) into `slots`, cleared on entry. `base(bin)` is read once
+/// per distinct bin; the `occ`-th probe of a bin (`occ = 1..=m`) draws one
+/// tie key and becomes `slot(&base, bin, occ, tie)`, in sorted-probe order.
 #[inline]
 pub fn expand_slots<B, S, R>(
     sorted_probes: &[usize],
@@ -145,20 +90,20 @@ pub fn expand_slots<B, S, R>(
     }
 }
 
-/// The scalar slot builder for [`expand_slots`]: the `occ`-th tentative
-/// ball of a bin of load `base` sits at height `base + occ`.
+/// The scalar slot builder for [`expand_slots`]: height `base + occ`.
 #[inline]
 pub fn height_slot(&base: &u32, bin: usize, occ: u32, tie: u64) -> (u32, u64, usize) {
     (base + occ, tie, bin)
 }
 
-/// Moves the `k` slots of least `(key, tie)` ([`cmp_slots`]) to the front
-/// of `slots` and returns them, in the order the selection leaves them.
+/// Moves the `k` least slots in [`cmp_slots`] order to the front with one
+/// `select_nth_unstable_by(k - 1)`, skipped when `k == slots.len()`, and
+/// returns them in the order the selection leaves them: the winner order.
 ///
 /// # Panics
 ///
-/// Panics unless `1 <= k <= slots.len()`; there is one slot per probe,
-/// so this is the paper's `1 <= k <= d`.
+/// Panics unless `1 <= k <= slots.len()`; with one slot per probe, this
+/// is the paper's `1 <= k <= d`.
 #[inline]
 pub fn select_k_least<S: TentativeSlot>(slots: &mut [S], k: usize) -> &mut [S] {
     assert!(
@@ -176,16 +121,6 @@ pub fn select_k_least<S: TentativeSlot>(slots: &mut [S], k: usize) -> &mut [S] {
 mod tests {
     use super::*;
     use kdchoice_prng::Xoshiro256PlusPlus;
-
-    #[test]
-    fn f64_keys_order_by_total_cmp() {
-        let mut slots = vec![(2.5f64, 0u64, 0usize), (-0.0, 9, 1), (0.0, 1, 2)];
-        let winners = select_k_least(&mut slots, 2);
-        let mut bins: Vec<usize> = winners.iter().map(TentativeSlot::bin).collect();
-        bins.sort_unstable();
-        // total_cmp puts -0.0 before 0.0, both before 2.5.
-        assert_eq!(bins, vec![1, 2]);
-    }
 
     #[test]
     fn expansion_reads_each_base_once_and_draws_one_tie_per_slot() {
@@ -209,11 +144,5 @@ mod tests {
         for s in &slots {
             assert_eq!(s.1, rng_ref.next_u64());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot place 0 balls")]
-    fn select_rejects_k_zero() {
-        select_k_least(&mut [(1u32, 0u64, 0usize)], 0);
     }
 }

@@ -13,12 +13,11 @@
 //! is bin `b`'s load, as far as you know?" — so the same kernel,
 //! [`decide_k_least`], serves both the exact path (a [`LoadVector`]
 //! behind a lock) and the relaxed path (a snapshot refreshed every `R`
-//! commits). When the view is exact, the kernel is **bit-identical** to
-//! the lock-striped `ShardedStore::place_k_least` decision: same probe
-//! sort, same tentative-slot expansion under the multiplicity rule, same
-//! one-tie-key-per-slot RNG consumption, same `select_nth` pivot, same
-//! winner order. The cross-backend equivalence proptests in
-//! `kdchoice-service` lock that claim.
+//! commits). When the view is exact, it is **bit-identical** to the
+//! lock-striped `ShardedStore::place_k_least` decision, which runs the
+//! same core kernel ([`crate::expand_slots`], [`crate::select_k_least`]).
+//! The cross-backend equivalence proptests in `kdchoice-service` lock
+//! that claim.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -205,23 +204,16 @@ impl LoadView for SharedLoadSnapshot {
 }
 
 /// The [`LoadView`] instance of the decision kernel: expands
-/// `sorted_probes` (ascending) at heights `view_load(bin) + occ` with
-/// [`expand_slots`], keeps the `k` least with [`select_k_least`], and
-/// appends the winner bins to `bins_out` in selection order.
-///
-/// Before the expansion, every probed bin is prefetched, so the batch's
-/// cache misses resolve in parallel instead of serially in probe order.
-/// Prefetching draws nothing, so the RNG stream is the kernel's: a caller
-/// replaying it against an exact view reproduces
-/// `ShardedStore::place_k_least` bit for bit.
-///
-/// Returns the maximum tentative height among the winners (the committed
-/// maximum height when the view is exact, a snapshot-tentative estimate
-/// otherwise). `slots` is caller-provided scratch.
+/// `sorted_probes` (ascending) at heights `view_load(bin) + occ`, keeps
+/// the `k` least ([`select_k_least`]), and appends the winner bins to
+/// `bins_out` in selection order. Every probed bin is prefetched first;
+/// that draws nothing, so against an exact view the stream and winners
+/// are `ShardedStore::place_k_least`'s. Returns the winners' maximum
+/// tentative height. `slots` is caller-provided scratch.
 ///
 /// # Panics
 ///
-/// Panics unless `1 <= k <= sorted_probes.len()` ([`select_k_least`]).
+/// Panics unless `1 <= k <= sorted_probes.len()`.
 pub fn decide_k_least<V, R>(
     view: &V,
     sorted_probes: &[usize],

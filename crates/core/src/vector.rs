@@ -13,10 +13,9 @@
 //! * [`PlacementObjective`] — the comparison-key seam: `Scalar` (sum of
 //!   dimensions — the paper's process), `MaxNorm` (L∞), `WeightedNorm`,
 //!   and `NormalizedByCapacity` (max dimension utilization).
-//! * [`decide_k_least_vector`] / [`run_once_vector`] — the vector probe
-//!   kernel and static-fill driver mirroring `decide_k_least` /
-//!   `run_once_compact` exactly: one tie-break draw per tentative slot in
-//!   sorted-probe run order, `select_nth_unstable_by` on `(key, tie)`.
+//! * [`decide_k_least_vector`] / [`run_once_vector`] — the vector
+//!   instance of the core decision kernel and the static-fill driver,
+//!   mirroring `decide_k_least` / `run_once_compact` exactly.
 //!
 //! ## Determinism contract
 //!
@@ -552,20 +551,16 @@ pub type VectorSlot = (f64, u64, u32, usize);
 
 /// The [`VectorLoad`] instance of the decision kernel: the `occ`-th
 /// tentative ball of a probed bin is keyed at
-/// `objective(load + occ · demand)` ([`expand_slots`]), the `k` least
-/// `(key, tie)` slots win ([`select_k_least`], `total_cmp` on the key),
-/// and the winner bins are appended to `bins_out` in selection order.
-///
-/// Each slot also records its scalar ball height, and the return value
-/// is the maximum of those among the winners. With `dims = 1`,
-/// `objective = Scalar` and unit `demand` the keys are the scalar heights
-/// as integer `f64`s, so winners, their order and their heights coincide
-/// bit for bit with `decide_k_least`'s.
+/// `objective(load + occ · demand)`, the `k` least win
+/// ([`select_k_least`]), and the winner bins are appended to `bins_out`
+/// in selection order. Returns the winners' maximum scalar ball height.
+/// With `dims = 1`, the scalar objective and unit `demand` it matches
+/// `decide_k_least` bit for bit.
 ///
 /// # Panics
 ///
-/// Panics unless `1 <= k <= sorted_probes.len()` ([`select_k_least`])
-/// and `demand.len()` matches the store's dimensionality.
+/// Panics unless `1 <= k <= sorted_probes.len()` and `demand.len()`
+/// matches the store's dimensionality.
 #[allow(clippy::too_many_arguments)]
 pub fn decide_k_least_vector<R: RngCore + ?Sized>(
     store: &VectorLoad,

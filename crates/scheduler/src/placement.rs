@@ -3,7 +3,7 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-use kdchoice_core::{expand_slots, height_slot, select_k_least, PlacementObjective, TentativeSlot};
+use kdchoice_core::{expand_slots, height_slot, select_k_least, PlacementObjective};
 use kdchoice_prng::sample::fill_with_replacement;
 use rand::RngCore;
 
@@ -312,7 +312,7 @@ pub fn select_k_least_loaded<R: RngCore + ?Sized>(
 ) -> Vec<usize> {
     let mut slots = Vec::with_capacity(samples.len());
     expand_slots(&sorted(samples), rng, &mut slots, |w| loads[w], height_slot);
-    winners(&mut slots, k)
+    select_k_least(&mut slots, k).iter().map(|s| s.2).collect()
 }
 
 /// [`select_k_least_loaded`] over D-dimensional worker loads: the
@@ -326,8 +326,8 @@ pub fn select_k_least_loaded<R: RngCore + ?Sized>(
 ///
 /// # Panics
 ///
-/// Panics unless `1 <= k <= samples.len()`, or if the strided slices are
-/// not multiples of `dims`.
+/// Panics unless `1 <= k <= samples.len()` and the strided slices are
+/// multiples of `dims`.
 #[allow(clippy::too_many_arguments)]
 pub fn select_k_least_loaded_vector<R: RngCore + ?Sized>(
     samples: &[usize],
@@ -354,7 +354,7 @@ pub fn select_k_least_loaded_vector<R: RngCore + ?Sized>(
         },
         |&(load, caps), w, occ, tie| (objective.tentative_key(load, demand, occ, caps), tie, w),
     );
-    winners(&mut slots, k)
+    select_k_least(&mut slots, k).iter().map(|s| s.2).collect()
 }
 
 /// An ascending copy of `samples`, the kernel's probe order.
@@ -362,11 +362,6 @@ fn sorted(samples: &[usize]) -> Vec<usize> {
     let mut sorted = samples.to_vec();
     sorted.sort_unstable();
     sorted
-}
-
-/// The workers of the `k` least slots, in selection order.
-fn winners<S: TentativeSlot>(slots: &mut [S], k: usize) -> Vec<usize> {
-    select_k_least(slots, k).iter().map(S::bin).collect()
 }
 
 #[cfg(test)]

@@ -133,20 +133,15 @@ where
 }
 
 /// Draws `d` servers with `draw`, sorts them, and expands them through
-/// the core kernel ([`expand_slots`]): the `occ`-th tentative chunk of a
-/// server is keyed at `(load + occ) / capacity`.
-fn capacity_slots<R, L, C>(
+/// the core kernel, keying a server's `occ`-th tentative chunk at
+/// `(load + occ) / capacity`.
+fn capacity_slots<R: RngCore + ?Sized>(
     d: usize,
     mut draw: impl FnMut(&mut R) -> usize,
-    load: L,
-    capacity: C,
+    load: impl Fn(usize) -> u32,
+    capacity: impl Fn(usize) -> f64,
     rng: &mut R,
-) -> Vec<(f64, u64, usize)>
-where
-    R: RngCore + ?Sized,
-    L: Fn(usize) -> u32,
-    C: Fn(usize) -> f64,
-{
+) -> Vec<(f64, u64, usize)> {
     let mut sampled: Vec<usize> = (0..d).map(|_| draw(rng)).collect();
     sampled.sort_unstable();
     let mut slots = Vec::with_capacity(d);
