@@ -97,6 +97,10 @@ fn cases() -> Vec<(&'static str, u64)> {
             once(kd(8, 48), &base.with_seed(11)),
         ),
         (
+            "run_once/batched(16,96)",
+            once(kd(16, 96), &base.with_seed(12)),
+        ),
+        (
             "run_once/legacy(2,4)",
             once(
                 kd(2, 4).with_engine(EngineVersion::Legacy),
@@ -178,6 +182,7 @@ fn cases() -> Vec<(&'static str, u64)> {
 const GOLDEN: &[(&str, u64)] = &[
     ("run_once/batched(2,4)", 0xf7a2f0fdac02ad64),
     ("run_once/batched(8,48)", 0x53d0253aeb857333),
+    ("run_once/batched(16,96)", 0x52dfdb869a4beb9e),
     ("run_once/legacy(2,4)", 0x8e6b8a835ef16764),
     ("run_once/unrestricted(3,5)", 0x4866145a1a63ad79),
     ("run_once/k=d(4,4)", 0x6b95b0b326839b20),
