@@ -10,12 +10,109 @@ use std::collections::BTreeMap;
 
 use kdchoice_expt::SweepRunner;
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
+use rand::{Error, RngCore};
 
 use crate::compact::{BinSlab, StoreKind};
 use crate::probes::ProbeDistribution;
 use crate::process::{HeightSink, RoundProcess};
-use crate::snapshot::decide_k_least;
+use crate::snapshot::{decide_k_least, LoadView};
 use crate::state::LoadVector;
+
+/// How many raw generator outputs the static drivers read ahead of the
+/// rounds that consume them: a (2,4) round draws about four, so a probe's
+/// cache line is requested some eight rounds before it is read.
+const LOOKAHEAD: usize = 32;
+
+/// The driver's generator: the run's xoshiro256++ stream, read through a
+/// ring of up to [`LOOKAHEAD`] outputs drawn ahead of time.
+///
+/// Every `RngCore` call pops the ring before falling back to the inner
+/// generator, so consumers read exactly the stream a plain generator of
+/// the same seed yields. Between rounds the driver calls
+/// [`LookAhead::top_up`], which refills the ring and hands each new raw
+/// value to a hint; the drivers map it to the bin a uniform probe would
+/// draw from it ([`hinted_bin`]) and prefetch that bin's cache line.
+/// Values later spent as tie keys or by weighted samplers make wasted,
+/// harmless hints.
+struct LookAhead {
+    inner: Xoshiro256PlusPlus,
+    ring: [u64; LOOKAHEAD],
+    /// Free-running pop and push counters; `tail - head` values are
+    /// buffered, oldest at `head % LOOKAHEAD`.
+    head: usize,
+    tail: usize,
+}
+
+impl LookAhead {
+    fn new(seed: u64) -> Self {
+        Self {
+            inner: Xoshiro256PlusPlus::from_u64(seed),
+            ring: [0; LOOKAHEAD],
+            head: 0,
+            tail: 0,
+        }
+    }
+
+    /// Outputs drawn from the inner generator but not yet consumed.
+    #[inline]
+    fn buffered(&self) -> usize {
+        self.tail.wrapping_sub(self.head)
+    }
+
+    /// Refills the ring, passing each newly drawn raw value to `hint` in
+    /// stream order.
+    #[inline]
+    fn top_up(&mut self, mut hint: impl FnMut(u64)) {
+        while self.buffered() < LOOKAHEAD {
+            let raw = self.inner.next();
+            self.ring[self.tail % LOOKAHEAD] = raw;
+            self.tail = self.tail.wrapping_add(1);
+            hint(raw);
+        }
+    }
+}
+
+impl RngCore for LookAhead {
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        if self.head == self.tail {
+            return self.inner.next();
+        }
+        let raw = self.ring[self.head % LOOKAHEAD];
+        self.head = self.head.wrapping_add(1);
+        raw
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        let mut chunks = dest.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            chunk.copy_from_slice(&self.next_u64().to_le_bytes());
+        }
+        let rem = chunks.into_remainder();
+        if !rem.is_empty() {
+            let bytes = self.next_u64().to_le_bytes();
+            rem.copy_from_slice(&bytes[..rem.len()]);
+        }
+    }
+
+    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
+        self.fill_bytes(dest);
+        Ok(())
+    }
+}
+
+/// The bin in `0..n` a uniform probe draws from `raw`: the widening
+/// multiply of `UniformBin::map_raw`, which agrees with it outside its
+/// probability-`n/2^64` rejection band.
+#[inline]
+fn hinted_bin(raw: u64, n: usize) -> usize {
+    ((u128::from(raw) * n as u128) >> 64) as usize
+}
 
 /// Configuration of one simulation run.
 ///
@@ -171,7 +268,10 @@ pub fn run_once<P: RoundProcess + ?Sized>(process: &mut P, config: &RunConfig) -
 /// (needed by the figure benches, which plot the full sorted load vector).
 ///
 /// Heights are histogrammed inline through a [`HeightHistogram`] sink — the
-/// non-coupling path allocates no per-round height buffer.
+/// non-coupling path allocates no per-round height buffer. Between rounds
+/// the driver prefetches the bins the next rounds' uniform probes will
+/// read, from generator outputs it draws ahead of time; the process still
+/// reads the seed's plain xoshiro256++ stream, so results are unchanged.
 ///
 /// # Panics
 ///
@@ -202,13 +302,15 @@ pub fn run_once_on<P: RoundProcess + ?Sized>(
     assert_eq!(state.n(), config.n, "state/config bin-count mismatch");
     assert_eq!(state.total_balls(), 0, "state must start empty");
     process.reset();
-    let mut rng = Xoshiro256PlusPlus::from_u64(config.seed);
+    let n = config.n;
+    let mut rng = LookAhead::new(config.seed);
     let mut heights = HeightHistogram::new();
     let mut thrown = 0u64;
     let mut placed = 0u64;
     let mut messages = 0u64;
     let mut rounds = 0u64;
     while thrown < config.balls {
+        rng.top_up(|raw| state.prefetch(hinted_bin(raw, n)));
         let stats = process.run_round(&mut state, &mut rng, &mut heights, config.balls - thrown);
         assert!(stats.thrown > 0, "process made no progress in a round");
         thrown += u64::from(stats.thrown);
@@ -250,7 +352,9 @@ pub fn run_once_on<P: RoundProcess + ?Sized>(
 /// to that stream as long as the slab reports lossless (locked by the
 /// `packed_equivalence` proptests). Heights are the tentative heights
 /// the kernel selected, i.e. quantized heights for a packed slab (exact
-/// below saturation) and estimates for a sketch.
+/// below saturation) and estimates for a sketch. Like
+/// [`run_once_with_state`], it prefetches the next rounds' probes from
+/// generator outputs drawn ahead, without changing the stream.
 ///
 /// Returns the final slab alongside the result so callers can read the
 /// normalized observables (`max_utilization`, `bytes_per_bin`, ...).
@@ -278,7 +382,7 @@ pub fn run_once_compact(
             kind.slab_with_capacities(caps)
         }
     };
-    let mut rng = Xoshiro256PlusPlus::from_u64(config.seed);
+    let mut rng = LookAhead::new(config.seed);
     let mut heights = HeightHistogram::new();
     let mut samples: Vec<usize> = Vec::with_capacity(d);
     let mut slots: Vec<(u32, u64, usize)> = Vec::with_capacity(d);
@@ -289,6 +393,7 @@ pub fn run_once_compact(
     let mut messages = 0u64;
     while thrown < config.balls {
         let balls = (config.balls - thrown).min(k as u64) as usize;
+        rng.top_up(|raw| slab.prefetch(hinted_bin(raw, n)));
         if uniform {
             kdchoice_prng::sample::fill_with_replacement(&mut rng, n, d, &mut samples);
         } else {
@@ -675,6 +780,92 @@ mod tests {
             3,
         );
         assert_eq!(hits.load(Ordering::Relaxed), 6);
+    }
+
+    /// Bin counts the hint property runs over: powers of two and not.
+    const HINT_NS: [usize; 6] = [1, 7, 1000, 1024, 1 << 20, 3 << 30];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// Random interleavings of every `RngCore` call, uniform fills
+        /// and `top_up` — with bursts longer than the ring — read the
+        /// plain generator's stream; the hint sees each value drawn into
+        /// the ring once, in stream order, and maps it to the bin
+        /// `fill_with_replacement` probes with it.
+        #[test]
+        fn look_ahead_reads_the_plain_stream_and_hints_every_ring_value(
+            seed in 0..u64::MAX,
+            n_idx in 0..HINT_NS.len(),
+            ops in proptest::collection::vec((0..6u8, 0..=17usize, 0..3 * LOOKAHEAD), 1..80),
+        ) {
+            let n = HINT_NS[n_idx];
+            let mut la = LookAhead::new(seed);
+            let mut plain = Xoshiro256PlusPlus::from_u64(seed);
+            let mut stream = Xoshiro256PlusPlus::from_u64(seed);
+            // `values[i]` is the stream's i-th output; `hinted[i]` the bin
+            // the hint mapped it to, if it went through the ring.
+            let (mut values, mut hinted) = (Vec::new(), Vec::<Option<usize>>::new());
+            // Outputs consumed so far, counted in u64 words.
+            let mut consumed = 0usize;
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for (op, len, burst) in ops {
+                match op {
+                    0 => {
+                        proptest::prop_assert_eq!(la.next_u64(), plain.next_u64());
+                        consumed += 1;
+                    }
+                    1 => {
+                        proptest::prop_assert_eq!(la.next_u32(), plain.next_u32());
+                        consumed += 1;
+                    }
+                    2 | 3 => {
+                        let (mut a, mut b) = (vec![0u8; len], vec![0u8; len]);
+                        if op == 2 {
+                            la.fill_bytes(&mut a);
+                        } else {
+                            la.try_fill_bytes(&mut a).unwrap();
+                        }
+                        plain.fill_bytes(&mut b);
+                        proptest::prop_assert_eq!(a, b);
+                        consumed += len.div_ceil(8);
+                    }
+                    4 => {
+                        kdchoice_prng::sample::fill_with_replacement(&mut la, n, burst, &mut got);
+                        kdchoice_prng::sample::fill_with_replacement(&mut plain, n, burst, &mut want);
+                        proptest::prop_assert_eq!(&got, &want);
+                        while values.len() < consumed + burst {
+                            values.push(stream.next());
+                            hinted.push(None);
+                        }
+                        for (i, &bin) in got.iter().enumerate() {
+                            if let Some(hint) = hinted[consumed + i] {
+                                proptest::prop_assert_eq!(hint, bin);
+                            }
+                        }
+                        consumed += burst;
+                    }
+                    _ => {
+                        // The ring continues the stream where the inner
+                        // generator stands: right after what is buffered.
+                        let mut next = consumed + la.buffered();
+                        la.top_up(|raw| {
+                            while values.len() <= next {
+                                values.push(stream.next());
+                                hinted.push(None);
+                            }
+                            assert_eq!(raw, values[next], "hint out of stream order");
+                            assert!(hinted[next].is_none(), "value hinted twice");
+                            hinted[next] = Some(hinted_bin(raw, n));
+                            next += 1;
+                        });
+                        proptest::prop_assert_eq!(la.buffered(), LOOKAHEAD);
+                        proptest::prop_assert_eq!(next, consumed + LOOKAHEAD);
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(la.next_u64(), plain.next_u64());
+        }
     }
 
     /// A process that lies about progress must be caught.
