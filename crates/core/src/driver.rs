@@ -18,11 +18,30 @@ use crate::process::{HeightSink, RoundProcess};
 use crate::snapshot::{decide_k_least, LoadView};
 use crate::state::LoadVector;
 
-/// How many raw generator outputs the static drivers read ahead of the
+/// How many raw generator outputs [`run_once_on`] reads ahead of the
 /// rounds that consume them: a (2,4) round draws about four, so a probe's
 /// cache line is requested some eight rounds before it is read. A sweep
 /// over 16, 32 and 64 on an n = 2^24 fill found the three within noise.
 const LOOKAHEAD: usize = 32;
+
+/// Resident table bytes from which [`run_once_on`] reads ahead. A
+/// smaller table stays in cache, where a probe costs a few nanoseconds
+/// and the ring's per-value bookkeeping costs more than the wait it
+/// hides. On a 2-vCPU Xeon with 4 MiB of L2 per core, (2,4) fills lost
+/// at 256 KiB and won clearly from 8 MiB (n = 2^21 exact loads).
+const LOOKAHEAD_MIN_TABLE_BYTES: u64 = 8 << 20;
+
+/// A generator [`run_once_on`] draws its rounds from. Between rounds it
+/// calls `top_up`, which may draw values ahead and hand each to `hint`;
+/// the plain generator draws nothing ahead.
+trait RoundRng: RngCore {
+    fn top_up(&mut self, hint: impl FnMut(u64));
+}
+
+impl RoundRng for Xoshiro256PlusPlus {
+    #[inline]
+    fn top_up(&mut self, _hint: impl FnMut(u64)) {}
+}
 
 /// The driver's generator: the run's xoshiro256++ stream, read through a
 /// ring of up to [`LOOKAHEAD`] outputs drawn ahead of time.
@@ -30,9 +49,9 @@ const LOOKAHEAD: usize = 32;
 /// Every `RngCore` call pops the ring before falling back to the inner
 /// generator, so consumers read exactly the stream a plain generator of
 /// the same seed yields. Between rounds the driver calls
-/// [`LookAhead::top_up`], which refills the ring and hands each new raw
-/// value to a hint; the drivers map it to the bin a uniform probe would
-/// draw from it ([`hinted_bin`]) and prefetch that bin's cache line.
+/// [`RoundRng::top_up`], which refills the ring and hands each new raw
+/// value to a hint; the driver maps it to the bin a uniform probe would
+/// draw from it ([`hinted_bin`]) and prefetches that bin's cache line.
 /// Values later spent as tie keys or by weighted samplers make wasted
 /// hints, which never change a result.
 struct LookAhead {
@@ -68,7 +87,9 @@ impl LookAhead {
     fn draw_through(&mut self) -> u64 {
         self.inner.next()
     }
+}
 
+impl RoundRng for LookAhead {
     /// Refills the ring, passing each newly drawn raw value to `hint` in
     /// stream order.
     #[inline]
@@ -278,10 +299,11 @@ pub fn run_once<P: RoundProcess + ?Sized>(process: &mut P, config: &RunConfig) -
 /// (needed by the figure benches, which plot the full sorted load vector).
 ///
 /// Heights are histogrammed inline through a [`HeightHistogram`] sink — the
-/// non-coupling path allocates no per-round height buffer. Between rounds
-/// the driver prefetches the bins the next rounds' uniform probes will
-/// read, from generator outputs it draws ahead of time; the process still
-/// reads the seed's plain xoshiro256++ stream, so results are unchanged.
+/// non-coupling path allocates no per-round height buffer. On a table of
+/// 8 MiB or more the driver prefetches, between rounds, the bins the next
+/// rounds' uniform probes will read, from generator outputs it draws
+/// ahead of time; the process still reads the seed's plain xoshiro256++
+/// stream, so results are the same at every size.
 ///
 /// # Panics
 ///
@@ -307,13 +329,31 @@ pub fn run_once_with_state<P: RoundProcess + ?Sized>(
 pub fn run_once_on<P: RoundProcess + ?Sized>(
     process: &mut P,
     config: &RunConfig,
-    mut state: LoadVector,
+    state: LoadVector,
 ) -> (RunResult, LoadVector) {
     assert_eq!(state.n(), config.n, "state/config bin-count mismatch");
     assert_eq!(state.total_balls(), 0, "state must start empty");
+    if state.store_bytes() >= LOOKAHEAD_MIN_TABLE_BYTES {
+        fill_on(process, config, state, LookAhead::new(config.seed))
+    } else {
+        fill_on(
+            process,
+            config,
+            state,
+            Xoshiro256PlusPlus::from_u64(config.seed),
+        )
+    }
+}
+
+/// The round loop of [`run_once_on`], drawing from `rng`.
+fn fill_on<P: RoundProcess + ?Sized, R: RoundRng>(
+    process: &mut P,
+    config: &RunConfig,
+    mut state: LoadVector,
+    mut rng: R,
+) -> (RunResult, LoadVector) {
     process.reset();
     let n = config.n;
-    let mut rng = LookAhead::new(config.seed);
     let mut heights = HeightHistogram::new();
     let mut thrown = 0u64;
     let mut placed = 0u64;
@@ -362,9 +402,7 @@ pub fn run_once_on<P: RoundProcess + ?Sized>(
 /// to that stream as long as the slab reports lossless (locked by the
 /// `packed_equivalence` proptests). Heights are the tentative heights
 /// the kernel selected, i.e. quantized heights for a packed slab (exact
-/// below saturation) and estimates for a sketch. Like
-/// [`run_once_with_state`], it prefetches the next rounds' probes from
-/// generator outputs drawn ahead, without changing the stream.
+/// below saturation) and estimates for a sketch.
 ///
 /// Returns the final slab alongside the result so callers can read the
 /// normalized observables (`max_utilization`, `bytes_per_bin`, ...).
@@ -392,7 +430,7 @@ pub fn run_once_compact(
             kind.slab_with_capacities(caps)
         }
     };
-    let mut rng = LookAhead::new(config.seed);
+    let mut rng = Xoshiro256PlusPlus::from_u64(config.seed);
     let mut heights = HeightHistogram::new();
     let mut samples: Vec<usize> = Vec::with_capacity(d);
     let mut slots: Vec<(u32, u64, usize)> = Vec::with_capacity(d);
@@ -403,7 +441,6 @@ pub fn run_once_compact(
     let mut messages = 0u64;
     while thrown < config.balls {
         let balls = (config.balls - thrown).min(k as u64) as usize;
-        rng.top_up(|raw| slab.prefetch(hinted_bin(raw, n)));
         if uniform {
             kdchoice_prng::sample::fill_with_replacement(&mut rng, n, d, &mut samples);
         } else {
@@ -875,6 +912,48 @@ mod tests {
                 }
             }
             proptest::prop_assert_eq!(la.next_u64(), plain.next_u64());
+        }
+
+        /// `run_once_on` gives the same result and final table whether it
+        /// draws through a `LookAhead` or the plain generator, for every
+        /// engine, policy, probe law and capacity map: the size gate that
+        /// picks between them can change speed only.
+        #[test]
+        fn static_fills_agree_with_and_without_look_ahead(
+            seed in 0..u64::MAX,
+            k in 1..=8usize,
+            extra in 0..=8usize,
+            n_idx in 0..5usize,
+            balls in 0..1500u64,
+            variant in 0..3u8,
+            zipf in 0..2u8,
+            capacities in 0..2u8,
+        ) {
+            let (d, n) = (k + extra, [1, 7, 64, 1000, 4096][n_idx]);
+            let config = RunConfig::new(n, seed).with_balls(balls);
+            let mut kd = KdChoice::new(k, d).unwrap();
+            if zipf == 1 {
+                kd = kd.with_probes(ProbeDistribution::zipf(n, 1.0).unwrap());
+            }
+            let mut process: Box<dyn crate::process::BallsIntoBins> = match variant {
+                0 => Box::new(kd),
+                1 => Box::new(kd.with_engine(crate::kd::EngineVersion::Legacy)),
+                _ => Box::new(kd.with_policy(crate::policy::RoundPolicy::Unrestricted)),
+            };
+            let caps: Vec<u32> = (0..n).map(|i| 1 + (i % 3) as u32).collect();
+            let state = || {
+                if capacities == 1 {
+                    LoadVector::with_capacities(&caps)
+                } else {
+                    LoadVector::new(n)
+                }
+            };
+            let (ahead, ahead_state) =
+                fill_on(&mut *process, &config, state(), LookAhead::new(seed));
+            let (plain, plain_state) =
+                fill_on(&mut *process, &config, state(), Xoshiro256PlusPlus::from_u64(seed));
+            proptest::prop_assert_eq!(format!("{ahead:?}"), format!("{plain:?}"));
+            proptest::prop_assert_eq!(ahead_state, plain_state);
         }
     }
 
