@@ -724,10 +724,7 @@ fn measure_sampling_race(quick: bool) -> Vec<SamplingRace> {
 /// fill through `run_once_compact` on one store kind, recording the
 /// bytes the decision state occupies per bin next to the gap it pays
 /// and the fill rate it sustains. Exact and (lossless) packed rows
-/// report the true gap of the identical decision stream; sketch rows
-/// report the gap of the count-min *estimates*, which includes the
-/// collision inflation ≈ balls/width — that fidelity cost is the
-/// frontier's honest third axis, not an artifact.
+/// report the true gap of the identical decision stream.
 struct GapVsBytes {
     store: &'static str,
     n: usize,
@@ -740,13 +737,8 @@ struct GapVsBytes {
     reps: usize,
 }
 
-/// Store kinds swept by the frontier (all four representations).
-const GAP_STORE_KINDS: [StoreKind; 4] = [
-    StoreKind::Exact,
-    StoreKind::Packed4,
-    StoreKind::Packed8,
-    StoreKind::Sketch,
-];
+/// Store kinds swept by the frontier (all three representations).
+const GAP_STORE_KINDS: [StoreKind; 3] = [StoreKind::Exact, StoreKind::Packed4, StoreKind::Packed8];
 
 /// Runs one frontier cell `reps` times (best rate kept), returning the
 /// final slab's observables alongside the measured fill rate.
@@ -765,7 +757,6 @@ fn measure_gap_vs_bytes_cell(kind: StoreKind, n: usize, balls: u64, reps: usize)
     let lossless = match &slab {
         BinSlab::Exact(_) => true,
         BinSlab::Packed(p) => p.is_lossless(),
-        BinSlab::Sketch(_) => false,
     };
     GapVsBytes {
         store: kind.name(),
@@ -805,7 +796,7 @@ fn measure_gap_vs_bytes(quick: bool) -> Vec<GapVsBytes> {
 }
 
 /// The acceptance race for the compact tentpole: the identical n = 2^20
-/// static fill (same seed, same probes, same decide kernel) against the
+/// static fill (same seed, same probes, same round engine) against the
 /// exact u32 store and the packed 4-bit store. The exact slab's hot
 /// loads span 4 MiB, the packed slab's 512 KiB. The packed fill must
 /// replay the exact decision stream bit for bit (the run stays lossless —
@@ -1514,7 +1505,7 @@ fn render_json(
     }
     out.push_str("  ],\n");
     out.push_str(
-        "  \"gap_vs_bytes_note\": \"memory-vs-balance frontier: (2,4)-choice static fills through the identical decide kernel on each bin-store representation, up to the 10^8-bin frontier. bytes_per_bin is the decision-path state (u32 loads = 4.0; 4/8-bit packed lanes = 0.5/1.0; count-min counters ~0.5 at width n/16 x 2 rows). Exact and lossless packed rows pay zero gap penalty (bit-identical decision stream); sketch rows report the gap of the estimates, which includes count-min collision inflation ~ balls/width — the honest fidelity cost of sub-linear state. Frontier rows (n = 10^8) run one fill each (see reps); all rows single-threaded\",\n",
+        "  \"gap_vs_bytes_note\": \"memory-vs-balance frontier: (2,4)-choice static fills through the one (k,d)-choice round engine on each bin-store representation, up to the 10^8-bin frontier. bytes_per_bin is the decision-path state (u32 loads = 4.0; 4/8-bit packed lanes = 0.5/1.0). Exact and lossless packed rows pay zero gap penalty (bit-identical decision stream). Frontier rows (n = 10^8) run one fill each (see reps); all rows single-threaded\",\n",
     );
     out.push_str("  \"gap_vs_bytes\": ");
     out.push_str(&gap_rows_json(gap));
@@ -1526,7 +1517,7 @@ fn render_json(
     out.push_str(&vector_rows_json(vector));
     out.push_str(",\n");
     out.push_str(
-        "  \"compact_store_note\": \"the n=2^20 acceptance race: identical static fill (same seed, probes, decide kernel) on the exact u32 store (4 MiB hot loads) vs the packed 4-bit store (512 KiB); the packed fill must replay the exact decision stream bit for bit (identical_stream checks load histogram, height histogram, and max load, and is asserted); target_met records, without an assert, whether it also beat the exact fill on balls/sec\",\n",
+        "  \"compact_store_note\": \"the n=2^20 acceptance race: identical static fill (same seed, probes, round engine) on the exact u32 store (4 MiB hot loads) vs the packed 4-bit store (512 KiB); the packed fill must replay the exact decision stream bit for bit (identical_stream checks load histogram, height histogram, and max load, and is asserted); target_met records, without an assert, whether it also beat the exact fill on balls/sec\",\n",
     );
     let _ = write!(
         out,
@@ -1653,8 +1644,8 @@ fn cmd_figures() -> Result<(), String> {
     const PALETTE: [&str; 5] = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd"];
     let gap_chart = Chart {
         title: "Balance gap vs decision-state bytes per bin (static fill, k=2 d=4)".into(),
-        x_label: "bytes per bin (exact=4, packed8=1, packed4=0.5, sketch<0.6)".into(),
-        y_label: "gap (balls; sketch rows include estimate inflation)".into(),
+        x_label: "bytes per bin (exact=4, packed8=1, packed4=0.5)".into(),
+        y_label: "gap (balls)".into(),
         log2_x: false,
         series: ns
             .iter()

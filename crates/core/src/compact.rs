@@ -1,5 +1,5 @@
 //! Cache-compact, memory-bounded bin stores: packed few-bit load
-//! counters and count-min sketches behind the [`BinStore`] seam.
+//! counters behind the [`BinStore`] seam.
 //!
 //! The exact [`LoadVector`] spends 4 bytes per bin on loads alone; at
 //! n = 2^20 the decision path already spills to DRAM, and n = 10^8 is
@@ -11,22 +11,23 @@
 //! * the 1-2-3-Toolkit line shows that coarse, quantized load
 //!   information is enough for near-optimal multiple-choice decisions.
 //!
-//! This module provides the two memory-bounded stores and the
-//! [`StoreKind`] axis that selects between them everywhere a
-//! [`LoadVector`] used to be hard-wired:
+//! This module provides the packed store and the [`StoreKind`] axis
+//! that selects it everywhere a [`LoadVector`] used to be hard-wired:
 //!
 //! * [`PackedStore`] — b-bit (b ∈ {4, 8}) saturating per-bin load
 //!   *offsets* packed 64/b to a `u64` word against a shared base level.
 //!   Quantized loads track true loads **exactly** until a bin climbs
 //!   more than `2^b − 1` above the base (the lossless window); the
 //!   paper's O(log log n) gap is what makes a 4-bit window realistic.
-//! * [`SketchStore`] — a count-min sketch over bins (sub-linear
-//!   counters, loads estimated as the minimum over hashed rows) for the
-//!   true o(n)-memory regime, with [`SketchStore::bytes_per_bin`] as a
-//!   first-class observable.
 //! * [`BinSlab`] — the enum the service layer's shards hold, dispatching
-//!   to exact / packed / sketch state with zero overhead for the exact
-//!   variant (all existing bit-identity contracts survive).
+//!   to exact / packed state with zero overhead for the exact variant
+//!   (all existing bit-identity contracts survive).
+//!
+//! Static fills over a slab (`run_once_compact`) run [`KdChoice`]'s
+//! round engine on the exact or packed store itself, so a lossless
+//! packed fill is the exact engine fill, result for result.
+//!
+//! [`KdChoice`]: crate::KdChoice
 //!
 //! ## Quantization contract
 //!
@@ -49,9 +50,8 @@ use crate::state::LoadVector;
 use crate::store::BinStore;
 
 /// Which bin-store representation backs a run: the exact
-/// [`LoadVector`], a [`PackedStore`] at 4 or 8 bits per bin, or the
-/// sub-linear [`SketchStore`]. The axis value every scenario grid and
-/// service config carries.
+/// [`LoadVector`] or a [`PackedStore`] at 4 or 8 bits per bin. The axis
+/// value every scenario grid and service config carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoreKind {
     /// Exact 32-bit loads ([`LoadVector`]) — the pre-compact default;
@@ -63,19 +63,15 @@ pub enum StoreKind {
     Packed4,
     /// Packed 8-bit saturating offsets: 8 bins per word, 1 byte/bin.
     Packed8,
-    /// Count-min sketch over bins: sub-linear counter memory, loads
-    /// estimated (never under true load) instead of tracked.
-    Sketch,
 }
 
 impl StoreKind {
-    /// The report/axis label (`exact | packed4 | packed8 | sketch`).
+    /// The report/axis label (`exact | packed4 | packed8`).
     pub fn name(&self) -> &'static str {
         match self {
             StoreKind::Exact => "exact",
             StoreKind::Packed4 => "packed4",
             StoreKind::Packed8 => "packed8",
-            StoreKind::Sketch => "sketch",
         }
     }
 
@@ -85,7 +81,6 @@ impl StoreKind {
             "exact" => Some(StoreKind::Exact),
             "packed4" => Some(StoreKind::Packed4),
             "packed8" => Some(StoreKind::Packed8),
-            "sketch" => Some(StoreKind::Sketch),
             _ => None,
         }
     }
@@ -114,45 +109,29 @@ impl StoreKind {
             StoreKind::Exact => BinSlab::Exact(LoadVector::new(n)),
             StoreKind::Packed4 => BinSlab::Packed(PackedStore::new(n, 4)),
             StoreKind::Packed8 => BinSlab::Packed(PackedStore::new(n, 8)),
-            StoreKind::Sketch => BinSlab::Sketch(SketchStore::new(n)),
         }
     }
 
     /// Builds an empty slab with per-bin capacities. The packed kinds
     /// attach an exact side-table (capacity observables need true
-    /// loads); [`StoreKind::Sketch`] rejects capacities — a sketch
-    /// cannot answer per-class utilization without the exact state it
-    /// exists to avoid.
+    /// loads).
     ///
     /// # Panics
     ///
-    /// Panics if `capacities` is empty, any capacity is 0, or the kind
-    /// is [`StoreKind::Sketch`] with a non-uniform capacity vector.
+    /// Panics if `capacities` is empty or any capacity is 0.
     pub fn slab_with_capacities(&self, capacities: &[u32]) -> BinSlab {
         match self {
             StoreKind::Exact => BinSlab::Exact(LoadVector::with_capacities(capacities)),
             StoreKind::Packed4 => BinSlab::Packed(PackedStore::with_capacities(capacities, 4)),
             StoreKind::Packed8 => BinSlab::Packed(PackedStore::with_capacities(capacities, 8)),
-            StoreKind::Sketch => {
-                assert!(
-                    capacities.iter().all(|&c| c == 1),
-                    "sketch store does not support heterogeneous capacities"
-                );
-                BinSlab::Sketch(SketchStore::new(capacities.len()))
-            }
         }
     }
 
     /// Non-panicking [`StoreKind::slab_with_capacities`]: validates the
-    /// capacity map (non-empty, every capacity ≥ 1) and the
-    /// kind/capacity pairing up front, returning a diagnostic instead
-    /// of panicking — the construction entry point for user-facing
-    /// config paths (grid parsing, CLI flags).
-    ///
-    /// A sketch with non-uniform capacities is rejected here with the
-    /// reason: count-min counters cannot answer per-class utilization
-    /// without the exact state the sketch exists to avoid, so the
-    /// fallback observables would silently be wrong.
+    /// capacity map (non-empty, every capacity ≥ 1) up front,
+    /// returning a diagnostic instead of panicking — the construction
+    /// entry point for user-facing config paths (grid parsing, CLI
+    /// flags).
     ///
     /// # Errors
     ///
@@ -163,14 +142,6 @@ impl StoreKind {
         }
         if capacities.contains(&0) {
             return Err("every bin needs capacity >= 1".to_string());
-        }
-        if *self == StoreKind::Sketch && capacities.iter().any(|&c| c != 1) {
-            return Err(format!(
-                "store=sketch does not support heterogeneous capacities \
-                 (count-min counters cannot answer per-class utilization); \
-                 use one of {}",
-                "exact|packed4|packed8"
-            ));
         }
         Ok(self.slab_with_capacities(capacities))
     }
@@ -342,9 +313,13 @@ impl PackedStore {
     /// for its words alone; a store with capacities honestly reports
     /// that the side-table dominates its footprint.
     pub fn bytes_per_bin(&self) -> f64 {
+        self.resident_bytes() as f64 / self.n as f64
+    }
+
+    /// Resident bytes in all: the words plus any exact side-table.
+    pub(crate) fn resident_bytes(&self) -> u64 {
         let words = (self.words.len() * 8) as u64;
-        let side = self.exact.as_ref().map_or(0, |e| e.store_bytes());
-        (words + side) as f64 / self.n as f64
+        words + self.exact.as_ref().map_or(0, |e| e.store_bytes())
     }
 
     /// Whether a heterogeneous side-table is attached.
@@ -673,239 +648,6 @@ impl LoadView for PackedStore {
     }
 }
 
-/// Count-min rows of the sketch (two independent hashed rows: the
-/// estimate is their minimum).
-const SKETCH_DEPTH: usize = 2;
-
-/// Per-row hash seeds (arbitrary odd constants, fixed so sketch runs
-/// are deterministic in the operation stream alone).
-const SKETCH_SEEDS: [u64; SKETCH_DEPTH] = [0x9E37_79B9_7F4A_7C15, 0xC2B2_AE3D_27D4_EB4F];
-
-/// splitmix64 finalizer: the per-row bin hash.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// A count-min sketch over bins: o(n) counter memory, per-bin loads
-/// *estimated* as the minimum counter over `SKETCH_DEPTH` hashed
-/// rows. With matched add/remove streams every counter is the exact
-/// sum of the loads hashing into it, so estimates never fall below the
-/// true load (a bin can look fuller than it is, never emptier — the
-/// safe direction for least-loaded placement).
-///
-/// Global observables (`max_load`, `ν_y`, histogram) are answered by an
-/// O(n · depth) scan of per-bin estimates — callers at huge n should
-/// sample them sparsely. [`SketchStore::total_balls`] stays exact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SketchStore {
-    n: usize,
-    /// Row width (power of two); `counters` holds `depth` rows of it.
-    width: usize,
-    counters: Vec<u32>,
-    total_balls: u64,
-}
-
-impl SketchStore {
-    /// Creates a sketch over `n` bins at the default width
-    /// (`(n / 16).next_power_of_two()`, floor 16 — ½ byte/bin at scale).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
-        Self::with_width(n, (n / 16).next_power_of_two().max(16))
-    }
-
-    /// Creates a sketch with an explicit row width (rounded up to a
-    /// power of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `width == 0`.
-    pub fn with_width(n: usize, width: usize) -> Self {
-        assert!(n > 0, "need at least one bin");
-        assert!(width > 0, "need at least one counter per row");
-        let width = width.next_power_of_two();
-        Self {
-            n,
-            width,
-            counters: vec![0; width * SKETCH_DEPTH],
-            total_balls: 0,
-        }
-    }
-
-    /// The number of bins.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Counter bytes per bin — the sub-linear headline observable.
-    pub fn bytes_per_bin(&self) -> f64 {
-        (self.counters.len() * 4) as f64 / self.n as f64
-    }
-
-    #[inline]
-    fn slot(&self, row: usize, bin: usize) -> usize {
-        row * self.width + (mix64(SKETCH_SEEDS[row] ^ bin as u64) as usize & (self.width - 1))
-    }
-
-    /// The estimated load of `bin`: the minimum counter over the hashed
-    /// rows — never below the true load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin >= n`.
-    #[inline]
-    pub fn load(&self, bin: usize) -> u32 {
-        assert!(bin < self.n, "bin {bin} out of range");
-        (0..SKETCH_DEPTH)
-            .map(|row| self.counters[self.slot(row, bin)])
-            .min()
-            .expect("depth >= 1")
-    }
-
-    /// Adds one ball to `bin`; returns the estimated height.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin >= n`.
-    #[inline]
-    pub fn add_ball(&mut self, bin: usize) -> u32 {
-        assert!(bin < self.n, "bin {bin} out of range");
-        self.total_balls += 1;
-        let mut est = u32::MAX;
-        for row in 0..SKETCH_DEPTH {
-            let slot = self.slot(row, bin);
-            self.counters[slot] += 1;
-            est = est.min(self.counters[slot]);
-        }
-        est
-    }
-
-    /// Removes one ball from `bin`; returns the estimated height
-    /// before removal. Callers must only remove balls they placed (the
-    /// service-layer contract) — unmatched removes corrupt the sketch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin >= n` or the estimate is already 0.
-    #[inline]
-    pub fn remove_ball(&mut self, bin: usize) -> u32 {
-        assert!(bin < self.n, "bin {bin} out of range");
-        let before = self.load(bin);
-        assert!(before > 0, "cannot remove a ball from empty bin {bin}");
-        self.total_balls -= 1;
-        for row in 0..SKETCH_DEPTH {
-            let slot = self.slot(row, bin);
-            self.counters[slot] -= 1;
-        }
-        before
-    }
-
-    /// The exact number of balls currently stored.
-    #[inline]
-    pub fn total_balls(&self) -> u64 {
-        self.total_balls
-    }
-
-    /// The maximum estimated load — O(n · depth) scan.
-    pub fn max_load(&self) -> u32 {
-        (0..self.n).map(|bin| self.load(bin)).max().unwrap_or(0)
-    }
-
-    /// `ν_y` over estimated loads — O(n · depth) scan.
-    pub fn nu(&self, y: u32) -> u64 {
-        if y == 0 {
-            return self.n as u64;
-        }
-        (0..self.n).filter(|&bin| self.load(bin) >= y).count() as u64
-    }
-
-    /// Verifies internal consistency: each row's counters sum to the
-    /// exact ball count; O(counters).
-    pub fn check_invariants(&self) -> bool {
-        (0..SKETCH_DEPTH).all(|row| {
-            self.counters[row * self.width..(row + 1) * self.width]
-                .iter()
-                .map(|&c| u64::from(c))
-                .sum::<u64>()
-                == self.total_balls
-        })
-    }
-}
-
-impl BinStore for SketchStore {
-    #[inline]
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn load(&self, bin: usize) -> u32 {
-        SketchStore::load(self, bin)
-    }
-
-    #[inline]
-    fn add_ball(&mut self, bin: usize) -> u32 {
-        SketchStore::add_ball(self, bin)
-    }
-
-    #[inline]
-    fn remove_ball(&mut self, bin: usize) -> u32 {
-        SketchStore::remove_ball(self, bin)
-    }
-
-    #[inline]
-    fn max_load(&self) -> u32 {
-        SketchStore::max_load(self)
-    }
-
-    #[inline]
-    fn total_balls(&self) -> u64 {
-        SketchStore::total_balls(self)
-    }
-
-    #[inline]
-    fn nu(&self, y: u32) -> u64 {
-        SketchStore::nu(self, y)
-    }
-
-    fn copy_loads_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend((0..self.n).map(|bin| self.load(bin)));
-    }
-
-    fn histogram(&self) -> Vec<u64> {
-        let mut hist = vec![0u64; self.max_load() as usize + 1];
-        for bin in 0..self.n {
-            hist[self.load(bin) as usize] += 1;
-        }
-        hist
-    }
-}
-
-impl LoadView for SketchStore {
-    #[inline]
-    fn view_n(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn view_load(&self, bin: usize) -> u32 {
-        self.load(bin)
-    }
-
-    #[inline]
-    fn prefetch(&self, bin: usize) {
-        // Prefetch the row-0 counter; row 1 follows the dependent read.
-        crate::snapshot::prefetch_read(&self.counters[self.slot(0, bin)]);
-    }
-}
-
 /// One shard's bin state, dispatched by [`StoreKind`]: the enum the
 /// service layer's striped shards and shared-nothing owners hold where
 /// a bare [`LoadVector`] used to be hard-wired. The `Exact` variant
@@ -918,8 +660,6 @@ pub enum BinSlab {
     Exact(LoadVector),
     /// Packed b-bit quantized loads.
     Packed(PackedStore),
-    /// Count-min estimated loads.
-    Sketch(SketchStore),
 }
 
 /// Delegates a method call to whichever variant the slab holds.
@@ -928,7 +668,6 @@ macro_rules! slab_dispatch {
         match $self {
             BinSlab::Exact($inner) => $body,
             BinSlab::Packed($inner) => $body,
-            BinSlab::Sketch($inner) => $body,
         }
     };
 }
@@ -940,7 +679,6 @@ impl BinSlab {
             BinSlab::Exact(_) => StoreKind::Exact,
             BinSlab::Packed(p) if p.bits() == 4 => StoreKind::Packed4,
             BinSlab::Packed(_) => StoreKind::Packed8,
-            BinSlab::Sketch(_) => StoreKind::Sketch,
         }
     }
 
@@ -950,7 +688,7 @@ impl BinSlab {
         slab_dispatch!(self, s => s.n())
     }
 
-    /// The (exact / quantized / estimated) load of `bin`.
+    /// The (exact / quantized) load of `bin`.
     #[inline]
     pub fn load(&self, bin: usize) -> u32 {
         slab_dispatch!(self, s => s.load(bin))
@@ -968,7 +706,7 @@ impl BinSlab {
         slab_dispatch!(self, s => s.remove_ball(bin))
     }
 
-    /// The maximum (exact / quantized / estimated) load.
+    /// The maximum (exact / quantized) load.
     #[inline]
     pub fn max_load(&self) -> u32 {
         slab_dispatch!(self, s => BinStore::max_load(s))
@@ -1034,33 +772,23 @@ impl BinSlab {
                 *m += h;
             }
         }
-        match self {
-            BinSlab::Exact(s) => add(merged, s.load_histogram()),
-            BinSlab::Packed(p) => add(merged, p.load_histogram()),
-            BinSlab::Sketch(s) => add(merged, &BinStore::histogram(s)),
-        }
+        slab_dispatch!(self, s => add(merged, s.load_histogram()))
     }
 
     /// Verifies the variant's internal invariants; O(n).
     pub fn check_invariants(&self) -> bool {
-        match self {
-            BinSlab::Exact(s) => s.check_invariants(),
-            BinSlab::Packed(s) => s.check_invariants(),
-            BinSlab::Sketch(s) => s.check_invariants(),
-        }
+        slab_dispatch!(self, s => s.check_invariants())
     }
 
-    /// Resident bytes per bin (loads/words/counters, including every
-    /// per-bin side table): 4.0 for a homogeneous exact store, 12.0 for
-    /// a heterogeneous one (capacity + class-index tables), and the
+    /// Resident bytes per bin (loads or words, including every per-bin
+    /// side table): 4.0 for a homogeneous exact store, 12.0 for a
+    /// heterogeneous one (capacity + class-index tables), and the
     /// packed kinds delegate to [`PackedStore::bytes_per_bin`], which
-    /// already charges its exact side-table in full. A sketch never
-    /// carries capacities, so its counters are the whole story.
+    /// already charges its exact side-table in full.
     pub fn bytes_per_bin(&self) -> f64 {
         match self {
             BinSlab::Exact(s) => s.store_bytes() as f64 / s.n() as f64,
             BinSlab::Packed(p) => p.bytes_per_bin(),
-            BinSlab::Sketch(s) => s.bytes_per_bin(),
         }
     }
 
@@ -1152,11 +880,7 @@ impl LoadView for BinSlab {
 
     #[inline]
     fn prefetch(&self, bin: usize) {
-        match self {
-            BinSlab::Exact(s) => LoadView::prefetch(s, bin),
-            BinSlab::Packed(s) => LoadView::prefetch(s, bin),
-            BinSlab::Sketch(s) => LoadView::prefetch(s, bin),
-        }
+        slab_dispatch!(self, s => LoadView::prefetch(s, bin))
     }
 }
 
@@ -1289,9 +1013,7 @@ impl LoadView for PackedLoadSnapshot {
 
 /// The published-load surface a shared-nothing engine decides against:
 /// exact `u32` lanes or packed b-bit lanes, selected by the run's
-/// [`StoreKind`] ([`StoreKind::Sketch`] publishes its estimates through
-/// the exact variant — the sketch compresses the *truth* side, not the
-/// snapshot).
+/// [`StoreKind`].
 #[derive(Debug)]
 pub enum LoadSnapshot {
     /// One `AtomicU32` per bin (the pre-compact representation).
@@ -1435,11 +1157,9 @@ mod tests {
 
     #[test]
     fn load_snapshot_matches_kind() {
-        for kind in [StoreKind::Exact, StoreKind::Sketch] {
-            let snap = LoadSnapshot::for_kind(kind, 9);
-            assert!(matches!(snap, LoadSnapshot::Exact(_)), "{kind}");
-            assert_eq!(snap.published(1_000_000), 1_000_000);
-        }
+        let snap = LoadSnapshot::for_kind(StoreKind::Exact, 9);
+        assert!(matches!(snap, LoadSnapshot::Exact(_)));
+        assert_eq!(snap.published(1_000_000), 1_000_000);
         for (kind, top) in [(StoreKind::Packed4, 15), (StoreKind::Packed8, 255)] {
             let snap = LoadSnapshot::for_kind(kind, 9);
             assert!(matches!(snap, LoadSnapshot::Packed(_)), "{kind}");
@@ -1455,20 +1175,16 @@ mod tests {
 
     #[test]
     fn kind_names_round_trip() {
-        for kind in [
-            StoreKind::Exact,
-            StoreKind::Packed4,
-            StoreKind::Packed8,
-            StoreKind::Sketch,
-        ] {
+        for kind in [StoreKind::Exact, StoreKind::Packed4, StoreKind::Packed8] {
             assert_eq!(StoreKind::parse(kind.name()), Some(kind));
             assert_eq!(format!("{kind}"), kind.name());
         }
         assert_eq!(StoreKind::parse("psychic"), None);
+        assert_eq!(StoreKind::parse("sketch"), None);
         assert_eq!(StoreKind::Packed4.bits(), Some(4));
         assert_eq!(StoreKind::Packed8.bits(), Some(8));
-        assert_eq!(StoreKind::Sketch.bits(), None);
-        assert!(StoreKind::Exact.is_exact() && !StoreKind::Sketch.is_exact());
+        assert_eq!(StoreKind::Exact.bits(), None);
+        assert!(StoreKind::Exact.is_exact() && !StoreKind::Packed4.is_exact());
     }
 
     #[test]
@@ -1645,67 +1361,8 @@ mod tests {
     }
 
     #[test]
-    fn sketch_estimates_dominate_true_loads() {
-        let mut sketch = SketchStore::new(256);
-        let mut exact = LoadVector::new(256);
-        let mut rng = Xoshiro256PlusPlus::from_u64(3);
-        let mut live: Vec<usize> = Vec::new();
-        for _ in 0..6000 {
-            if live.is_empty() || rng.gen_bool(0.55) {
-                let bin = rng.gen_range(0..256);
-                sketch.add_ball(bin);
-                exact.add_ball(bin);
-                live.push(bin);
-            } else {
-                let i = rng.gen_range(0..live.len());
-                let bin = live.swap_remove(i);
-                sketch.remove_ball(bin);
-                exact.remove_ball(bin);
-            }
-        }
-        assert_eq!(sketch.total_balls(), exact.total_balls());
-        for bin in 0..256 {
-            assert!(
-                sketch.load(bin) >= exact.load(bin),
-                "estimate below truth at bin {bin}"
-            );
-        }
-        assert!(SketchStore::max_load(&sketch) >= exact.max_load());
-        assert!(sketch.check_invariants());
-        assert!(sketch.bytes_per_bin() < 4.0);
-    }
-
-    #[test]
-    fn sketch_exact_when_collision_free() {
-        // Far fewer occupied bins than counters: estimates are exact.
-        let mut sketch = SketchStore::with_width(8, 1 << 10);
-        assert_eq!(sketch.add_ball(3), 1);
-        assert_eq!(sketch.add_ball(3), 2);
-        assert_eq!(sketch.add_ball(5), 1);
-        assert_eq!(sketch.load(3), 2);
-        assert_eq!(sketch.load(0), 0);
-        assert_eq!(sketch.remove_ball(3), 2);
-        assert_eq!(sketch.load(3), 1);
-        assert_eq!(SketchStore::nu(&sketch, 1), 2);
-        assert_eq!(BinStore::histogram(&sketch), vec![6, 2]);
-        assert!(sketch.check_invariants());
-    }
-
-    #[test]
-    #[should_panic(expected = "empty bin")]
-    fn sketch_remove_from_empty_bin_panics() {
-        let mut sketch = SketchStore::new(16);
-        let _ = sketch.remove_ball(2);
-    }
-
-    #[test]
     fn slab_dispatches_every_kind() {
-        for kind in [
-            StoreKind::Exact,
-            StoreKind::Packed4,
-            StoreKind::Packed8,
-            StoreKind::Sketch,
-        ] {
+        for kind in [StoreKind::Exact, StoreKind::Packed4, StoreKind::Packed8] {
             let mut slab = kind.new_slab(8);
             assert_eq!(slab.kind(), kind);
             assert_eq!(slab.n(), 8);
@@ -1752,31 +1409,12 @@ mod tests {
             assert_eq!(slab.total_capacity(), 4);
             assert_eq!(slab.capacity(0), 2);
         }
-        let uniform = StoreKind::Sketch.slab_with_capacities(&[1; 4]);
-        assert_eq!(uniform.total_capacity(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "heterogeneous capacities")]
-    fn sketch_slab_rejects_capacities() {
-        let _ = StoreKind::Sketch.slab_with_capacities(&[2, 1]);
     }
 
     #[test]
     fn try_slab_with_capacities_validates_without_panicking() {
-        // Sketch + hetero: a diagnostic, not a panic.
-        let err = StoreKind::Sketch
-            .try_slab_with_capacities(&[2, 1])
-            .unwrap_err();
-        assert!(err.contains("sketch"), "{err}");
-        assert!(err.contains("heterogeneous"), "{err}");
         // Invalid maps are caught for every kind.
-        for kind in [
-            StoreKind::Exact,
-            StoreKind::Packed4,
-            StoreKind::Packed8,
-            StoreKind::Sketch,
-        ] {
+        for kind in [StoreKind::Exact, StoreKind::Packed4, StoreKind::Packed8] {
             assert!(kind.try_slab_with_capacities(&[]).is_err());
             assert!(kind.try_slab_with_capacities(&[1, 0]).is_err());
             assert!(kind.try_slab_with_capacities(&[1, 1]).is_ok());

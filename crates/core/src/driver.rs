@@ -12,26 +12,29 @@ use kdchoice_expt::SweepRunner;
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 use rand::{Error, RngCore};
 
-use crate::compact::{BinSlab, StoreKind};
+use crate::compact::{BinSlab, PackedStore, StoreKind};
+use crate::kd::KdChoice;
 use crate::probes::ProbeDistribution;
-use crate::process::{HeightSink, RoundProcess};
-use crate::snapshot::{decide_k_least, LoadView};
+use crate::process::{HeightSink, RoundProcess, RoundStats};
+use crate::snapshot::LoadView;
 use crate::state::LoadVector;
+use crate::store::BinStore;
 
-/// How many raw generator outputs [`run_once_on`] reads ahead of the
+/// How many raw generator outputs the static fills read ahead of the
 /// rounds that consume them: a (2,4) round draws about four, so a probe's
 /// cache line is requested some eight rounds before it is read. A sweep
 /// over 16, 32 and 64 on an n = 2^24 fill found the three within noise.
 const LOOKAHEAD: usize = 32;
 
-/// Resident table bytes from which [`run_once_on`] reads ahead. A
-/// smaller table stays in cache, where a probe costs a few nanoseconds
-/// and the ring's per-value bookkeeping costs more than the wait it
-/// hides. On a 2-vCPU Xeon with 4 MiB of L2 per core, (2,4) fills lost
-/// at 256 KiB and won clearly from 8 MiB (n = 2^21 exact loads).
+/// Resident table bytes from which the static fills read ahead, on an
+/// exact or a packed table alike. A smaller table stays in cache, where
+/// a probe costs a few nanoseconds and the ring's per-value bookkeeping
+/// costs more than the wait it hides. On a 2-vCPU Xeon with 4 MiB of L2
+/// per core, (2,4) fills lost at 256 KiB and won clearly from 8 MiB
+/// (n = 2^21 exact loads).
 const LOOKAHEAD_MIN_TABLE_BYTES: u64 = 8 << 20;
 
-/// A generator [`run_once_on`] draws its rounds from. Between rounds it
+/// A generator [`fill_on`] draws its rounds from. Between rounds it
 /// calls `top_up`, which may draw values ahead and hand each to `hint`;
 /// the plain generator draws nothing ahead.
 trait RoundRng: RngCore {
@@ -333,7 +336,64 @@ pub fn run_once_on<P: RoundProcess + ?Sized>(
 ) -> (RunResult, LoadVector) {
     assert_eq!(state.n(), config.n, "state/config bin-count mismatch");
     assert_eq!(state.total_balls(), 0, "state must start empty");
-    if state.store_bytes() >= LOOKAHEAD_MIN_TABLE_BYTES {
+    let table_bytes = state.store_bytes();
+    let (result, state) = fill_gated(process, config, state, table_bytes);
+    debug_assert!(state.check_invariants());
+    (result, state)
+}
+
+/// A process [`fill_on`] can run over the store `St`: every
+/// [`RoundProcess`] over an exact [`LoadVector`], and [`KdChoice`]'s
+/// round engine over a [`PackedStore`] as well.
+trait StoreRounds<St>: RoundProcess {
+    fn round_on<R: RngCore>(
+        &mut self,
+        state: &mut St,
+        rng: &mut R,
+        heights: &mut HeightHistogram,
+        balls_remaining: u64,
+    ) -> RoundStats;
+}
+
+impl<P: RoundProcess + ?Sized> StoreRounds<LoadVector> for P {
+    #[inline]
+    fn round_on<R: RngCore>(
+        &mut self,
+        state: &mut LoadVector,
+        rng: &mut R,
+        heights: &mut HeightHistogram,
+        balls_remaining: u64,
+    ) -> RoundStats {
+        self.run_round(state, rng, heights, balls_remaining)
+    }
+}
+
+impl StoreRounds<PackedStore> for KdChoice {
+    #[inline]
+    fn round_on<R: RngCore>(
+        &mut self,
+        state: &mut PackedStore,
+        rng: &mut R,
+        heights: &mut HeightHistogram,
+        balls_remaining: u64,
+    ) -> RoundStats {
+        self.run_round_on(state, rng, heights, balls_remaining)
+    }
+}
+
+/// [`fill_on`] from the seed's generator, read through a [`LookAhead`]
+/// when the table holds at least [`LOOKAHEAD_MIN_TABLE_BYTES`].
+fn fill_gated<St, P>(
+    process: &mut P,
+    config: &RunConfig,
+    state: St,
+    table_bytes: u64,
+) -> (RunResult, St)
+where
+    St: BinStore + LoadView,
+    P: StoreRounds<St> + ?Sized,
+{
+    if table_bytes >= LOOKAHEAD_MIN_TABLE_BYTES {
         fill_on(process, config, state, LookAhead::new(config.seed))
     } else {
         fill_on(
@@ -345,13 +405,19 @@ pub fn run_once_on<P: RoundProcess + ?Sized>(
     }
 }
 
-/// The round loop of [`run_once_on`], drawing from `rng`.
-fn fill_on<P: RoundProcess + ?Sized, R: RoundRng>(
+/// The static round loop, drawing from `rng`: the one loop every static
+/// fill runs, over an exact or a packed table.
+fn fill_on<St, P, R>(
     process: &mut P,
     config: &RunConfig,
-    mut state: LoadVector,
+    mut state: St,
     mut rng: R,
-) -> (RunResult, LoadVector) {
+) -> (RunResult, St)
+where
+    St: BinStore + LoadView,
+    P: StoreRounds<St> + ?Sized,
+    R: RoundRng,
+{
     process.reset();
     let n = config.n;
     let mut heights = HeightHistogram::new();
@@ -361,7 +427,7 @@ fn fill_on<P: RoundProcess + ?Sized, R: RoundRng>(
     let mut rounds = 0u64;
     while thrown < config.balls {
         rng.top_up(|raw| state.prefetch(hinted_bin(raw, n)));
-        let stats = process.run_round(&mut state, &mut rng, &mut heights, config.balls - thrown);
+        let stats = process.round_on(&mut state, &mut rng, &mut heights, config.balls - thrown);
         assert!(stats.thrown > 0, "process made no progress in a round");
         thrown += u64::from(stats.thrown);
         assert!(thrown <= config.balls, "process overshot the ball budget");
@@ -370,7 +436,6 @@ fn fill_on<P: RoundProcess + ?Sized, R: RoundRng>(
         rounds += 1;
         debug_assert_eq!(heights.total(), placed);
     }
-    debug_assert!(state.check_invariants());
     debug_assert_eq!(state.total_balls(), placed);
     let result = RunResult {
         name: process.name(),
@@ -381,7 +446,7 @@ fn fill_on<P: RoundProcess + ?Sized, R: RoundRng>(
         gap: state.max_load() as f64 - placed as f64 / config.n as f64,
         messages,
         rounds,
-        load_histogram: state.load_histogram().to_vec(),
+        load_histogram: state.histogram(),
         height_histogram: heights.into_counts(),
         seed: config.seed,
     };
@@ -393,16 +458,14 @@ fn fill_on<P: RoundProcess + ?Sized, R: RoundRng>(
 /// axis of the `static`/`hetero` scenarios and the 10^8-bin frontier
 /// rows of the `gap_vs_bytes` bench.
 ///
-/// Each round samples `d` probes (uniform draws consume the generator
-/// exactly like the batched engine; weighted draws go through
-/// [`ProbeDistribution::fill`]), sorts them, and commits the winners of
-/// [`decide_k_least`] over the slab's own load view. With
-/// `kind = StoreKind::Exact` the decision stream is the exact
-/// decide-kernel stream; with a packed slab it stays **bit-identical**
-/// to that stream as long as the slab reports lossless (locked by the
-/// `packed_equivalence` proptests). Heights are the tentative heights
-/// the kernel selected, i.e. quantized heights for a packed slab (exact
-/// below saturation) and estimates for a sketch.
+/// The fill is `KdChoice::new(k, d)` with `probes`, run through the same
+/// round loop as [`run_once_on`] on the slab's own store, with the same
+/// look-ahead from 8 MiB of resident table. So an exact slab gives the
+/// [`run_once_on`] fill over a [`LoadVector`] of the same capacities,
+/// and so does a packed slab for as long as it reports lossless. Past a
+/// clamp, a packed slab decides on its quantized loads, and heights
+/// are the quantized heights it returns. The result is named
+/// `<process name>@<store>`.
 ///
 /// Returns the final slab alongside the result so callers can read the
 /// normalized observables (`max_utilization`, `bytes_per_bin`, ...).
@@ -410,8 +473,7 @@ fn fill_on<P: RoundProcess + ?Sized, R: RoundRng>(
 /// # Panics
 ///
 /// Panics unless `1 <= k <= d`, `config.n > 0`, and any capacity map
-/// has length `config.n` (a sketch slab additionally rejects
-/// non-uniform capacities).
+/// has length `config.n`.
 pub fn run_once_compact(
     kind: StoreKind,
     k: usize,
@@ -423,54 +485,30 @@ pub fn run_once_compact(
     assert!(k >= 1 && k <= d, "need 1 <= k <= d (k={k}, d={d})");
     let n = config.n;
     assert!(n > 0, "need at least one bin");
-    let mut slab = match capacities {
+    let slab = match capacities {
         None => kind.new_slab(n),
         Some(caps) => {
             assert_eq!(caps.len(), n, "capacity map/bin-count mismatch");
             kind.slab_with_capacities(caps)
         }
     };
-    let mut rng = Xoshiro256PlusPlus::from_u64(config.seed);
-    let mut heights = HeightHistogram::new();
-    let mut samples: Vec<usize> = Vec::with_capacity(d);
-    let mut slots: Vec<(u32, u64, usize)> = Vec::with_capacity(d);
-    let mut winners: Vec<usize> = Vec::with_capacity(k);
-    let uniform = probes.is_uniform();
-    let mut thrown = 0u64;
-    let mut rounds = 0u64;
-    let mut messages = 0u64;
-    while thrown < config.balls {
-        let balls = (config.balls - thrown).min(k as u64) as usize;
-        if uniform {
-            kdchoice_prng::sample::fill_with_replacement(&mut rng, n, d, &mut samples);
-        } else {
-            probes.fill(&mut rng, n, d, &mut samples);
+    let mut process = KdChoice::new(k, d)
+        .expect("1 <= k <= d")
+        .with_probes(probes.clone());
+    let (mut result, slab) = match slab {
+        BinSlab::Exact(state) => {
+            let table_bytes = state.store_bytes();
+            let (result, state) = fill_gated(&mut process, config, state, table_bytes);
+            (result, BinSlab::Exact(state))
         }
-        samples.sort_unstable();
-        winners.clear();
-        decide_k_least(&slab, &samples, balls, &mut rng, &mut slots, &mut winners);
-        for &(height, _, bin) in &slots[..balls] {
-            heights.record(height);
-            slab.add_ball(bin);
+        BinSlab::Packed(store) => {
+            let table_bytes = store.resident_bytes();
+            let (result, store) = fill_gated(&mut process, config, store, table_bytes);
+            (result, BinSlab::Packed(store))
         }
-        thrown += balls as u64;
-        messages += d as u64;
-        rounds += 1;
-    }
-    debug_assert!(slab.check_invariants());
-    let result = RunResult {
-        name: format!("({k},{d})-choice@{}", kind.name()),
-        n,
-        balls_thrown: thrown,
-        balls_placed: thrown,
-        max_load: slab.max_load(),
-        gap: slab.max_load() as f64 - thrown as f64 / n as f64,
-        messages,
-        rounds,
-        load_histogram: slab.histogram(),
-        height_histogram: heights.into_counts(),
-        seed: config.seed,
     };
+    debug_assert!(slab.check_invariants());
+    result.name = format!("{}@{kind}", result.name);
     (result, slab)
 }
 

@@ -1,4 +1,5 @@
-//! The (k,d)-choice process and its monomorphized round engines.
+//! The (k,d)-choice process and its monomorphized round engines, generic
+//! over the store a round reads (`LoadView`) and commits to (`BinStore`).
 
 use kdchoice_prng::sample::UniformBin;
 use rand::{Rng, RngCore};
@@ -7,7 +8,9 @@ use crate::error::ConfigError;
 use crate::policy::RoundPolicy;
 use crate::probes::ProbeDistribution;
 use crate::process::{HeightSink, RoundProcess, RoundStats};
+use crate::snapshot::LoadView;
 use crate::state::LoadVector;
+use crate::store::BinStore;
 
 /// Largest `d` served by the fixed-array fast path of the batched engine.
 /// The paper's experiments use `d ≤ 17` only for the (16,17) cell; every
@@ -251,13 +254,14 @@ impl KdChoice {
     /// heights `L+1..=L+c`), draw a random key per tentative ball, then
     /// keep the `balls` smallest `(height, key)` — identical to removing
     /// the `d − k` of maximal height with uniform tie-breaking.
-    fn commit_multiplicity_eager<R, S>(
+    fn commit_multiplicity_eager<St, R, S>(
         &mut self,
-        state: &mut LoadVector,
+        state: &mut St,
         balls: usize,
         rng: &mut R,
         heights_out: &mut S,
     ) where
+        St: BinStore + LoadView,
         R: RngCore + ?Sized,
         S: HeightSink + ?Sized,
     {
@@ -267,7 +271,7 @@ impl KdChoice {
         let mut i = 0;
         while i < self.samples.len() {
             let bin = self.samples[i];
-            let base = state.load(bin);
+            let base = state.view_load(bin);
             let mut occ = 0u32;
             while i < self.samples.len() && self.samples[i] == bin {
                 occ += 1;
@@ -305,13 +309,14 @@ impl KdChoice {
     /// kept. Distributionally identical to the eager variant — every
     /// tentative ball strictly below the boundary is kept either way, and
     /// eager keys induce exactly a uniform choice among boundary balls.
-    fn commit_multiplicity_lazy<R, S>(
+    fn commit_multiplicity_lazy<St, R, S>(
         &mut self,
-        state: &mut LoadVector,
+        state: &mut St,
         balls: usize,
         rng: &mut R,
         heights_out: &mut S,
     ) where
+        St: BinStore + LoadView,
         R: RngCore + ?Sized,
         S: HeightSink + ?Sized,
     {
@@ -320,7 +325,7 @@ impl KdChoice {
         let mut i = 0;
         while i < self.samples.len() {
             let bin = self.samples[i];
-            let base = state.load(bin);
+            let base = state.view_load(bin);
             let mut occ = 0u32;
             while i < self.samples.len() && self.samples[i] == bin {
                 occ += 1;
@@ -367,13 +372,14 @@ impl KdChoice {
     }
 
     /// The §7 relaxation: water-fill the distinct sampled bins.
-    fn commit_unrestricted<R, S>(
+    fn commit_unrestricted<St, R, S>(
         &mut self,
-        state: &mut LoadVector,
+        state: &mut St,
         balls: usize,
         rng: &mut R,
         heights_out: &mut S,
     ) where
+        St: BinStore + LoadView,
         R: RngCore + ?Sized,
         S: HeightSink + ?Sized,
     {
@@ -383,7 +389,7 @@ impl KdChoice {
         for &bin in self.samples.iter() {
             self.candidates.push(Candidate {
                 bin: bin as u32,
-                load: state.load(bin),
+                load: state.view_load(bin),
             });
         }
         for _ in 0..balls {
@@ -402,33 +408,34 @@ impl KdChoice {
     /// Dispatches the runtime `d` onto a const-generic round body so the
     /// per-round loops fully unroll and the scratch arrays live in
     /// registers for the small `d` the paper actually uses.
-    fn round_batched_small<R, S>(
+    fn round_batched_small<St, R, S>(
         &mut self,
-        state: &mut LoadVector,
+        state: &mut St,
         rng: &mut R,
         heights_out: &mut S,
         balls: usize,
     ) where
+        St: BinStore + LoadView,
         R: RngCore + ?Sized,
         S: HeightSink + ?Sized,
     {
         match self.d {
-            1 => round_small::<1, R, S>(state, rng, heights_out, balls),
-            2 => round_small::<2, R, S>(state, rng, heights_out, balls),
-            3 => round_small::<3, R, S>(state, rng, heights_out, balls),
-            4 => round_small::<4, R, S>(state, rng, heights_out, balls),
-            5 => round_small::<5, R, S>(state, rng, heights_out, balls),
-            6 => round_small::<6, R, S>(state, rng, heights_out, balls),
-            7 => round_small::<7, R, S>(state, rng, heights_out, balls),
-            8 => round_small::<8, R, S>(state, rng, heights_out, balls),
-            9 => round_small::<9, R, S>(state, rng, heights_out, balls),
-            10 => round_small::<10, R, S>(state, rng, heights_out, balls),
-            11 => round_small::<11, R, S>(state, rng, heights_out, balls),
-            12 => round_small::<12, R, S>(state, rng, heights_out, balls),
-            13 => round_small::<13, R, S>(state, rng, heights_out, balls),
-            14 => round_small::<14, R, S>(state, rng, heights_out, balls),
-            15 => round_small::<15, R, S>(state, rng, heights_out, balls),
-            16 => round_small::<16, R, S>(state, rng, heights_out, balls),
+            1 => round_small::<1, St, R, S>(state, rng, heights_out, balls),
+            2 => round_small::<2, St, R, S>(state, rng, heights_out, balls),
+            3 => round_small::<3, St, R, S>(state, rng, heights_out, balls),
+            4 => round_small::<4, St, R, S>(state, rng, heights_out, balls),
+            5 => round_small::<5, St, R, S>(state, rng, heights_out, balls),
+            6 => round_small::<6, St, R, S>(state, rng, heights_out, balls),
+            7 => round_small::<7, St, R, S>(state, rng, heights_out, balls),
+            8 => round_small::<8, St, R, S>(state, rng, heights_out, balls),
+            9 => round_small::<9, St, R, S>(state, rng, heights_out, balls),
+            10 => round_small::<10, St, R, S>(state, rng, heights_out, balls),
+            11 => round_small::<11, St, R, S>(state, rng, heights_out, balls),
+            12 => round_small::<12, St, R, S>(state, rng, heights_out, balls),
+            13 => round_small::<13, St, R, S>(state, rng, heights_out, balls),
+            14 => round_small::<14, St, R, S>(state, rng, heights_out, balls),
+            15 => round_small::<15, St, R, S>(state, rng, heights_out, balls),
+            16 => round_small::<16, St, R, S>(state, rng, heights_out, balls),
             _ => unreachable!("small path requires d <= SMALL_D"),
         }
     }
@@ -481,17 +488,18 @@ where
 /// match; inlining them into the caller removes a call per round on the
 /// hottest path in the workspace.
 #[inline(always)]
-fn round_small<const D: usize, R, S>(
-    state: &mut LoadVector,
+fn round_small<const D: usize, St, R, S>(
+    state: &mut St,
     rng: &mut R,
     heights_out: &mut S,
     balls: usize,
 ) where
+    St: BinStore + LoadView,
     R: RngCore + ?Sized,
     S: HeightSink + ?Sized,
 {
     debug_assert!(0 < balls && balls <= D);
-    let bins_dist = UniformBin::new(state.n());
+    let bins_dist = UniformBin::new(state.view_n());
 
     // 1. Block-pull the round's raw randomness, then map to bins.
     let mut raw = [0u64; D];
@@ -512,7 +520,7 @@ fn round_small<const D: usize, R, S>(
         }
     }
     if !distinct {
-        return round_small_grouped::<D, R, S>(state, rng, heights_out, balls, bins);
+        return round_small_grouped::<D, St, R, S>(state, rng, heights_out, balls, bins);
     }
 
     // 2. Each sampled bin holds one tentative ball at height load + 1.
@@ -520,7 +528,7 @@ fn round_small<const D: usize, R, S>(
     //    first; the loads issue back-to-back, overlapping cache misses.
     let mut key = [0u64; D];
     for i in 0..D {
-        key[i] = ((u64::from(state.load(bins[i] as usize)) + 1) << 32) | u64::from(bins[i]);
+        key[i] = ((u64::from(state.view_load(bins[i] as usize)) + 1) << 32) | u64::from(bins[i]);
     }
 
     // 3. Odd-even transposition network: D unrolled passes of branchless
@@ -553,13 +561,14 @@ fn round_small<const D: usize, R, S>(
 /// ≈ d²/2n per round — kept out of line so the hot path stays small.
 #[cold]
 #[inline(never)]
-fn round_small_grouped<const D: usize, R, S>(
-    state: &mut LoadVector,
+fn round_small_grouped<const D: usize, St, R, S>(
+    state: &mut St,
     rng: &mut R,
     heights_out: &mut S,
     balls: usize,
     mut bins: [u32; D],
 ) where
+    St: BinStore + LoadView,
     R: RngCore + ?Sized,
     S: HeightSink + ?Sized,
 {
@@ -575,7 +584,7 @@ fn round_small_grouped<const D: usize, R, S>(
     let mut i = 0;
     while i < D {
         let bin = bins[i];
-        let base = state.load(bin as usize);
+        let base = state.view_load(bin as usize);
         let mut occ = 0u32;
         while i < D && bins[i] == bin {
             occ += 1;
@@ -605,29 +614,21 @@ fn round_small_grouped<const D: usize, R, S>(
     }
 }
 
-impl RoundProcess for KdChoice {
-    fn name(&self) -> String {
-        let base = match self.policy {
-            RoundPolicy::Multiplicity => format!("({},{})-choice", self.k, self.d),
-            RoundPolicy::Unrestricted => {
-                format!("({},{})-choice[unrestricted]", self.k, self.d)
-            }
-        };
-        if matches!(self.probes, ProbeDistribution::Uniform) {
-            base
-        } else {
-            format!("{base}@{}", self.probes.label())
-        }
-    }
-
-    fn run_round<R, S>(
+impl KdChoice {
+    /// One round of the process over any store the engine can read and
+    /// commit: the body of [`RoundProcess::run_round`], which runs it on
+    /// a [`LoadVector`]. The static drivers also run it on a packed
+    /// store, so every store sees one engine and one generator stream.
+    #[inline]
+    pub(crate) fn run_round_on<St, R, S>(
         &mut self,
-        state: &mut LoadVector,
+        state: &mut St,
         rng: &mut R,
         heights: &mut S,
         balls_remaining: u64,
     ) -> RoundStats
     where
+        St: BinStore + LoadView,
         R: RngCore + ?Sized,
         S: HeightSink + ?Sized,
     {
@@ -644,7 +645,7 @@ impl RoundProcess for KdChoice {
                 self.round_batched_small(state, rng, heights, balls);
             }
             (RoundPolicy::Multiplicity, EngineVersion::Batched) => {
-                let n = state.n();
+                let n = state.view_n();
                 if uniform {
                     kdchoice_prng::sample::fill_with_replacement(rng, n, self.d, &mut self.samples);
                 } else {
@@ -653,7 +654,7 @@ impl RoundProcess for KdChoice {
                 self.commit_multiplicity_lazy(state, balls, rng, heights);
             }
             (RoundPolicy::Multiplicity, EngineVersion::Legacy) => {
-                let n = state.n();
+                let n = state.view_n();
                 self.samples.clear();
                 if uniform {
                     for _ in 0..self.d {
@@ -667,7 +668,7 @@ impl RoundProcess for KdChoice {
                 self.commit_multiplicity_eager(state, balls, rng, heights);
             }
             (RoundPolicy::Unrestricted, engine) => {
-                let n = state.n();
+                let n = state.view_n();
                 self.samples.clear();
                 match (engine, uniform) {
                     (EngineVersion::Batched, true) => kdchoice_prng::sample::fill_with_replacement(
@@ -698,6 +699,36 @@ impl RoundProcess for KdChoice {
             placed: balls as u32,
             probes: self.d as u64,
         }
+    }
+}
+
+impl RoundProcess for KdChoice {
+    fn name(&self) -> String {
+        let base = match self.policy {
+            RoundPolicy::Multiplicity => format!("({},{})-choice", self.k, self.d),
+            RoundPolicy::Unrestricted => {
+                format!("({},{})-choice[unrestricted]", self.k, self.d)
+            }
+        };
+        if matches!(self.probes, ProbeDistribution::Uniform) {
+            base
+        } else {
+            format!("{base}@{}", self.probes.label())
+        }
+    }
+
+    fn run_round<R, S>(
+        &mut self,
+        state: &mut LoadVector,
+        rng: &mut R,
+        heights: &mut S,
+        balls_remaining: u64,
+    ) -> RoundStats
+    where
+        R: RngCore + ?Sized,
+        S: HeightSink + ?Sized,
+    {
+        self.run_round_on(state, rng, heights, balls_remaining)
     }
 }
 

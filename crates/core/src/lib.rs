@@ -29,6 +29,9 @@
 //! * [`run_once`] / [`run_trials`] / [`run_sweep`] — deterministic,
 //!   seedable drivers; trials and sweep grids run in parallel threads with
 //!   per-trial derived seeds, histogramming ball heights inline.
+//! * [`run_once_compact`] — the same [`KdChoice`] engine and round loop
+//!   over a memory-bounded [`BinSlab`] ([`StoreKind`]: exact, packed4 or
+//!   packed8 loads); on a lossless slab it is the [`run_once_on`] fill.
 //! * [`RoundProcess`] — the monomorphized engine trait every process
 //!   implements; [`BallsIntoBins`] is its object-safe shim for
 //!   `Box<dyn BallsIntoBins>` harnesses. [`EngineVersion`] selects the
@@ -72,7 +75,7 @@ mod store;
 mod trace;
 mod vector;
 
-pub use compact::{BinSlab, LoadSnapshot, PackedLoadSnapshot, PackedStore, SketchStore, StoreKind};
+pub use compact::{BinSlab, LoadSnapshot, PackedLoadSnapshot, PackedStore, StoreKind};
 pub use driver::{
     run_once, run_once_compact, run_once_on, run_once_with_state, run_sweep, run_trials,
     HeightHistogram, RunConfig, RunResult, TrialSet,

@@ -78,9 +78,9 @@ pub struct StaticConfig {
     pub d: usize,
     /// Which round engine to run.
     pub engine: EngineVersion,
-    /// Which bin-store representation holds the loads. `Exact` runs the
-    /// locked engine path over a [`LoadVector`]; the memory-bounded
-    /// kinds run the compact decide-kernel fill ([`run_once_compact`]).
+    /// Which bin-store representation holds the loads. `Exact` runs
+    /// `engine` over a [`LoadVector`]; the packed kinds run the batched
+    /// engine over the packed table ([`run_once_compact`]).
     pub store: StoreKind,
     /// Demand-vector dimensionality (1 = the scalar paper process).
     pub dims: usize,
@@ -178,7 +178,7 @@ impl Scenario for StaticScenario {
             Axis::new("engine", "round engine: batched | legacy (default batched)"),
             Axis::new(
                 "store",
-                "bin store: exact | packed4 | packed8 | sketch (default exact; non-exact kinds use the compact fill)",
+                "bin store: exact | packed4 | packed8 (default exact)",
             ),
             Axis::new(
                 "dims",
@@ -217,7 +217,7 @@ impl Scenario for StaticScenario {
             _ => return Err(params.bad_value("engine", "batched | legacy")),
         };
         let store = StoreKind::parse(params.get_raw("store").unwrap_or("exact"))
-            .ok_or_else(|| params.bad_value("store", "exact | packed4 | packed8 | sketch"))?;
+            .ok_or_else(|| params.bad_value("store", "exact | packed4 | packed8"))?;
         let (dims, objective, demand) = vector_params_from(params)?;
         if is_vector_cell(dims, &objective, &demand) && store != StoreKind::Exact {
             return Err(params.bad_value(
@@ -409,8 +409,7 @@ pub struct HeteroConfig {
     /// `round(lambda × total_capacity)` balls, so `lambda = 1` fills the
     /// cluster to one ball per capacity unit regardless of the spread.
     pub lambda: f64,
-    /// Which bin-store representation holds the loads (`sketch` is
-    /// rejected at parse time — it cannot carry capacities).
+    /// Which bin-store representation holds the loads.
     pub store: StoreKind,
     /// Demand-vector dimensionality (1 = the scalar process).
     pub dims: usize,
@@ -629,7 +628,7 @@ impl Scenario for HeteroScenario {
             ),
             Axis::new(
                 "store",
-                "bin store: exact | packed4 | packed8 (default exact; sketch cannot carry capacities)",
+                "bin store: exact | packed4 | packed8 (default exact)",
             ),
             Axis::new(
                 "dims",
@@ -694,12 +693,6 @@ impl Scenario for HeteroScenario {
         }
         let store = StoreKind::parse(params.get_raw("store").unwrap_or("exact"))
             .ok_or_else(|| params.bad_value("store", "exact | packed4 | packed8"))?;
-        if store == StoreKind::Sketch {
-            return Err(params.bad_value(
-                "store",
-                "exact | packed4 | packed8 (sketch cannot carry capacities)",
-            ));
-        }
         let (dims, objective, demand) = vector_params_from(params)?;
         if is_vector_cell(dims, &objective, &demand) && store != StoreKind::Exact {
             return Err(params.bad_value(
@@ -792,23 +785,26 @@ mod tests {
         assert_eq!(configs[1].engine, EngineVersion::Batched);
         let bad_engine = GridSpec::parse_str("engine=vroom").unwrap();
         assert!(configs_from_grid(&StaticScenario, &bad_engine, 0).is_err());
-        let bad_store = GridSpec::parse_str("store=psychic").unwrap();
-        assert!(configs_from_grid(&StaticScenario, &bad_store, 0).is_err());
-        let stores = GridSpec::parse_str("store=exact,packed4,packed8,sketch n=64").unwrap();
+        for bad in ["store=psychic", "store=sketch"] {
+            let bad_store = GridSpec::parse_str(bad).unwrap();
+            assert!(matches!(
+                configs_from_grid(&StaticScenario, &bad_store, 0),
+                Err(GridError::BadValue { ref expected, .. }) if expected == "exact | packed4 | packed8"
+            ));
+        }
+        let stores = GridSpec::parse_str("store=exact,packed4,packed8 n=64").unwrap();
         let configs = configs_from_grid(&StaticScenario, &stores, 0).unwrap();
         assert_eq!(configs[1].store, StoreKind::Packed4);
-        assert_eq!(configs[3].store, StoreKind::Sketch);
+        assert_eq!(configs[2].store, StoreKind::Packed8);
     }
 
-    /// The `store=` axis of the static scenario: a packed4 cell runs the
-    /// identical decide-kernel stream as an exact compact fill (the slab
-    /// stays lossless at n balls into n bins), and a sketch cell can only
-    /// over-estimate the exact max load.
+    /// The `store=` axis of the static scenario: a packed cell runs the
+    /// identical engine stream as an exact compact fill (the slab stays
+    /// lossless at n balls into n bins).
     #[test]
     fn static_store_axis_matches_exact_compact_fill() {
         use crate::driver::run_once_compact;
-        let grid =
-            GridSpec::parse_str("k=2 d=4 n=256 store=packed4,packed8,sketch seed=21").unwrap();
+        let grid = GridSpec::parse_str("k=2 d=4 n=256 store=packed4,packed8 seed=21").unwrap();
         let configs = configs_from_grid(&StaticScenario, &grid, 21).unwrap();
         let run = RunConfig::new(256, 21);
         let (exact, slab) = run_once_compact(
@@ -820,7 +816,7 @@ mod tests {
             &run,
         );
         assert!(slab.check_invariants());
-        for cfg in &configs[..2] {
+        for cfg in &configs {
             let got = StaticScenario.run(cfg, 21);
             assert_eq!(got.max_load, exact.max_load, "{}", cfg.store);
             assert_eq!(got.load_histogram, exact.load_histogram, "{}", cfg.store);
@@ -830,12 +826,6 @@ mod tests {
                 cfg.store
             );
         }
-        let sketch = StaticScenario.run(&configs[2], 21);
-        assert_eq!(sketch.balls_placed, 256);
-        assert!(
-            sketch.max_load >= exact.max_load,
-            "sketch never underestimates"
-        );
     }
 
     #[test]
@@ -938,7 +928,6 @@ mod tests {
             "k=3 d=2",
             "n=0",
             "store=psychic",
-            "store=sketch",
         ] {
             let grid = GridSpec::parse_str(bad).unwrap();
             assert!(
@@ -946,6 +935,11 @@ mod tests {
                 "{bad} should be rejected"
             );
         }
+        let sketch = GridSpec::parse_str("store=sketch").unwrap();
+        assert!(matches!(
+            configs_from_grid(&HeteroScenario, &sketch, 0),
+            Err(GridError::BadValue { ref expected, .. }) if expected == "exact | packed4 | packed8"
+        ));
         let grid = GridSpec::parse_str("skew=zipf s=1.5 spread=two_tier n=100").unwrap();
         let cfg = &configs_from_grid(&HeteroScenario, &grid, 0).unwrap()[0];
         assert_eq!(cfg.skew, ProbeSkew::Zipf(1.5));
@@ -989,6 +983,12 @@ mod tests {
             uniform.utilization_gap
         );
         assert!(zipf.result.name.contains("zipf"), "{}", zipf.result.name);
+        // A packed cell keeps the probe label and appends its store.
+        let grid =
+            GridSpec::parse_str("skew=zipf s=1.0 n=2^10 d=4 lambda=4 store=packed4").unwrap();
+        let cfg = &configs_from_grid(&HeteroScenario, &grid, 3).unwrap()[0];
+        let packed = HeteroScenario.run(cfg, 3);
+        assert_eq!(packed.result.name, format!("{}@packed4", zipf.result.name));
     }
 
     /// Capacity-proportional probing over a two-tier cluster keeps
@@ -1049,7 +1049,7 @@ mod tests {
             "demand_max=0",
             "dims=2 store=packed4",
             "demand=uniform store=packed8",
-            "objective=max_norm store=sketch",
+            "objective=max_norm store=packed4",
         ] {
             let grid = GridSpec::parse_str(bad).unwrap();
             assert!(

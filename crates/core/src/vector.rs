@@ -14,8 +14,9 @@
 //!   dimensions — the paper's process), `MaxNorm` (L∞), `WeightedNorm`,
 //!   and `NormalizedByCapacity` (max dimension utilization).
 //! * [`decide_k_least_vector`] / [`run_once_vector`] — the vector
-//!   instance of the core decision kernel and the static-fill driver,
-//!   mirroring `decide_k_least` / `run_once_compact` exactly.
+//!   instance of the core decision kernel and its static-fill driver.
+//!   At dims = 1 they mirror `decide_k_least` and its eager
+//!   one-tie-key-per-slot round loop exactly.
 //!
 //! ## Determinism contract
 //!
@@ -594,10 +595,10 @@ pub fn decide_k_least_vector<R: RngCore + ?Sized>(
     max_height
 }
 
-/// Runs a static (k,d)-choice fill over a [`VectorLoad`] store — the
-/// vector analogue of `run_once_compact`, and the driver behind the
-/// `dims=`/`objective=`/`demand=` axes of the `static`/`hetero`
-/// scenarios and the `vector_loads` bench section.
+/// Runs a static (k,d)-choice fill over a [`VectorLoad`] store — a
+/// round loop over [`decide_k_least_vector`] with one tie key per slot,
+/// and the driver behind the `dims=`/`objective=`/`demand=` axes of the
+/// `static`/`hetero` scenarios and the `vector_loads` bench section.
 ///
 /// Each round: sample `d` probes (uniform draws batched exactly like the
 /// scalar driver, weighted through [`ProbeDistribution::fill`]), sort,
@@ -703,9 +704,75 @@ pub fn run_once_vector(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compact::StoreKind;
-    use crate::driver::run_once_compact;
+    use crate::compact::{BinSlab, StoreKind};
     use crate::snapshot::decide_k_least;
+
+    /// The reference static fill over `decide_k_least`: per round a
+    /// `Vec` of probes, a sort, one tie key per slot and a selection.
+    /// `run_once_compact` ran this loop before it moved onto the
+    /// (k,d)-choice round engine; it stays here as the scalar oracle of
+    /// the vector driver.
+    fn decide_k_least_fill(
+        kind: StoreKind,
+        k: usize,
+        d: usize,
+        probes: &ProbeDistribution,
+        capacities: Option<&[u32]>,
+        config: &RunConfig,
+    ) -> (RunResult, BinSlab) {
+        assert!(k >= 1 && k <= d, "need 1 <= k <= d (k={k}, d={d})");
+        let n = config.n;
+        assert!(n > 0, "need at least one bin");
+        let mut slab = match capacities {
+            None => kind.new_slab(n),
+            Some(caps) => {
+                assert_eq!(caps.len(), n, "capacity map/bin-count mismatch");
+                kind.slab_with_capacities(caps)
+            }
+        };
+        let mut rng = Xoshiro256PlusPlus::from_u64(config.seed);
+        let mut heights = HeightHistogram::new();
+        let mut samples: Vec<usize> = Vec::with_capacity(d);
+        let mut slots: Vec<(u32, u64, usize)> = Vec::with_capacity(d);
+        let mut winners: Vec<usize> = Vec::with_capacity(k);
+        let uniform = probes.is_uniform();
+        let mut thrown = 0u64;
+        let mut rounds = 0u64;
+        let mut messages = 0u64;
+        while thrown < config.balls {
+            let balls = (config.balls - thrown).min(k as u64) as usize;
+            if uniform {
+                kdchoice_prng::sample::fill_with_replacement(&mut rng, n, d, &mut samples);
+            } else {
+                probes.fill(&mut rng, n, d, &mut samples);
+            }
+            samples.sort_unstable();
+            winners.clear();
+            decide_k_least(&slab, &samples, balls, &mut rng, &mut slots, &mut winners);
+            for &(height, _, bin) in &slots[..balls] {
+                heights.record(height);
+                slab.add_ball(bin);
+            }
+            thrown += balls as u64;
+            messages += d as u64;
+            rounds += 1;
+        }
+        debug_assert!(slab.check_invariants());
+        let result = RunResult {
+            name: format!("({k},{d})-choice@{}", kind.name()),
+            n,
+            balls_thrown: thrown,
+            balls_placed: thrown,
+            max_load: slab.max_load(),
+            gap: slab.max_load() as f64 - thrown as f64 / n as f64,
+            messages,
+            rounds,
+            load_histogram: slab.histogram(),
+            height_histogram: heights.into_counts(),
+            seed: config.seed,
+        };
+        (result, slab)
+    }
 
     #[test]
     fn new_store_is_empty_and_invariant() {
@@ -929,11 +996,14 @@ mod tests {
         assert_eq!(scalar.loads(), vector.loads_strided());
     }
 
+    /// The dims = 1 scalar vector fill is the `decide_k_least` fill
+    /// stream for stream ([`decide_k_least_fill`], the loop
+    /// `run_once_compact` ran before it moved onto the round engine).
     #[test]
     fn run_once_vector_dims_1_scalar_matches_run_once_compact() {
         for (k, d, n, balls) in [(1, 2, 256, 1024u64), (2, 4, 512, 512), (3, 7, 128, 999)] {
             let cfg = RunConfig::new(n, 0x5EED ^ (k as u64)).with_balls(balls);
-            let (scalar, _) = run_once_compact(
+            let (scalar, _) = decide_k_least_fill(
                 StoreKind::Exact,
                 k,
                 d,

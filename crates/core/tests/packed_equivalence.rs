@@ -3,7 +3,7 @@
 //! streams through the shared decision kernel — the proptest lock on
 //! the compact-store quantization contract.
 
-use kdchoice_core::{decide_k_least, BinStore, LoadVector, PackedStore, SketchStore, StoreKind};
+use kdchoice_core::{decide_k_least, BinStore, LoadVector, PackedStore, StoreKind};
 use kdchoice_prng::Xoshiro256PlusPlus;
 use proptest::prelude::*;
 use rand::{Rng, RngCore};
@@ -152,27 +152,6 @@ proptest! {
             prop_assert!(q >= packed.base() && q <= packed.base() + window);
         }
         prop_assert!(packed.check_invariants());
-    }
-
-    /// Sketch estimates dominate true loads under arbitrary matched
-    /// churn, and the exact ball counter never drifts.
-    #[test]
-    fn sketch_never_underestimates(ops in op_stream(32, 500)) {
-        let mut sketch = SketchStore::with_width(32, 16);
-        let mut exact = LoadVector::new(32);
-        for &(is_add, bin) in &ops {
-            if is_add {
-                prop_assert!(sketch.add_ball(bin) >= exact.add_ball(bin));
-            } else if exact.load(bin) > 0 {
-                prop_assert!(sketch.remove_ball(bin) >= exact.remove_ball(bin));
-            }
-        }
-        prop_assert_eq!(sketch.total_balls(), exact.total_balls());
-        for bin in 0..32 {
-            prop_assert!(sketch.load(bin) >= exact.load(bin));
-        }
-        prop_assert!(SketchStore::max_load(&sketch) >= exact.max_load());
-        prop_assert!(sketch.check_invariants());
     }
 }
 

@@ -273,9 +273,7 @@ impl OwnedShardEngine {
     ///
     /// # Panics
     ///
-    /// As [`OwnedShardEngine::with_capacities`], plus the slab
-    /// constructor's own rejections ([`StoreKind::Sketch`] does not
-    /// support heterogeneous capacities).
+    /// As [`OwnedShardEngine::with_capacities`].
     pub fn with_kind_capacities(
         n: usize,
         workers: usize,
@@ -499,9 +497,9 @@ fn merge_states(engine: &OwnedShardEngine, states: &[ShardState]) -> MergedState
         max_utilization: 0.0,
         invariants_ok: true,
     };
-    // Packed slabs past a clamp and sketches report quantized/estimated
-    // loads, so the weighted-histogram-vs-ball-count identity only holds
-    // where the representation is still exact.
+    // Packed slabs past a clamp report quantized loads, so the
+    // weighted-histogram-vs-ball-count identity only holds where the
+    // representation is still exact.
     let mut loads_exact = true;
     for s in states {
         merged.invariants_ok &= s.state.check_invariants();
@@ -514,7 +512,6 @@ fn merge_states(engine: &OwnedShardEngine, states: &[ShardState]) -> MergedState
         loads_exact &= match &s.state {
             BinSlab::Exact(_) => true,
             BinSlab::Packed(p) => p.is_lossless(),
-            BinSlab::Sketch(_) => false,
         };
         // After the final flush the snapshot must equal the truth (up to
         // the packed snapshot's publish ceiling).

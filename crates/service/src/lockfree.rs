@@ -108,8 +108,7 @@ pub struct StampedLoads {
 /// ceiling**: the counters stay exact (conservation is never quantized),
 /// but [`LoadView::view_load`] clamps at the kind's publish ceiling
 /// `2^b − 1`, reproducing what a packed snapshot would let the decision
-/// see. [`StoreKind::Sketch`] is rejected — estimated counters cannot be
-/// CAS-validated.
+/// see.
 #[derive(Debug)]
 pub struct AtomicStore {
     truth: SharedLoadSnapshot,
@@ -190,8 +189,7 @@ impl AtomicStore {
     ///
     /// # Panics
     ///
-    /// As [`AtomicStore::new`], plus [`StoreKind::Sketch`] (estimated
-    /// counters cannot be CAS-validated).
+    /// As [`AtomicStore::new`].
     pub fn with_kind(n: usize, kind: StoreKind) -> Self {
         Self::build(n, None, kind)
     }
@@ -219,10 +217,6 @@ impl AtomicStore {
     }
 
     fn build(n: usize, capacities: Option<&[u32]>, kind: StoreKind) -> Self {
-        assert!(
-            kind != StoreKind::Sketch,
-            "lock-free backend needs CAS-able exact counters: store=sketch is not supported"
-        );
         if let Some(caps) = capacities {
             assert_eq!(caps.len(), n, "need exactly one capacity per bin");
             assert!(caps.iter().all(|&c| c >= 1), "capacities must be >= 1");
@@ -929,12 +923,6 @@ mod tests {
         // Bin 0 at 1/1 dominates bin 1 at 4/4 only by tie; both are 1.0.
         assert!((store.max_utilization() - 1.0).abs() < 1e-12);
         assert!(store.check_invariants());
-    }
-
-    #[test]
-    #[should_panic(expected = "store=sketch is not supported")]
-    fn sketch_kind_is_rejected() {
-        let _ = AtomicStore::with_kind(8, StoreKind::Sketch);
     }
 
     #[test]

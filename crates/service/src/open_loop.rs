@@ -125,7 +125,7 @@ impl Scenario for OpenLoopScenario {
             ),
             Axis::new(
                 "store",
-                "bin store: exact | packed4 | packed8 | sketch (default exact)",
+                "bin store: exact | packed4 | packed8 (default exact)",
             ),
             Axis::new("batch", "max requests per batched lock round (default 64)"),
             Axis::new(
@@ -265,16 +265,7 @@ impl Scenario for OpenLoopScenario {
             _ => return Err(params.bad_value("caps", "one | two_tier")),
         };
         let store = StoreKind::parse(params.get_raw("store").unwrap_or("exact"))
-            .ok_or_else(|| params.bad_value("store", "exact | packed4 | packed8 | sketch"))?;
-        if store == StoreKind::Sketch && capacities.is_some() {
-            return Err(params.bad_value("store", "sketch does not support caps=two_tier"));
-        }
-        if backend == ServiceBackend::LockFree && store == StoreKind::Sketch {
-            return Err(params.bad_value(
-                "store",
-                "exact | packed4 | packed8 for backend=lockfree (sketch counters cannot be CAS-validated)",
-            ));
-        }
+            .ok_or_else(|| params.bad_value("store", "exact | packed4 | packed8"))?;
         Ok(OpenLoopConfig {
             bins,
             k,
@@ -350,9 +341,7 @@ mod tests {
             "backend=psychic",
             "refresh=0",
             "store=psychic",
-            "store=sketch caps=two_tier",
             "backend=shared_nothing threads=4 n=2",
-            "backend=lockfree store=sketch",
         ] {
             let grid = GridSpec::parse_str(bad).unwrap();
             assert!(
@@ -360,6 +349,11 @@ mod tests {
                 "{bad} should be rejected"
             );
         }
+        let sketch = GridSpec::parse_str("store=sketch").unwrap();
+        assert!(matches!(
+            configs_from_grid(&OpenLoopScenario, &sketch, 0),
+            Err(GridError::BadValue { ref expected, .. }) if expected == "exact | packed4 | packed8"
+        ));
     }
 
     #[test]

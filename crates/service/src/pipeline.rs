@@ -123,8 +123,8 @@ pub struct OpenLoopConfig {
     /// [`ServiceBackend::LockFree`] (its counters *are* the truth —
     /// nothing to republish).
     pub snapshot_refresh: usize,
-    /// Which bin-store representation backs the run (exact loads,
-    /// packed b-bit offsets, or a count-min sketch). The exact default
+    /// Which bin-store representation backs the run (exact loads or
+    /// packed b-bit offsets). The exact default
     /// keeps every pre-compact config bit-identical; packed stores stay
     /// bit-identical to it while loads remain in the lossless window.
     pub store: StoreKind,

@@ -103,7 +103,7 @@ impl Scenario for ServiceScenario {
             ),
             Axis::new(
                 "store",
-                "bin store: exact | packed4 | packed8 | sketch (default exact)",
+                "bin store: exact | packed4 | packed8 (default exact)",
             ),
             Axis::new(
                 "dims",
@@ -154,13 +154,7 @@ impl Scenario for ServiceScenario {
             return Err(params.bad_value("refresh", "a period of at least 1 mutation"));
         }
         let store = StoreKind::parse(params.get_raw("store").unwrap_or("exact"))
-            .ok_or_else(|| params.bad_value("store", "exact | packed4 | packed8 | sketch"))?;
-        if backend == ServiceBackend::LockFree && store == StoreKind::Sketch {
-            return Err(params.bad_value(
-                "store",
-                "exact | packed4 | packed8 for backend=lockfree (sketch counters cannot be CAS-validated)",
-            ));
-        }
+            .ok_or_else(|| params.bad_value("store", "exact | packed4 | packed8"))?;
         let dims = params.get_usize("dims", 1)?;
         if dims == 0 || dims > MAX_DIMS {
             return Err(params.bad_value("dims", &format!("1 <= dims <= {MAX_DIMS}")));
@@ -263,8 +257,7 @@ mod tests {
             "dims=2 backend=shared_nothing",
             "dims=2 backend=lockfree",
             "dims=2 store=packed4",
-            "demand=uniform store=sketch",
-            "backend=lockfree store=sketch",
+            "demand=uniform store=packed8",
         ] {
             let grid = GridSpec::parse_str(bad).unwrap();
             assert!(
@@ -272,6 +265,11 @@ mod tests {
                 "{bad} should be rejected"
             );
         }
+        let sketch = GridSpec::parse_str("store=sketch").unwrap();
+        assert!(matches!(
+            configs_from_grid(&ServiceScenario, &sketch, 0),
+            Err(GridError::BadValue { ref expected, .. }) if expected == "exact | packed4 | packed8"
+        ));
     }
 
     /// The `dims=` axis end to end: a vector cell parses, runs the

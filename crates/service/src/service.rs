@@ -205,8 +205,8 @@ pub struct ServiceWorkloadConfig {
     /// Shared-nothing only: snapshot republish period in mutations
     /// (`>= 1`); ignored by the striped backend.
     pub snapshot_refresh: usize,
-    /// Which bin-store representation backs the workload (exact loads,
-    /// packed b-bit offsets, or a count-min sketch).
+    /// Which bin-store representation backs the workload (exact loads
+    /// or packed b-bit offsets).
     pub store: StoreKind,
     /// Demand-vector dimensionality (1 = the scalar process). Anything
     /// but `(1, Scalar, Unit)` routes through the vector workload, which
@@ -398,8 +398,8 @@ pub fn run_service_workload(config: &ServiceWorkloadConfig) -> ServiceReport {
 ///
 /// Panics on invalid configuration: zero threads/bins, `d < k`, a
 /// malformed objective, the shared-nothing backend (vector stores have no
-/// owned-shard engine yet), or a non-exact store (packed/sketch lanes
-/// cannot hold vector loads).
+/// owned-shard engine yet), or a non-exact store (packed lanes cannot
+/// hold vector loads).
 pub fn run_vector_service_workload(config: &ServiceWorkloadConfig) -> ServiceReport {
     assert!(config.threads > 0, "need at least one client thread");
     assert!(config.bins > 0, "need at least one bin");

@@ -141,9 +141,7 @@ impl ShardedStore {
     ///
     /// # Panics
     ///
-    /// As [`ShardedStore::with_capacities`], plus the slab constructor's
-    /// own rejections ([`StoreKind::Sketch`] does not support
-    /// heterogeneous capacities).
+    /// As [`ShardedStore::with_capacities`].
     pub fn with_kind_capacities(
         n: usize,
         shards: usize,
@@ -392,8 +390,8 @@ impl ShardedStore {
     /// bookkeeping: the merged histogram sums to `n` and agrees with the
     /// merged per-bin loads and ball total. The weighted-histogram ==
     /// ball-total identity only holds while every shard reports exact
-    /// loads (exact slabs, or packed slabs still lossless); a sketch
-    /// shard's estimated loads may only **over**-count. O(n); for tests.
+    /// loads (exact slabs, or packed slabs still lossless). O(n); for
+    /// tests.
     pub fn check_invariants(&self) -> bool {
         let mut shard_ok = true;
         let mut loads_exact = true;
@@ -407,7 +405,6 @@ impl ShardedStore {
             loads_exact &= match &*guard {
                 BinSlab::Exact(_) => true,
                 BinSlab::Packed(p) => p.is_lossless(),
-                BinSlab::Sketch(_) => false,
             };
         }
         let histogram = self.histogram();
@@ -793,23 +790,6 @@ mod tests {
         assert_eq!(exact.histogram(), packed.histogram());
         assert_eq!(exact.max_load(), packed.max_load());
         assert!(packed.check_invariants());
-    }
-
-    #[test]
-    fn sketch_shards_conserve_balls_and_release() {
-        let n = 64;
-        let store = ShardedStore::with_kind(n, 4, StoreKind::Sketch);
-        let mut rng = Xoshiro256PlusPlus::from_u64(11);
-        let mut placements = Vec::new();
-        for _ in 0..40 {
-            let probes: Vec<usize> = (0..3).map(|_| rng.next_u64() as usize % n).collect();
-            placements.push(store.place_k_least(&probes, 1, &mut rng));
-        }
-        assert_eq!(store.total_balls(), 40);
-        for p in &placements {
-            store.release(&p.bins);
-        }
-        assert_eq!(store.total_balls(), 0);
     }
 
     #[test]

@@ -1,8 +1,6 @@
 //! Theory regression for the memory-bounded stores: the steady-state
 //! gap of an open-loop run at λ = 0.9 must sit inside the Theorem 2
-//! envelope (`theorem2_gap_band`) when decisions read a `packed4` slab,
-//! and the `sketch` store's *estimated* gap must stay within the
-//! envelope widened by its expected collision spread.
+//! envelope (`theorem2_gap_band`) when decisions read a `packed4` slab.
 //!
 //! Setup notes:
 //!
@@ -13,12 +11,6 @@
 //! * At λ = 0.9 the steady mean live load per bin is ≈ 0.9 — far below
 //!   the 4-bit saturation ceiling — so the packed4 run is lossless and
 //!   its gap is the *exact* gap of the quantized decision stream.
-//! * The sketch aggregates ~16 bins per counter; with ≈ 0.9·n live
-//!   balls each counter carries ≈ 14 colliding balls. The *gap*
-//!   subtracts the mean inflation (it is `max − mean` of the estimate
-//!   distribution), so only the collision *spread* survives; the
-//!   sketch band adds that spread (≈ √(live/width) per row) to the
-//!   theorem's slack.
 
 use kdchoice_core::StoreKind;
 use kdchoice_service::{run_open_loop, OpenLoopConfig};
@@ -55,31 +47,6 @@ fn packed4_steady_gap_sits_in_theorem2_envelope() {
     );
 }
 
-#[test]
-fn sketch_steady_gap_sits_in_widened_envelope() {
-    // Collision spread: each of the sketch's rows aggregates
-    // width = n/16 counters over ≈ 0.9·n live balls, so a counter's
-    // colliding mass is ≈ 14.4 with standard deviation ≈ √14.4. The
-    // estimate takes a min over rows and the gap subtracts the mean,
-    // leaving a max-minus-mean spread of a few row deviations.
-    let live_per_counter: f64 = 0.9 * 16.0;
-    let spread = 3.0 * live_per_counter.sqrt();
-    let band = theorem2_gap_band(1, 2, N, 3.0 + spread);
-    let report = run_open_loop(&config(StoreKind::Sketch, SEED));
-    assert!(report.conserved, "sketch run must conserve");
-    println!(
-        "sketch steady gap {} band [{}, {}]",
-        report.steady_gap_mean, band.lo, band.hi
-    );
-    assert!(
-        report.steady_gap_mean >= band.lo && report.steady_gap_mean <= band.hi,
-        "sketch steady gap {} outside widened band [{}, {}]",
-        report.steady_gap_mean,
-        band.lo,
-        band.hi
-    );
-}
-
 /// Below saturation a packed slab is a pure re-encoding of the exact
 /// loads, so the whole open-loop run — decisions, histogram, every gap
 /// sample — replays the exact store's stream bit for bit.
@@ -97,18 +64,16 @@ fn packed_runs_replay_the_exact_decision_stream() {
 
 /// Seeded golden bands: the committed seed's steady gap per store kind,
 /// pinned with generous ± slack so only genuine regressions (a changed
-/// decision stream, broken renormalization, a different sketch
-/// geometry) trip it. Measured on the committed configuration above:
-/// exact = packed4 = packed8 = 2.2971 (the packed runs stay lossless, so
-/// all three replay the identical decision stream), sketch = 7.4351
-/// (collision spread of ~16-bins-per-counter aggregation).
+/// decision stream, broken renormalization) trip it. Measured on the
+/// committed configuration above: exact = packed4 = packed8 = 2.2971
+/// (the packed runs stay lossless, so all three replay the identical
+/// decision stream).
 #[test]
 fn steady_gap_golden_bands_per_store_kind() {
     for (store, lo, hi) in [
         (StoreKind::Exact, 1.0, 4.0),
         (StoreKind::Packed4, 1.0, 4.0),
         (StoreKind::Packed8, 1.0, 4.0),
-        (StoreKind::Sketch, 4.0, 12.0),
     ] {
         let report = run_open_loop(&config(store, SEED));
         assert!(report.conserved, "{store} run must conserve");

@@ -7,16 +7,22 @@
 //! generator stream the drivers hand the processes, to the winners, or
 //! to the observables shows up as a changed digest.
 //!
-//! The digests were generated before the drivers learned to prefetch
-//! the probes of the next rounds; the drivers must reproduce them
-//! unedited. To print the table for a deliberate re-golden run
+//! The `run_once*`, `run_trials` and `run_sweep` digests were generated
+//! before the drivers learned to prefetch the probes of the next rounds;
+//! the drivers must reproduce them unedited. The `compact/*` digests
+//! were generated when `run_once_compact` moved onto the `KdChoice`
+//! round engine. Its contract with that engine is locked separately:
+//! every lossless compact case equals the `run_once_on` fill of the same
+//! process, seed and capacities
+//! (`lossless_compact_fills_equal_the_engine_fill`). To print the table
+//! for a deliberate re-golden run
 //! `cargo test --test static_driver_golden -- --nocapture` and copy the
 //! `got` column.
 
 use kdchoice::baselines::DChoice;
 use kdchoice::kd::{
-    run_once, run_once_compact, run_once_on, run_sweep, run_trials, BallsIntoBins, EngineVersion,
-    KdChoice, LoadVector, ProbeDistribution, RoundPolicy, RunConfig, StoreKind,
+    run_once, run_once_compact, run_once_on, run_sweep, run_trials, BallsIntoBins, BinSlab,
+    EngineVersion, KdChoice, LoadVector, ProbeDistribution, RoundPolicy, RunConfig, StoreKind,
 };
 
 const N: usize = 4096;
@@ -65,9 +71,13 @@ fn dyn_baseline() -> u64 {
     digest(&run_once(&mut *process, &RunConfig::new(N, 37)))
 }
 
+/// The run shape of every `compact/*` case.
+fn compact_config() -> RunConfig {
+    RunConfig::new(N, 41).with_balls(2 * N as u64)
+}
+
 fn compact(kind: StoreKind, probes: &ProbeDistribution, capacities: Option<&[u32]>) -> u64 {
-    let config = RunConfig::new(N, 41).with_balls(2 * N as u64);
-    let (result, slab) = run_once_compact(kind, 2, 4, probes, capacities, &config);
+    let (result, slab) = run_once_compact(kind, 2, 4, probes, capacities, &compact_config());
     let mut loads = Vec::new();
     slab.copy_loads_into(&mut loads);
     digest(&(result, loads, slab.utilization_gap()))
@@ -142,10 +152,6 @@ fn cases() -> Vec<(&'static str, u64)> {
             compact(StoreKind::Packed8, &ProbeDistribution::Uniform, None),
         ),
         (
-            "compact/sketch",
-            compact(StoreKind::Sketch, &ProbeDistribution::Uniform, None),
-        ),
-        (
             "compact/exact+caps",
             compact(StoreKind::Exact, &ProbeDistribution::Uniform, Some(&caps)),
         ),
@@ -169,10 +175,6 @@ fn cases() -> Vec<(&'static str, u64)> {
             "compact/packed8+zipf",
             compact(StoreKind::Packed8, &zipf(), None),
         ),
-        (
-            "compact/sketch+zipf",
-            compact(StoreKind::Sketch, &zipf(), None),
-        ),
         ("run_trials/(2,3)x6", trials()),
         ("run_sweep/(3,5)x2x3", sweep()),
     ]
@@ -191,17 +193,15 @@ const GOLDEN: &[(&str, u64)] = &[
     ("run_once/m=8n(2,4)", 0xcfaee5cfbbbbec23),
     ("run_once/m%k!=0(3,5)", 0xa70c5c46dc310666),
     ("run_once/dyn_dchoice(3)", 0x22d638ff80cea72d),
-    ("compact/exact", 0x72d0e3f15eb5f1eb),
-    ("compact/packed4", 0x25e048e2f954265c),
-    ("compact/packed8", 0xcba7c04240436a30),
-    ("compact/sketch", 0x5580e21260ca94e2),
-    ("compact/exact+caps", 0x25129c972d72ad87),
-    ("compact/packed4+caps", 0x5db9d241ca6137a8),
-    ("compact/packed8+caps", 0xea7d7858b2a2b0fc),
-    ("compact/exact+zipf", 0xfba7497f3a51a317),
-    ("compact/packed4+zipf", 0x0d203a9867fc00a2),
-    ("compact/packed8+zipf", 0x5c115291b887422e),
-    ("compact/sketch+zipf", 0xd4a29f8e295fd370),
+    ("compact/exact", 0x19139f9bb2598582),
+    ("compact/packed4", 0x4b16deecc0122563),
+    ("compact/packed8", 0xbe15f52642679bdf),
+    ("compact/exact+caps", 0xe0bb85c9f62848d2),
+    ("compact/packed4+caps", 0x4173c80a7dff1f4f),
+    ("compact/packed8+caps", 0xeb3fae378040691b),
+    ("compact/exact+zipf", 0xfbf65a1d37a2ee2a),
+    ("compact/packed4+zipf", 0x82b8c9fadd0a3df0),
+    ("compact/packed8+zipf", 0x72d82a74f11ad19d),
     ("run_trials/(2,3)x6", 0x842d61a829ab6bbf),
     ("run_sweep/(3,5)x2x3", 0xd14ebd7021505721),
 ];
@@ -226,5 +226,49 @@ fn static_drivers_match_golden_digests() {
         mismatches.is_empty(),
         "digest mismatches:\n{}",
         mismatches.join("\n")
+    );
+}
+
+/// The compact contract: on a slab that stays lossless, `run_once_compact`
+/// is the `run_once_on` fill of `KdChoice::new(2, 4)` with the same probes,
+/// seed and capacities — the same result (name aside), final loads and
+/// utilization gap. `packed4+zipf` saturates its 4-bit lanes, so it is
+/// left out and must say so.
+#[test]
+fn lossless_compact_fills_equal_the_engine_fill() {
+    let caps = capacities();
+    let (uniform, zipf) = (ProbeDistribution::Uniform, zipf());
+    let config = compact_config();
+    let lossless: [(StoreKind, &ProbeDistribution, Option<&[u32]>); 8] = [
+        (StoreKind::Exact, &uniform, None),
+        (StoreKind::Packed4, &uniform, None),
+        (StoreKind::Packed8, &uniform, None),
+        (StoreKind::Exact, &uniform, Some(&caps)),
+        (StoreKind::Packed4, &uniform, Some(&caps)),
+        (StoreKind::Packed8, &uniform, Some(&caps)),
+        (StoreKind::Exact, &zipf, None),
+        (StoreKind::Packed8, &zipf, None),
+    ];
+    for (kind, probes, capacities) in lossless {
+        let label = format!("{kind} {} caps={}", probes.label(), capacities.is_some());
+        let (mut compact, slab) = run_once_compact(kind, 2, 4, probes, capacities, &config);
+        if let BinSlab::Packed(p) = &slab {
+            assert!(p.is_lossless(), "{label}: slab must stay lossless");
+        }
+        let state = capacities.map_or_else(|| LoadVector::new(N), LoadVector::with_capacities);
+        let mut process = kd(2, 4).with_probes(probes.clone());
+        let (engine, state) = run_once_on(&mut process, &config, state);
+        assert_eq!(compact.name, format!("{}@{kind}", engine.name), "{label}");
+        compact.name = engine.name.clone();
+        assert_eq!(compact, engine, "{label}");
+        let mut loads = Vec::new();
+        slab.copy_loads_into(&mut loads);
+        assert_eq!(loads, state.loads(), "{label}");
+        assert_eq!(slab.utilization_gap(), state.utilization_gap(), "{label}");
+    }
+    let (_, slab) = run_once_compact(StoreKind::Packed4, 2, 4, &zipf, None, &config);
+    assert!(
+        matches!(&slab, BinSlab::Packed(p) if !p.is_lossless()),
+        "packed4+zipf saturates its lanes"
     );
 }
