@@ -42,14 +42,16 @@
 //! | ball conservation, invariants | exact | **exact** (checked every run) |
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Barrier, OnceLock};
+use std::sync::Barrier;
 use std::time::Instant;
 
 use kdchoice_core::{decide_k_least, BinSlab, LoadSnapshot, StoreKind};
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 use rand::RngCore;
 
-use crate::pipeline::{want_sample, worker_slice, DriveOutcome, OpenLoopConfig, TickSample};
+use crate::pipeline::{
+    want_sample, worker_slice, DriveOutcome, OpenLoopConfig, PlacementTable, TickSample,
+};
 use crate::service::{ServiceReport, ServiceWorkloadConfig};
 use crate::sharded::Placement;
 use crate::traffic::TrafficSchedule;
@@ -537,6 +539,23 @@ fn merge_states(engine: &OwnedShardEngine, states: &[ShardState]) -> MergedState
 /// One worker's sampled `(live, max)` pairs for the configured ticks.
 type LocalSamples = Vec<(u64, u32)>;
 
+/// One worker's reusable buffers for [`owned_tick`].
+struct TickScratch {
+    probes: Vec<usize>,
+    slots: Vec<(u32, u64, usize)>,
+    bins: Vec<usize>,
+}
+
+impl TickScratch {
+    fn new(d: usize, k: usize) -> Self {
+        Self {
+            probes: vec![0; d],
+            slots: Vec::with_capacity(d),
+            bins: Vec::with_capacity(k),
+        }
+    }
+}
+
 /// The per-tick body shared by the single- and multi-thread open-loop
 /// drivers: route my slice of departures, then decide + route my slice
 /// of commits.
@@ -545,19 +564,19 @@ fn owned_tick(
     engine: &OwnedShardEngine,
     config: &OpenLoopConfig,
     schedule: &TrafficSchedule,
-    slots: &[OnceLock<Placement>],
+    table: &PlacementTable,
     t: usize,
     w: usize,
     workers: usize,
     state: &mut ShardState,
-    probes_scratch: &mut [usize],
-    slots_scratch: &mut Vec<(u32, u64, usize)>,
+    scratch: &mut TickScratch,
 ) {
     let departures = &schedule.departures[t];
     let (lo, hi) = worker_slice((0, departures.len() as u32), workers, w);
     for &id in &departures[lo as usize..hi as usize] {
-        let placement = slots[id as usize].get().expect("departure precedes commit");
-        for &bin in &placement.bins {
+        scratch.bins.clear();
+        table.get(id, &mut scratch.bins);
+        for &bin in &scratch.bins {
             engine.submit_remove(w, bin, state);
         }
     }
@@ -566,17 +585,20 @@ fn owned_tick(
         let mut rng = Xoshiro256PlusPlus::from_u64(config.request_seed(id));
         config
             .probes
-            .fill_each(&mut rng, config.bins, probes_scratch);
-        probes_scratch.sort_unstable();
-        let mut bins = Vec::with_capacity(config.k);
-        let max_height =
-            engine.decide(probes_scratch, config.k, &mut rng, slots_scratch, &mut bins);
-        for &bin in &bins {
+            .fill_each(&mut rng, config.bins, &mut scratch.probes);
+        scratch.probes.sort_unstable();
+        scratch.bins.clear();
+        engine.decide(
+            &scratch.probes,
+            config.k,
+            &mut rng,
+            &mut scratch.slots,
+            &mut scratch.bins,
+        );
+        for &bin in &scratch.bins {
             engine.submit_add(w, bin, state);
         }
-        assert!(slots[id as usize]
-            .set(Placement { bins, max_height })
-            .is_ok());
+        table.set(id, &scratch.bins);
     }
 }
 
@@ -596,6 +618,7 @@ fn owned_tick(
 pub(crate) fn drive_open_loop_owned(
     config: &OpenLoopConfig,
     schedule: &TrafficSchedule,
+    table: &PlacementTable,
 ) -> DriveOutcome {
     assert!(
         config.threads <= config.bins,
@@ -618,9 +641,6 @@ pub(crate) fn drive_open_loop_owned(
             config.store,
         ),
     };
-    let slots: Vec<OnceLock<Placement>> = (0..schedule.timings.len())
-        .map(|_| OnceLock::new())
-        .collect();
     let ticks = config.traffic.ticks as usize;
     let sampled_ticks: Vec<usize> = (0..ticks)
         .filter(|&t| want_sample(t, config.sample_every, ticks))
@@ -629,21 +649,19 @@ pub(crate) fn drive_open_loop_owned(
     let start = Instant::now();
     let (states, per_worker_samples): (Vec<ShardState>, Vec<LocalSamples>) = if workers == 1 {
         let mut state = states.pop().expect("one worker");
-        let mut probes_scratch = vec![0usize; config.d];
-        let mut slots_scratch = Vec::with_capacity(config.d);
+        let mut scratch = TickScratch::new(config.d, config.k);
         let mut samples = Vec::with_capacity(sampled_ticks.len());
         for t in 0..ticks {
             owned_tick(
                 &engine,
                 config,
                 schedule,
-                &slots,
+                table,
                 t,
                 0,
                 1,
                 &mut state,
-                &mut probes_scratch,
-                &mut slots_scratch,
+                &mut scratch,
             );
             if want_sample(t, config.sample_every, ticks) {
                 samples.push((state.state.total_balls(), state.state.max_load()));
@@ -665,24 +683,21 @@ pub(crate) fn drive_open_loop_owned(
                     let engine = &engine;
                     let barrier = &barrier;
                     let pushed = &pushed;
-                    let slots = &slots;
                     let sampled = sampled_ticks.len();
                     scope.spawn(move || {
-                        let mut probes_scratch = vec![0usize; config.d];
-                        let mut slots_scratch = Vec::with_capacity(config.d);
+                        let mut scratch = TickScratch::new(config.d, config.k);
                         let mut samples = Vec::with_capacity(sampled);
                         for t in 0..ticks {
                             owned_tick(
                                 engine,
                                 config,
                                 schedule,
-                                slots,
+                                table,
                                 t,
                                 w,
                                 workers,
                                 &mut state,
-                                &mut probes_scratch,
-                                &mut slots_scratch,
+                                &mut scratch,
                             );
                             // Drain-while-waiting rendezvous: a parked
                             // barrier here can deadlock — a worker stuck

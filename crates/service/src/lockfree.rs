@@ -60,7 +60,7 @@
 //! | gap envelope (Theorem 2) | exact statistics | statistical, asserted at 1/2/4/8 threads |
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, OnceLock};
+use std::sync::Barrier;
 use std::time::Instant;
 
 use kdchoice_core::{
@@ -69,7 +69,9 @@ use kdchoice_core::{
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 use rand::RngCore;
 
-use crate::pipeline::{want_sample, worker_slice, DriveOutcome, OpenLoopConfig, TickSample};
+use crate::pipeline::{
+    want_sample, worker_slice, DriveOutcome, OpenLoopConfig, PlacementTable, TickSample,
+};
 use crate::service::{ServiceReport, ServiceWorkloadConfig};
 use crate::sharded::Placement;
 use crate::traffic::TrafficSchedule;
@@ -128,9 +130,10 @@ pub struct AtomicStore {
     fallback_commits: AtomicU64,
 }
 
-/// Reusable per-worker scratch for [`AtomicStore::place_with`] — keeps
-/// the hot path free of allocations other than the returned
-/// [`Placement`] itself.
+/// Reusable per-worker scratch for [`AtomicStore::place_with`]: the
+/// decision buffers, which keep their capacity across requests. The
+/// open-loop commit path then allocates nothing once they have grown;
+/// `place_with` itself still allocates the [`Placement`] it returns.
 #[derive(Debug, Default)]
 pub struct PlaceScratch {
     sorted: Vec<usize>,
@@ -138,6 +141,8 @@ pub struct PlaceScratch {
     distinct: Vec<usize>,
     frozen: Vec<u32>,
     mult: Vec<u32>,
+    /// The last placement's winner bins, in selection order.
+    bins: Vec<usize>,
 }
 
 impl PlaceScratch {
@@ -285,6 +290,35 @@ impl AtomicStore {
         rng: &mut R,
         scratch: &mut PlaceScratch,
     ) -> Placement {
+        let max_height = self.place_into(probes, k, rng, scratch);
+        Placement {
+            bins: scratch.bins.clone(),
+            max_height,
+        }
+    }
+
+    /// [`AtomicStore::place_with`] without the returned [`Placement`]:
+    /// leaves the winners in `scratch.bins` and returns the maximum ball
+    /// height, so the open-loop commit path allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// As [`AtomicStore::place_with`]. Every panic fires before the
+    /// operation is counted as started, so a rejected request leaves no
+    /// operation in flight.
+    pub(crate) fn place_into<R: RngCore + ?Sized>(
+        &self,
+        probes: &[usize],
+        k: usize,
+        rng: &mut R,
+        scratch: &mut PlaceScratch,
+    ) -> u32 {
+        assert!(k >= 1, "a placement request must place at least one ball");
+        assert!(
+            k <= probes.len(),
+            "cannot place {k} balls on {} probed slots",
+            probes.len()
+        );
         let n = self.truth.len();
         scratch.sorted.clear();
         scratch.sorted.extend_from_slice(probes);
@@ -319,18 +353,18 @@ impl AtomicStore {
                 loads: &scratch.frozen,
                 ceiling: self.ceiling,
             };
-            let mut bins = Vec::with_capacity(k);
+            scratch.bins.clear();
             decide_k_least(
                 &view,
                 &scratch.sorted,
                 k,
                 rng,
                 &mut scratch.slots,
-                &mut bins,
+                &mut scratch.bins,
             );
             scratch.mult.clear();
             scratch.mult.resize(scratch.distinct.len(), 0);
-            for &bin in &bins {
+            for &bin in &scratch.bins {
                 let i = scratch
                     .distinct
                     .binary_search(&bin)
@@ -367,7 +401,7 @@ impl AtomicStore {
                     self.fallback_commits.fetch_add(1, Ordering::Relaxed);
                 }
                 self.end_op();
-                return Placement { bins, max_height };
+                return max_height;
             };
             // Lost the race: undo this attempt's earlier commits (our own
             // balls only, so the guarded subtraction cannot underflow),
@@ -601,7 +635,7 @@ struct LockFreePipeline<'a> {
     probes: &'a ProbeDistribution,
     n: usize,
     schedule: &'a TrafficSchedule,
-    slots: &'a [OnceLock<Placement>],
+    table: &'a PlacementTable,
     k: usize,
     d: usize,
     config: &'a OpenLoopConfig,
@@ -616,20 +650,20 @@ impl LockFreePipeline<'_> {
             let mut rng = Xoshiro256PlusPlus::from_u64(self.config.request_seed(id));
             probes.clear();
             probes.extend((0..self.d).map(|_| self.probes.sample(&mut rng, self.n)));
-            let placement = self.store.place_with(probes, self.k, &mut rng, scratch);
-            assert!(self.slots[id as usize].set(placement).is_ok());
+            self.store.place_into(probes, self.k, &mut rng, scratch);
+            self.table.set(id, &scratch.bins);
         }
     }
 
-    /// Releases one worker's share of tick `t`'s departures.
-    fn release_slice(&self, t: usize, workers: usize, w: usize) {
+    /// Releases one worker's share of tick `t`'s departures (`bins` is
+    /// scratch).
+    fn release_slice(&self, t: usize, workers: usize, w: usize, bins: &mut Vec<usize>) {
         let departures = &self.schedule.departures[t];
         let (lo, hi) = worker_slice((0, departures.len() as u32), workers, w);
         for &id in &departures[lo as usize..hi as usize] {
-            let placement = self.slots[id as usize]
-                .get()
-                .expect("departure precedes commit");
-            self.store.release(&placement.bins);
+            bins.clear();
+            self.table.get(id, bins);
+            self.store.release(bins);
         }
     }
 }
@@ -643,20 +677,18 @@ impl LockFreePipeline<'_> {
 pub(crate) fn drive_open_loop_lockfree(
     config: &OpenLoopConfig,
     schedule: &TrafficSchedule,
+    table: &PlacementTable,
 ) -> DriveOutcome {
     let store = match &config.capacities {
         None => AtomicStore::with_kind(config.bins, config.store),
         Some(caps) => AtomicStore::with_kind_capacities(config.bins, caps, config.store),
     };
-    let slots: Vec<OnceLock<Placement>> = (0..schedule.timings.len())
-        .map(|_| OnceLock::new())
-        .collect();
     let pipeline = LockFreePipeline {
         store: &store,
         probes: &config.probes,
         n: config.bins,
         schedule,
-        slots: &slots,
+        table,
         k: config.k,
         d: config.d,
         config,
@@ -670,7 +702,7 @@ pub(crate) fn drive_open_loop_lockfree(
         let mut probes = Vec::new();
         let mut scratch = PlaceScratch::new();
         for t in 0..ticks {
-            pipeline.release_slice(t, 1, 0);
+            pipeline.release_slice(t, 1, 0, &mut probes);
             pipeline.commit(schedule.commit_ranges[t], &mut probes, &mut scratch);
             if want_sample(t, config.sample_every, ticks) {
                 series.push(sample(&store, t as u32));
@@ -688,7 +720,7 @@ pub(crate) fn drive_open_loop_lockfree(
                     let mut scratch = PlaceScratch::new();
                     for t in 0..ticks {
                         barrier.wait();
-                        pipeline.release_slice(t, workers, w);
+                        pipeline.release_slice(t, workers, w, &mut probes);
                         barrier.wait();
                         let range = worker_slice(pipeline.schedule.commit_ranges[t], workers, w);
                         pipeline.commit(range, &mut probes, &mut scratch);
@@ -923,6 +955,26 @@ mod tests {
         // Bin 0 at 1/1 dominates bin 1 at 4/4 only by tie; both are 1.0.
         assert!((store.max_utilization() - 1.0).abs() < 1e-12);
         assert!(store.check_invariants());
+    }
+
+    /// A rejected `k` panics before the operation is counted as started,
+    /// so the store stays quiescent: no operation is left in flight and
+    /// later snapshots are consistent again.
+    #[test]
+    fn rejected_k_leaves_no_operation_in_flight() {
+        let store = AtomicStore::new(8);
+        let mut rng = Xoshiro256PlusPlus::from_u64(5);
+        for k in [0, 3] {
+            let rejected = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                store.place_with(&[1, 2], k, &mut rng, &mut PlaceScratch::new())
+            }));
+            assert!(rejected.is_err(), "k = {k} must be rejected");
+        }
+        assert!(store.check_invariants());
+        assert!(store.stamped_snapshot().consistent);
+        store.place_with(&[1, 2], 1, &mut rng, &mut PlaceScratch::new());
+        assert!(store.check_invariants());
+        assert_eq!(store.stamped_snapshot().generation, 1);
     }
 
     #[test]

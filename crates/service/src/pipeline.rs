@@ -41,8 +41,25 @@
 //! The first three rows are locked by proptests in
 //! `tests/traffic_determinism.rs`; the single-thread bit-identity of
 //! batched vs per-request pipelines by `tests/store_equivalence.rs`.
+//!
+//! ## The placement table
+//!
+//! A departure releases the k bins its request committed to, so every
+//! backend records each commit in one [`PlacementTable`]: `requests × k`
+//! `AtomicU32` bin ids in one flat allocation, no heap record per
+//! request. Its loads and stores are `Relaxed`, which is enough because
+//! each backend's tick loop already orders every commit before any
+//! release that reads it: a request departs in a strictly later tick
+//! than it commits, and the ticks are separated by the tick [`Barrier`]
+//! (striped and lock-free) or by the shared-nothing end-of-tick
+//! rendezvous, whose `Release` increments of the pushed-phase counter
+//! pair with every worker's `Acquire` loads of it before the parking
+//! barrier. On one thread program order suffices. Each entry starts as
+//! a sentinel, so a second commit of a request and a departure that
+//! reads an uncommitted request both fail loudly.
 
-use std::sync::{Barrier, OnceLock};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Barrier;
 use std::time::Instant;
 
 use kdchoice_core::{BinStore, ProbeDistribution, StoreKind};
@@ -51,7 +68,7 @@ use kdchoice_stats::Histogram;
 
 use crate::engine::ServiceBackend;
 use crate::service::prev_power_of_two;
-use crate::sharded::{Placement, ShardedStore};
+use crate::sharded::{BatchScratch, ShardedStore};
 use crate::traffic::{ArrivalProcess, Lifetime, RequestTiming, TrafficConfig, TrafficSchedule};
 
 /// Seed-stream tag for the traffic generator (see [`derive_seed`]).
@@ -62,9 +79,9 @@ const PLACEMENT_STREAM: u64 = 1;
 /// How the pipeline turns committed requests into store operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineMode {
-    /// One `place_k_least` / `release` call per request: the PR 3 lock
-    /// choreography, up to `min(d, shards)` lock acquisitions per
-    /// request.
+    /// One placement (a batch of one request) and one `release` call
+    /// per request: the closed-loop service's lock choreography, up to
+    /// `min(d, shards)` lock acquisitions per request.
     PerRequest,
     /// Requests are grouped into batches of up to
     /// [`OpenLoopConfig::max_batch`]; each batch commits through
@@ -286,6 +303,83 @@ pub struct OpenLoopReport {
 /// A half-open request-id range `[start, end)`.
 type IdRange = (u32, u32);
 
+/// The bin id of a table entry no commit has written yet.
+const UNSET: u32 = u32::MAX;
+
+/// Where every open-loop request placed its balls: `k` bin ids per
+/// request in one flat table of atomics, shared by all workers of a run.
+///
+/// Accesses are `Relaxed`: the entries publish nothing but themselves,
+/// and the tick barrier, or the shared-nothing end-of-tick rendezvous,
+/// orders every commit before any release that reads it (see the module
+/// docs).
+pub(crate) struct PlacementTable {
+    entries: Vec<AtomicU32>,
+    k: usize,
+    /// Bin count; every recorded id is below it, hence below [`UNSET`].
+    bins: usize,
+}
+
+impl PlacementTable {
+    /// An all-unset table for `requests` requests of `k` balls each over
+    /// `bins` bins.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bins >= u32::MAX`: every bin id must fit in a `u32`
+    /// below the unset sentinel.
+    pub(crate) fn new(requests: usize, k: usize, bins: usize) -> Self {
+        assert!(
+            bins < UNSET as usize,
+            "open-loop runs need fewer than u32::MAX bins, got {bins}"
+        );
+        Self {
+            entries: (0..requests * k).map(|_| AtomicU32::new(UNSET)).collect(),
+            k,
+            bins,
+        }
+    }
+
+    fn row(&self, id: u32) -> &[AtomicU32] {
+        let start = id as usize * self.k;
+        &self.entries[start..start + self.k]
+    }
+
+    /// Records request `id`'s `k` winner bins.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `bins.len() == k` and every bin is in range, or if
+    /// `id` was already recorded.
+    pub(crate) fn set(&self, id: u32, bins: &[usize]) {
+        assert_eq!(bins.len(), self.k, "a placement records exactly k bins");
+        // One worker commits each id, so a plain load-then-store check
+        // catches any second commit without a read-modify-write.
+        for (entry, &bin) in self.row(id).iter().zip(bins) {
+            assert!(bin < self.bins, "bin {bin} out of range");
+            assert_eq!(
+                entry.load(Ordering::Relaxed),
+                UNSET,
+                "request {id} committed twice"
+            );
+            entry.store(bin as u32, Ordering::Relaxed);
+        }
+    }
+
+    /// Appends request `id`'s `k` bins to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was never recorded.
+    pub(crate) fn get(&self, id: u32, out: &mut Vec<usize>) {
+        for entry in self.row(id) {
+            let bin = entry.load(Ordering::Relaxed);
+            assert_ne!(bin, UNSET, "departure precedes commit of request {id}");
+            out.push(bin as usize);
+        }
+    }
+}
+
 /// The contiguous sub-range worker `w` of `workers` owns.
 pub(crate) fn worker_slice(range: IdRange, workers: usize, w: usize) -> IdRange {
     let len = (range.1 - range.0) as usize;
@@ -300,77 +394,57 @@ struct Pipeline<'a> {
     probes: &'a ProbeDistribution,
     n: usize,
     schedule: &'a TrafficSchedule,
-    slots: &'a [OnceLock<Placement>],
+    table: &'a PlacementTable,
     k: usize,
     d: usize,
-    mode: PipelineMode,
-    max_batch: usize,
+    /// Requests per commit or release batch: 1 in per-request mode.
+    batch: usize,
     place_base: u64,
 }
 
-impl Pipeline<'_> {
+impl<'a> Pipeline<'a> {
     /// The placement RNG of request `id` (pure in `(seed, id)`).
     fn request_rng(&self, id: u32) -> Xoshiro256PlusPlus {
         Xoshiro256PlusPlus::from_u64(derive_seed(self.place_base, u64::from(id)))
     }
 
-    /// Commits the requests in `[range.0, range.1)` in id order.
-    fn commit(&self, range: IdRange, probes: &mut Vec<usize>, rngs: &mut Vec<Xoshiro256PlusPlus>) {
-        match self.mode {
-            PipelineMode::PerRequest => {
-                for id in range.0..range.1 {
-                    let mut rng = self.request_rng(id);
-                    probes.clear();
-                    probes.extend((0..self.d).map(|_| self.probes.sample(&mut rng, self.n)));
-                    let placement = self.store.place_k_least(probes, self.k, &mut rng);
-                    assert!(self.slots[id as usize].set(placement).is_ok());
-                }
+    /// Commits the requests in `[range.0, range.1)` in id order, one
+    /// batch at a time.
+    fn commit(
+        &self,
+        range: IdRange,
+        probes: &mut Vec<usize>,
+        rngs: &mut Vec<Xoshiro256PlusPlus>,
+        scratch: &mut BatchScratch<'a>,
+    ) {
+        let mut start = range.0;
+        while start < range.1 {
+            let end = range.1.min(start + self.batch as u32);
+            rngs.clear();
+            probes.clear();
+            for id in start..end {
+                let mut rng = self.request_rng(id);
+                probes.extend((0..self.d).map(|_| self.probes.sample(&mut rng, self.n)));
+                rngs.push(rng);
             }
-            PipelineMode::Batched => {
-                let mut start = range.0;
-                while start < range.1 {
-                    let end = range.1.min(start + self.max_batch as u32);
-                    rngs.clear();
-                    probes.clear();
-                    for id in start..end {
-                        let mut rng = self.request_rng(id);
-                        probes.extend((0..self.d).map(|_| self.probes.sample(&mut rng, self.n)));
-                        rngs.push(rng);
-                    }
-                    let placements = self.store.place_batch(probes, self.d, self.k, rngs);
-                    for (id, placement) in (start..end).zip(placements) {
-                        assert!(self.slots[id as usize].set(placement).is_ok());
-                    }
-                    start = end;
-                }
+            self.store
+                .place_batch_into(probes, self.d, self.k, rngs, scratch);
+            for (id, bins) in (start..end).zip(scratch.bins.chunks(self.k)) {
+                self.table.set(id, bins);
             }
+            start = end;
         }
     }
 
     /// Releases the departures in `ids[range]` (indices into the tick's
     /// departure list).
     fn release(&self, ids: &[u32], bins: &mut Vec<usize>) {
-        match self.mode {
-            PipelineMode::PerRequest => {
-                for &id in ids {
-                    let placement = self.slots[id as usize]
-                        .get()
-                        .expect("departure precedes commit");
-                    self.store.release(&placement.bins);
-                }
+        for batch in ids.chunks(self.batch) {
+            bins.clear();
+            for &id in batch {
+                self.table.get(id, bins);
             }
-            PipelineMode::Batched => {
-                for batch in ids.chunks(self.max_batch) {
-                    bins.clear();
-                    for &id in batch {
-                        let placement = self.slots[id as usize]
-                            .get()
-                            .expect("departure precedes commit");
-                        bins.extend_from_slice(&placement.bins);
-                    }
-                    self.store.release(bins);
-                }
-            }
+            self.store.release(bins);
         }
     }
 
@@ -434,7 +508,8 @@ fn snapshot(store: &ShardedStore, tick: u32) -> TickSample {
 ///
 /// # Panics
 ///
-/// Panics on invalid configuration.
+/// Panics on invalid configuration, including `bins >= u32::MAX`: the
+/// run records every placement as `u32` bin ids.
 pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopReport {
     assert!(config.threads >= 1, "need at least one worker thread");
     assert!(config.max_batch >= 1, "max_batch must be at least 1");
@@ -449,10 +524,16 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopReport {
     let schedule = TrafficSchedule::generate(&config.traffic, config.traffic_seed())
         .unwrap_or_else(|e| panic!("invalid open-loop config: {e}"));
 
+    let table = PlacementTable::new(schedule.timings.len(), config.k, config.bins);
+
     let outcome = match config.backend {
-        ServiceBackend::Striped => drive_striped(config, &schedule),
-        ServiceBackend::SharedNothing => crate::engine::drive_open_loop_owned(config, &schedule),
-        ServiceBackend::LockFree => crate::lockfree::drive_open_loop_lockfree(config, &schedule),
+        ServiceBackend::Striped => drive_striped(config, &schedule, &table),
+        ServiceBackend::SharedNothing => {
+            crate::engine::drive_open_loop_owned(config, &schedule, &table)
+        }
+        ServiceBackend::LockFree => {
+            crate::lockfree::drive_open_loop_lockfree(config, &schedule, &table)
+        }
     };
     assemble_report(config, &schedule, outcome)
 }
@@ -460,26 +541,29 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopReport {
 /// Drives the schedule through the lock-striped [`ShardedStore`] (the
 /// original backend): single-thread inline, or persistent workers under
 /// the 3-phase tick barrier.
-fn drive_striped(config: &OpenLoopConfig, schedule: &TrafficSchedule) -> DriveOutcome {
+fn drive_striped(
+    config: &OpenLoopConfig,
+    schedule: &TrafficSchedule,
+    table: &PlacementTable,
+) -> DriveOutcome {
     let store = match &config.capacities {
         None => ShardedStore::with_kind(config.bins, config.shards, config.store),
         Some(caps) => {
             ShardedStore::with_kind_capacities(config.bins, config.shards, caps, config.store)
         }
     };
-    let slots: Vec<OnceLock<Placement>> = (0..schedule.timings.len())
-        .map(|_| OnceLock::new())
-        .collect();
     let pipeline = Pipeline {
         store: &store,
         probes: &config.probes,
         n: config.bins,
         schedule,
-        slots: &slots,
+        table,
         k: config.k,
         d: config.d,
-        mode: config.mode,
-        max_batch: config.max_batch,
+        batch: match config.mode {
+            PipelineMode::PerRequest => 1,
+            PipelineMode::Batched => config.max_batch,
+        },
         place_base: derive_seed(config.seed, PLACEMENT_STREAM),
     };
 
@@ -490,9 +574,15 @@ fn drive_striped(config: &OpenLoopConfig, schedule: &TrafficSchedule) -> DriveOu
     if config.threads == 1 {
         let mut probes = Vec::new();
         let mut rngs = Vec::new();
+        let mut scratch = BatchScratch::default();
         for t in 0..ticks {
             pipeline.release_slice(t, 1, 0, &mut probes);
-            pipeline.commit(schedule.commit_ranges[t], &mut probes, &mut rngs);
+            pipeline.commit(
+                schedule.commit_ranges[t],
+                &mut probes,
+                &mut rngs,
+                &mut scratch,
+            );
             if want_sample(t, config.sample_every, ticks) {
                 series.push(snapshot(&store, t as u32));
             }
@@ -511,12 +601,13 @@ fn drive_striped(config: &OpenLoopConfig, schedule: &TrafficSchedule) -> DriveOu
                 scope.spawn(move || {
                     let mut probes = Vec::new();
                     let mut rngs = Vec::new();
+                    let mut scratch = BatchScratch::default();
                     for t in 0..ticks {
                         barrier.wait();
                         pipeline.release_slice(t, workers, w, &mut probes);
                         barrier.wait();
                         let range = worker_slice(pipeline.schedule.commit_ranges[t], workers, w);
-                        pipeline.commit(range, &mut probes, &mut rngs);
+                        pipeline.commit(range, &mut probes, &mut rngs, &mut scratch);
                         barrier.wait();
                     }
                 });
@@ -752,6 +843,56 @@ mod tests {
         let mut cfg = small_config(PipelineMode::Batched, 1, 0.5);
         cfg.probes = ProbeDistribution::zipf(cfg.bins + 1, 1.0).unwrap();
         let _ = run_open_loop(&cfg);
+    }
+
+    #[test]
+    fn placement_table_round_trips_every_k() {
+        for k in 1..=3 {
+            let table = PlacementTable::new(4, k, 100);
+            // A bin probed twice may win twice: rows repeat bins for k >= 2.
+            let row = |id: u32| (0..k).map(move |j| 7 * id as usize + j / 2);
+            for id in [2u32, 0, 3] {
+                table.set(id, &row(id).collect::<Vec<_>>());
+            }
+            let mut out = vec![99];
+            table.get(3, &mut out);
+            table.get(0, &mut out);
+            let want: Vec<usize> = [99].into_iter().chain(row(3)).chain(row(0)).collect();
+            assert_eq!(out, want, "k = {k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "committed twice")]
+    fn placement_table_rejects_a_second_commit() {
+        let table = PlacementTable::new(2, 2, 8);
+        table.set(1, &[3, 4]);
+        table.set(1, &[3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "departure precedes commit")]
+    fn placement_table_rejects_a_read_before_commit() {
+        let table = PlacementTable::new(2, 2, 8);
+        table.set(0, &[3, 4]);
+        table.get(1, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than u32::MAX bins")]
+    fn placement_table_rejects_bin_ids_that_reach_the_sentinel() {
+        let _ = PlacementTable::new(1, 1, u32::MAX as usize);
+    }
+
+    #[test]
+    fn placement_table_accepts_the_largest_bin_id() {
+        let bins = u32::MAX as usize - 1;
+        let last = bins - 1;
+        let table = PlacementTable::new(1, 1, bins);
+        table.set(0, &[last]);
+        let mut out = Vec::new();
+        table.get(0, &mut out);
+        assert_eq!(out, vec![last]);
     }
 
     #[test]

@@ -68,6 +68,23 @@ pub struct Placement {
     pub max_height: u32,
 }
 
+/// Reusable per-worker scratch for [`ShardedStore::place_batch_into`]:
+/// the decision buffers, the held shard locks, and the last batch's
+/// winners. Every buffer keeps its capacity across batches, so a worker
+/// commits without allocating once they have grown.
+/// [`ShardedStore::place_k_least`] runs on a fresh one per call.
+#[derive(Default)]
+pub(crate) struct BatchScratch<'s> {
+    shard_ids: Vec<usize>,
+    guards: Vec<MutexGuard<'s, BinSlab>>,
+    sorted: Vec<usize>,
+    slots: Vec<(u32, u64, usize)>,
+    /// The last batch's winner bins, `k` per request in batch order.
+    pub(crate) bins: Vec<usize>,
+    /// The last batch's maximum ball heights, one per request.
+    pub(crate) heights: Vec<u32>,
+}
+
 /// A concurrent bin store: `n` bins striped across a power-of-two number
 /// of shards, shard `s` holding the bins with `bin % shards == s`, each
 /// shard a mutex-guarded [`LoadVector`](kdchoice_core::LoadVector).
@@ -212,15 +229,21 @@ impl ShardedStore {
         (local << self.bits) | shard
     }
 
-    /// Locks the given shard ids (must be sorted ascending and deduped —
-    /// the canonical order that makes concurrent requests deadlock-free)
-    /// and returns the guards in the same order.
-    fn lock_in_order(&self, shard_ids: &[usize]) -> Vec<MutexGuard<'_, BinSlab>> {
-        debug_assert!(shard_ids.windows(2).all(|w| w[0] < w[1]));
-        shard_ids
-            .iter()
-            .map(|&s| self.shards[s].lock().expect("no poisoned shard"))
-            .collect()
+    /// Sorts and dedups `shard_ids` into the canonical ascending order
+    /// that makes concurrent requests deadlock-free, then locks them in
+    /// that order, appending the guards to `guards` in the same order.
+    fn lock_in_order<'s>(
+        &'s self,
+        shard_ids: &mut Vec<usize>,
+        guards: &mut Vec<MutexGuard<'s, BinSlab>>,
+    ) {
+        shard_ids.sort_unstable();
+        shard_ids.dedup();
+        guards.extend(
+            shard_ids
+                .iter()
+                .map(|&s| self.shards[s].lock().expect("no poisoned shard")),
+        );
     }
 
     /// Serves one (k,d)-choice placement request: given `probes` (bin
@@ -256,50 +279,61 @@ impl ShardedStore {
             "probe out of range (n = {})",
             self.n
         );
-        let mut sorted = probes.to_vec();
-        sorted.sort_unstable();
-        let mut shard_ids: Vec<usize> = sorted.iter().map(|&b| self.shard_of(b)).collect();
-        shard_ids.sort_unstable();
-        shard_ids.dedup();
-        let mut guards = self.lock_in_order(&shard_ids);
-        self.serve_on_guards(&mut guards, &shard_ids, &sorted, k, rng)
+        let mut scratch = BatchScratch::default();
+        scratch.sorted.extend_from_slice(probes);
+        scratch.sorted.sort_unstable();
+        scratch
+            .shard_ids
+            .extend(scratch.sorted.iter().map(|&b| self.shard_of(b)));
+        self.lock_in_order(&mut scratch.shard_ids, &mut scratch.guards);
+        let max_height = self.serve_on_guards(&mut scratch, k, rng);
+        Placement {
+            bins: scratch.bins,
+            max_height,
+        }
     }
 
     /// The read–decide–commit step shared by [`ShardedStore::place_k_least`]
-    /// and [`ShardedStore::place_batch`]: decides `sorted_probes` (ascending)
-    /// through the core kernel ([`expand_slots`], [`select_k_least`]),
-    /// reading each distinct bin's load once from the held `guards`
-    /// (keyed by the sorted `shard_ids`, covering every probed shard), then
-    /// commits the winners in selection order under the same guards.
+    /// and [`ShardedStore::place_batch_into`]: decides `scratch.sorted`
+    /// (one request's probes, ascending) through the core kernel
+    /// ([`expand_slots`], [`select_k_least`]), reading each distinct bin's
+    /// load once from the held `scratch.guards` (keyed by the sorted
+    /// `scratch.shard_ids`, covering every probed shard), then commits the
+    /// winners in selection order under the same guards and appends them
+    /// to `scratch.bins`. Returns the tallest committed ball height.
     fn serve_on_guards<R: RngCore + ?Sized>(
         &self,
-        guards: &mut [MutexGuard<'_, BinSlab>],
-        shard_ids: &[usize],
-        sorted_probes: &[usize],
+        scratch: &mut BatchScratch<'_>,
         k: usize,
         rng: &mut R,
-    ) -> Placement {
+    ) -> u32 {
+        let BatchScratch {
+            shard_ids,
+            guards,
+            sorted,
+            slots,
+            bins,
+            ..
+        } = scratch;
         let pos = |bin: usize| {
             shard_ids
                 .binary_search(&self.shard_of(bin))
                 .expect("shard was locked")
         };
-        let mut slots = Vec::with_capacity(sorted_probes.len());
         expand_slots(
-            sorted_probes,
+            sorted,
             rng,
-            &mut slots,
+            slots,
             |bin| guards[pos(bin)].load(self.local_of(bin)),
             height_slot,
         );
-        let mut bins = Vec::with_capacity(k);
         let mut max_height = 0u32;
-        for &(_, _, bin) in select_k_least(&mut slots, k).iter() {
+        for &(_, _, bin) in select_k_least(slots, k).iter() {
             let height = guards[pos(bin)].add_ball(self.local_of(bin));
             max_height = max_height.max(height);
             bins.push(bin);
         }
-        Placement { bins, max_height }
+        max_height
     }
 
     /// Serves a whole batch of same-shaped placement requests with **one
@@ -328,6 +362,35 @@ impl ShardedStore {
         k: usize,
         rngs: &mut [R],
     ) -> Vec<Placement> {
+        let mut scratch = BatchScratch::default();
+        self.place_batch_into(probes, d, k, rngs, &mut scratch);
+        scratch
+            .bins
+            .chunks(k)
+            .zip(&scratch.heights)
+            .map(|(bins, &max_height)| Placement {
+                bins: bins.to_vec(),
+                max_height,
+            })
+            .collect()
+    }
+
+    /// [`ShardedStore::place_batch`] into caller-owned scratch: leaves
+    /// request `i`'s winners in `scratch.bins[i*k..(i+1)*k]` and its
+    /// maximum height in `scratch.heights[i]`, and allocates nothing once
+    /// the scratch buffers have grown — the open-loop commit path.
+    ///
+    /// # Panics
+    ///
+    /// As [`ShardedStore::place_batch`].
+    pub(crate) fn place_batch_into<'s, R: RngCore>(
+        &'s self,
+        probes: &[usize],
+        d: usize,
+        k: usize,
+        rngs: &mut [R],
+        scratch: &mut BatchScratch<'s>,
+    ) {
         assert!(k >= 1, "a placement request must place at least one ball");
         assert!(k <= d, "cannot place {k} balls on {d} probed slots");
         assert_eq!(
@@ -340,24 +403,24 @@ impl ShardedStore {
             "probe out of range (n = {})",
             self.n
         );
+        scratch.bins.clear();
+        scratch.heights.clear();
         if rngs.is_empty() {
-            return Vec::new();
+            return;
         }
-        let mut shard_ids: Vec<usize> = probes.iter().map(|&b| self.shard_of(b)).collect();
-        shard_ids.sort_unstable();
-        shard_ids.dedup();
-        let mut guards = self.lock_in_order(&shard_ids);
-
-        let mut sorted = Vec::with_capacity(d);
-        rngs.iter_mut()
-            .enumerate()
-            .map(|(i, rng)| {
-                sorted.clear();
-                sorted.extend_from_slice(&probes[i * d..(i + 1) * d]);
-                sorted.sort_unstable();
-                self.serve_on_guards(&mut guards, &shard_ids, &sorted, k, rng)
-            })
-            .collect()
+        scratch.shard_ids.clear();
+        scratch
+            .shard_ids
+            .extend(probes.iter().map(|&b| self.shard_of(b)));
+        self.lock_in_order(&mut scratch.shard_ids, &mut scratch.guards);
+        for (request, rng) in probes.chunks(d).zip(rngs.iter_mut()) {
+            scratch.sorted.clear();
+            scratch.sorted.extend_from_slice(request);
+            scratch.sorted.sort_unstable();
+            let max_height = self.serve_on_guards(scratch, k, rng);
+            scratch.heights.push(max_height);
+        }
+        scratch.guards.clear();
     }
 
     /// Serves a release request: removes one ball from every bin in
@@ -375,9 +438,8 @@ impl ShardedStore {
             self.n
         );
         let mut shard_ids: Vec<usize> = bins.iter().map(|&b| self.shard_of(b)).collect();
-        shard_ids.sort_unstable();
-        shard_ids.dedup();
-        let mut guards = self.lock_in_order(&shard_ids);
+        let mut guards = Vec::new();
+        self.lock_in_order(&mut shard_ids, &mut guards);
         for &bin in bins {
             let pos = shard_ids
                 .binary_search(&self.shard_of(bin))

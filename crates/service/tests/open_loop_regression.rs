@@ -14,8 +14,12 @@
 //! 2. a golden envelope: the exact steady-gap values for the pinned
 //!    seeds must stay inside a recorded band, so a placement-pipeline
 //!    regression that quietly worsens balance fails loudly.
+//!
+//! A third test pins the open-loop stream itself: FNV digests of every
+//! deterministic report field, per backend, store kind and seed.
 
-use kdchoice_service::{run_open_loop, OpenLoopConfig, PipelineMode};
+use kdchoice_core::StoreKind;
+use kdchoice_service::{run_open_loop, OpenLoopConfig, PipelineMode, ServiceBackend};
 use kdchoice_theory::bounds::theorem2_gap_band;
 
 /// One deterministic steady-state run: two-choice, λ=0.9, exponential
@@ -98,4 +102,76 @@ fn two_choice_beats_single_choice_under_churn() {
         one_gap > two_gap + 1.0,
         "single-choice steady gap {one_gap:.2} should clearly exceed two-choice {two_gap:.2}"
     );
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Digest of every deterministic observable of a one-thread open-loop
+/// run: the final histogram, the sampled series, the steady and final
+/// gaps, and the latency fields. Wall-clock fields are left out.
+fn open_loop_digest(backend: ServiceBackend, store: StoreKind, seed: u64) -> u64 {
+    let mut config = OpenLoopConfig::at_lambda(1 << 12, 2, 4, 0.9, 8.0, 60, seed);
+    config.threads = 1;
+    config.backend = backend;
+    config.store = store;
+    if backend == ServiceBackend::SharedNothing {
+        config.snapshot_refresh = 64;
+    }
+    let report = run_open_loop(&config);
+    assert!(report.conserved, "{} {store:?} seed {seed}", backend.name());
+    let observables = (
+        &report.final_histogram,
+        &report.series,
+        report.steady_gap_mean,
+        report.final_util_gap,
+        report.latency_p50,
+        report.latency_p99,
+        report.latency_mean,
+        report.latency_max,
+    );
+    fnv1a(format!("{observables:?}").as_bytes())
+}
+
+/// Absolute pins of the open-loop placement stream. `backend_equivalence`
+/// only compares the backends with each other, so a change that moved
+/// all three alike would pass it; these digests fail on any such move.
+/// Shared-nothing runs at refresh 64, so its stale-snapshot stream is
+/// pinned too. To print the table for a deliberate re-golden run
+/// `cargo test --test open_loop_regression -- --nocapture` and copy the
+/// `got` column.
+#[test]
+fn open_loop_stream_digests_are_pinned() {
+    use ServiceBackend::{LockFree, SharedNothing, Striped};
+    use StoreKind::{Exact, Packed4};
+    let cases = [
+        (Striped, Exact, 0x0101, 0x3416_f484_b2d8_0fa1),
+        (Striped, Exact, 0x0202, 0x7d8a_9a29_33d4_5d81),
+        (Striped, Packed4, 0x0101, 0x3416_f484_b2d8_0fa1),
+        (Striped, Packed4, 0x0202, 0x7d8a_9a29_33d4_5d81),
+        (SharedNothing, Exact, 0x0101, 0x4421_4a43_51a4_809d),
+        (SharedNothing, Exact, 0x0202, 0xb27e_827f_146c_946d),
+        (SharedNothing, Packed4, 0x0101, 0x4421_4a43_51a4_809d),
+        (SharedNothing, Packed4, 0x0202, 0xb27e_827f_146c_946d),
+        (LockFree, Exact, 0x0101, 0x3416_f484_b2d8_0fa1),
+        (LockFree, Exact, 0x0202, 0x7d8a_9a29_33d4_5d81),
+        (LockFree, Packed4, 0x0101, 0x3416_f484_b2d8_0fa1),
+        (LockFree, Packed4, 0x0202, 0x7d8a_9a29_33d4_5d81),
+    ];
+    let mut failed = Vec::new();
+    for (backend, store, seed, want) in cases {
+        let got = open_loop_digest(backend, store, seed);
+        println!(
+            "{:<15} {store:?} seed {seed:#06x}  got {got:#018x}",
+            backend.name()
+        );
+        if got != want {
+            failed.push(format!("{} {store:?} seed {seed:#06x}", backend.name()));
+        }
+    }
+    assert!(failed.is_empty(), "open-loop digests moved: {failed:?}");
 }
