@@ -52,6 +52,7 @@ mod scenario;
 mod workload;
 
 pub use placement::{select_k_least_loaded, select_k_least_loaded_vector, PlacementStrategy};
+use placement::{ChoiceScratch, LiveLoads, SliceLoads};
 pub use scenario::{SchedulerExperiment, SchedulerScenario};
 pub use workload::ServiceDistribution;
 
@@ -83,7 +84,10 @@ pub struct ClusterConfig {
     pub warmup_fraction: f64,
     /// Probe staleness: consecutive jobs in a batch of this size share one
     /// queue-length snapshot (modeling multiple independent schedulers or
-    /// probe latency, as in Sparrow). `1` = perfectly fresh probes.
+    /// probe latency, as in Sparrow), copied once per batch. `1` =
+    /// perfectly fresh probes: each job reads its probed workers' live
+    /// queue lengths and copies nothing. Must be at least 1; the
+    /// simulators panic otherwise.
     pub scheduler_batch: usize,
     /// Master seed.
     pub seed: u64,
@@ -243,12 +247,29 @@ enum Event {
     TaskComplete(u32),
 }
 
+/// The checks both simulators make on entry.
+fn validate_run(config: &ClusterConfig, strategy: PlacementStrategy) {
+    assert!(config.workers > 0, "need at least one worker");
+    assert!(config.tasks_per_job > 0, "need at least one task per job");
+    assert!(config.jobs > 0, "need at least one job");
+    assert!(
+        config.scheduler_batch >= 1,
+        "scheduler batch must be at least 1"
+    );
+    assert!(
+        config.utilization() < 1.0,
+        "unstable configuration: utilization {:.3} >= 1",
+        config.utilization()
+    );
+    strategy.validate(config.tasks_per_job, config.workers);
+}
+
 /// Runs one simulation; deterministic in `(config, strategy)`.
 ///
 /// # Panics
 ///
 /// Panics if the configuration is unstable (utilization ≥ 1) or degenerate
-/// (zero workers/jobs/tasks).
+/// (zero workers/jobs/tasks, or a `scheduler_batch` of 0).
 ///
 /// ```
 /// use kdchoice_scheduler::{simulate, ClusterConfig, PlacementStrategy};
@@ -279,17 +300,9 @@ pub fn simulate_on<B: BinStore>(
     strategy: PlacementStrategy,
     mut queue_lens: B,
 ) -> SchedulerReport {
-    assert!(config.workers > 0, "need at least one worker");
+    validate_run(config, strategy);
     assert_eq!(queue_lens.n(), config.workers, "one bin per worker");
     assert_eq!(queue_lens.total_balls(), 0, "store must start empty");
-    assert!(config.tasks_per_job > 0, "need at least one task per job");
-    assert!(config.jobs > 0, "need at least one job");
-    assert!(
-        config.utilization() < 1.0,
-        "unstable configuration: utilization {:.3} >= 1",
-        config.utilization()
-    );
-    strategy.validate(config.tasks_per_job, config.workers);
 
     let mut rng = Xoshiro256PlusPlus::from_u64(config.seed);
     let interarrival = Exponential::new(config.arrival_rate).expect("rate > 0");
@@ -309,10 +322,12 @@ pub fn simulate_on<B: BinStore>(
     let mut outstanding_now = 0i64;
     let mut max_queue_len = 0u32;
     let mut peak_gap = 0.0f64;
-    // The probed queue-length snapshot; refreshed once per scheduler batch
-    // (scheduler_batch = 1 means perfectly fresh probes).
-    let mut snapshot: Vec<u32> = vec![0; config.workers];
+    // The probed queue-length snapshot, refreshed once per scheduler
+    // batch; fresh probes (scheduler_batch = 1) read the live store and
+    // never fill it.
+    let mut snapshot: Vec<u32> = Vec::new();
     let mut jobs_since_refresh = 0usize;
+    let mut scratch = ChoiceScratch::default();
 
     queue.push(interarrival.sample(&mut rng), Event::JobArrival(0));
 
@@ -360,15 +375,18 @@ pub fn simulate_on<B: BinStore>(
                     }
                 } else {
                     // Probe and choose workers for the k tasks up front,
-                    // reading the (possibly stale) snapshot.
-                    if jobs_since_refresh == 0 {
-                        queue_lens.copy_loads_into(&mut snapshot);
-                    }
-                    jobs_since_refresh = (jobs_since_refresh + 1) % config.scheduler_batch;
-                    let (chosen, probes) = strategy.choose_workers(&snapshot, k, &mut rng);
-                    probe_messages += probes;
-                    debug_assert_eq!(chosen.len(), k);
-                    for &w in &chosen {
+                    // reading live queue lengths or the stale snapshot.
+                    probe_messages += if config.scheduler_batch == 1 {
+                        strategy.choose_into(&LiveLoads(&queue_lens), k, &mut rng, &mut scratch)
+                    } else {
+                        if jobs_since_refresh == 0 {
+                            queue_lens.copy_loads_into(&mut snapshot);
+                        }
+                        jobs_since_refresh = (jobs_since_refresh + 1) % config.scheduler_batch;
+                        strategy.choose_into(&SliceLoads(&snapshot), k, &mut rng, &mut scratch)
+                    };
+                    debug_assert_eq!(scratch.chosen.len(), k);
+                    for &w in &scratch.chosen {
                         let service = config.service.sample(&mut rng);
                         let worker = &mut workers[w];
                         max_queue_len = max_queue_len.max(queue_lens.add_ball(w));
@@ -480,15 +498,7 @@ pub fn simulate_vector(
     strategy: PlacementStrategy,
     profile: &VectorJobProfile,
 ) -> SchedulerReport {
-    assert!(config.workers > 0, "need at least one worker");
-    assert!(config.tasks_per_job > 0, "need at least one task per job");
-    assert!(config.jobs > 0, "need at least one job");
-    assert!(
-        config.utilization() < 1.0,
-        "unstable configuration: utilization {:.3} >= 1",
-        config.utilization()
-    );
-    strategy.validate(config.tasks_per_job, config.workers);
+    validate_run(config, strategy);
     let dims = profile.dims;
     assert!(
         profile.objective.validate(dims),
@@ -872,6 +882,41 @@ mod tests {
         let _ = base_config(13).with_scheduler_batch(0);
     }
 
+    /// A config whose `scheduler_batch` of 0 bypassed the builder.
+    fn zero_batch_literal() -> ClusterConfig {
+        ClusterConfig {
+            scheduler_batch: 0,
+            ..base_config(13)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler batch must be at least 1")]
+    fn zero_scheduler_batch_field_rejected_by_simulate() {
+        let _ = simulate(&zero_batch_literal(), PlacementStrategy::KdChoice { d: 5 });
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler batch must be at least 1")]
+    fn zero_scheduler_batch_field_rejected_by_late_binding() {
+        let strategy = PlacementStrategy::LateBinding { probes_per_task: 2 };
+        let _ = simulate(&zero_batch_literal(), strategy);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler batch must be at least 1")]
+    fn zero_scheduler_batch_field_rejected_by_simulate_vector() {
+        let strategy = PlacementStrategy::KdChoice { d: 5 };
+        let _ = simulate_vector(&zero_batch_literal(), strategy, &VectorJobProfile::scalar());
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduler batch must be at least 1")]
+    fn zero_scheduler_batch_field_rejected_by_vector_late_binding() {
+        let strategy = PlacementStrategy::LateBinding { probes_per_task: 2 };
+        let _ = simulate_vector(&zero_batch_literal(), strategy, &VectorJobProfile::scalar());
+    }
+
     #[test]
     fn sharded_store_substrate_reproduces_load_vector_run() {
         // The substrate seam holds: driving the identical simulation on a
@@ -891,6 +936,64 @@ mod tests {
             assert_eq!(a.probe_messages, b.probe_messages);
             assert_eq!(a.max_queue_len, b.max_queue_len);
             assert_eq!(a.mean_outstanding, b.mean_outstanding);
+        }
+    }
+
+    /// A [`LoadVector`] that counts the snapshot copies taken of it.
+    struct CountingCopies {
+        inner: LoadVector,
+        copies: std::rc::Rc<std::cell::Cell<usize>>,
+    }
+
+    impl BinStore for CountingCopies {
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+        fn load(&self, bin: usize) -> u32 {
+            self.inner.load(bin)
+        }
+        fn add_ball(&mut self, bin: usize) -> u32 {
+            self.inner.add_ball(bin)
+        }
+        fn remove_ball(&mut self, bin: usize) -> u32 {
+            self.inner.remove_ball(bin)
+        }
+        fn max_load(&self) -> u32 {
+            self.inner.max_load()
+        }
+        fn total_balls(&self) -> u64 {
+            self.inner.total_balls()
+        }
+        fn nu(&self, y: u32) -> u64 {
+            self.inner.nu(y)
+        }
+        fn copy_loads_into(&self, out: &mut Vec<u32>) {
+            self.copies.set(self.copies.get() + 1);
+            BinStore::copy_loads_into(&self.inner, out);
+        }
+        fn histogram(&self) -> Vec<u64> {
+            BinStore::histogram(&self.inner)
+        }
+    }
+
+    #[test]
+    fn fresh_probes_copy_nothing_and_stale_probes_copy_once_per_batch() {
+        for (batch, copies) in [(1, 0), (8, 50), (7, 58)] {
+            let cfg = base_config(15).with_scheduler_batch(batch);
+            let copied = std::rc::Rc::default();
+            let store = CountingCopies {
+                inner: LoadVector::new(cfg.workers),
+                copies: std::rc::Rc::clone(&copied),
+            };
+            let strategy = PlacementStrategy::KdChoice { d: 5 };
+            let reference = simulate(&cfg, strategy);
+            let counted = simulate_on(&cfg, strategy, store);
+            assert_eq!(copied.get(), copies, "batch {batch}");
+            assert_eq!(
+                format!("{reference:?}"),
+                format!("{counted:?}"),
+                "batch {batch}"
+            );
         }
     }
 

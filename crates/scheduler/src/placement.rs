@@ -3,9 +3,56 @@
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
-use kdchoice_core::{expand_slots, height_slot, select_k_least, PlacementObjective};
-use kdchoice_prng::sample::fill_with_replacement;
+use kdchoice_core::{
+    decide_k_least, expand_slots, select_k_least, BinStore, LoadView, PlacementObjective,
+};
+use kdchoice_prng::sample::{fill_with_replacement, random_argmin};
 use rand::RngCore;
+
+/// A [`LoadView`] over a queue-length slice: the snapshot the scheduler
+/// reads when probes are stale.
+pub(crate) struct SliceLoads<'a>(pub(crate) &'a [u32]);
+
+impl LoadView for SliceLoads<'_> {
+    #[inline]
+    fn view_n(&self) -> usize {
+        self.0.len()
+    }
+
+    #[inline]
+    fn view_load(&self, bin: usize) -> u32 {
+        self.0[bin]
+    }
+}
+
+/// A [`LoadView`] over a live [`BinStore`]: fresh probes read the probed
+/// workers' queue lengths straight from the store, `d` reads per job
+/// instead of a copy of every worker's length.
+pub(crate) struct LiveLoads<'a, B: ?Sized>(pub(crate) &'a B);
+
+impl<B: BinStore + ?Sized> LoadView for LiveLoads<'_, B> {
+    #[inline]
+    fn view_n(&self) -> usize {
+        self.0.n()
+    }
+
+    #[inline]
+    fn view_load(&self, bin: usize) -> u32 {
+        self.0.load(bin)
+    }
+}
+
+/// Scratch for [`PlacementStrategy::choose_into`], reused across jobs so
+/// a one-shot choice allocates nothing once the buffers have grown.
+#[derive(Debug, Default)]
+pub(crate) struct ChoiceScratch {
+    /// The probed workers, sorted in place before a k-least decision.
+    probes: Vec<usize>,
+    /// The decision kernel's tentative slots.
+    slots: Vec<(u32, u64, usize)>,
+    /// The chosen workers, one per task, in winner order.
+    pub(crate) chosen: Vec<usize>,
+}
 
 /// `f64` under `total_cmp`, so objective keys can drive the same
 /// `random_argmin` reservoir the scalar per-task path uses. Keys are
@@ -138,42 +185,59 @@ impl PlacementStrategy {
         k: usize,
         rng: &mut R,
     ) -> (Vec<usize>, u64) {
-        let n = loads.len();
-        match *self {
+        let mut scratch = ChoiceScratch::default();
+        let probes = self.choose_into(&SliceLoads(loads), k, rng, &mut scratch);
+        (scratch.chosen, probes)
+    }
+
+    /// The one-shot choice core behind [`PlacementStrategy::choose_workers`]
+    /// and the scalar simulator: writes the `k` tasks' workers into
+    /// `scratch.chosen` and returns the probe messages. Batch sampling and
+    /// (k,d)-choice sort their probes in place and decide through
+    /// [`decide_k_least`], the same `expand_slots` + `select_k_least` as
+    /// [`select_k_least_loaded`], in the same winner order.
+    pub(crate) fn choose_into<V, R>(
+        &self,
+        loads: &V,
+        k: usize,
+        rng: &mut R,
+        scratch: &mut ChoiceScratch,
+    ) -> u64
+    where
+        V: LoadView + ?Sized,
+        R: RngCore + ?Sized,
+    {
+        let n = loads.view_n();
+        let ChoiceScratch {
+            probes,
+            slots,
+            chosen,
+        } = scratch;
+        let budget = match *self {
             PlacementStrategy::Random => {
-                let mut chosen = Vec::with_capacity(k);
-                fill_with_replacement(rng, n, k, &mut chosen);
-                (chosen, 0)
+                fill_with_replacement(rng, n, k, chosen);
+                return 0;
             }
             PlacementStrategy::PerTaskDChoice { d } => {
-                let mut chosen = Vec::with_capacity(k);
-                let mut samples = Vec::with_capacity(d);
+                chosen.clear();
                 for _ in 0..k {
-                    fill_with_replacement(rng, n, d, &mut samples);
-                    let idx = kdchoice_prng::sample::random_argmin(rng, &samples, |&w| loads[w])
-                        .expect("d >= 1");
-                    chosen.push(samples[idx]);
+                    fill_with_replacement(rng, n, d, probes);
+                    let idx = random_argmin(rng, probes, |&w| loads.view_load(w)).expect("d >= 1");
+                    chosen.push(probes[idx]);
                 }
-                (chosen, (k * d) as u64)
+                return (k * d) as u64;
             }
-            PlacementStrategy::BatchSampling { probes_per_task } => {
-                let probes = probes_per_task * k;
-                let mut samples = Vec::with_capacity(probes);
-                fill_with_replacement(rng, n, probes, &mut samples);
-                (
-                    select_k_least_loaded(&samples, loads, k, rng),
-                    probes as u64,
-                )
-            }
-            PlacementStrategy::KdChoice { d } => {
-                let mut samples = Vec::with_capacity(d);
-                fill_with_replacement(rng, n, d, &mut samples);
-                (select_k_least_loaded(&samples, loads, k, rng), d as u64)
-            }
+            PlacementStrategy::BatchSampling { probes_per_task } => probes_per_task * k,
+            PlacementStrategy::KdChoice { d } => d,
             PlacementStrategy::LateBinding { .. } => {
                 unreachable!("late binding is event-driven; handled by the simulator")
             }
-        }
+        };
+        fill_with_replacement(rng, n, budget, probes);
+        probes.sort_unstable();
+        chosen.clear();
+        decide_k_least(loads, probes, k, rng, slots, chosen);
+        budget as u64
     }
 
     /// The vector analogue of [`PlacementStrategy::choose_workers`]:
@@ -225,7 +289,7 @@ impl PlacementStrategy {
                 let mut samples = Vec::with_capacity(d);
                 for _ in 0..k {
                     fill_with_replacement(rng, n, d, &mut samples);
-                    let idx = kdchoice_prng::sample::random_argmin(rng, &samples, |&w| {
+                    let idx = random_argmin(rng, &samples, |&w| {
                         let load = &loads_strided[w * dims..(w + 1) * dims];
                         let caps = caps_strided.map(|c| &c[w * dims..(w + 1) * dims]);
                         TotalF64(objective.tentative_key(load, demand, 1, caps))
@@ -285,10 +349,12 @@ impl std::fmt::Display for PlacementStrategy {
 
 /// Selects destinations for `k` tasks from `samples` (worker indices, with
 /// multiplicity) through the core decision kernel
-/// ([`kdchoice_core::expand_slots`] at heights `loads[w] + occ`, then
-/// [`kdchoice_core::select_k_least`]): a worker sampled `m` times receives
-/// at most `m` tasks. `samples` may be unsorted; a sorted copy is decided.
-/// Shared by the batch-sampling and (k,d)-choice strategies.
+/// ([`kdchoice_core::decide_k_least`]: [`kdchoice_core::expand_slots`] at
+/// heights `loads[w] + occ`, then [`kdchoice_core::select_k_least`]): a
+/// worker sampled `m` times receives at most `m` tasks. `samples` may be
+/// unsorted; a sorted copy is decided. The batch-sampling and
+/// (k,d)-choice strategies make the same decision on probes they sort in
+/// place.
 ///
 /// # Panics
 ///
@@ -311,8 +377,16 @@ pub fn select_k_least_loaded<R: RngCore + ?Sized>(
     rng: &mut R,
 ) -> Vec<usize> {
     let mut slots = Vec::with_capacity(samples.len());
-    expand_slots(&sorted(samples), rng, &mut slots, |w| loads[w], height_slot);
-    select_k_least(&mut slots, k).iter().map(|s| s.2).collect()
+    let mut chosen = Vec::with_capacity(k);
+    decide_k_least(
+        &SliceLoads(loads),
+        &sorted(samples),
+        k,
+        rng,
+        &mut slots,
+        &mut chosen,
+    );
+    chosen
 }
 
 /// [`select_k_least_loaded`] over D-dimensional worker loads: the

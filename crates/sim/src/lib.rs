@@ -5,8 +5,10 @@
 //! simulation substrate they share:
 //!
 //! * [`EventQueue`] — a time-ordered queue with deterministic FIFO
-//!   tie-breaking (a sequence number disambiguates simultaneous events, so
-//!   runs are bit-reproducible).
+//!   tie-breaking: events pop in `(time, insertion)` order, time compared
+//!   by [`f64::total_cmp`], so runs are bit-reproducible. The heap
+//!   compares one integer key per event — the time mapped to a `u64` in
+//!   `total_cmp` order, then the insertion sequence number.
 //! * [`Clock`] — monotone simulation time.
 //! * [`TimeWeighted`] — time-weighted averages for state variables such as
 //!   queue lengths.
@@ -63,31 +65,62 @@ impl Clock {
     }
 }
 
-/// An event scheduled at a time, ordered for the min-heap.
+/// Maps `time` to a `u64` whose unsigned order is [`f64::total_cmp`]'s:
+/// a negative time has every bit flipped, a non-negative one gains the
+/// sign bit. [`time_of_key`] inverts it bit for bit.
+#[inline]
+fn key_of_time(time: f64) -> u64 {
+    let bits = time.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`key_of_time`].
+#[inline]
+fn time_of_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// An event scheduled at a time, ordered for the min-heap by its integer
+/// key `(key_of_time(time), seq)`.
 struct Scheduled<E> {
-    time: f64,
+    time_key: u64,
     seq: u64,
     event: E,
 }
 
+impl<E> Scheduled<E> {
+    /// The heap key: the time key in the high half, the insertion
+    /// sequence number in the low half.
+    #[inline]
+    fn key(&self) -> u128 {
+        u128::from(self.time_key) << 64 | u128::from(self.seq)
+    }
+}
+
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Scheduled<E> {}
 
 impl<E> Ord for Scheduled<E> {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first;
-        // equal times fall back to insertion order (FIFO).
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        // Reversed: BinaryHeap is a max-heap, we want the least key first.
+        other.key().cmp(&self.key())
     }
 }
 impl<E> PartialOrd for Scheduled<E> {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -95,8 +128,19 @@ impl<E> PartialOrd for Scheduled<E> {
 
 /// A deterministic time-ordered event queue.
 ///
-/// Events with equal timestamps pop in insertion (FIFO) order, which keeps
-/// simulations reproducible across platforms.
+/// Events pop in `(time, insertion)` order, time compared by
+/// [`f64::total_cmp`]: the earliest time first, and events with equal
+/// timestamps in insertion (FIFO) order, which keeps simulations
+/// reproducible across platforms. Under `total_cmp`, `-0.0` sorts before
+/// `+0.0`.
+///
+/// Each pending event carries one integer key, and the heap compares
+/// keys only. The key's high 64 bits are the time mapped to a `u64`
+/// whose unsigned order is `total_cmp`'s (every bit of a negative time
+/// flipped, the sign bit of a non-negative one set); its low 64 bits are
+/// the insertion sequence number. [`EventQueue::pop`] and
+/// [`EventQueue::peek_time`] recover the pushed time bit for bit from
+/// the key.
 #[derive(Default)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
@@ -117,10 +161,11 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if `time` is not finite.
+    #[inline]
     pub fn push(&mut self, time: f64, event: E) {
         assert!(time.is_finite(), "non-finite event time");
         self.heap.push(Scheduled {
-            time,
+            time_key: key_of_time(time),
             seq: self.seq,
             event,
         });
@@ -128,13 +173,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event as `(time, event)`.
+    #[inline]
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        self.heap.pop().map(|s| (s.time, s.event))
+        self.heap.pop().map(|s| (time_of_key(s.time_key), s.event))
     }
 
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time)
+        self.heap.peek().map(|s| time_of_key(s.time_key))
     }
 
     /// Number of pending events.
@@ -302,6 +348,43 @@ mod tests {
         assert_eq!(q.peek_time(), Some(4.0));
         q.pop();
         assert_eq!(q.peek_time(), Some(5.0));
+    }
+
+    #[test]
+    fn negative_zero_pops_before_positive_zero_pushed_earlier() {
+        let mut q = EventQueue::new();
+        q.push(0.0, "pos");
+        q.push(-0.0, "neg");
+        q.push(-1.0, "minus_one");
+        for expected in [-1.0f64, -0.0, 0.0] {
+            let peeked = q.peek_time().expect("pending");
+            let (time, _) = q.pop().expect("pending");
+            assert_eq!(peeked.to_bits(), time.to_bits());
+            assert_eq!(time.to_bits(), expected.to_bits());
+        }
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn time_keys_round_trip_and_follow_total_cmp() {
+        let times = [
+            -f64::MAX,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            f64::MIN_POSITIVE,
+            1.5,
+            f64::MAX,
+        ];
+        for pair in times.windows(2) {
+            assert!(key_of_time(pair[0]) < key_of_time(pair[1]), "{pair:?}");
+        }
+        for t in times {
+            assert_eq!(time_of_key(key_of_time(t)).to_bits(), t.to_bits());
+        }
     }
 
     #[test]

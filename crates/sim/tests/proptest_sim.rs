@@ -4,6 +4,40 @@
 use kdchoice_sim::{EventQueue, TimeWeighted};
 use proptest::prelude::*;
 
+/// The edge cases of the time-key mapping.
+const EDGE_TIMES: [f64; 10] = [
+    0.0,
+    -0.0,
+    f64::MAX,
+    -f64::MAX,
+    f64::MIN_POSITIVE,
+    -f64::MIN_POSITIVE,
+    5e-324,
+    -5e-324,
+    1.0,
+    -1.0,
+];
+
+/// Finite `f64`s: the edge cases (both zeros, the extremes, the smallest
+/// subnormals and normals) and small integers, which repeat and so make
+/// ties, mixed with arbitrary bit patterns of every sign, exponent and
+/// mantissa. A non-finite pattern has its lowest exponent bit cleared,
+/// which makes it finite.
+fn finite_time() -> impl Strategy<Value = f64> {
+    (0usize..16, any::<u64>()).prop_map(|(pick, bits)| match pick {
+        0..=9 => EDGE_TIMES[pick],
+        10 | 11 => (bits % 9) as f64 - 4.0,
+        _ => {
+            let t = f64::from_bits(bits);
+            if t.is_finite() {
+                t
+            } else {
+                f64::from_bits(bits ^ 1 << 52)
+            }
+        }
+    })
+}
+
 proptest! {
     /// The queue pops events in nondecreasing time order, FIFO within ties,
     /// and returns exactly the pushed multiset.
@@ -23,6 +57,30 @@ proptest! {
         }
         prop_assert_eq!(popped, reference);
         prop_assert!(q.is_empty());
+    }
+
+    /// Over arbitrary finite times — negatives, `±0.0`, subnormals and
+    /// `±f64::MAX` — events pop in `(total_cmp(time), insertion)` order
+    /// and every popped time is bit-equal to the pushed one, with
+    /// `peek_time` agreeing with each `pop`.
+    #[test]
+    fn arbitrary_finite_times_pop_in_total_order_bit_exact(
+        times in prop::collection::vec(finite_time(), 0..200),
+    ) {
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.push(t, i);
+        }
+        let mut reference: Vec<(u64, usize)> =
+            times.iter().enumerate().map(|(i, &t)| (t.to_bits(), i)).collect();
+        reference.sort_by(|a, b| f64::from_bits(a.0).total_cmp(&f64::from_bits(b.0)));
+        let mut popped = Vec::new();
+        while let Some(peeked) = q.peek_time() {
+            let (t, i) = q.pop().unwrap();
+            prop_assert_eq!(peeked.to_bits(), t.to_bits());
+            popped.push((t.to_bits(), i));
+        }
+        prop_assert_eq!(popped, reference);
     }
 
     /// Interleaved push/pop never yields out-of-order events when pushes
