@@ -24,8 +24,8 @@ use std::time::Instant;
 
 use kdchoice_core::{
     decide_k_least, run_once, run_once_compact, run_once_vector, BallsIntoBins, BinSlab,
-    DynamicScenario, EngineVersion, HeteroScenario, KdChoice, LoadView, PlacementObjective,
-    ProbeDistribution, RunConfig, StaticScenario, StoreKind,
+    DynamicScenario, HeteroScenario, KdChoice, LoadView, PlacementObjective, ProbeDistribution,
+    RunConfig, StaticScenario, StoreKind,
 };
 use kdchoice_expt::{
     configs_from_grid, GridSpec, Registry, ReportFormat, Scenario, SweepRunner, Value,
@@ -255,14 +255,14 @@ fn cmd_smoke() -> Result<(), String> {
 // Throughput harness (BENCH_results.json)
 // ---------------------------------------------------------------------------
 
-/// One measured static configuration: the pre-refactor dynamic path vs
-/// the monomorphized batched engine.
+/// One measured static configuration: the batched engine behind the
+/// object-safe `dyn` shim vs the same engine monomorphized.
 struct Measurement {
     k: usize,
     d: usize,
     n: usize,
     balls: u64,
-    dyn_legacy_balls_per_sec: f64,
+    dyn_batched_balls_per_sec: f64,
     generic_batched_balls_per_sec: f64,
     max_load_dyn: u32,
     max_load_generic: u32,
@@ -270,7 +270,7 @@ struct Measurement {
 
 impl Measurement {
     fn speedup(&self) -> f64 {
-        self.generic_batched_balls_per_sec / self.dyn_legacy_balls_per_sec
+        self.generic_batched_balls_per_sec / self.dyn_batched_balls_per_sec
     }
 }
 
@@ -1079,31 +1079,30 @@ fn measure(k: usize, d: usize, n: usize, ratio: u64, seed: u64) -> Measurement {
     let balls = ratio * n as u64;
     let cfg = RunConfig::new(n, seed).with_balls(balls);
 
-    // Pre-refactor path: legacy engine behind the object-safe shim — every
-    // probe, tie key, and height crosses a `dyn` boundary.
+    // The engine behind the object-safe shim: every round, generator
+    // draw, and height crosses a `dyn` boundary.
     let (dyn_rate, max_load_dyn) = time_run(balls, || {
-        let mut p: Box<dyn BallsIntoBins> = Box::new(
-            KdChoice::new(k, d)
-                .expect("valid (k,d)")
-                .with_engine(EngineVersion::Legacy),
-        );
+        let mut p: Box<dyn BallsIntoBins> = Box::new(KdChoice::new(k, d).expect("valid (k,d)"));
         run_once(&mut *p, &cfg)
     });
 
-    // Monomorphized batched engine: static dispatch end to end.
+    // The same engine monomorphized: static dispatch end to end.
     let (generic_rate, max_load_generic) = time_run(balls, || {
-        let mut p = KdChoice::new(k, d)
-            .expect("valid (k,d)")
-            .with_engine(EngineVersion::Batched);
+        let mut p = KdChoice::new(k, d).expect("valid (k,d)");
         run_once(&mut p, &cfg)
     });
+    // One engine, one seed: the dispatch path cannot change the run.
+    assert_eq!(
+        max_load_dyn, max_load_generic,
+        "({k},{d})-choice: the dyn shim and the generic path diverged"
+    );
 
     Measurement {
         k,
         d,
         n,
         balls,
-        dyn_legacy_balls_per_sec: dyn_rate,
+        dyn_batched_balls_per_sec: dyn_rate,
         generic_batched_balls_per_sec: generic_rate,
         max_load_dyn,
         max_load_generic,
@@ -1302,7 +1301,7 @@ fn render_json(
     out.push_str("{\n");
     out.push_str("  \"harness\": \"kdchoice-bench throughput\",\n");
     out.push_str(
-        "  \"comparison\": \"dyn_legacy = pre-refactor Box<dyn BallsIntoBins> path with eager tie keys; generic_batched = monomorphized engine with block sampling and lazy tie keys\",\n",
+        "  \"comparison\": \"dyn_batched = the batched engine behind Box<dyn BallsIntoBins>; generic_batched = the same engine monomorphized; speedup = the dispatch cost alone\",\n",
     );
     let _ = writeln!(out, "  \"profile\": \"{}\",", profile_name());
     out.push_str(
@@ -1321,12 +1320,12 @@ fn render_json(
     for (i, m) in measurements.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\n      \"process\": \"({},{})-choice\",\n      \"n\": {},\n      \"balls\": {},\n      \"dyn_legacy_balls_per_sec\": {:.0},\n      \"generic_batched_balls_per_sec\": {:.0},\n      \"speedup\": {:.3},\n      \"max_load_dyn\": {},\n      \"max_load_generic\": {}\n    }}",
+            "    {{\n      \"process\": \"({},{})-choice\",\n      \"n\": {},\n      \"balls\": {},\n      \"dyn_batched_balls_per_sec\": {:.0},\n      \"generic_batched_balls_per_sec\": {:.0},\n      \"speedup\": {:.3},\n      \"max_load_dyn\": {},\n      \"max_load_generic\": {}\n    }}",
             m.k,
             m.d,
             m.n,
             m.balls,
-            m.dyn_legacy_balls_per_sec,
+            m.dyn_batched_balls_per_sec,
             m.generic_batched_balls_per_sec,
             m.speedup(),
             m.max_load_dyn,
@@ -1754,8 +1753,8 @@ fn cmd_throughput(quick: bool) -> Result<(), String> {
     for &(k, d) in &[(1usize, 1usize), (2, 3), (3, 5)] {
         let m = measure(k, d, n, ratio, 0xBE7C4);
         println!(
-            "({k},{d})-choice: dyn-legacy {:>7.2} Mballs/s | generic-batched {:>7.2} Mballs/s | speedup {:.2}x (max load {} / {})",
-            m.dyn_legacy_balls_per_sec / 1e6,
+            "({k},{d})-choice: dyn-batched {:>7.2} Mballs/s | generic-batched {:>7.2} Mballs/s | speedup {:.2}x (max load {} / {})",
+            m.dyn_batched_balls_per_sec / 1e6,
             m.generic_batched_balls_per_sec / 1e6,
             m.speedup(),
             m.max_load_dyn,

@@ -953,9 +953,11 @@ mod tests {
         }
 
         /// `run_once_on` gives the same result and final table whether it
-        /// draws through a `LookAhead` or the plain generator, for every
-        /// engine, policy, probe law and capacity map: the size gate that
-        /// picks between them can change speed only.
+        /// draws through a `LookAhead` or the plain generator, for both
+        /// `KdChoice` policies, the serialized process (tie keys plus a
+        /// random permutation per round), every probe law and capacity
+        /// map: the size gate that picks between them can change speed
+        /// only.
         #[test]
         fn static_fills_agree_with_and_without_look_ahead(
             seed in 0..u64::MAX,
@@ -975,7 +977,10 @@ mod tests {
             }
             let mut process: Box<dyn crate::process::BallsIntoBins> = match variant {
                 0 => Box::new(kd),
-                1 => Box::new(kd.with_engine(crate::kd::EngineVersion::Legacy)),
+                1 => Box::new(
+                    crate::SerializedKdChoice::new(k, d, crate::SigmaSchedule::UniformRandom)
+                        .unwrap(),
+                ),
                 _ => Box::new(kd.with_policy(crate::policy::RoundPolicy::Unrestricted)),
             };
             let caps: Vec<u32> = (0..n).map(|i| 1 + (i % 3) as u32).collect();

@@ -1,8 +1,8 @@
-//! The (k,d)-choice process and its monomorphized round engines, generic
+//! The (k,d)-choice process and its monomorphized round engine, generic
 //! over the store a round reads (`LoadView`) and commits to (`BinStore`).
 
 use kdchoice_prng::sample::UniformBin;
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 use crate::error::ConfigError;
 use crate::policy::RoundPolicy;
@@ -12,51 +12,16 @@ use crate::snapshot::LoadView;
 use crate::state::LoadVector;
 use crate::store::BinStore;
 
-/// Largest `d` served by the fixed-array fast path of the batched engine.
+/// Largest `d` served by the fixed-array fast path of the round engine.
 /// The paper's experiments use `d ≤ 17` only for the (16,17) cell; every
 /// other configuration fits comfortably.
 const SMALL_D: usize = 16;
 
-/// Which round engine a [`KdChoice`] instance runs.
-///
-/// Both engines realize the same process — for any fixed engine the run is
-/// a pure function of the seed, and the two engines agree **in
-/// distribution** — but they consume the RNG stream differently, so
-/// results are reproducible only *within* an engine version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EngineVersion {
-    /// The original engine: one bounded draw per probe and one eager
-    /// tie-break key per tentative ball, committed through a
-    /// `(height, key)` selection. This is the stream the serialized
-    /// process Aσ mirrors, so exact-stream coupling experiments pin it.
-    Legacy,
-    /// The batched engine (default): generator outputs are pulled in
-    /// blocks and widened-multiplied into bin indices (no division), small
-    /// rounds run on fixed stack arrays ordered by a branchless sorting
-    /// network (insertion sort on the rare bin-collision path), and
-    /// tie-break randomness is drawn **lazily** — only for tentative balls
-    /// straddling the selection boundary. Identical distribution, fewer
-    /// draws, no heap traffic.
-    #[default]
-    Batched,
-}
-
-impl EngineVersion {
-    /// A short label for experiment tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EngineVersion::Legacy => "legacy",
-            EngineVersion::Batched => "batched",
-        }
-    }
-}
-
-/// One tentative ball: the height it would have, an (eager-engine only)
-/// random tie-breaking key, and the bin it would land in.
+/// One tentative ball: the height it would have and the bin it would
+/// land in.
 #[derive(Debug, Clone, Copy)]
 struct Tentative {
     height: u32,
-    key: u64,
     bin: u32,
 }
 
@@ -96,7 +61,6 @@ pub struct KdChoice {
     k: usize,
     d: usize,
     policy: RoundPolicy,
-    engine: EngineVersion,
     probes: ProbeDistribution,
     // Reusable scratch buffers for the d > SMALL_D paths (hot path:
     // billions of rounds in benches).
@@ -106,8 +70,7 @@ pub struct KdChoice {
 }
 
 impl KdChoice {
-    /// Creates a (k,d)-choice process with the paper's multiplicity policy
-    /// and the [`EngineVersion::Batched`] engine.
+    /// Creates a (k,d)-choice process with the paper's multiplicity policy.
     ///
     /// # Errors
     ///
@@ -123,7 +86,6 @@ impl KdChoice {
             k,
             d,
             policy: RoundPolicy::Multiplicity,
-            engine: EngineVersion::default(),
             probes: ProbeDistribution::Uniform,
             samples: Vec::with_capacity(d),
             tentative: Vec::with_capacity(d),
@@ -147,25 +109,9 @@ impl KdChoice {
         self
     }
 
-    /// Switches the round engine (builder style).
-    ///
-    /// ```
-    /// use kdchoice_core::{EngineVersion, KdChoice};
-    /// # fn main() -> Result<(), kdchoice_core::ConfigError> {
-    /// let p = KdChoice::new(2, 3)?.with_engine(EngineVersion::Legacy);
-    /// assert_eq!(p.engine(), EngineVersion::Legacy);
-    /// # Ok(())
-    /// # }
-    /// ```
-    #[must_use]
-    pub fn with_engine(mut self, engine: EngineVersion) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Switches the probe distribution (builder style) — the weighted /
     /// heterogeneous seam. Uniform (the default) and any distribution
-    /// whose weights degenerate to equal keep the engines on their
+    /// whose weights degenerate to equal keep the engine on its
     /// uniform fast paths, drawing the **identical** generator stream as
     /// before this seam existed.
     ///
@@ -203,18 +149,14 @@ impl KdChoice {
         self.policy
     }
 
-    /// The active round engine.
-    pub fn engine(&self) -> EngineVersion {
-        self.engine
-    }
-
     /// Runs one round with **externally chosen** samples instead of drawing
     /// them from the RNG. `balls` balls are placed (`balls ≤ samples.len()`).
     ///
     /// This is the coupling hook: the majorization experiments for
     /// Properties (ii)–(v) and the paper's scenario walk-throughs feed both
     /// processes the same sample sets. The RNG is still used for random
-    /// tie-breaking (eagerly or lazily, per the engine).
+    /// tie-breaking, drawn only for tentative balls tied at the selection
+    /// boundary.
     ///
     /// Returns the heights of the placed balls via `heights_out` (appended).
     ///
@@ -236,25 +178,12 @@ impl KdChoice {
         );
         self.samples.clear();
         self.samples.extend_from_slice(samples);
-        match (self.policy, self.engine) {
-            (RoundPolicy::Multiplicity, EngineVersion::Legacy) => {
-                self.commit_multiplicity_eager(state, balls, rng, heights_out)
-            }
-            (RoundPolicy::Multiplicity, EngineVersion::Batched) => {
-                self.commit_multiplicity_lazy(state, balls, rng, heights_out)
-            }
-            (RoundPolicy::Unrestricted, _) => {
-                self.commit_unrestricted(state, balls, rng, heights_out)
-            }
-        }
+        self.commit_sampled(state, balls, rng, heights_out);
     }
 
-    /// The paper's policy, eager-key variant (legacy engine): place `d`
-    /// tentative balls (a bin of load `L` sampled `c` times holds tentative
-    /// heights `L+1..=L+c`), draw a random key per tentative ball, then
-    /// keep the `balls` smallest `(height, key)` — identical to removing
-    /// the `d − k` of maximal height with uniform tie-breaking.
-    fn commit_multiplicity_eager<St, R, S>(
+    /// Commits `balls` balls on the round's probes in `self.samples` under
+    /// the active policy.
+    fn commit_sampled<St, R, S>(
         &mut self,
         state: &mut St,
         balls: usize,
@@ -265,50 +194,23 @@ impl KdChoice {
         R: RngCore + ?Sized,
         S: HeightSink + ?Sized,
     {
-        // Group identical bins to assign tentative heights L+1..L+c.
-        self.samples.sort_unstable();
-        self.tentative.clear();
-        let mut i = 0;
-        while i < self.samples.len() {
-            let bin = self.samples[i];
-            let base = state.view_load(bin);
-            let mut occ = 0u32;
-            while i < self.samples.len() && self.samples[i] == bin {
-                occ += 1;
-                self.tentative.push(Tentative {
-                    height: base + occ,
-                    key: rng.next_u64(),
-                    bin: bin as u32,
-                });
-                i += 1;
+        match self.policy {
+            RoundPolicy::Multiplicity => {
+                self.commit_multiplicity_lazy(state, balls, rng, heights_out)
             }
-        }
-        // Keep the `balls` smallest (height, key). Keeping the smallest
-        // heights is downward-closed within a bin (its heights are distinct
-        // and ascending), so the per-bin multiplicity cap is automatic.
-        if balls < self.tentative.len() {
-            self.tentative.select_nth_unstable_by(balls - 1, |a, b| {
-                (a.height, a.key).cmp(&(b.height, b.key))
-            });
-        }
-        let kept = &mut self.tentative[..balls];
-        // Commit in (bin, height) order so add_ball's returned heights match
-        // the tentative heights exactly.
-        kept.sort_unstable_by_key(|a| (a.bin, a.height));
-        for t in kept.iter() {
-            let h = state.add_ball(t.bin as usize);
-            debug_assert_eq!(h, t.height, "tentative height mismatch");
-            heights_out.record(h);
+            RoundPolicy::Unrestricted => self.commit_unrestricted(state, balls, rng, heights_out),
         }
     }
 
-    /// The paper's policy, lazy-key variant (batched engine, `Vec` path for
-    /// `d > SMALL_D` and for externally supplied samples): selection is by
-    /// height alone; randomness is drawn only for the tentative balls whose
-    /// height equals the selection boundary, of which a uniform subset is
-    /// kept. Distributionally identical to the eager variant — every
-    /// tentative ball strictly below the boundary is kept either way, and
-    /// eager keys induce exactly a uniform choice among boundary balls.
+    /// The paper's policy, lazy-key variant (the `Vec` path for
+    /// `d > SMALL_D`, weighted probes and externally supplied samples):
+    /// selection is by height alone; randomness is drawn only for the
+    /// tentative balls whose height equals the selection boundary, of which
+    /// a uniform subset is kept. Distributionally identical to drawing one
+    /// random key per tentative ball, as [`crate::decide_k_least`] does —
+    /// every tentative ball strictly below the boundary is kept either way,
+    /// and per-ball keys induce exactly a uniform choice among boundary
+    /// balls.
     fn commit_multiplicity_lazy<St, R, S>(
         &mut self,
         state: &mut St,
@@ -331,7 +233,6 @@ impl KdChoice {
                 occ += 1;
                 self.tentative.push(Tentative {
                     height: base + occ,
-                    key: 0,
                     bin: bin as u32,
                 });
                 i += 1;
@@ -402,7 +303,7 @@ impl KdChoice {
         }
     }
 
-    /// The batched engine's fast path: `d ≤ SMALL_D`, multiplicity policy,
+    /// The engine's fast path: `d ≤ SMALL_D`, multiplicity policy,
     /// everything on fixed stack arrays.
     ///
     /// Dispatches the runtime `d` onto a const-generic round body so the
@@ -478,7 +379,7 @@ where
     }
 }
 
-/// One batched-engine round at compile-time-known `D` (multiplicity
+/// One engine round at compile-time-known `D` (multiplicity
 /// policy): `D` generator outputs pulled in a block, widened-multiplied
 /// into bin indices (no division), a branchless sorting network over
 /// packed `(height, bin)` keys, and tie-break draws only when tentative
@@ -640,59 +541,16 @@ impl KdChoice {
         // paths, whose generator consumption predates the probe seam —
         // uniform runs are bit-identical with or without it.
         let uniform = self.probes.is_uniform();
-        match (self.policy, self.engine) {
-            (RoundPolicy::Multiplicity, EngineVersion::Batched) if uniform && self.d <= SMALL_D => {
-                self.round_batched_small(state, rng, heights, balls);
+        if self.policy == RoundPolicy::Multiplicity && uniform && self.d <= SMALL_D {
+            self.round_batched_small(state, rng, heights, balls);
+        } else {
+            let n = state.view_n();
+            if uniform {
+                kdchoice_prng::sample::fill_with_replacement(rng, n, self.d, &mut self.samples);
+            } else {
+                self.probes.fill(rng, n, self.d, &mut self.samples);
             }
-            (RoundPolicy::Multiplicity, EngineVersion::Batched) => {
-                let n = state.view_n();
-                if uniform {
-                    kdchoice_prng::sample::fill_with_replacement(rng, n, self.d, &mut self.samples);
-                } else {
-                    self.probes.fill(rng, n, self.d, &mut self.samples);
-                }
-                self.commit_multiplicity_lazy(state, balls, rng, heights);
-            }
-            (RoundPolicy::Multiplicity, EngineVersion::Legacy) => {
-                let n = state.view_n();
-                self.samples.clear();
-                if uniform {
-                    for _ in 0..self.d {
-                        self.samples.push(rng.gen_range(0..n));
-                    }
-                } else {
-                    for _ in 0..self.d {
-                        self.samples.push(self.probes.sample(rng, n));
-                    }
-                }
-                self.commit_multiplicity_eager(state, balls, rng, heights);
-            }
-            (RoundPolicy::Unrestricted, engine) => {
-                let n = state.view_n();
-                self.samples.clear();
-                match (engine, uniform) {
-                    (EngineVersion::Batched, true) => kdchoice_prng::sample::fill_with_replacement(
-                        rng,
-                        n,
-                        self.d,
-                        &mut self.samples,
-                    ),
-                    (EngineVersion::Batched, false) => {
-                        self.probes.fill(rng, n, self.d, &mut self.samples)
-                    }
-                    (EngineVersion::Legacy, true) => {
-                        for _ in 0..self.d {
-                            self.samples.push(rng.gen_range(0..n));
-                        }
-                    }
-                    (EngineVersion::Legacy, false) => {
-                        for _ in 0..self.d {
-                            self.samples.push(self.probes.sample(rng, n));
-                        }
-                    }
-                }
-                self.commit_unrestricted(state, balls, rng, heights);
-            }
+            self.commit_sampled(state, balls, rng, heights);
         }
         RoundStats {
             thrown: balls as u32,
@@ -769,63 +627,44 @@ mod tests {
         assert_eq!(p.name(), "(2,3)-choice[unrestricted]");
     }
 
-    #[test]
-    fn default_engine_is_batched() {
-        assert_eq!(
-            KdChoice::new(2, 3).unwrap().engine(),
-            EngineVersion::Batched
-        );
-        assert_eq!(EngineVersion::Batched.label(), "batched");
-        assert_ne!(
-            EngineVersion::Batched.label(),
-            EngineVersion::Legacy.label()
-        );
-    }
-
     /// Paper §1, scenario (a): (3,4)-choice, bins with loads (3,2,1,0), each
     /// sampled once. Each of bin2, bin3, bin4 receives a ball. Tie-free, so
-    /// both engines must agree exactly.
+    /// the placement is exact.
     #[test]
     fn paper_scenario_a() {
-        for engine in [EngineVersion::Legacy, EngineVersion::Batched] {
-            let mut p = KdChoice::new(3, 4).unwrap().with_engine(engine);
-            let mut state = state_with_loads(&[3, 2, 1, 0]);
-            let mut rng = Xoshiro256PlusPlus::from_u64(1);
-            let mut heights = Vec::new();
-            p.place_round_with_samples(&mut state, &[0, 1, 2, 3], 3, &mut rng, &mut heights);
-            assert_eq!(state.loads(), &[3, 3, 2, 1], "{engine:?}");
-            let mut h = heights.clone();
-            h.sort_unstable();
-            assert_eq!(h, vec![1, 2, 3]);
-        }
+        let mut p = KdChoice::new(3, 4).unwrap();
+        let mut state = state_with_loads(&[3, 2, 1, 0]);
+        let mut rng = Xoshiro256PlusPlus::from_u64(1);
+        let mut heights = Vec::new();
+        p.place_round_with_samples(&mut state, &[0, 1, 2, 3], 3, &mut rng, &mut heights);
+        assert_eq!(state.loads(), &[3, 3, 2, 1]);
+        let mut h = heights.clone();
+        h.sort_unstable();
+        assert_eq!(h, vec![1, 2, 3]);
     }
 
     /// Paper §1, scenario (b): bin2 and bin3 sampled once, bin4 twice.
     /// "bin3 receives a ball and bin4 receives two balls".
     #[test]
     fn paper_scenario_b() {
-        for engine in [EngineVersion::Legacy, EngineVersion::Batched] {
-            let mut p = KdChoice::new(3, 4).unwrap().with_engine(engine);
-            let mut state = state_with_loads(&[3, 2, 1, 0]);
-            let mut rng = Xoshiro256PlusPlus::from_u64(2);
-            let mut heights = Vec::new();
-            p.place_round_with_samples(&mut state, &[1, 2, 3, 3], 3, &mut rng, &mut heights);
-            assert_eq!(state.loads(), &[3, 2, 2, 2], "{engine:?}");
-        }
+        let mut p = KdChoice::new(3, 4).unwrap();
+        let mut state = state_with_loads(&[3, 2, 1, 0]);
+        let mut rng = Xoshiro256PlusPlus::from_u64(2);
+        let mut heights = Vec::new();
+        p.place_round_with_samples(&mut state, &[1, 2, 3, 3], 3, &mut rng, &mut heights);
+        assert_eq!(state.loads(), &[3, 2, 2, 2]);
     }
 
     /// Paper §1, scenario (c): bin1 sampled twice, bin4 sampled twice.
     /// "bin1 receives one ball and bin4 receives two".
     #[test]
     fn paper_scenario_c() {
-        for engine in [EngineVersion::Legacy, EngineVersion::Batched] {
-            let mut p = KdChoice::new(3, 4).unwrap().with_engine(engine);
-            let mut state = state_with_loads(&[3, 2, 1, 0]);
-            let mut rng = Xoshiro256PlusPlus::from_u64(3);
-            let mut heights = Vec::new();
-            p.place_round_with_samples(&mut state, &[0, 0, 3, 3], 3, &mut rng, &mut heights);
-            assert_eq!(state.loads(), &[4, 2, 1, 2], "{engine:?}");
-        }
+        let mut p = KdChoice::new(3, 4).unwrap();
+        let mut state = state_with_loads(&[3, 2, 1, 0]);
+        let mut rng = Xoshiro256PlusPlus::from_u64(3);
+        let mut heights = Vec::new();
+        p.place_round_with_samples(&mut state, &[0, 0, 3, 3], 3, &mut rng, &mut heights);
+        assert_eq!(state.loads(), &[4, 2, 1, 2]);
     }
 
     /// §7: under the unrestricted policy in (2,3)-choice with loads
@@ -847,19 +686,17 @@ mod tests {
     /// balls: one to the empty bin, one to the load-2 bin.
     #[test]
     fn multiplicity_policy_on_section7_example() {
-        for engine in [EngineVersion::Legacy, EngineVersion::Batched] {
-            let mut p = KdChoice::new(2, 3).unwrap().with_engine(engine);
-            let mut state = state_with_loads(&[0, 2, 3]);
-            let mut rng = Xoshiro256PlusPlus::from_u64(5);
-            let mut heights = Vec::new();
-            p.place_round_with_samples(&mut state, &[0, 1, 2], 2, &mut rng, &mut heights);
-            assert_eq!(state.loads(), &[1, 3, 3], "{engine:?}");
-        }
+        let mut p = KdChoice::new(2, 3).unwrap();
+        let mut state = state_with_loads(&[0, 2, 3]);
+        let mut rng = Xoshiro256PlusPlus::from_u64(5);
+        let mut heights = Vec::new();
+        p.place_round_with_samples(&mut state, &[0, 1, 2], 2, &mut rng, &mut heights);
+        assert_eq!(state.loads(), &[1, 3, 3]);
     }
 
     /// Reference implementation of the paper's removal formulation: place
     /// one ball per sampled slot sequentially, then remove the d−k balls of
-    /// maximal height. Checked equivalent to both engines' multiplicity
+    /// maximal height. Checked equivalent to the engine's multiplicity
     /// commit on random instances.
     fn removal_reference(loads: &[u32], samples: &[usize], k: usize) -> Vec<u32> {
         let mut loads = loads.to_vec();
@@ -879,67 +716,60 @@ mod tests {
     #[test]
     fn multiplicity_matches_removal_formulation_on_random_instances() {
         use rand::Rng;
-        for engine in [EngineVersion::Legacy, EngineVersion::Batched] {
-            let mut rng = Xoshiro256PlusPlus::from_u64(6);
-            for trial in 0..500 {
-                let n = rng.gen_range(2..12);
-                let d = rng.gen_range(1..=8usize);
-                let k = rng.gen_range(1..=d);
-                let loads: Vec<u32> = (0..n).map(|_| rng.gen_range(0..5)).collect();
-                let samples: Vec<usize> = (0..d).map(|_| rng.gen_range(0..n)).collect();
+        let mut rng = Xoshiro256PlusPlus::from_u64(6);
+        for trial in 0..500 {
+            let n = rng.gen_range(2..12);
+            let d = rng.gen_range(1..=8usize);
+            let k = rng.gen_range(1..=d);
+            let loads: Vec<u32> = (0..n).map(|_| rng.gen_range(0..5)).collect();
+            let samples: Vec<usize> = (0..d).map(|_| rng.gen_range(0..n)).collect();
 
-                let mut p = KdChoice::new(k, d).unwrap().with_engine(engine);
-                let mut state = state_with_loads(&loads);
-                let mut heights = Vec::new();
-                p.place_round_with_samples(&mut state, &samples, k, &mut rng, &mut heights);
+            let mut p = KdChoice::new(k, d).unwrap();
+            let mut state = state_with_loads(&loads);
+            let mut heights = Vec::new();
+            p.place_round_with_samples(&mut state, &samples, k, &mut rng, &mut heights);
 
-                let mut got: Vec<u32> = state.loads().to_vec();
-                let mut want = removal_reference(&loads, &samples, k);
-                // Compare as multisets of loads: tie-breaking may route a ball
-                // to a different bin of equal height, but the sorted load vector
-                // must be identical (this is the paper's state space).
-                got.sort_unstable();
-                want.sort_unstable();
-                assert_eq!(
-                    got, want,
-                    "{engine:?} trial {trial}: k={k} d={d} samples {samples:?}"
-                );
-            }
+            let mut got: Vec<u32> = state.loads().to_vec();
+            let mut want = removal_reference(&loads, &samples, k);
+            // Compare as multisets of loads: tie-breaking may route a ball
+            // to a different bin of equal height, but the sorted load vector
+            // must be identical (this is the paper's state space).
+            got.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(got, want, "trial {trial}: k={k} d={d} samples {samples:?}");
         }
     }
 
     #[test]
     fn multiplicity_cap_is_respected() {
         use rand::Rng;
-        for engine in [EngineVersion::Legacy, EngineVersion::Batched] {
-            let mut rng = Xoshiro256PlusPlus::from_u64(7);
-            for _ in 0..300 {
-                let n = 6;
-                let d = rng.gen_range(2..=10usize);
-                let k = rng.gen_range(1..=d);
-                let loads: Vec<u32> = (0..n).map(|_| rng.gen_range(0..4)).collect();
-                let samples: Vec<usize> = (0..d).map(|_| rng.gen_range(0..n)).collect();
-                let mut occurrences = vec![0u32; n];
-                for &s in &samples {
-                    occurrences[s] += 1;
-                }
-                let mut p = KdChoice::new(k, d).unwrap().with_engine(engine);
-                let mut state = state_with_loads(&loads);
-                let mut heights = Vec::new();
-                p.place_round_with_samples(&mut state, &samples, k, &mut rng, &mut heights);
-                for bin in 0..n {
-                    let gained = state.load(bin) - loads[bin];
-                    assert!(
-                        gained <= occurrences[bin],
-                        "{engine:?}: bin {bin} sampled {} times but gained {gained}",
-                        occurrences[bin]
-                    );
-                }
-                assert_eq!(
-                    state.total_balls() as usize,
-                    loads.iter().sum::<u32>() as usize + k
+        let mut rng = Xoshiro256PlusPlus::from_u64(7);
+        for _ in 0..300 {
+            let n = 6;
+            let d = rng.gen_range(2..=10usize);
+            let k = rng.gen_range(1..=d);
+            let loads: Vec<u32> = (0..n).map(|_| rng.gen_range(0..4)).collect();
+            let samples: Vec<usize> = (0..d).map(|_| rng.gen_range(0..n)).collect();
+            let mut occurrences = vec![0u32; n];
+            for &s in &samples {
+                occurrences[s] += 1;
+            }
+            let mut p = KdChoice::new(k, d).unwrap();
+            let mut state = state_with_loads(&loads);
+            let mut heights = Vec::new();
+            p.place_round_with_samples(&mut state, &samples, k, &mut rng, &mut heights);
+            for bin in 0..n {
+                let gained = state.load(bin) - loads[bin];
+                assert!(
+                    gained <= occurrences[bin],
+                    "bin {bin} sampled {} times but gained {gained}",
+                    occurrences[bin]
                 );
             }
+            assert_eq!(
+                state.total_balls() as usize,
+                loads.iter().sum::<u32>() as usize + k
+            );
         }
     }
 
@@ -957,18 +787,16 @@ mod tests {
 
     #[test]
     fn run_round_throws_k_and_probes_d() {
-        for engine in [EngineVersion::Legacy, EngineVersion::Batched] {
-            let mut p = KdChoice::new(3, 7).unwrap().with_engine(engine);
-            let mut state = LoadVector::new(100);
-            let mut rng = Xoshiro256PlusPlus::from_u64(9);
-            let mut heights = Vec::new();
-            let stats = p.run_round(&mut state, &mut rng, &mut heights, 1000);
-            assert_eq!(stats.thrown, 3, "{engine:?}");
-            assert_eq!(stats.placed, 3);
-            assert_eq!(stats.probes, 7);
-            assert_eq!(heights.len(), 3);
-            assert_eq!(state.total_balls(), 3);
-        }
+        let mut p = KdChoice::new(3, 7).unwrap();
+        let mut state = LoadVector::new(100);
+        let mut rng = Xoshiro256PlusPlus::from_u64(9);
+        let mut heights = Vec::new();
+        let stats = p.run_round(&mut state, &mut rng, &mut heights, 1000);
+        assert_eq!(stats.thrown, 3);
+        assert_eq!(stats.placed, 3);
+        assert_eq!(stats.probes, 7);
+        assert_eq!(heights.len(), 3);
+        assert_eq!(state.total_balls(), 3);
     }
 
     #[test]
@@ -987,15 +815,13 @@ mod tests {
 
     #[test]
     fn final_round_truncates_to_remaining() {
-        for engine in [EngineVersion::Legacy, EngineVersion::Batched] {
-            let mut p = KdChoice::new(4, 6).unwrap().with_engine(engine);
-            let mut state = LoadVector::new(50);
-            let mut rng = Xoshiro256PlusPlus::from_u64(10);
-            let mut heights = Vec::new();
-            let stats = p.run_round(&mut state, &mut rng, &mut heights, 2);
-            assert_eq!(stats.thrown, 2, "{engine:?}");
-            assert_eq!(state.total_balls(), 2);
-        }
+        let mut p = KdChoice::new(4, 6).unwrap();
+        let mut state = LoadVector::new(50);
+        let mut rng = Xoshiro256PlusPlus::from_u64(10);
+        let mut heights = Vec::new();
+        let stats = p.run_round(&mut state, &mut rng, &mut heights, 2);
+        assert_eq!(stats.thrown, 2);
+        assert_eq!(state.total_balls(), 2);
     }
 
     #[test]
@@ -1026,66 +852,39 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        for engine in [EngineVersion::Legacy, EngineVersion::Batched] {
-            let run = |seed: u64| {
-                let mut p = KdChoice::new(2, 5).unwrap().with_engine(engine);
-                let mut state = LoadVector::new(64);
-                let mut rng = Xoshiro256PlusPlus::from_u64(seed);
-                let mut heights = Vec::new();
-                for _ in 0..32 {
-                    p.run_round(&mut state, &mut rng, &mut heights, u64::MAX);
-                }
-                (state.sorted_descending(), heights)
-            };
-            assert_eq!(run(42), run(42), "{engine:?}");
-            assert_ne!(run(42).1, run(43).1, "{engine:?}");
-        }
+        let run = |seed: u64| {
+            let mut p = KdChoice::new(2, 5).unwrap();
+            let mut state = LoadVector::new(64);
+            let mut rng = Xoshiro256PlusPlus::from_u64(seed);
+            let mut heights = Vec::new();
+            for _ in 0..32 {
+                p.run_round(&mut state, &mut rng, &mut heights, u64::MAX);
+            }
+            (state.sorted_descending(), heights)
+        };
+        assert_eq!(run(42), run(42));
+        assert_ne!(run(42).1, run(43).1);
     }
 
     #[test]
     fn ties_between_bins_are_randomized() {
         // (1,2)-choice, two empty bins sampled: the ball should land on
-        // either bin with roughly equal probability — under both the eager
-        // and the lazy tie-break engines.
-        for engine in [EngineVersion::Legacy, EngineVersion::Batched] {
-            let mut counts = [0u32; 2];
-            let mut rng = Xoshiro256PlusPlus::from_u64(13);
-            for _ in 0..4000 {
-                let mut p = KdChoice::new(1, 2).unwrap().with_engine(engine);
-                let mut state = LoadVector::new(2);
-                let mut heights = Vec::new();
-                p.place_round_with_samples(&mut state, &[0, 1], 1, &mut rng, &mut heights);
-                if state.load(0) == 1 {
-                    counts[0] += 1;
-                } else {
-                    counts[1] += 1;
-                }
+        // either bin with roughly equal probability under the lazy
+        // boundary tie-break.
+        let mut counts = [0u32; 2];
+        let mut rng = Xoshiro256PlusPlus::from_u64(13);
+        for _ in 0..4000 {
+            let mut p = KdChoice::new(1, 2).unwrap();
+            let mut state = LoadVector::new(2);
+            let mut heights = Vec::new();
+            p.place_round_with_samples(&mut state, &[0, 1], 1, &mut rng, &mut heights);
+            if state.load(0) == 1 {
+                counts[0] += 1;
+            } else {
+                counts[1] += 1;
             }
-            let f = f64::from(counts[0]) / 4000.0;
-            assert!((f - 0.5).abs() < 0.05, "{engine:?}: tie frequency {f}");
         }
-    }
-
-    #[test]
-    fn engines_agree_in_distribution_on_max_load() {
-        // Legacy and batched engines simulate the same process: mean max
-        // loads over independent trials must be statistically
-        // indistinguishable.
-        let mean_max = |engine: EngineVersion| {
-            let mut sum = 0.0;
-            for seed in 0..40u64 {
-                let mut p = KdChoice::new(2, 3).unwrap().with_engine(engine);
-                let r =
-                    crate::driver::run_once(&mut p, &crate::driver::RunConfig::new(1 << 12, seed));
-                sum += f64::from(r.max_load);
-            }
-            sum / 40.0
-        };
-        let legacy = mean_max(EngineVersion::Legacy);
-        let batched = mean_max(EngineVersion::Batched);
-        assert!(
-            (legacy - batched).abs() < 0.4,
-            "legacy {legacy} vs batched {batched}"
-        );
+        let f = f64::from(counts[0]) / 4000.0;
+        assert!((f - 0.5).abs() < 0.05, "tie frequency {f}");
     }
 }

@@ -34,8 +34,10 @@
 //!   packed8 loads); on a lossless slab it is the [`run_once_on`] fill.
 //! * [`RoundProcess`] — the monomorphized engine trait every process
 //!   implements; [`BallsIntoBins`] is its object-safe shim for
-//!   `Box<dyn BallsIntoBins>` harnesses. [`EngineVersion`] selects the
-//!   batched (default) or legacy (k,d)-choice round engine.
+//!   `Box<dyn BallsIntoBins>` harnesses. [`KdChoice`] runs one round
+//!   engine; its stream is pinned by golden digests, and the root test
+//!   tree keeps an eager-key oracle over [`decide_k_least`] that checks
+//!   it in distribution.
 //! * [`StaticScenario`] / [`DynamicScenario`] — the core experiment
 //!   families plugged into the workspace experiment layer
 //!   (`kdchoice-expt`), runnable by name from the `kdchoice-bench` CLI.
@@ -82,7 +84,7 @@ pub use driver::{
 };
 pub use dynamic::DynamicKChoice;
 pub use error::ConfigError;
-pub use kd::{EngineVersion, KdChoice};
+pub use kd::KdChoice;
 pub use kernel::{cmp_slots, expand_slots, height_slot, select_k_least, SlotKey, TentativeSlot};
 pub use policy::RoundPolicy;
 pub use probes::{two_tier_capacities, ProbeDistribution};

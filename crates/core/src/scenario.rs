@@ -11,7 +11,7 @@ use kdchoice_prng::demand::DemandDistribution;
 use crate::compact::StoreKind;
 use crate::driver::{run_once, run_once_compact, run_once_on, RunConfig, RunResult};
 use crate::dynamic::DynamicKChoice;
-use crate::kd::{EngineVersion, KdChoice};
+use crate::kd::KdChoice;
 use crate::probes::{two_tier_capacities, ProbeDistribution};
 use crate::state::LoadVector;
 use crate::vector::{run_once_vector, PlacementObjective, MAX_DIMS};
@@ -76,11 +76,9 @@ pub struct StaticConfig {
     pub k: usize,
     /// Probes per round, `d ≥ k`.
     pub d: usize,
-    /// Which round engine to run.
-    pub engine: EngineVersion,
-    /// Which bin-store representation holds the loads. `Exact` runs
-    /// `engine` over a [`LoadVector`]; the packed kinds run the batched
-    /// engine over the packed table ([`run_once_compact`]).
+    /// Which bin-store representation holds the loads. `Exact` runs the
+    /// round engine over a [`LoadVector`]; the packed kinds run it over the
+    /// packed table ([`run_once_compact`]).
     pub store: StoreKind,
     /// Demand-vector dimensionality (1 = the scalar paper process).
     pub dims: usize,
@@ -141,9 +139,8 @@ impl Scenario for StaticScenario {
             )
             .0;
         }
-        let mut process = KdChoice::new(config.k, config.d)
-            .expect("validated at config construction")
-            .with_engine(config.engine);
+        let mut process =
+            KdChoice::new(config.k, config.d).expect("validated at config construction");
         run_once(&mut process, &config.run.with_seed(seed))
     }
 
@@ -157,7 +154,6 @@ impl Scenario for StaticScenario {
             ("d", Value::U64(config.d as u64)),
             ("n", Value::U64(config.run.n as u64)),
             ("balls", Value::U64(config.run.balls)),
-            ("engine", Value::Str(config.engine.label().into())),
             ("store", Value::Str(config.store.name().into())),
             ("dims", Value::U64(config.dims as u64)),
             ("objective", Value::Str(config.objective.name().into())),
@@ -175,7 +171,6 @@ impl Scenario for StaticScenario {
             Axis::new("d", "probes per round, d >= k (default k+1)"),
             Axis::new("n", "bins (default 2^16; accepts 2^k)"),
             Axis::new("balls", "balls to throw (default n)"),
-            Axis::new("engine", "round engine: batched | legacy (default batched)"),
             Axis::new(
                 "store",
                 "bin store: exact | packed4 | packed8 (default exact)",
@@ -211,11 +206,6 @@ impl Scenario for StaticScenario {
         if n == 0 {
             return Err(params.bad_value("n", "at least one bin"));
         }
-        let engine = match params.get_raw("engine").unwrap_or("batched") {
-            "batched" => EngineVersion::Batched,
-            "legacy" => EngineVersion::Legacy,
-            _ => return Err(params.bad_value("engine", "batched | legacy")),
-        };
         let store = StoreKind::parse(params.get_raw("store").unwrap_or("exact"))
             .ok_or_else(|| params.bad_value("store", "exact | packed4 | packed8"))?;
         let (dims, objective, demand) = vector_params_from(params)?;
@@ -230,7 +220,6 @@ impl Scenario for StaticScenario {
         Ok(StaticConfig {
             k,
             d,
-            engine,
             store,
             dims,
             objective,
@@ -779,12 +768,12 @@ mod tests {
             configs_from_grid(&StaticScenario, &unknown, 0),
             Err(GridError::UnknownAxis { .. })
         ));
-        let engines = GridSpec::parse_str("engine=legacy,batched n=64").unwrap();
-        let configs = configs_from_grid(&StaticScenario, &engines, 0).unwrap();
-        assert_eq!(configs[0].engine, EngineVersion::Legacy);
-        assert_eq!(configs[1].engine, EngineVersion::Batched);
-        let bad_engine = GridSpec::parse_str("engine=vroom").unwrap();
-        assert!(configs_from_grid(&StaticScenario, &bad_engine, 0).is_err());
+        // `KdChoice` runs one round engine, so there is no engine axis.
+        let engine = GridSpec::parse_str("engine=batched n=64").unwrap();
+        assert!(matches!(
+            configs_from_grid(&StaticScenario, &engine, 0),
+            Err(GridError::UnknownAxis { .. })
+        ));
         for bad in ["store=psychic", "store=sketch"] {
             let bad_store = GridSpec::parse_str(bad).unwrap();
             assert!(matches!(
@@ -874,7 +863,6 @@ mod tests {
                 let static_cfg = StaticConfig {
                     k: cfg.k,
                     d: cfg.d,
-                    engine: EngineVersion::Batched,
                     store: StoreKind::Exact,
                     dims: 1,
                     objective: PlacementObjective::Scalar,

@@ -187,7 +187,7 @@ impl RoundProcess for SerializedKdChoice {
 mod tests {
     use super::*;
     use crate::driver::{run_once, RunConfig};
-    use crate::kd::{EngineVersion, KdChoice};
+    use crate::kd::KdChoice;
     use crate::process::BallsIntoBins;
     use kdchoice_prng::Xoshiro256PlusPlus;
 
@@ -269,26 +269,6 @@ mod tests {
             "round {a} vs identity serialization {b}"
         );
         assert!((a - c).abs() < 0.5, "round {a} vs random serialization {c}");
-    }
-
-    #[test]
-    fn heights_match_round_process_heights_on_same_stream() {
-        // With the same seed, the serialized process consumes the RNG the
-        // same way as the *legacy* KdChoice engine (d samples + d keys per
-        // round) when the schedule draws no extra randomness, so even the
-        // height *histogram* coincides with the round process run. (The
-        // batched engine draws tie keys lazily, so it shares only the
-        // distribution, not the stream.)
-        let n = 512;
-        let mut a = KdChoice::new(2, 5)
-            .unwrap()
-            .with_engine(EngineVersion::Legacy);
-        let ra = run_once(&mut a, &RunConfig::new(n, 123));
-        let mut b = SerializedKdChoice::new(2, 5, SigmaSchedule::Identity).unwrap();
-        let rb = run_once(&mut b, &RunConfig::new(n, 123));
-        assert_eq!(ra.load_histogram, rb.load_histogram);
-        assert_eq!(ra.height_histogram, rb.height_histogram);
-        assert_eq!(ra.max_load, rb.max_load);
     }
 
     #[test]

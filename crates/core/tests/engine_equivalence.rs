@@ -9,31 +9,20 @@
 //! same sorted load vector, same histograms, same every observable.
 
 use kdchoice_core::{
-    run_once, run_once_with_state, BallsIntoBins, EngineVersion, KdChoice, RoundPolicy, RunConfig,
+    run_once, run_once_with_state, BallsIntoBins, KdChoice, RoundPolicy, RunConfig,
 };
 use kdchoice_prng::Xoshiro256PlusPlus;
 use rand::{Rng, RngCore};
 
 /// Runs one config through the generic (static-dispatch) driver path.
-fn run_generic(
-    k: usize,
-    d: usize,
-    engine: EngineVersion,
-    cfg: &RunConfig,
-) -> kdchoice_core::RunResult {
-    let mut p = KdChoice::new(k, d)
-        .expect("valid (k,d)")
-        .with_engine(engine);
+fn run_generic(k: usize, d: usize, cfg: &RunConfig) -> kdchoice_core::RunResult {
+    let mut p = KdChoice::new(k, d).expect("valid (k,d)");
     run_once(&mut p, cfg)
 }
 
 /// Runs the same config through the object-safe shim (dynamic dispatch).
-fn run_dyn(k: usize, d: usize, engine: EngineVersion, cfg: &RunConfig) -> kdchoice_core::RunResult {
-    let mut p: Box<dyn BallsIntoBins> = Box::new(
-        KdChoice::new(k, d)
-            .expect("valid (k,d)")
-            .with_engine(engine),
-    );
+fn run_dyn(k: usize, d: usize, cfg: &RunConfig) -> kdchoice_core::RunResult {
+    let mut p: Box<dyn BallsIntoBins> = Box::new(KdChoice::new(k, d).expect("valid (k,d)"));
     run_once(&mut *p, cfg)
 }
 
@@ -48,18 +37,16 @@ fn generic_and_dyn_paths_agree_on_random_instances() {
         let heavy = meta.gen_range(1..4u64); // up to m = 3n (Theorem 2 regime)
         let seed = meta.next_u64();
         let cfg = RunConfig::new(n, seed).with_balls(heavy * n as u64);
-        for engine in [EngineVersion::Legacy, EngineVersion::Batched] {
-            let a = run_generic(k, d, engine, &cfg);
-            let b = run_dyn(k, d, engine, &cfg);
-            // RunResult equality covers the full observable set: max load,
-            // gap, message count, rounds, and both histograms (the load
-            // histogram *is* the sorted load vector up to permutation).
-            assert_eq!(
-                a, b,
-                "{engine:?} diverged between dispatch paths at k={k} d={d} n={n} seed={seed}"
-            );
-            instances += 1;
-        }
+        let a = run_generic(k, d, &cfg);
+        let b = run_dyn(k, d, &cfg);
+        // RunResult equality covers the full observable set: max load,
+        // gap, message count, rounds, and both histograms (the load
+        // histogram *is* the sorted load vector up to permutation).
+        assert_eq!(
+            a, b,
+            "diverged between dispatch paths at k={k} d={d} n={n} seed={seed}"
+        );
+        instances += 1;
     }
     assert!(instances >= 200, "acceptance floor: >= 200 instances");
 }
@@ -74,22 +61,15 @@ fn generic_and_dyn_final_states_agree_exactly() {
         let k = meta.gen_range(1..=d);
         let seed = meta.next_u64();
         let cfg = RunConfig::new(512, seed);
-        for engine in [EngineVersion::Legacy, EngineVersion::Batched] {
-            let (_, state_generic) = {
-                let mut p = KdChoice::new(k, d).unwrap().with_engine(engine);
-                run_once_with_state(&mut p, &cfg)
-            };
-            let (_, state_dyn) = {
-                let mut p: Box<dyn BallsIntoBins> =
-                    Box::new(KdChoice::new(k, d).unwrap().with_engine(engine));
-                run_once_with_state(&mut *p, &cfg)
-            };
-            assert_eq!(
-                state_generic.loads(),
-                state_dyn.loads(),
-                "{engine:?} k={k} d={d}"
-            );
-        }
+        let (_, state_generic) = {
+            let mut p = KdChoice::new(k, d).unwrap();
+            run_once_with_state(&mut p, &cfg)
+        };
+        let (_, state_dyn) = {
+            let mut p: Box<dyn BallsIntoBins> = Box::new(KdChoice::new(k, d).unwrap());
+            run_once_with_state(&mut *p, &cfg)
+        };
+        assert_eq!(state_generic.loads(), state_dyn.loads(), "k={k} d={d}");
     }
 }
 
@@ -101,54 +81,20 @@ fn unrestricted_policy_also_agrees_across_dispatch_paths() {
         let k = meta.gen_range(1..=d);
         let seed = meta.next_u64();
         let cfg = RunConfig::new(256, seed);
-        for engine in [EngineVersion::Legacy, EngineVersion::Batched] {
-            let a = {
-                let mut p = KdChoice::new(k, d)
-                    .unwrap()
-                    .with_policy(RoundPolicy::Unrestricted)
-                    .with_engine(engine);
-                run_once(&mut p, &cfg)
-            };
-            let b = {
-                let mut p: Box<dyn BallsIntoBins> = Box::new(
-                    KdChoice::new(k, d)
-                        .unwrap()
-                        .with_policy(RoundPolicy::Unrestricted)
-                        .with_engine(engine),
-                );
-                run_once(&mut *p, &cfg)
-            };
-            assert_eq!(a, b, "{engine:?} k={k} d={d}");
-        }
-    }
-}
-
-#[test]
-fn legacy_and_batched_engines_agree_in_distribution() {
-    // The engines share the process's *distribution* (not the stream):
-    // compare mean max loads and mean gaps across seeds for a spread of
-    // configurations, including the heavy case.
-    for &(k, d, mult) in &[(1usize, 2usize, 1u64), (2, 3, 1), (3, 5, 1), (2, 4, 8)] {
-        let stats = |engine: EngineVersion| {
-            let trials = 30u64;
-            let (mut max_sum, mut gap_sum) = (0.0f64, 0.0f64);
-            for seed in 0..trials {
-                let cfg = RunConfig::new(1 << 11, 1000 + seed).with_balls(mult << 11);
-                let r = run_generic(k, d, engine, &cfg);
-                max_sum += f64::from(r.max_load);
-                gap_sum += r.gap;
-            }
-            (max_sum / trials as f64, gap_sum / trials as f64)
+        let a = {
+            let mut p = KdChoice::new(k, d)
+                .unwrap()
+                .with_policy(RoundPolicy::Unrestricted);
+            run_once(&mut p, &cfg)
         };
-        let (legacy_max, legacy_gap) = stats(EngineVersion::Legacy);
-        let (batched_max, batched_gap) = stats(EngineVersion::Batched);
-        assert!(
-            (legacy_max - batched_max).abs() < 0.5,
-            "(k={k},d={d},m={mult}n) max: legacy {legacy_max} vs batched {batched_max}"
-        );
-        assert!(
-            (legacy_gap - batched_gap).abs() < 0.5,
-            "(k={k},d={d},m={mult}n) gap: legacy {legacy_gap} vs batched {batched_gap}"
-        );
+        let b = {
+            let mut p: Box<dyn BallsIntoBins> = Box::new(
+                KdChoice::new(k, d)
+                    .unwrap()
+                    .with_policy(RoundPolicy::Unrestricted),
+            );
+            run_once(&mut *p, &cfg)
+        };
+        assert_eq!(a, b, "k={k} d={d}");
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests of the (k,d)-choice round invariants.
 
 use kdchoice_core::{
-    run_once, run_once_with_state, BallsIntoBins, EngineVersion, KdChoice, LoadVector, RoundPolicy,
-    RunConfig, SerializedKdChoice, SigmaSchedule,
+    run_once, run_once_with_state, BallsIntoBins, KdChoice, LoadVector, RoundPolicy, RunConfig,
+    SerializedKdChoice, SigmaSchedule,
 };
 use kdchoice_prng::Xoshiro256PlusPlus;
 use proptest::prelude::*;
@@ -155,29 +155,6 @@ proptest! {
         for y in 0..=r.max_load {
             prop_assert!(r.nu(y) <= r.mu(y));
         }
-    }
-
-    /// The serialized process coincides with the round process whole-run on
-    /// a shared RNG stream (Identity schedule), for arbitrary (k, d). The
-    /// legacy engine is pinned because only it consumes the stream exactly
-    /// like the serialization (d samples + d eager keys per round); the
-    /// batched engine shares the distribution but not the stream.
-    #[test]
-    fn serialized_identity_equals_round_process(
-        (k, d) in kd_pair(),
-        seed in 0u64..300,
-    ) {
-        let n = 256;
-        let a = {
-            let mut p = KdChoice::new(k, d).unwrap().with_engine(EngineVersion::Legacy);
-            run_once(&mut p, &RunConfig::new(n, seed))
-        };
-        let b = {
-            let mut p = SerializedKdChoice::new(k, d, SigmaSchedule::Identity).unwrap();
-            run_once(&mut p, &RunConfig::new(n, seed))
-        };
-        prop_assert_eq!(a.load_histogram, b.load_histogram);
-        prop_assert_eq!(a.height_histogram, b.height_histogram);
     }
 
     /// σ permutations never change the coupled final vector.

@@ -174,8 +174,14 @@ impl From<Cow<'static, str>> for Value {
     }
 }
 
+/// How deeply arrays and objects may nest before [`validate_json`] rejects
+/// the input. Reporter rows nest a few levels at most; the cap keeps the
+/// recursive parser's stack bounded on adversarial input.
+const MAX_DEPTH: usize = 128;
+
 /// Checks that `input` is one well-formed JSON value (object, array, or
-/// scalar) with nothing but whitespace after it.
+/// scalar) with nothing but whitespace after it, nested at most
+/// `MAX_DEPTH` (128) arrays or objects deep.
 ///
 /// This is the validator behind `kdchoice-bench smoke`: every JSONL line a
 /// reporter emits must pass it, so malformed output fails CI rather than
@@ -192,7 +198,7 @@ pub fn validate_json(input: &str) -> Result<(), String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
+    parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -206,12 +212,17 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<(), String> {
+/// Parses one value at `*pos`, inside `depth` enclosing arrays or objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => parse_string(b, pos),
         Some(b't') => parse_lit(b, pos, "true"),
         Some(b'f') => parse_lit(b, pos, "false"),
@@ -230,7 +241,7 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
     *pos += 1; // consume '{'
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b'}') {
@@ -248,7 +259,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
             return Err(format!("expected `:` at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        parse_value(b, pos)?;
+        parse_value(b, pos, depth)?;
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -261,7 +272,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<(), String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
     *pos += 1; // consume '['
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b']') {
@@ -269,7 +280,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<(), String> {
         return Ok(());
     }
     loop {
-        parse_value(b, pos)?;
+        parse_value(b, pos, depth)?;
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -417,9 +428,16 @@ mod tests {
         assert_eq!(Value::Str("hi".into()).to_string(), "hi");
     }
 
+    /// `depth` arrays nested inside each other.
+    fn nest(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
     #[test]
     fn validator_accepts_wellformed() {
+        let at_cap = nest(MAX_DEPTH);
         for s in [
+            at_cap.as_str(),
             "{}",
             "[]",
             "null",
@@ -433,7 +451,12 @@ mod tests {
 
     #[test]
     fn validator_rejects_malformed() {
+        let unclosed = "[".repeat(100_000);
+        // Well-formed, but deeper than the cap: rejected, not overflowed.
+        let past_cap = nest(MAX_DEPTH + 1);
         for s in [
+            unclosed.as_str(),
+            past_cap.as_str(),
             "",
             "{",
             "{]",

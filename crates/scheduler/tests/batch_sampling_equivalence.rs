@@ -6,11 +6,11 @@
 //! Coupling: both sides draw their samples with
 //! `fill_with_replacement(rng, n, d·k)` and then break ties with one
 //! `next_u64` key per tentative slot in sorted-bin order (the scheduler
-//! in `select_k_least_loaded`, the core in the legacy engine's eager
-//! commit). Feeding both the same seeded generator therefore makes them
-//! bit-equal, not merely equal in distribution.
+//! in `select_k_least_loaded`, the core in `decide_k_least`). Feeding both
+//! the same seeded generator therefore makes them bit-equal, not merely
+//! equal in distribution.
 
-use kdchoice_core::{EngineVersion, KdChoice, LoadVector};
+use kdchoice_core::{decide_k_least, LoadVector};
 use kdchoice_prng::sample::fill_with_replacement;
 use kdchoice_prng::Xoshiro256PlusPlus;
 use kdchoice_scheduler::PlacementStrategy;
@@ -45,18 +45,19 @@ fn coupled_round(loads: &[u32], k: usize, d_per_task: usize, seed: u64) -> (Vec<
     chosen.sort_unstable();
 
     // Core side: draw the identical sample set from an identically seeded
-    // stream, then run one legacy-engine (k, d·k)-choice commit with the
-    // remainder of the stream breaking ties.
+    // stream, sort it, and decide one (k, d·k)-choice round with
+    // `decide_k_least`, the remainder of the stream breaking ties.
     let mut core_rng = Xoshiro256PlusPlus::from_u64(seed);
     let mut samples = Vec::with_capacity(probes);
     fill_with_replacement(&mut core_rng, n, probes, &mut samples);
-    let mut process = KdChoice::new(k, probes)
-        .expect("k <= d*k")
-        .with_engine(EngineVersion::Legacy);
-    let mut state = load_vector(loads);
-    let mut heights = Vec::new();
-    process.place_round_with_samples(&mut state, &samples, k, &mut core_rng, &mut heights);
-    let gains: Vec<u32> = (0..n).map(|bin| state.load(bin) - loads[bin]).collect();
+    samples.sort_unstable();
+    let state = load_vector(loads);
+    let (mut slots, mut winners) = (Vec::new(), Vec::new());
+    decide_k_least(&state, &samples, k, &mut core_rng, &mut slots, &mut winners);
+    let mut gains = vec![0u32; n];
+    for bin in winners {
+        gains[bin] += 1;
+    }
     (chosen, gains)
 }
 

@@ -1,10 +1,15 @@
 //! Integration test for Property (i) of §3: the serialized process Aσ(k,d)
 //! is equivalent in distribution to the round process A(k,d), for any σ.
+//! The eager-key oracle (`common::eager`) is the round process whose stream
+//! the identity serialization reproduces exactly, and it is checked
+//! against `KdChoice`'s engine in distribution.
 
-use kdchoice::kd::{
-    run_trials, EngineVersion, KdChoice, RunConfig, SerializedKdChoice, SigmaSchedule,
-};
+mod common;
+
+use common::eager::EagerKdChoice;
+use kdchoice::kd::{run_once, run_trials, KdChoice, RunConfig, SerializedKdChoice, SigmaSchedule};
 use kdchoice::stats::tests::mann_whitney_u;
+use proptest::prelude::*;
 
 const N: usize = 1 << 12;
 const TRIALS: usize = 40;
@@ -76,18 +81,12 @@ fn sigma_does_not_change_the_coupled_load_vector() {
 
 #[test]
 fn serialized_and_round_process_agree_exactly_on_shared_stream() {
-    // Identity serialization consumes the RNG identically to the *legacy*
-    // round engine (d samples + d eager tie keys per round), so whole runs
-    // coincide exactly, not just in distribution. The batched engine draws
-    // tie keys lazily and is covered by the distributional test above.
-    use kdchoice::kd::run_once;
+    // Identity serialization consumes the RNG identically to the eager-key
+    // round process (d samples + d tie keys per round), so whole runs
+    // coincide exactly, not just in distribution. `KdChoice` draws tie
+    // keys lazily and is covered by the distributional tests.
     for seed in [7u64, 8, 9] {
-        let a = {
-            let mut p = KdChoice::new(2, 5)
-                .expect("valid")
-                .with_engine(EngineVersion::Legacy);
-            run_once(&mut p, &RunConfig::new(N, seed))
-        };
+        let a = run_once(&mut EagerKdChoice::new(2, 5), &RunConfig::new(N, seed));
         let b = {
             let mut p = SerializedKdChoice::new(2, 5, SigmaSchedule::Identity).expect("valid");
             run_once(&mut p, &RunConfig::new(N, seed))
@@ -95,5 +94,66 @@ fn serialized_and_round_process_agree_exactly_on_shared_stream() {
         assert_eq!(a.max_load, b.max_load);
         assert_eq!(a.load_histogram, b.load_histogram);
         assert_eq!(a.height_histogram, b.height_histogram);
+    }
+}
+
+/// Strategy: a (k, d) pair with 1 ≤ k ≤ d ≤ 12.
+fn kd_pair() -> impl Strategy<Value = (usize, usize)> {
+    (1usize..=12).prop_flat_map(|d| (1usize..=d, Just(d)))
+}
+
+proptest! {
+    /// The serialized process coincides with the eager-key round process
+    /// whole-run on a shared RNG stream (Identity schedule), for arbitrary
+    /// (k, d): both draw d samples and then d tie keys per round.
+    #[test]
+    fn serialized_identity_equals_round_process(
+        (k, d) in kd_pair(),
+        seed in 0u64..300,
+    ) {
+        let n = 256;
+        let a = run_once(&mut EagerKdChoice::new(k, d), &RunConfig::new(n, seed));
+        let b = {
+            let mut p = SerializedKdChoice::new(k, d, SigmaSchedule::Identity).unwrap();
+            run_once(&mut p, &RunConfig::new(n, seed))
+        };
+        prop_assert_eq!(a.load_histogram, b.load_histogram);
+        prop_assert_eq!(a.height_histogram, b.height_histogram);
+    }
+}
+
+#[test]
+fn legacy_and_batched_engines_agree_in_distribution() {
+    // The eager-key oracle (the stream of the legacy engine `KdChoice`
+    // used to ship) and `KdChoice`'s batched engine share the process's
+    // *distribution*, not the stream: compare mean max loads and mean gaps
+    // across seeds for a spread of configurations, including the heavy
+    // case.
+    for &(k, d, mult) in &[(1usize, 2usize, 1u64), (2, 3, 1), (3, 5, 1), (2, 4, 8)] {
+        let stats = |eager: bool| {
+            let trials = 30u64;
+            let (mut max_sum, mut gap_sum) = (0.0f64, 0.0f64);
+            for seed in 0..trials {
+                let cfg = RunConfig::new(1 << 11, 1000 + seed).with_balls(mult << 11);
+                let r = if eager {
+                    run_once(&mut EagerKdChoice::new(k, d), &cfg)
+                } else {
+                    run_once(&mut KdChoice::new(k, d).expect("valid"), &cfg)
+                };
+                max_sum += f64::from(r.max_load);
+                gap_sum += r.gap;
+            }
+            (max_sum / trials as f64, gap_sum / trials as f64)
+        };
+        let (legacy_max, legacy_gap) = stats(true);
+        let (batched_max, batched_gap) = stats(false);
+        assert!(
+            (legacy_max - batched_max).abs() < 0.5,
+            "(k={k},d={d},m={mult}n) max: legacy {legacy_max} vs batched {batched_max}"
+        );
+        assert!(
+            (legacy_gap - batched_gap).abs() < 0.5,
+            "(k={k},d={d},m={mult}n) gap: legacy {legacy_gap} vs batched {batched_gap}"
+        );
     }
 }

@@ -1,28 +1,33 @@
 //! Golden digests of the static fill drivers: `run_once` (and
-//! `run_once_on`) over every `KdChoice` engine and policy, a dynamic
-//! baseline, `run_once_compact` over every `StoreKind`, and one
-//! `run_trials` and `run_sweep` set. Each case pins the `Debug` form of
-//! its `RunResult` (plus the final per-bin loads and utilization gap
-//! where the run keeps its store) through a 64-bit FNV-1a digest, so any change to the
-//! generator stream the drivers hand the processes, to the winners, or
-//! to the observables shows up as a changed digest.
+//! `run_once_on`) over `KdChoice` under both policies, the eager-key
+//! oracle of `common::eager`, a dynamic baseline, `run_once_compact` over
+//! every `StoreKind`, and one `run_trials` and `run_sweep` set. Each case
+//! pins the `Debug` form of its `RunResult` (plus the final per-bin loads
+//! and utilization gap where the run keeps its store) through a 64-bit
+//! FNV-1a digest, so any change to the generator stream the drivers hand
+//! the processes, to the winners, or to the observables shows up as a
+//! changed digest.
 //!
 //! The `run_once*`, `run_trials` and `run_sweep` digests were generated
 //! before the drivers learned to prefetch the probes of the next rounds;
-//! the drivers must reproduce them unedited. The `compact/*` digests
-//! were generated when `run_once_compact` moved onto the `KdChoice`
-//! round engine. Its contract with that engine is locked separately:
-//! every lossless compact case equals the `run_once_on` fill of the same
-//! process, seed and capacities
+//! the drivers must reproduce them unedited. `run_once/legacy(2,4)` was
+//! generated by the eager-key engine `KdChoice` used to ship; the test
+//! oracle reproduces it, so the oracle is that engine's stream. The
+//! `compact/*` digests were generated when `run_once_compact` moved onto
+//! the `KdChoice` round engine. Its contract with that engine is locked
+//! separately: every lossless compact case equals the `run_once_on` fill
+//! of the same process, seed and capacities
 //! (`lossless_compact_fills_equal_the_engine_fill`). To print the table
-//! for a deliberate re-golden run
-//! `cargo test --test static_driver_golden -- --nocapture` and copy the
-//! `got` column.
+//! for a deliberate re-golden run `cargo test --test static_driver_golden
+//! -- --nocapture` and copy the `got` column.
 
+mod common;
+
+use common::eager::EagerKdChoice;
 use kdchoice::baselines::DChoice;
 use kdchoice::kd::{
     run_once, run_once_compact, run_once_on, run_sweep, run_trials, BallsIntoBins, BinSlab,
-    EngineVersion, KdChoice, LoadVector, ProbeDistribution, RoundPolicy, RunConfig, StoreKind,
+    KdChoice, LoadVector, ProbeDistribution, RoundPolicy, RoundProcess, RunConfig, StoreKind,
 };
 
 const N: usize = 4096;
@@ -51,7 +56,7 @@ fn capacities() -> Vec<u32> {
     (0..N).map(|i| if i % 4 == 0 { 4 } else { 1 }).collect()
 }
 
-fn once(mut process: KdChoice, config: &RunConfig) -> u64 {
+fn once(mut process: impl RoundProcess, config: &RunConfig) -> u64 {
     digest(&run_once(&mut process, config))
 }
 
@@ -112,10 +117,7 @@ fn cases() -> Vec<(&'static str, u64)> {
         ),
         (
             "run_once/legacy(2,4)",
-            once(
-                kd(2, 4).with_engine(EngineVersion::Legacy),
-                &base.with_seed(13),
-            ),
+            once(EagerKdChoice::new(2, 4), &base.with_seed(13)),
         ),
         (
             "run_once/unrestricted(3,5)",
