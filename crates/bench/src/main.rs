@@ -35,8 +35,8 @@ use kdchoice_prng::sample::{fill_weighted, fill_with_replacement, WeightedBin};
 use kdchoice_prng::Xoshiro256PlusPlus;
 use kdchoice_scheduler::SchedulerScenario;
 use kdchoice_service::{
-    run_open_loop, run_service_workload, OpenLoopConfig, OpenLoopScenario, PipelineMode,
-    ServiceBackend, ServiceScenario, ServiceWorkloadConfig,
+    run_open_loop, run_service_workload, OpenLoopConfig, OpenLoopScenario, ServiceBackend,
+    ServiceScenario, ServiceWorkloadConfig,
 };
 use kdchoice_storage::{
     run_cluster_workload, ClusterConfig, ClusterScenario, ClusterWorkloadConfig, FaultPlan,
@@ -358,8 +358,9 @@ fn measure_service_scaling(quick: bool) -> Vec<ServiceScaling> {
 }
 
 /// One open-loop λ×threads row: the same traffic trace driven through
-/// both pipeline modes, so the batched-vs-per-request lock amortization
-/// is measured head to head on identical work.
+/// the striped pipeline at the default `max_batch` and at `max_batch =
+/// 1` (per request), so the batch lock amortization is measured head to
+/// head on identical work.
 struct OpenLoopScaling {
     lambda: f64,
     threads: usize,
@@ -389,7 +390,7 @@ const OPEN_LOOP_LAMBDAS: [f64; 4] = [0.5, 0.9, 0.99, 1.2];
 
 /// Measures the open-loop dynamic traffic engine over the λ×threads
 /// grid. The virtual-clock schedule (and therefore every latency
-/// number) is identical for the two pipeline modes at a given λ; the
+/// number) is identical for both batch sizes at a given λ; the
 /// wall-clock rate is what separates them.
 fn measure_open_loop(quick: bool) -> Vec<OpenLoopScaling> {
     // Short lifetimes keep the per-tick batch chunky (capacity =
@@ -413,8 +414,9 @@ fn measure_open_loop(quick: bool) -> Vec<OpenLoopScaling> {
             let mut config = OpenLoopConfig::at_lambda(bins, 2, 4, lambda, mu, ticks, 0xBE7C4);
             config.threads = t;
             config.sample_every = 8;
-            let mut best = |mode: PipelineMode| {
-                config.mode = mode;
+            let batch = config.max_batch;
+            let mut best = |max_batch: usize| {
+                config.max_batch = max_batch;
                 let mut best_rate = 0.0f64;
                 let mut last = None;
                 for _ in 0..reps {
@@ -425,8 +427,8 @@ fn measure_open_loop(quick: bool) -> Vec<OpenLoopScaling> {
                 }
                 (best_rate, last.expect("reps >= 1"))
             };
-            let (batched_rate, report) = best(PipelineMode::Batched);
-            let (per_request_rate, _) = best(PipelineMode::PerRequest);
+            let (batched_rate, report) = best(batch);
+            let (per_request_rate, _) = best(1);
             rows.push(OpenLoopScaling {
                 lambda,
                 threads: t,
@@ -450,8 +452,8 @@ fn measure_open_loop(quick: bool) -> Vec<OpenLoopScaling> {
 
 /// One thread count of the backend race: the identical open-loop trace
 /// (same seed, same virtual-clock schedule, same per-request placement
-/// streams) driven through the lock-striped store (both pipeline
-/// modes), the shared-nothing owned engine, and the lock-free CAS-bins
+/// streams) driven through the lock-striped store (batched and per
+/// request), the shared-nothing owned engine, and the lock-free CAS-bins
 /// store.
 struct BackendRace {
     threads: usize,
@@ -500,9 +502,10 @@ fn measure_backend_race(quick: bool) -> Vec<BackendRace> {
             config.threads = t;
             config.sample_every = 8;
             config.snapshot_refresh = RACE_REFRESH;
-            let mut best = |backend: ServiceBackend, mode: PipelineMode| {
+            let batch = config.max_batch;
+            let mut best = |backend: ServiceBackend, max_batch: usize| {
                 config.backend = backend;
-                config.mode = mode;
+                config.max_batch = max_batch;
                 let mut best_rate = 0.0f64;
                 let mut last = None;
                 for _ in 0..reps {
@@ -513,13 +516,10 @@ fn measure_backend_race(quick: bool) -> Vec<BackendRace> {
                 }
                 (best_rate, last.expect("reps >= 1"))
             };
-            let (per_request_rate, striped_report) =
-                best(ServiceBackend::Striped, PipelineMode::PerRequest);
-            let (batched_rate, _) = best(ServiceBackend::Striped, PipelineMode::Batched);
-            let (owned_rate, owned_report) =
-                best(ServiceBackend::SharedNothing, PipelineMode::Batched);
-            let (lockfree_rate, lockfree_report) =
-                best(ServiceBackend::LockFree, PipelineMode::PerRequest);
+            let (per_request_rate, striped_report) = best(ServiceBackend::Striped, 1);
+            let (batched_rate, _) = best(ServiceBackend::Striped, batch);
+            let (owned_rate, owned_report) = best(ServiceBackend::SharedNothing, batch);
+            let (lockfree_rate, lockfree_report) = best(ServiceBackend::LockFree, 1);
             let lockfree_gap = lockfree_report.steady_gap_mean;
             BackendRace {
                 threads: t,

@@ -49,12 +49,9 @@ use kdchoice_core::{decide_k_least, BinSlab, LoadSnapshot, StoreKind};
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 use rand::RngCore;
 
-use crate::pipeline::{
-    want_sample, worker_slice, DriveOutcome, OpenLoopConfig, PlacementTable, TickSample,
-};
-use crate::service::{ServiceReport, ServiceWorkloadConfig};
+use crate::pipeline::{want_sample, worker_slice, DriveOutcome, Run, TickSample};
+use crate::service::{EndState, ServiceReport, ServiceWorkloadConfig};
 use crate::sharded::Placement;
-use crate::traffic::TrafficSchedule;
 
 /// Which concurrency backend serves placement and release requests.
 ///
@@ -559,18 +556,21 @@ impl TickScratch {
 /// The per-tick body shared by the single- and multi-thread open-loop
 /// drivers: route my slice of departures, then decide + route my slice
 /// of commits.
-#[allow(clippy::too_many_arguments)]
 fn owned_tick(
     engine: &OwnedShardEngine,
-    config: &OpenLoopConfig,
-    schedule: &TrafficSchedule,
-    table: &PlacementTable,
+    run: &Run<'_>,
     t: usize,
     w: usize,
     workers: usize,
     state: &mut ShardState,
     scratch: &mut TickScratch,
 ) {
+    let Run {
+        config,
+        schedule,
+        table,
+        ..
+    } = *run;
     let departures = &schedule.departures[t];
     let (lo, hi) = worker_slice((0, departures.len() as u32), workers, w);
     for &id in &departures[lo as usize..hi as usize] {
@@ -615,11 +615,8 @@ fn owned_tick(
 /// pushes of the tick are drained and sampled, a parking barrier (safe
 /// there: nobody pushes between the two rendezvous points, so no one
 /// can need a parked worker's drain).
-pub(crate) fn drive_open_loop_owned(
-    config: &OpenLoopConfig,
-    schedule: &TrafficSchedule,
-    table: &PlacementTable,
-) -> DriveOutcome {
+pub(crate) fn drive_open_loop_owned(run: &Run<'_>) -> DriveOutcome {
+    let config = run.config;
     assert!(
         config.threads <= config.bins,
         "shared-nothing backend needs threads <= bins (each worker owns >= 1 bin)"
@@ -652,17 +649,7 @@ pub(crate) fn drive_open_loop_owned(
         let mut scratch = TickScratch::new(config.d, config.k);
         let mut samples = Vec::with_capacity(sampled_ticks.len());
         for t in 0..ticks {
-            owned_tick(
-                &engine,
-                config,
-                schedule,
-                table,
-                t,
-                0,
-                1,
-                &mut state,
-                &mut scratch,
-            );
+            owned_tick(&engine, run, t, 0, 1, &mut state, &mut scratch);
             if want_sample(t, config.sample_every, ticks) {
                 samples.push((state.state.total_balls(), state.state.max_load()));
             }
@@ -688,17 +675,7 @@ pub(crate) fn drive_open_loop_owned(
                         let mut scratch = TickScratch::new(config.d, config.k);
                         let mut samples = Vec::with_capacity(sampled);
                         for t in 0..ticks {
-                            owned_tick(
-                                engine,
-                                config,
-                                schedule,
-                                table,
-                                t,
-                                w,
-                                workers,
-                                &mut state,
-                                &mut scratch,
-                            );
+                            owned_tick(engine, run, t, w, workers, &mut state, &mut scratch);
                             // Drain-while-waiting rendezvous: a parked
                             // barrier here can deadlock — a worker stuck
                             // in the full-ring submit path needs *us* to
@@ -851,24 +828,14 @@ pub(crate) fn run_service_workload_owned(config: &ServiceWorkloadConfig) -> Serv
 
     let (states, released_counts): (Vec<ShardState>, Vec<u64>) = results.into_iter().unzip();
     let merged = merge_states(&engine, &states);
-    let placements = (config.threads * config.requests_per_thread) as u64;
-    let balls_placed = placements * config.k as u64;
-    let balls_released: u64 = released_counts.iter().sum();
-    let conserved = merged.live_balls == balls_placed - balls_released && merged.invariants_ok;
-    ServiceReport {
-        placements,
-        balls_placed,
-        balls_released,
+    let end = EndState {
         live_balls: merged.live_balls,
-        wall_secs,
-        placements_per_sec: placements as f64 / wall_secs,
-        balls_per_sec: balls_placed as f64 / wall_secs,
         max_load: merged.max_load,
-        gap: f64::from(merged.max_load) - merged.live_balls as f64 / config.bins as f64,
         nu1: merged.nu1,
-        conserved,
-        dim_gaps: vec![f64::from(merged.max_load) - merged.live_balls as f64 / config.bins as f64],
-    }
+        invariants_ok: merged.invariants_ok,
+    };
+    let balls_released = released_counts.iter().sum();
+    ServiceReport::closed_loop(config, wall_secs, balls_released, end, None)
 }
 
 #[cfg(test)]

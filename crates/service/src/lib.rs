@@ -99,9 +99,7 @@ pub mod traffic;
 pub use engine::{OwnedShardEngine, ServiceBackend, ShardState};
 pub use lockfree::{AtomicStore, PlaceScratch, StampedLoads, PLACE_RETRY_LIMIT};
 pub use open_loop::OpenLoopScenario;
-pub use pipeline::{
-    churn_capacity, run_open_loop, OpenLoopConfig, OpenLoopReport, PipelineMode, TickSample,
-};
+pub use pipeline::{churn_capacity, run_open_loop, OpenLoopConfig, OpenLoopReport, TickSample};
 pub use scenario::ServiceScenario;
 pub use service::{
     run_service_workload, run_vector_service_workload, PlacementService, ServiceError,

@@ -60,21 +60,16 @@
 //! | gap envelope (Theorem 2) | exact statistics | statistical, asserted at 1/2/4/8 threads |
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
-use std::time::Instant;
 
 use kdchoice_core::{
     decide_k_least, BinStore, LoadView, ProbeDistribution, SharedLoadSnapshot, StoreKind,
 };
-use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
+use kdchoice_prng::Xoshiro256PlusPlus;
 use rand::RngCore;
 
-use crate::pipeline::{
-    want_sample, worker_slice, DriveOutcome, OpenLoopConfig, PlacementTable, TickSample,
-};
-use crate::service::{ServiceReport, ServiceWorkloadConfig};
+use crate::pipeline::{IdRange, Run, TickSample, TickStore};
+use crate::service::{run_clients, EndState, ServiceReport, ServiceWorkloadConfig};
 use crate::sharded::Placement;
-use crate::traffic::TrafficSchedule;
 
 /// Lost CAS races a placement tolerates before it stops validating and
 /// commits unconditionally (see the module docs). Small on purpose: the
@@ -609,158 +604,63 @@ impl BinStore for AtomicStore {
     }
 }
 
-/// One relaxed scan of live balls and max load for the tick series.
-fn sample(store: &AtomicStore, tick: u32) -> TickSample {
-    let n = store.n();
-    let mut live = 0u64;
-    let mut max = 0u32;
-    for bin in 0..n {
-        let load = BinStore::load(store, bin);
-        live += u64::from(load);
-        max = max.max(load);
-    }
-    TickSample {
-        tick,
-        live_balls: live,
-        max_load: max,
-        gap: f64::from(max) - live as f64 / n as f64,
-    }
-}
+/// The lock-free backend of the barrier-phased open-loop driver. There
+/// are no locks to amortize, so it serves one request at a time and
+/// ignores `max_batch`, and `snapshot_refresh` too: the counters *are*
+/// the truth, so staleness here comes from racing, not from a refresh
+/// period.
+impl TickStore for AtomicStore {
+    /// Probes and the decision buffers.
+    type Scratch<'s> = (Vec<usize>, PlaceScratch);
 
-/// The shared read-only context of one lock-free open-loop run. Both
-/// pipeline modes run the identical per-request path — there are no
-/// locks to amortize, so batching has nothing to batch.
-struct LockFreePipeline<'a> {
-    store: &'a AtomicStore,
-    probes: &'a ProbeDistribution,
-    n: usize,
-    schedule: &'a TrafficSchedule,
-    table: &'a PlacementTable,
-    k: usize,
-    d: usize,
-    config: &'a OpenLoopConfig,
-}
-
-impl LockFreePipeline<'_> {
-    /// Commits requests `[range.0, range.1)` in id order: per-request
-    /// RNG from `(seed, id)`, `d` probe draws, then the CAS-committed
-    /// placement — the same stream as the striped per-request path.
-    fn commit(&self, range: (u32, u32), probes: &mut Vec<usize>, scratch: &mut PlaceScratch) {
-        for id in range.0..range.1 {
-            let mut rng = Xoshiro256PlusPlus::from_u64(self.config.request_seed(id));
+    /// Per-request RNG from `(seed, id)`, `d` probe draws, then the
+    /// CAS-committed placement: the striped per-request stream.
+    fn commit(&self, run: &Run<'_>, ids: IdRange, (probes, scratch): &mut Self::Scratch<'_>) {
+        for id in ids.0..ids.1 {
             probes.clear();
-            probes.extend((0..self.d).map(|_| self.probes.sample(&mut rng, self.n)));
-            self.store.place_into(probes, self.k, &mut rng, scratch);
-            self.table.set(id, &scratch.bins);
+            let mut rng = run.draw(id, probes);
+            self.place_into(probes, run.config.k, &mut rng, scratch);
+            run.table.set(id, &scratch.bins);
         }
     }
 
-    /// Releases one worker's share of tick `t`'s departures (`bins` is
-    /// scratch).
-    fn release_slice(&self, t: usize, workers: usize, w: usize, bins: &mut Vec<usize>) {
-        let departures = &self.schedule.departures[t];
-        let (lo, hi) = worker_slice((0, departures.len() as u32), workers, w);
-        for &id in &departures[lo as usize..hi as usize] {
+    fn release(&self, run: &Run<'_>, ids: &[u32], (bins, _): &mut Self::Scratch<'_>) {
+        for &id in ids {
             bins.clear();
-            self.table.get(id, bins);
-            self.store.release(bins);
+            run.table.get(id, bins);
+            AtomicStore::release(self, bins);
         }
     }
-}
 
-/// Drives an open-loop schedule through the lock-free store: single
-/// thread inline, or persistent workers under the same 3-phase tick
-/// barrier as the striped driver (releases, commits, quiescent sample).
-/// `snapshot_refresh` is ignored — the counters *are* the truth, so
-/// there is nothing to republish; staleness here comes from racing, not
-/// from a refresh period.
-pub(crate) fn drive_open_loop_lockfree(
-    config: &OpenLoopConfig,
-    schedule: &TrafficSchedule,
-    table: &PlacementTable,
-) -> DriveOutcome {
-    let store = match &config.capacities {
-        None => AtomicStore::with_kind(config.bins, config.store),
-        Some(caps) => AtomicStore::with_kind_capacities(config.bins, caps, config.store),
-    };
-    let pipeline = LockFreePipeline {
-        store: &store,
-        probes: &config.probes,
-        n: config.bins,
-        schedule,
-        table,
-        k: config.k,
-        d: config.d,
-        config,
-    };
-
-    let ticks = config.traffic.ticks as usize;
-    let mut series: Vec<TickSample> = Vec::with_capacity(ticks / config.sample_every as usize + 2);
-
-    let start = Instant::now();
-    if config.threads == 1 {
-        let mut probes = Vec::new();
-        let mut scratch = PlaceScratch::new();
-        for t in 0..ticks {
-            pipeline.release_slice(t, 1, 0, &mut probes);
-            pipeline.commit(schedule.commit_ranges[t], &mut probes, &mut scratch);
-            if want_sample(t, config.sample_every, ticks) {
-                series.push(sample(&store, t as u32));
-            }
+    /// One relaxed scan of live balls and max load.
+    fn sample(&self, tick: u32) -> TickSample {
+        let n = self.n();
+        let mut live = 0u64;
+        let mut max = 0u32;
+        for bin in 0..n {
+            let load = BinStore::load(self, bin);
+            live += u64::from(load);
+            max = max.max(load);
         }
-    } else {
-        let barrier = Barrier::new(config.threads + 1);
-        std::thread::scope(|scope| {
-            for w in 0..config.threads {
-                let pipeline = &pipeline;
-                let barrier = &barrier;
-                let workers = config.threads;
-                scope.spawn(move || {
-                    let mut probes = Vec::new();
-                    let mut scratch = PlaceScratch::new();
-                    for t in 0..ticks {
-                        barrier.wait();
-                        pipeline.release_slice(t, workers, w, &mut probes);
-                        barrier.wait();
-                        let range = worker_slice(pipeline.schedule.commit_ranges[t], workers, w);
-                        pipeline.commit(range, &mut probes, &mut scratch);
-                        barrier.wait();
-                    }
-                });
-            }
-            for t in 0..ticks {
-                barrier.wait(); // workers release tick t's departures
-                barrier.wait(); // workers commit tick t's requests
-                barrier.wait(); // tick t fully applied
-                if want_sample(t, config.sample_every, ticks) {
-                    // Workers are parked at the next tick's first
-                    // barrier (or done): the counters are quiescent.
-                    series.push(sample(&store, t as u32));
-                }
-            }
-        });
+        TickSample {
+            tick,
+            live_balls: live,
+            max_load: max,
+            gap: f64::from(max) - live as f64 / n as f64,
+        }
     }
-    let wall_secs = start.elapsed().as_secs_f64();
 
-    DriveOutcome {
-        series,
-        wall_secs,
-        live_balls: store.total_balls(),
-        final_histogram: store.histogram(),
-        final_util_gap: store.utilization_gap(),
-        total_capacity: BinStore::total_capacity(&store),
-        invariants_ok: store.check_invariants(),
+    fn invariants_ok(&self) -> bool {
+        self.check_invariants()
     }
 }
 
 /// Runs the closed-loop service workload on the lock-free store: the
-/// same client loop as the striped backend (`derive_seed(seed, t)`
-/// streams, windowed releases), every client hammering one shared
+/// striped backend's client loop, every client hammering one shared
 /// [`AtomicStore`] with no locks anywhere. `shards` and
 /// `snapshot_refresh` are ignored — there is nothing to stripe and
 /// nothing to republish.
 pub(crate) fn run_service_workload_lockfree(config: &ServiceWorkloadConfig) -> ServiceReport {
-    assert!(config.threads > 0, "need at least one client thread");
     assert!(
         config.k >= 1 && config.k <= config.d,
         "need 1 <= k <= d (k={}, d={})",
@@ -768,64 +668,23 @@ pub(crate) fn run_service_workload_lockfree(config: &ServiceWorkloadConfig) -> S
         config.d
     );
     let store = AtomicStore::with_kind(config.bins, config.store);
-
-    let start = Instant::now();
-    let released_counts: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.threads)
-            .map(|t| {
-                let store = &store;
-                scope.spawn(move || {
-                    let mut rng = Xoshiro256PlusPlus::from_u64(derive_seed(config.seed, t as u64));
-                    let mut probes = vec![0usize; config.d];
-                    let mut scratch = PlaceScratch::new();
-                    let mut live: std::collections::VecDeque<Placement> =
-                        std::collections::VecDeque::new();
-                    let mut released = 0u64;
-                    for _ in 0..config.requests_per_thread {
-                        for p in probes.iter_mut() {
-                            *p = ProbeDistribution::Uniform.sample(&mut rng, config.bins);
-                        }
-                        let placement = store.place_with(&probes, config.k, &mut rng, &mut scratch);
-                        if config.window > 0 {
-                            live.push_back(placement);
-                            if live.len() > config.window {
-                                let oldest = live.pop_front().expect("window > 0");
-                                released += oldest.bins.len() as u64;
-                                store.release(&oldest.bins);
-                            }
-                        }
-                    }
-                    released
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread must not panic"))
-            .collect()
-    });
-    let wall_secs = start.elapsed().as_secs_f64();
-
-    let placements = (config.threads * config.requests_per_thread) as u64;
-    let balls_placed = placements * config.k as u64;
-    let balls_released: u64 = released_counts.iter().sum();
-    let live_balls = store.total_balls();
-    let conserved = live_balls == balls_placed - balls_released && store.check_invariants();
-    let gap = store.gap();
-    ServiceReport {
-        placements,
-        balls_placed,
-        balls_released,
-        live_balls,
-        wall_secs,
-        placements_per_sec: placements as f64 / wall_secs,
-        balls_per_sec: balls_placed as f64 / wall_secs,
-        max_load: store.max_load(),
-        gap,
-        nu1: store.nu(1),
-        conserved,
-        dim_gaps: vec![gap],
-    }
+    let shared = &store;
+    let (wall_secs, balls_released) = run_clients(
+        config,
+        || {
+            let mut probes = vec![0usize; config.d];
+            let mut scratch = PlaceScratch::new();
+            move |rng: &mut Xoshiro256PlusPlus| {
+                for p in probes.iter_mut() {
+                    *p = ProbeDistribution::Uniform.sample(rng, config.bins);
+                }
+                shared.place_with(&probes, config.k, rng, &mut scratch)
+            }
+        },
+        |oldest: Placement| shared.release(&oldest.bins),
+    );
+    let end = EndState::of(&store, store.check_invariants());
+    ServiceReport::closed_loop(config, wall_secs, balls_released, end, None)
 }
 
 #[cfg(test)]

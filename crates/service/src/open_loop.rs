@@ -5,14 +5,14 @@ use kdchoice_core::{two_tier_capacities, ProbeDistribution, StoreKind};
 use kdchoice_expt::{Axis, Fields, GridError, GridSpec, Params, Scenario, Value};
 
 use crate::engine::ServiceBackend;
-use crate::pipeline::{run_open_loop, OpenLoopConfig, OpenLoopReport, PipelineMode};
+use crate::pipeline::{run_open_loop, OpenLoopConfig, OpenLoopReport};
 use crate::service::prev_power_of_two;
 use crate::traffic::{ArrivalProcess, Lifetime, TrafficConfig};
 
 /// The open-loop traffic experiment family: Poisson (or burst / on-off)
 /// arrivals and exponential (or deterministic) ball lifetimes on a
 /// virtual clock, committed at a bounded service rate through the
-/// batched (or per-request) placement pipeline, reporting queueing
+/// batched placement pipeline (`batch=1`: per request), reporting queueing
 /// latency quantiles in ticks alongside the usual load observables.
 ///
 /// **Determinism caveat** (same shape as the `service` scenario): the
@@ -54,7 +54,6 @@ impl Scenario for OpenLoopScenario {
             ("d", Value::U64(config.d as u64)),
             ("shards", Value::U64(config.shards as u64)),
             ("threads", Value::U64(config.threads as u64)),
-            ("mode", Value::Str(config.mode.name().into())),
             ("backend", Value::Str(config.backend.name().into())),
             ("refresh", Value::U64(config.snapshot_refresh as u64)),
             ("store", Value::Str(config.store.name().into())),
@@ -112,10 +111,6 @@ impl Scenario for OpenLoopScenario {
             ),
             Axis::new("threads", "pipeline worker threads (default 4)"),
             Axis::new(
-                "mode",
-                "placement pipeline: batched | per_request (default batched; striped backend only)",
-            ),
-            Axis::new(
                 "backend",
                 "concurrency backend: striped | shared_nothing | lockfree (default striped)",
             ),
@@ -127,7 +122,10 @@ impl Scenario for OpenLoopScenario {
                 "store",
                 "bin store: exact | packed4 | packed8 (default exact)",
             ),
-            Axis::new("batch", "max requests per batched lock round (default 64)"),
+            Axis::new(
+                "batch",
+                "max requests per striped lock round, 1 = per request (default 64)",
+            ),
             Axis::new(
                 "lambda",
                 "offered load as a fraction of the service rate (default 0.9)",
@@ -179,11 +177,6 @@ impl Scenario for OpenLoopScenario {
         if threads == 0 {
             return Err(params.bad_value("threads", "at least one worker thread"));
         }
-        let mode = match params.get_raw("mode").unwrap_or("batched") {
-            "batched" => PipelineMode::Batched,
-            "per_request" => PipelineMode::PerRequest,
-            _ => return Err(params.bad_value("mode", "batched | per_request")),
-        };
         let backend = ServiceBackend::parse(params.get_raw("backend").unwrap_or("striped"))
             .ok_or_else(|| params.bad_value("backend", "striped | shared_nothing | lockfree"))?;
         if backend == ServiceBackend::SharedNothing && threads > bins {
@@ -272,7 +265,6 @@ impl Scenario for OpenLoopScenario {
             d,
             shards,
             threads,
-            mode,
             backend,
             snapshot_refresh,
             store,
@@ -293,7 +285,7 @@ impl Scenario for OpenLoopScenario {
 
     fn smoke_grid(&self) -> GridSpec {
         GridSpec::parse_str(
-            "n=2^8 shards=4 threads=1,2 mode=batched,per_request backend=striped,shared_nothing,lockfree store=exact,packed4 lambda=0.9,1.3 mu=16 ticks=160 arrivals=poisson,burst sample=8",
+            "n=2^8 shards=4 threads=1,2 batch=1,64 backend=striped,shared_nothing,lockfree store=exact,packed4 lambda=0.9,1.3 mu=16 ticks=160 arrivals=poisson,burst sample=8",
         )
         .expect("open_loop smoke grid")
     }
@@ -314,14 +306,13 @@ mod tests {
         let configs = configs_from_grid(&OpenLoopScenario, &grid, 9).unwrap();
         assert_eq!(configs.len(), 2);
         assert_eq!(configs[0].bins, 1 << 12);
-        assert_eq!(configs[0].mode, PipelineMode::Batched);
+        assert_eq!(configs[0].max_batch, 64);
         assert_eq!(configs[0].seed, 9);
         // capacity = 4096 / (2 * 64) = 32 commits/tick.
         assert_eq!(configs[0].traffic.service_rate, 32);
         assert!((configs[1].traffic.lambda_factor() - 1.2).abs() < 1e-9);
 
         for bad in [
-            "mode=psychic",
             "lambda=0",
             "lambda=-1",
             "mu=0.5",
@@ -349,6 +340,12 @@ mod tests {
                 "{bad} should be rejected"
             );
         }
+        // The batching knob is `batch=`; `mode=` is not an axis.
+        let mode = GridSpec::parse_str("mode=per_request").unwrap();
+        assert!(matches!(
+            configs_from_grid(&OpenLoopScenario, &mode, 0),
+            Err(GridError::UnknownAxis { .. })
+        ));
         let sketch = GridSpec::parse_str("store=sketch").unwrap();
         assert!(matches!(
             configs_from_grid(&OpenLoopScenario, &sketch, 0),

@@ -13,9 +13,11 @@
 //!
 //! ## The 3-phase tick barrier
 //!
-//! With `threads > 1`, [`run_open_loop`] spawns persistent workers that
-//! all walk the tick sequence in lockstep, separated by a shared
-//! [`Barrier`] crossed **three times per tick**:
+//! The striped and lock-free backends share one driver, `drive_ticks`;
+//! each supplies only its commit, release and sample phases through the
+//! crate-private `TickStore` trait. With `threads > 1` the driver spawns
+//! persistent workers that all walk the tick sequence in lockstep,
+//! separated by a shared [`Barrier`] crossed **three times per tick**:
 //!
 //! 1. **Releases** — each worker releases its contiguous slice of the
 //!    tick's departures. Departures must free load *before* the tick's
@@ -36,11 +38,12 @@
 //! | arrival/commit/departure event stream, latency quantiles, backlog | exact | **exact** (schedule is precomputed) |
 //! | per-request probes and tie keys | exact | **exact** (pure in `(seed, id)`) |
 //! | ball conservation, shard invariants | exact | **exact** (checked every run) |
-//! | final load shape / histogram | exact (both modes bit-identical) | interleaving-dependent |
+//! | final load shape / histogram | exact (bit-identical at every `max_batch`) | interleaving-dependent |
 //!
-//! The first three rows are locked by proptests in
-//! `tests/traffic_determinism.rs`; the single-thread bit-identity of
-//! batched vs per-request pipelines by `tests/store_equivalence.rs`.
+//! The first three rows and the single-thread bit-identity across
+//! `max_batch` are locked by proptests in `tests/traffic_determinism.rs`;
+//! the single-thread bit-identity of the batched pipeline and per-request
+//! `PlacementService` serving by `tests/store_equivalence.rs`.
 //!
 //! ## The placement table
 //!
@@ -67,6 +70,7 @@ use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 use kdchoice_stats::Histogram;
 
 use crate::engine::ServiceBackend;
+use crate::lockfree::AtomicStore;
 use crate::service::prev_power_of_two;
 use crate::sharded::{BatchScratch, ShardedStore};
 use crate::traffic::{ArrivalProcess, Lifetime, RequestTiming, TrafficConfig, TrafficSchedule};
@@ -75,31 +79,6 @@ use crate::traffic::{ArrivalProcess, Lifetime, RequestTiming, TrafficConfig, Tra
 const TRAFFIC_STREAM: u64 = 0;
 /// Seed-stream tag that per-request placement RNGs derive under.
 const PLACEMENT_STREAM: u64 = 1;
-
-/// How the pipeline turns committed requests into store operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineMode {
-    /// One placement (a batch of one request) and one `release` call
-    /// per request: the closed-loop service's lock choreography, up to
-    /// `min(d, shards)` lock acquisitions per request.
-    PerRequest,
-    /// Requests are grouped into batches of up to
-    /// [`OpenLoopConfig::max_batch`]; each batch commits through
-    /// [`ShardedStore::place_batch`] (one lock acquisition per involved
-    /// shard per batch) and departures release through one bulk
-    /// `release` call per batch.
-    Batched,
-}
-
-impl PipelineMode {
-    /// The report label (`"batched"` / `"per_request"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            PipelineMode::PerRequest => "per_request",
-            PipelineMode::Batched => "batched",
-        }
-    }
-}
 
 /// Configuration of one open-loop run.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,9 +93,12 @@ pub struct OpenLoopConfig {
     pub shards: usize,
     /// Worker threads draining the pipeline.
     pub threads: usize,
-    /// Commit/release batching strategy.
-    pub mode: PipelineMode,
-    /// Max requests per batch in [`PipelineMode::Batched`] (`≥ 1`).
+    /// Max requests per commit or release batch of the striped backend
+    /// (`≥ 1`): each batch commits through [`ShardedStore::place_batch`]
+    /// (one lock acquisition per involved shard) and releases through one
+    /// bulk `release` call. `1` is the per-request path, up to
+    /// `min(d, shards)` lock acquisitions per request. The lock-free and
+    /// shared-nothing backends serve one request at a time and ignore it.
     pub max_batch: usize,
     /// The traffic trace (arrivals, lifetimes, clock length, capacity).
     pub traffic: TrafficConfig,
@@ -187,7 +169,6 @@ impl OpenLoopConfig {
             d,
             shards: 16.min(prev_power_of_two(bins)),
             threads: 1,
-            mode: PipelineMode::Batched,
             max_batch: 64,
             traffic: TrafficConfig {
                 arrivals: ArrivalProcess::Poisson {
@@ -278,7 +259,7 @@ pub struct OpenLoopReport {
     /// statistic the O(log log n) regression envelope is asserted on.
     pub steady_gap_mean: f64,
     /// Wall-clock seconds for the drive loop (schedule generation
-    /// excluded — it is identical across modes and thread counts).
+    /// excluded — it is identical across batch sizes and thread counts).
     pub wall_secs: f64,
     /// Balls placed per wall-clock second — the pipeline headline.
     pub balls_per_sec: f64,
@@ -301,7 +282,7 @@ pub struct OpenLoopReport {
 }
 
 /// A half-open request-id range `[start, end)`.
-type IdRange = (u32, u32);
+pub(crate) type IdRange = (u32, u32);
 
 /// The bin id of a table entry no commit has written yet.
 const UNSET: u32 = u32::MAX;
@@ -388,71 +369,115 @@ pub(crate) fn worker_slice(range: IdRange, workers: usize, w: usize) -> IdRange 
     (lo as u32, hi as u32)
 }
 
-/// Everything a worker needs, shared read-only across threads.
-struct Pipeline<'a> {
-    store: &'a ShardedStore,
-    probes: &'a ProbeDistribution,
-    n: usize,
-    schedule: &'a TrafficSchedule,
-    table: &'a PlacementTable,
-    k: usize,
-    d: usize,
-    /// Requests per commit or release batch: 1 in per-request mode.
-    batch: usize,
+/// What every worker of one open-loop run reads: the config, the
+/// schedule, and the placement table.
+pub(crate) struct Run<'a> {
+    pub(crate) config: &'a OpenLoopConfig,
+    pub(crate) schedule: &'a TrafficSchedule,
+    pub(crate) table: &'a PlacementTable,
+    /// `derive_seed(seed, PLACEMENT_STREAM)`, hoisted out of
+    /// [`OpenLoopConfig::request_seed`]'s per-request work.
     place_base: u64,
 }
 
-impl<'a> Pipeline<'a> {
-    /// The placement RNG of request `id` (pure in `(seed, id)`).
-    fn request_rng(&self, id: u32) -> Xoshiro256PlusPlus {
-        Xoshiro256PlusPlus::from_u64(derive_seed(self.place_base, u64::from(id)))
+impl Run<'_> {
+    /// Appends request `id`'s `d` probes to `probes` and returns its
+    /// placement RNG, positioned at the tie keys (pure in `(seed, id)`).
+    pub(crate) fn draw(&self, id: u32, probes: &mut Vec<usize>) -> Xoshiro256PlusPlus {
+        let config = self.config;
+        let mut rng = Xoshiro256PlusPlus::from_u64(derive_seed(self.place_base, u64::from(id)));
+        probes.extend((0..config.d).map(|_| config.probes.sample(&mut rng, config.bins)));
+        rng
     }
+}
 
-    /// Commits the requests in `[range.0, range.1)` in id order, one
-    /// batch at a time.
-    fn commit(
-        &self,
-        range: IdRange,
-        probes: &mut Vec<usize>,
-        rngs: &mut Vec<Xoshiro256PlusPlus>,
-        scratch: &mut BatchScratch<'a>,
+/// A store [`drive_ticks`] runs an open-loop schedule through: the
+/// striped [`ShardedStore`] and the lock-free `AtomicStore`. It supplies
+/// the three phases of a tick; the driver owns the loop, the threads,
+/// the barrier and the report.
+pub(crate) trait TickStore: BinStore + Sync {
+    /// One worker's reusable buffers.
+    type Scratch<'s>: Default
+    where
+        Self: 's;
+
+    /// Commits the requests `ids` in id order and records each in
+    /// `run.table`.
+    fn commit<'s>(&'s self, run: &Run<'_>, ids: IdRange, scratch: &mut Self::Scratch<'s>);
+
+    /// Releases the departing requests `ids`.
+    fn release(&self, run: &Run<'_>, ids: &[u32], scratch: &mut Self::Scratch<'_>);
+
+    /// The tick's time-series sample, taken while no worker runs.
+    fn sample(&self, tick: u32) -> TickSample;
+
+    /// Whether the store's invariants hold (checked at end of run).
+    fn invariants_ok(&self) -> bool;
+}
+
+impl TickStore for ShardedStore {
+    /// Probes, per-request RNGs, and the batch decision buffers.
+    type Scratch<'s> = (Vec<usize>, Vec<Xoshiro256PlusPlus>, BatchScratch<'s>);
+
+    /// Commits `max_batch` requests per [`ShardedStore::place_batch`]
+    /// lock round.
+    fn commit<'s>(
+        &'s self,
+        run: &Run<'_>,
+        ids: IdRange,
+        (probes, rngs, batch): &mut Self::Scratch<'s>,
     ) {
-        let mut start = range.0;
-        while start < range.1 {
-            let end = range.1.min(start + self.batch as u32);
+        let (k, d) = (run.config.k, run.config.d);
+        let mut start = ids.0;
+        while start < ids.1 {
+            // `max_batch` may exceed `u32::MAX`: clamp it to what is left.
+            let end = start + ((ids.1 - start) as usize).min(run.config.max_batch) as u32;
             rngs.clear();
             probes.clear();
             for id in start..end {
-                let mut rng = self.request_rng(id);
-                probes.extend((0..self.d).map(|_| self.probes.sample(&mut rng, self.n)));
-                rngs.push(rng);
+                rngs.push(run.draw(id, probes));
             }
-            self.store
-                .place_batch_into(probes, self.d, self.k, rngs, scratch);
-            for (id, bins) in (start..end).zip(scratch.bins.chunks(self.k)) {
-                self.table.set(id, bins);
+            self.place_batch_into(probes, d, k, rngs, batch);
+            for (id, bins) in (start..end).zip(batch.bins.chunks(k)) {
+                run.table.set(id, bins);
             }
             start = end;
         }
     }
 
-    /// Releases the departures in `ids[range]` (indices into the tick's
-    /// departure list).
-    fn release(&self, ids: &[u32], bins: &mut Vec<usize>) {
-        for batch in ids.chunks(self.batch) {
+    /// Releases `max_batch` requests' balls per `release` call (the
+    /// probe buffer holds the bin list).
+    fn release(&self, run: &Run<'_>, ids: &[u32], (bins, ..): &mut Self::Scratch<'_>) {
+        for batch in ids.chunks(run.config.max_batch) {
             bins.clear();
             for &id in batch {
-                self.table.get(id, bins);
+                run.table.get(id, bins);
             }
-            self.store.release(bins);
+            ShardedStore::release(self, bins);
         }
     }
 
-    /// One worker's share of one tick's departures (`bins` is scratch).
-    fn release_slice(&self, tick: usize, workers: usize, w: usize, bins: &mut Vec<usize>) {
-        let departures = &self.schedule.departures[tick];
-        let (lo, hi) = worker_slice((0, departures.len() as u32), workers, w);
-        self.release(&departures[lo as usize..hi as usize], bins);
+    /// One combined lock round over the shards: live balls and max load.
+    fn sample(&self, tick: u32) -> TickSample {
+        let histogram = self.histogram();
+        let mut live = 0u64;
+        let mut max = 0u32;
+        for (load, &count) in histogram.iter().enumerate() {
+            live += count * load as u64;
+            if count > 0 {
+                max = load as u32;
+            }
+        }
+        TickSample {
+            tick,
+            live_balls: live,
+            max_load: max,
+            gap: f64::from(max) - live as f64 / self.n() as f64,
+        }
+    }
+
+    fn invariants_ok(&self) -> bool {
+        self.check_invariants()
     }
 }
 
@@ -475,34 +500,14 @@ pub(crate) struct DriveOutcome {
     pub(crate) invariants_ok: bool,
 }
 
-/// One combined lock round over the shards: live balls and max load.
-fn snapshot(store: &ShardedStore, tick: u32) -> TickSample {
-    let histogram = store.histogram();
-    let mut live = 0u64;
-    let mut max = 0u32;
-    for (load, &count) in histogram.iter().enumerate() {
-        live += count * load as u64;
-        if count > 0 {
-            max = load as u32;
-        }
-    }
-    let gap = f64::from(max) - live as f64 / store.n() as f64;
-    TickSample {
-        tick,
-        live_balls: live,
-        max_load: max,
-        gap,
-    }
-}
-
 /// Runs one open-loop workload: generates the traffic schedule, drives
 /// it through the placement pipeline tick by tick, and reports latency
 /// quantiles, load time series, throughput, and conservation.
 ///
 /// With `threads == 1` the run is fully deterministic in `(config,
-/// seed)` — including the final load shape — for **both** pipeline
-/// modes, and the two modes are bit-identical to each other (locked by
-/// `tests/store_equivalence.rs`). With `threads > 1` the event stream,
+/// seed)` — including the final load shape — and bit-identical at every
+/// `max_batch` (locked by `tests/store_equivalence.rs` and
+/// `tests/traffic_determinism.rs`). With `threads > 1` the event stream,
 /// latencies, and conservation are still exact; only the load shape
 /// depends on commit interleaving, as in the closed-loop service.
 ///
@@ -525,66 +530,55 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopReport {
         .unwrap_or_else(|e| panic!("invalid open-loop config: {e}"));
 
     let table = PlacementTable::new(schedule.timings.len(), config.k, config.bins);
-
-    let outcome = match config.backend {
-        ServiceBackend::Striped => drive_striped(config, &schedule, &table),
-        ServiceBackend::SharedNothing => {
-            crate::engine::drive_open_loop_owned(config, &schedule, &table)
+    let run = Run {
+        config,
+        schedule: &schedule,
+        table: &table,
+        place_base: derive_seed(config.seed, PLACEMENT_STREAM),
+    };
+    let (bins, kind) = (config.bins, config.store);
+    let outcome = match (config.backend, &config.capacities) {
+        (ServiceBackend::Striped, None) => {
+            drive_ticks(&run, ShardedStore::with_kind(bins, config.shards, kind))
         }
-        ServiceBackend::LockFree => {
-            crate::lockfree::drive_open_loop_lockfree(config, &schedule, &table)
+        (ServiceBackend::Striped, Some(caps)) => drive_ticks(
+            &run,
+            ShardedStore::with_kind_capacities(bins, config.shards, caps, kind),
+        ),
+        (ServiceBackend::LockFree, None) => drive_ticks(&run, AtomicStore::with_kind(bins, kind)),
+        (ServiceBackend::LockFree, Some(caps)) => {
+            drive_ticks(&run, AtomicStore::with_kind_capacities(bins, caps, kind))
         }
+        // Separate driver: its tick ends in a drain-while-waiting
+        // rendezvous, not a barrier (a parked owner could not drain).
+        (ServiceBackend::SharedNothing, _) => crate::engine::drive_open_loop_owned(&run),
     };
     assemble_report(config, &schedule, outcome)
 }
 
-/// Drives the schedule through the lock-striped [`ShardedStore`] (the
-/// original backend): single-thread inline, or persistent workers under
-/// the 3-phase tick barrier.
-fn drive_striped(
-    config: &OpenLoopConfig,
-    schedule: &TrafficSchedule,
-    table: &PlacementTable,
-) -> DriveOutcome {
-    let store = match &config.capacities {
-        None => ShardedStore::with_kind(config.bins, config.shards, config.store),
-        Some(caps) => {
-            ShardedStore::with_kind_capacities(config.bins, config.shards, caps, config.store)
-        }
-    };
-    let pipeline = Pipeline {
-        store: &store,
-        probes: &config.probes,
-        n: config.bins,
-        schedule,
-        table,
-        k: config.k,
-        d: config.d,
-        batch: match config.mode {
-            PipelineMode::PerRequest => 1,
-            PipelineMode::Batched => config.max_batch,
-        },
-        place_base: derive_seed(config.seed, PLACEMENT_STREAM),
-    };
-
+/// The barrier-phased open-loop driver of the striped and lock-free
+/// backends: single-thread inline, or persistent workers under the
+/// 3-phase tick barrier (see the module docs).
+fn drive_ticks<S: TickStore>(run: &Run<'_>, store: S) -> DriveOutcome {
+    let (config, schedule) = (run.config, run.schedule);
+    let workers = config.threads;
     let ticks = config.traffic.ticks as usize;
     let mut series: Vec<TickSample> = Vec::with_capacity(ticks / config.sample_every as usize + 2);
+    // Worker `w`'s share of tick `t`'s departures.
+    let departures = |t: usize, w: usize| {
+        let all = &schedule.departures[t];
+        let (lo, hi) = worker_slice((0, all.len() as u32), workers, w);
+        &all[lo as usize..hi as usize]
+    };
 
     let start = Instant::now();
-    if config.threads == 1 {
-        let mut probes = Vec::new();
-        let mut rngs = Vec::new();
-        let mut scratch = BatchScratch::default();
+    if workers == 1 {
+        let mut scratch = S::Scratch::default();
         for t in 0..ticks {
-            pipeline.release_slice(t, 1, 0, &mut probes);
-            pipeline.commit(
-                schedule.commit_ranges[t],
-                &mut probes,
-                &mut rngs,
-                &mut scratch,
-            );
+            store.release(run, departures(t, 0), &mut scratch);
+            store.commit(run, schedule.commit_ranges[t], &mut scratch);
             if want_sample(t, config.sample_every, ticks) {
-                series.push(snapshot(&store, t as u32));
+                series.push(store.sample(t as u32));
             }
         }
     } else {
@@ -592,22 +586,18 @@ fn drive_striped(
         // then commits (departures must free load before the tick's
         // placements probe it), then a quiescent window in which the
         // coordinator samples the time series.
-        let barrier = Barrier::new(config.threads + 1);
+        let barrier = Barrier::new(workers + 1);
         std::thread::scope(|scope| {
-            for w in 0..config.threads {
-                let pipeline = &pipeline;
-                let barrier = &barrier;
-                let workers = config.threads;
+            for w in 0..workers {
+                let (store, barrier, departures) = (&store, &barrier, &departures);
                 scope.spawn(move || {
-                    let mut probes = Vec::new();
-                    let mut rngs = Vec::new();
-                    let mut scratch = BatchScratch::default();
+                    let mut scratch = S::Scratch::default();
                     for t in 0..ticks {
                         barrier.wait();
-                        pipeline.release_slice(t, workers, w, &mut probes);
+                        store.release(run, departures(t, w), &mut scratch);
                         barrier.wait();
-                        let range = worker_slice(pipeline.schedule.commit_ranges[t], workers, w);
-                        pipeline.commit(range, &mut probes, &mut rngs, &mut scratch);
+                        let ids = worker_slice(schedule.commit_ranges[t], workers, w);
+                        store.commit(run, ids, &mut scratch);
                         barrier.wait();
                     }
                 });
@@ -619,7 +609,7 @@ fn drive_striped(
                 if want_sample(t, config.sample_every, ticks) {
                     // Workers are parked at the next tick's first barrier
                     // (or done), so the store is quiescent here.
-                    series.push(snapshot(&store, t as u32));
+                    series.push(store.sample(t as u32));
                 }
             }
         });
@@ -633,7 +623,7 @@ fn drive_striped(
         final_histogram: store.histogram(),
         final_util_gap: store.utilization_gap(),
         total_capacity: store.total_capacity(),
-        invariants_ok: store.check_invariants(),
+        invariants_ok: store.invariants_ok(),
     }
 }
 
@@ -708,12 +698,11 @@ fn assemble_report(
 mod tests {
     use super::*;
 
-    fn small_config(mode: PipelineMode, threads: usize, lambda: f64) -> OpenLoopConfig {
+    fn small_config(max_batch: usize, threads: usize, lambda: f64) -> OpenLoopConfig {
         let mut cfg = OpenLoopConfig::at_lambda(64, 2, 4, lambda, 8.0, 120, 0xA11CE);
         cfg.shards = 4;
         cfg.threads = threads;
-        cfg.mode = mode;
-        cfg.max_batch = 7;
+        cfg.max_batch = max_batch;
         cfg
     }
 
@@ -744,7 +733,7 @@ mod tests {
 
     #[test]
     fn underloaded_run_has_low_latency_and_conserves() {
-        let report = run_open_loop(&small_config(PipelineMode::Batched, 1, 0.5));
+        let report = run_open_loop(&small_config(7, 1, 0.5));
         assert!(report.conserved);
         assert_eq!(report.backlog, 0);
         // At λ=0.5 the typical request is served the tick it arrives;
@@ -763,7 +752,7 @@ mod tests {
 
     #[test]
     fn overloaded_run_builds_backlog_and_latency() {
-        let report = run_open_loop(&small_config(PipelineMode::Batched, 1, 1.5));
+        let report = run_open_loop(&small_config(7, 1, 1.5));
         assert!(report.conserved);
         assert!(report.backlog > 0, "λ=1.5 must leave a backlog");
         assert!(report.latency_max > 5, "overload must build latency");
@@ -775,8 +764,8 @@ mod tests {
     #[test]
     fn single_thread_modes_are_bit_identical() {
         for lambda in [0.6, 1.2] {
-            let batched = run_open_loop(&small_config(PipelineMode::Batched, 1, lambda));
-            let per_request = run_open_loop(&small_config(PipelineMode::PerRequest, 1, lambda));
+            let batched = run_open_loop(&small_config(7, 1, lambda));
+            let per_request = run_open_loop(&small_config(1, 1, lambda));
             // Wall-clock fields differ; everything deterministic matches.
             assert_eq!(batched.series, per_request.series, "lambda={lambda}");
             assert_eq!(batched.final_max_load, per_request.final_max_load);
@@ -785,13 +774,23 @@ mod tests {
         }
     }
 
+    /// A `max_batch` past `u32::MAX` (the `batch=` grid axis accepts any
+    /// `usize`) commits each tick's requests in one batch.
+    #[test]
+    fn oversized_max_batch_commits_each_tick_in_one_batch() {
+        let reference = run_open_loop(&small_config(7, 1, 0.9));
+        let report = run_open_loop(&small_config(usize::MAX, 1, 0.9));
+        assert!(report.conserved);
+        assert_eq!(report.series, reference.series);
+    }
+
     #[test]
     fn multi_thread_run_conserves_and_keeps_the_event_stream() {
-        let mut base = small_config(PipelineMode::Batched, 1, 1.1);
+        let mut base = small_config(7, 1, 1.1);
         base.record_events = true;
         let reference = run_open_loop(&base);
-        for (threads, mode) in [(2, PipelineMode::Batched), (4, PipelineMode::PerRequest)] {
-            let mut cfg = small_config(mode, threads, 1.1);
+        for (threads, max_batch) in [(2, 7), (4, 1)] {
+            let mut cfg = small_config(max_batch, threads, 1.1);
             cfg.record_events = true;
             let report = run_open_loop(&cfg);
             assert!(report.conserved, "threads={threads}");
@@ -804,7 +803,7 @@ mod tests {
 
     #[test]
     fn sample_every_thins_the_series_but_keeps_the_last_tick() {
-        let mut cfg = small_config(PipelineMode::Batched, 1, 0.8);
+        let mut cfg = small_config(7, 1, 0.8);
         cfg.sample_every = 16;
         let report = run_open_loop(&cfg);
         assert!(report.series.len() < 120 / 8);
@@ -814,7 +813,7 @@ mod tests {
 
     #[test]
     fn weighted_pipeline_conserves_and_modes_agree() {
-        let mut base = small_config(PipelineMode::Batched, 1, 0.9);
+        let mut base = small_config(7, 1, 0.9);
         base.probes = ProbeDistribution::zipf(base.bins, 1.0).unwrap();
         base.capacities = Some(kdchoice_core::two_tier_capacities(base.bins, 8, 10));
         let batched = run_open_loop(&base);
@@ -822,17 +821,17 @@ mod tests {
         assert_eq!(batched.total_capacity, 64 + 8 * 9);
         assert!(batched.final_util_gap <= f64::from(batched.final_max_load));
         let mut per_request = base.clone();
-        per_request.mode = PipelineMode::PerRequest;
+        per_request.max_batch = 1;
         let per_request = run_open_loop(&per_request);
         // The weighted placement stream is also pure in (seed, id):
-        // single-threaded modes stay bit-identical.
+        // single-threaded batch sizes stay bit-identical.
         assert_eq!(batched.series, per_request.series);
         assert_eq!(batched.final_histogram, per_request.final_histogram);
     }
 
     #[test]
     fn homogeneous_util_gap_matches_load_gap() {
-        let report = run_open_loop(&small_config(PipelineMode::Batched, 1, 0.7));
+        let report = run_open_loop(&small_config(7, 1, 0.7));
         assert_eq!(report.total_capacity, 64);
         assert!((report.final_util_gap - report.final_gap).abs() < 1e-9);
     }
@@ -840,7 +839,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "wrong bin count")]
     fn mismatched_probe_support_is_rejected() {
-        let mut cfg = small_config(PipelineMode::Batched, 1, 0.5);
+        let mut cfg = small_config(7, 1, 0.5);
         cfg.probes = ProbeDistribution::zipf(cfg.bins + 1, 1.0).unwrap();
         let _ = run_open_loop(&cfg);
     }
@@ -893,11 +892,5 @@ mod tests {
         let mut out = Vec::new();
         table.get(0, &mut out);
         assert_eq!(out, vec![last]);
-    }
-
-    #[test]
-    fn pipeline_mode_names() {
-        assert_eq!(PipelineMode::Batched.name(), "batched");
-        assert_eq!(PipelineMode::PerRequest.name(), "per_request");
     }
 }

@@ -321,58 +321,110 @@ pub fn run_service_workload(config: &ServiceWorkloadConfig) -> ServiceReport {
     let store = ShardedStore::with_kind(config.bins, config.shards, config.store);
     let service = PlacementService::new(store, config.k, config.d)
         .unwrap_or_else(|e| panic!("invalid service config: {e}"));
+    let (wall_secs, balls_released) = run_clients(
+        config,
+        || |rng: &mut Xoshiro256PlusPlus| service.place(rng),
+        |oldest: Placement| service.release(&oldest),
+    );
+    let store = service.into_store();
+    let end = EndState::of(&store, store.check_invariants());
+    ServiceReport::closed_loop(config, wall_secs, balls_released, end, None)
+}
 
+/// The closed-loop client loop of the striped, lock-free and vector
+/// workloads. Client `t` runs on `derive_seed(config.seed, t)`, issues
+/// `requests_per_thread` placements through its own `client()` closure,
+/// and passes its oldest live placement to `release` once more than
+/// `window` are live. Returns the wall time and the balls released (`k`
+/// per release: every placement commits exactly `k` balls).
+pub(crate) fn run_clients<L, P>(
+    config: &ServiceWorkloadConfig,
+    client: impl Fn() -> P + Sync,
+    release: impl Fn(L) + Sync,
+) -> (f64, u64)
+where
+    P: FnMut(&mut Xoshiro256PlusPlus) -> L,
+{
     let start = Instant::now();
-    let released_counts: Vec<u64> = std::thread::scope(|scope| {
+    let releases: u64 = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..config.threads)
             .map(|t| {
-                let service = &service;
+                let (client, release) = (&client, &release);
                 scope.spawn(move || {
                     let mut rng = Xoshiro256PlusPlus::from_u64(derive_seed(config.seed, t as u64));
-                    let mut live: std::collections::VecDeque<Placement> =
-                        std::collections::VecDeque::new();
-                    let mut released = 0u64;
+                    let mut place = client();
+                    let mut live = std::collections::VecDeque::new();
+                    let mut releases = 0u64;
                     for _ in 0..config.requests_per_thread {
-                        let placement = service.place(&mut rng);
+                        let placement = place(&mut rng);
                         if config.window > 0 {
                             live.push_back(placement);
                             if live.len() > config.window {
-                                let oldest = live.pop_front().expect("window > 0");
-                                released += oldest.bins.len() as u64;
-                                service.release(&oldest);
+                                release(live.pop_front().expect("window > 0"));
+                                releases += 1;
                             }
                         }
                     }
-                    released
+                    releases
                 })
             })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("client thread must not panic"))
-            .collect()
+            .sum()
     });
-    let wall_secs = start.elapsed().as_secs_f64();
+    (start.elapsed().as_secs_f64(), releases * config.k as u64)
+}
 
-    let placements = (config.threads * config.requests_per_thread) as u64;
-    let balls_placed = placements * config.k as u64;
-    let balls_released: u64 = released_counts.iter().sum();
-    let store = service.into_store();
-    let live_balls = store.total_balls();
-    let conserved = live_balls == balls_placed - balls_released && store.check_invariants();
-    ServiceReport {
-        placements,
-        balls_placed,
-        balls_released,
-        live_balls,
-        wall_secs,
-        placements_per_sec: placements as f64 / wall_secs,
-        balls_per_sec: balls_placed as f64 / wall_secs,
-        max_load: store.max_load(),
-        gap: store.gap(),
-        nu1: store.nu(1),
-        conserved,
-        dim_gaps: vec![store.gap()],
+/// The final store state a closed-loop [`ServiceReport`] reads.
+pub(crate) struct EndState {
+    pub(crate) live_balls: u64,
+    pub(crate) max_load: u32,
+    /// `ν_1`: bins holding at least one ball.
+    pub(crate) nu1: u64,
+    pub(crate) invariants_ok: bool,
+}
+
+impl EndState {
+    /// The end state of `store`, with the result of its invariant check.
+    pub(crate) fn of(store: &impl BinStore, invariants_ok: bool) -> Self {
+        Self {
+            live_balls: store.total_balls(),
+            max_load: store.max_load(),
+            nu1: store.nu(1),
+            invariants_ok,
+        }
+    }
+}
+
+impl ServiceReport {
+    /// The report of a finished closed-loop run of any backend.
+    /// `dim_gaps` defaults to the scalar `[gap]`.
+    pub(crate) fn closed_loop(
+        config: &ServiceWorkloadConfig,
+        wall_secs: f64,
+        balls_released: u64,
+        end: EndState,
+        dim_gaps: Option<Vec<f64>>,
+    ) -> Self {
+        let placements = (config.threads * config.requests_per_thread) as u64;
+        let balls_placed = placements * config.k as u64;
+        let gap = f64::from(end.max_load) - end.live_balls as f64 / config.bins as f64;
+        Self {
+            placements,
+            balls_placed,
+            balls_released,
+            live_balls: end.live_balls,
+            wall_secs,
+            placements_per_sec: placements as f64 / wall_secs,
+            balls_per_sec: balls_placed as f64 / wall_secs,
+            max_load: end.max_load,
+            gap,
+            nu1: end.nu1,
+            conserved: end.live_balls == balls_placed - balls_released && end.invariants_ok,
+            dim_gaps: dim_gaps.unwrap_or_else(|| vec![gap]),
+        }
     }
 }
 
@@ -426,88 +478,53 @@ pub fn run_vector_service_workload(config: &ServiceWorkloadConfig) -> ServiceRep
         config.store.name()
     );
     let store = Mutex::new(VectorLoad::new(config.dims, config.bins));
-
-    let start = Instant::now();
-    let released_counts: Vec<u64> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.threads)
-            .map(|t| {
-                let store = &store;
-                scope.spawn(move || {
-                    let mut rng = Xoshiro256PlusPlus::from_u64(derive_seed(config.seed, t as u64));
-                    let mut probes = vec![0usize; config.d];
-                    let mut slots: Vec<VectorSlot> = Vec::with_capacity(config.d);
-                    let mut demand_buf: Vec<u32> = Vec::with_capacity(config.dims);
-                    let mut live: std::collections::VecDeque<(Vec<usize>, Vec<u32>)> =
-                        std::collections::VecDeque::new();
-                    let mut released = 0u64;
-                    for _ in 0..config.requests_per_thread {
-                        for p in probes.iter_mut() {
-                            *p = ProbeDistribution::Uniform.sample(&mut rng, config.bins);
-                        }
-                        probes.sort_unstable();
-                        config
-                            .demand
-                            .sample_into(&mut rng, config.dims, &mut demand_buf);
-                        let mut bins = Vec::with_capacity(config.k);
-                        {
-                            let guard = &mut *store.lock().expect("store mutex poisoned");
-                            decide_k_least_vector(
-                                guard,
-                                &probes,
-                                config.k,
-                                &demand_buf,
-                                &config.objective,
-                                &mut rng,
-                                &mut slots,
-                                &mut bins,
-                            );
-                            for &bin in &bins {
-                                guard.add(bin, &demand_buf);
-                            }
-                        }
-                        if config.window > 0 {
-                            live.push_back((bins, demand_buf.clone()));
-                            if live.len() > config.window {
-                                let (bins, demand) = live.pop_front().expect("window > 0");
-                                released += bins.len() as u64;
-                                let guard = &mut *store.lock().expect("store mutex poisoned");
-                                for &bin in &bins {
-                                    guard.remove(bin, &demand);
-                                }
-                            }
-                        }
-                    }
-                    released
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread must not panic"))
-            .collect()
-    });
-    let wall_secs = start.elapsed().as_secs_f64();
-
-    let placements = (config.threads * config.requests_per_thread) as u64;
-    let balls_placed = placements * config.k as u64;
-    let balls_released: u64 = released_counts.iter().sum();
+    let shared = &store;
+    let (wall_secs, balls_released) = run_clients(
+        config,
+        || {
+            let mut probes = vec![0usize; config.d];
+            let mut slots: Vec<VectorSlot> = Vec::with_capacity(config.d);
+            let mut demand: Vec<u32> = Vec::with_capacity(config.dims);
+            move |rng: &mut Xoshiro256PlusPlus| {
+                for p in probes.iter_mut() {
+                    *p = ProbeDistribution::Uniform.sample(rng, config.bins);
+                }
+                probes.sort_unstable();
+                config.demand.sample_into(rng, config.dims, &mut demand);
+                let mut bins = Vec::with_capacity(config.k);
+                let guard = &mut *shared.lock().expect("store mutex poisoned");
+                decide_k_least_vector(
+                    guard,
+                    &probes,
+                    config.k,
+                    &demand,
+                    &config.objective,
+                    rng,
+                    &mut slots,
+                    &mut bins,
+                );
+                for &bin in &bins {
+                    guard.add(bin, &demand);
+                }
+                (bins, demand.clone())
+            }
+        },
+        |(bins, demand): (Vec<usize>, Vec<u32>)| {
+            let guard = &mut *shared.lock().expect("store mutex poisoned");
+            for &bin in &bins {
+                guard.remove(bin, &demand);
+            }
+        },
+    );
     let store = store.into_inner().expect("store mutex poisoned");
-    let live_balls = store.balls().total_balls();
-    let conserved = live_balls == balls_placed - balls_released && store.check_invariants();
-    ServiceReport {
-        placements,
-        balls_placed,
-        balls_released,
-        live_balls,
+    let end = EndState::of(store.balls(), store.check_invariants());
+    ServiceReport::closed_loop(
+        config,
         wall_secs,
-        placements_per_sec: placements as f64 / wall_secs,
-        balls_per_sec: balls_placed as f64 / wall_secs,
-        max_load: store.balls().max_load(),
-        gap: store.balls().gap(),
-        nu1: store.balls().nu(1),
-        conserved,
-        dim_gaps: store.dim_gaps(),
-    }
+        balls_released,
+        end,
+        Some(store.dim_gaps()),
+    )
 }
 
 #[cfg(test)]

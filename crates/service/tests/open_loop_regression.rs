@@ -19,7 +19,7 @@
 //! deterministic report field, per backend, store kind and seed.
 
 use kdchoice_core::StoreKind;
-use kdchoice_service::{run_open_loop, OpenLoopConfig, PipelineMode, ServiceBackend};
+use kdchoice_service::{run_open_loop, OpenLoopConfig, ServiceBackend};
 use kdchoice_theory::bounds::theorem2_gap_band;
 
 /// One deterministic steady-state run: two-choice, λ=0.9, exponential
@@ -27,7 +27,6 @@ use kdchoice_theory::bounds::theorem2_gap_band;
 fn steady_gap(n: usize, seed: u64) -> f64 {
     let mut config = OpenLoopConfig::at_lambda(n, 1, 2, 0.9, 32.0, 1200, seed);
     config.threads = 1;
-    config.mode = PipelineMode::Batched;
     config.sample_every = 4;
     let report = run_open_loop(&config);
     assert!(report.conserved, "n={n} seed={seed}");

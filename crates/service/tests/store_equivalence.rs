@@ -19,8 +19,7 @@ use kdchoice_core::{BinStore, LoadVector};
 use kdchoice_prng::sample::UniformBin;
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 use kdchoice_service::{
-    run_open_loop, OpenLoopConfig, PipelineMode, Placement, PlacementService, ShardedStore,
-    TrafficSchedule,
+    run_open_loop, OpenLoopConfig, Placement, PlacementService, ShardedStore, TrafficSchedule,
 };
 use proptest::prelude::*;
 use rand::RngCore;
@@ -164,7 +163,6 @@ fn batched_pipeline_matches_per_request_placement_service() {
         let mut config = OpenLoopConfig::at_lambda(96, 2, 4, lambda, 8.0, 150, seed);
         config.shards = 8;
         config.threads = 1;
-        config.mode = PipelineMode::Batched;
         config.max_batch = max_batch;
         let report = run_open_loop(&config);
         assert!(report.conserved, "λ={lambda}");

@@ -2,11 +2,11 @@
 //! `derive_seed` contract of the experiment layer): for a fixed seed the
 //! arrival/commit/departure **event stream** — and every statistic
 //! computed from it (latency quantiles, committed/backlog counts, ball
-//! conservation totals) — is bit-identical no matter how the placement
-//! pipeline is batched or threaded.
+//! conservation totals) — is bit-identical at every `max_batch` (1 is
+//! the per-request path) and thread count.
 
 use kdchoice_service::{
-    run_open_loop, ArrivalProcess, Lifetime, OpenLoopConfig, PipelineMode, TrafficConfig,
+    run_open_loop, ArrivalProcess, Lifetime, OpenLoopConfig, ServiceBackend, TrafficConfig,
     TrafficSchedule,
 };
 use proptest::prelude::*;
@@ -18,8 +18,7 @@ fn config(seed: u64, rate: f64, service_rate: u32, ticks: u32) -> OpenLoopConfig
         d: 4,
         shards: 4,
         threads: 1,
-        mode: PipelineMode::Batched,
-        backend: kdchoice_service::ServiceBackend::Striped,
+        backend: ServiceBackend::Striped,
         snapshot_refresh: 1,
         store: kdchoice_core::StoreKind::Exact,
         max_batch: 8,
@@ -57,14 +56,14 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-    /// The engine cannot perturb the event stream: batched vs
-    /// per-request, any batch size, any thread count — same events,
-    /// same latency quantiles, same conservation totals.
+    /// The engine cannot perturb the event stream: any batch size
+    /// (1 = per request), any thread count — same events, same latency
+    /// quantiles, same conservation totals.
     ///
     /// What each group of assertions locks:
     /// * events/latency/committed equality pins the **config contract**:
     ///   the schedule (and everything derived from it) must never start
-    ///   depending on `mode`/`max_batch`/`threads` — e.g. someone
+    ///   depending on `max_batch`/`threads` — e.g. someone
     ///   folding the thread count into `traffic_seed` would fail here;
     /// * `conserved`, `live_balls`, and (single-threaded) the final
     ///   histogram are **execution-derived** — read back from the store
@@ -84,7 +83,7 @@ proptest! {
         let variants = [
             {
                 let mut c = config(seed, rate, service_rate, 80);
-                c.mode = PipelineMode::PerRequest;
+                c.max_batch = 1;
                 c
             },
             {
@@ -101,7 +100,7 @@ proptest! {
             {
                 let mut c = config(seed, rate, service_rate, 80);
                 c.threads = threads;
-                c.mode = PipelineMode::PerRequest;
+                c.max_batch = 1;
                 c
             },
         ];
@@ -136,21 +135,28 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     /// Single-threaded, the *entire run* — including the load time
-    /// series and final shape — is independent of the batch size.
+    /// series and final shape — is independent of the batch size, on
+    /// every backend (shared-nothing at refresh 1).
     #[test]
     fn single_thread_state_is_independent_of_batch_size(
         seed in any::<u64>(),
         rate in 0.5f64..5.0,
         batch_a in 1usize..16,
         batch_b in 1usize..16,
+        backend in 0usize..3,
     ) {
         let mut a = config(seed, rate, 3, 60);
         a.max_batch = batch_a;
-        let mut b = config(seed, rate, 3, 60);
+        a.backend = [
+            ServiceBackend::Striped,
+            ServiceBackend::SharedNothing,
+            ServiceBackend::LockFree,
+        ][backend];
+        let mut b = a.clone();
         b.max_batch = batch_b;
         let ra = run_open_loop(&a);
         let rb = run_open_loop(&b);
-        prop_assert_eq!(&ra.series, &rb.series);
+        prop_assert_eq!(&ra.series, &rb.series, "{}", a.backend.name());
         prop_assert_eq!(ra.final_max_load, rb.final_max_load);
         prop_assert_eq!(ra.final_gap, rb.final_gap);
     }

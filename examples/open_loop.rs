@@ -12,7 +12,7 @@
 //! cargo run --release --example open_loop
 //! ```
 
-use kdchoice::service::{churn_capacity, run_open_loop, OpenLoopConfig, PipelineMode};
+use kdchoice::service::{churn_capacity, run_open_loop, OpenLoopConfig};
 
 fn main() {
     let n = 1 << 12;
@@ -30,7 +30,6 @@ fn main() {
     );
     for lambda in [0.5, 0.9, 0.99, 1.2] {
         let mut config = OpenLoopConfig::at_lambda(n, k, d, lambda, mean_lifetime, ticks, 0xFEED);
-        config.mode = PipelineMode::Batched;
         config.sample_every = 4;
         let report = run_open_loop(&config);
         assert!(report.conserved, "open-loop run must conserve balls");

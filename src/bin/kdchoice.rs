@@ -16,7 +16,7 @@ use std::process::ExitCode;
 
 use kdchoice::baselines::{AdaptiveProbing, DChoice, OnePlusBeta, SingleChoice};
 use kdchoice::cli::CliArgs;
-use kdchoice::kd::{run_trials, run_with_trace, BallsIntoBins, KdChoice, RoundPolicy, RunConfig};
+use kdchoice::kd::{run_trials, run_with_trace, KdChoice, RoundPolicy, RoundProcess, RunConfig};
 use kdchoice::scheduler::{simulate, ClusterConfig, PlacementStrategy};
 use kdchoice::storage::{
     run_cluster_workload, ClusterWorkloadConfig, PlacementPolicy, WorkloadConfig,
@@ -122,51 +122,68 @@ fn cmd_compare(args: &CliArgs) -> Result<(), Box<dyn Error>> {
         "{:<22} {:>12} {:>10} {:>12}",
         "process", "max loads", "mean max", "msgs/ball"
     );
-    type Factory = Box<dyn Fn() -> Box<dyn BallsIntoBins> + Sync>;
-    let entries: Vec<(&str, Factory)> = vec![
-        ("single-choice", Box::new(|| Box::new(SingleChoice::new()))),
-        (
-            "greedy[2]",
-            Box::new(|| Box::new(DChoice::new(2).expect("valid"))),
-        ),
-        (
-            "(1+0.5)-choice",
-            Box::new(|| Box::new(OnePlusBeta::new(0.5).expect("valid"))),
-        ),
-        (
-            "adaptive",
-            Box::new(|| Box::new(AdaptiveProbing::new(1, 32).expect("valid"))),
-        ),
-        (
-            "(2,3)-choice",
-            Box::new(|| Box::new(KdChoice::new(2, 3).expect("valid"))),
-        ),
-        (
-            "(16,17)-choice",
-            Box::new(|| Box::new(KdChoice::new(16, 17).expect("valid"))),
-        ),
-        (
-            "(16,32)-choice",
-            Box::new(|| Box::new(KdChoice::new(16, 32).expect("valid"))),
-        ),
-    ];
-    for (name, factory) in entries {
-        let set = run_trials(|_| factory(), &cfg, trials);
-        let mpb: f64 = set
-            .results
-            .iter()
-            .map(|r| r.messages_per_ball())
-            .sum::<f64>()
-            / set.results.len() as f64;
-        println!(
-            "{:<22} {:>12} {:>10.2} {:>12.3}",
-            name,
-            set.max_load_set_string(),
-            set.mean_max_load(),
-            mpb
-        );
-    }
+    compare_row("single-choice", SingleChoice::new, &cfg, trials);
+    compare_row(
+        "greedy[2]",
+        || DChoice::new(2).expect("valid"),
+        &cfg,
+        trials,
+    );
+    compare_row(
+        "(1+0.5)-choice",
+        || OnePlusBeta::new(0.5).expect("valid"),
+        &cfg,
+        trials,
+    );
+    compare_row(
+        "adaptive",
+        || AdaptiveProbing::new(1, 32).expect("valid"),
+        &cfg,
+        trials,
+    );
+    compare_row(
+        "(2,3)-choice",
+        || KdChoice::new(2, 3).expect("valid"),
+        &cfg,
+        trials,
+    );
+    compare_row(
+        "(16,17)-choice",
+        || KdChoice::new(16, 17).expect("valid"),
+        &cfg,
+        trials,
+    );
+    compare_row(
+        "(16,32)-choice",
+        || KdChoice::new(16, 32).expect("valid"),
+        &cfg,
+        trials,
+    );
     Ok(())
+}
+
+/// Runs `trials` of the process `make` builds and prints its `compare`
+/// row. Generic, so every generator draw is a direct call.
+fn compare_row<P: RoundProcess>(
+    name: &str,
+    make: impl Fn() -> P + Sync,
+    cfg: &RunConfig,
+    trials: usize,
+) {
+    let set = run_trials(|_| Box::new(make()), cfg, trials);
+    let mpb: f64 = set
+        .results
+        .iter()
+        .map(|r| r.messages_per_ball())
+        .sum::<f64>()
+        / set.results.len() as f64;
+    println!(
+        "{:<22} {:>12} {:>10.2} {:>12.3}",
+        name,
+        set.max_load_set_string(),
+        set.mean_max_load(),
+        mpb
+    );
 }
 
 fn cmd_trace(args: &CliArgs) -> Result<(), Box<dyn Error>> {
