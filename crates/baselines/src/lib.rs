@@ -2,10 +2,8 @@
 //!
 //! Every scheme the paper positions (k,d)-choice against, implemented on the
 //! same monomorphized [`RoundProcess`](kdchoice_core::RoundProcess) trait so
-//! the experiments drive them identically — statically dispatched through
-//! the generic drivers, or boxed as
-//! [`BallsIntoBins`](kdchoice_core::BallsIntoBins) trait objects via the
-//! blanket shim:
+//! the experiments drive them identically, statically dispatched through
+//! the generic drivers:
 //!
 //! * [`SingleChoice`] — the classical process; also the paper's SA = SA(k,k)
 //!   equivalence class (the round structure is irrelevant for i.u.r.

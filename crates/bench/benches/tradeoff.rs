@@ -11,7 +11,7 @@
 use kdchoice_baselines::{AdaptiveProbing, DChoice, OnePlusBeta, SingleChoice};
 use kdchoice_bench::table::Table;
 use kdchoice_bench::{fast_mode, print_header};
-use kdchoice_core::{run_trials, BallsIntoBins, KdChoice, RunConfig};
+use kdchoice_core::{run_trials, KdChoice, RoundProcess, RunConfig};
 use kdchoice_theory::cost::{constant_load_params, near_minimal_message_params};
 
 fn main() {
@@ -30,35 +30,12 @@ fn main() {
     let (k_const, d_const) = constant_load_params(n);
     let (k_min, d_min) = near_minimal_message_params(n);
 
-    type Factory = Box<dyn Fn() -> Box<dyn BallsIntoBins> + Sync>;
-    let mut entries: Vec<(String, Factory)> = vec![(
-        "single-choice".into(),
-        Box::new(|| Box::new(SingleChoice::new())),
-    )];
-    entries.push((
-        "greedy[2]".into(),
-        Box::new(|| Box::new(DChoice::new(2).expect("valid"))),
-    ));
-    entries.push((
-        "(1+0.5)-choice".into(),
-        Box::new(|| Box::new(OnePlusBeta::new(0.5).expect("valid"))),
-    ));
-    entries.push((
-        "adaptive[+1,cap 32]".into(),
-        Box::new(|| Box::new(AdaptiveProbing::new(1, 32).expect("valid"))),
-    ));
     let kd_params: Vec<(usize, usize, &str)> = vec![
         (k_const, d_const, "constant load @ 2 msg/ball"),
         (k_min, d_min, "o(lnln n) load @ ~1 msg/ball"),
         (16, 17, "(k,k+1): half of two-choice cost"),
         (16, 32, "dk=2 mid-scale"),
     ];
-    for &(k, d, _) in &kd_params {
-        entries.push((
-            format!("({k},{d})-choice"),
-            Box::new(move || Box::new(KdChoice::new(k, d).expect("valid"))),
-        ));
-    }
 
     let mut t = Table::new(vec![
         "process".into(),
@@ -67,28 +44,46 @@ fn main() {
         "msgs/ball".into(),
         "note".into(),
     ]);
-    let mut results = Vec::new();
-    for (i, (name, factory)) in entries.iter().enumerate() {
-        let set = run_trials(|_| factory(), &RunConfig::new(n, 11_000 + i as u64), trials);
-        let mpb: f64 = set
-            .results
-            .iter()
-            .map(|r| r.messages_per_ball())
-            .sum::<f64>()
-            / set.results.len() as f64;
-        let note = kd_params
-            .iter()
-            .find(|&&(k, d, _)| format!("({k},{d})-choice") == *name)
-            .map(|&(_, _, note)| note)
-            .unwrap_or("");
-        t.row(vec![
-            name.clone(),
-            format!("{:.2}", set.mean_max_load()),
-            set.max_load_set_string(),
-            format!("{mpb:.3}"),
-            note.to_string(),
-        ]);
-        results.push((name.clone(), set.mean_max_load(), mpb));
+    let mut results = vec![
+        row(&mut t, "single-choice", "", SingleChoice::new, n, 0, trials),
+        row(
+            &mut t,
+            "greedy[2]",
+            "",
+            || DChoice::new(2).expect("valid"),
+            n,
+            1,
+            trials,
+        ),
+        row(
+            &mut t,
+            "(1+0.5)-choice",
+            "",
+            || OnePlusBeta::new(0.5).expect("valid"),
+            n,
+            2,
+            trials,
+        ),
+        row(
+            &mut t,
+            "adaptive[+1,cap 32]",
+            "",
+            || AdaptiveProbing::new(1, 32).expect("valid"),
+            n,
+            3,
+            trials,
+        ),
+    ];
+    for (i, &(k, d, note)) in kd_params.iter().enumerate() {
+        results.push(row(
+            &mut t,
+            &format!("({k},{d})-choice"),
+            note,
+            || KdChoice::new(k, d).expect("valid"),
+            n,
+            4 + i as u64,
+            trials,
+        ));
     }
     t.print();
 
@@ -130,4 +125,37 @@ fn main() {
     let (_, single_load, _) = get("single-choice");
     assert!(min_load < single_load, "must beat single choice");
     println!("\ntradeoff headline checks passed");
+}
+
+/// Runs `trials` of the process `make` builds (row `index` of the table
+/// picks the seed), adds its table row, and returns `(name, mean max load,
+/// messages per ball)`. Generic, so every generator draw is a direct call.
+fn row<P: RoundProcess>(
+    t: &mut Table,
+    name: &str,
+    note: &str,
+    make: impl Fn() -> P + Sync,
+    n: usize,
+    index: u64,
+    trials: usize,
+) -> (String, f64, f64) {
+    let set = run_trials(
+        |_| Box::new(make()),
+        &RunConfig::new(n, 11_000 + index),
+        trials,
+    );
+    let mpb: f64 = set
+        .results
+        .iter()
+        .map(|r| r.messages_per_ball())
+        .sum::<f64>()
+        / set.results.len() as f64;
+    t.row(vec![
+        name.to_string(),
+        format!("{:.2}", set.mean_max_load()),
+        set.max_load_set_string(),
+        format!("{mpb:.3}"),
+        note.to_string(),
+    ]);
+    (name.to_string(), set.mean_max_load(), mpb)
 }

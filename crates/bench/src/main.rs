@@ -1,5 +1,6 @@
 //! The `kdchoice-bench` CLI: every experiment family in the workspace,
-//! runnable by name over a parameter grid, plus the throughput harness.
+//! runnable by name over a parameter grid, plus the balance-envelope
+//! harness.
 //!
 //! ```sh
 //! kdchoice-bench list                          # registered scenarios + axes
@@ -8,10 +9,17 @@
 //! kdchoice-bench run service --grid threads=1,2,4,8 window=256 --format table
 //! kdchoice-bench run open_loop --grid lambda=0.9,1.2 threads=8 --format table
 //! kdchoice-bench smoke                         # tiny grid per scenario; JSON validated
-//! kdchoice-bench throughput [--quick]          # engine + scenario + service + open-loop
-//!                                              # λ×threads rows -> BENCH_results.json
+//! kdchoice-bench throughput [--quick]          # balance envelopes -> BENCH_results.json
+//! kdchoice-bench figures                       # BENCH_results.json -> docs/*.svg
 //! kdchoice-bench                               # = throughput (back-compat)
 //! ```
+//!
+//! `throughput` keeps its name but records balance, not speed: the gap
+//! under snapshot staleness, per-dimension vector gaps, cluster
+//! degradation under a crash storm and the gap each bin-store
+//! representation pays per byte, each checked live against its Theorem 2
+//! envelope. Every speed number lives in the repository benchmark
+//! (`benchmark/`), which times the same code interleaved and at scale.
 //!
 //! Every `run` sweep executes on the shared work-stealing
 //! [`SweepRunner`]: all (config × trial) cells in parallel across all
@@ -23,20 +31,14 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use kdchoice_core::{
-    decide_k_least, run_once, run_once_compact, run_once_vector, BallsIntoBins, BinSlab,
-    DynamicScenario, HeteroScenario, KdChoice, LoadView, PlacementObjective, ProbeDistribution,
-    RunConfig, StaticScenario, StoreKind,
+    run_once_compact, run_once_vector, BinSlab, DynamicScenario, HeteroScenario,
+    PlacementObjective, ProbeDistribution, RunConfig, StaticScenario, StoreKind,
 };
-use kdchoice_expt::{
-    configs_from_grid, GridSpec, Registry, ReportFormat, Scenario, SweepRunner, Value,
-};
+use kdchoice_expt::{GridSpec, Registry, ReportFormat, SweepRunner};
 use kdchoice_prng::demand::DemandDistribution;
-use kdchoice_prng::sample::{fill_weighted, fill_with_replacement, WeightedBin};
-use kdchoice_prng::Xoshiro256PlusPlus;
 use kdchoice_scheduler::SchedulerScenario;
 use kdchoice_service::{
-    run_open_loop, run_service_workload, OpenLoopConfig, OpenLoopScenario, ServiceBackend,
-    ServiceScenario, ServiceWorkloadConfig,
+    run_open_loop, OpenLoopConfig, OpenLoopScenario, ServiceBackend, ServiceScenario,
 };
 use kdchoice_storage::{
     run_cluster_workload, ClusterConfig, ClusterScenario, ClusterWorkloadConfig, FaultPlan,
@@ -61,9 +63,8 @@ fn usage() -> &'static str {
      kdchoice-bench list\n  \
      kdchoice-bench run <scenario> [--grid k=v1,v2 ...] [--trials N] [--seed S] [--format jsonl|csv|table] [--threads N]\n  \
      kdchoice-bench smoke\n  \
-     kdchoice-bench throughput [--quick]\n  \
+     kdchoice-bench throughput [--quick]  (record the Theorem 2 balance envelopes into BENCH_results.json;\n                                       --quick checks the same document at smoke scale, writes nothing;\n                                       speed is timed by the repository benchmark in benchmark/)\n  \
      kdchoice-bench figures          (render BENCH_results.json curves into docs/*.svg)\n  \
-     kdchoice-bench decide-kernel    (re-measure the decide_k_least before/after points)\n  \
      kdchoice-bench [--quick]        (same as `throughput`)"
 }
 
@@ -95,21 +96,6 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        Some("decide-kernel") => {
-            // Standalone run of the kernel-prefetch race (the same rows
-            // `throughput` records as `decide_prefetch`).
-            for p in measure_decide_prefetch() {
-                println!(
-                    "decide-kernel n={} d={} k=2: before {:.0} | after {:.0} decisions/sec ({:+.1}%)",
-                    p.n,
-                    p.d,
-                    p.before_decisions_per_sec,
-                    p.after_decisions_per_sec,
-                    p.delta() * 100.0,
-                );
-            }
-            ExitCode::SUCCESS
-        }
         Some("figures") => match cmd_figures() {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
@@ -252,341 +238,8 @@ fn cmd_smoke() -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// Throughput harness (BENCH_results.json)
+// Balance-envelope harness (BENCH_results.json)
 // ---------------------------------------------------------------------------
-
-/// One measured static configuration: the batched engine behind the
-/// object-safe `dyn` shim vs the same engine monomorphized.
-struct Measurement {
-    k: usize,
-    d: usize,
-    n: usize,
-    balls: u64,
-    dyn_batched_balls_per_sec: f64,
-    generic_batched_balls_per_sec: f64,
-    max_load_dyn: u32,
-    max_load_generic: u32,
-}
-
-impl Measurement {
-    fn speedup(&self) -> f64 {
-        self.generic_batched_balls_per_sec / self.dyn_batched_balls_per_sec
-    }
-}
-
-/// One scenario-throughput row: a whole (config × trial) sweep through
-/// the shared runner, measured end to end.
-struct ScenarioThroughput {
-    scenario: &'static str,
-    unit: &'static str,
-    grid: String,
-    trials: usize,
-    work_items: u64,
-    wall_secs: f64,
-    rate: f64,
-}
-
-/// One thread-scaling row of the concurrent placement service: a fixed
-/// total request budget split across `threads` closed-loop clients.
-struct ServiceScaling {
-    threads: usize,
-    bins: usize,
-    k: usize,
-    d: usize,
-    shards: usize,
-    requests: u64,
-    balls_placed: u64,
-    wall_secs: f64,
-    balls_per_sec: f64,
-    placements_per_sec: f64,
-    max_load: u32,
-    gap: f64,
-    conserved: bool,
-}
-
-/// Client thread counts swept by the service thread-scaling mode.
-const SERVICE_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Measures placement throughput of the sharded service at each thread
-/// count, holding the total work fixed so rows are comparable: every row
-/// statically fills the same ball count, so final max-load/gap are
-/// directly comparable across thread counts (the release path is
-/// exercised by the `service` smoke grid and the stress tests).
-fn measure_service_scaling(quick: bool) -> Vec<ServiceScaling> {
-    let (bins, total_requests) = if quick {
-        (1 << 13, 100_000usize)
-    } else {
-        (1 << 16, 1_500_000usize)
-    };
-    SERVICE_THREADS
-        .iter()
-        .map(|&threads| {
-            let cfg = ServiceWorkloadConfig {
-                bins,
-                k: 2,
-                d: 4,
-                shards: 16,
-                threads,
-                requests_per_thread: total_requests / threads,
-                window: 0,
-                backend: ServiceBackend::Striped,
-                snapshot_refresh: 1,
-                store: StoreKind::Exact,
-                dims: 1,
-                objective: kdchoice_core::PlacementObjective::Scalar,
-                demand: kdchoice_prng::demand::DemandDistribution::Unit,
-                seed: 0xBE7C4,
-            };
-            let report = run_service_workload(&cfg);
-            ServiceScaling {
-                threads,
-                bins,
-                k: cfg.k,
-                d: cfg.d,
-                shards: cfg.shards,
-                requests: report.placements,
-                balls_placed: report.balls_placed,
-                wall_secs: report.wall_secs,
-                balls_per_sec: report.balls_per_sec,
-                placements_per_sec: report.placements_per_sec,
-                max_load: report.max_load,
-                gap: report.gap,
-                conserved: report.conserved,
-            }
-        })
-        .collect()
-}
-
-/// One open-loop λ×threads row: the same traffic trace driven through
-/// the striped pipeline at the default `max_batch` and at `max_batch =
-/// 1` (per request), so the batch lock amortization is measured head to
-/// head on identical work.
-struct OpenLoopScaling {
-    lambda: f64,
-    threads: usize,
-    bins: usize,
-    ticks: u32,
-    committed: u64,
-    backlog: u64,
-    balls_placed: u64,
-    per_request_balls_per_sec: f64,
-    batched_balls_per_sec: f64,
-    latency_p50: f64,
-    latency_p99: f64,
-    max_load: u32,
-    gap: f64,
-    conserved: bool,
-}
-
-impl OpenLoopScaling {
-    fn speedup(&self) -> f64 {
-        self.batched_balls_per_sec / self.per_request_balls_per_sec
-    }
-}
-
-/// Offered-load factors swept by the open-loop mode (fractions of the
-/// service capacity; 1.2 is deliberate overload).
-const OPEN_LOOP_LAMBDAS: [f64; 4] = [0.5, 0.9, 0.99, 1.2];
-
-/// Measures the open-loop dynamic traffic engine over the λ×threads
-/// grid. The virtual-clock schedule (and therefore every latency
-/// number) is identical for both batch sizes at a given λ; the
-/// wall-clock rate is what separates them.
-fn measure_open_loop(quick: bool) -> Vec<OpenLoopScaling> {
-    // Short lifetimes keep the per-tick batch chunky (capacity =
-    // n/(k·mu) commits per tick), so the barrier cadence does not
-    // dominate the multi-thread rows.
-    let (bins, ticks, mu, reps) = if quick {
-        (1 << 12, 400u32, 8.0, 1usize)
-    } else {
-        (1 << 14, 1500, 16.0, 2)
-    };
-    let lambdas: &[f64] = if quick {
-        &[0.9, 1.2]
-    } else {
-        &OPEN_LOOP_LAMBDAS
-    };
-    let threads: &[usize] = if quick { &[1, 8] } else { &[1, 2, 4, 8] };
-
-    let mut rows = Vec::new();
-    for &lambda in lambdas {
-        for &t in threads {
-            let mut config = OpenLoopConfig::at_lambda(bins, 2, 4, lambda, mu, ticks, 0xBE7C4);
-            config.threads = t;
-            config.sample_every = 8;
-            let batch = config.max_batch;
-            let mut best = |max_batch: usize| {
-                config.max_batch = max_batch;
-                let mut best_rate = 0.0f64;
-                let mut last = None;
-                for _ in 0..reps {
-                    let report = run_open_loop(&config);
-                    assert!(report.conserved, "open-loop run must conserve balls");
-                    best_rate = best_rate.max(report.balls_per_sec);
-                    last = Some(report);
-                }
-                (best_rate, last.expect("reps >= 1"))
-            };
-            let (batched_rate, report) = best(batch);
-            let (per_request_rate, _) = best(1);
-            rows.push(OpenLoopScaling {
-                lambda,
-                threads: t,
-                bins,
-                ticks,
-                committed: report.requests_committed,
-                backlog: report.backlog,
-                balls_placed: report.balls_placed,
-                per_request_balls_per_sec: per_request_rate,
-                batched_balls_per_sec: batched_rate,
-                latency_p50: report.latency_p50,
-                latency_p99: report.latency_p99,
-                max_load: report.final_max_load,
-                gap: report.final_gap,
-                conserved: report.conserved,
-            });
-        }
-    }
-    rows
-}
-
-/// One thread count of the backend race: the identical open-loop trace
-/// (same seed, same virtual-clock schedule, same per-request placement
-/// streams) driven through the lock-striped store (batched and per
-/// request), the shared-nothing owned engine, and the lock-free CAS-bins
-/// store.
-struct BackendRace {
-    threads: usize,
-    bins: usize,
-    ticks: u32,
-    refresh: usize,
-    balls_placed: u64,
-    striped_per_request_balls_per_sec: f64,
-    striped_batched_balls_per_sec: f64,
-    shared_nothing_balls_per_sec: f64,
-    lockfree_balls_per_sec: f64,
-    striped_max_load: u32,
-    owned_max_load: u32,
-    lockfree_max_load: u32,
-    /// Steady-state gap of the lock-free run (mean over the trace's
-    /// second half), checked live against the Theorem 2 envelope —
-    /// raced CAS commits must not cost more balance than bounded-stale
-    /// snapshots do.
-    lockfree_steady_gap: f64,
-    lockfree_envelope_hi: f64,
-    lockfree_within_envelope: bool,
-    conserved: bool,
-}
-
-/// Snapshot refresh period the owned engine races at (decisions may
-/// read counters up to this many mutations stale).
-const RACE_REFRESH: usize = 64;
-
-/// Races the backends on identical traces at each thread count. λ=0.9
-/// (the busy-but-stable regime), short lifetimes so each tick commits a
-/// chunky batch and the owned engine's two-barrier cadence is amortized.
-fn measure_backend_race(quick: bool) -> Vec<BackendRace> {
-    let (bins, ticks, mu, reps) = if quick {
-        (1 << 13, 120u32, 4.0, 1usize)
-    } else {
-        (1 << 16, 400, 8.0, 2)
-    };
-    let threads: &[usize] = if quick { &[1, 8] } else { &[1, 2, 4, 8] };
-    // The race runs (k=2, d=4), where d = 2k keeps Theorem 2's
-    // envelope applicable to the steady-state gap rows.
-    let envelope = kdchoice_theory::bounds::theorem2_gap_band(2, 4, bins, 3.0);
-    threads
-        .iter()
-        .map(|&t| {
-            let mut config = OpenLoopConfig::at_lambda(bins, 2, 4, 0.9, mu, ticks, 0xBE7C4);
-            config.threads = t;
-            config.sample_every = 8;
-            config.snapshot_refresh = RACE_REFRESH;
-            let batch = config.max_batch;
-            let mut best = |backend: ServiceBackend, max_batch: usize| {
-                config.backend = backend;
-                config.max_batch = max_batch;
-                let mut best_rate = 0.0f64;
-                let mut last = None;
-                for _ in 0..reps {
-                    let report = run_open_loop(&config);
-                    assert!(report.conserved, "backend race run must conserve balls");
-                    best_rate = best_rate.max(report.balls_per_sec);
-                    last = Some(report);
-                }
-                (best_rate, last.expect("reps >= 1"))
-            };
-            let (per_request_rate, striped_report) = best(ServiceBackend::Striped, 1);
-            let (batched_rate, _) = best(ServiceBackend::Striped, batch);
-            let (owned_rate, owned_report) = best(ServiceBackend::SharedNothing, batch);
-            let (lockfree_rate, lockfree_report) = best(ServiceBackend::LockFree, 1);
-            let lockfree_gap = lockfree_report.steady_gap_mean;
-            BackendRace {
-                threads: t,
-                bins,
-                ticks,
-                refresh: RACE_REFRESH,
-                balls_placed: owned_report.balls_placed,
-                striped_per_request_balls_per_sec: per_request_rate,
-                striped_batched_balls_per_sec: batched_rate,
-                shared_nothing_balls_per_sec: owned_rate,
-                lockfree_balls_per_sec: lockfree_rate,
-                striped_max_load: striped_report.final_max_load,
-                owned_max_load: owned_report.final_max_load,
-                lockfree_max_load: lockfree_report.final_max_load,
-                lockfree_steady_gap: lockfree_gap,
-                lockfree_envelope_hi: envelope.hi,
-                lockfree_within_envelope: lockfree_gap <= envelope.hi,
-                conserved: striped_report.conserved
-                    && owned_report.conserved
-                    && lockfree_report.conserved,
-            }
-        })
-        .collect()
-}
-
-/// The `backend_race` JSON rows — one renderer shared by the committed
-/// `BENCH_results.json` and the quick-mode shape gate, so CI validates
-/// the exact structure the full run writes.
-fn race_rows_json(race: &[BackendRace]) -> String {
-    use std::fmt::Write as _;
-    let mutex_1t = race
-        .iter()
-        .find(|r| r.threads == 1)
-        .map(|r| r.striped_per_request_balls_per_sec)
-        .unwrap_or(f64::NAN);
-    let mut out = String::from("[\n");
-    for (i, r) in race.iter().enumerate() {
-        let speedup = r.shared_nothing_balls_per_sec / mutex_1t;
-        let _ = write!(
-            out,
-            "    {{\n      \"threads\": {},\n      \"n\": {},\n      \"ticks\": {},\n      \"snapshot_refresh\": {},\n      \"balls_placed\": {},\n      \"striped_per_request_balls_per_sec\": {:.0},\n      \"striped_batched_balls_per_sec\": {:.0},\n      \"shared_nothing_balls_per_sec\": {:.0},\n      \"lockfree_balls_per_sec\": {:.0},\n      \"speedup_vs_mutex_1t\": {:.3},\n      \"speedup_vs_striped_same_threads\": {:.3},\n      \"lockfree_speedup_vs_mutex_1t\": {:.3},\n      \"striped_max_load\": {},\n      \"shared_nothing_max_load\": {},\n      \"lockfree_max_load\": {},\n      \"lockfree_steady_gap\": {:.3},\n      \"lockfree_envelope_hi\": {:.3},\n      \"lockfree_within_envelope\": {},\n      \"target_met\": {},\n      \"conserved\": {}\n    }}",
-            r.threads,
-            r.bins,
-            r.ticks,
-            r.refresh,
-            r.balls_placed,
-            r.striped_per_request_balls_per_sec,
-            r.striped_batched_balls_per_sec,
-            r.shared_nothing_balls_per_sec,
-            r.lockfree_balls_per_sec,
-            speedup,
-            r.shared_nothing_balls_per_sec / r.striped_per_request_balls_per_sec,
-            r.lockfree_balls_per_sec / mutex_1t,
-            r.striped_max_load,
-            r.owned_max_load,
-            r.lockfree_max_load,
-            r.lockfree_steady_gap,
-            r.lockfree_envelope_hi,
-            r.lockfree_within_envelope,
-            r.threads != 8 || speedup >= 3.0,
-            r.conserved,
-        );
-        out.push_str(if i + 1 < race.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]");
-    out
-}
 
 /// One refresh period of the staleness sweep: steady-state gap of the
 /// owned engine deciding on snapshots republished every `refresh`
@@ -627,133 +280,29 @@ fn measure_staleness_gap() -> Vec<StalenessGap> {
         .collect()
 }
 
-/// Thread-scaling throughput of the full-config service workload as
-/// recorded **before** the shard slots were padded to their own cache
-/// lines (`CachePadded` in `sharded.rs`): `(threads, balls_per_sec)`
-/// from the committed `BENCH_results.json` of the unpadded build, same
-/// n=2^16 / k=2 / d=4 / shards=16 / 1.5M-request configuration the
-/// `service_thread_scaling` section still runs.
-const FALSE_SHARING_BEFORE: [(usize, f64); 4] = [
-    (1, 5_976_226.0),
-    (2, 5_991_294.0),
-    (4, 6_296_565.0),
-    (8, 6_602_398.0),
-];
-
-/// The uniform-vs-weighted sampling race: the same draw budget pulled
-/// through the uniform batch sampler, the equal-weights alias sampler
-/// (which degenerates to the uniform stream), and a Zipf(1.0) alias
-/// table. The acceptance bar for the heterogeneous tentpole is
-/// `uniform / zipf ≤ 1.3` — weighted sampling must not fall off the
-/// hardware-speed path.
-struct SamplingRace {
-    n: usize,
-    draws: u64,
-    uniform_per_sec: f64,
-    weighted_equal_per_sec: f64,
-    weighted_zipf_per_sec: f64,
-}
-
-impl SamplingRace {
-    /// How much slower Zipf-weighted draws are than uniform draws
-    /// (1.0 = parity; the acceptance bar is ≤ 1.3).
-    fn uniform_over_zipf(&self) -> f64 {
-        self.uniform_per_sec / self.weighted_zipf_per_sec
-    }
-}
-
-/// Times one batched sampling closure over `draws` values pulled in
-/// chunks of 2^16 (the buffer-reuse pattern of the round engines),
-/// returning the best of [`REPS`] runs in draws/sec.
-fn time_sampling<F: FnMut(&mut Xoshiro256PlusPlus, usize, &mut Vec<usize>)>(
-    draws: u64,
-    mut fill: F,
-) -> f64 {
-    const CHUNK: usize = 1 << 16;
-    let mut best = 0.0f64;
-    for rep in 0..REPS {
-        let mut rng = Xoshiro256PlusPlus::from_u64(0xBE7C4 + rep as u64);
-        let mut out = Vec::with_capacity(CHUNK);
-        let mut sink = 0usize;
-        let start = Instant::now();
-        let mut remaining = draws;
-        while remaining > 0 {
-            let take = remaining.min(CHUNK as u64) as usize;
-            fill(&mut rng, take, &mut out);
-            sink = sink.wrapping_add(out.last().copied().unwrap_or(0));
-            remaining -= take as u64;
-        }
-        let secs = start.elapsed().as_secs_f64();
-        std::hint::black_box(sink);
-        best = best.max(draws as f64 / secs);
-    }
-    best
-}
-
-/// Races the samplers at two table sizes: `n = 2^16` (the workspace's
-/// canonical bin count; the 512 KiB packed alias table is cache-resident
-/// and the ≤ 1.3× acceptance bar applies) and `n = 2^20` (the table
-/// spills to DRAM, so the gap is memory latency, not sampler
-/// arithmetic — recorded for honesty, not gated).
-fn measure_sampling_race(quick: bool) -> Vec<SamplingRace> {
-    let draws: u64 = if quick { 1 << 22 } else { 1 << 25 };
-    [1usize << 16, 1 << 20]
-        .into_iter()
-        .map(|n| {
-            let equal = WeightedBin::new(&vec![1.0; n]).expect("valid weights");
-            assert!(equal.is_uniform());
-            let zipf = WeightedBin::zipf(n, 1.0).expect("valid zipf");
-            SamplingRace {
-                n,
-                draws,
-                uniform_per_sec: time_sampling(draws, |rng, take, out| {
-                    fill_with_replacement(rng, n, take, out)
-                }),
-                weighted_equal_per_sec: time_sampling(draws, |rng, take, out| {
-                    fill_weighted(rng, &equal, take, out)
-                }),
-                weighted_zipf_per_sec: time_sampling(draws, |rng, take, out| {
-                    fill_weighted(rng, &zipf, take, out)
-                }),
-            }
-        })
-        .collect()
-}
-
 /// One cell of the memory-vs-balance frontier: a (2,4)-choice static
 /// fill through `run_once_compact` on one store kind, recording the
-/// bytes the decision state occupies per bin next to the gap it pays
-/// and the fill rate it sustains. Exact and (lossless) packed rows
-/// report the true gap of the identical decision stream.
+/// bytes the decision state occupies per bin next to the gap it pays.
+/// Exact and (lossless) packed rows report the true gap of the identical
+/// decision stream.
 struct GapVsBytes {
     store: &'static str,
     n: usize,
     balls: u64,
     bytes_per_bin: f64,
-    balls_per_sec: f64,
     max_load: u32,
     gap: f64,
     lossless: bool,
-    reps: usize,
 }
 
 /// Store kinds swept by the frontier (all three representations).
 const GAP_STORE_KINDS: [StoreKind; 3] = [StoreKind::Exact, StoreKind::Packed4, StoreKind::Packed8];
 
-/// Runs one frontier cell `reps` times (best rate kept), returning the
-/// final slab's observables alongside the measured fill rate.
-fn measure_gap_vs_bytes_cell(kind: StoreKind, n: usize, balls: u64, reps: usize) -> GapVsBytes {
+/// Runs one frontier cell: a single seeded fill, so the row is
+/// deterministic.
+fn measure_gap_vs_bytes_cell(kind: StoreKind, n: usize, balls: u64) -> GapVsBytes {
     let cfg = RunConfig::new(n, 0xBE7C4).with_balls(balls);
-    let mut best_rate = 0.0f64;
-    let mut last = None;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let (result, slab) = run_once_compact(kind, 2, 4, &ProbeDistribution::Uniform, None, &cfg);
-        let secs = start.elapsed().as_secs_f64();
-        best_rate = best_rate.max(balls as f64 / secs);
-        last = Some((result, slab));
-    }
-    let (result, slab) = last.expect("reps >= 1");
+    let (result, slab) = run_once_compact(kind, 2, 4, &ProbeDistribution::Uniform, None, &cfg);
     let lossless = match &slab {
         BinSlab::Exact(_) => true,
         BinSlab::Packed(p) => p.is_lossless(),
@@ -763,216 +312,35 @@ fn measure_gap_vs_bytes_cell(kind: StoreKind, n: usize, balls: u64, reps: usize)
         n,
         balls,
         bytes_per_bin: slab.bytes_per_bin(),
-        balls_per_sec: best_rate,
         max_load: result.max_load,
         gap: result.gap,
         lossless,
-        reps,
     }
 }
 
 /// Sweeps store kind × n up to the 10^8-bin frontier. The largest grid
 /// point (n = 2^24 ≈ 1.7·10^7 bins) and the frontier rows put the exact
 /// store's u32 loads far past any cache (64 MB / 400 MB hot state); the
-/// packed rows shrink the same decision state 8×. Frontier rows run one
-/// fill each (recorded in `reps`).
+/// packed rows shrink the same decision state 8×.
 fn measure_gap_vs_bytes(quick: bool) -> Vec<GapVsBytes> {
+    let cells: &[(usize, u64)] = if quick {
+        &[(1 << 12, 4)]
+    } else {
+        &[(1 << 16, 4), (1 << 20, 4), (1 << 24, 2), (100_000_000, 1)]
+    };
     let mut rows = Vec::new();
-    if quick {
+    for &(n, ratio) in cells {
         for kind in GAP_STORE_KINDS {
-            rows.push(measure_gap_vs_bytes_cell(kind, 1 << 12, 4 << 12, 1));
+            rows.push(measure_gap_vs_bytes_cell(kind, n, ratio * n as u64));
         }
-        return rows;
-    }
-    for (n, ratio) in [(1usize << 16, 4u64), (1 << 20, 4), (1 << 24, 2)] {
-        for kind in GAP_STORE_KINDS {
-            rows.push(measure_gap_vs_bytes_cell(kind, n, ratio * n as u64, REPS));
-        }
-    }
-    for kind in GAP_STORE_KINDS {
-        rows.push(measure_gap_vs_bytes_cell(kind, 100_000_000, 100_000_000, 1));
     }
     rows
 }
 
-/// The acceptance race for the compact tentpole: the identical n = 2^20
-/// static fill (same seed, same probes, same round engine) against the
-/// exact u32 store and the packed 4-bit store. The exact slab's hot
-/// loads span 4 MiB, the packed slab's 512 KiB. The packed fill must
-/// replay the exact decision stream bit for bit (the run stays lossless —
-/// renormalization slides the shared base under the ~15-ball spread);
-/// whether it is also faster is recorded, not asserted.
-struct CompactStoreRace {
-    n: usize,
-    balls: u64,
-    exact_balls_per_sec: f64,
-    packed4_balls_per_sec: f64,
-    exact_bytes_per_bin: f64,
-    packed4_bytes_per_bin: f64,
-    max_load: u32,
-    identical_stream: bool,
-}
-
-impl CompactStoreRace {
-    fn speedup(&self) -> f64 {
-        self.packed4_balls_per_sec / self.exact_balls_per_sec
-    }
-}
-
-fn measure_compact_store(quick: bool) -> CompactStoreRace {
-    let n = if quick { 1 << 14 } else { 1 << 20 };
-    let balls = 16 * n as u64;
-    let cfg = RunConfig::new(n, 0xBE7C4).with_balls(balls);
-    let run_one = |kind: StoreKind| {
-        let start = Instant::now();
-        let (result, slab) = run_once_compact(kind, 2, 4, &ProbeDistribution::Uniform, None, &cfg);
-        let secs = start.elapsed().as_secs_f64();
-        (balls as f64 / secs, result, slab.bytes_per_bin())
-    };
-    // Interleave the two sides rep by rep: the host throttles under
-    // sustained load, so back-to-back blocks of reps would hand the
-    // side that runs first a systematic advantage.
-    let race_reps = if quick { 1 } else { REPS + 2 };
-    let mut exact_rate = 0.0f64;
-    let mut packed_rate = 0.0f64;
-    let mut exact_last = None;
-    let mut packed_last = None;
-    for _ in 0..race_reps {
-        let (rate, result, bpb) = run_one(StoreKind::Exact);
-        exact_rate = exact_rate.max(rate);
-        exact_last = Some((result, bpb));
-        let (rate, result, bpb) = run_one(StoreKind::Packed4);
-        packed_rate = packed_rate.max(rate);
-        packed_last = Some((result, bpb));
-    }
-    let (exact_result, exact_bpb) = exact_last.expect("reps >= 1");
-    let (packed_result, packed_bpb) = packed_last.expect("reps >= 1");
-    CompactStoreRace {
-        n,
-        balls,
-        exact_balls_per_sec: exact_rate,
-        packed4_balls_per_sec: packed_rate,
-        exact_bytes_per_bin: exact_bpb,
-        packed4_bytes_per_bin: packed_bpb,
-        max_load: packed_result.max_load,
-        identical_stream: exact_result.load_histogram == packed_result.load_histogram
-            && exact_result.height_histogram == packed_result.height_histogram
-            && exact_result.max_load == packed_result.max_load,
-    }
-}
-
-/// One before/after row of the kernel-prefetch microbench.
-struct DecidePrefetch {
-    n: usize,
-    d: usize,
-    decisions: u64,
-    before_decisions_per_sec: f64,
-    after_decisions_per_sec: f64,
-}
-
-impl DecidePrefetch {
-    fn delta(&self) -> f64 {
-        self.after_decisions_per_sec / self.before_decisions_per_sec - 1.0
-    }
-}
-
-/// A view adapter that drops the underlying view's `prefetch` back to
-/// the trait's no-op default. Driving `decide_k_least` through it
-/// reproduces the **pre-prefetch kernel exactly**: with nothing to
-/// issue, the kernel's prefetch pass folds away, leaving the original
-/// expand/select loop. That gives the before/after race a live "before"
-/// in the same process — rep-interleaved with the prefetching view, so
-/// host throttling drift hits both sides equally (which a committed
-/// before-constant cannot guarantee).
-struct NoPrefetch<'a, V: ?Sized>(&'a V);
-
-impl<V: LoadView + ?Sized> LoadView for NoPrefetch<'_, V> {
-    #[inline]
-    fn view_n(&self) -> usize {
-        self.0.view_n()
-    }
-
-    #[inline]
-    fn view_load(&self, bin: usize) -> u32 {
-        self.0.view_load(bin)
-    }
-}
-
-/// One timed pass of the decision kernel alone over `view`: random
-/// sorted probe batches of `d`, k = 2 winners, in decisions/sec. The
-/// probe stream and tie-key draws depend only on `seed` (prefetching
-/// consumes no RNG), so passes over the two views time identical work.
-fn decide_pass<V: LoadView + ?Sized>(view: &V, d: usize, decisions: u64, seed: u64) -> f64 {
-    let n = view.view_n();
-    let mut rng = Xoshiro256PlusPlus::from_u64(seed);
-    let mut probes = vec![0usize; d];
-    let mut slots: Vec<(u32, u64, usize)> = Vec::with_capacity(d);
-    let mut winners: Vec<usize> = Vec::with_capacity(2);
-    let mut sink = 0u32;
-    let start = Instant::now();
-    for _ in 0..decisions {
-        fill_with_replacement(&mut rng, n, d, &mut probes);
-        probes.sort_unstable();
-        winners.clear();
-        sink = sink.wrapping_add(decide_k_least(
-            view,
-            &probes,
-            2,
-            &mut rng,
-            &mut slots,
-            &mut winners,
-        ));
-    }
-    let secs = start.elapsed().as_secs_f64();
-    std::hint::black_box(sink);
-    decisions as f64 / secs
-}
-
-/// Races the kernel with and without its probe-batch prefetch pass on
-/// an exact slab prefilled to mean load 2: `REPS` rep-interleaved
-/// (after, before) pass pairs, best of each side.
-fn time_decide_kernel(n: usize, d: usize, decisions: u64) -> DecidePrefetch {
-    let mut slab = StoreKind::Exact.new_slab(n);
-    {
-        let mut rng = Xoshiro256PlusPlus::from_u64(0x5EED);
-        let mut bins = vec![0usize; 1 << 16];
-        let mut placed = 0u64;
-        while placed < 2 * n as u64 {
-            fill_with_replacement(&mut rng, n, bins.len(), &mut bins);
-            for &b in &bins {
-                slab.add_ball(b);
-            }
-            placed += bins.len() as u64;
-        }
-    }
-    let mut best_before = 0.0f64;
-    let mut best_after = 0.0f64;
-    for rep in 0..REPS as u64 {
-        best_after = best_after.max(decide_pass(&slab, d, decisions, 0xBE7C4 ^ rep));
-        best_before = best_before.max(decide_pass(&NoPrefetch(&slab), d, decisions, 0xBE7C4 ^ rep));
-    }
-    DecidePrefetch {
-        n,
-        d,
-        decisions,
-        before_decisions_per_sec: best_before,
-        after_decisions_per_sec: best_after,
-    }
-}
-
-/// The kernel-prefetch race at the cache-boundary n = 2^20 table and
-/// the DRAM-resident n = 2^24 table.
-fn measure_decide_prefetch() -> Vec<DecidePrefetch> {
-    [1usize << 20, 1 << 24]
-        .into_iter()
-        .map(|n| time_decide_kernel(n, 8, 1 << 21))
-        .collect()
-}
-
 /// One cell of the graceful-degradation sweep: a seeded crash storm
 /// against the fault-injected cluster at one recovery budget, measuring
-/// how deep the under-replication window gets, how long healing takes,
-/// and what the placement pipeline still sustains under churn.
+/// how deep the under-replication window gets and how long healing
+/// takes.
 struct ClusterDegradation {
     budget: u32,
     failures: usize,
@@ -988,8 +356,6 @@ struct ClusterDegradation {
     durability_losses: u64,
     repair_attempts: u64,
     replicas_placed: u64,
-    wall_secs: f64,
-    balls_per_sec: f64,
 }
 
 /// Sweeps recovery budget × failure count over a fixed storm seed. Every
@@ -1019,9 +385,7 @@ fn measure_cluster_degradation(quick: bool) -> Vec<ClusterDegradation> {
             config.sample_every = 1;
             config.plan = FaultPlan::new().storm(failures, files as u64);
             config.seed = 0xBE7C4;
-            let start = Instant::now();
             let report = run_cluster_workload(&config);
-            let wall_secs = start.elapsed().as_secs_f64();
             assert!(
                 report.degradation.healed,
                 "degradation sweep must heal (budget {budget}, failures {failures})"
@@ -1048,93 +412,10 @@ fn measure_cluster_degradation(quick: bool) -> Vec<ClusterDegradation> {
                 durability_losses: report.degradation.durability_losses,
                 repair_attempts: report.degradation.repair_attempts,
                 replicas_placed,
-                wall_secs,
-                balls_per_sec: replicas_placed as f64 / wall_secs,
             });
         }
     }
     rows
-}
-
-/// How many times each measurement repeats; the best rate is reported
-/// (standard practice for throughput: the minimum-interference run).
-const REPS: usize = 3;
-
-/// Times one full run `REPS` times, returning (best balls/sec, max load).
-fn time_run<F: FnMut() -> kdchoice_core::RunResult>(balls: u64, mut run: F) -> (f64, u32) {
-    let mut best_rate = 0.0f64;
-    let mut max_load = 0;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let result = run();
-        let secs = start.elapsed().as_secs_f64();
-        assert_eq!(result.balls_placed, balls, "harness must place every ball");
-        best_rate = best_rate.max(balls as f64 / secs);
-        max_load = result.max_load;
-    }
-    (best_rate, max_load)
-}
-
-fn measure(k: usize, d: usize, n: usize, ratio: u64, seed: u64) -> Measurement {
-    let balls = ratio * n as u64;
-    let cfg = RunConfig::new(n, seed).with_balls(balls);
-
-    // The engine behind the object-safe shim: every round, generator
-    // draw, and height crosses a `dyn` boundary.
-    let (dyn_rate, max_load_dyn) = time_run(balls, || {
-        let mut p: Box<dyn BallsIntoBins> = Box::new(KdChoice::new(k, d).expect("valid (k,d)"));
-        run_once(&mut *p, &cfg)
-    });
-
-    // The same engine monomorphized: static dispatch end to end.
-    let (generic_rate, max_load_generic) = time_run(balls, || {
-        let mut p = KdChoice::new(k, d).expect("valid (k,d)");
-        run_once(&mut p, &cfg)
-    });
-    // One engine, one seed: the dispatch path cannot change the run.
-    assert_eq!(
-        max_load_dyn, max_load_generic,
-        "({k},{d})-choice: the dyn shim and the generic path diverged"
-    );
-
-    Measurement {
-        k,
-        d,
-        n,
-        balls,
-        dyn_batched_balls_per_sec: dyn_rate,
-        generic_batched_balls_per_sec: generic_rate,
-        max_load_dyn,
-        max_load_generic,
-    }
-}
-
-/// Sweeps `scenario` over `grid` with the shared runner and measures the
-/// end-to-end rate, where one "work item" is `work_per_run` (jobs per
-/// simulation, ops per workload, ...).
-fn measure_scenario<S: Scenario>(
-    scenario: &S,
-    grid_str: &str,
-    trials: usize,
-    work_per_run: u64,
-) -> ScenarioThroughput {
-    let grid = GridSpec::parse_str(grid_str).expect("harness grid is well-formed");
-    let configs = configs_from_grid(scenario, &grid, 0xBE7C4).expect("harness grid is valid");
-    let runner = SweepRunner::new();
-    let start = Instant::now();
-    let cells = runner.run_scenario(scenario, &configs, trials);
-    let wall_secs = start.elapsed().as_secs_f64();
-    let runs: u64 = cells.iter().map(|c| c.runs.len() as u64).sum();
-    let work_items = runs * work_per_run;
-    ScenarioThroughput {
-        scenario: scenario.name(),
-        unit: scenario.throughput_unit(),
-        grid: grid_str.to_string(),
-        trials,
-        work_items,
-        wall_secs,
-        rate: work_items as f64 / wall_secs,
-    }
 }
 
 /// One cell of the multidimensional-load sweep: a static fill of
@@ -1145,7 +426,6 @@ struct VectorLoadRow {
     d: usize,
     n: usize,
     balls: u64,
-    balls_per_sec: f64,
     max_load: u32,
     scalar_gap: f64,
     dim_gaps: Vec<f64>,
@@ -1181,7 +461,6 @@ fn measure_vector_loads(quick: bool) -> Vec<VectorLoadRow> {
                 let balls = 4 * n as u64;
                 let seed = 0xD1E5_0000u64 ^ (n as u64) ^ ((dims as u64) << 48) ^ ((d as u64) << 56);
                 let config = RunConfig::new(n, seed).with_balls(balls);
-                let start = Instant::now();
                 let (result, store) = run_once_vector(
                     1,
                     d,
@@ -1192,7 +471,6 @@ fn measure_vector_loads(quick: bool) -> Vec<VectorLoadRow> {
                     None,
                     &config,
                 );
-                let wall = start.elapsed().as_secs_f64();
                 assert!(store.check_invariants(), "vector store invariants (n={n})");
                 let envelope_hi = (d >= 2).then(|| {
                     kdchoice_theory::bounds::vector_gap_band(
@@ -1209,7 +487,6 @@ fn measure_vector_loads(quick: bool) -> Vec<VectorLoadRow> {
                     d,
                     n,
                     balls,
-                    balls_per_sec: balls as f64 / wall,
                     max_load: result.max_load,
                     scalar_gap: result.gap,
                     dim_gaps: store.dim_gaps(),
@@ -1221,9 +498,7 @@ fn measure_vector_loads(quick: bool) -> Vec<VectorLoadRow> {
     rows
 }
 
-/// Renders the `vector_loads` rows as a JSON array — shared between
-/// [`render_json`] and the quick-mode validation pass, like
-/// [`gap_rows_json`].
+/// Renders the `vector_loads` rows as a JSON array.
 fn vector_rows_json(rows: &[VectorLoadRow]) -> String {
     let mut out = String::from("[\n");
     for (i, v) in rows.iter().enumerate() {
@@ -1239,12 +514,11 @@ fn vector_rows_json(rows: &[VectorLoadRow]) -> String {
         };
         let _ = write!(
             out,
-            "    {{\n      \"dims\": {},\n      \"k\": 1,\n      \"d\": {},\n      \"n\": {},\n      \"balls\": {},\n      \"objective\": \"max_norm\",\n      \"demand\": \"uniform(4)\",\n      \"balls_per_sec\": {:.0},\n      \"max_load\": {},\n      \"scalar_gap\": {:.3},\n      \"dim_gaps\": [{}],\n      \"max_dim_gap\": {:.3},\n      \"theorem2_envelope_hi\": {}\n    }}",
+            "    {{\n      \"dims\": {},\n      \"k\": 1,\n      \"d\": {},\n      \"n\": {},\n      \"balls\": {},\n      \"objective\": \"max_norm\",\n      \"demand\": \"uniform(4)\",\n      \"max_load\": {},\n      \"scalar_gap\": {:.3},\n      \"dim_gaps\": [{}],\n      \"max_dim_gap\": {:.3},\n      \"theorem2_envelope_hi\": {}\n    }}",
             v.dims,
             v.d,
             v.n,
             v.balls,
-            v.balls_per_sec,
             v.max_load,
             v.scalar_gap,
             gaps,
@@ -1257,24 +531,20 @@ fn vector_rows_json(rows: &[VectorLoadRow]) -> String {
     out
 }
 
-/// Renders the `gap_vs_bytes` rows as a JSON array — shared between
-/// [`render_json`] and the quick-mode validation pass (the CI gate that
-/// keeps the section's shape honest at smoke scale).
+/// Renders the `gap_vs_bytes` rows as a JSON array.
 fn gap_rows_json(rows: &[GapVsBytes]) -> String {
     let mut out = String::from("[\n");
     for (i, g) in rows.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\n      \"store\": \"{}\",\n      \"n\": {},\n      \"balls\": {},\n      \"bytes_per_bin\": {:.3},\n      \"balls_per_sec\": {:.0},\n      \"max_load\": {},\n      \"gap\": {:.3},\n      \"lossless\": {},\n      \"reps\": {}\n    }}",
+            "    {{\n      \"store\": \"{}\",\n      \"n\": {},\n      \"balls\": {},\n      \"bytes_per_bin\": {:.3},\n      \"max_load\": {},\n      \"gap\": {:.3},\n      \"lossless\": {}\n    }}",
             g.store,
             g.n,
             g.balls,
             g.bytes_per_bin,
-            g.balls_per_sec,
             g.max_load,
             g.gap,
             g.lossless,
-            g.reps,
         );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -1282,135 +552,20 @@ fn gap_rows_json(rows: &[GapVsBytes]) -> String {
     out
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Renders the `BENCH_results.json` document. Full and quick mode both
+/// call it, so CI validates the exact shape the full run commits.
 fn render_json(
-    measurements: &[Measurement],
-    scenarios: &[ScenarioThroughput],
-    service: &[ServiceScaling],
-    open_loop: &[OpenLoopScaling],
-    race: &[BackendRace],
     staleness: &[StalenessGap],
-    sampling: &[SamplingRace],
     degradation: &[ClusterDegradation],
     gap: &[GapVsBytes],
     vector: &[VectorLoadRow],
-    compact: &CompactStoreRace,
-    prefetch: &[DecidePrefetch],
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"harness\": \"kdchoice-bench throughput\",\n");
     out.push_str(
-        "  \"comparison\": \"dyn_batched = the batched engine behind Box<dyn BallsIntoBins>; generic_batched = the same engine monomorphized; speedup = the dispatch cost alone\",\n",
+        "  \"scope\": \"balance only: every row is one seeded, deterministic run, checked against its Theorem 2 envelope where one applies; speed is timed by the repository benchmark (benchmark/, BENCHMARK.json)\",\n",
     );
-    let _ = writeln!(out, "  \"profile\": \"{}\",", profile_name());
-    out.push_str(
-        "  \"host_note\": \"provenance for the concurrency sections: thread counts above logical_cores cannot show true parallel speedup on this host\",\n",
-    );
-    let _ = writeln!(
-        out,
-        "  \"host\": {{\n    \"logical_cores\": {},\n    \"service_thread_counts\": [1, 2, 4, 8],\n    \"backend_race_thread_counts\": [{}]\n  }},",
-        logical_cores(),
-        race.iter()
-            .map(|r| r.threads.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    out.push_str("  \"results\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"process\": \"({},{})-choice\",\n      \"n\": {},\n      \"balls\": {},\n      \"dyn_batched_balls_per_sec\": {:.0},\n      \"generic_batched_balls_per_sec\": {:.0},\n      \"speedup\": {:.3},\n      \"max_load_dyn\": {},\n      \"max_load_generic\": {}\n    }}",
-            m.k,
-            m.d,
-            m.n,
-            m.balls,
-            m.dyn_batched_balls_per_sec,
-            m.generic_batched_balls_per_sec,
-            m.speedup(),
-            m.max_load_dyn,
-            m.max_load_generic,
-        );
-        out.push_str(if i + 1 < measurements.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n");
-    out.push_str(
-        "  \"scenario_throughput_note\": \"end-to-end (config x trial) sweeps through the shared kdchoice-expt SweepRunner, all cores\",\n",
-    );
-    out.push_str("  \"scenario_throughput\": [\n");
-    for (i, s) in scenarios.iter().enumerate() {
-        let mut grid_json = String::new();
-        Value::Str(s.grid.clone().into()).write_json(&mut grid_json);
-        let _ = write!(
-            out,
-            "    {{\n      \"scenario\": \"{}\",\n      \"unit\": \"{}\",\n      \"grid\": {},\n      \"trials\": {},\n      \"work_items\": {},\n      \"wall_secs\": {:.3},\n      \"rate\": {:.0}\n    }}",
-            s.scenario, s.unit, grid_json, s.trials, s.work_items, s.wall_secs, s.rate,
-        );
-        out.push_str(if i + 1 < scenarios.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str(
-        "  \"service_thread_scaling_note\": \"closed-loop clients on the sharded (k,d)-choice PlacementService; fixed total request budget split across threads, static fill so max_load/gap are comparable across rows\",\n",
-    );
-    out.push_str("  \"service_thread_scaling\": [\n");
-    for (i, s) in service.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"scenario\": \"service\",\n      \"threads\": {},\n      \"n\": {},\n      \"k\": {},\n      \"d\": {},\n      \"shards\": {},\n      \"requests\": {},\n      \"balls_placed\": {},\n      \"wall_secs\": {:.3},\n      \"balls_per_sec\": {:.0},\n      \"placements_per_sec\": {:.0},\n      \"max_load\": {},\n      \"gap\": {:.3},\n      \"conserved\": {}\n    }}",
-            s.threads,
-            s.bins,
-            s.k,
-            s.d,
-            s.shards,
-            s.requests,
-            s.balls_placed,
-            s.wall_secs,
-            s.balls_per_sec,
-            s.placements_per_sec,
-            s.max_load,
-            s.gap,
-            s.conserved,
-        );
-        out.push_str(if i + 1 < service.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str(
-        "  \"open_loop_sweep_note\": \"open-loop dynamic traffic: Poisson arrivals at lambda x capacity, exponential ball lifetimes, FIFO queue drained at the service rate; identical virtual-clock trace driven through the per-request and batched placement pipelines, latency in virtual ticks\",\n",
-    );
-    out.push_str("  \"open_loop_sweep\": [\n");
-    for (i, r) in open_loop.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"scenario\": \"open_loop\",\n      \"lambda\": {:.2},\n      \"threads\": {},\n      \"n\": {},\n      \"ticks\": {},\n      \"committed\": {},\n      \"backlog\": {},\n      \"balls_placed\": {},\n      \"per_request_balls_per_sec\": {:.0},\n      \"batched_balls_per_sec\": {:.0},\n      \"batched_speedup\": {:.3},\n      \"latency_p50_ticks\": {:.1},\n      \"latency_p99_ticks\": {:.1},\n      \"max_load\": {},\n      \"gap\": {:.3},\n      \"conserved\": {}\n    }}",
-            r.lambda,
-            r.threads,
-            r.bins,
-            r.ticks,
-            r.committed,
-            r.backlog,
-            r.balls_placed,
-            r.per_request_balls_per_sec,
-            r.batched_balls_per_sec,
-            r.speedup(),
-            r.latency_p50,
-            r.latency_p99,
-            r.max_load,
-            r.gap,
-            r.conserved,
-        );
-        out.push_str(if i + 1 < open_loop.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str(
-        "  \"backend_race_note\": \"lock-striped ShardedStore vs shared-nothing OwnedShardEngine vs lock-free AtomicStore on bit-identical open-loop traces (lambda=0.9, k=2, d=4, chunky per-tick batches); speedup_vs_mutex_1t = shared_nothing balls/sec over the 1-thread striped per-request (mutex) rate, speedup_vs_striped_same_threads over the per-request rate at the row's own thread count, lockfree_speedup_vs_mutex_1t the same baseline for the CAS-bins store; target_met asserts the >= 3x-at-8-threads acceptance bar against the 1-thread mutex baseline. Every lockfree_steady_gap row is asserted live against the Theorem 2 envelope lnln n / ln(d/k) + 3 — raced CAS commits must not cost more balance than bounded-stale snapshots. On a single-core host the 8-thread rows cannot exceed the engines' serial rates, so the cliff shows up as the striped columns collapsing with threads while shared_nothing and lockfree hold\",\n",
-    );
-    out.push_str("  \"backend_race\": ");
-    out.push_str(&race_rows_json(race));
-    out.push_str(",\n");
     out.push_str(
         "  \"staleness_vs_gap_note\": \"steady-state gap of the shared-nothing engine deciding on load snapshots republished every `snapshot_refresh` mutations (single thread, deterministic; two-choice k=1 d=2 churn at lambda=0.9, n=2^12); every row must stay within the Theorem 2 envelope lnln n / ln(d/k) + 3, the same bar tests/snapshot_staleness.rs asserts in CI\",\n",
     );
@@ -1425,60 +580,13 @@ fn render_json(
     }
     out.push_str("  ],\n");
     out.push_str(
-        "  \"false_sharing_fix_note\": \"service_thread_scaling balls/sec before vs after padding each ShardedStore shard slot to its own 64-byte cache line (CachePadded, repr(align(64))); before-values recorded from the committed unpadded build at the identical full configuration. On a single-core host the delta is expected to sit inside run-to-run noise — the padding pays off only when threads on different cores hammer adjacent shard mutexes\",\n",
-    );
-    out.push_str("  \"false_sharing_fix\": [\n");
-    let false_sharing_rows: Vec<_> = FALSE_SHARING_BEFORE
-        .iter()
-        .filter_map(|&(threads, before)| {
-            service
-                .iter()
-                .find(|s| s.threads == threads)
-                .map(|s| (threads, before, s.balls_per_sec))
-        })
-        .collect();
-    for (i, &(threads, before, after)) in false_sharing_rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"threads\": {},\n      \"before_balls_per_sec\": {:.0},\n      \"after_balls_per_sec\": {:.0},\n      \"delta\": {:.3}\n    }}",
-            threads,
-            before,
-            after,
-            after / before - 1.0,
-        );
-        out.push_str(if i + 1 < false_sharing_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ],\n");
-    out.push_str(
-        "  \"weighted_sampling_note\": \"uniform vs weighted batch sampling race: the same draw budget through fill_with_replacement, the equal-weights alias sampler (bit-identical uniform stream), and a Zipf(1.0) packed alias table; uniform_over_zipf is the weighted slowdown factor. The n=2^16 row (cache-resident 512KiB table) is the <= 1.3x acceptance bar; the n=2^20 row spills the table to DRAM and its gap is memory latency, not sampler arithmetic\",\n",
-    );
-    out.push_str("  \"weighted_sampling\": [\n");
-    for (i, s) in sampling.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"n\": {},\n      \"draws\": {},\n      \"uniform_draws_per_sec\": {:.0},\n      \"weighted_equal_draws_per_sec\": {:.0},\n      \"weighted_zipf_draws_per_sec\": {:.0},\n      \"uniform_over_zipf\": {:.3}\n    }}",
-            s.n,
-            s.draws,
-            s.uniform_per_sec,
-            s.weighted_equal_per_sec,
-            s.weighted_zipf_per_sec,
-            s.uniform_over_zipf(),
-        );
-        out.push_str(if i + 1 < sampling.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str(
-        "  \"cluster_degradation_note\": \"graceful-degradation curve of the fault-injected replicated cluster: one seeded crash storm (heartbeat period 2, 1 tolerated miss, k=3 with d=6 probes) replayed at each recovery budget; budget 0 = unbounded (instantaneous legacy healing). under_replicated_p99 is the 99th percentile of the per-tick under-replicated chunk count, ticks_to_heal the span from first under-replication to full re-replication, balls_per_sec the replica placements (creates + repairs) per wall-clock second under churn\",\n",
+        "  \"cluster_degradation_note\": \"graceful-degradation curve of the fault-injected replicated cluster: one seeded crash storm (heartbeat period 2, 1 tolerated miss, k=3 with d=6 probes) replayed at each recovery budget; budget 0 = unbounded (instantaneous legacy healing). under_replicated_p99 is the 99th percentile of the per-tick under-replicated chunk count, ticks_to_heal the span from first under-replication to full re-replication, replicas_placed the creates plus repairs\",\n",
     );
     out.push_str("  \"cluster_degradation\": [\n");
     for (i, c) in degradation.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\n      \"scenario\": \"cluster\",\n      \"budget_per_tick\": {},\n      \"failures\": {},\n      \"servers\": {},\n      \"k\": {},\n      \"chunks\": {},\n      \"peak_under_replicated\": {},\n      \"under_replicated_p99\": {},\n      \"under_replicated_area\": {},\n      \"ticks_to_heal\": {},\n      \"healed\": {},\n      \"detection_latency_mean_ticks\": {:.2},\n      \"durability_losses\": {},\n      \"repair_attempts\": {},\n      \"replicas_placed\": {},\n      \"wall_secs\": {:.3},\n      \"balls_per_sec\": {:.0}\n    }}",
+            "    {{\n      \"scenario\": \"cluster\",\n      \"budget_per_tick\": {},\n      \"failures\": {},\n      \"servers\": {},\n      \"k\": {},\n      \"chunks\": {},\n      \"peak_under_replicated\": {},\n      \"under_replicated_p99\": {},\n      \"under_replicated_area\": {},\n      \"ticks_to_heal\": {},\n      \"healed\": {},\n      \"detection_latency_mean_ticks\": {:.2},\n      \"durability_losses\": {},\n      \"repair_attempts\": {},\n      \"replicas_placed\": {}\n    }}",
             c.budget,
             c.failures,
             c.servers,
@@ -1493,8 +601,6 @@ fn render_json(
             c.durability_losses,
             c.repair_attempts,
             c.replicas_placed,
-            c.wall_secs,
-            c.balls_per_sec,
         );
         out.push_str(if i + 1 < degradation.len() {
             ",\n"
@@ -1504,7 +610,7 @@ fn render_json(
     }
     out.push_str("  ],\n");
     out.push_str(
-        "  \"gap_vs_bytes_note\": \"memory-vs-balance frontier: (2,4)-choice static fills through the one (k,d)-choice round engine on each bin-store representation, up to the 10^8-bin frontier. bytes_per_bin is the decision-path state (u32 loads = 4.0; 4/8-bit packed lanes = 0.5/1.0). Exact and lossless packed rows pay zero gap penalty (bit-identical decision stream). Frontier rows (n = 10^8) run one fill each (see reps); all rows single-threaded\",\n",
+        "  \"gap_vs_bytes_note\": \"memory-vs-balance frontier: (2,4)-choice static fills through the one (k,d)-choice round engine on each bin-store representation, up to the 10^8-bin frontier, one seeded fill per row. bytes_per_bin is the decision-path state (u32 loads = 4.0; 4/8-bit packed lanes = 0.5/1.0). Exact and lossless packed rows pay zero gap penalty (bit-identical decision stream)\",\n",
     );
     out.push_str("  \"gap_vs_bytes\": ");
     out.push_str(&gap_rows_json(gap));
@@ -1514,47 +620,12 @@ fn render_json(
     );
     out.push_str("  \"vector_loads\": ");
     out.push_str(&vector_rows_json(vector));
-    out.push_str(",\n");
-    out.push_str(
-        "  \"compact_store_note\": \"the n=2^20 acceptance race: identical static fill (same seed, probes, round engine) on the exact u32 store (4 MiB hot loads) vs the packed 4-bit store (512 KiB); the packed fill must replay the exact decision stream bit for bit (identical_stream checks load histogram, height histogram, and max load, and is asserted); target_met records, without an assert, whether it also beat the exact fill on balls/sec\",\n",
-    );
-    let _ = write!(
-        out,
-        "  \"compact_store\": {{\n    \"n\": {},\n    \"balls\": {},\n    \"exact_balls_per_sec\": {:.0},\n    \"packed4_balls_per_sec\": {:.0},\n    \"exact_bytes_per_bin\": {:.3},\n    \"packed4_bytes_per_bin\": {:.3},\n    \"packed4_speedup\": {:.3},\n    \"max_load\": {},\n    \"identical_stream\": {},\n    \"target_met\": {}\n  }},\n",
-        compact.n,
-        compact.balls,
-        compact.exact_balls_per_sec,
-        compact.packed4_balls_per_sec,
-        compact.exact_bytes_per_bin,
-        compact.packed4_bytes_per_bin,
-        compact.speedup(),
-        compact.max_load,
-        compact.identical_stream,
-        compact.speedup() > 1.0 && compact.identical_stream,
-    );
-    out.push_str(
-        "  \"decide_prefetch_note\": \"probe-batch software prefetch in the batched decide_k_least kernel: the whole sorted probe batch is prefetched before the first load read, so the batch's cache misses resolve in parallel instead of serially in probe order. before = the identical kernel driven through a view whose prefetch is the trait's no-op default, which folds the pass away and reproduces the pre-prefetch kernel exactly; the two sides run rep-interleaved on identical probe/tie-key streams (d=8, k=2, exact slab at mean load 2), so throttling drift hits both equally. The n=2^20 table sits at the cache boundary, the n=2^24 table is DRAM-resident\",\n",
-    );
-    out.push_str("  \"decide_prefetch\": [\n");
-    for (i, p) in prefetch.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\n      \"n\": {},\n      \"d\": {},\n      \"decisions\": {},\n      \"before_decisions_per_sec\": {:.0},\n      \"after_decisions_per_sec\": {:.0},\n      \"delta\": {:.3}\n    }}",
-            p.n,
-            p.d,
-            p.decisions,
-            p.before_decisions_per_sec,
-            p.after_decisions_per_sec,
-            p.delta(),
-        );
-        out.push_str(if i + 1 < prefetch.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
+    out.push_str("\n}\n");
     out
 }
 
-/// `figures`: re-reads `BENCH_results.json` and renders the headline
-/// curves of the concurrency sections into `docs/` as dependency-free
+/// `figures`: re-reads `BENCH_results.json` and renders the staleness,
+/// gap-vs-bytes and vector-load curves into `docs/` as dependency-free
 /// SVG (see `kdchoice_bench::svg`).
 fn cmd_figures() -> Result<(), String> {
     use kdchoice_bench::svg::{extract_objects, get_f64, Chart, Series};
@@ -1562,44 +633,6 @@ fn cmd_figures() -> Result<(), String> {
     let json = std::fs::read_to_string("BENCH_results.json").map_err(|e| {
         format!("read BENCH_results.json (run `kdchoice-bench throughput` first): {e}")
     })?;
-
-    let race = extract_objects(&json, "backend_race");
-    if race.is_empty() {
-        return Err("BENCH_results.json has no backend_race section — regenerate it".into());
-    }
-    let curve = |field: &str| -> Vec<(f64, f64)> {
-        race.iter()
-            .filter_map(|row| Some((get_f64(row, "threads")?, get_f64(row, field)? / 1e6)))
-            .collect()
-    };
-    let scaling = Chart {
-        title: "Placement throughput vs threads (identical open-loop traces)".into(),
-        x_label: "worker threads (log2)".into(),
-        y_label: "Mballs/sec".into(),
-        log2_x: true,
-        series: vec![
-            Series {
-                label: "striped, per-request locks".into(),
-                points: curve("striped_per_request_balls_per_sec"),
-                color: "#d62728",
-            },
-            Series {
-                label: "striped, batched locks".into(),
-                points: curve("striped_batched_balls_per_sec"),
-                color: "#ff7f0e",
-            },
-            Series {
-                label: "shared-nothing owned shards".into(),
-                points: curve("shared_nothing_balls_per_sec"),
-                color: "#1f77b4",
-            },
-            Series {
-                label: "lock-free CAS bins".into(),
-                points: curve("lockfree_balls_per_sec"),
-                color: "#9467bd",
-            },
-        ],
-    };
 
     let staleness = extract_objects(&json, "staleness_vs_gap");
     if staleness.is_empty() {
@@ -1709,7 +742,6 @@ fn cmd_figures() -> Result<(), String> {
 
     std::fs::create_dir_all("docs").map_err(|e| format!("create docs/: {e}"))?;
     for (path, chart) in [
-        ("docs/fig_backend_scaling.svg", &scaling),
         ("docs/fig_staleness_gap.svg", &staleness_chart),
         ("docs/fig_gap_vs_bytes.svg", &gap_chart),
         ("docs/fig_vector_loads.svg", &vector_chart),
@@ -1720,13 +752,6 @@ fn cmd_figures() -> Result<(), String> {
     Ok(())
 }
 
-/// Logical cores of the host, recorded as bench provenance.
-fn logical_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 fn profile_name() -> &'static str {
     if cfg!(debug_assertions) {
         "debug"
@@ -1735,163 +760,19 @@ fn profile_name() -> &'static str {
     }
 }
 
+/// `throughput`: runs the four balance sections, asserts each envelope
+/// live, and renders and validates the `BENCH_results.json` document.
+/// Full mode writes it; `--quick` runs smaller grids and writes nothing.
 fn cmd_throughput(quick: bool) -> Result<(), String> {
     if profile_name() == "debug" && !quick {
         eprintln!(
             "note: running the full workload in a debug build; use --release for the committed numbers"
         );
     }
-    let (n, ratio) = if quick { (1 << 16, 4) } else { (1 << 20, 16) };
-
     println!(
-        "kdchoice throughput harness: n = {n}, m = {ratio}n, profile = {}",
+        "kdchoice balance-envelope harness: {} grids, profile = {}",
+        if quick { "quick" } else { "full" },
         profile_name()
-    );
-    println!();
-
-    let mut measurements = Vec::new();
-    for &(k, d) in &[(1usize, 1usize), (2, 3), (3, 5)] {
-        let m = measure(k, d, n, ratio, 0xBE7C4);
-        println!(
-            "({k},{d})-choice: dyn-batched {:>7.2} Mballs/s | generic-batched {:>7.2} Mballs/s | speedup {:.2}x (max load {} / {})",
-            m.dyn_batched_balls_per_sec / 1e6,
-            m.generic_batched_balls_per_sec / 1e6,
-            m.speedup(),
-            m.max_load_dyn,
-            m.max_load_generic,
-        );
-        measurements.push(m);
-    }
-
-    // Application-scenario throughput through the shared sweep runner.
-    println!();
-    let (sched_grid, sched_jobs, sched_trials) = if quick {
-        (
-            "workers=64 k=4 jobs=2000 rho=0.8 strategy=kd d=5",
-            2000u64,
-            4,
-        )
-    } else {
-        (
-            "workers=256 k=4 jobs=20000 rho=0.8 strategy=kd d=5",
-            20000u64,
-            8,
-        )
-    };
-    let (storage_grid, storage_ops, storage_trials) = if quick {
-        (
-            "servers=100 k=4 files=1000 reads=2000 failures=4",
-            3000u64,
-            4,
-        )
-    } else {
-        (
-            "servers=1000 k=4 files=20000 reads=40000 failures=20",
-            60000u64,
-            8,
-        )
-    };
-    let (hetero_grid, hetero_balls, hetero_trials) = if quick {
-        ("n=2^12 d=4 skew=uniform,zipf lambda=2", 2 * (1u64 << 12), 4)
-    } else {
-        ("n=2^16 d=4 skew=uniform,zipf lambda=4", 4 * (1u64 << 16), 8)
-    };
-    let scenarios = vec![
-        measure_scenario(&SchedulerScenario, sched_grid, sched_trials, sched_jobs),
-        measure_scenario(&StorageScenario, storage_grid, storage_trials, storage_ops),
-        measure_scenario(&HeteroScenario, hetero_grid, hetero_trials, hetero_balls),
-    ];
-    for s in &scenarios {
-        println!(
-            "{:<10} {:>10.0} {} ({} trials of [{}] in {:.2}s, all cores)",
-            s.scenario, s.rate, s.unit, s.trials, s.grid, s.wall_secs
-        );
-    }
-
-    // Thread scaling of the concurrent placement service.
-    println!();
-    let service = measure_service_scaling(quick);
-    for s in &service {
-        println!(
-            "service    {:>2} thread{} {:>7.2} Mballs/s ({} requests in {:.2}s, max load {}, gap {:.2}{})",
-            s.threads,
-            if s.threads == 1 { " " } else { "s" },
-            s.balls_per_sec / 1e6,
-            s.requests,
-            s.wall_secs,
-            s.max_load,
-            s.gap,
-            if s.conserved { "" } else { ", NOT CONSERVED" },
-        );
-        assert!(s.conserved, "service workload must conserve balls");
-    }
-
-    // Open-loop dynamic traffic: λ × threads, batched vs per-request.
-    println!();
-    let open_loop = measure_open_loop(quick);
-    for r in &open_loop {
-        println!(
-            "open_loop  λ={:<4} {:>2} thread{} per-request {:>6.2} | batched {:>6.2} Mballs/s ({:.2}x) | p50/p99 latency {:>5.1}/{:>6.1} ticks | max load {} gap {:.2} backlog {}",
-            r.lambda,
-            r.threads,
-            if r.threads == 1 { " " } else { "s" },
-            r.per_request_balls_per_sec / 1e6,
-            r.batched_balls_per_sec / 1e6,
-            r.speedup(),
-            r.latency_p50,
-            r.latency_p99,
-            r.max_load,
-            r.gap,
-            r.backlog,
-        );
-    }
-    if let Some(best) = open_loop
-        .iter()
-        .filter(|r| r.threads == 8)
-        .max_by(|a, b| a.speedup().total_cmp(&b.speedup()))
-    {
-        println!(
-            "open_loop  best 8-thread batched speedup: {:.2}x at λ={}",
-            best.speedup(),
-            best.lambda
-        );
-    }
-
-    // Backend race: striped vs shared-nothing vs lock-free on
-    // identical traces.
-    println!();
-    let race = measure_backend_race(quick);
-    let mutex_1t = race
-        .iter()
-        .find(|r| r.threads == 1)
-        .map(|r| r.striped_per_request_balls_per_sec)
-        .unwrap_or(f64::NAN);
-    for r in &race {
-        println!(
-            "backend    {:>2} thread{} striped per-request {:>6.2} | batched {:>6.2} | shared-nothing {:>6.2} | lock-free {:>6.2} Mballs/s ({:.2}x vs mutex-1t) | max load {} / {} / {} | lf gap {:.2} (env {:.2})",
-            r.threads,
-            if r.threads == 1 { " " } else { "s" },
-            r.striped_per_request_balls_per_sec / 1e6,
-            r.striped_batched_balls_per_sec / 1e6,
-            r.shared_nothing_balls_per_sec / 1e6,
-            r.lockfree_balls_per_sec / 1e6,
-            r.shared_nothing_balls_per_sec / mutex_1t,
-            r.striped_max_load,
-            r.owned_max_load,
-            r.lockfree_max_load,
-            r.lockfree_steady_gap,
-            r.lockfree_envelope_hi,
-        );
-        assert!(
-            r.lockfree_within_envelope,
-            "lock-free steady gap {:.3} left the Theorem 2 envelope {:.3} at {} threads",
-            r.lockfree_steady_gap, r.lockfree_envelope_hi, r.threads
-        );
-    }
-    println!(
-        "backend    host has {} logical core{} — thread counts above that measure the serial path + coordination, not parallelism",
-        logical_cores(),
-        if logical_cores() == 1 { "" } else { "s" },
     );
 
     // Staleness vs gap on the deterministic single-threaded owned engine.
@@ -1921,7 +802,7 @@ fn cmd_throughput(quick: bool) -> Result<(), String> {
     let degradation = measure_cluster_degradation(quick);
     for c in &degradation {
         println!(
-            "cluster    budget={:<4} failures={:<3} peak under-replicated {:>5} (p99 {:>5}) | heal {:>6} ticks | {:>6.2} Mballs/s under churn{}",
+            "cluster    budget={:<4} failures={:<3} peak under-replicated {:>5} (p99 {:>5}) | heal {:>6} ticks{}",
             if c.budget == 0 {
                 "inf".to_string()
             } else {
@@ -1931,7 +812,6 @@ fn cmd_throughput(quick: bool) -> Result<(), String> {
             c.peak_under_replicated,
             c.under_replicated_p99,
             c.ticks_to_heal,
-            c.balls_per_sec / 1e6,
             if c.durability_losses > 0 {
                 format!(" ({} durability losses)", c.durability_losses)
             } else {
@@ -1940,29 +820,14 @@ fn cmd_throughput(quick: bool) -> Result<(), String> {
         );
     }
 
-    // Uniform vs weighted batch sampling on the raw prng layer.
-    println!();
-    let sampling = measure_sampling_race(quick);
-    for s in &sampling {
-        println!(
-            "sampling   n=2^{:<2} uniform {:>6.1} Mdraws/s | weighted(equal) {:>6.1} | weighted(zipf) {:>6.1} Mdraws/s | uniform/zipf {:.2}x",
-            s.n.trailing_zeros(),
-            s.uniform_per_sec / 1e6,
-            s.weighted_equal_per_sec / 1e6,
-            s.weighted_zipf_per_sec / 1e6,
-            s.uniform_over_zipf(),
-        );
-    }
-
     // Memory-bounded stores: the gap-vs-bytes frontier.
     println!();
     let gap = measure_gap_vs_bytes(quick);
     for g in &gap {
         println!(
-            "compact    {:<7} n=10^{:<4.1} {:>7.2} Mballs/s | {:>5.2} B/bin | max load {:>3} gap {:>9.3}{}",
+            "compact    {:<7} n=10^{:<4.1} {:>5.2} B/bin | max load {:>3} gap {:>9.3}{}",
             g.store,
             (g.n as f64).log10(),
-            g.balls_per_sec / 1e6,
             g.bytes_per_bin,
             g.max_load,
             g.gap,
@@ -1979,11 +844,10 @@ fn cmd_throughput(quick: bool) -> Result<(), String> {
             None => String::new(),
         };
         println!(
-            "vector     dims={} d={} n=2^{:<2} {:>6.2} Mballs/s | max load {:>3} | max per-dim gap {:>7.3}{}",
+            "vector     dims={} d={} n=2^{:<2} max load {:>3} | max per-dim gap {:>7.3}{}",
             v.dims,
             v.d,
             v.n.trailing_zeros(),
-            v.balls_per_sec / 1e6,
             v.max_load,
             v.max_dim_gap(),
             envelope,
@@ -1998,79 +862,12 @@ fn cmd_throughput(quick: bool) -> Result<(), String> {
         }
     }
 
-    // The n=2^20 exact-vs-packed4 acceptance race.
-    println!();
-    let compact = measure_compact_store(quick);
-    println!(
-        "compact    n=2^{} race: exact {:>6.2} Mballs/s ({} B/bin) | packed4 {:>6.2} Mballs/s ({} B/bin) | speedup {:.2}x | identical stream: {}",
-        compact.n.trailing_zeros(),
-        compact.exact_balls_per_sec / 1e6,
-        compact.exact_bytes_per_bin,
-        compact.packed4_balls_per_sec / 1e6,
-        compact.packed4_bytes_per_bin,
-        compact.speedup(),
-        compact.identical_stream,
-    );
-    assert!(
-        compact.identical_stream,
-        "packed4 must replay the exact decision stream below saturation"
-    );
-
-    // Kernel-prefetch before/after (full mode only — the committed
-    // before-points are full-size).
-    let prefetch = if quick {
-        Vec::new()
-    } else {
-        let rows = measure_decide_prefetch();
-        println!();
-        for p in &rows {
-            println!(
-                "prefetch   n=2^{:<2} decide_k_least before {:>7.0} | after {:>7.0} decisions/s ({:+.1}%)",
-                p.n.trailing_zeros(),
-                p.before_decisions_per_sec,
-                p.after_decisions_per_sec,
-                p.delta() * 100.0,
-            );
-        }
-        rows
-    };
-
+    let json = render_json(&staleness, &degradation, &gap, &vector);
+    kdchoice_expt::validate_json(&json)
+        .map_err(|e| format!("harness emitted malformed JSON: {e}"))?;
     if quick {
-        // Smoke-scale shape gate for the hand-rendered sections: the same
-        // renderers the full run commits, validated even when no file is
-        // written. backend_race rides along so CI checks the three-way
-        // row structure (lockfree columns included) every quick run.
-        let json = format!(
-            "{{\n  \"gap_vs_bytes\": {},\n  \"vector_loads\": {},\n  \"backend_race\": {}\n}}\n",
-            gap_rows_json(&gap),
-            vector_rows_json(&vector),
-            race_rows_json(&race),
-        );
-        kdchoice_expt::validate_json(&json)
-            .map_err(|e| format!("quick rows emit malformed JSON: {e}"))?;
-        println!(
-            "\ngap_vs_bytes + vector_loads + backend_race quick rows validated ({} + {} + {} rows)",
-            gap.len(),
-            vector.len(),
-            race.len()
-        );
+        println!("\nquick BENCH_results.json document validated (not written)");
     } else {
-        let json = render_json(
-            &measurements,
-            &scenarios,
-            &service,
-            &open_loop,
-            &race,
-            &staleness,
-            &sampling,
-            &degradation,
-            &gap,
-            &vector,
-            &compact,
-            &prefetch,
-        );
-        kdchoice_expt::validate_json(&json)
-            .map_err(|e| format!("harness emitted malformed JSON: {e}"))?;
         std::fs::write("BENCH_results.json", &json)
             .map_err(|e| format!("write BENCH_results.json: {e}"))?;
         println!("\nwrote BENCH_results.json");

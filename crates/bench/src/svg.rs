@@ -1,7 +1,7 @@
 //! No-dependency SVG line charts for the committed benchmark figures.
 //!
-//! `kdchoice-bench figures` re-reads `BENCH_results.json` (written by the
-//! throughput harness) and renders the headline curves into `docs/` as
+//! `kdchoice-bench figures` re-reads `BENCH_results.json` (written by
+//! `kdchoice-bench throughput`) and renders its curves into `docs/` as
 //! hand-assembled SVG — no plotting crate, no JSON crate. The extractor
 //! here handles exactly the shape the harness emits: named sections that
 //! are arrays of **flat** objects whose values are numbers, booleans, or
@@ -299,18 +299,18 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"{
-  "profile": "release",
-  "backend_race": [
+  "harness": "kdchoice-bench throughput",
+  "staleness_vs_gap": [
     {
-      "threads": 1,
-      "striped_per_request_balls_per_sec": 3950000,
-      "shared_nothing_balls_per_sec": 5400000,
+      "snapshot_refresh": 1,
+      "steady_gap": 2.322,
+      "theorem2_envelope_hi": 6.056,
       "backend": "shared_nothing"
     },
     {
-      "threads": 8,
-      "striped_per_request_balls_per_sec": 2320000,
-      "shared_nothing_balls_per_sec": 5100000,
+      "snapshot_refresh": 512,
+      "steady_gap": 2.746,
+      "theorem2_envelope_hi": 6.056,
       "backend": "shared_nothing"
     }
   ],
@@ -319,13 +319,10 @@ mod tests {
 
     #[test]
     fn extracts_flat_sections_by_key() {
-        let rows = extract_objects(SAMPLE, "backend_race");
+        let rows = extract_objects(SAMPLE, "staleness_vs_gap");
         assert_eq!(rows.len(), 2);
-        assert_eq!(get_f64(&rows[0], "threads"), Some(1.0));
-        assert_eq!(
-            get_f64(&rows[1], "striped_per_request_balls_per_sec"),
-            Some(2_320_000.0)
-        );
+        assert_eq!(get_f64(&rows[0], "snapshot_refresh"), Some(1.0));
+        assert_eq!(get_f64(&rows[1], "steady_gap"), Some(2.746));
         assert_eq!(get_f64(&rows[0], "missing"), None);
         assert!(extract_objects(SAMPLE, "absent_section").is_empty());
         let other = extract_objects(SAMPLE, "other");

@@ -3,8 +3,7 @@
 //!
 //! Every driver is generic over [`RoundProcess`], so driving a concrete
 //! process monomorphizes the whole round loop (no dynamic dispatch per
-//! probe); `Box<dyn BallsIntoBins>` still works through the shim impl of
-//! [`RoundProcess`] for `dyn BallsIntoBins`.
+//! probe).
 
 use std::collections::BTreeMap;
 
@@ -590,10 +589,8 @@ impl TrialSet {
 /// result set is deterministic regardless of thread count, and
 /// `factory(i)` builds a fresh process per trial.
 ///
-/// The factory returns `Box<P>` for any `P: RoundProcess + ?Sized`:
-/// returning a concrete process type monomorphizes the whole trial loop,
-/// while `Box<dyn BallsIntoBins>` factories keep working through the
-/// dynamic shim.
+/// The factory returns `Box<P>` for a concrete `P: RoundProcess`, which
+/// monomorphizes the whole trial loop.
 ///
 /// ```
 /// use kdchoice_core::{run_trials, KdChoice, RunConfig};
@@ -975,14 +972,6 @@ mod tests {
             if zipf == 1 {
                 kd = kd.with_probes(ProbeDistribution::zipf(n, 1.0).unwrap());
             }
-            let mut process: Box<dyn crate::process::BallsIntoBins> = match variant {
-                0 => Box::new(kd),
-                1 => Box::new(
-                    crate::SerializedKdChoice::new(k, d, crate::SigmaSchedule::UniformRandom)
-                        .unwrap(),
-                ),
-                _ => Box::new(kd.with_policy(crate::policy::RoundPolicy::Unrestricted)),
-            };
             let caps: Vec<u32> = (0..n).map(|i| 1 + (i % 3) as u32).collect();
             let state = || {
                 if capacities == 1 {
@@ -991,13 +980,46 @@ mod tests {
                     LoadVector::new(n)
                 }
             };
-            let (ahead, ahead_state) =
-                fill_on(&mut *process, &config, state(), LookAhead::new(seed));
-            let (plain, plain_state) =
-                fill_on(&mut *process, &config, state(), Xoshiro256PlusPlus::from_u64(seed));
-            proptest::prop_assert_eq!(format!("{ahead:?}"), format!("{plain:?}"));
-            proptest::prop_assert_eq!(ahead_state, plain_state);
+            let [ahead, plain] = match variant {
+                0 => fills_with_and_without_look_ahead(kd, &config, state, seed),
+                1 => fills_with_and_without_look_ahead(
+                    crate::SerializedKdChoice::new(k, d, crate::SigmaSchedule::UniformRandom)
+                        .unwrap(),
+                    &config,
+                    state,
+                    seed,
+                ),
+                _ => fills_with_and_without_look_ahead(
+                    kd.with_policy(crate::policy::RoundPolicy::Unrestricted),
+                    &config,
+                    state,
+                    seed,
+                ),
+            };
+            proptest::prop_assert_eq!(ahead, plain);
         }
+    }
+
+    /// Fills `state()` with `process` twice from `seed`: once drawing
+    /// through a `LookAhead`, once through the plain generator. Returns
+    /// each run's result (as its `Debug` text) and final table.
+    fn fills_with_and_without_look_ahead<P: RoundProcess>(
+        mut process: P,
+        config: &RunConfig,
+        state: impl Fn() -> LoadVector,
+        seed: u64,
+    ) -> [(String, LoadVector); 2] {
+        let (ahead, ahead_state) = fill_on(&mut process, config, state(), LookAhead::new(seed));
+        let (plain, plain_state) = fill_on(
+            &mut process,
+            config,
+            state(),
+            Xoshiro256PlusPlus::from_u64(seed),
+        );
+        [
+            (format!("{ahead:?}"), ahead_state),
+            (format!("{plain:?}"), plain_state),
+        ]
     }
 
     /// A process that lies about progress must be caught.

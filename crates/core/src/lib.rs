@@ -33,8 +33,8 @@
 //!   over a memory-bounded [`BinSlab`] ([`StoreKind`]: exact, packed4 or
 //!   packed8 loads); on a lossless slab it is the [`run_once_on`] fill.
 //! * [`RoundProcess`] — the monomorphized engine trait every process
-//!   implements; [`BallsIntoBins`] is its object-safe shim for
-//!   `Box<dyn BallsIntoBins>` harnesses. [`KdChoice`] runs one round
+//!   implements; every driver is generic over it, so no call crosses a
+//!   vtable. [`KdChoice`] runs one round
 //!   engine; its stream is pinned by golden digests, and the root test
 //!   tree keeps an eager-key oracle over [`decide_k_least`] that checks
 //!   it in distribution.
@@ -88,7 +88,7 @@ pub use kd::KdChoice;
 pub use kernel::{cmp_slots, expand_slots, height_slot, select_k_least, SlotKey, TentativeSlot};
 pub use policy::RoundPolicy;
 pub use probes::{two_tier_capacities, ProbeDistribution};
-pub use process::{BallsIntoBins, HeightSink, RoundProcess, RoundStats};
+pub use process::{HeightSink, RoundProcess, RoundStats};
 pub use scenario::{DynamicScenario, HeteroScenario, StaticScenario};
 pub use serialized::{SerializedKdChoice, SigmaSchedule};
 pub use snapshot::{decide_k_least, LoadView, SharedLoadSnapshot};

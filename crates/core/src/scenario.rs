@@ -231,10 +231,6 @@ impl Scenario for StaticScenario {
     fn smoke_grid(&self) -> GridSpec {
         GridSpec::parse_str("k=1,2 d=3 n=512 store=exact,packed4").expect("static smoke grid")
     }
-
-    fn throughput_unit(&self) -> &'static str {
-        "balls/sec"
-    }
 }
 
 /// Config of one dynamic-k cell.
@@ -320,10 +316,6 @@ impl Scenario for DynamicScenario {
 
     fn smoke_grid(&self) -> GridSpec {
         GridSpec::parse_str("d=4,8 n=512").expect("dynamic smoke grid")
-    }
-
-    fn throughput_unit(&self) -> &'static str {
-        "balls/sec"
     }
 }
 
@@ -711,10 +703,6 @@ impl Scenario for HeteroScenario {
             "n=2^8 k=2 d=4 skew=uniform,zipf,two_tier,capacity spread=one,two_tier lambda=1 every=8",
         )
         .expect("hetero smoke grid")
-    }
-
-    fn throughput_unit(&self) -> &'static str {
-        "balls/sec"
     }
 }
 

@@ -188,7 +188,6 @@ mod tests {
     use super::*;
     use crate::driver::{run_once, RunConfig};
     use crate::kd::KdChoice;
-    use crate::process::BallsIntoBins;
     use kdchoice_prng::Xoshiro256PlusPlus;
 
     #[test]
@@ -241,29 +240,33 @@ mod tests {
         );
     }
 
+    /// Mean max load over `trials` seeded runs of the process `make` builds.
+    fn mean_max_load<P: RoundProcess>(make: impl Fn() -> P, n: usize, trials: u64) -> f64 {
+        let mut sum = 0.0;
+        for t in 0..trials {
+            let r = run_once(&mut make(), &RunConfig::new(n, 2000 + t));
+            sum += r.max_load as f64;
+        }
+        sum / trials as f64
+    }
+
     /// The serialization coincides with the round process on the same
     /// samples: compare whole-run mean max loads across seeds.
     #[test]
     fn matches_round_process_mean_max_load() {
         let n = 1 << 10;
         let trials = 60;
-        let mean_max = |mk: &mut dyn FnMut() -> Box<dyn BallsIntoBins>| -> f64 {
-            let mut sum = 0.0;
-            for t in 0..trials {
-                let mut p = mk();
-                let r = run_once(&mut *p, &RunConfig::new(n, 2000 + t));
-                sum += r.max_load as f64;
-            }
-            sum / trials as f64
-        };
-        let a = mean_max(&mut || Box::new(KdChoice::new(2, 3).unwrap()));
-
-        let b = mean_max(&mut || {
-            Box::new(SerializedKdChoice::new(2, 3, SigmaSchedule::Identity).unwrap())
-        });
-        let c = mean_max(&mut || {
-            Box::new(SerializedKdChoice::new(2, 3, SigmaSchedule::UniformRandom).unwrap())
-        });
+        let a = mean_max_load(|| KdChoice::new(2, 3).unwrap(), n, trials);
+        let b = mean_max_load(
+            || SerializedKdChoice::new(2, 3, SigmaSchedule::Identity).unwrap(),
+            n,
+            trials,
+        );
+        let c = mean_max_load(
+            || SerializedKdChoice::new(2, 3, SigmaSchedule::UniformRandom).unwrap(),
+            n,
+            trials,
+        );
         assert!(
             (a - b).abs() < 0.5,
             "round {a} vs identity serialization {b}"

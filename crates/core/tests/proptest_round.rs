@@ -1,7 +1,7 @@
 //! Property-based tests of the (k,d)-choice round invariants.
 
 use kdchoice_core::{
-    run_once, run_once_with_state, BallsIntoBins, KdChoice, LoadVector, RoundPolicy, RunConfig,
+    run_once, run_once_with_state, KdChoice, LoadVector, RoundPolicy, RoundProcess, RunConfig,
     SerializedKdChoice, SigmaSchedule,
 };
 use kdchoice_prng::Xoshiro256PlusPlus;
@@ -39,7 +39,7 @@ proptest! {
         let mut state = state_with(&loads);
         let before = state.total_balls();
         let mut rng = Xoshiro256PlusPlus::from_u64(seed);
-        let mut heights = Vec::new();
+        let mut heights: Vec<u32> = Vec::new();
         let stats = p.run_round(&mut state, &mut rng, &mut heights, u64::MAX);
         prop_assert_eq!(stats.thrown as usize, k);
         prop_assert_eq!(state.total_balls(), before + k as u64);

@@ -60,11 +60,6 @@ pub trait Scenario: Sync {
     /// A tiny grid that finishes in well under a second — the CI smoke
     /// workload driven by `kdchoice-bench smoke`.
     fn smoke_grid(&self) -> GridSpec;
-
-    /// The unit reported by the throughput harness (e.g. `"jobs/sec"`).
-    fn throughput_unit(&self) -> &'static str {
-        "runs/sec"
-    }
 }
 
 /// The largest sweep `configs_from_grid` will materialize. Grids above

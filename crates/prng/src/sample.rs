@@ -110,8 +110,7 @@ impl UniformBin {
 /// output, one table load — the weighted draw costs the same generator
 /// traffic as [`UniformBin`] plus a single cache-line access, which is
 /// what keeps the batched round engine's inner loop shape intact under
-/// weighted probing (raced in `BENCH_results.json`,
-/// `weighted_sampling`).
+/// weighted probing.
 ///
 /// **Exactness.** Reusing the low product half as the coin and
 /// quantizing thresholds to 32 bits introduces a per-category bias of at

@@ -229,10 +229,6 @@ impl Scenario for SchedulerScenario {
         )
         .expect("scheduler smoke grid")
     }
-
-    fn throughput_unit(&self) -> &'static str {
-        "jobs/sec"
-    }
 }
 
 #[cfg(test)]

@@ -55,10 +55,10 @@ use crate::sharded::Placement;
 
 /// Which concurrency backend serves placement and release requests.
 ///
-/// Both backends run the same (k,d)-choice decision kernel on the same
+/// All three backends run the same (k,d)-choice decision kernel on the same
 /// per-request RNG streams from the same configs; they differ only in
-/// how concurrent state is shared. The bench harness races them on
-/// identical open-loop traces (`backend_race` in `BENCH_results.json`).
+/// how concurrent state is shared. The repository benchmark times them on
+/// one open-loop trace (the `churn_1t` and `churn_2t` workloads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceBackend {
     /// The lock-striped [`crate::ShardedStore`]: cross-shard mutexes in

@@ -289,10 +289,6 @@ impl Scenario for OpenLoopScenario {
         )
         .expect("open_loop smoke grid")
     }
-
-    fn throughput_unit(&self) -> &'static str {
-        "balls/sec"
-    }
 }
 
 #[cfg(test)]

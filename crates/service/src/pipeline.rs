@@ -406,7 +406,7 @@ pub(crate) trait TickStore: BinStore + Sync {
     fn commit<'s>(&'s self, run: &Run<'_>, ids: IdRange, scratch: &mut Self::Scratch<'s>);
 
     /// Releases the departing requests `ids`.
-    fn release(&self, run: &Run<'_>, ids: &[u32], scratch: &mut Self::Scratch<'_>);
+    fn release<'s>(&'s self, run: &Run<'_>, ids: &[u32], scratch: &mut Self::Scratch<'s>);
 
     /// The tick's time-series sample, taken while no worker runs.
     fn sample(&self, tick: u32) -> TickSample;
@@ -445,15 +445,15 @@ impl TickStore for ShardedStore {
         }
     }
 
-    /// Releases `max_batch` requests' balls per `release` call (the
-    /// probe buffer holds the bin list).
-    fn release(&self, run: &Run<'_>, ids: &[u32], (bins, ..): &mut Self::Scratch<'_>) {
-        for batch in ids.chunks(run.config.max_batch) {
+    /// Releases `max_batch` requests' balls per lock round (the probe
+    /// buffer holds the bin list, the batch scratch the shard locks).
+    fn release<'s>(&'s self, run: &Run<'_>, ids: &[u32], (bins, _, batch): &mut Self::Scratch<'s>) {
+        for chunk in ids.chunks(run.config.max_batch) {
             bins.clear();
-            for &id in batch {
+            for &id in chunk {
                 run.table.get(id, bins);
             }
-            ShardedStore::release(self, bins);
+            self.release_into(bins, batch);
         }
     }
 

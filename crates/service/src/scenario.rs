@@ -207,10 +207,6 @@ impl Scenario for ServiceScenario {
         )
         .expect("service smoke grid")
     }
-
-    fn throughput_unit(&self) -> &'static str {
-        "balls/sec"
-    }
 }
 
 #[cfg(test)]

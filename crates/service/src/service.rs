@@ -1,6 +1,6 @@
 //! [`PlacementService`]: the (k,d)-choice placement/release frontend,
 //! plus the closed-loop multi-client workload used by the `service`
-//! scenario and the thread-scaling throughput harness.
+//! scenario.
 
 use std::sync::Mutex;
 use std::time::Instant;

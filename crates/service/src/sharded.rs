@@ -36,8 +36,8 @@ use rand::RngCore;
 /// shards into the same line, so under contention every lock/unlock
 /// invalidates the line for threads hammering the *other* shards —
 /// false sharing. Aligning each slot to its own line keeps shard lock
-/// traffic independent (the `false_sharing_fix` section of
-/// `BENCH_results.json` records the before/after delta).
+/// traffic independent. The effect shows only when threads on different
+/// cores contend; the benchmark's `churn_2t` workload runs that case.
 #[derive(Debug)]
 #[repr(align(64))]
 struct CachePadded<T>(T);
@@ -68,9 +68,9 @@ pub struct Placement {
     pub max_height: u32,
 }
 
-/// Reusable per-worker scratch for [`ShardedStore::place_batch_into`]:
-/// the decision buffers, the held shard locks, and the last batch's
-/// winners. Every buffer keeps its capacity across batches, so a worker
+/// Reusable per-worker scratch for [`ShardedStore::place_batch_into`]
+/// and [`ShardedStore::release_into`]: the decision buffers, the held
+/// shard locks, and the last batch's winners. Every buffer keeps its capacity across batches, so a worker
 /// commits without allocating once they have grown.
 /// [`ShardedStore::place_k_least`] runs on a fresh one per call.
 #[derive(Default)]
@@ -432,20 +432,35 @@ impl ShardedStore {
     ///
     /// Panics if any bin is out of range or has no ball to remove.
     pub fn release(&self, bins: &[usize]) {
+        self.release_into(bins, &mut BatchScratch::default());
+    }
+
+    /// [`ShardedStore::release`] through caller-owned scratch: reuses its
+    /// shard-id and guard buffers, so it allocates nothing once they have
+    /// grown — the open-loop release path.
+    ///
+    /// # Panics
+    ///
+    /// As [`ShardedStore::release`].
+    pub(crate) fn release_into<'s>(&'s self, bins: &[usize], scratch: &mut BatchScratch<'s>) {
         assert!(
             bins.iter().all(|&b| b < self.n),
             "release out of range (n = {})",
             self.n
         );
-        let mut shard_ids: Vec<usize> = bins.iter().map(|&b| self.shard_of(b)).collect();
-        let mut guards = Vec::new();
-        self.lock_in_order(&mut shard_ids, &mut guards);
+        let BatchScratch {
+            shard_ids, guards, ..
+        } = scratch;
+        shard_ids.clear();
+        shard_ids.extend(bins.iter().map(|&b| self.shard_of(b)));
+        self.lock_in_order(shard_ids, guards);
         for &bin in bins {
             let pos = shard_ids
                 .binary_search(&self.shard_of(bin))
                 .expect("shard was locked");
             guards[pos].remove_ball(self.local_of(bin));
         }
+        guards.clear();
     }
 
     /// Verifies every shard's internal invariants plus the merged-view

@@ -120,10 +120,6 @@ impl Scenario for StorageScenario {
         GridSpec::parse_str("servers=20 k=2 files=100 reads=50 policy=kd,random failures=1")
             .expect("storage smoke grid")
     }
-
-    fn throughput_unit(&self) -> &'static str {
-        "ops/sec"
-    }
 }
 
 /// The fault-injected replicated cluster experiment family, named
@@ -368,10 +364,6 @@ impl Scenario for ClusterScenario {
             "servers=16 k=2 files=120 reads=60 fault=none,storm failures=3 budget=2 hb=2 timeout=1",
         )
         .expect("cluster smoke grid")
-    }
-
-    fn throughput_unit(&self) -> &'static str {
-        "ops/sec"
     }
 }
 

@@ -70,8 +70,8 @@ pub use kdchoice_theory as theory;
 pub mod prelude {
     pub use kdchoice_baselines::{DChoice, SingleChoice};
     pub use kdchoice_core::{
-        run_once, run_sweep, run_trials, BallsIntoBins, KdChoice, LoadVector, RoundPolicy,
-        RoundProcess, RunConfig, RunResult,
+        run_once, run_sweep, run_trials, KdChoice, LoadVector, RoundPolicy, RoundProcess,
+        RunConfig, RunResult,
     };
     pub use kdchoice_prng::Xoshiro256PlusPlus;
     pub use kdchoice_theory::bounds::theorem1_prediction;
