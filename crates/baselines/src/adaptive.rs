@@ -122,7 +122,7 @@ mod tests {
     fn achieves_low_load_with_near_n_messages() {
         let n = 1 << 14;
         let set = run_trials(
-            |_| Box::new(AdaptiveProbing::new(1, 32).unwrap()),
+            |_| AdaptiveProbing::new(1, 32).unwrap(),
             &RunConfig::new(n, 2),
             8,
         );

@@ -120,11 +120,7 @@ mod tests {
 
     #[test]
     fn d_one_is_single_choice_shaped() {
-        let set = run_trials(
-            |_| Box::new(DChoice::new(1).unwrap()),
-            &RunConfig::new(1 << 12, 5),
-            8,
-        );
+        let set = run_trials(|_| DChoice::new(1).unwrap(), &RunConfig::new(1 << 12, 5), 8);
         assert!(set.mean_max_load() >= 5.0, "{}", set.mean_max_load());
     }
 
@@ -138,16 +134,8 @@ mod tests {
     #[test]
     fn two_choice_beats_single_choice() {
         let n = 1 << 13;
-        let one = run_trials(
-            |_| Box::new(DChoice::new(1).unwrap()),
-            &RunConfig::new(n, 7),
-            8,
-        );
-        let two = run_trials(
-            |_| Box::new(DChoice::new(2).unwrap()),
-            &RunConfig::new(n, 8),
-            8,
-        );
+        let one = run_trials(|_| DChoice::new(1).unwrap(), &RunConfig::new(n, 7), 8);
+        let two = run_trials(|_| DChoice::new(2).unwrap(), &RunConfig::new(n, 8), 8);
         assert!(
             two.mean_max_load() + 1.5 < one.mean_max_load(),
             "two-choice {} vs single {}",
@@ -196,16 +184,8 @@ mod tests {
     #[test]
     fn larger_d_does_not_hurt() {
         let n = 1 << 12;
-        let d2 = run_trials(
-            |_| Box::new(DChoice::new(2).unwrap()),
-            &RunConfig::new(n, 9),
-            8,
-        );
-        let d8 = run_trials(
-            |_| Box::new(DChoice::new(8).unwrap()),
-            &RunConfig::new(n, 10),
-            8,
-        );
+        let d2 = run_trials(|_| DChoice::new(2).unwrap(), &RunConfig::new(n, 9), 8);
+        let d8 = run_trials(|_| DChoice::new(8).unwrap(), &RunConfig::new(n, 10), 8);
         assert!(d8.mean_max_load() <= d2.mean_max_load() + 0.5);
     }
 }

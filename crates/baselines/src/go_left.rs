@@ -137,16 +137,8 @@ mod tests {
     fn go_left_is_at_least_as_good_as_two_choice() {
         use crate::DChoice;
         let n = 1 << 13;
-        let gl = run_trials(
-            |_| Box::new(AlwaysGoLeft::new(2).unwrap()),
-            &RunConfig::new(n, 4),
-            10,
-        );
-        let two = run_trials(
-            |_| Box::new(DChoice::new(2).unwrap()),
-            &RunConfig::new(n, 5),
-            10,
-        );
+        let gl = run_trials(|_| AlwaysGoLeft::new(2).unwrap(), &RunConfig::new(n, 4), 10);
+        let two = run_trials(|_| DChoice::new(2).unwrap(), &RunConfig::new(n, 5), 10);
         assert!(
             gl.mean_max_load() <= two.mean_max_load() + 0.3,
             "go-left {} vs 2-choice {}",

@@ -195,7 +195,7 @@ mod tests {
         let n = 1 << 13;
         let mean = |beta: f64, seed: u64| {
             run_trials(
-                move |_| Box::new(OnePlusBeta::new(beta).unwrap()),
+                move |_| OnePlusBeta::new(beta).unwrap(),
                 &RunConfig::new(n, seed),
                 8,
             )

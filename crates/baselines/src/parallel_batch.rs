@@ -169,7 +169,7 @@ mod tests {
     fn max_load_is_competitive_with_sequential_d_choice() {
         let n = 1 << 13;
         let set = run_trials(
-            |_| Box::new(BatchedParallel::new(2, 6).unwrap()),
+            |_| BatchedParallel::new(2, 6).unwrap(),
             &RunConfig::new(n, 3),
             8,
         );

@@ -74,11 +74,7 @@ mod tests {
     #[test]
     fn max_load_is_in_the_raab_steger_ballpark() {
         // At n = 2^14, ln n/lnln n ≈ 4.3; the w.h.p. max is ~3x that.
-        let set = run_trials(
-            |_| Box::new(SingleChoice::new()),
-            &RunConfig::new(1 << 14, 3),
-            10,
-        );
+        let set = run_trials(|_| SingleChoice::new(), &RunConfig::new(1 << 14, 3), 10);
         let mean = set.mean_max_load();
         assert!((5.0..=13.0).contains(&mean), "mean max load {mean}");
     }

@@ -119,15 +119,11 @@ mod tests {
         let n = 1 << 10;
         let trials = 30;
         let trunc = run_trials(
-            |_| Box::new(TruncatedSingleChoice::new(8)),
+            |_| TruncatedSingleChoice::new(8),
             &RunConfig::new(n, 4),
             trials,
         );
-        let plain = run_trials(
-            |_| Box::new(SingleChoice::new()),
-            &RunConfig::new(n, 5),
-            trials,
-        );
+        let plain = run_trials(|_| SingleChoice::new(), &RunConfig::new(n, 5), trials);
         let mean_sorted = |set: &kdchoice_core::TrialSet| -> Vec<f64> {
             let vecs = set.sorted_load_vectors();
             let mut acc = vec![0.0; n];

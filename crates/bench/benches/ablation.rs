@@ -31,17 +31,15 @@ fn main() {
     ]);
     for (i, &(k, d)) in configs.iter().enumerate() {
         let std = run_trials(
-            move |_| Box::new(KdChoice::new(k, d).expect("valid")),
+            move |_| KdChoice::new(k, d).expect("valid"),
             &RunConfig::new(n, 12_000 + i as u64),
             trials,
         );
         let relaxed = run_trials(
             move |_| {
-                Box::new(
-                    KdChoice::new(k, d)
-                        .expect("valid")
-                        .with_policy(RoundPolicy::Unrestricted),
-                )
+                KdChoice::new(k, d)
+                    .expect("valid")
+                    .with_policy(RoundPolicy::Unrestricted)
             },
             &RunConfig::new(n, 12_100 + i as u64),
             trials,
@@ -66,17 +64,15 @@ fn main() {
     // keeps the max load tiny where the multiplicity rule pays ln dk/lnln dk.
     let k = 192;
     let std = run_trials(
-        move |_| Box::new(KdChoice::new(k, k + 1).expect("valid")),
+        move |_| KdChoice::new(k, k + 1).expect("valid"),
         &RunConfig::new(n, 12_200),
         trials,
     );
     let relaxed = run_trials(
         move |_| {
-            Box::new(
-                KdChoice::new(k, k + 1)
-                    .expect("valid")
-                    .with_policy(RoundPolicy::Unrestricted),
-            )
+            KdChoice::new(k, k + 1)
+                .expect("valid")
+                .with_policy(RoundPolicy::Unrestricted)
         },
         &RunConfig::new(n, 12_201),
         trials,
@@ -102,12 +98,12 @@ fn main() {
     ]);
     for d in [4usize, 8, 16] {
         let fixed = run_trials(
-            move |_| Box::new(KdChoice::new(d / 2, d).expect("valid")),
+            move |_| KdChoice::new(d / 2, d).expect("valid"),
             &RunConfig::new(n, 12_300 + d as u64),
             trials,
         );
         let dynamic = run_trials(
-            move |_| Box::new(DynamicKChoice::new(d, 0).expect("valid")),
+            move |_| DynamicKChoice::new(d, 0).expect("valid"),
             &RunConfig::new(n, 12_400 + d as u64),
             trials,
         );

@@ -40,7 +40,7 @@ fn main() {
     ]);
     for &(k, d) in &[(2usize, 3usize), (3, 5), (8, 12)] {
         let base = run_trials(
-            move |_| Box::new(KdChoice::new(k, d).expect("valid")),
+            move |_| KdChoice::new(k, d).expect("valid"),
             &RunConfig::new(n, 9100 + (k * 13 + d) as u64),
             trials,
         );
@@ -50,7 +50,7 @@ fn main() {
             SigmaSchedule::UniformRandom,
         ] {
             let ser = run_trials(
-                move |_| Box::new(SerializedKdChoice::new(k, d, schedule).expect("valid")),
+                move |_| SerializedKdChoice::new(k, d, schedule).expect("valid"),
                 &RunConfig::new(n, 9500 + (k * 17 + d) as u64),
                 trials,
             );
@@ -100,12 +100,12 @@ fn main() {
     let tolerance = 2.5 / (trials as f64).sqrt() * 0.05 + 0.004;
     for (label, (k1, d1), (k2, d2)) in cases {
         let a = run_trials(
-            move |_| Box::new(KdChoice::new(k1, d1).expect("valid")),
+            move |_| KdChoice::new(k1, d1).expect("valid"),
             &RunConfig::new(n, 9900 + (k1 * 19 + d1) as u64),
             trials,
         );
         let b = run_trials(
-            move |_| Box::new(KdChoice::new(k2, d2).expect("valid")),
+            move |_| KdChoice::new(k2, d2).expect("valid"),
             &RunConfig::new(n, 9950 + (k2 * 23 + d2) as u64),
             trials,
         );

@@ -26,7 +26,7 @@ fn main() {
     for (k, d, paper) in paper_cells() {
         let cfg = RunConfig::new(n, 20_110_601 + (k * 1000 + d) as u64);
         let set = run_trials(
-            move |_| Box::new(KdChoice::new(k, d).expect("valid cell")),
+            move |_| KdChoice::new(k, d).expect("valid cell"),
             &cfg,
             trials,
         );

@@ -51,7 +51,7 @@ fn main() {
     for &(label, k, d) in &families {
         for &n in &sizes {
             let set = run_trials(
-                move |_| Box::new(KdChoice::new(k, d).expect("valid")),
+                move |_| KdChoice::new(k, d).expect("valid"),
                 &RunConfig::new(n, 6000 + (k * 7 + d) as u64),
                 trials,
             );
@@ -83,7 +83,7 @@ fn main() {
     println!("\nCorollary 1 direction at n = {n} (family (k,k+1), mean max):");
     for &k in &[4usize, 16, 64] {
         let set = run_trials(
-            move |_| Box::new(KdChoice::new(k, k + 1).expect("valid")),
+            move |_| KdChoice::new(k, k + 1).expect("valid"),
             &RunConfig::new(n, 7000 + k as u64),
             trials,
         );

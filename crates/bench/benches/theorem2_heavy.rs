@@ -36,7 +36,7 @@ fn main() {
         let mut gaps = Vec::new();
         for &r in &ratios {
             let set = run_trials(
-                move |_| Box::new(KdChoice::new(k, d).expect("valid")),
+                move |_| KdChoice::new(k, d).expect("valid"),
                 &RunConfig::new(n, 8000 + (k * 31 + d) as u64 + r).with_balls(r * n as u64),
                 trials,
             );
@@ -68,7 +68,7 @@ fn main() {
     let mut sc_gaps = Vec::new();
     for &r in &ratios {
         let set = run_trials(
-            |_| Box::new(SingleChoice::new()),
+            |_| SingleChoice::new(),
             &RunConfig::new(n, 8900 + r).with_balls(r * n as u64),
             trials,
         );

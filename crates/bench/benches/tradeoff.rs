@@ -139,11 +139,7 @@ fn row<P: RoundProcess>(
     index: u64,
     trials: usize,
 ) -> (String, f64, f64) {
-    let set = run_trials(
-        |_| Box::new(make()),
-        &RunConfig::new(n, 11_000 + index),
-        trials,
-    );
+    let set = run_trials(|_| make(), &RunConfig::new(n, 11_000 + index), trials);
     let mpb: f64 = set
         .results
         .iter()

@@ -589,21 +589,21 @@ impl TrialSet {
 /// result set is deterministic regardless of thread count, and
 /// `factory(i)` builds a fresh process per trial.
 ///
-/// The factory returns `Box<P>` for a concrete `P: RoundProcess`, which
-/// monomorphizes the whole trial loop.
+/// The factory returns the process **by value**, as [`run_sweep`]'s does,
+/// so the whole trial loop is monomorphized and nothing is boxed.
 ///
 /// ```
 /// use kdchoice_core::{run_trials, KdChoice, RunConfig};
 ///
 /// let set = run_trials(
-///     |_| Box::new(KdChoice::new(2, 3).expect("valid")),
+///     |_| KdChoice::new(2, 3).expect("valid"),
 ///     &RunConfig::new(1 << 10, 99),
 ///     10,
 /// );
 /// assert_eq!(set.results.len(), 10);
 /// // Deterministic: same seed, same outcome set.
 /// let again = run_trials(
-///     |_| Box::new(KdChoice::new(2, 3).expect("valid")),
+///     |_| KdChoice::new(2, 3).expect("valid"),
 ///     &RunConfig::new(1 << 10, 99),
 ///     10,
 /// );
@@ -611,8 +611,8 @@ impl TrialSet {
 /// ```
 pub fn run_trials<P, F>(factory: F, config: &RunConfig, trials: usize) -> TrialSet
 where
-    P: RoundProcess + ?Sized,
-    F: Fn(usize) -> Box<P> + Sync,
+    P: RoundProcess,
+    F: Fn(usize) -> P + Sync,
 {
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -632,7 +632,7 @@ where
                         seed: derive_seed(config.seed, trial as u64),
                         ..*config
                     };
-                    *slot = Some(run_once(&mut *process, &cfg));
+                    *slot = Some(run_once(&mut process, &cfg));
                 }
             });
         }
@@ -666,7 +666,7 @@ where
 /// assert_eq!(sweep.len(), 2);
 /// // Cell (0) reproduces a standalone run_trials of the same config.
 /// let alone = run_trials(
-///     |_| Box::new(KdChoice::new(2, 3).expect("valid")),
+///     |_| KdChoice::new(2, 3).expect("valid"),
 ///     &configs[0],
 ///     5,
 /// );
@@ -782,8 +782,8 @@ mod tests {
     #[test]
     fn trials_are_deterministic_and_ordered() {
         let cfg = RunConfig::new(512, 100);
-        let a = run_trials(|_| Box::new(KdChoice::new(2, 3).unwrap()), &cfg, 8);
-        let b = run_trials(|_| Box::new(KdChoice::new(2, 3).unwrap()), &cfg, 8);
+        let a = run_trials(|_| KdChoice::new(2, 3).unwrap(), &cfg, 8);
+        let b = run_trials(|_| KdChoice::new(2, 3).unwrap(), &cfg, 8);
         for (x, y) in a.results.iter().zip(&b.results) {
             assert_eq!(x.max_load, y.max_load);
             assert_eq!(x.seed, y.seed);
@@ -795,7 +795,7 @@ mod tests {
     #[test]
     fn trial_set_aggregations() {
         let cfg = RunConfig::new(1 << 12, 7);
-        let set = run_trials(|_| Box::new(KdChoice::new(1, 2).unwrap()), &cfg, 10);
+        let set = run_trials(|_| KdChoice::new(1, 2).unwrap(), &cfg, 10);
         let counts = set.max_load_counts();
         let total: usize = counts.values().sum();
         assert_eq!(total, 10);
@@ -810,7 +810,7 @@ mod tests {
     #[test]
     fn sorted_load_vectors_reconstruct_n_entries() {
         let cfg = RunConfig::new(256, 9);
-        let set = run_trials(|_| Box::new(KdChoice::new(2, 3).unwrap()), &cfg, 3);
+        let set = run_trials(|_| KdChoice::new(2, 3).unwrap(), &cfg, 3);
         for v in set.sorted_load_vectors() {
             assert_eq!(v.len(), 256);
             assert!(v.windows(2).all(|w| w[0] >= w[1]), "must be descending");
@@ -828,7 +828,7 @@ mod tests {
         let sweep = run_sweep(|_, _| KdChoice::new(2, 4).unwrap(), &configs, 4);
         assert_eq!(sweep.len(), 3);
         for (cell, cfg) in sweep.iter().zip(&configs) {
-            let alone = run_trials(|_| Box::new(KdChoice::new(2, 4).unwrap()), cfg, 4);
+            let alone = run_trials(|_| KdChoice::new(2, 4).unwrap(), cfg, 4);
             assert_eq!(cell.results.len(), 4);
             for (a, b) in cell.results.iter().zip(&alone.results) {
                 assert_eq!(a.max_load, b.max_load);

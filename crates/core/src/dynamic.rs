@@ -162,12 +162,12 @@ mod tests {
         let n = 1 << 13;
         let trials = 8;
         let dynamic = run_trials(
-            |_| Box::new(DynamicKChoice::new(8, 0).unwrap()),
+            |_| DynamicKChoice::new(8, 0).unwrap(),
             &RunConfig::new(n, 3),
             trials,
         );
         let fixed = run_trials(
-            |_| Box::new(KdChoice::new(4, 8).unwrap()),
+            |_| KdChoice::new(4, 8).unwrap(),
             &RunConfig::new(n, 4),
             trials,
         );

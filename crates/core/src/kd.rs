@@ -5,17 +5,13 @@ use kdchoice_prng::sample::UniformBin;
 use rand::RngCore;
 
 use crate::error::ConfigError;
+use crate::kernel::{transposition_sort, SMALL_D};
 use crate::policy::RoundPolicy;
 use crate::probes::ProbeDistribution;
 use crate::process::{HeightSink, RoundProcess, RoundStats};
 use crate::snapshot::LoadView;
 use crate::state::LoadVector;
 use crate::store::BinStore;
-
-/// Largest `d` served by the fixed-array fast path of the round engine.
-/// The paper's experiments use `d ≤ 17` only for the (16,17) cell; every
-/// other configuration fits comfortably.
-const SMALL_D: usize = 16;
 
 /// One tentative ball: the height it would have and the bin it would
 /// land in.
@@ -432,17 +428,8 @@ fn round_small<const D: usize, St, R, S>(
         key[i] = ((u64::from(state.view_load(bins[i] as usize)) + 1) << 32) | u64::from(bins[i]);
     }
 
-    // 3. Odd-even transposition network: D unrolled passes of branchless
-    //    compare-exchanges (min/max compile to cmov, no mispredictions).
-    for pass in 0..D {
-        let mut j = pass & 1;
-        while j + 1 < D {
-            let (a, b) = (key[j], key[j + 1]);
-            key[j] = a.min(b);
-            key[j + 1] = a.max(b);
-            j += 2;
-        }
-    }
+    // 3. Odd-even transposition network over the packed keys.
+    transposition_sort(&mut key);
 
     // 4. Lazy tie-breaking: randomness only if the boundary height is
     //    shared between kept and discarded slots. (Keys ordered ties by

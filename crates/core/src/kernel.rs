@@ -4,6 +4,13 @@
 //! [`select_k_least`] picks the winners; a caller that ranks every slot
 //! or picks `k` from the slots runs its own step between the two. Both
 //! are generic over the slot key ([`SlotKey`]).
+//!
+//! `decide_small` is the const-D instance of the two for `u32` heights
+//! and at most [`SMALL_D`] slots, the path `crate::decide_k_least` takes
+//! whenever `d ≤ SMALL_D`. It packs each slot into one `u128` key and
+//! orders the keys with a branchless network instead of building slot
+//! tuples in a `Vec`, and it draws the same tie keys and returns the same
+//! winners in the same order as the generic pair.
 
 use std::cmp::Ordering;
 
@@ -96,9 +103,32 @@ pub fn height_slot(&base: &u32, bin: usize, occ: u32, tie: u64) -> (u32, u64, us
     (base + occ, tie, bin)
 }
 
+/// Panics unless `1 <= k <= slots`: one slot per probe makes this the
+/// paper's `1 <= k <= d`.
+#[inline]
+fn assert_k_fits(k: usize, slots: usize) {
+    assert!(
+        k >= 1 && k <= slots,
+        "cannot place {k} balls on {slots} tentative slots: need 1 <= k <= d, one slot per probe"
+    );
+}
+
 /// Moves the `k` least slots in [`cmp_slots`] order to the front with one
 /// `select_nth_unstable_by(k - 1)`, skipped when `k == slots.len()`, and
-/// returns them in the order the selection leaves them: the winner order.
+/// returns them, `slots[..k]`, in the order the selection leaves them:
+/// the winner order. With `len = slots.len()`, that order is
+///
+/// * `k == 1`: the least slot (the first of equal least slots), swapped
+///   to the front;
+/// * `1 < k < len` and `len <= 16`: ascending [`cmp_slots`] order, equal
+///   slots in expansion order (the selection insertion-sorts slices this
+///   short);
+/// * `k == len`: expansion order, untouched.
+///
+/// With `1 < k < len` and `len > 16` the winners are the `k` least, in
+/// whatever order the selection leaves them. The const-D path of
+/// `decide_k_least` reproduces the first three cases, so digests pinned
+/// on either path depend on them.
 ///
 /// # Panics
 ///
@@ -106,21 +136,259 @@ pub fn height_slot(&base: &u32, bin: usize, occ: u32, tie: u64) -> (u32, u64, us
 /// is the paper's `1 <= k <= d`.
 #[inline]
 pub fn select_k_least<S: TentativeSlot>(slots: &mut [S], k: usize) -> &mut [S] {
-    assert!(
-        k >= 1 && k <= slots.len(),
-        "cannot place {k} balls on {} tentative slots: need 1 <= k <= d, one slot per probe",
-        slots.len()
-    );
+    assert_k_fits(k, slots.len());
     if k < slots.len() {
         slots.select_nth_unstable_by(k - 1, cmp_slots);
     }
     &mut slots[..k]
 }
 
+/// Largest slot count served by the const-D paths: `decide_small` here and
+/// the round engine's `round_small` in `kd.rs`.
+pub(crate) const SMALL_D: usize = 16;
+
+/// Sorts `key` ascending with an odd-even transposition network: `D`
+/// unrolled passes of branchless compare-exchanges (`min`/`max` compile
+/// to conditional moves, so nothing mispredicts).
+#[inline(always)]
+pub(crate) fn transposition_sort<T: Ord + Copy, const D: usize>(key: &mut [T; D]) {
+    for pass in 0..D {
+        let mut j = pass & 1;
+        while j + 1 < D {
+            let (a, b) = (key[j], key[j + 1]);
+            key[j] = a.min(b);
+            key[j + 1] = a.max(b);
+            j += 2;
+        }
+    }
+}
+
+/// [`expand_slots`] with [`height_slot`], then [`select_k_least`], for
+/// exactly `D <= SMALL_D` sorted probes: the same base reads (one per
+/// distinct bin), the same tie draws (one `next_u64` per slot, in
+/// sorted-probe order) and the same winners in the same order. Each
+/// slot is one `u128` key, `height << 68 | tie << 4 | slot index`, so a
+/// key compare is the `(height, tie)` compare with expansion order
+/// breaking exact ties, as the generic selection does on `D <= 16`
+/// slots. The least key is found by a min scan when `k == 1`, the keys
+/// are sorted by [`transposition_sort`] when `1 < k < D`, and nothing
+/// moves when `k == D`.
+///
+/// Appends the winner bins to `bins_out` in winner order, leaves the
+/// winners in `slots[..k]` as `(height, tie, bin)` (`slots` then holds
+/// exactly `k` slots), and returns the winners' maximum height.
+///
+/// # Panics
+///
+/// Panics unless `sorted_probes.len() == D` and `1 <= k <= D`.
+#[inline]
+pub(crate) fn decide_small<const D: usize, R>(
+    sorted_probes: &[usize],
+    k: usize,
+    rng: &mut R,
+    slots: &mut Vec<(u32, u64, usize)>,
+    bins_out: &mut Vec<usize>,
+    mut base: impl FnMut(usize) -> u32,
+) -> u32
+where
+    R: RngCore + ?Sized,
+{
+    const { assert!(D <= SMALL_D, "slot index must fit in 4 bits") };
+    assert_k_fits(k, sorted_probes.len());
+    let probes: &[usize; D] = sorted_probes
+        .try_into()
+        .expect("decide_small takes exactly D probes");
+    // Heights first, so the base reads issue back to back: a repeated bin
+    // is a run of adjacent probes, read once, its occ-th slot at base + occ.
+    let mut height = [0u32; D];
+    for i in 0..D {
+        height[i] = if i > 0 && probes[i] == probes[i - 1] {
+            height[i - 1] + 1
+        } else {
+            base(probes[i]) + 1
+        };
+    }
+    let mut key = [0u128; D];
+    for (i, key) in key.iter_mut().enumerate() {
+        *key = (u128::from(height[i]) << 68) | (u128::from(rng.next_u64()) << 4) | i as u128;
+    }
+    if k == 1 {
+        key[0] = key.iter().copied().min().expect("D >= k >= 1");
+    } else if k < D {
+        transposition_sort(&mut key);
+    }
+    slots.clear();
+    let mut max_height = 0;
+    for &key in &key[..k] {
+        let (h, tie, bin) = (
+            (key >> 68) as u32,
+            (key >> 4) as u64,
+            probes[(key & 0xF) as usize],
+        );
+        max_height = max_height.max(h);
+        slots.push((h, tie, bin));
+        bins_out.push(bin);
+    }
+    max_height
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{decide_k_least, LoadView};
     use kdchoice_prng::Xoshiro256PlusPlus;
+    use std::cell::RefCell;
+
+    /// Loads from a slice, logging every read.
+    struct LoggedLoads<'a> {
+        loads: &'a [u32],
+        reads: RefCell<Vec<usize>>,
+    }
+
+    impl LoadView for LoggedLoads<'_> {
+        fn view_n(&self) -> usize {
+            self.loads.len()
+        }
+
+        fn view_load(&self, bin: usize) -> u32 {
+            self.reads.borrow_mut().push(bin);
+            self.loads[bin]
+        }
+    }
+
+    /// The selection's winner order, pinned on hand-built slots: a
+    /// toolchain whose `select_nth_unstable_by` leaves another order
+    /// fails here, by name, before any digest moves.
+    #[test]
+    fn select_k_least_winner_order_is_pinned() {
+        let slots: [(u32, u64, usize); 5] = [(3, 9, 0), (1, 5, 1), (2, 1, 2), (1, 2, 3), (2, 0, 4)];
+        let select = |k: usize| {
+            let mut s = slots;
+            select_k_least(&mut s, k).to_vec()
+        };
+        // k = 1: the least slot.
+        assert_eq!(select(1), [(1, 2, 3)]);
+        // 1 < k < len: ascending (key, tie).
+        assert_eq!(select(2), [(1, 2, 3), (1, 5, 1)]);
+        assert_eq!(select(4), [(1, 2, 3), (1, 5, 1), (2, 0, 4), (2, 1, 2)]);
+        // k = len: expansion order, untouched.
+        assert_eq!(select(5), slots);
+
+        // Equal (key, tie) slots keep expansion order, for k = 1 too.
+        let mut equal = [(1u32, 7u64, 10usize), (0, 0, 12), (1, 7, 11)];
+        assert_eq!(select_k_least(&mut equal.clone(), 1), [(0, 0, 12)]);
+        assert_eq!(select_k_least(&mut equal, 2), [(0, 0, 12), (1, 7, 10)]);
+        let mut equal_least = [(1u32, 7u64, 10usize), (1, 7, 11), (2, 0, 12)];
+        assert_eq!(select_k_least(&mut equal_least, 1), [(1, 7, 10)]);
+
+        // The longest slice the const-D path serves: 16 slots, keys
+        // descending, heights tied in pairs.
+        let mut long: Vec<(u32, u64, usize)> = (0..16)
+            .map(|i| (8 - i as u32 / 2, 100 - i as u64, i))
+            .collect();
+        let mut ascending = long.clone();
+        ascending.sort_by(cmp_slots);
+        assert_eq!(select_k_least(&mut long, 7), &ascending[..7]);
+
+        // f64 keys follow total_cmp, then the tie key.
+        let mut f = [
+            (0.5f64, 3u64, 0usize),
+            (-0.0, 9, 1),
+            (0.0, 1, 2),
+            (0.5, 2, 3),
+        ];
+        assert_eq!(
+            select_k_least(&mut f, 3),
+            [(-0.0, 9, 1), (0.0, 1, 2), (0.5, 2, 3)]
+        );
+    }
+
+    /// A generator whose tie keys take three values, so equal
+    /// `(height, tie)` slots are common and expansion order decides.
+    #[derive(Clone)]
+    struct FewTies(Xoshiro256PlusPlus);
+
+    impl RngCore for FewTies {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.0.next_u64() % 3
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            self.0.fill_bytes(dest);
+        }
+
+        fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
+            self.0.try_fill_bytes(dest)
+        }
+    }
+
+    /// `decide_k_least` on `d = probes.len() <= SMALL_D` (the const-D
+    /// path) against `expand_slots` + `select_k_least`: the same base
+    /// reads, winners in the same order, the same max height, the same
+    /// `slots[..k]` and the same generator afterwards.
+    fn assert_const_d_matches_generic<R: RngCore + Clone>(
+        loads: &[u32],
+        probes: &[usize],
+        k: usize,
+        mut rng: R,
+    ) {
+        let mut rng_ref = rng.clone();
+        let view = LoggedLoads {
+            loads,
+            reads: RefCell::new(Vec::new()),
+        };
+        let (mut slots, mut winners) = (Vec::new(), Vec::new());
+        let max = decide_k_least(&view, probes, k, &mut rng, &mut slots, &mut winners);
+
+        let (mut ref_reads, mut ref_slots) = (Vec::new(), Vec::new());
+        expand_slots(
+            probes,
+            &mut rng_ref,
+            &mut ref_slots,
+            |bin| {
+                ref_reads.push(bin);
+                loads[bin]
+            },
+            height_slot,
+        );
+        let ref_won = select_k_least(&mut ref_slots, k);
+        let ref_winners: Vec<usize> = ref_won.iter().map(|s| s.2).collect();
+        let d = probes.len();
+        assert_eq!(view.reads.into_inner(), ref_reads, "d {d} k {k}");
+        assert_eq!(winners, ref_winners, "d {d} k {k}");
+        assert_eq!(max, ref_won.iter().map(|s| s.0).max().unwrap());
+        assert_eq!(&slots[..k], &*ref_won, "d {d} k {k}");
+        assert_eq!(rng.next_u64(), rng_ref.next_u64());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The const-D path against the generic kernel for every `d` in
+        /// `2..=16` and every `k` in `1..=d`. Loads from a narrow range
+        /// tie heights often, few bins make probes repeat, and a second
+        /// run with [`FewTies`] makes whole `(height, tie)` keys tie.
+        #[test]
+        fn const_d_path_matches_the_generic_kernel(
+            seed in 0..u64::MAX,
+            loads in proptest::collection::vec(0..4u32, 1..12),
+            picks in proptest::collection::vec(0..1024usize, 16..17),
+        ) {
+            for d in 2..=SMALL_D {
+                let mut probes: Vec<usize> = picks[..d].iter().map(|&p| p % loads.len()).collect();
+                probes.sort_unstable();
+                for k in 1..=d {
+                    let rng = Xoshiro256PlusPlus::from_u64(seed ^ (d * 17 + k) as u64);
+                    assert_const_d_matches_generic(&loads, &probes, k, rng.clone());
+                    assert_const_d_matches_generic(&loads, &probes, k, FewTies(rng));
+                }
+            }
+        }
+    }
 
     #[test]
     fn expansion_reads_each_base_once_and_draws_one_tie_per_slot() {

@@ -13,9 +13,9 @@
 //! is bin `b`'s load, as far as you know?" — so the same kernel,
 //! [`decide_k_least`], serves both the exact path (a [`LoadVector`]
 //! behind a lock) and the relaxed path (a snapshot refreshed every `R`
-//! commits). When the view is exact, it is **bit-identical** to the
-//! lock-striped `ShardedStore::place_k_least` decision, which runs the
-//! same core kernel ([`crate::expand_slots`], [`crate::select_k_least`]).
+//! commits). The lock-striped `ShardedStore::place_k_least` decides
+//! through it too, over a view of the shard guards it holds, so with an
+//! exact view every backend makes the same decision on the same stream.
 //! The cross-backend equivalence proptests in `kdchoice-service` lock
 //! that claim.
 
@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use rand::RngCore;
 
-use crate::kernel::{expand_slots, height_slot, select_k_least};
+use crate::kernel::{decide_small, expand_slots, height_slot, select_k_least};
 use crate::state::LoadVector;
 
 /// Issues a best-effort read prefetch for the cache line holding `*ptr`.
@@ -206,10 +206,20 @@ impl LoadView for SharedLoadSnapshot {
 /// The [`LoadView`] instance of the decision kernel: expands
 /// `sorted_probes` (ascending) at heights `view_load(bin) + occ`, keeps
 /// the `k` least ([`select_k_least`]), and appends the winner bins to
-/// `bins_out` in selection order. Every probed bin is prefetched first;
-/// that draws nothing, so against an exact view the stream and winners
-/// are `ShardedStore::place_k_least`'s. Returns the winners' maximum
-/// tentative height. `slots` is caller-provided scratch.
+/// `bins_out` in winner order. Every probed bin is prefetched first;
+/// that draws nothing. Returns the winners' maximum tentative height.
+/// `slots` is caller-provided scratch.
+///
+/// With `d = sorted_probes.len() <= 16` the decision runs a const-D path
+/// that packs each slot into one `u128` key and sorts the keys with a
+/// branchless network (a min scan when `k == 1`, nothing when `k == d`);
+/// longer probe sets run [`expand_slots`] and [`select_k_least`]. Both
+/// read each distinct bin's load once and draw one `next_u64` tie key
+/// per slot in sorted-probe order, and both give the winner order
+/// [`select_k_least`] documents: the least slot when `k == 1`, ascending
+/// `(height, tie)` when `1 < k < d <= 16`, expansion order when `k == d`.
+/// Either way the winners are left in `slots[..k]` as
+/// `(height, tie, bin)`.
 ///
 /// # Panics
 ///
@@ -229,19 +239,35 @@ where
     for &bin in sorted_probes {
         view.prefetch(bin);
     }
-    expand_slots(
-        sorted_probes,
-        rng,
-        slots,
-        |bin| view.view_load(bin),
-        height_slot,
-    );
-    let mut max_height = 0;
-    for &(height, _, bin) in select_k_least(slots, k).iter() {
-        max_height = max_height.max(height);
-        bins_out.push(bin);
+    let base = |bin| view.view_load(bin);
+    let (p, out) = (sorted_probes, bins_out);
+    match sorted_probes.len() {
+        1 => decide_small::<1, R>(p, k, rng, slots, out, base),
+        2 => decide_small::<2, R>(p, k, rng, slots, out, base),
+        3 => decide_small::<3, R>(p, k, rng, slots, out, base),
+        4 => decide_small::<4, R>(p, k, rng, slots, out, base),
+        5 => decide_small::<5, R>(p, k, rng, slots, out, base),
+        6 => decide_small::<6, R>(p, k, rng, slots, out, base),
+        7 => decide_small::<7, R>(p, k, rng, slots, out, base),
+        8 => decide_small::<8, R>(p, k, rng, slots, out, base),
+        9 => decide_small::<9, R>(p, k, rng, slots, out, base),
+        10 => decide_small::<10, R>(p, k, rng, slots, out, base),
+        11 => decide_small::<11, R>(p, k, rng, slots, out, base),
+        12 => decide_small::<12, R>(p, k, rng, slots, out, base),
+        13 => decide_small::<13, R>(p, k, rng, slots, out, base),
+        14 => decide_small::<14, R>(p, k, rng, slots, out, base),
+        15 => decide_small::<15, R>(p, k, rng, slots, out, base),
+        16 => decide_small::<16, R>(p, k, rng, slots, out, base),
+        _ => {
+            expand_slots(p, rng, slots, base, height_slot);
+            let mut max_height = 0;
+            for &(height, _, bin) in select_k_least(slots, k).iter() {
+                max_height = max_height.max(height);
+                out.push(bin);
+            }
+            max_height
+        }
     }
-    max_height
 }
 
 #[cfg(test)]

@@ -194,8 +194,8 @@ impl PlacementStrategy {
     /// and the scalar simulator: writes the `k` tasks' workers into
     /// `scratch.chosen` and returns the probe messages. Batch sampling and
     /// (k,d)-choice sort their probes in place and decide through
-    /// [`decide_k_least`], the same `expand_slots` + `select_k_least` as
-    /// [`select_k_least_loaded`], in the same winner order.
+    /// [`decide_k_least`], as [`select_k_least_loaded`] does, in the same
+    /// winner order.
     pub(crate) fn choose_into<V, R>(
         &self,
         loads: &V,
@@ -349,8 +349,7 @@ impl std::fmt::Display for PlacementStrategy {
 
 /// Selects destinations for `k` tasks from `samples` (worker indices, with
 /// multiplicity) through the core decision kernel
-/// ([`kdchoice_core::decide_k_least`]: [`kdchoice_core::expand_slots`] at
-/// heights `loads[w] + occ`, then [`kdchoice_core::select_k_least`]): a
+/// ([`kdchoice_core::decide_k_least`] at heights `loads[w] + occ`): a
 /// worker sampled `m` times receives at most `m` tasks. `samples` may be
 /// unsorted; a sorted copy is decided. The batch-sampling and
 /// (k,d)-choice strategies make the same decision on probes they sort in

@@ -23,7 +23,7 @@
 //!
 //! Probe decisions never lock anything: they read a
 //! [`SharedLoadSnapshot`] — one relaxed `AtomicU32` per bin — through
-//! the same [`decide_k_least`] kernel the locked path mirrors. Each
+//! the same [`decide_k_least`] kernel the locked path runs. Each
 //! owner republishes its dirty bins every [`OwnedShardEngine::refresh`]
 //! applied mutations. `refresh = 1` on a single thread makes the
 //! snapshot synchronous (always equal to the truth), which is what

@@ -20,7 +20,7 @@
 //!    (`Relaxed`) into a private frozen view.
 //! 2. **Decide** — run the shared [`decide_k_least`] kernel against the
 //!    frozen view (identical probe sort, slot expansion, tie-key RNG
-//!    consumption, and `select_nth` pivot as both other backends).
+//!    consumption and winner order as both other backends).
 //! 3. **Commit** — for each winner bin, `compare_exchange(frozen,
 //!    frozen + multiplicity)`. A lost race rolls back the bins already
 //!    committed in this attempt, counts one lost race, and restarts from

@@ -27,7 +27,7 @@
 use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard};
 
-use kdchoice_core::{expand_slots, height_slot, select_k_least, BinSlab, BinStore, StoreKind};
+use kdchoice_core::{decide_k_least, BinSlab, BinStore, LoadView, StoreKind};
 use rand::RngCore;
 
 /// A shard slot padded out to a 64-byte cache line.
@@ -53,6 +53,26 @@ impl<T> Deref for CachePadded<T> {
 impl<T> DerefMut for CachePadded<T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.0
+    }
+}
+
+/// The loads one request reads through the shard guards it holds: the
+/// [`LoadView`] that [`ShardedStore`]'s placements decide against.
+struct GuardedLoads<'a, 's> {
+    store: &'a ShardedStore,
+    shard_ids: &'a [usize],
+    guards: &'a [MutexGuard<'s, BinSlab>],
+}
+
+impl LoadView for GuardedLoads<'_, '_> {
+    #[inline]
+    fn view_n(&self) -> usize {
+        self.store.n
+    }
+
+    #[inline]
+    fn view_load(&self, bin: usize) -> u32 {
+        self.guards[self.store.guard_of(self.shard_ids, bin)].load(self.store.local_of(bin))
     }
 }
 
@@ -224,6 +244,15 @@ impl ShardedStore {
         bin >> self.bits
     }
 
+    /// The position of `bin`'s shard guard among held guards keyed by
+    /// `shard_ids` (sorted, deduped, every probed shard locked).
+    #[inline]
+    fn guard_of(&self, shard_ids: &[usize], bin: usize) -> usize {
+        shard_ids
+            .binary_search(&self.shard_of(bin))
+            .expect("shard was locked")
+    }
+
     #[inline]
     fn global_of(&self, shard: usize, local: usize) -> usize {
         (local << self.bits) | shard
@@ -296,11 +325,11 @@ impl ShardedStore {
     /// The read–decide–commit step shared by [`ShardedStore::place_k_least`]
     /// and [`ShardedStore::place_batch_into`]: decides `scratch.sorted`
     /// (one request's probes, ascending) through the core kernel
-    /// ([`expand_slots`], [`select_k_least`]), reading each distinct bin's
-    /// load once from the held `scratch.guards` (keyed by the sorted
-    /// `scratch.shard_ids`, covering every probed shard), then commits the
-    /// winners in selection order under the same guards and appends them
-    /// to `scratch.bins`. Returns the tallest committed ball height.
+    /// ([`decide_k_least`]) over a [`GuardedLoads`] view of the held
+    /// `scratch.guards` (keyed by the sorted `scratch.shard_ids`, covering
+    /// every probed shard), appends the winners to `scratch.bins`, then
+    /// commits them in winner order under the same guards. Returns the
+    /// tallest committed ball height.
     fn serve_on_guards<R: RngCore + ?Sized>(
         &self,
         scratch: &mut BatchScratch<'_>,
@@ -315,23 +344,17 @@ impl ShardedStore {
             bins,
             ..
         } = scratch;
-        let pos = |bin: usize| {
-            shard_ids
-                .binary_search(&self.shard_of(bin))
-                .expect("shard was locked")
+        let start = bins.len();
+        let view = GuardedLoads {
+            store: self,
+            shard_ids,
+            guards,
         };
-        expand_slots(
-            sorted,
-            rng,
-            slots,
-            |bin| guards[pos(bin)].load(self.local_of(bin)),
-            height_slot,
-        );
+        decide_k_least(&view, sorted, k, rng, slots, bins);
         let mut max_height = 0u32;
-        for &(_, _, bin) in select_k_least(slots, k).iter() {
-            let height = guards[pos(bin)].add_ball(self.local_of(bin));
+        for &bin in &bins[start..] {
+            let height = guards[self.guard_of(shard_ids, bin)].add_ball(self.local_of(bin));
             max_height = max_height.max(height);
-            bins.push(bin);
         }
         max_height
     }

@@ -25,12 +25,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{:>6} {:>16} {:>16}", "m/n", "(k,d) gap", "single gap");
     for ratio in [1u64, 2, 4, 8, 16, 32, 64] {
         let kd = run_trials(
-            move |_| Box::new(KdChoice::new(k, d).expect("valid")),
+            move |_| KdChoice::new(k, d).expect("valid"),
             &RunConfig::new(n, 3000 + ratio).with_balls(ratio * n as u64),
             trials,
         );
         let sc = run_trials(
-            |_| Box::new(SingleChoice::new()),
+            |_| SingleChoice::new(),
             &RunConfig::new(n, 4000 + ratio).with_balls(ratio * n as u64),
             trials,
         );

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Ten trials, Table 1 style --------------------------------------
     let set = run_trials(
-        move |_| Box::new(KdChoice::new(k, d).expect("valid")),
+        move |_| KdChoice::new(k, d).expect("valid"),
         &RunConfig::new(n, 7),
         10,
     );

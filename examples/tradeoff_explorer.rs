@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     for (k, d) in params {
         let set = run_trials(
-            move |_| Box::new(KdChoice::new(k, d).expect("valid")),
+            move |_| KdChoice::new(k, d).expect("valid"),
             &RunConfig::new(n, 1000 + (k * 7 + d) as u64),
             trials,
         );

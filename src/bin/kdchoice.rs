@@ -86,11 +86,9 @@ fn cmd_run(args: &CliArgs) -> Result<(), Box<dyn Error>> {
     KdChoice::new(k, d)?;
     let set = run_trials(
         move |_| {
-            Box::new(
-                KdChoice::new(k, d)
-                    .expect("validated above")
-                    .with_policy(policy),
-            )
+            KdChoice::new(k, d)
+                .expect("validated above")
+                .with_policy(policy)
         },
         &cfg,
         trials.max(1),
@@ -170,7 +168,7 @@ fn compare_row<P: RoundProcess>(
     cfg: &RunConfig,
     trials: usize,
 ) {
-    let set = run_trials(|_| Box::new(make()), cfg, trials);
+    let set = run_trials(|_| make(), cfg, trials);
     let mpb: f64 = set
         .results
         .iter()

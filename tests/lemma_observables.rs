@@ -17,7 +17,7 @@ fn factorial(y: u32) -> f64 {
 #[test]
 fn lemma2_mu_upper_bound_for_single_choice() {
     // Pr(µ_y >= 8n/y!) is tiny: check µ_y <= 8n/y! on several runs.
-    let set = run_trials(|_| Box::new(SingleChoice::new()), &RunConfig::new(N, 1), 6);
+    let set = run_trials(|_| SingleChoice::new(), &RunConfig::new(N, 1), 6);
     for r in &set.results {
         for y in 1..=r.max_load {
             let bound = 8.0 * N as f64 / factorial(y);
@@ -34,7 +34,7 @@ fn lemma2_mu_upper_bound_for_single_choice() {
 fn lemma11_nu_lower_bound_for_single_choice() {
     // Pr(ν_y <= n/(8·y!)) is tiny for y ≪ √n: check ν_y >= n/(8·y!) for the
     // first few levels.
-    let set = run_trials(|_| Box::new(SingleChoice::new()), &RunConfig::new(N, 2), 6);
+    let set = run_trials(|_| SingleChoice::new(), &RunConfig::new(N, 2), 6);
     for r in &set.results {
         for y in 1..=3u32 {
             let bound = N as f64 / (8.0 * factorial(y));
@@ -52,15 +52,11 @@ fn lemma3_kd_heights_are_dominated_by_single_choice() {
     // Pr(µ^SA_y >= t) >= Pr(µ^A_y >= t): on means, µ^A_y <= µ^SA_y (+noise).
     let trials = 10;
     let kd = run_trials(
-        |_| Box::new(KdChoice::new(3, 6).expect("valid")),
+        |_| KdChoice::new(3, 6).expect("valid"),
         &RunConfig::new(N, 3),
         trials,
     );
-    let sa = run_trials(
-        |_| Box::new(SingleChoice::new()),
-        &RunConfig::new(N, 4),
-        trials,
-    );
+    let sa = run_trials(|_| SingleChoice::new(), &RunConfig::new(N, 4), trials);
     let mean_mu = |set: &kdchoice::kd::TrialSet, y: u32| -> f64 {
         set.results.iter().map(|r| r.mu(y) as f64).sum::<f64>() / set.results.len() as f64
     };

@@ -10,7 +10,7 @@ const TRIALS: usize = 50;
 
 fn trials(k: usize, d: usize, seed: u64) -> TrialSet {
     run_trials(
-        move |_| Box::new(KdChoice::new(k, d).expect("valid")),
+        move |_| KdChoice::new(k, d).expect("valid"),
         &RunConfig::new(N, seed),
         TRIALS,
     )

@@ -16,7 +16,7 @@ const TRIALS: usize = 40;
 
 fn round_trials(k: usize, d: usize, seed: u64) -> kdchoice::kd::TrialSet {
     run_trials(
-        move |_| Box::new(KdChoice::new(k, d).expect("valid")),
+        move |_| KdChoice::new(k, d).expect("valid"),
         &RunConfig::new(N, seed),
         TRIALS,
     )
@@ -29,7 +29,7 @@ fn serialized_trials(
     seed: u64,
 ) -> kdchoice::kd::TrialSet {
     run_trials(
-        move |_| Box::new(SerializedKdChoice::new(k, d, schedule).expect("valid")),
+        move |_| SerializedKdChoice::new(k, d, schedule).expect("valid"),
         &RunConfig::new(N, seed),
         TRIALS,
     )

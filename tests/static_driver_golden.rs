@@ -84,7 +84,7 @@ fn compact(kind: StoreKind, probes: &ProbeDistribution, capacities: Option<&[u32
 }
 
 fn trials() -> u64 {
-    let set = run_trials(|_| Box::new(kd(2, 3)), &RunConfig::new(N, 43), 6);
+    let set = run_trials(|_| kd(2, 3), &RunConfig::new(N, 43), 6);
     digest(&set.results)
 }
 

@@ -9,7 +9,7 @@ use kdchoice::kd::{run_trials, KdChoice, RunConfig, TrialSet};
 
 fn cell(n: usize, k: usize, d: usize, trials: usize, seed: u64) -> TrialSet {
     run_trials(
-        move |_| Box::new(KdChoice::new(k, d).expect("valid")),
+        move |_| KdChoice::new(k, d).expect("valid"),
         &RunConfig::new(n, seed),
         trials,
     )
@@ -84,11 +84,7 @@ fn section_1_2_observation_128_193_beats_two_choice() {
 #[test]
 fn section_1_2_observation_64_65_beats_single_choice() {
     let kd = cell(N_FAST, 64, 65, 10, 9);
-    let sc = run_trials(
-        |_| Box::new(SingleChoice::new()),
-        &RunConfig::new(N_FAST, 10),
-        10,
-    );
+    let sc = run_trials(|_| SingleChoice::new(), &RunConfig::new(N_FAST, 10), 10);
     assert!(
         kd.mean_max_load() + 1.0 < sc.mean_max_load(),
         "(64,65) {} vs single choice {}",

@@ -23,7 +23,7 @@ fn theorem1_band_holds_across_regimes() {
         (16, 32),
     ] {
         let set = run_trials(
-            move |_| Box::new(KdChoice::new(k, d).expect("valid")),
+            move |_| KdChoice::new(k, d).expect("valid"),
             &RunConfig::new(N, 31 + (k * 100 + d) as u64),
             TRIALS,
         );
@@ -45,7 +45,7 @@ fn theorem2_gap_is_bounded_and_flat_for_d_at_least_2k() {
         let mut gaps = Vec::new();
         for ratio in [1u64, 8, 32] {
             let set = run_trials(
-                move |_| Box::new(KdChoice::new(k, d).expect("valid")),
+                move |_| KdChoice::new(k, d).expect("valid"),
                 &RunConfig::new(N, 77 + ratio).with_balls(ratio * N as u64),
                 4,
             );
@@ -67,11 +67,7 @@ fn theorem2_gap_is_bounded_and_flat_for_d_at_least_2k() {
 
 #[test]
 fn single_choice_matches_raab_steger_shape() {
-    let set = run_trials(
-        |_| Box::new(SingleChoice::new()),
-        &RunConfig::new(N, 5),
-        TRIALS,
-    );
+    let set = run_trials(|_| SingleChoice::new(), &RunConfig::new(N, 5), TRIALS);
     let predicted = single_choice_prediction(N);
     let mean = set.mean_max_load();
     // ln n/lnln n times a modest constant window.
@@ -85,7 +81,7 @@ fn single_choice_matches_raab_steger_shape() {
 fn d_choice_matches_azar_et_al_shape() {
     for d in [2usize, 4, 8] {
         let set = run_trials(
-            move |_| Box::new(DChoice::new(d).expect("valid")),
+            move |_| DChoice::new(d).expect("valid"),
             &RunConfig::new(N, 6 + d as u64),
             TRIALS,
         );
@@ -102,12 +98,12 @@ fn d_choice_matches_azar_et_al_shape() {
 fn kd_choice_equals_d_choice_when_k_is_1() {
     // A(1,d) IS d-choice; distributions must agree closely.
     let kd = run_trials(
-        |_| Box::new(KdChoice::new(1, 3).expect("valid")),
+        |_| KdChoice::new(1, 3).expect("valid"),
         &RunConfig::new(N, 8),
         TRIALS,
     );
     let dc = run_trials(
-        |_| Box::new(DChoice::new(3).expect("valid")),
+        |_| DChoice::new(3).expect("valid"),
         &RunConfig::new(N, 9),
         TRIALS,
     );
@@ -122,15 +118,11 @@ fn kd_choice_equals_d_choice_when_k_is_1() {
 #[test]
 fn kd_choice_with_k_equal_d_is_single_choice() {
     let kd = run_trials(
-        |_| Box::new(KdChoice::new(4, 4).expect("valid")),
+        |_| KdChoice::new(4, 4).expect("valid"),
         &RunConfig::new(N, 10),
         TRIALS,
     );
-    let sc = run_trials(
-        |_| Box::new(SingleChoice::new()),
-        &RunConfig::new(N, 11),
-        TRIALS,
-    );
+    let sc = run_trials(|_| SingleChoice::new(), &RunConfig::new(N, 11), TRIALS);
     assert!(
         (kd.mean_max_load() - sc.mean_max_load()).abs() <= 1.2,
         "SA(4,4) {} vs single choice {}",
@@ -143,7 +135,7 @@ fn kd_choice_with_k_equal_d_is_single_choice() {
 fn adaptive_scheme_hits_its_cited_tradeoff() {
     // Czumaj–Stemann-style: lnln-grade load with (1+o(1))n messages.
     let set = run_trials(
-        |_| Box::new(AdaptiveProbing::new(1, 32).expect("valid")),
+        |_| AdaptiveProbing::new(1, 32).expect("valid"),
         &RunConfig::new(N, 12),
         TRIALS,
     );
@@ -162,7 +154,7 @@ fn message_accounting_matches_cost_model() {
     use kdchoice::theory::cost::total_messages;
     for &(k, d) in &[(1usize, 2usize), (2, 3), (16, 32)] {
         let set = run_trials(
-            move |_| Box::new(KdChoice::new(k, d).expect("valid")),
+            move |_| KdChoice::new(k, d).expect("valid"),
             &RunConfig::new(N, 13),
             2,
         );

@@ -46,12 +46,12 @@ fn run_trials_is_deterministic_across_thread_counts() {
     // The per-trial seed derivation must make results independent of the
     // machine's parallelism.
     let a = run_trials(
-        |_| Box::new(KdChoice::new(2, 4).expect("valid")),
+        |_| KdChoice::new(2, 4).expect("valid"),
         &RunConfig::new(2048, 9),
         7,
     );
     let b = run_trials(
-        |_| Box::new(KdChoice::new(2, 4).expect("valid")),
+        |_| KdChoice::new(2, 4).expect("valid"),
         &RunConfig::new(2048, 9),
         7,
     );
