@@ -297,6 +297,58 @@ fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Strings of up to 63 pieces, each a token of the sections'
+    /// shape (three times in four) or an arbitrary byte, decoded as
+    /// lossy UTF-8.
+    fn section_text() -> impl Strategy<Value = String> {
+        const TOKENS: &[&str] = &[
+            "\"rows\": [",
+            "\"rows\"",
+            ": [",
+            "{",
+            "}",
+            "[",
+            "]",
+            ",",
+            ":",
+            "\"",
+            "\\",
+            "\\\"",
+            " ",
+            "\n",
+            "\"gap\": 2.5",
+            "1",
+            "true",
+            "é",
+        ];
+        prop::collection::vec((0u8..4, 0..TOKENS.len(), any::<u32>()), 0..64).prop_map(|pieces| {
+            let mut bytes = Vec::new();
+            for (kind, token, byte) in pieces {
+                if kind == 0 {
+                    bytes.push(byte as u8);
+                } else {
+                    bytes.extend_from_slice(TOKENS[token].as_bytes());
+                }
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// `extract_objects` returns on any input, and so does `get_f64`
+        /// on every pair it extracts.
+        #[test]
+        fn extract_objects_survives_arbitrary_input(json in section_text()) {
+            for object in extract_objects(&json, "rows") {
+                for (field, _) in &object {
+                    let _ = get_f64(&object, field);
+                }
+            }
+        }
+    }
 
     const SAMPLE: &str = r#"{
   "harness": "kdchoice-bench throughput",

@@ -45,6 +45,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::driver::FillTable;
 use crate::snapshot::{LoadView, SharedLoadSnapshot};
 use crate::state::LoadVector;
 use crate::store::BinStore;
@@ -645,6 +646,16 @@ impl LoadView for PackedStore {
     #[inline]
     fn prefetch(&self, bin: usize) {
         crate::snapshot::prefetch_read(&self.words[bin >> self.lane_shift]);
+    }
+}
+
+impl FillTable for PackedStore {
+    fn table_bytes(&self) -> u64 {
+        self.resident_bytes()
+    }
+
+    fn advise_huge_pages(&self) {
+        crate::snapshot::advise_huge_pages(&self.words);
     }
 }
 

@@ -55,9 +55,11 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny`, not `forbid`: the one `#[allow(unsafe_code)]` carve-out is the
-// software-prefetch intrinsic in `snapshot::prefetch_read` (a hint with
-// no memory-safety obligations); everything else stays safe Rust.
+// `deny`, not `forbid`: the `#[allow(unsafe_code)]` carve-outs are the
+// two memory hints in `snapshot`: the software-prefetch intrinsic in
+// `prefetch_read` and the `madvise(MADV_HUGEPAGE)` call in
+// `advise_huge_pages` (neither changes a byte of memory); everything
+// else stays safe Rust.
 #![deny(unsafe_code)]
 
 mod compact;

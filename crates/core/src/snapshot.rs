@@ -19,6 +19,7 @@
 //! The cross-backend equivalence proptests in `kdchoice-service` lock
 //! that claim.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use rand::RngCore;
@@ -30,9 +31,9 @@ use crate::state::LoadVector;
 ///
 /// A pure performance hint: on x86_64 it lowers to `prefetcht0`, which
 /// has no memory-safety obligations (the address need not even be
-/// mapped); on other targets it is a no-op. This is the crate's single
-/// `unsafe` carve-out — the pointer is always derived from a live
-/// reference at the call sites.
+/// mapped); on other targets it is a no-op. With [`advise_huge_pages`]
+/// it is one of the crate's two `unsafe` carve-outs — the pointer is
+/// always derived from a live reference at the call sites.
 #[inline(always)]
 #[allow(unsafe_code)]
 pub(crate) fn prefetch_read<T>(ptr: *const T) {
@@ -45,6 +46,56 @@ pub(crate) fn prefetch_read<T>(ptr: *const T) {
     {
         let _ = ptr;
     }
+}
+
+/// The transparent huge page size [`advise_huge_pages`] aligns to: 2 MiB,
+/// the PMD-level page on x86_64 and aarch64 with 4 KiB base pages.
+const HUGE_PAGE_BYTES: usize = 2 << 20;
+
+/// The whole huge pages inside the `bytes` bytes from address `addr`:
+/// the start rounded up and the end rounded down to a
+/// [`HUGE_PAGE_BYTES`] boundary, or `None` when no whole huge page fits.
+pub(crate) fn huge_page_interior(addr: usize, bytes: usize) -> Option<Range<usize>> {
+    let mask = HUGE_PAGE_BYTES - 1;
+    let start = addr.checked_add(mask)? & !mask;
+    let end = addr.checked_add(bytes)? & !mask;
+    (start < end).then_some(start..end)
+}
+
+/// Advises the kernel to back `table` with transparent huge pages, so
+/// probes that land at random across a large table walk fewer page
+/// tables and miss the TLB less often.
+///
+/// Only the 2 MiB-aligned interior is advised (`madvise(MADV_HUGEPAGE)`
+/// on Linux; nothing elsewhere, or when no whole huge page fits). It
+/// takes effect on pages not yet touched, and only where the kernel's
+/// THP mode is `madvise` (`always` backs them anyway, `never` not at
+/// all). The call is advice: its result is ignored, since on failure
+/// the table keeps its base pages and every value in it is the same.
+#[allow(unsafe_code)]
+pub(crate) fn advise_huge_pages<T>(table: &[T]) {
+    let Some(range) = huge_page_interior(table.as_ptr() as usize, std::mem::size_of_val(table))
+    else {
+        return;
+    };
+    #[cfg(target_os = "linux")]
+    {
+        use std::ffi::{c_int, c_void};
+        extern "C" {
+            fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        }
+        const MADV_HUGEPAGE: c_int = 14;
+        // SAFETY: `range` lies inside `table`, which stays borrowed (so
+        // mapped) for the call. `MADV_HUGEPAGE` changes neither the
+        // contents nor the protection of any page, only how the kernel
+        // backs the range; it may split the mapping, which no Rust code
+        // can observe.
+        unsafe {
+            madvise(range.start as *mut c_void, range.len(), MADV_HUGEPAGE);
+        }
+    }
+    #[cfg(not(target_os = "linux"))]
+    let _ = range;
 }
 
 /// A read-only view of per-bin loads, possibly stale.
@@ -373,6 +424,41 @@ mod tests {
         assert_eq!(snapshot.fetch_add(0, 4), 0);
         assert_eq!(snapshot.fetch_sub(0, 3), 4);
         assert_eq!(snapshot.get(0), 1);
+    }
+
+    const MIB: usize = 1 << 20;
+
+    #[test]
+    fn huge_page_interior_of_a_short_region_is_empty() {
+        assert_eq!(huge_page_interior(4 * MIB, 2 * MIB - 1), None);
+        assert_eq!(huge_page_interior(4 * MIB + 4096, 2 * MIB), None);
+        assert_eq!(huge_page_interior(4 * MIB, 0), None);
+    }
+
+    #[test]
+    fn huge_page_interior_rounds_an_unaligned_start_up() {
+        assert_eq!(
+            huge_page_interior(4 * MIB + 16, 6 * MIB),
+            Some(6 * MIB..10 * MIB)
+        );
+    }
+
+    #[test]
+    fn huge_page_interior_rounds_an_unaligned_end_down() {
+        assert_eq!(huge_page_interior(4 * MIB, 5 * MIB), Some(4 * MIB..8 * MIB));
+    }
+
+    #[test]
+    fn huge_page_interior_of_an_aligned_region_is_the_region() {
+        assert_eq!(
+            huge_page_interior(8 * MIB, 8 * MIB),
+            Some(8 * MIB..16 * MIB)
+        );
+    }
+
+    #[test]
+    fn huge_page_interior_near_the_top_of_the_address_space_is_empty() {
+        assert_eq!(huge_page_interior(usize::MAX - MIB, MIB), None);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use rand::{Rng, RngCore};
 
+use crate::driver::FillTable;
+
 /// One capacity class of a heterogeneous bin set: all bins sharing one
 /// capacity value, with their own count-by-load histogram and max load —
 /// the structure that keeps capacity-normalized observables cheap.
@@ -477,6 +479,16 @@ impl LoadVector {
             && ge1 == self.nu1
             && ge2 == self.nu2
             && hetero_ok
+    }
+}
+
+impl FillTable for LoadVector {
+    fn table_bytes(&self) -> u64 {
+        self.store_bytes()
+    }
+
+    fn advise_huge_pages(&self) {
+        crate::snapshot::advise_huge_pages(&self.loads);
     }
 }
 

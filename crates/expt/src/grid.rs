@@ -280,6 +280,32 @@ fn parse_u64(raw: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbitrary_text::grammar_text;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// `parse_str` returns on any input, and so do the typed getters
+        /// on every assignment of a grid it accepts.
+        #[test]
+        fn parse_str_survives_arbitrary_input(spec in grammar_text(&[
+            "k", "n", "=", "==", ",", ",,", " ", "\t", "\n", "^", "2", "0", "-1",
+            "1.5", "1e3", "nan", "2^64", "18446744073709551616", "k=2,3", "n=2^20",
+        ])) {
+            if let Ok(grid) = GridSpec::parse_str(&spec) {
+                if grid.len() <= 256 {
+                    for params in grid.assignments() {
+                        for axis in grid.axis_names() {
+                            let _ = params.get_usize(axis, 0);
+                            let _ = params.get_u64(axis, 0);
+                            let _ = params.get_u32(axis, 0);
+                            let _ = params.get_f64(axis, 0.0);
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn parse_and_product_order() {

@@ -40,6 +40,8 @@
 #![forbid(unsafe_code)]
 
 mod accum;
+#[cfg(test)]
+mod arbitrary_text;
 mod grid;
 mod registry;
 mod report;

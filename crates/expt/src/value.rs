@@ -376,6 +376,20 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbitrary_text::grammar_text;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        /// `validate_json` returns on any input.
+        #[test]
+        fn validate_json_survives_arbitrary_input(input in grammar_text(&[
+            "{", "}", "[", "]", "\"", ":", ",", " ", "\n", "\\", "\\u", "\\u00e9",
+            "true", "false", "null", "tru", "-", "0", "9", ".", "e", "E+", "\"k\":",
+        ])) {
+            let _ = validate_json(&input);
+        }
+    }
 
     fn json_of(v: Value) -> String {
         let mut s = String::new();
