@@ -24,7 +24,8 @@
 
 use kdchoice_core::StoreKind;
 use kdchoice_service::{
-    run_open_loop, run_service_workload, OpenLoopConfig, ServiceBackend, ServiceWorkloadConfig,
+    run_open_loop, run_service_workload, run_vector_service_workload, OpenLoopConfig,
+    ServiceBackend, ServiceReport, ServiceWorkloadConfig,
 };
 use proptest::prelude::*;
 
@@ -163,6 +164,80 @@ fn closed_loop_single_client_matches_across_backends() {
             assert_eq!(striped.nu1, other.nu1, "{label}");
         }
     }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Digest of the deterministic end state of a one-client closed-loop
+/// run. Wall-clock fields are left out.
+fn closed_loop_digest(report: &ServiceReport) -> u64 {
+    let observables = (
+        report.live_balls,
+        report.balls_released,
+        report.max_load,
+        report.gap.to_bits(),
+        report.nu1,
+    );
+    fnv1a(format!("{observables:?}").as_bytes())
+}
+
+/// Absolute pins of the closed-loop client stream, per backend, release
+/// window and seed, plus the vector workload at `dims = 1`. The
+/// cross-backend checks compare the backends with a reference; these
+/// digests also fail on a change that moved every path alike. To print
+/// the table for a deliberate re-golden run `cargo test --test
+/// backend_equivalence closed_loop_stream -- --nocapture` and copy the
+/// `got` column.
+#[test]
+fn closed_loop_stream_digests_are_pinned() {
+    use ServiceBackend::{LockFree, SharedNothing, Striped};
+    // `None` is the vector workload forced onto a scalar config.
+    let cases: [(Option<ServiceBackend>, usize, u64, u64); 16] = [
+        (Some(Striped), 0, 0x0101, 0x1aa1_c8aa_799a_e593),
+        (Some(Striped), 0, 0x0202, 0x2c8a_46aa_83e9_edf5),
+        (Some(Striped), 16, 0x0101, 0xf9c7_d3a5_a122_3ea4),
+        (Some(Striped), 16, 0x0202, 0xf9ba_6ba5_a117_0390),
+        (Some(SharedNothing), 0, 0x0101, 0x1aa1_c8aa_799a_e593),
+        (Some(SharedNothing), 0, 0x0202, 0x2c8a_46aa_83e9_edf5),
+        (Some(SharedNothing), 16, 0x0101, 0xf9c7_d3a5_a122_3ea4),
+        (Some(SharedNothing), 16, 0x0202, 0xf9ba_6ba5_a117_0390),
+        (Some(LockFree), 0, 0x0101, 0x1aa1_c8aa_799a_e593),
+        (Some(LockFree), 0, 0x0202, 0x2c8a_46aa_83e9_edf5),
+        (Some(LockFree), 16, 0x0101, 0xf9c7_d3a5_a122_3ea4),
+        (Some(LockFree), 16, 0x0202, 0xf9ba_6ba5_a117_0390),
+        (None, 0, 0x0101, 0x1aa1_c8aa_799a_e593),
+        (None, 0, 0x0202, 0x2c8a_46aa_83e9_edf5),
+        (None, 16, 0x0101, 0xf9c7_d3a5_a122_3ea4),
+        (None, 16, 0x0202, 0xf9ba_6ba5_a117_0390),
+    ];
+    let mut failed = Vec::new();
+    for (backend, window, seed, want) in cases {
+        // Light loads, so that a moved decision shows in `nu1` and
+        // `max_load`: about 1.2 balls per bin without releases, and the
+        // 32 live balls of a 16-placement window over 40 bins.
+        let bins = if window == 0 { 4096 } else { 40 };
+        let mut config = ServiceWorkloadConfig::new(bins, 1, 2500, seed);
+        config.window = window;
+        let (name, report) = match backend {
+            Some(backend) => {
+                config.backend = backend;
+                (backend.name(), run_service_workload(&config))
+            }
+            None => ("vector", run_vector_service_workload(&config)),
+        };
+        assert!(report.conserved, "{name} window {window} seed {seed:#06x}");
+        let got = closed_loop_digest(&report);
+        println!("{name:<15} window {window:<2} seed {seed:#06x}  got {got:#018x}");
+        if got != want {
+            failed.push(format!("{name} window {window} seed {seed:#06x}"));
+        }
+    }
+    assert!(failed.is_empty(), "closed-loop digests moved: {failed:?}");
 }
 
 /// A packed decision view must not break single-thread bit-identity:
