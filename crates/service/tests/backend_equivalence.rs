@@ -1,27 +1,34 @@
-//! Cross-backend equivalence: the shared-nothing `OwnedShardEngine`
-//! and the lock-free `AtomicStore` against the lock-striped
-//! `ShardedStore`, driven through the same public entry points. This is
-//! the repo's standard admission harness for any concurrent store.
+//! Cross-backend equivalence: the lock-striped `ShardedStore`, the
+//! shared-nothing `OwnedShardEngine` and the lock-free `AtomicStore`,
+//! each driven through the same public entry points and compared with
+//! the single-thread oracle of `tests/common`. This is the repo's
+//! standard admission harness for any concurrent store.
 //!
 //! The contract under test (see `kdchoice_service::engine` and
 //! `kdchoice_service::AtomicStore`):
 //!
 //! * **Single thread** (synchronous snapshots for the owned backend; no
-//!   contention, hence no CAS failures, for the lock-free one) — both
-//!   alternative backends are **bit-identical** to the striped backend:
-//!   same probes, same tie keys, same winners, same final histogram,
-//!   same sampled time series. Locked by a proptest over random
-//!   open-loop traffic and by deterministic closed-loop runs.
+//!   contention, hence no CAS failures, for the lock-free one) — every
+//!   backend is **bit-identical** to the oracle: same probes, same tie
+//!   keys, same winners, same final histogram, same sampled time series.
+//!   Locked by a proptest over random open-loop traffic and by
+//!   deterministic closed-loop runs, whose streams are also pinned by
+//!   absolute digests.
 //! * **Any thread count** — the open-loop *event stream* (arrivals,
 //!   commits, departures, every latency statistic) is schedule-driven
 //!   and therefore identical across backends; only the load shape may
 //!   drift once decisions read stale or raced load values.
-//! * **Concurrency safety** — 8-thread runs on both alternative
+//! * **Concurrency safety** — 8-thread runs on the owned and lock-free
 //!   backends conserve balls and pass their invariant checks
 //!   (merged-histogram / snapshot-vs-truth for the owned engine;
 //!   in-flight-op / consistent-scan / counter-sum for the lock-free
 //!   store); `conserved` reports the outcome.
 
+mod common;
+
+use common::{
+    assert_closed_loop_matches, assert_open_loop_matches, closed_loop_oracle, open_loop_oracle,
+};
 use kdchoice_core::StoreKind;
 use kdchoice_service::{
     run_open_loop, run_service_workload, run_vector_service_workload, OpenLoopConfig,
@@ -29,49 +36,26 @@ use kdchoice_service::{
 };
 use proptest::prelude::*;
 
-/// The two backends that must reproduce the striped reference bit for
-/// bit at one thread.
-const CHALLENGERS: [ServiceBackend; 2] = [ServiceBackend::SharedNothing, ServiceBackend::LockFree];
+/// Every backend; each must reproduce the oracle bit for bit at one
+/// thread.
+const BACKENDS: [ServiceBackend; 3] = [
+    ServiceBackend::Striped,
+    ServiceBackend::SharedNothing,
+    ServiceBackend::LockFree,
+];
 
-/// Runs `config` on all three backends (single thread, synchronous
+/// Runs `config` on every backend (single thread, synchronous
 /// snapshots) and asserts every deterministic observable matches the
-/// striped reference bit for bit.
+/// oracle bit for bit.
 fn assert_backends_match(mut config: OpenLoopConfig, label: &str) {
     config.threads = 1;
     config.snapshot_refresh = 1;
-    config.backend = ServiceBackend::Striped;
-    let striped = run_open_loop(&config);
-    assert!(striped.conserved, "{label}: striped run must conserve");
-    for backend in CHALLENGERS {
+    let oracle = open_loop_oracle(&config);
+    assert!(oracle.conserved, "{label}: the oracle must conserve");
+    for backend in BACKENDS {
         config.backend = backend;
-        let other = run_open_loop(&config);
-        let label = format!("{label} [{}]", backend.name());
-
-        assert!(other.conserved, "{label}: run must conserve");
-        assert_eq!(
-            striped.final_histogram, other.final_histogram,
-            "{label}: final load histograms diverged"
-        );
-        assert_eq!(
-            striped.series, other.series,
-            "{label}: time series diverged"
-        );
-        assert_eq!(striped.final_max_load, other.final_max_load, "{label}");
-        assert_eq!(striped.live_balls, other.live_balls, "{label}");
-        assert_eq!(striped.balls_placed, other.balls_placed, "{label}");
-        assert_eq!(striped.balls_released, other.balls_released, "{label}");
-        assert_eq!(
-            striped.requests_committed, other.requests_committed,
-            "{label}"
-        );
-        assert_eq!(striped.backlog, other.backlog, "{label}");
-        assert_eq!(striped.latency_p50, other.latency_p50, "{label}");
-        assert_eq!(striped.latency_p99, other.latency_p99, "{label}");
-        assert_eq!(striped.latency_max, other.latency_max, "{label}");
-        assert_eq!(striped.final_gap, other.final_gap, "{label}");
-        assert_eq!(striped.final_util_gap, other.final_util_gap, "{label}");
-        assert_eq!(striped.steady_gap_mean, other.steady_gap_mean, "{label}");
-        assert_eq!(striped.total_capacity, other.total_capacity, "{label}");
+        let report = run_open_loop(&config);
+        assert_open_loop_matches(&report, &oracle, &format!("{label} [{}]", backend.name()));
     }
 }
 
@@ -79,9 +63,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
     /// Random place/release streams (Poisson arrivals, exponential
     /// lifetimes — every request is a place, every departure a release)
-    /// cannot tell the backends apart at `threads = 1`, `refresh = 1`.
+    /// cannot tell any backend from the oracle at `threads = 1`,
+    /// `refresh = 1`.
     #[test]
-    fn owned_backend_is_bit_identical_to_striped_single_thread(
+    fn backends_are_bit_identical_to_the_oracle_single_thread(
         bins in 16usize..160,
         k in 1usize..=3,
         extra_d in 0usize..=3,
@@ -95,8 +80,8 @@ proptest! {
 }
 
 /// The heterogeneous path — Zipf-weighted probes over two-tier
-/// capacities — goes through the same snapshot-read decision kernel, so
-/// it must be bit-identical too.
+/// capacities — goes through the same decision kernel on every backend,
+/// so it must be bit-identical too.
 #[test]
 fn weighted_probes_and_capacities_match_across_backends() {
     let bins = 128;
@@ -110,27 +95,27 @@ fn weighted_probes_and_capacities_match_across_backends() {
 /// Staleness changes *decisions*, not the event stream: at `refresh >
 /// 1` the owned backend must still conserve balls and commit the exact
 /// schedule-driven request counts, even though the load shape is
-/// allowed to drift from the striped run.
+/// allowed to drift from the oracle.
 #[test]
 fn stale_snapshots_preserve_the_event_stream() {
     let mut config = OpenLoopConfig::at_lambda(256, 2, 4, 0.9, 16.0, 400, 0xE0_2222);
     config.threads = 1;
-    config.backend = ServiceBackend::Striped;
-    let striped = run_open_loop(&config);
+    let oracle = open_loop_oracle(&config);
     config.backend = ServiceBackend::SharedNothing;
     config.snapshot_refresh = 64;
     let owned = run_open_loop(&config);
     assert!(owned.conserved);
-    assert_eq!(striped.requests_committed, owned.requests_committed);
-    assert_eq!(striped.balls_placed, owned.balls_placed);
-    assert_eq!(striped.balls_released, owned.balls_released);
-    assert_eq!(striped.live_balls, owned.live_balls);
-    assert_eq!(striped.latency_p99, owned.latency_p99);
+    assert_eq!(oracle.requests_committed, owned.requests_committed);
+    assert_eq!(oracle.balls_placed, owned.balls_placed);
+    assert_eq!(oracle.balls_released, owned.balls_released);
+    assert_eq!(oracle.live_balls, owned.live_balls);
+    assert_eq!(oracle.latency_p99, owned.latency_p99);
 }
 
-/// Closed-loop equivalence: one client thread issues the identical
-/// probe/tie-key stream to all three backends, so the final merged load
-/// state must match exactly — including through the release window.
+/// Closed-loop equivalence: one client thread issues the same
+/// probe/tie-key stream to every backend, so the final merged load
+/// state must match the oracle exactly — including through the release
+/// window.
 #[test]
 fn closed_loop_single_client_matches_across_backends() {
     for window in [0usize, 16] {
@@ -150,19 +135,40 @@ fn closed_loop_single_client_matches_across_backends() {
             demand: kdchoice_prng::demand::DemandDistribution::Unit,
             seed: 0xE0_3333,
         };
-        let striped = run_service_workload(&config);
-        assert!(striped.conserved, "window={window}");
-        for backend in CHALLENGERS {
+        let oracle = closed_loop_oracle(&config);
+        assert!(
+            oracle.conserved,
+            "window={window}: the oracle must conserve"
+        );
+        for backend in BACKENDS {
             config.backend = backend;
-            let other = run_service_workload(&config);
+            let report = run_service_workload(&config);
             let label = format!("window={window} [{}]", backend.name());
-            assert!(other.conserved, "{label}");
-            assert_eq!(striped.live_balls, other.live_balls, "{label}");
-            assert_eq!(striped.balls_released, other.balls_released, "{label}");
-            assert_eq!(striped.max_load, other.max_load, "{label}");
-            assert_eq!(striped.gap, other.gap, "{label}");
-            assert_eq!(striped.nu1, other.nu1, "{label}");
+            assert_closed_loop_matches(&report, &oracle, &label);
         }
+        // The vector workload forced onto the scalar triple draws the
+        // same stream.
+        config.backend = ServiceBackend::Striped;
+        let vector = run_vector_service_workload(&config);
+        assert_closed_loop_matches(&vector, &oracle, &format!("window={window} [vector]"));
+    }
+}
+
+/// d = 32 is past the kernel's const-D cut-off (16), so every backend
+/// decides through the generic heap path; a (4,32) closed loop with a
+/// release window must still reproduce the oracle at one thread.
+#[test]
+fn large_d_takes_the_heap_path() {
+    let mut config = ServiceWorkloadConfig::new(64, 1, 600, 3);
+    config.k = 4;
+    config.d = 32;
+    config.window = 16;
+    let oracle = closed_loop_oracle(&config);
+    assert!(oracle.conserved);
+    for backend in BACKENDS {
+        config.backend = backend;
+        let report = run_service_workload(&config);
+        assert_closed_loop_matches(&report, &oracle, backend.name());
     }
 }
 
@@ -244,7 +250,7 @@ fn closed_loop_stream_digests_are_pinned() {
 /// both the owned backend (packed published snapshot) and the lock-free
 /// backend (clamped read of its exact counters) publish `min(load,
 /// ceiling)` to the decision kernel, and at these loads the ceiling is
-/// never reached, so the striped/exact stream is reproduced bit for
+/// never reached, so every backend reproduces the exact oracle bit for
 /// bit.
 #[test]
 fn packed_store_keeps_single_thread_bit_identity() {

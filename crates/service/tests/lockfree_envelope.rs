@@ -17,7 +17,7 @@
 //! raced reads exactly the same way.
 //!
 //! The single-thread run doubles as the anchor: no CAS can fail there,
-//! so it is bit-identical to the striped backend (locked by
+//! so it is bit-identical to the single-thread oracle (locked by
 //! `backend_equivalence.rs`) and must sit in the same golden band as
 //! the locked regression baseline.
 

@@ -14,7 +14,7 @@
 //!
 //! The runs are single-threaded and therefore fully deterministic:
 //! refresh period 1 makes the snapshot synchronous (bit-identical to
-//! the striped backend — locked by `backend_equivalence.rs`), so any
+//! the single-thread oracle — locked by `backend_equivalence.rs`), so any
 //! gap growth observed here is attributable to staleness alone.
 
 use kdchoice_service::{run_open_loop, OpenLoopConfig, ServiceBackend};

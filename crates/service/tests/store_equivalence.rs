@@ -1,63 +1,40 @@
 //! Equivalence and stress tests for the sharded concurrent store.
 //!
 //! 1. A 1-shard [`ShardedStore`] driven single-threaded is **bit-identical**
-//!    to a plain [`LoadVector`] on random placement/release op streams:
-//!    same RNG consumption, same chosen bins, same loads, same canonical
-//!    histogram, same cached observables.
+//!    to a plain [`LoadVector`] under the oracle's reference kernel on
+//!    random placement/release op streams: same RNG consumption, same
+//!    chosen bins, same loads, same canonical histogram, same cached
+//!    observables.
 //! 2. A multi-thread stress run asserts the merged-histogram invariants
 //!    (histogram sums to `n`, total balls conserved, per-shard
 //!    `check_invariants`) after concurrent placements and releases —
 //!    including requests whose probes span every shard, exercising the
 //!    canonical lock order.
-//! 3. The **batched open-loop pipeline** is pinned to the per-request
-//!    [`PlacementService`] path: replaying the identical request stream
-//!    (same traffic schedule, same per-request RNGs) one `place` call at
-//!    a time on a single thread reproduces the batched run's final
-//!    histogram bit for bit, with balls conserved on both sides.
+//! 3. The **batched open-loop pipeline** is pinned to the single-thread
+//!    oracle of `tests/common`, which replays the same request stream
+//!    (same traffic schedule, same per-request RNGs) one request at a
+//!    time on a plain `LoadVector`: every backend's one-thread run
+//!    reproduces its report bit for bit, at batch sizes above one.
 
+mod common;
+
+use common::{assert_open_loop_matches, open_loop_oracle, reference_place};
 use kdchoice_core::{BinStore, LoadVector};
 use kdchoice_prng::sample::UniformBin;
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
-use kdchoice_service::{
-    run_open_loop, OpenLoopConfig, Placement, PlacementService, ShardedStore, TrafficSchedule,
-};
+use kdchoice_service::{run_open_loop, OpenLoopConfig, Placement, ServiceBackend, ShardedStore};
 use proptest::prelude::*;
-use rand::RngCore;
 
-/// The reference (k,d)-placement kernel on a plain `LoadVector`,
-/// consuming the RNG exactly like `ShardedStore::place_k_least`: probes
-/// sorted, one tie key per tentative slot in sorted order, `k` smallest
-/// `(height, key)` slots committed in selection order.
-fn reference_place<R: RngCore>(
-    state: &mut LoadVector,
+/// Serves one request through [`ShardedStore::place_batch`], a batch of
+/// one.
+fn place_one(
+    store: &ShardedStore,
     probes: &[usize],
     k: usize,
-    rng: &mut R,
-) -> Vec<usize> {
-    let mut sorted = probes.to_vec();
-    sorted.sort_unstable();
-    let mut slots: Vec<(u32, u64, usize)> = Vec::with_capacity(sorted.len());
-    let mut i = 0;
-    while i < sorted.len() {
-        let bin = sorted[i];
-        let base = state.load(bin);
-        let mut occ = 0u32;
-        while i < sorted.len() && sorted[i] == bin {
-            occ += 1;
-            slots.push((base + occ, rng.next_u64(), bin));
-            i += 1;
-        }
-    }
-    if k < slots.len() {
-        slots.select_nth_unstable_by(k - 1, |a, b| (a.0, a.1).cmp(&(b.0, b.1)));
-    }
-    slots[..k]
-        .iter()
-        .map(|&(_, _, bin)| {
-            state.add_ball(bin);
-            bin
-        })
-        .collect()
+    rng: &mut Xoshiro256PlusPlus,
+) -> Placement {
+    let mut batch = store.place_batch(probes, probes.len(), k, std::slice::from_mut(rng));
+    batch.pop().expect("one request, one placement")
 }
 
 /// Asserts every observable of the 1-shard store matches the reference
@@ -117,7 +94,7 @@ proptest! {
                 let probes_ref: Vec<usize> =
                     (0..d).map(|_| sampler.sample(&mut rng_ref)).collect();
                 prop_assert_eq!(&probes, &probes_ref, "probe streams must agree");
-                let placement = store.place_k_least(&probes, k, &mut rng_store);
+                let placement = place_one(&store, &probes, k, &mut rng_store);
                 let chosen = reference_place(&mut reference, &probes, k, &mut rng_ref);
                 prop_assert_eq!(&placement.bins, &chosen, "chosen bins diverged");
                 live.push(placement);
@@ -127,63 +104,27 @@ proptest! {
     }
 }
 
-/// Replays an open-loop schedule through the per-request
-/// [`PlacementService`] path (`place`/`release`, one lock round per
-/// request) and returns the final store.
-fn replay_per_request(config: &OpenLoopConfig) -> ShardedStore {
-    let schedule = TrafficSchedule::generate(&config.traffic, config.traffic_seed()).unwrap();
-    let service = PlacementService::new(
-        ShardedStore::new(config.bins, config.shards),
-        config.k,
-        config.d,
-    )
-    .unwrap();
-    let mut placements: Vec<Option<Placement>> = vec![None; schedule.timings.len()];
-    for t in 0..config.traffic.ticks as usize {
-        for &id in &schedule.departures[t] {
-            let placement = placements[id as usize]
-                .as_ref()
-                .expect("departure precedes commit");
-            service.release(placement);
-        }
-        let (start, end) = schedule.commit_ranges[t];
-        for id in start..end {
-            let mut rng = Xoshiro256PlusPlus::from_u64(config.request_seed(id));
-            placements[id as usize] = Some(service.place(&mut rng));
-        }
-    }
-    service.into_store()
-}
-
-/// The batched pipeline on one thread is bit-identical to serving the
-/// same request stream through `PlacementService::place`/`release`.
+/// The batched pipeline on one thread is bit-identical to the oracle,
+/// which serves the same request stream one request at a time.
 #[test]
-fn batched_pipeline_matches_per_request_placement_service() {
+fn batched_pipeline_matches_the_oracle() {
     for (lambda, max_batch, seed) in [(0.7, 5, 0x5EED_0001u64), (1.2, 32, 0x5EED_0002)] {
         let mut config = OpenLoopConfig::at_lambda(96, 2, 4, lambda, 8.0, 150, seed);
         config.shards = 8;
         config.threads = 1;
         config.max_batch = max_batch;
-        let report = run_open_loop(&config);
-        assert!(report.conserved, "λ={lambda}");
-
-        let store = replay_per_request(&config);
-        assert_eq!(
-            store.histogram(),
-            report.final_histogram,
-            "λ={lambda}: final histogram diverged"
-        );
-        assert_eq!(store.total_balls(), report.live_balls, "λ={lambda}");
-        assert_eq!(
-            store.total_balls(),
-            report.balls_placed - report.balls_released,
-            "λ={lambda}: ball conservation"
-        );
-        assert_eq!(
-            u64::from(store.max_load()),
-            u64::from(report.final_max_load)
-        );
-        assert!(store.check_invariants());
+        let oracle = open_loop_oracle(&config);
+        assert!(oracle.conserved, "λ={lambda}: the oracle must conserve");
+        for backend in [
+            ServiceBackend::Striped,
+            ServiceBackend::SharedNothing,
+            ServiceBackend::LockFree,
+        ] {
+            config.backend = backend;
+            let report = run_open_loop(&config);
+            let label = format!("λ={lambda} batch={max_batch} [{}]", backend.name());
+            assert_open_loop_matches(&report, &oracle, &label);
+        }
     }
 }
 
@@ -226,7 +167,7 @@ fn concurrent_stress_conserves_balls_and_invariants() {
                             (0..d).map(|_| sampler.sample(&mut rng)).collect()
                         };
                         let k = k.min(probes.len());
-                        let placement = store.place_k_least(&probes, k, &mut rng);
+                        let placement = place_one(store, &probes, k, &mut rng);
                         tally.placed += placement.bins.len() as u64;
                         live.push(placement);
                         if live.len() > 32 {
