@@ -13,11 +13,12 @@
 //! is bin `b`'s load, as far as you know?" — so the same kernel,
 //! [`decide_k_least`], serves both the exact path (a [`LoadVector`]
 //! behind a lock) and the relaxed path (a snapshot refreshed every `R`
-//! commits). The lock-striped `ShardedStore::place_k_least` decides
+//! commits). The lock-striped `ShardedStore::place_batch` decides
 //! through it too, over a view of the shard guards it holds, so with an
 //! exact view every backend makes the same decision on the same stream.
 //! The cross-backend equivalence proptests in `kdchoice-service` lock
-//! that claim.
+//! that claim against a single-thread oracle with a reference kernel of
+//! its own.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};

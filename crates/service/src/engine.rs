@@ -28,7 +28,7 @@
 //! applied mutations. `refresh = 1` on a single thread makes the
 //! snapshot synchronous (always equal to the truth), which is what
 //! makes the shared-nothing path **bit-identical** to the lock-striped
-//! path there; larger periods trade decision accuracy for publish
+//! path and to the single-thread oracle there; larger periods trade decision accuracy for publish
 //! traffic, and the staleness-vs-gap sweep in `BENCH_results.json`
 //! measures that the resulting gap stays inside the Theorem 2 envelope.
 //!
@@ -37,7 +37,7 @@
 //! | Quantity | striped | shared-nothing |
 //! |---|---|---|
 //! | per-request probes / tie keys | pure in `(seed, id)` | **unchanged** (same streams) |
-//! | single-thread final state | exact | **bit-identical to striped** when `refresh = 1` |
+//! | single-thread final state | bit-identical to the oracle | **bit-identical to the oracle** when `refresh = 1` |
 //! | multi-thread final state | interleaving-dependent | interleaving-dependent (flush timing) |
 //! | ball conservation, invariants | exact | **exact** (checked every run) |
 
@@ -363,8 +363,9 @@ impl OwnedShardEngine {
     /// Decides one (k,d)-choice placement against the **snapshot**
     /// (relaxed reads, no locks): winner bins are appended to `bins_out`
     /// and the maximum tentative height is returned. `sorted_probes`
-    /// must be sorted ascending; `slots` is scratch. RNG consumption is
-    /// identical to `ShardedStore::place_k_least`.
+    /// must be sorted ascending; `slots` is scratch. It is the shared
+    /// kernel, so RNG consumption (one tie key per tentative slot) is the
+    /// same as on every other backend.
     #[inline]
     pub fn decide<R: RngCore + ?Sized>(
         &self,
@@ -546,7 +547,7 @@ struct TickScratch {
 impl TickScratch {
     fn new(d: usize, k: usize) -> Self {
         Self {
-            probes: vec![0; d],
+            probes: Vec::with_capacity(d),
             slots: Vec::with_capacity(d),
             bins: Vec::with_capacity(k),
         }
@@ -582,10 +583,8 @@ fn owned_tick(
     }
     let range = worker_slice(schedule.commit_ranges[t], workers, w);
     for id in range.0..range.1 {
-        let mut rng = Xoshiro256PlusPlus::from_u64(config.request_seed(id));
-        config
-            .probes
-            .fill_each(&mut rng, config.bins, &mut scratch.probes);
+        scratch.probes.clear();
+        let mut rng = run.draw(id, &mut scratch.probes);
         scratch.probes.sort_unstable();
         scratch.bins.clear();
         engine.decide(
@@ -606,7 +605,7 @@ fn owned_tick(
 ///
 /// `threads == 1` runs inline: no rings, and with `snapshot_refresh ==
 /// 1` the snapshot is synchronous, so the run is bit-identical to the
-/// striped backend (locked by `tests/backend_equivalence.rs`). With
+/// single-thread oracle (locked by `tests/backend_equivalence.rs`). With
 /// more threads each tick ends in two rendezvous: first a
 /// **drain-while-waiting** one — a worker that has routed all of its
 /// releases and commits keeps draining its own inbox (never parking)
@@ -743,18 +742,12 @@ pub(crate) fn drive_open_loop_owned(run: &Run<'_>) -> DriveOutcome {
 /// rings, and opportunistically drains its inbox between requests.
 /// Shutdown is a done-counter handshake: a worker exits once every
 /// client has finished issuing (release-ordered) and its own inbox is
-/// empty, so no message is ever dropped.
+/// empty, so no message is ever dropped. The caller has validated
+/// `config`.
 pub(crate) fn run_service_workload_owned(config: &ServiceWorkloadConfig) -> ServiceReport {
-    assert!(config.threads > 0, "need at least one client thread");
     assert!(
         config.threads <= config.bins,
         "shared-nothing backend needs threads <= bins (each worker owns >= 1 bin)"
-    );
-    assert!(
-        config.k >= 1 && config.k <= config.d,
-        "need 1 <= k <= d (k={}, d={})",
-        config.k,
-        config.d
     );
     let (engine, states) = OwnedShardEngine::with_kind(
         config.bins,

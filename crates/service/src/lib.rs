@@ -9,16 +9,21 @@
 //!
 //! * [`ShardedStore`] — `n` bins striped across power-of-two lock-striped
 //!   shards (per-shard [`kdchoice_core::LoadVector`] + histogram),
-//!   observables merged on demand. One shard, one thread ⇒ bit-identical
-//!   to a plain `LoadVector` (locked by the equivalence proptest).
-//! * [`PlacementService`] — the (k,d)-choice frontend: a placement
-//!   request samples `d` bins across shards, takes the involved shard
-//!   locks in canonical ascending order, and commits balls into the `k`
-//!   least-loaded tentative slots atomically; release requests remove
-//!   balls for departures (the §7 infinite/dynamic process).
-//! * [`run_service_workload`] — closed-loop clients hammering the
-//!   service; [`ServiceScenario`] plugs it into the workspace experiment
-//!   registry as `service`.
+//!   observables merged on demand. A placement request
+//!   ([`ShardedStore::place_batch`], one or many requests per call) takes
+//!   the shard locks its probes touch in canonical ascending order and
+//!   commits balls into the `k` least-loaded tentative slots atomically;
+//!   [`ShardedStore::release`] removes balls for departures (the §7
+//!   infinite/dynamic process). One shard, one thread ⇒ bit-identical to
+//!   a plain `LoadVector` (locked by the equivalence proptest).
+//! * [`run_service_workload`] — closed-loop clients hammering one store
+//!   of the configured backend, with [`ServiceWorkloadConfig::validate`]
+//!   as the one typed validation point; [`ServiceScenario`] plugs it into
+//!   the workspace experiment registry as `service`.
+//! * **The oracle** — every bit-identity test compares every backend
+//!   with one single-thread oracle (`tests/common`): the same request
+//!   stream replayed on a plain `LoadVector` through a reference kernel
+//!   that shares no code with the stores under test.
 //! * **Open-loop traffic engine** — the opposite of closed-loop clients:
 //!   requests arrive on their own virtual-clock schedule
 //!   ([`TrafficSchedule`]: Poisson / burst / on-off arrivals,
@@ -38,7 +43,7 @@
 //!   [`ServiceBackend`] on [`ServiceWorkloadConfig`] / [`OpenLoopConfig`]
 //!   — same configs, same scenarios, same reports as the striped path.
 //!   At one thread with synchronous snapshots it is bit-identical to the
-//!   striped backend (locked by `tests/backend_equivalence.rs`); the
+//!   oracle (locked by `tests/backend_equivalence.rs`); the
 //!   staleness-vs-gap envelope is pinned by
 //!   `tests/snapshot_staleness.rs`.
 //!
@@ -48,8 +53,8 @@
 //!   retries (then an unconditional fallback), and releases are guarded
 //!   CAS decrements that can never drive a counter negative. Selected as
 //!   [`ServiceBackend::LockFree`] on the same configs and scenarios. At
-//!   one thread no CAS can fail, so it is bit-identical to the striped
-//!   backend (locked by `tests/backend_equivalence.rs`); under racing,
+//!   one thread no CAS can fail, so it is bit-identical to the oracle
+//!   (locked by `tests/backend_equivalence.rs`); under racing,
 //!   conservation stays exact (`tests/lockfree_stress.rs`) and the gap
 //!   keeps the Theorem 2 envelope (`tests/lockfree_envelope.rs`).
 //!
@@ -67,8 +72,9 @@
 //!   store (striped backend, exact store only), selected through the
 //!   `dims=` / `objective=` / `demand=` fields of
 //!   [`ServiceWorkloadConfig`]. At `dims = 1` with the scalar objective
-//!   and unit demand it is bit-identical to both scalar backends at one
-//!   thread (locked by test); reports carry per-dimension gaps.
+//!   and unit demand it is bit-identical to the oracle and to every scalar
+//!   backend at one thread (locked by test); reports carry per-dimension
+//!   gaps.
 //!
 //! **Determinism under concurrency:** each client thread's probe/tie-key
 //! stream is a pure function of `derive_seed(seed, client)`; the
@@ -78,8 +84,8 @@
 //! engine is stronger: its arrival/commit/departure event stream and all
 //! latency statistics are bit-identical across batch sizes and thread
 //! counts (locked by `tests/traffic_determinism.rs`), and a
-//! single-threaded batched run is bit-identical to the per-request path
-//! (locked by `tests/store_equivalence.rs`). The per-module docs spell
+//! single-threaded batched run is bit-identical to the oracle, which
+//! serves one request at a time (locked by `tests/store_equivalence.rs`). The per-module docs spell
 //! the guarantees out: [`traffic`] (virtual-clock semantics), `pipeline`
 //! (the 3-phase tick barrier and the exact survives-concurrency table),
 //! `sharded` (striping and lock discipline).
@@ -102,8 +108,7 @@ pub use open_loop::OpenLoopScenario;
 pub use pipeline::{churn_capacity, run_open_loop, OpenLoopConfig, OpenLoopReport, TickSample};
 pub use scenario::ServiceScenario;
 pub use service::{
-    run_service_workload, run_vector_service_workload, PlacementService, ServiceError,
-    ServiceReport, ServiceWorkloadConfig,
+    run_service_workload, run_vector_service_workload, ServiceReport, ServiceWorkloadConfig,
 };
 pub use sharded::{Placement, ShardedStore};
 pub use traffic::{

@@ -55,7 +55,7 @@
 //! | Quantity | 1 thread | any threads |
 //! |---|---|---|
 //! | per-request probes / tie keys | pure in `(seed, id)` | **unchanged** (CAS never loses, so no re-decides) / re-decides draw extra keys from the request's own stream only |
-//! | final state vs striped | **bit-identical** (same kernel, same streams, CAS ≡ plain write) | interleaving-dependent |
+//! | final state vs the single-thread oracle | **bit-identical** (same streams, CAS ≡ plain write) | interleaving-dependent |
 //! | ball conservation, no negative loads | exact | **exact** (CAS-validated; checked every run) |
 //! | gap envelope (Theorem 2) | exact statistics | statistical, asserted at 1/2/4/8 threads |
 
@@ -269,10 +269,10 @@ impl AtomicStore {
     /// the module docs for the retry/fallback protocol). The returned
     /// heights are CAS-validated true heights.
     ///
-    /// RNG consumption per attempt is identical to
-    /// `ShardedStore::place_k_least`; at one thread no CAS can fail, so
-    /// the stream — and the placement — is bit-identical to the striped
-    /// backend's.
+    /// RNG consumption per attempt is the shared kernel's: one tie key per
+    /// tentative slot, as on every backend. At one thread no CAS can
+    /// fail, so the stream — and the placement — is bit-identical to
+    /// every other backend's.
     ///
     /// # Panics
     ///
@@ -409,18 +409,6 @@ impl AtomicStore {
             self.lost_races.fetch_add(1, Ordering::Relaxed);
             attempt += 1;
         }
-    }
-
-    /// [`AtomicStore::place_with`] with store-owned temporary scratch —
-    /// the drop-in analogue of `ShardedStore::place_k_least` for callers
-    /// off the hot path.
-    pub fn place_k_least<R: RngCore + ?Sized>(
-        &self,
-        probes: &[usize],
-        k: usize,
-        rng: &mut R,
-    ) -> Placement {
-        self.place_with(probes, k, rng, &mut PlaceScratch::new())
     }
 
     /// Releases one ball per entry of `bins` (a previous placement's
@@ -614,7 +602,7 @@ impl TickStore for AtomicStore {
     type Scratch<'s> = (Vec<usize>, PlaceScratch);
 
     /// Per-request RNG from `(seed, id)`, `d` probe draws, then the
-    /// CAS-committed placement: the striped per-request stream.
+    /// CAS-committed placement: the per-request stream every backend draws.
     fn commit(&self, run: &Run<'_>, ids: IdRange, (probes, scratch): &mut Self::Scratch<'_>) {
         for id in ids.0..ids.1 {
             probes.clear();
@@ -656,33 +644,30 @@ impl TickStore for AtomicStore {
 }
 
 /// Runs the closed-loop service workload on the lock-free store: the
-/// striped backend's client loop, every client hammering one shared
+/// client loop the striped backend runs, every client hammering one shared
 /// [`AtomicStore`] with no locks anywhere. `shards` and
 /// `snapshot_refresh` are ignored — there is nothing to stripe and
-/// nothing to republish.
+/// nothing to republish. The caller has validated `config`.
 pub(crate) fn run_service_workload_lockfree(config: &ServiceWorkloadConfig) -> ServiceReport {
-    assert!(
-        config.k >= 1 && config.k <= config.d,
-        "need 1 <= k <= d (k={}, d={})",
-        config.k,
-        config.d
-    );
     let store = AtomicStore::with_kind(config.bins, config.store);
     let shared = &store;
-    let (wall_secs, balls_released) = run_clients(
-        config,
-        || {
-            let mut probes = vec![0usize; config.d];
-            let mut scratch = PlaceScratch::new();
-            move |rng: &mut Xoshiro256PlusPlus| {
-                for p in probes.iter_mut() {
-                    *p = ProbeDistribution::Uniform.sample(rng, config.bins);
+    let (wall_secs, balls_released) = run_clients(config, || {
+        let mut probes = vec![0usize; config.d];
+        let mut scratch = PlaceScratch::new();
+        move |rng: &mut Xoshiro256PlusPlus, oldest: Option<Vec<usize>>| {
+            ProbeDistribution::Uniform.fill_each(rng, config.bins, &mut probes);
+            shared.place_into(&probes, config.k, rng, &mut scratch);
+            let mut bins = match oldest {
+                Some(oldest) => {
+                    shared.release(&oldest);
+                    oldest
                 }
-                shared.place_with(&probes, config.k, rng, &mut scratch)
-            }
-        },
-        |oldest: Placement| shared.release(&oldest.bins),
-    );
+                None => Vec::new(),
+            };
+            bins.clone_from(&scratch.bins);
+            bins
+        }
+    });
     let end = EndState::of(&store, store.check_invariants());
     ServiceReport::closed_loop(config, wall_secs, balls_released, end, None)
 }
@@ -763,7 +748,8 @@ mod tests {
         assert!(store.check_invariants());
         // Beyond the ceiling every bin looks equally loaded, so the
         // decision falls back to tie keys — but commits stay exact.
-        let p = store.place_k_least(&[0, 1], 1, &mut Xoshiro256PlusPlus::from_u64(0));
+        let mut rng = Xoshiro256PlusPlus::from_u64(0);
+        let p = store.place_with(&[0, 1], 1, &mut rng, &mut PlaceScratch::new());
         assert_eq!(p.bins, vec![1], "bin 1 (0 < clamped 15) must win");
         assert_eq!(store.total_balls(), 21);
     }
@@ -841,7 +827,7 @@ mod tests {
     fn double_release_is_caught() {
         let store = AtomicStore::new(4);
         let mut rng = Xoshiro256PlusPlus::from_u64(0);
-        let p = store.place_k_least(&[0, 1], 1, &mut rng);
+        let p = store.place_with(&[0, 1], 1, &mut rng, &mut PlaceScratch::new());
         store.release(&p.bins);
         store.release(&p.bins);
     }

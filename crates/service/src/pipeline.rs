@@ -42,8 +42,9 @@
 //!
 //! The first three rows and the single-thread bit-identity across
 //! `max_batch` are locked by proptests in `tests/traffic_determinism.rs`;
-//! the single-thread bit-identity of the batched pipeline and per-request
-//! `PlacementService` serving by `tests/store_equivalence.rs`.
+//! the single-thread bit-identity of every backend's pipeline and the
+//! one-request-at-a-time oracle of `tests/common` by
+//! `tests/store_equivalence.rs`.
 //!
 //! ## The placement table
 //!
@@ -117,8 +118,8 @@ pub struct OpenLoopConfig {
     pub backend: ServiceBackend,
     /// Shared-nothing only: owners republish their load snapshot every
     /// this many applied mutations (`≥ 1`). `1` on a single thread makes
-    /// the snapshot synchronous and the run bit-identical to the striped
-    /// backend; ignored by [`ServiceBackend::Striped`] and by
+    /// the snapshot synchronous and the run bit-identical to the other
+    /// backends; ignored by [`ServiceBackend::Striped`] and by
     /// [`ServiceBackend::LockFree`] (its counters *are* the truth —
     /// nothing to republish).
     pub snapshot_refresh: usize,

@@ -1,179 +1,19 @@
-//! [`PlacementService`]: the (k,d)-choice placement/release frontend,
-//! plus the closed-loop multi-client workload used by the `service`
-//! scenario.
+//! The closed-loop multi-client service workload behind the `service`
+//! scenario: [`ServiceWorkloadConfig`], its one validation point, and the
+//! drivers that serve it on the striped, lock-free and vector stores.
 
 use std::sync::Mutex;
 use std::time::Instant;
 
 use kdchoice_core::{
-    decide_k_least_vector, BinStore, PlacementObjective, ProbeDistribution, StoreKind, VectorLoad,
-    VectorSlot,
+    decide_k_least_vector, BinStore, ConfigError, PlacementObjective, ProbeDistribution, StoreKind,
+    VectorLoad, VectorSlot,
 };
 use kdchoice_prng::demand::DemandDistribution;
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
-use rand::RngCore;
 
 use crate::engine::ServiceBackend;
-use crate::sharded::{Placement, ShardedStore};
-
-/// Errors constructing a [`PlacementService`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServiceError {
-    /// `k` was zero.
-    ZeroK,
-    /// `d < k`: a request cannot place `k` balls on fewer probed slots.
-    TooFewProbes {
-        /// Requested balls per placement.
-        k: usize,
-        /// Requested probes per placement.
-        d: usize,
-    },
-    /// A weighted probe distribution was built for a different number of
-    /// bins than the store holds.
-    ProbeMismatch {
-        /// Bins in the store.
-        store_n: usize,
-        /// Support size the distribution was built for.
-        probes_n: usize,
-    },
-}
-
-impl std::fmt::Display for ServiceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServiceError::ZeroK => write!(f, "k must be at least 1"),
-            ServiceError::TooFewProbes { k, d } => {
-                write!(f, "(k,d)-choice service needs d >= k (k={k}, d={d})")
-            }
-            ServiceError::ProbeMismatch { store_n, probes_n } => write!(
-                f,
-                "probe distribution built for {probes_n} bins, store holds {store_n}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ServiceError {}
-
-/// A concurrent (k,d)-choice placement service over a [`ShardedStore`].
-///
-/// Many client threads share one `&PlacementService`; each placement
-/// request samples `d` bins i.u.r. with replacement from the caller's
-/// own RNG (per-thread streams stay deterministic), then commits balls
-/// into the `k` least-loaded tentative slots atomically — probes span
-/// shards, shard locks are taken in canonical ascending order, and the
-/// read–decide–commit sequence holds every involved lock, so a request
-/// is one linearization point.
-///
-/// ```
-/// use kdchoice_service::{PlacementService, ShardedStore};
-/// use kdchoice_prng::Xoshiro256PlusPlus;
-///
-/// let service = PlacementService::new(ShardedStore::new(64, 8), 2, 4).unwrap();
-/// let mut rng = Xoshiro256PlusPlus::from_u64(7);
-/// let placement = service.place(&mut rng);
-/// assert_eq!(placement.bins.len(), 2);
-/// service.release(&placement);
-/// use kdchoice_core::BinStore;
-/// assert_eq!(service.store().total_balls(), 0);
-/// ```
-#[derive(Debug)]
-pub struct PlacementService {
-    store: ShardedStore,
-    probes: ProbeDistribution,
-    k: usize,
-    d: usize,
-}
-
-impl PlacementService {
-    /// Wraps `store` in a (k,d)-choice service frontend with uniform
-    /// probing (the paper's model).
-    pub fn new(store: ShardedStore, k: usize, d: usize) -> Result<Self, ServiceError> {
-        if k == 0 {
-            return Err(ServiceError::ZeroK);
-        }
-        if d < k {
-            return Err(ServiceError::TooFewProbes { k, d });
-        }
-        Ok(Self {
-            store,
-            probes: ProbeDistribution::Uniform,
-            k,
-            d,
-        })
-    }
-
-    /// Switches the probe distribution (builder style) — the weighted /
-    /// heterogeneous service. The uniform default (and any distribution
-    /// whose weights degenerate to equal) draws the identical generator
-    /// stream as before the seam existed, so existing per-client streams
-    /// are unperturbed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceError::ProbeMismatch`] when a non-uniform
-    /// distribution was built for a different bin count.
-    pub fn with_probes(mut self, probes: ProbeDistribution) -> Result<Self, ServiceError> {
-        if let Some(probes_n) = probes.expected_n() {
-            if probes_n != self.store.n() {
-                return Err(ServiceError::ProbeMismatch {
-                    store_n: self.store.n(),
-                    probes_n,
-                });
-            }
-        }
-        self.probes = probes;
-        Ok(self)
-    }
-
-    /// The active probe distribution.
-    pub fn probes(&self) -> &ProbeDistribution {
-        &self.probes
-    }
-
-    /// Balls per placement request.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Probes per placement request.
-    pub fn d(&self) -> usize {
-        self.d
-    }
-
-    /// The underlying store (merged observables on demand).
-    pub fn store(&self) -> &ShardedStore {
-        &self.store
-    }
-
-    /// Consumes the service, returning the store.
-    pub fn into_store(self) -> ShardedStore {
-        self.store
-    }
-
-    /// Serves one placement request: samples `d` bins from `rng` through
-    /// the probe distribution, commits the `k` least-loaded tentative
-    /// slots atomically.
-    pub fn place<R: RngCore + ?Sized>(&self, rng: &mut R) -> Placement {
-        let n = self.store.n();
-        let mut probes = [0usize; 16];
-        if self.d <= probes.len() {
-            let probes = &mut probes[..self.d];
-            for p in probes.iter_mut() {
-                *p = self.probes.sample(rng, n);
-            }
-            self.store.place_k_least(probes, self.k, rng)
-        } else {
-            let probes: Vec<usize> = (0..self.d).map(|_| self.probes.sample(rng, n)).collect();
-            self.store.place_k_least(&probes, self.k, rng)
-        }
-    }
-
-    /// Serves a release request for a previous placement.
-    pub fn release(&self, placement: &Placement) {
-        self.store.release(&placement.bins);
-    }
-}
+use crate::sharded::{BatchScratch, ShardedStore};
 
 /// Configuration of one closed-loop service workload: `threads` clients
 /// each issue `requests_per_thread` placement requests back to back,
@@ -248,6 +88,43 @@ impl ServiceWorkloadConfig {
             || self.objective != PlacementObjective::Scalar
             || self.demand != DemandDistribution::Unit
     }
+
+    /// Checks the parameters every backend needs: at least one bin and
+    /// one client thread, and `1 <= k <= d`. Backend-specific limits
+    /// (power-of-two shards, `threads <= bins` for shared-nothing, the
+    /// vector workload's striped/exact restriction) are checked where
+    /// the backend is built.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::ZeroParameter`] for zero `bins` or `threads`,
+    /// [`ConfigError::ZeroK`] for `k == 0`, and
+    /// [`ConfigError::KExceedsD`] for `k > d`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.bins == 0 {
+            return Err(ConfigError::ZeroParameter("bins"));
+        }
+        if self.threads == 0 {
+            return Err(ConfigError::ZeroParameter("threads"));
+        }
+        if self.k == 0 {
+            return Err(ConfigError::ZeroK);
+        }
+        if self.k > self.d {
+            return Err(ConfigError::KExceedsD {
+                k: self.k,
+                d: self.d,
+            });
+        }
+        Ok(())
+    }
+
+    /// [`ServiceWorkloadConfig::validate`], panicking with its message.
+    fn assert_valid(&self) {
+        if let Err(e) = self.validate() {
+            panic!("invalid service config: {e}");
+        }
+    }
 }
 
 /// The largest power of two ≤ `n` (`n ≥ 1`) — the round-*down* helper
@@ -294,7 +171,8 @@ pub struct ServiceReport {
 }
 
 /// Runs one closed-loop workload: spawns `threads` clients hammering a
-/// shared [`PlacementService`], then reads the merged observables.
+/// shared store of the configured backend, then reads the merged
+/// observables.
 ///
 /// Each client's request stream (its sampled probes and tie keys) is a
 /// pure function of `derive_seed(config.seed, client_index)`; the
@@ -305,13 +183,14 @@ pub struct ServiceReport {
 ///
 /// # Panics
 ///
-/// Panics on invalid configuration (zero threads/bins, `d < k`,
-/// non-power-of-two shards).
+/// Panics with the [`ServiceWorkloadConfig::validate`] message on an
+/// invalid configuration, and on the backend's own limits
+/// (non-power-of-two shards, `threads > bins` for shared-nothing).
 pub fn run_service_workload(config: &ServiceWorkloadConfig) -> ServiceReport {
-    assert!(config.threads > 0, "need at least one client thread");
     if config.is_vector() {
         return run_vector_service_workload(config);
     }
+    config.assert_valid();
     if config.backend == ServiceBackend::SharedNothing {
         return crate::engine::run_service_workload_owned(config);
     }
@@ -319,50 +198,64 @@ pub fn run_service_workload(config: &ServiceWorkloadConfig) -> ServiceReport {
         return crate::lockfree::run_service_workload_lockfree(config);
     }
     let store = ShardedStore::with_kind(config.bins, config.shards, config.store);
-    let service = PlacementService::new(store, config.k, config.d)
-        .unwrap_or_else(|e| panic!("invalid service config: {e}"));
-    let (wall_secs, balls_released) = run_clients(
-        config,
-        || |rng: &mut Xoshiro256PlusPlus| service.place(rng),
-        |oldest: Placement| service.release(&oldest),
-    );
-    let store = service.into_store();
+    let shared = &store;
+    let (wall_secs, balls_released) = run_clients(config, || {
+        let mut probes = vec![0usize; config.d];
+        let mut scratch = BatchScratch::default();
+        move |rng: &mut Xoshiro256PlusPlus, oldest: Option<Vec<usize>>| {
+            ProbeDistribution::Uniform.fill_each(rng, config.bins, &mut probes);
+            let rngs = std::slice::from_mut(rng);
+            shared.place_batch_into(&probes, config.d, config.k, rngs, &mut scratch);
+            let mut bins = match oldest {
+                Some(oldest) => {
+                    shared.release_into(&oldest, &mut scratch);
+                    oldest
+                }
+                None => Vec::new(),
+            };
+            bins.clone_from(&scratch.bins);
+            bins
+        }
+    });
     let end = EndState::of(&store, store.check_invariants());
     ServiceReport::closed_loop(config, wall_secs, balls_released, end, None)
 }
 
 /// The closed-loop client loop of the striped, lock-free and vector
-/// workloads. Client `t` runs on `derive_seed(config.seed, t)`, issues
-/// `requests_per_thread` placements through its own `client()` closure,
-/// and passes its oldest live placement to `release` once more than
-/// `window` are live. Returns the wall time and the balls released (`k`
-/// per release: every placement commits exactly `k` balls).
-pub(crate) fn run_clients<L, P>(
+/// workloads. Client `t` runs on `derive_seed(config.seed, t)` and
+/// serves its `requests_per_thread` requests through its own `client()`
+/// closure, which places one request, then releases `oldest` if given,
+/// and returns the new placement. Once `window` placements are live,
+/// each request passes the client's oldest as `oldest`; with `window ==
+/// 0` nothing is released. Returns the wall time and the balls released
+/// (`k` per release: every placement commits exactly `k` balls).
+pub(crate) fn run_clients<L, S>(
     config: &ServiceWorkloadConfig,
-    client: impl Fn() -> P + Sync,
-    release: impl Fn(L) + Sync,
+    client: impl Fn() -> S + Sync,
 ) -> (f64, u64)
 where
-    P: FnMut(&mut Xoshiro256PlusPlus) -> L,
+    S: FnMut(&mut Xoshiro256PlusPlus, Option<L>) -> L,
 {
     let start = Instant::now();
     let releases: u64 = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..config.threads)
             .map(|t| {
-                let (client, release) = (&client, &release);
+                let client = &client;
                 scope.spawn(move || {
                     let mut rng = Xoshiro256PlusPlus::from_u64(derive_seed(config.seed, t as u64));
-                    let mut place = client();
+                    let mut serve = client();
                     let mut live = std::collections::VecDeque::new();
                     let mut releases = 0u64;
                     for _ in 0..config.requests_per_thread {
-                        let placement = place(&mut rng);
+                        let oldest = if config.window > 0 && live.len() == config.window {
+                            releases += 1;
+                            live.pop_front()
+                        } else {
+                            None
+                        };
+                        let placement = serve(&mut rng, oldest);
                         if config.window > 0 {
                             live.push_back(placement);
-                            if live.len() > config.window {
-                                release(live.pop_front().expect("window > 0"));
-                                releases += 1;
-                            }
                         }
                     }
                     releases
@@ -448,19 +341,12 @@ impl ServiceReport {
 ///
 /// # Panics
 ///
-/// Panics on invalid configuration: zero threads/bins, `d < k`, a
-/// malformed objective, the shared-nothing backend (vector stores have no
-/// owned-shard engine yet), or a non-exact store (packed lanes cannot
-/// hold vector loads).
+/// Panics with the [`ServiceWorkloadConfig::validate`] message on an
+/// invalid configuration, and on a malformed objective, the
+/// shared-nothing backend (vector stores have no owned-shard engine
+/// yet), or a non-exact store (packed lanes cannot hold vector loads).
 pub fn run_vector_service_workload(config: &ServiceWorkloadConfig) -> ServiceReport {
-    assert!(config.threads > 0, "need at least one client thread");
-    assert!(config.bins > 0, "need at least one bin");
-    assert!(
-        config.k >= 1 && config.k <= config.d,
-        "need 1 <= k <= d (k={}, d={})",
-        config.k,
-        config.d
-    );
+    config.assert_valid();
     assert!(
         config.objective.validate(config.dims),
         "objective {} is not valid for dims={}",
@@ -479,43 +365,37 @@ pub fn run_vector_service_workload(config: &ServiceWorkloadConfig) -> ServiceRep
     );
     let store = Mutex::new(VectorLoad::new(config.dims, config.bins));
     let shared = &store;
-    let (wall_secs, balls_released) = run_clients(
-        config,
-        || {
-            let mut probes = vec![0usize; config.d];
-            let mut slots: Vec<VectorSlot> = Vec::with_capacity(config.d);
-            let mut demand: Vec<u32> = Vec::with_capacity(config.dims);
-            move |rng: &mut Xoshiro256PlusPlus| {
-                for p in probes.iter_mut() {
-                    *p = ProbeDistribution::Uniform.sample(rng, config.bins);
-                }
-                probes.sort_unstable();
-                config.demand.sample_into(rng, config.dims, &mut demand);
-                let mut bins = Vec::with_capacity(config.k);
-                let guard = &mut *shared.lock().expect("store mutex poisoned");
-                decide_k_least_vector(
-                    guard,
-                    &probes,
-                    config.k,
-                    &demand,
-                    &config.objective,
-                    rng,
-                    &mut slots,
-                    &mut bins,
-                );
-                for &bin in &bins {
-                    guard.add(bin, &demand);
-                }
-                (bins, demand.clone())
-            }
-        },
-        |(bins, demand): (Vec<usize>, Vec<u32>)| {
+    let (wall_secs, balls_released) = run_clients(config, || {
+        let mut probes = vec![0usize; config.d];
+        let mut slots: Vec<VectorSlot> = Vec::with_capacity(config.d);
+        let mut demand: Vec<u32> = Vec::with_capacity(config.dims);
+        move |rng: &mut Xoshiro256PlusPlus, oldest: Option<(Vec<usize>, Vec<u32>)>| {
+            ProbeDistribution::Uniform.fill_each(rng, config.bins, &mut probes);
+            probes.sort_unstable();
+            config.demand.sample_into(rng, config.dims, &mut demand);
+            let mut bins = Vec::with_capacity(config.k);
             let guard = &mut *shared.lock().expect("store mutex poisoned");
+            decide_k_least_vector(
+                guard,
+                &probes,
+                config.k,
+                &demand,
+                &config.objective,
+                rng,
+                &mut slots,
+                &mut bins,
+            );
             for &bin in &bins {
-                guard.remove(bin, &demand);
+                guard.add(bin, &demand);
             }
-        },
-    );
+            if let Some((old_bins, old_demand)) = oldest {
+                for &bin in &old_bins {
+                    guard.remove(bin, &old_demand);
+                }
+            }
+            (bins, demand.clone())
+        }
+    });
     let store = store.into_inner().expect("store mutex poisoned");
     let end = EndState::of(store.balls(), store.check_invariants());
     ServiceReport::closed_loop(
@@ -532,16 +412,36 @@ mod tests {
     use super::*;
 
     #[test]
+    fn validate_rejects_zero_k() {
+        let mut cfg = ServiceWorkloadConfig::new(8, 1, 1, 0);
+        cfg.k = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::ZeroK));
+    }
+
+    #[test]
     fn service_validates_k_and_d() {
-        assert_eq!(
-            PlacementService::new(ShardedStore::new(8, 2), 0, 3).unwrap_err(),
-            ServiceError::ZeroK
-        );
-        assert_eq!(
-            PlacementService::new(ShardedStore::new(8, 2), 3, 2).unwrap_err(),
-            ServiceError::TooFewProbes { k: 3, d: 2 }
-        );
-        assert!(PlacementService::new(ShardedStore::new(8, 2), 2, 2).is_ok());
+        let mut cfg = ServiceWorkloadConfig::new(8, 1, 1, 0);
+        (cfg.k, cfg.d) = (3, 2);
+        assert_eq!(cfg.validate(), Err(ConfigError::KExceedsD { k: 3, d: 2 }));
+        cfg.d = 3;
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_zero_bins_and_threads() {
+        let mut cfg = ServiceWorkloadConfig::new(8, 0, 1, 0);
+        assert_eq!(cfg.validate(), Err(ConfigError::ZeroParameter("threads")));
+        cfg.threads = 1;
+        cfg.bins = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::ZeroParameter("bins")));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid service config: k must not exceed d (got k=5, d=4)")]
+    fn workload_panics_with_the_validation_message() {
+        let mut cfg = ServiceWorkloadConfig::new(8, 1, 1, 0);
+        cfg.k = 5;
+        let _ = run_service_workload(&cfg);
     }
 
     #[test]
@@ -596,58 +496,6 @@ mod tests {
         // Each client retains at most `window` live placements of k balls.
         assert!(report.live_balls <= (4 * 10 * 2) as u64);
         assert!(report.conserved);
-    }
-
-    #[test]
-    fn with_probes_validates_support_size() {
-        let service = PlacementService::new(ShardedStore::new(8, 2), 2, 4).unwrap();
-        assert_eq!(
-            service
-                .with_probes(ProbeDistribution::zipf(9, 1.0).unwrap())
-                .unwrap_err(),
-            ServiceError::ProbeMismatch {
-                store_n: 8,
-                probes_n: 9
-            }
-        );
-        let service = PlacementService::new(ShardedStore::new(8, 2), 2, 4)
-            .unwrap()
-            .with_probes(ProbeDistribution::zipf(8, 1.0).unwrap())
-            .unwrap();
-        assert!(!service.probes().is_uniform());
-        let mut rng = Xoshiro256PlusPlus::from_u64(5);
-        let p = service.place(&mut rng);
-        assert_eq!(p.bins.len(), 2);
-    }
-
-    #[test]
-    fn weighted_service_on_heterogeneous_store_conserves() {
-        use kdchoice_core::two_tier_capacities;
-        let n = 32;
-        let caps = two_tier_capacities(n, 4, 8);
-        let store = ShardedStore::with_capacities(n, 4, &caps);
-        let service = PlacementService::new(store, 2, 4)
-            .unwrap()
-            .with_probes(ProbeDistribution::proportional_to(&caps).unwrap())
-            .unwrap();
-        let mut rng = Xoshiro256PlusPlus::from_u64(6);
-        let placements: Vec<Placement> = (0..200).map(|_| service.place(&mut rng)).collect();
-        assert_eq!(service.store().total_balls(), 400);
-        assert!(service.store().max_utilization() > 0.0);
-        for p in &placements {
-            service.release(p);
-        }
-        assert_eq!(service.store().total_balls(), 0);
-        assert!(service.store().check_invariants());
-    }
-
-    #[test]
-    fn large_d_takes_the_heap_path() {
-        let service = PlacementService::new(ShardedStore::new(64, 8), 4, 32).unwrap();
-        let mut rng = Xoshiro256PlusPlus::from_u64(3);
-        let p = service.place(&mut rng);
-        assert_eq!(p.bins.len(), 4);
-        assert_eq!(service.store().total_balls(), 4);
     }
 
     /// Satellite of the vector tentpole: forcing a scalar `(dims=1,

@@ -90,9 +90,10 @@ pub struct Placement {
 
 /// Reusable per-worker scratch for [`ShardedStore::place_batch_into`]
 /// and [`ShardedStore::release_into`]: the decision buffers, the held
-/// shard locks, and the last batch's winners. Every buffer keeps its capacity across batches, so a worker
-/// commits without allocating once they have grown.
-/// [`ShardedStore::place_k_least`] runs on a fresh one per call.
+/// shard locks, and the last batch's winners. Every buffer keeps its
+/// capacity across batches, so a worker commits without allocating once
+/// they have grown. [`ShardedStore::place_batch`] and
+/// [`ShardedStore::release`] run on a fresh one per call.
 #[derive(Default)]
 pub(crate) struct BatchScratch<'s> {
     shard_ids: Vec<usize>,
@@ -109,9 +110,9 @@ pub(crate) struct BatchScratch<'s> {
 /// of shards, shard `s` holding the bins with `bin % shards == s`, each
 /// shard a mutex-guarded [`LoadVector`](kdchoice_core::LoadVector).
 ///
-/// * **Concurrent surface** — [`ShardedStore::place_k_least`] and
+/// * **Concurrent surface** — [`ShardedStore::place_batch`] and
 ///   [`ShardedStore::release`] take `&self`, lock only the shards a
-///   request touches (in canonical ascending order, so concurrent
+///   batch touches (in canonical ascending order, so concurrent
 ///   requests cannot deadlock), and commit atomically with respect to
 ///   other requests.
 /// * **[`BinStore`] surface** — `&mut self` mutators go through
@@ -275,56 +276,9 @@ impl ShardedStore {
         );
     }
 
-    /// Serves one (k,d)-choice placement request: given `probes` (bin
-    /// indices sampled with replacement by the caller), commits one ball
-    /// into each of the `k` least-loaded tentative slots — a bin probed
-    /// `m` times contributes `m` slots of heights `L+1, …, L+m`, exactly
-    /// the paper's multiplicity rule — with ties broken by random keys
-    /// drawn from `rng`.
-    ///
-    /// All shards the probes touch are locked (ascending shard order)
-    /// before any load is read and released only after every ball is
-    /// committed, so the decision and the commit are one atomic step
-    /// relative to concurrent requests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`, `k > probes.len()`, or any probe is out of
-    /// range.
-    pub fn place_k_least<R: RngCore + ?Sized>(
-        &self,
-        probes: &[usize],
-        k: usize,
-        rng: &mut R,
-    ) -> Placement {
-        assert!(k >= 1, "a placement request must place at least one ball");
-        assert!(
-            k <= probes.len(),
-            "cannot place {k} balls on {} probed slots",
-            probes.len()
-        );
-        assert!(
-            probes.iter().all(|&b| b < self.n),
-            "probe out of range (n = {})",
-            self.n
-        );
-        let mut scratch = BatchScratch::default();
-        scratch.sorted.extend_from_slice(probes);
-        scratch.sorted.sort_unstable();
-        scratch
-            .shard_ids
-            .extend(scratch.sorted.iter().map(|&b| self.shard_of(b)));
-        self.lock_in_order(&mut scratch.shard_ids, &mut scratch.guards);
-        let max_height = self.serve_on_guards(&mut scratch, k, rng);
-        Placement {
-            bins: scratch.bins,
-            max_height,
-        }
-    }
-
-    /// The read–decide–commit step shared by [`ShardedStore::place_k_least`]
-    /// and [`ShardedStore::place_batch_into`]: decides `scratch.sorted`
-    /// (one request's probes, ascending) through the core kernel
+    /// The read–decide–commit step of every request in
+    /// [`ShardedStore::place_batch_into`]: decides `scratch.sorted` (one
+    /// request's probes, ascending) through the core kernel
     /// ([`decide_k_least`]) over a [`GuardedLoads`] view of the held
     /// `scratch.guards` (keyed by the sorted `scratch.shard_ids`, covering
     /// every probed shard), appends the winners to `scratch.bins`, then
@@ -359,20 +313,24 @@ impl ShardedStore {
         max_height
     }
 
-    /// Serves a whole batch of same-shaped placement requests with **one
-    /// lock acquisition per involved shard**: request `i` probes
-    /// `probes[i*d..(i+1)*d]` and draws its tie keys from `rngs[i]`.
+    /// Serves a whole batch of same-shaped (k,d)-choice placement requests
+    /// with **one lock acquisition per involved shard**: request `i`
+    /// probes `probes[i*d..(i+1)*d]` (bin indices sampled with
+    /// replacement by the caller) and draws its tie keys from `rngs[i]`.
+    /// Each request commits one ball into each of its `k` least-loaded
+    /// tentative slots — a bin probed `m` times contributes `m` slots of
+    /// heights `L+1, …, L+m`, exactly the paper's multiplicity rule.
     ///
     /// The union of shards touched by any probe in the batch is locked
-    /// once (canonical ascending order, same as
-    /// [`ShardedStore::place_k_least`]), then the requests are decided and
-    /// committed **sequentially in batch order** under the held locks —
-    /// each request sees every earlier request's balls, exactly as if the
-    /// batch had been issued one `place_k_least` call at a time. On a
-    /// single thread the two paths are therefore bit-identical (locked by
-    /// `tests/store_equivalence.rs`); the batch just amortizes the lock
-    /// choreography: `batch · min(d, shards)` acquisitions collapse into
-    /// at most `shards`.
+    /// once, in canonical ascending order, before any load is read, and
+    /// released only after every ball is committed. The requests are
+    /// decided and committed **sequentially in batch order** under the
+    /// held locks — each request sees every earlier request's balls,
+    /// exactly as if the batch had been issued one single-request batch at
+    /// a time. On a single thread every batch size is therefore
+    /// bit-identical (locked by `tests/store_equivalence.rs`); the batch
+    /// just amortizes the lock choreography: `batch · min(d, shards)`
+    /// acquisitions collapse into at most `shards`.
     ///
     /// # Panics
     ///
@@ -449,7 +407,7 @@ impl ShardedStore {
     /// Serves a release request: removes one ball from every bin in
     /// `bins` (with multiplicity), atomically with respect to concurrent
     /// requests. Shards are locked in the same canonical ascending order
-    /// as [`ShardedStore::place_k_least`].
+    /// as [`ShardedStore::place_batch`].
     ///
     /// # Panics
     ///
@@ -639,6 +597,18 @@ mod tests {
     use kdchoice_prng::sample::UniformBin;
     use kdchoice_prng::Xoshiro256PlusPlus;
 
+    /// Serves one request through [`ShardedStore::place_batch`], a batch
+    /// of one.
+    fn place_one(
+        store: &ShardedStore,
+        probes: &[usize],
+        k: usize,
+        rng: &mut Xoshiro256PlusPlus,
+    ) -> Placement {
+        let mut batch = store.place_batch(probes, probes.len(), k, std::slice::from_mut(rng));
+        batch.pop().expect("one request, one placement")
+    }
+
     #[test]
     fn shard_slots_live_on_their_own_cache_lines() {
         assert_eq!(std::mem::align_of::<CachePadded<Mutex<BinSlab>>>(), 64);
@@ -686,7 +656,7 @@ mod tests {
         let mut rng = Xoshiro256PlusPlus::from_u64(17);
         for _ in 0..500 {
             let bin = rng.next_u64() as usize % n;
-            store.place_k_least(&[bin], 1, &mut rng);
+            place_one(&store, &[bin], 1, &mut rng);
             reference.add_ball(bin);
         }
         assert_eq!(store.total_capacity(), reference.total_capacity());
@@ -769,11 +739,11 @@ mod tests {
         let mut rng = Xoshiro256PlusPlus::from_u64(1);
         // Preload bin 0 heavily.
         for _ in 0..10 {
-            store.place_k_least(&[0], 1, &mut rng);
+            place_one(&store, &[0], 1, &mut rng);
         }
         // Probes {0, 3, 3}: picking 2 must take both slots of bin 3
         // (heights 1, 2) over bin 0 (height 11).
-        let p = store.place_k_least(&[0, 3, 3], 2, &mut rng);
+        let p = place_one(&store, &[0, 3, 3], 2, &mut rng);
         let mut bins = p.bins.clone();
         bins.sort_unstable();
         assert_eq!(bins, vec![3, 3]);
@@ -788,7 +758,7 @@ mod tests {
         let mut placements = Vec::new();
         for _ in 0..50 {
             let probes: Vec<usize> = (0..4).map(|_| rng.next_u64() as usize % 16).collect();
-            placements.push(store.place_k_least(&probes, 2, &mut rng));
+            placements.push(place_one(&store, &probes, 2, &mut rng));
         }
         assert_eq!(store.total_balls(), 100);
         for p in &placements {
@@ -800,7 +770,7 @@ mod tests {
     }
 
     #[test]
-    fn place_batch_matches_sequential_place_k_least() {
+    fn place_batch_matches_one_request_batches() {
         let (n, d, k) = (23, 4, 2);
         let batched = ShardedStore::new(n, 4);
         let sequential = ShardedStore::new(n, 4);
@@ -822,7 +792,7 @@ mod tests {
             }
             let batch = batched.place_batch(&probes, d, k, &mut rngs_a);
             for (i, rng) in rngs_b.iter_mut().enumerate() {
-                let one = sequential.place_k_least(&probes[i * d..(i + 1) * d], k, rng);
+                let one = place_one(&sequential, &probes[i * d..(i + 1) * d], k, rng);
                 assert_eq!(one, batch[i], "round {round} request {i}");
             }
         }
@@ -855,7 +825,7 @@ mod tests {
     fn place_rejects_out_of_range_probe() {
         let store = ShardedStore::new(4, 2);
         let mut rng = Xoshiro256PlusPlus::from_u64(3);
-        let _ = store.place_k_least(&[4], 1, &mut rng);
+        let _ = place_one(&store, &[4], 1, &mut rng);
     }
 
     #[test]
@@ -863,7 +833,7 @@ mod tests {
     fn place_rejects_zero_k() {
         let store = ShardedStore::new(4, 2);
         let mut rng = Xoshiro256PlusPlus::from_u64(4);
-        let _ = store.place_k_least(&[1, 2], 0, &mut rng);
+        let _ = place_one(&store, &[1, 2], 0, &mut rng);
     }
 
     /// Packed shards serve the same placement stream bit-identically to
@@ -883,13 +853,38 @@ mod tests {
             for _ in 0..4 {
                 rng_b.next_u64();
             }
-            let pa = exact.place_k_least(&probes, 2, &mut rng_a);
-            let pb = packed.place_k_least(&probes, 2, &mut rng_b);
+            let pa = place_one(&exact, &probes, 2, &mut rng_a);
+            let pb = place_one(&packed, &probes, 2, &mut rng_b);
             assert_eq!(pa, pb);
         }
         assert_eq!(exact.histogram(), packed.histogram());
         assert_eq!(exact.max_load(), packed.max_load());
         assert!(packed.check_invariants());
+    }
+
+    /// Weighted probes proportional to two-tier capacities: placements
+    /// and releases conserve balls on the heterogeneous store.
+    #[test]
+    fn weighted_probes_on_heterogeneous_shards_conserve() {
+        use kdchoice_core::{two_tier_capacities, ProbeDistribution};
+        let n = 32;
+        let caps = two_tier_capacities(n, 4, 8);
+        let store = ShardedStore::with_capacities(n, 4, &caps);
+        let probes = ProbeDistribution::proportional_to(&caps).unwrap();
+        let mut rng = Xoshiro256PlusPlus::from_u64(6);
+        let placements: Vec<Placement> = (0..200)
+            .map(|_| {
+                let request: Vec<usize> = (0..4).map(|_| probes.sample(&mut rng, n)).collect();
+                place_one(&store, &request, 2, &mut rng)
+            })
+            .collect();
+        assert_eq!(store.total_balls(), 400);
+        assert!(store.max_utilization() > 0.0);
+        for p in &placements {
+            store.release(&p.bins);
+        }
+        assert_eq!(store.total_balls(), 0);
+        assert!(store.check_invariants());
     }
 
     #[test]
@@ -901,7 +896,7 @@ mod tests {
         let mut rng = Xoshiro256PlusPlus::from_u64(17);
         for _ in 0..200 {
             let bin = rng.next_u64() as usize % n;
-            store.place_k_least(&[bin], 1, &mut rng);
+            place_one(&store, &[bin], 1, &mut rng);
         }
         assert_eq!(
             store.total_capacity(),
