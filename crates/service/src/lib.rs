@@ -85,10 +85,11 @@
 //! latency statistics are bit-identical across batch sizes and thread
 //! counts (locked by `tests/traffic_determinism.rs`), and a
 //! single-threaded batched run is bit-identical to the oracle, which
-//! serves one request at a time (locked by `tests/store_equivalence.rs`). The per-module docs spell
-//! the guarantees out: [`traffic`] (virtual-clock semantics), `pipeline`
-//! (the 3-phase tick barrier and the exact survives-concurrency table),
-//! `sharded` (striping and lock discipline).
+//! serves one request at a time (locked by `tests/store_equivalence.rs`).
+//! The per-module docs spell the guarantees out: [`traffic`]
+//! (virtual-clock semantics), `pipeline` (the 3-phase tick barrier and
+//! the exact survives-concurrency table), `sharded` (striping and lock
+//! discipline).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

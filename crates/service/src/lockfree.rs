@@ -657,15 +657,10 @@ pub(crate) fn run_service_workload_lockfree(config: &ServiceWorkloadConfig) -> S
         move |rng: &mut Xoshiro256PlusPlus, oldest: Option<Vec<usize>>| {
             ProbeDistribution::Uniform.fill_each(rng, config.bins, &mut probes);
             shared.place_into(&probes, config.k, rng, &mut scratch);
-            let mut bins = match oldest {
-                Some(oldest) => {
-                    shared.release(&oldest);
-                    oldest
-                }
-                None => Vec::new(),
-            };
-            bins.clone_from(&scratch.bins);
-            bins
+            if let Some(oldest) = oldest {
+                shared.release(&oldest);
+            }
+            scratch.bins.clone()
         }
     });
     let end = EndState::of(&store, store.check_invariants());

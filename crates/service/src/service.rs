@@ -206,15 +206,10 @@ pub fn run_service_workload(config: &ServiceWorkloadConfig) -> ServiceReport {
             ProbeDistribution::Uniform.fill_each(rng, config.bins, &mut probes);
             let rngs = std::slice::from_mut(rng);
             shared.place_batch_into(&probes, config.d, config.k, rngs, &mut scratch);
-            let mut bins = match oldest {
-                Some(oldest) => {
-                    shared.release_into(&oldest, &mut scratch);
-                    oldest
-                }
-                None => Vec::new(),
-            };
-            bins.clone_from(&scratch.bins);
-            bins
+            if let Some(oldest) = oldest {
+                shared.release_into(&oldest, &mut scratch);
+            }
+            scratch.bins.clone()
         }
     });
     let end = EndState::of(&store, store.check_invariants());

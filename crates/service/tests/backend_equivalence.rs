@@ -27,7 +27,8 @@
 mod common;
 
 use common::{
-    assert_closed_loop_matches, assert_open_loop_matches, closed_loop_oracle, open_loop_oracle,
+    assert_backends_match, assert_closed_loop_matches, closed_loop_oracle, open_loop_oracle,
+    BACKENDS,
 };
 use kdchoice_core::StoreKind;
 use kdchoice_service::{
@@ -35,29 +36,6 @@ use kdchoice_service::{
     ServiceBackend, ServiceReport, ServiceWorkloadConfig,
 };
 use proptest::prelude::*;
-
-/// Every backend; each must reproduce the oracle bit for bit at one
-/// thread.
-const BACKENDS: [ServiceBackend; 3] = [
-    ServiceBackend::Striped,
-    ServiceBackend::SharedNothing,
-    ServiceBackend::LockFree,
-];
-
-/// Runs `config` on every backend (single thread, synchronous
-/// snapshots) and asserts every deterministic observable matches the
-/// oracle bit for bit.
-fn assert_backends_match(mut config: OpenLoopConfig, label: &str) {
-    config.threads = 1;
-    config.snapshot_refresh = 1;
-    let oracle = open_loop_oracle(&config);
-    assert!(oracle.conserved, "{label}: the oracle must conserve");
-    for backend in BACKENDS {
-        config.backend = backend;
-        let report = run_open_loop(&config);
-        assert_open_loop_matches(&report, &oracle, &format!("{label} [{}]", backend.name()));
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

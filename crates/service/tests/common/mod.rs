@@ -25,8 +25,8 @@ use kdchoice_core::{BinStore, LoadVector};
 use kdchoice_prng::sample::UniformBin;
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 use kdchoice_service::{
-    OpenLoopConfig, OpenLoopReport, ServiceReport, ServiceWorkloadConfig, TickSample,
-    TrafficSchedule,
+    run_open_loop, OpenLoopConfig, OpenLoopReport, ServiceBackend, ServiceReport,
+    ServiceWorkloadConfig, TickSample, TrafficSchedule,
 };
 use kdchoice_stats::Histogram;
 use rand::RngCore;
@@ -171,6 +171,29 @@ pub fn assert_open_loop_matches(report: &OpenLoopReport, oracle: &OpenLoopReport
         &timeless, oracle,
         "{label}: report diverged from the oracle"
     );
+}
+
+/// Every backend; each must reproduce the oracle bit for bit at one
+/// thread.
+pub const BACKENDS: [ServiceBackend; 3] = [
+    ServiceBackend::Striped,
+    ServiceBackend::SharedNothing,
+    ServiceBackend::LockFree,
+];
+
+/// Runs `config` on every backend (single thread, synchronous
+/// snapshots) and asserts every deterministic observable matches the
+/// oracle bit for bit.
+pub fn assert_backends_match(mut config: OpenLoopConfig, label: &str) {
+    config.threads = 1;
+    config.snapshot_refresh = 1;
+    let oracle = open_loop_oracle(&config);
+    assert!(oracle.conserved, "{label}: the oracle must conserve");
+    for backend in BACKENDS {
+        config.backend = backend;
+        let report = run_open_loop(&config);
+        assert_open_loop_matches(&report, &oracle, &format!("{label} [{}]", backend.name()));
+    }
 }
 
 /// The end state a one-client closed-loop run of `config` must reach on

@@ -18,11 +18,11 @@
 
 mod common;
 
-use common::{assert_open_loop_matches, open_loop_oracle, reference_place};
+use common::{assert_backends_match, reference_place};
 use kdchoice_core::{BinStore, LoadVector};
 use kdchoice_prng::sample::UniformBin;
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
-use kdchoice_service::{run_open_loop, OpenLoopConfig, Placement, ServiceBackend, ShardedStore};
+use kdchoice_service::{OpenLoopConfig, Placement, ShardedStore};
 use proptest::prelude::*;
 
 /// Serves one request through [`ShardedStore::place_batch`], a batch of
@@ -104,27 +104,16 @@ proptest! {
     }
 }
 
-/// The batched pipeline on one thread is bit-identical to the oracle,
-/// which serves the same request stream one request at a time.
+/// Every backend's batched pipeline on one thread is bit-identical to
+/// the oracle, which serves the same request stream one request at a
+/// time.
 #[test]
 fn batched_pipeline_matches_the_oracle() {
     for (lambda, max_batch, seed) in [(0.7, 5, 0x5EED_0001u64), (1.2, 32, 0x5EED_0002)] {
         let mut config = OpenLoopConfig::at_lambda(96, 2, 4, lambda, 8.0, 150, seed);
         config.shards = 8;
-        config.threads = 1;
         config.max_batch = max_batch;
-        let oracle = open_loop_oracle(&config);
-        assert!(oracle.conserved, "λ={lambda}: the oracle must conserve");
-        for backend in [
-            ServiceBackend::Striped,
-            ServiceBackend::SharedNothing,
-            ServiceBackend::LockFree,
-        ] {
-            config.backend = backend;
-            let report = run_open_loop(&config);
-            let label = format!("λ={lambda} batch={max_batch} [{}]", backend.name());
-            assert_open_loop_matches(&report, &oracle, &label);
-        }
+        assert_backends_match(config, &format!("λ={lambda} batch={max_batch}"));
     }
 }
 
