@@ -28,9 +28,10 @@
 //! applied mutations. `refresh = 1` on a single thread makes the
 //! snapshot synchronous (always equal to the truth), which is what
 //! makes the shared-nothing path **bit-identical** to the lock-striped
-//! path and to the single-thread oracle there; larger periods trade decision accuracy for publish
-//! traffic, and the staleness-vs-gap sweep in `BENCH_results.json`
-//! measures that the resulting gap stays inside the Theorem 2 envelope.
+//! path and to the single-thread oracle there; larger periods trade
+//! decision accuracy for publish traffic, and the staleness-vs-gap sweep
+//! in `BENCH_results.json` measures that the resulting gap stays inside
+//! the Theorem 2 envelope.
 //!
 //! ## Which determinism guarantees survive
 //!
