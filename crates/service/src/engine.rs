@@ -16,8 +16,31 @@
 //! single-producer/single-consumer rings (Lamport queues over
 //! `AtomicU64` slots — safe Rust, no new dependencies). A message is one
 //! packed word: bit 63 selects add/remove, the low bits carry the bin.
-//! A producer whose ring is full **drains its own inbox** before
-//! retrying, so the system cannot deadlock: someone always consumes.
+//!
+//! Each ring is built so that a message costs its producer and consumer
+//! as few writes to a line the other core also touches as possible:
+//!
+//! * **Padded indices.** The producer's `tail` and the consumer's `head`
+//!   each sit on their own cache line, apart from each other and from
+//!   every other ring's indices. A push never invalidates the line a
+//!   drain writes, and neither invalidates a neighbouring ring's.
+//! * **Cached peer index.** The producer keeps a private copy of `head`
+//!   and re-reads the shared one only when its copy says the ring is
+//!   full, so a push that has room reads no line the consumer writes.
+//! * **Batched release.** A drain reads `tail` once, applies every
+//!   message published up to it, and then stores `head` once: one
+//!   release of slots per batch, not one per message.
+//! * **In-tick drain.** With more than one worker, each worker drains
+//!   its own inbox after every 64 of its own commits (a quarter of the
+//!   ring), so a peer pushing to it rarely meets a full ring.
+//!
+//! A producer whose ring is still full **drains its own inbox** before
+//! retrying, so the system cannot deadlock: someone always consumes. The
+//! open-loop tick then ends in a drain-while-waiting rendezvous (see
+//! `drive_open_loop_owned`): no worker parks while a peer may still be
+//! pushing, so a peer stuck on a full ring is always drained. The three
+//! ring changes above touch neither rule: the cached `head` is re-read
+//! before a push is refused, and the in-tick drain only adds consumption.
 //!
 //! ## Snapshot staleness semantics
 //!
@@ -42,6 +65,7 @@
 //! | multi-thread final state | interleaving-dependent | interleaving-dependent (flush timing) |
 //! | ball conservation, invariants | exact | **exact** (checked every run) |
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
@@ -50,9 +74,9 @@ use kdchoice_core::{decide_k_least, BinSlab, LoadSnapshot, StoreKind};
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 use rand::RngCore;
 
+use crate::pad::CachePadded;
 use crate::pipeline::{want_sample, worker_slice, DriveOutcome, Run, TickSample};
 use crate::service::{EndState, ServiceReport, ServiceWorkloadConfig};
-use crate::sharded::Placement;
 
 /// Which concurrency backend serves placement and release requests.
 ///
@@ -100,58 +124,100 @@ impl ServiceBackend {
 /// own inbox, so capacity only tunes batching, not correctness.
 const RING_CAPACITY: usize = 256;
 
+/// With more than one worker, each worker drains its own inbox after
+/// every this many of its own commits within a tick. Without it, a
+/// producer whose ring fills waits in the full-ring path until the
+/// consumer's own ring fills too, the consumer's first chance to drain.
+const INBOX_DRAIN_EVERY: usize = RING_CAPACITY / 4;
+
 /// Bit 63 of a ring message: set = remove one ball, clear = add one.
 const OP_REMOVE: u64 = 1 << 63;
+
+/// The producer's end of a ring: the index it publishes, and its private
+/// copy of the consumer's index.
+#[derive(Debug)]
+struct ProducerEnd {
+    tail: AtomicU64,
+    /// The last `head` this producer read. Only the producer touches it.
+    cached_head: AtomicU64,
+}
 
 /// A bounded single-producer/single-consumer ring over `AtomicU64`
 /// slots (a Lamport queue). The producer's release-store of `tail`
 /// publishes the slot write; the consumer's release-store of `head`
-/// returns the slot to the producer.
+/// returns the slots to the producer.
+///
+/// `tail` and `head` sit on separate cache lines, which `repr(C)` keeps
+/// two lines apart with the read-only slot pointer between them. The
+/// producer keeps a private copy of `head` and re-reads the shared one
+/// only when its copy says the ring is full. The consumer reads `tail`
+/// once per drain and stores `head` once per drain, whatever the batch
+/// size; a drain always ends caught up with the `tail` it read, so a
+/// private copy of `tail` would buy it nothing.
 #[derive(Debug)]
+#[repr(C)]
 struct SpscRing {
-    slots: Vec<AtomicU64>,
+    producer: CachePadded<ProducerEnd>,
+    slots: Box<[AtomicU64]>,
     mask: u64,
-    head: AtomicU64,
-    tail: AtomicU64,
+    head: CachePadded<AtomicU64>,
 }
 
 impl SpscRing {
     fn new(capacity: usize) -> Self {
         assert!(capacity.is_power_of_two());
         Self {
+            producer: CachePadded(ProducerEnd {
+                tail: AtomicU64::new(0),
+                cached_head: AtomicU64::new(0),
+            }),
             slots: (0..capacity).map(|_| AtomicU64::new(0)).collect(),
             mask: capacity as u64 - 1,
-            head: AtomicU64::new(0),
-            tail: AtomicU64::new(0),
+            head: CachePadded(AtomicU64::new(0)),
         }
     }
 
-    /// Producer side: enqueue `msg`, or report the ring full.
+    /// Producer side: enqueue `msg`, or report the ring full. A ring
+    /// that looks full through the cached `head` is checked against the
+    /// shared one before the push is refused.
     fn try_push(&self, msg: u64) -> bool {
-        let t = self.tail.load(Ordering::Relaxed);
-        let h = self.head.load(Ordering::Acquire);
-        if t.wrapping_sub(h) >= self.slots.len() as u64 {
-            return false;
+        let end = &self.producer;
+        let t = end.tail.load(Ordering::Relaxed);
+        let capacity = self.slots.len() as u64;
+        if t.wrapping_sub(end.cached_head.load(Ordering::Relaxed)) >= capacity {
+            let h = self.head.load(Ordering::Acquire);
+            end.cached_head.store(h, Ordering::Relaxed);
+            if t.wrapping_sub(h) >= capacity {
+                return false;
+            }
         }
         self.slots[(t & self.mask) as usize].store(msg, Ordering::Relaxed);
-        self.tail.store(t.wrapping_add(1), Ordering::Release);
+        end.tail.store(t.wrapping_add(1), Ordering::Release);
         true
     }
 
-    /// Consumer side: dequeue the oldest message, if any.
-    fn try_pop(&self) -> Option<u64> {
+    /// Consumer side: hands every published message to `apply` in FIFO
+    /// order, then returns their slots with one store of `head`. Returns
+    /// the number of messages.
+    fn drain_with(&self, mut apply: impl FnMut(u64)) -> u64 {
         let h = self.head.load(Ordering::Relaxed);
-        let t = self.tail.load(Ordering::Acquire);
+        let t = self.producer.tail.load(Ordering::Acquire);
         if h == t {
-            return None;
+            return 0;
         }
-        let msg = self.slots[(h & self.mask) as usize].load(Ordering::Relaxed);
-        self.head.store(h.wrapping_add(1), Ordering::Release);
-        Some(msg)
+        let mut i = h;
+        while i != t {
+            apply(self.slots[(i & self.mask) as usize].load(Ordering::Relaxed));
+            i = i.wrapping_add(1);
+        }
+        self.head.store(t, Ordering::Release);
+        t.wrapping_sub(h)
     }
 
+    /// Consumer side: whether nothing is published that has not been
+    /// drained (reads the shared `tail`, for shutdown handshakes).
     fn is_empty(&self) -> bool {
-        self.head.load(Ordering::Acquire) == self.tail.load(Ordering::Acquire)
+        self.head.load(Ordering::Relaxed) == self.producer.tail.load(Ordering::Acquire)
     }
 }
 
@@ -424,13 +490,23 @@ impl OwnedShardEngine {
             if p == w {
                 continue;
             }
-            let ring = self.ring(p, w);
-            while let Some(msg) = ring.try_pop() {
-                self.apply(own, msg);
-                applied += 1;
-            }
+            applied += self.ring(p, w).drain_with(|msg| self.apply(own, msg));
         }
         applied
+    }
+
+    /// The drain-while-waiting rendezvous: counts worker `w`'s push
+    /// phase as done in `pushed`, then keeps draining its inbox, never
+    /// parking, until `pushed` reaches `goal`, and drains once more. On
+    /// return every message pushed before `goal` was reached is applied.
+    fn rendezvous(&self, w: usize, own: &mut ShardState, pushed: &AtomicUsize, goal: usize) {
+        pushed.fetch_add(1, Ordering::Release);
+        while pushed.load(Ordering::Acquire) < goal {
+            if self.drain(w, own) == 0 {
+                std::thread::yield_now();
+            }
+        }
+        self.drain(w, own);
     }
 
     /// Whether worker `w`'s inbox is empty (for shutdown handshakes).
@@ -557,7 +633,9 @@ impl TickScratch {
 
 /// The per-tick body shared by the single- and multi-thread open-loop
 /// drivers: route my slice of departures, then decide + route my slice
-/// of commits.
+/// of commits. With more than one worker it drains its own inbox every
+/// [`INBOX_DRAIN_EVERY`] commits, so that a peer's ring to it rarely
+/// fills; one worker has no rings and no inbox.
 fn owned_tick(
     engine: &OwnedShardEngine,
     run: &Run<'_>,
@@ -583,7 +661,10 @@ fn owned_tick(
         }
     }
     let range = worker_slice(schedule.commit_ranges[t], workers, w);
-    for id in range.0..range.1 {
+    for (i, id) in (range.0..range.1).enumerate() {
+        if workers > 1 && i > 0 && i.is_multiple_of(INBOX_DRAIN_EVERY) {
+            engine.drain(w, state);
+        }
         scratch.probes.clear();
         let mut rng = run.draw(id, &mut scratch.probes);
         scratch.probes.sort_unstable();
@@ -681,14 +762,7 @@ pub(crate) fn drive_open_loop_owned(run: &Run<'_>) -> DriveOutcome {
                             // in the full-ring submit path needs *us* to
                             // keep draining until it, too, finishes its
                             // pushes for this tick.
-                            pushed.fetch_add(1, Ordering::Release);
-                            let goal = (t + 1) * workers;
-                            while pushed.load(Ordering::Acquire) < goal {
-                                if engine.drain(w, &mut state) == 0 {
-                                    std::thread::yield_now();
-                                }
-                            }
-                            engine.drain(w, &mut state);
+                            engine.rendezvous(w, &mut state, pushed, (t + 1) * workers);
                             if want_sample(t, config.sample_every, ticks) {
                                 samples.push((state.state.total_balls(), state.state.max_load()));
                             }
@@ -771,15 +845,17 @@ pub(crate) fn run_service_workload_owned(config: &ServiceWorkloadConfig) -> Serv
                     let mut rng = Xoshiro256PlusPlus::from_u64(derive_seed(config.seed, w as u64));
                     let mut probes_scratch = vec![0usize; config.d];
                     let mut slots_scratch = Vec::with_capacity(config.d);
-                    let mut live: std::collections::VecDeque<Placement> =
-                        std::collections::VecDeque::new();
+                    let mut bins = Vec::with_capacity(config.k);
+                    // The live window's bins, `k` per placement, oldest first.
+                    let mut live: VecDeque<usize> =
+                        VecDeque::with_capacity(config.window * config.k);
                     let mut released = 0u64;
                     for _ in 0..config.requests_per_thread {
                         engine.drain(w, &mut state);
                         sampler.fill_seq(&mut rng, &mut probes_scratch);
                         probes_scratch.sort_unstable();
-                        let mut bins = Vec::with_capacity(config.k);
-                        let max_height = engine.decide(
+                        bins.clear();
+                        engine.decide(
                             &probes_scratch,
                             config.k,
                             &mut rng,
@@ -790,11 +866,10 @@ pub(crate) fn run_service_workload_owned(config: &ServiceWorkloadConfig) -> Serv
                             engine.submit_add(w, bin, &mut state);
                         }
                         if config.window > 0 {
-                            live.push_back(Placement { bins, max_height });
-                            if live.len() > config.window {
-                                let oldest = live.pop_front().expect("window > 0");
-                                released += oldest.bins.len() as u64;
-                                for &bin in &oldest.bins {
+                            live.extend(&bins);
+                            if live.len() > config.window * config.k {
+                                released += config.k as u64;
+                                for bin in live.drain(..config.k) {
                                     engine.submit_remove(w, bin, &mut state);
                                 }
                             }
@@ -849,6 +924,13 @@ mod tests {
         assert_eq!(ServiceBackend::parse("lock_free"), None);
     }
 
+    /// Drains `ring` into a vector, in FIFO order.
+    fn drained(ring: &SpscRing) -> Vec<u64> {
+        let mut out = Vec::new();
+        ring.drain_with(|msg| out.push(msg));
+        out
+    }
+
     #[test]
     fn ring_is_fifo_and_bounded() {
         let ring = SpscRing::new(4);
@@ -857,19 +939,122 @@ mod tests {
             assert!(ring.try_push(v));
         }
         assert!(!ring.try_push(99), "full ring must refuse");
-        for v in 0..4 {
-            assert_eq!(ring.try_pop(), Some(v));
-        }
-        assert_eq!(ring.try_pop(), None);
-        // Wrap-around keeps FIFO order.
+        assert_eq!(drained(&ring), vec![0, 1, 2, 3]);
+        assert!(drained(&ring).is_empty());
+        // Wrap-around keeps FIFO order: indices 7..11 cross slot 0.
         for v in 10..13 {
             assert!(ring.try_push(v));
         }
-        assert_eq!(ring.try_pop(), Some(10));
-        assert!(ring.try_push(13));
-        for v in 11..14 {
-            assert_eq!(ring.try_pop(), Some(v));
+        assert_eq!(drained(&ring), vec![10, 11, 12]);
+        for v in 13..17 {
+            assert!(ring.try_push(v));
         }
+        assert!(!ring.try_push(99), "full ring must refuse after wrapping");
+        assert_eq!(drained(&ring), vec![13, 14, 15, 16]);
+        assert!(ring.is_empty());
+    }
+
+    /// The producer's cached `head` goes stale as soon as the consumer
+    /// drains; a push that the stale copy calls full must re-read the
+    /// shared `head` and succeed.
+    #[test]
+    fn ring_refreshes_a_stale_cached_index_before_refusing() {
+        let ring = SpscRing::new(4);
+        for v in 0..4 {
+            assert!(ring.try_push(v));
+        }
+        assert!(!ring.try_push(4), "full ring must refuse");
+        assert_eq!(ring.producer.cached_head.load(Ordering::Relaxed), 0);
+        assert_eq!(ring.drain_with(|_| ()), 4);
+        // The copy still says full: only the re-read lets these through.
+        assert_eq!(ring.producer.cached_head.load(Ordering::Relaxed), 0);
+        for v in 4..8 {
+            assert!(ring.try_push(v), "push {v} after the drain");
+        }
+        assert_eq!(ring.producer.cached_head.load(Ordering::Relaxed), 4);
+        assert!(!ring.try_push(8), "full again");
+        assert_eq!(drained(&ring), vec![4, 5, 6, 7]);
+    }
+
+    /// One producer thread and one consumer thread stream 2^20 sequence
+    /// numbers through a tiny and a full-size ring: the consumer sees
+    /// every number exactly once, in order.
+    #[test]
+    fn ring_two_thread_stream_is_exact() {
+        const COUNT: u64 = 1 << 20;
+        for capacity in [4, RING_CAPACITY] {
+            let ring = SpscRing::new(capacity);
+            let mut next = 0u64;
+            std::thread::scope(|scope| {
+                let ring = &ring;
+                scope.spawn(move || {
+                    for v in 0..COUNT {
+                        while !ring.try_push(v) {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+                while next < COUNT {
+                    let got = ring.drain_with(|msg| {
+                        assert_eq!(msg, next, "capacity {capacity}");
+                        next += 1;
+                    });
+                    assert!(got <= capacity as u64, "a drain holds at most one ring");
+                    if got == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            });
+            assert_eq!(next, COUNT, "capacity {capacity}");
+            assert!(ring.is_empty(), "no duplicate after the last number");
+        }
+    }
+
+    /// The full-ring path at engine level: two workers each push 4 ring
+    /// capacities of adds, then half as many removes, to the other's bins
+    /// with no drain between them. Each ring receives more than it holds
+    /// before its consumer's first drain, so a push must find its ring
+    /// full and wait on the drain of its own inbox; both workers then
+    /// meet at the drain-while-waiting rendezvous. It must terminate
+    /// with every ball applied once.
+    #[test]
+    fn full_rings_and_the_rendezvous_terminate_and_conserve() {
+        const ADDS: usize = 4 * RING_CAPACITY;
+        let (engine, states) = OwnedShardEngine::new(64, 2, 8);
+        let pushed = AtomicUsize::new(0);
+        let states: Vec<ShardState> = std::thread::scope(|scope| {
+            let handles: Vec<_> = states
+                .into_iter()
+                .enumerate()
+                .map(|(w, mut state)| {
+                    let (engine, pushed) = (&engine, &pushed);
+                    scope.spawn(move || {
+                        let (lo, hi) = engine.owned_range(1 - w);
+                        let peer_bin = |i: usize| lo + i % (hi - lo);
+                        for i in 0..ADDS {
+                            engine.submit_add(w, peer_bin(i), &mut state);
+                        }
+                        for i in 0..ADDS / 2 {
+                            engine.submit_remove(w, peer_bin(i), &mut state);
+                        }
+                        engine.rendezvous(w, &mut state, pushed, 2);
+                        assert!(engine.inbox_empty(w));
+                        engine.flush(&mut state);
+                        state
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker must not panic"))
+                .collect()
+        });
+        for state in &states {
+            assert_eq!(state.slab().total_balls(), (ADDS / 2) as u64);
+        }
+        let merged = merge_states(&engine, &states);
+        assert!(merged.invariants_ok);
+        assert_eq!(merged.live_balls, ADDS as u64);
     }
 
     #[test]

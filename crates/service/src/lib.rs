@@ -97,6 +97,7 @@
 mod engine;
 mod lockfree;
 mod open_loop;
+mod pad;
 mod pipeline;
 mod scenario;
 mod service;

@@ -49,6 +49,15 @@
 //! * The operation counters behind [`AtomicStore::stamped_snapshot`] are
 //!   `SeqCst`, so "no operation overlapped the scan" is a statement
 //!   about one total order, not per-variable luck.
+//! * What one operation is depends on the caller. Each public call
+//!   ([`AtomicStore::place_with`], [`AtomicStore::release`], a
+//!   `BinStore` mutation) and each closed-loop request is one. The
+//!   open-loop driver counts one per worker phase slice instead: all
+//!   commits of a worker's slice of a tick, or all of its releases,
+//!   between one `begin_op` and one `end_op`. The claim above holds
+//!   either way, because an operation's bracket spans every CAS it
+//!   makes; the slice only saves the two shared-line RMWs per request.
+//!   `generation` then counts completed slices in that driver.
 //!
 //! ## Which determinism survives racing
 //!
@@ -294,7 +303,7 @@ impl AtomicStore {
 
     /// [`AtomicStore::place_with`] without the returned [`Placement`]:
     /// leaves the winners in `scratch.bins` and returns the maximum ball
-    /// height, so the open-loop commit path allocates nothing.
+    /// height. Counts one operation.
     ///
     /// # Panics
     ///
@@ -308,6 +317,16 @@ impl AtomicStore {
         rng: &mut R,
         scratch: &mut PlaceScratch,
     ) -> u32 {
+        self.prepare_place(probes, k, scratch);
+        self.begin_op();
+        let max_height = self.place_prepared(k, rng, scratch);
+        self.end_op();
+        max_height
+    }
+
+    /// Checks one request and sorts its probes into `scratch.sorted`:
+    /// every panic of a placement fires here, before any counter write.
+    fn prepare_place(&self, probes: &[usize], k: usize, scratch: &mut PlaceScratch) {
         assert!(k >= 1, "a placement request must place at least one ball");
         assert!(
             k <= probes.len(),
@@ -321,7 +340,18 @@ impl AtomicStore {
         if let Some(&last) = scratch.sorted.last() {
             assert!(last < n, "probed bin {last} out of range (n={n})");
         }
-        self.begin_op();
+    }
+
+    /// The uncounted core of a placement: read, decide and CAS-commit the
+    /// request [`AtomicStore::prepare_place`] left in `scratch.sorted`.
+    /// The caller counts the operation around it.
+    fn place_prepared<R: RngCore + ?Sized>(
+        &self,
+        k: usize,
+        rng: &mut R,
+        scratch: &mut PlaceScratch,
+    ) -> u32 {
+        let n = self.truth.len();
         let mut attempt = 0usize;
         loop {
             // Freeze: one Relaxed read per distinct probed bin, prefetched
@@ -395,7 +425,6 @@ impl AtomicStore {
                 if fallback {
                     self.fallback_commits.fetch_add(1, Ordering::Relaxed);
                 }
-                self.end_op();
                 return max_height;
             };
             // Lost the race: undo this attempt's earlier commits (our own
@@ -422,6 +451,13 @@ impl AtomicStore {
     /// (a double release — counters never go negative).
     pub fn release(&self, bins: &[usize]) {
         self.begin_op();
+        self.release_uncounted(bins);
+        self.end_op();
+    }
+
+    /// The uncounted core of [`AtomicStore::release`]; the caller counts
+    /// the operation around it.
+    fn release_uncounted(&self, bins: &[usize]) {
         for &bin in bins {
             loop {
                 let current = self.truth.get(bin);
@@ -439,7 +475,6 @@ impl AtomicStore {
                 self.lost_races.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.end_op();
     }
 
     /// Scans the counters into a generation-stamped snapshot, retrying
@@ -597,6 +632,17 @@ impl BinStore for AtomicStore {
 /// ignores `max_batch`, and `snapshot_refresh` too: the counters *are*
 /// the truth, so staleness here comes from racing, not from a refresh
 /// period.
+///
+/// **One operation per phase slice.** A worker's commit slice, and its
+/// release slice, each count as *one* operation of
+/// [`AtomicStore::stamped_snapshot`]: one `begin_op` before the slice's
+/// first CAS and one `end_op` after its last, not a pair per request.
+/// Per request, that pair is two `SeqCst` RMWs on a line every worker
+/// writes; per slice it is two per worker and phase. The snapshot stays
+/// sound, since a slice spans all of its CAS writes, so a scan that
+/// overlapped none of the slices overlapped none of the writes. In this
+/// driver `generation` therefore counts completed non-empty slices, not
+/// requests; an empty slice writes nothing and is not counted.
 impl TickStore for AtomicStore {
     /// Probes and the decision buffers.
     type Scratch<'s> = (Vec<usize>, PlaceScratch);
@@ -604,20 +650,32 @@ impl TickStore for AtomicStore {
     /// Per-request RNG from `(seed, id)`, `d` probe draws, then the
     /// CAS-committed placement: the per-request stream every backend draws.
     fn commit(&self, run: &Run<'_>, ids: IdRange, (probes, scratch): &mut Self::Scratch<'_>) {
+        if ids.0 == ids.1 {
+            return;
+        }
+        let k = run.config.k;
+        self.begin_op();
         for id in ids.0..ids.1 {
             probes.clear();
             let mut rng = run.draw(id, probes);
-            self.place_into(probes, run.config.k, &mut rng, scratch);
+            self.prepare_place(probes, k, scratch);
+            self.place_prepared(k, &mut rng, scratch);
             run.table.set(id, &scratch.bins);
         }
+        self.end_op();
     }
 
     fn release(&self, run: &Run<'_>, ids: &[u32], (bins, _): &mut Self::Scratch<'_>) {
+        if ids.is_empty() {
+            return;
+        }
+        self.begin_op();
         for &id in ids {
             bins.clear();
             run.table.get(id, bins);
-            AtomicStore::release(self, bins);
+            self.release_uncounted(bins);
         }
+        self.end_op();
     }
 
     /// One relaxed scan of live balls and max load.
@@ -764,6 +822,50 @@ mod tests {
         let mut loads = Vec::new();
         store.copy_loads_into(&mut loads);
         assert_eq!(snap.loads, loads);
+    }
+
+    /// The open-loop driver counts one operation per phase slice: at one
+    /// thread every non-empty commit or release slice advances the
+    /// generation by exactly one, an empty one by nothing, and the scan
+    /// between slices reads consistent and exact.
+    #[test]
+    fn open_loop_slices_count_one_operation_each() {
+        use crate::pipeline::{PlacementTable, Run};
+        use crate::traffic::TrafficSchedule;
+        use crate::OpenLoopConfig;
+
+        let config = OpenLoopConfig::at_lambda(64, 2, 4, 0.9, 8.0, 40, 0x51CE);
+        let schedule = TrafficSchedule::generate(&config.traffic, config.traffic_seed())
+            .expect("valid traffic");
+        let table = PlacementTable::new(schedule.timings.len(), config.k, config.bins);
+        let run = Run::new(&config, &schedule, &table);
+        let store = AtomicStore::new(config.bins);
+        let mut scratch = Default::default();
+        let (mut generation, mut slices) = (0u64, [0usize; 2]);
+        let mut step = |store: &AtomicStore, requests: usize, kind: usize| {
+            let want = generation + u64::from(requests > 0);
+            let snap = store.stamped_snapshot();
+            assert!(snap.consistent);
+            assert_eq!(snap.generation, want, "{requests} requests in one slice");
+            let mut loads = Vec::new();
+            store.copy_loads_into(&mut loads);
+            assert_eq!(snap.loads, loads);
+            assert!(store.check_invariants());
+            generation = want;
+            slices[kind] += usize::from(requests > 0);
+        };
+        for t in 0..schedule.commit_ranges.len() {
+            let departures = &schedule.departures[t];
+            TickStore::release(&store, &run, departures, &mut scratch);
+            step(&store, departures.len(), 0);
+            let ids = schedule.commit_ranges[t];
+            TickStore::commit(&store, &run, ids, &mut scratch);
+            step(&store, (ids.1 - ids.0) as usize, 1);
+        }
+        assert!(
+            slices[0] > 0 && slices[1] > 0,
+            "both phases ran: {slices:?}"
+        );
     }
 
     #[test]

@@ -381,7 +381,21 @@ pub(crate) struct Run<'a> {
     place_base: u64,
 }
 
-impl Run<'_> {
+impl<'a> Run<'a> {
+    /// The run of `schedule` under `config`, recording into `table`.
+    pub(crate) fn new(
+        config: &'a OpenLoopConfig,
+        schedule: &'a TrafficSchedule,
+        table: &'a PlacementTable,
+    ) -> Self {
+        Self {
+            config,
+            schedule,
+            table,
+            place_base: derive_seed(config.seed, PLACEMENT_STREAM),
+        }
+    }
+
     /// Appends request `id`'s `d` probes to `probes` and returns its
     /// placement RNG, positioned at the tie keys (pure in `(seed, id)`).
     pub(crate) fn draw(&self, id: u32, probes: &mut Vec<usize>) -> Xoshiro256PlusPlus {
@@ -531,12 +545,7 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopReport {
         .unwrap_or_else(|e| panic!("invalid open-loop config: {e}"));
 
     let table = PlacementTable::new(schedule.timings.len(), config.k, config.bins);
-    let run = Run {
-        config,
-        schedule: &schedule,
-        table: &table,
-        place_base: derive_seed(config.seed, PLACEMENT_STREAM),
-    };
+    let run = Run::new(config, &schedule, &table);
     let (bins, kind) = (config.bins, config.store);
     let outcome = match (config.backend, &config.capacities) {
         (ServiceBackend::Striped, None) => {

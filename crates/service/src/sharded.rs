@@ -24,37 +24,12 @@
 //! shape — is scheduler-driven. Conservation and per-shard invariants
 //! hold under any interleaving.
 
-use std::ops::{Deref, DerefMut};
 use std::sync::{Mutex, MutexGuard};
 
 use kdchoice_core::{decide_k_least, BinSlab, BinStore, LoadView, StoreKind};
 use rand::RngCore;
 
-/// A shard slot padded out to a 64-byte cache line.
-///
-/// `Vec<Mutex<LoadVector>>` packs the mutex state words of neighbouring
-/// shards into the same line, so under contention every lock/unlock
-/// invalidates the line for threads hammering the *other* shards —
-/// false sharing. Aligning each slot to its own line keeps shard lock
-/// traffic independent. The effect shows only when threads on different
-/// cores contend; the benchmark's `churn_2t` workload runs that case.
-#[derive(Debug)]
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
-impl<T> Deref for CachePadded<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T> DerefMut for CachePadded<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
-    }
-}
+use crate::pad::CachePadded;
 
 /// The loads one request reads through the shard guards it holds: the
 /// [`LoadView`] that [`ShardedStore`]'s placements decide against.
