@@ -21,6 +21,23 @@ pub enum ConfigError {
     ZeroParameter(&'static str),
     /// A probability parameter was outside `[0, 1]`.
     BadProbability(&'static str),
+    /// A parameter was above the largest value the configuration allows.
+    ExceedsLimit {
+        /// The offending parameter.
+        name: &'static str,
+        /// Its value.
+        value: usize,
+        /// The largest value allowed.
+        limit: usize,
+    },
+    /// A probe distribution was built for another bin count than the
+    /// bins it is asked to sample.
+    ProbeSupportMismatch {
+        /// The bin count the distribution was built for.
+        built_for: usize,
+        /// The bin count of the configuration.
+        bins: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -34,6 +51,13 @@ impl fmt::Display for ConfigError {
             ConfigError::BadProbability(name) => {
                 write!(f, "{name} must lie in [0, 1]")
             }
+            ConfigError::ExceedsLimit { name, value, limit } => {
+                write!(f, "{name} must not exceed {limit} (got {value})")
+            }
+            ConfigError::ProbeSupportMismatch { built_for, bins } => write!(
+                f,
+                "probe distribution built for wrong bin count ({built_for}, not {bins})"
+            ),
         }
     }
 }
@@ -56,6 +80,17 @@ mod tests {
         assert!(ConfigError::BadProbability("beta")
             .to_string()
             .contains("[0, 1]"));
+        let e = ConfigError::ExceedsLimit {
+            name: "threads",
+            value: 9,
+            limit: 8,
+        };
+        assert_eq!(e.to_string(), "threads must not exceed 8 (got 9)");
+        let e = ConfigError::ProbeSupportMismatch {
+            built_for: 65,
+            bins: 64,
+        };
+        assert!(e.to_string().contains("wrong bin count (65, not 64)"));
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub use probes::{two_tier_capacities, ProbeDistribution};
 pub use process::{HeightSink, RoundProcess, RoundStats};
 pub use scenario::{DynamicScenario, HeteroScenario, StaticScenario};
 pub use serialized::{SerializedKdChoice, SigmaSchedule};
-pub use snapshot::{decide_k_least, LoadView, SharedLoadSnapshot};
+pub use snapshot::{decide_k_least, prefetch_line, LoadView, SharedLoadSnapshot};
 pub use state::LoadVector;
 pub use store::BinStore;
 pub use trace::{run_with_trace, TracePoint};

@@ -49,6 +49,14 @@ pub(crate) fn prefetch_read<T>(ptr: *const T) {
     }
 }
 
+/// Hints that `*value` is about to be read: the safe face of the
+/// crate's prefetch intrinsic, for crates that forbid `unsafe` code.
+/// Purely advisory, never observable in results.
+#[inline(always)]
+pub fn prefetch_line<T>(value: &T) {
+    prefetch_read(value);
+}
+
 /// The transparent huge page size [`advise_huge_pages`] aligns to: 2 MiB,
 /// the PMD-level page on x86_64 and aarch64 with 4 KiB base pages.
 const HUGE_PAGE_BYTES: usize = 2 << 20;

@@ -67,15 +67,17 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Barrier;
 use std::time::Instant;
 
 use kdchoice_core::{decide_k_least, BinSlab, LoadSnapshot, StoreKind};
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 use rand::RngCore;
 
+use crate::barrier::SpinBarrier;
 use crate::pad::CachePadded;
-use crate::pipeline::{want_sample, worker_slice, DriveOutcome, Run, TickSample};
+use crate::pipeline::{
+    id_batches, want_sample, worker_slice, DriveOutcome, Run, TickSample, DRAW_BATCH,
+};
 use crate::service::{EndState, ServiceReport, ServiceWorkloadConfig};
 
 /// Which concurrency backend serves placement and release requests.
@@ -616,7 +618,10 @@ type LocalSamples = Vec<(u64, u32)>;
 
 /// One worker's reusable buffers for [`owned_tick`].
 struct TickScratch {
+    /// The probes of one drawn batch, `d` per request.
     probes: Vec<usize>,
+    /// The placement RNGs of one drawn batch.
+    rngs: Vec<Xoshiro256PlusPlus>,
     slots: Vec<(u32, u64, usize)>,
     bins: Vec<usize>,
 }
@@ -624,18 +629,20 @@ struct TickScratch {
 impl TickScratch {
     fn new(d: usize, k: usize) -> Self {
         Self {
-            probes: Vec::with_capacity(d),
+            probes: Vec::with_capacity(DRAW_BATCH * d),
+            rngs: Vec::with_capacity(DRAW_BATCH),
             slots: Vec::with_capacity(d),
             bins: Vec::with_capacity(k),
         }
     }
 }
 
-/// The per-tick body shared by the single- and multi-thread open-loop
-/// drivers: route my slice of departures, then decide + route my slice
-/// of commits. With more than one worker it drains its own inbox every
-/// [`INBOX_DRAIN_EVERY`] commits, so that a peer's ring to it rarely
-/// fills; one worker has no rings and no inbox.
+/// The per-tick body of the open-loop driver: route my slice of
+/// departures, then draw, decide and route my slice of commits,
+/// [`DRAW_BATCH`] requests per draw ([`Run::draw_batch`], prefetching
+/// the snapshot lines the batch will read). With more than one worker it
+/// drains its own inbox every [`INBOX_DRAIN_EVERY`] commits, so that a
+/// peer's ring to it rarely fills; one worker has no rings and no inbox.
 fn owned_tick(
     engine: &OwnedShardEngine,
     run: &Run<'_>,
@@ -653,61 +660,64 @@ fn owned_tick(
     } = *run;
     let departures = &schedule.departures[t];
     let (lo, hi) = worker_slice((0, departures.len() as u32), workers, w);
-    for &id in &departures[lo as usize..hi as usize] {
-        scratch.bins.clear();
-        table.get(id, &mut scratch.bins);
-        for &bin in &scratch.bins {
+    let departing = &departures[lo as usize..hi as usize];
+    for (i, &id) in departing.iter().enumerate() {
+        run.prefetch_departures(departing, i, |_| ());
+        for bin in table.bins(id) {
             engine.submit_remove(w, bin, state);
         }
     }
     let range = worker_slice(schedule.commit_ranges[t], workers, w);
-    for (i, id) in (range.0..range.1).enumerate() {
-        if workers > 1 && i > 0 && i.is_multiple_of(INBOX_DRAIN_EVERY) {
-            engine.drain(w, state);
-        }
-        scratch.probes.clear();
-        let mut rng = run.draw(id, &mut scratch.probes);
-        scratch.probes.sort_unstable();
-        scratch.bins.clear();
-        engine.decide(
-            &scratch.probes,
-            config.k,
-            &mut rng,
-            &mut scratch.slots,
-            &mut scratch.bins,
+    let mut i = 0usize;
+    for batch in id_batches(range, DRAW_BATCH) {
+        run.draw_batch(
+            batch,
+            Some(engine.snapshot()),
+            &mut scratch.probes,
+            &mut scratch.rngs,
         );
-        for &bin in &scratch.bins {
-            engine.submit_add(w, bin, state);
+        let drawn = scratch.probes.chunks_mut(config.d).zip(&mut scratch.rngs);
+        for (id, (probes, rng)) in (batch.0..batch.1).zip(drawn) {
+            if workers > 1 && i > 0 && i.is_multiple_of(INBOX_DRAIN_EVERY) {
+                engine.drain(w, state);
+            }
+            i += 1;
+            probes.sort_unstable();
+            scratch.bins.clear();
+            engine.decide(probes, config.k, rng, &mut scratch.slots, &mut scratch.bins);
+            for &bin in &scratch.bins {
+                engine.submit_add(w, bin, state);
+            }
+            table.set(id, &scratch.bins);
         }
-        table.set(id, &scratch.bins);
     }
 }
 
 /// Drives an open-loop schedule through the shared-nothing engine.
 ///
-/// `threads == 1` runs inline: no rings, and with `snapshot_refresh ==
-/// 1` the snapshot is synchronous, so the run is bit-identical to the
-/// single-thread oracle (locked by `tests/backend_equivalence.rs`). With
-/// more threads each tick ends in two rendezvous: first a
-/// **drain-while-waiting** one — a worker that has routed all of its
-/// releases and commits keeps draining its own inbox (never parking)
-/// until every worker has finished pushing, which is what keeps a
-/// neighbour stuck in the full-ring submit path live — then, once all
-/// pushes of the tick are drained and sampled, a parking barrier (safe
-/// there: nobody pushes between the two rendezvous points, so no one
-/// can need a parked worker's drain).
+/// It runs `threads` workers, worker 0 on the calling thread and the rest
+/// on scoped threads; one worker runs inline and never waits. With one
+/// worker there are no rings, and with `snapshot_refresh == 1` the
+/// snapshot is synchronous, so the run is bit-identical to the
+/// single-thread oracle (locked by `tests/backend_equivalence.rs`).
+///
+/// Each tick ends in two synchronizations. First the
+/// **drain-while-waiting** rendezvous: a worker that has routed all of
+/// its releases and commits keeps draining its own inbox, never waiting
+/// idle, until every worker has finished pushing. That keeps a
+/// neighbour stuck in the full-ring submit path live, and its
+/// `Release`/`Acquire` pushed-phase counter orders the tick's commits
+/// before any later release that reads them. Each worker then samples
+/// its own shard, which no one else mutates, and crosses the spin
+/// barrier (`SpinBarrier`). A worker waiting there drains nothing, which
+/// is safe: every push of the tick was drained at the rendezvous, and
+/// nobody pushes between the two points. The barrier keeps a fast
+/// worker's next-tick pushes out of a slow worker's last drain, so every
+/// sample is of the tick just ended.
 pub(crate) fn drive_open_loop_owned(run: &Run<'_>) -> DriveOutcome {
     let config = run.config;
-    assert!(
-        config.threads <= config.bins,
-        "shared-nothing backend needs threads <= bins (each worker owns >= 1 bin)"
-    );
-    assert!(
-        config.snapshot_refresh >= 1,
-        "snapshot refresh period must be at least 1"
-    );
     let workers = config.threads;
-    let (engine, mut states) = match &config.capacities {
+    let (engine, states) = match &config.capacities {
         None => {
             OwnedShardEngine::with_kind(config.bins, workers, config.snapshot_refresh, config.store)
         }
@@ -723,62 +733,46 @@ pub(crate) fn drive_open_loop_owned(run: &Run<'_>) -> DriveOutcome {
     let sampled_ticks: Vec<usize> = (0..ticks)
         .filter(|&t| want_sample(t, config.sample_every, ticks))
         .collect();
-
-    let start = Instant::now();
-    let (states, per_worker_samples): (Vec<ShardState>, Vec<LocalSamples>) = if workers == 1 {
-        let mut state = states.pop().expect("one worker");
+    let barrier = SpinBarrier::new(workers);
+    // Monotone count of (worker, tick) push phases completed; tick t
+    // is fully pushed once it reaches `(t + 1) * workers`. Monotone
+    // so no per-tick reset can race with a late reader.
+    let pushed = AtomicUsize::new(0);
+    let (engine, barrier, pushed) = (&engine, &barrier, &pushed);
+    let sampled = sampled_ticks.len();
+    let worker = move |w: usize, mut state: ShardState| {
         let mut scratch = TickScratch::new(config.d, config.k);
-        let mut samples = Vec::with_capacity(sampled_ticks.len());
+        let mut samples: LocalSamples = Vec::with_capacity(sampled);
         for t in 0..ticks {
-            owned_tick(&engine, run, t, 0, 1, &mut state, &mut scratch);
+            owned_tick(engine, run, t, w, workers, &mut state, &mut scratch);
+            engine.rendezvous(w, &mut state, pushed, (t + 1) * workers);
             if want_sample(t, config.sample_every, ticks) {
                 samples.push((state.state.total_balls(), state.state.max_load()));
             }
+            barrier.wait(); // tick t fully applied + sampled
         }
         engine.flush(&mut state);
-        (vec![state], vec![samples])
-    } else {
-        let barrier = Barrier::new(workers);
-        // Monotone count of (worker, tick) push phases completed; tick t
-        // is fully pushed once it reaches `(t + 1) * workers`. Monotone
-        // so no per-tick reset can race with a late reader.
-        let pushed = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = states
-                .drain(..)
-                .enumerate()
-                .map(|(w, mut state)| {
-                    let engine = &engine;
-                    let barrier = &barrier;
-                    let pushed = &pushed;
-                    let sampled = sampled_ticks.len();
-                    scope.spawn(move || {
-                        let mut scratch = TickScratch::new(config.d, config.k);
-                        let mut samples = Vec::with_capacity(sampled);
-                        for t in 0..ticks {
-                            owned_tick(engine, run, t, w, workers, &mut state, &mut scratch);
-                            // Drain-while-waiting rendezvous: a parked
-                            // barrier here can deadlock — a worker stuck
-                            // in the full-ring submit path needs *us* to
-                            // keep draining until it, too, finishes its
-                            // pushes for this tick.
-                            engine.rendezvous(w, &mut state, pushed, (t + 1) * workers);
-                            if want_sample(t, config.sample_every, ticks) {
-                                samples.push((state.state.total_balls(), state.state.max_load()));
-                            }
-                            barrier.wait(); // tick t fully applied + sampled
-                        }
-                        engine.flush(&mut state);
-                        (state, samples)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("owned worker must not panic"))
-                .unzip()
-        })
+        (state, samples)
     };
+
+    let start = Instant::now();
+    let (states, per_worker_samples): (Vec<ShardState>, Vec<LocalSamples>) =
+        std::thread::scope(|scope| {
+            let mut states = states.into_iter();
+            let first = states.next().expect("at least one worker");
+            let handles: Vec<_> = states
+                .enumerate()
+                .map(|(i, state)| scope.spawn(move || worker(i + 1, state)))
+                .collect();
+            let mine = worker(0, first);
+            std::iter::once(mine)
+                .chain(
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("owned worker must not panic")),
+                )
+                .unzip()
+        });
     let wall_secs = start.elapsed().as_secs_f64();
 
     // Merge the per-worker (live, max) pairs into the tick series.
@@ -797,7 +791,7 @@ pub(crate) fn drive_open_loop_owned(run: &Run<'_>) -> DriveOutcome {
         })
         .collect();
 
-    let merged = merge_states(&engine, &states);
+    let merged = merge_states(engine, &states);
     DriveOutcome {
         series,
         wall_secs,

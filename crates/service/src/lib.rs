@@ -87,13 +87,14 @@
 //! single-threaded batched run is bit-identical to the oracle, which
 //! serves one request at a time (locked by `tests/store_equivalence.rs`).
 //! The per-module docs spell the guarantees out: [`traffic`]
-//! (virtual-clock semantics), `pipeline` (the 3-phase tick barrier and
+//! (virtual-clock semantics), `pipeline` (the tick barrier and
 //! the exact survives-concurrency table), `sharded` (striping and lock
 //! discipline).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod barrier;
 mod engine;
 mod lockfree;
 mod open_loop;

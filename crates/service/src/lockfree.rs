@@ -76,7 +76,7 @@ use kdchoice_core::{
 use kdchoice_prng::Xoshiro256PlusPlus;
 use rand::RngCore;
 
-use crate::pipeline::{IdRange, Run, TickSample, TickStore};
+use crate::pipeline::{id_batches, IdRange, Run, TickSample, TickStore, DRAW_BATCH};
 use crate::service::{run_clients, EndState, ServiceReport, ServiceWorkloadConfig};
 use crate::sharded::Placement;
 
@@ -644,33 +644,42 @@ impl BinStore for AtomicStore {
 /// driver `generation` therefore counts completed non-empty slices, not
 /// requests; an empty slice writes nothing and is not counted.
 impl TickStore for AtomicStore {
-    /// Probes and the decision buffers.
-    type Scratch<'s> = (Vec<usize>, PlaceScratch);
+    /// Probes, per-request RNGs, and the decision buffers.
+    type Scratch<'s> = (Vec<usize>, Vec<Xoshiro256PlusPlus>, PlaceScratch);
 
-    /// Per-request RNG from `(seed, id)`, `d` probe draws, then the
-    /// CAS-committed placement: the per-request stream every backend draws.
-    fn commit(&self, run: &Run<'_>, ids: IdRange, (probes, scratch): &mut Self::Scratch<'_>) {
+    /// Draws [`DRAW_BATCH`] requests at a time ([`Run::draw_batch`],
+    /// prefetching their probed counters), then CAS-commits them one by
+    /// one: the per-request stream every backend draws.
+    fn commit(&self, run: &Run<'_>, ids: IdRange, (probes, rngs, scratch): &mut Self::Scratch<'_>) {
         if ids.0 == ids.1 {
             return;
         }
-        let k = run.config.k;
+        let (k, d) = (run.config.k, run.config.d);
         self.begin_op();
-        for id in ids.0..ids.1 {
-            probes.clear();
-            let mut rng = run.draw(id, probes);
-            self.prepare_place(probes, k, scratch);
-            self.place_prepared(k, &mut rng, scratch);
-            run.table.set(id, &scratch.bins);
+        for batch in id_batches(ids, DRAW_BATCH) {
+            run.draw_batch(batch, Some(&self.truth), probes, rngs);
+            for ((id, request), rng) in (batch.0..batch.1)
+                .zip(probes.chunks(d))
+                .zip(rngs.iter_mut())
+            {
+                self.prepare_place(request, k, scratch);
+                self.place_prepared(k, rng, scratch);
+                run.table.set(id, &scratch.bins);
+            }
         }
         self.end_op();
     }
 
-    fn release(&self, run: &Run<'_>, ids: &[u32], (bins, _): &mut Self::Scratch<'_>) {
+    /// Releases the departures in order, prefetching the table rows and
+    /// the counters of those a few places ahead
+    /// ([`Run::prefetch_departures`]).
+    fn release(&self, run: &Run<'_>, ids: &[u32], (bins, _, _): &mut Self::Scratch<'_>) {
         if ids.is_empty() {
             return;
         }
         self.begin_op();
-        for &id in ids {
+        for (i, &id) in ids.iter().enumerate() {
+            run.prefetch_departures(ids, i, |bin| self.truth.prefetch(bin));
             bins.clear();
             run.table.get(id, bins);
             self.release_uncounted(bins);

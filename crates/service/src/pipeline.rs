@@ -11,25 +11,34 @@
 //! and *how fast* the wall clock can chew through the virtual clock,
 //! which is what the λ×threads throughput sweep measures.
 //!
-//! ## The 3-phase tick barrier
+//! ## The tick barrier
 //!
 //! The striped and lock-free backends share one driver, `drive_ticks`;
 //! each supplies only its commit, release and sample phases through the
-//! crate-private `TickStore` trait. With `threads > 1` the driver spawns
-//! persistent workers that all walk the tick sequence in lockstep,
-//! separated by a shared [`Barrier`] crossed **three times per tick**:
+//! crate-private `TickStore` trait. The driver runs `threads` workers,
+//! worker 0 on the calling thread and the rest on scoped threads, that
+//! all walk the tick sequence in lockstep. No coordinator thread runs
+//! beside them, so `threads` workers occupy `threads` cores. They cross
+//! one spin-then-yield barrier (`SpinBarrier`) two or three times per
+//! tick:
 //!
-//! 1. **Releases** — each worker releases its contiguous slice of the
-//!    tick's departures. Departures must free load *before* the tick's
-//!    commits probe it, or a commit could observe balls that the
-//!    schedule says are already gone.
-//! 2. **Commits** — each worker commits its slice of the tick's
-//!    committed-request id range (per-request RNGs derived from
+//! 1. **Releases**, then a crossing. Each worker releases its contiguous
+//!    slice of the tick's departures. Departures must free load *before*
+//!    the tick's commits probe it, or a commit could observe balls that
+//!    the schedule says are already gone.
+//! 2. **Commits**, then a crossing. Each worker commits its slice of the
+//!    tick's committed-request id range (per-request RNGs derived from
 //!    `(seed, id)`, so slicing cannot change any request's probes or tie
-//!    keys).
-//! 3. **Quiescent sample** — every worker is parked at the next
-//!    barrier, so the coordinator can snapshot the store (live balls,
-//!    max load, gap) for the time series without racing any commit.
+//!    keys). This crossing also orders every commit of the tick before
+//!    any release of a later tick that reads its placement.
+//! 3. **Quiescent sample**, on sampled ticks only, then a crossing.
+//!    Every other worker waits at that crossing, so worker 0 snapshots
+//!    the store (live balls, max load, gap) for the time series without
+//!    racing any release or commit.
+//!
+//! Each crossing is an `AcqRel` arrival and an `Acquire` wait on a
+//! `Release`d generation (see `barrier`): whatever a worker wrote before
+//! a crossing, every worker reads after it.
 //!
 //! ## Which determinism guarantees survive batching / concurrency
 //!
@@ -54,22 +63,32 @@
 //! request. Its loads and stores are `Relaxed`, which is enough because
 //! each backend's tick loop already orders every commit before any
 //! release that reads it: a request departs in a strictly later tick
-//! than it commits, and the ticks are separated by the tick [`Barrier`]
-//! (striped and lock-free) or by the shared-nothing end-of-tick
-//! rendezvous, whose `Release` increments of the pushed-phase counter
-//! pair with every worker's `Acquire` loads of it before the parking
-//! barrier. On one thread program order suffices. Each entry starts as
-//! a sentinel, so a second commit of a request and a departure that
-//! reads an uncommitted request both fail loudly.
+//! than it commits, and every tick ends in a synchronization that all
+//! workers pass. In `drive_ticks` that is the commit crossing of the
+//! spin barrier: its `AcqRel` arrivals and `Acquire` wait on the
+//! `Release`d generation order each worker's commits before every
+//! worker's later reads. In the shared-nothing driver it is the
+//! end-of-tick rendezvous: each worker's `Release` increment of the
+//! pushed-phase counter pairs with every worker's `Acquire` loads of it,
+//! and the spin barrier that follows the sample keeps that order. On
+//! one thread program order suffices. Each entry starts as a sentinel,
+//! so a second commit of a request and a departure that reads an
+//! uncommitted request both fail loudly. With prefetching on
+//! ([`PREFETCH_MIN_THREADS`]), the lock-free release loop reads a
+//! departing row a few departures before it releases it, to prefetch its
+//! bins; that read still comes after the tick's synchronization, so the
+//! same ordering covers it.
 
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Barrier;
 use std::time::Instant;
 
-use kdchoice_core::{BinStore, ProbeDistribution, StoreKind};
+use kdchoice_core::{
+    prefetch_line, BinStore, ConfigError, LoadVector, LoadView, ProbeDistribution, StoreKind,
+};
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 use kdchoice_stats::Histogram;
 
+use crate::barrier::SpinBarrier;
 use crate::engine::ServiceBackend;
 use crate::lockfree::AtomicStore;
 use crate::service::prev_power_of_two;
@@ -80,6 +99,41 @@ use crate::traffic::{ArrivalProcess, Lifetime, RequestTiming, TrafficConfig, Tra
 const TRAFFIC_STREAM: u64 = 0;
 /// Seed-stream tag that per-request placement RNGs derive under.
 const PLACEMENT_STREAM: u64 = 1;
+
+/// Worker threads from which the open-loop drivers prefetch: the probe
+/// lines of every batch [`Run::draw_batch`] draws, and the placement-table
+/// rows (lock-free: also the bins) of upcoming departures.
+///
+/// With two or more workers, the lines a worker reads were mostly last
+/// written by another core, so each read misses in its private caches
+/// whatever the table's size; prefetched a few requests early, the
+/// misses of a batch overlap instead of stalling one request at a time.
+/// One worker wrote every line itself, and at the churn shape (a 256 KiB
+/// table) they sit in its L2, where a prefetch has no miss to hide and
+/// only adds work: a 16-pair A/B on a 2-vCPU Xeon measured it costing
+/// the shared-nothing one-thread path about 8%, and a later 10-pair A/B
+/// on the same host read inside the noise. The gate is a thread count,
+/// not a table size as the static fills' look-ahead gate is, because
+/// here the misses come from sharing, not from capacity.
+const PREFETCH_MIN_THREADS: usize = 2;
+
+/// Requests per [`Run::draw_batch`] on the lock-free and shared-nothing
+/// commit paths (striped draws one `max_batch` lock round per call):
+/// enough probe lines in flight to overlap their misses, few enough that
+/// the first of them is still cached when its request is decided.
+pub(crate) const DRAW_BATCH: usize = 8;
+
+/// The `view` of a [`Run::draw_batch`] that prefetches nothing.
+const NO_VIEW: Option<&LoadVector> = None;
+
+/// How many departures ahead the release loops prefetch a departing
+/// request's placement-table row.
+const ROW_AHEAD: usize = 8;
+
+/// How many departures ahead the lock-free release loop reads a row,
+/// prefetched [`ROW_AHEAD`]` - BINS_AHEAD` departures earlier, and
+/// prefetches the bins it will decrement.
+const BINS_AHEAD: usize = 4;
 
 /// Configuration of one open-loop run.
 #[derive(Debug, Clone, PartialEq)]
@@ -192,6 +246,74 @@ impl OpenLoopConfig {
         }
     }
 
+    /// Checks every field a run relies on, so that [`run_open_loop`]
+    /// fails on a bad configuration before it starts, not midway.
+    ///
+    /// # Errors
+    ///
+    /// * [`ConfigError::ZeroParameter`] for zero `bins`, `threads`,
+    ///   `max_batch` or `sample_every`, and for a zero
+    ///   `snapshot_refresh` on the shared-nothing backend (the others
+    ///   ignore it);
+    /// * [`ConfigError::ZeroK`] for `k == 0` and
+    ///   [`ConfigError::KExceedsD`] for `k > d`;
+    /// * [`ConfigError::ExceedsLimit`] for `bins >= u32::MAX` (the run
+    ///   records every placement as `u32` bin ids below a sentinel) and,
+    ///   on the shared-nothing backend, for `threads > bins` (each worker
+    ///   owns at least one bin);
+    /// * [`ConfigError::ProbeSupportMismatch`] for a probe distribution
+    ///   built for another bin count.
+    ///
+    /// The traffic trace is checked when its schedule is generated
+    /// ([`TrafficSchedule::generate`]).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let shared_nothing = self.backend == ServiceBackend::SharedNothing;
+        for (name, value) in [
+            ("bins", self.bins),
+            ("threads", self.threads),
+            ("max_batch", self.max_batch),
+            ("sample_every", self.sample_every as usize),
+        ] {
+            if value == 0 {
+                return Err(ConfigError::ZeroParameter(name));
+            }
+        }
+        if shared_nothing && self.snapshot_refresh == 0 {
+            return Err(ConfigError::ZeroParameter("snapshot_refresh"));
+        }
+        if self.k == 0 {
+            return Err(ConfigError::ZeroK);
+        }
+        if self.k > self.d {
+            return Err(ConfigError::KExceedsD {
+                k: self.k,
+                d: self.d,
+            });
+        }
+        let max_bins = UNSET as usize - 1;
+        if self.bins > max_bins {
+            return Err(ConfigError::ExceedsLimit {
+                name: "bins",
+                value: self.bins,
+                limit: max_bins,
+            });
+        }
+        if shared_nothing && self.threads > self.bins {
+            return Err(ConfigError::ExceedsLimit {
+                name: "threads",
+                value: self.threads,
+                limit: self.bins,
+            });
+        }
+        match self.probes.expected_n() {
+            Some(built_for) if built_for != self.bins => Err(ConfigError::ProbeSupportMismatch {
+                built_for,
+                bins: self.bins,
+            }),
+            _ => Ok(()),
+        }
+    }
+
     /// The seed the traffic schedule is generated from — a distinct
     /// stream of the master seed, so traffic and placement randomness
     /// never alias.
@@ -292,9 +414,9 @@ const UNSET: u32 = u32::MAX;
 /// request in one flat table of atomics, shared by all workers of a run.
 ///
 /// Accesses are `Relaxed`: the entries publish nothing but themselves,
-/// and the tick barrier, or the shared-nothing end-of-tick rendezvous,
-/// orders every commit before any release that reads it (see the module
-/// docs).
+/// and the tick barrier's commit crossing, or the shared-nothing
+/// end-of-tick rendezvous, orders every commit before any release that
+/// reads it (see the module docs).
 pub(crate) struct PlacementTable {
     entries: Vec<AtomicU32>,
     k: usize,
@@ -304,17 +426,11 @@ pub(crate) struct PlacementTable {
 
 impl PlacementTable {
     /// An all-unset table for `requests` requests of `k` balls each over
-    /// `bins` bins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins >= u32::MAX`: every bin id must fit in a `u32`
+    /// `bins` bins. The caller has checked `bins < u32::MAX`
+    /// ([`OpenLoopConfig::validate`]), so every bin id fits in a `u32`
     /// below the unset sentinel.
     pub(crate) fn new(requests: usize, k: usize, bins: usize) -> Self {
-        assert!(
-            bins < UNSET as usize,
-            "open-loop runs need fewer than u32::MAX bins, got {bins}"
-        );
+        debug_assert!(bins < UNSET as usize, "validated bin count");
         Self {
             entries: (0..requests * k).map(|_| AtomicU32::new(UNSET)).collect(),
             k,
@@ -348,17 +464,31 @@ impl PlacementTable {
         }
     }
 
+    /// Request `id`'s `k` bins, in the order they were recorded.
+    ///
+    /// # Panics
+    ///
+    /// The iterator panics if `id` was never recorded.
+    pub(crate) fn bins(&self, id: u32) -> impl Iterator<Item = usize> + '_ {
+        self.row(id).iter().map(move |entry| {
+            let bin = entry.load(Ordering::Relaxed);
+            assert_ne!(bin, UNSET, "departure precedes commit of request {id}");
+            bin as usize
+        })
+    }
+
     /// Appends request `id`'s `k` bins to `out`.
     ///
     /// # Panics
     ///
     /// Panics if `id` was never recorded.
     pub(crate) fn get(&self, id: u32, out: &mut Vec<usize>) {
-        for entry in self.row(id) {
-            let bin = entry.load(Ordering::Relaxed);
-            assert_ne!(bin, UNSET, "departure precedes commit of request {id}");
-            out.push(bin as usize);
-        }
+        out.extend(self.bins(id));
+    }
+
+    /// Hints that request `id`'s row is about to be read.
+    fn prefetch(&self, id: u32) {
+        prefetch_line(&self.row(id)[0]);
     }
 }
 
@@ -379,6 +509,8 @@ pub(crate) struct Run<'a> {
     /// `derive_seed(seed, PLACEMENT_STREAM)`, hoisted out of
     /// [`OpenLoopConfig::request_seed`]'s per-request work.
     place_base: u64,
+    /// Whether the run prefetches ([`PREFETCH_MIN_THREADS`]).
+    prefetch: bool,
 }
 
 impl<'a> Run<'a> {
@@ -393,17 +525,75 @@ impl<'a> Run<'a> {
             schedule,
             table,
             place_base: derive_seed(config.seed, PLACEMENT_STREAM),
+            prefetch: config.threads >= PREFETCH_MIN_THREADS,
         }
     }
 
-    /// Appends request `id`'s `d` probes to `probes` and returns its
-    /// placement RNG, positioned at the tie keys (pure in `(seed, id)`).
-    pub(crate) fn draw(&self, id: u32, probes: &mut Vec<usize>) -> Xoshiro256PlusPlus {
+    /// Draws the requests `ids`: replaces `probes` with their `d` probes
+    /// each, in id order, and `rngs` with their placement RNGs,
+    /// positioned at the tie keys. Each request's draw is pure in
+    /// `(seed, id)`, so how a driver batches its ids changes no stream.
+    /// When the run prefetches and a `view` is given, each probe's line
+    /// in the view the batch will be decided against is prefetched as
+    /// soon as it is drawn.
+    pub(crate) fn draw_batch<V: LoadView + ?Sized>(
+        &self,
+        ids: IdRange,
+        view: Option<&V>,
+        probes: &mut Vec<usize>,
+        rngs: &mut Vec<Xoshiro256PlusPlus>,
+    ) {
         let config = self.config;
-        let mut rng = Xoshiro256PlusPlus::from_u64(derive_seed(self.place_base, u64::from(id)));
-        probes.extend((0..config.d).map(|_| config.probes.sample(&mut rng, config.bins)));
-        rng
+        let view = view.filter(|_| self.prefetch);
+        probes.clear();
+        rngs.clear();
+        for id in ids.0..ids.1 {
+            let mut rng = Xoshiro256PlusPlus::from_u64(derive_seed(self.place_base, u64::from(id)));
+            for _ in 0..config.d {
+                let bin = config.probes.sample(&mut rng, config.bins);
+                if let Some(view) = view {
+                    view.prefetch(bin);
+                }
+                probes.push(bin);
+            }
+            rngs.push(rng);
+        }
     }
+
+    /// Before departure `departing[i]` is released, and when the run
+    /// prefetches: prefetches the table row of the departure
+    /// [`ROW_AHEAD`] places later, and hands each bin of the one
+    /// [`BINS_AHEAD`] places later (its row prefetched earlier) to
+    /// `prefetch_bin`.
+    pub(crate) fn prefetch_departures(
+        &self,
+        departing: &[u32],
+        i: usize,
+        mut prefetch_bin: impl FnMut(usize),
+    ) {
+        if !self.prefetch {
+            return;
+        }
+        if let Some(&id) = departing.get(i + ROW_AHEAD) {
+            self.table.prefetch(id);
+        }
+        if let Some(&id) = departing.get(i + BINS_AHEAD) {
+            self.table.bins(id).for_each(&mut prefetch_bin);
+        }
+    }
+}
+
+/// `ids` cut into consecutive ranges of at most `size` ids (`size ≥ 1`;
+/// any `usize`, clamped to what is left).
+pub(crate) fn id_batches(ids: IdRange, size: usize) -> impl Iterator<Item = IdRange> {
+    debug_assert!(size >= 1, "an empty batch never advances");
+    let mut start = ids.0;
+    std::iter::from_fn(move || {
+        (start < ids.1).then(|| {
+            let end = start + ((ids.1 - start) as usize).min(size) as u32;
+            (std::mem::replace(&mut start, end), end)
+        })
+    })
 }
 
 /// A store [`drive_ticks`] runs an open-loop schedule through: the
@@ -435,7 +625,8 @@ impl TickStore for ShardedStore {
     type Scratch<'s> = (Vec<usize>, Vec<Xoshiro256PlusPlus>, BatchScratch<'s>);
 
     /// Commits `max_batch` requests per [`ShardedStore::place_batch`]
-    /// lock round.
+    /// lock round. Its loads sit behind the shard locks, so it draws with
+    /// no view to prefetch.
     fn commit<'s>(
         &'s self,
         run: &Run<'_>,
@@ -443,20 +634,12 @@ impl TickStore for ShardedStore {
         (probes, rngs, batch): &mut Self::Scratch<'s>,
     ) {
         let (k, d) = (run.config.k, run.config.d);
-        let mut start = ids.0;
-        while start < ids.1 {
-            // `max_batch` may exceed `u32::MAX`: clamp it to what is left.
-            let end = start + ((ids.1 - start) as usize).min(run.config.max_batch) as u32;
-            rngs.clear();
-            probes.clear();
-            for id in start..end {
-                rngs.push(run.draw(id, probes));
-            }
+        for batch_ids in id_batches(ids, run.config.max_batch) {
+            run.draw_batch(batch_ids, NO_VIEW, probes, rngs);
             self.place_batch_into(probes, d, k, rngs, batch);
-            for (id, bins) in (start..end).zip(batch.bins.chunks(k)) {
+            for (id, bins) in (batch_ids.0..batch_ids.1).zip(batch.bins.chunks(k)) {
                 run.table.set(id, bins);
             }
-            start = end;
         }
     }
 
@@ -528,18 +711,11 @@ pub(crate) struct DriveOutcome {
 ///
 /// # Panics
 ///
-/// Panics on invalid configuration, including `bins >= u32::MAX`: the
-/// run records every placement as `u32` bin ids.
+/// Panics, before any work, if [`OpenLoopConfig::validate`] rejects the
+/// configuration or its traffic trace is invalid.
 pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopReport {
-    assert!(config.threads >= 1, "need at least one worker thread");
-    assert!(config.max_batch >= 1, "max_batch must be at least 1");
-    assert!(config.sample_every >= 1, "sample_every must be at least 1");
-    assert!(config.k >= 1 && config.k <= config.d, "need 1 <= k <= d");
-    if let Some(probes_n) = config.probes.expected_n() {
-        assert_eq!(
-            probes_n, config.bins,
-            "probe distribution built for wrong bin count"
-        );
+    if let Err(e) = config.validate() {
+        panic!("invalid open-loop config: {e}");
     }
     let schedule = TrafficSchedule::generate(&config.traffic, config.traffic_seed())
         .unwrap_or_else(|e| panic!("invalid open-loop config: {e}"));
@@ -560,70 +736,53 @@ pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopReport {
             drive_ticks(&run, AtomicStore::with_kind_capacities(bins, caps, kind))
         }
         // Separate driver: its tick ends in a drain-while-waiting
-        // rendezvous, not a barrier (a parked owner could not drain).
+        // rendezvous, not a barrier (a waiting owner must keep draining).
         (ServiceBackend::SharedNothing, _) => crate::engine::drive_open_loop_owned(&run),
     };
     assemble_report(config, &schedule, outcome)
 }
 
 /// The barrier-phased open-loop driver of the striped and lock-free
-/// backends: single-thread inline, or persistent workers under the
-/// 3-phase tick barrier (see the module docs).
+/// backends: `threads` workers under the tick barrier, worker 0 on the
+/// calling thread and the one that samples (see the module docs). One
+/// worker runs inline and never waits.
 fn drive_ticks<S: TickStore>(run: &Run<'_>, store: S) -> DriveOutcome {
     let (config, schedule) = (run.config, run.schedule);
     let workers = config.threads;
     let ticks = config.traffic.ticks as usize;
-    let mut series: Vec<TickSample> = Vec::with_capacity(ticks / config.sample_every as usize + 2);
-    // Worker `w`'s share of tick `t`'s departures.
-    let departures = |t: usize, w: usize| {
-        let all = &schedule.departures[t];
-        let (lo, hi) = worker_slice((0, all.len() as u32), workers, w);
-        &all[lo as usize..hi as usize]
+    let barrier = SpinBarrier::new(workers);
+    let (store, barrier) = (&store, &barrier);
+    let worker = move |w: usize| {
+        let mut scratch = S::Scratch::default();
+        let mut series = Vec::new();
+        if w == 0 {
+            series.reserve(ticks / config.sample_every as usize + 2);
+        }
+        for t in 0..ticks {
+            let departing = &schedule.departures[t];
+            let (lo, hi) = worker_slice((0, departing.len() as u32), workers, w);
+            store.release(run, &departing[lo as usize..hi as usize], &mut scratch);
+            barrier.wait(); // tick t's departures freed before its commits probe
+            let ids = worker_slice(schedule.commit_ranges[t], workers, w);
+            store.commit(run, ids, &mut scratch);
+            barrier.wait(); // tick t fully applied
+            if want_sample(t, config.sample_every, ticks) {
+                if w == 0 {
+                    series.push(store.sample(t as u32));
+                }
+                barrier.wait(); // nobody mutates until the sample is taken
+            }
+        }
+        series
     };
 
     let start = Instant::now();
-    if workers == 1 {
-        let mut scratch = S::Scratch::default();
-        for t in 0..ticks {
-            store.release(run, departures(t, 0), &mut scratch);
-            store.commit(run, schedule.commit_ranges[t], &mut scratch);
-            if want_sample(t, config.sample_every, ticks) {
-                series.push(store.sample(t as u32));
-            }
+    let series = std::thread::scope(|scope| {
+        for w in 1..workers {
+            scope.spawn(move || worker(w));
         }
-    } else {
-        // Persistent workers with a 3-phase barrier per tick: releases,
-        // then commits (departures must free load before the tick's
-        // placements probe it), then a quiescent window in which the
-        // coordinator samples the time series.
-        let barrier = Barrier::new(workers + 1);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let (store, barrier, departures) = (&store, &barrier, &departures);
-                scope.spawn(move || {
-                    let mut scratch = S::Scratch::default();
-                    for t in 0..ticks {
-                        barrier.wait();
-                        store.release(run, departures(t, w), &mut scratch);
-                        barrier.wait();
-                        let ids = worker_slice(schedule.commit_ranges[t], workers, w);
-                        store.commit(run, ids, &mut scratch);
-                        barrier.wait();
-                    }
-                });
-            }
-            for t in 0..ticks {
-                barrier.wait(); // workers release tick t's departures
-                barrier.wait(); // workers commit tick t's requests
-                barrier.wait(); // tick t fully applied
-                if want_sample(t, config.sample_every, ticks) {
-                    // Workers are parked at the next tick's first barrier
-                    // (or done), so the store is quiescent here.
-                    series.push(store.sample(t as u32));
-                }
-            }
-        });
-    }
+        worker(0)
+    });
     let wall_secs = start.elapsed().as_secs_f64();
 
     DriveOutcome {
@@ -887,10 +1046,114 @@ mod tests {
         table.get(1, &mut Vec::new());
     }
 
+    /// `small_config` with one field changed, and what `validate` says.
+    fn validated(change: impl FnOnce(&mut OpenLoopConfig)) -> Result<(), ConfigError> {
+        let mut cfg = small_config(7, 1, 0.9);
+        change(&mut cfg);
+        cfg.validate()
+    }
+
     #[test]
-    #[should_panic(expected = "fewer than u32::MAX bins")]
-    fn placement_table_rejects_bin_ids_that_reach_the_sentinel() {
-        let _ = PlacementTable::new(1, 1, u32::MAX as usize);
+    fn validate_accepts_every_backend_at_the_limits() {
+        for backend in [
+            ServiceBackend::Striped,
+            ServiceBackend::SharedNothing,
+            ServiceBackend::LockFree,
+        ] {
+            assert_eq!(
+                validated(|c| (c.backend, c.threads, c.k) = (backend, 64, 4)),
+                Ok(())
+            );
+        }
+        // Only the shared-nothing backend reads the refresh period.
+        assert_eq!(validated(|c| c.snapshot_refresh = 0), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_zero_bins() {
+        let err = validated(|c| c.bins = 0);
+        assert_eq!(err, Err(ConfigError::ZeroParameter("bins")));
+    }
+
+    #[test]
+    fn validate_rejects_zero_threads() {
+        let err = validated(|c| c.threads = 0);
+        assert_eq!(err, Err(ConfigError::ZeroParameter("threads")));
+    }
+
+    #[test]
+    fn validate_rejects_zero_max_batch() {
+        let err = validated(|c| c.max_batch = 0);
+        assert_eq!(err, Err(ConfigError::ZeroParameter("max_batch")));
+    }
+
+    #[test]
+    fn validate_rejects_zero_sample_every() {
+        let err = validated(|c| c.sample_every = 0);
+        assert_eq!(err, Err(ConfigError::ZeroParameter("sample_every")));
+    }
+
+    #[test]
+    fn validate_rejects_a_zero_shared_nothing_refresh() {
+        let err =
+            validated(|c| (c.backend, c.snapshot_refresh) = (ServiceBackend::SharedNothing, 0));
+        assert_eq!(err, Err(ConfigError::ZeroParameter("snapshot_refresh")));
+    }
+
+    #[test]
+    fn validate_rejects_zero_k() {
+        assert_eq!(validated(|c| c.k = 0), Err(ConfigError::ZeroK));
+    }
+
+    #[test]
+    fn validate_rejects_k_above_d() {
+        let err = validated(|c| c.k = 5);
+        assert_eq!(err, Err(ConfigError::KExceedsD { k: 5, d: 4 }));
+    }
+
+    /// Every bin id must fit in a `u32` below the table's unset sentinel.
+    #[test]
+    fn validate_rejects_bin_ids_that_reach_the_sentinel() {
+        let err = validated(|c| c.bins = u32::MAX as usize);
+        let limit = u32::MAX as usize - 1;
+        assert_eq!(
+            err,
+            Err(ConfigError::ExceedsLimit {
+                name: "bins",
+                value: limit + 1,
+                limit,
+            })
+        );
+        assert_eq!(validated(|c| c.bins = limit), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_more_shared_nothing_threads_than_bins() {
+        let err = validated(|c| (c.backend, c.threads) = (ServiceBackend::SharedNothing, 65));
+        let want = ConfigError::ExceedsLimit {
+            name: "threads",
+            value: 65,
+            limit: 64,
+        };
+        assert_eq!(err, Err(want));
+    }
+
+    #[test]
+    fn validate_rejects_a_probe_distribution_for_other_bins() {
+        let err = validated(|c| c.probes = ProbeDistribution::zipf(65, 1.0).unwrap());
+        let want = ConfigError::ProbeSupportMismatch {
+            built_for: 65,
+            bins: 64,
+        };
+        assert_eq!(err, Err(want));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid open-loop config: max_batch must be positive")]
+    fn run_open_loop_panics_with_the_validation_message() {
+        let mut cfg = small_config(7, 1, 0.9);
+        cfg.max_batch = 0;
+        let _ = run_open_loop(&cfg);
     }
 
     #[test]

@@ -161,3 +161,45 @@ proptest! {
         prop_assert_eq!(ra.final_gap, rb.final_gap);
     }
 }
+
+/// Every sample is taken at quiescence: the live-ball count at the end
+/// of a tick is fixed by the schedule, so at 2 and 4 threads every
+/// backend's `(tick, live_balls)` series equals its one-thread run. A
+/// sample taken while a peer still releases or commits reads a partial
+/// tick and fails here.
+#[test]
+fn sampled_live_balls_match_one_thread_at_2_and_4_threads() {
+    // About 120 commits and as many departures per tick over 256 bins,
+    // so a worker that sampled mid-tick would race many writes.
+    let mut base = config(0x5A3E, 150.0, 120, 60);
+    (base.bins, base.shards, base.record_events) = (256, 16, false);
+    for backend in [
+        ServiceBackend::Striped,
+        ServiceBackend::SharedNothing,
+        ServiceBackend::LockFree,
+    ] {
+        base.backend = backend;
+        let live = |threads: usize| {
+            let report = run_open_loop(&OpenLoopConfig {
+                threads,
+                ..base.clone()
+            });
+            assert!(report.conserved, "{} threads={threads}", backend.name());
+            report
+                .series
+                .iter()
+                .map(|s| (s.tick, s.live_balls))
+                .collect::<Vec<_>>()
+        };
+        let reference = live(1);
+        assert_eq!(reference.len(), 60);
+        for threads in [2, 4] {
+            assert_eq!(
+                live(threads),
+                reference,
+                "{} threads={threads}",
+                backend.name()
+            );
+        }
+    }
+}
