@@ -639,11 +639,15 @@ impl TickScratch {
 
 /// The per-tick body of the open-loop driver: route my slice of
 /// departures, then draw, decide and route my slice of commits,
-/// [`DRAW_BATCH`] requests per draw ([`Run::draw_batch`], prefetching
-/// the snapshot lines the batch will read). With more than one worker it
+/// [`DRAW_BATCH`] requests per draw ([`Run::draw_batch`]). With `P`
+/// ([`Run::prefetches`]) it prefetches the snapshot lines each batch
+/// will read and the table rows of upcoming departures. With more than one worker it
 /// drains its own inbox every [`INBOX_DRAIN_EVERY`] commits, so that a
 /// peer's ring to it rarely fills; one worker has no rings and no inbox.
-fn owned_tick(
+/// Compiled twice (`P` on and off) and always inlined, like the
+/// lock-free phase slices.
+#[inline(always)]
+fn owned_tick<const P: bool>(
     engine: &OwnedShardEngine,
     run: &Run<'_>,
     t: usize,
@@ -660,31 +664,44 @@ fn owned_tick(
     } = *run;
     let departures = &schedule.departures[t];
     let (lo, hi) = worker_slice((0, departures.len() as u32), workers, w);
-    let departing = &departures[lo as usize..hi as usize];
-    for (i, &id) in departing.iter().enumerate() {
-        run.prefetch_departures(departing, i, |_| ());
-        for bin in table.bins(id) {
-            engine.submit_remove(w, bin, state);
-        }
-    }
+    run.for_each_departure::<P>(
+        &departures[lo as usize..hi as usize],
+        |_| (),
+        |id| {
+            for bin in table.bins(id) {
+                engine.submit_remove(w, bin, state);
+            }
+        },
+    );
     let range = worker_slice(schedule.commit_ranges[t], workers, w);
     let mut i = 0usize;
     for batch in id_batches(range, DRAW_BATCH) {
-        run.draw_batch(
+        run.draw_batch::<P, _>(
             batch,
             Some(engine.snapshot()),
             &mut scratch.probes,
             &mut scratch.rngs,
         );
-        let drawn = scratch.probes.chunks_mut(config.d).zip(&mut scratch.rngs);
-        for (id, (probes, rng)) in (batch.0..batch.1).zip(drawn) {
+        // Each RNG moves out of the batch into a local, which the
+        // compiler can keep in registers through the decision.
+        let drawn = scratch
+            .probes
+            .chunks_mut(config.d)
+            .zip(scratch.rngs.drain(..));
+        for (id, (probes, mut rng)) in (batch.0..batch.1).zip(drawn) {
             if workers > 1 && i > 0 && i.is_multiple_of(INBOX_DRAIN_EVERY) {
                 engine.drain(w, state);
             }
             i += 1;
             probes.sort_unstable();
             scratch.bins.clear();
-            engine.decide(probes, config.k, rng, &mut scratch.slots, &mut scratch.bins);
+            engine.decide(
+                probes,
+                config.k,
+                &mut rng,
+                &mut scratch.slots,
+                &mut scratch.bins,
+            );
             for &bin in &scratch.bins {
                 engine.submit_add(w, bin, state);
             }
@@ -744,7 +761,11 @@ pub(crate) fn drive_open_loop_owned(run: &Run<'_>) -> DriveOutcome {
         let mut scratch = TickScratch::new(config.d, config.k);
         let mut samples: LocalSamples = Vec::with_capacity(sampled);
         for t in 0..ticks {
-            owned_tick(engine, run, t, w, workers, &mut state, &mut scratch);
+            if run.prefetches() {
+                owned_tick::<true>(engine, run, t, w, workers, &mut state, &mut scratch);
+            } else {
+                owned_tick::<false>(engine, run, t, w, workers, &mut state, &mut scratch);
+            }
             engine.rendezvous(w, &mut state, pushed, (t + 1) * workers);
             if want_sample(t, config.sample_every, ticks) {
                 samples.push((state.state.total_balls(), state.state.max_load()));

@@ -326,6 +326,7 @@ impl AtomicStore {
 
     /// Checks one request and sorts its probes into `scratch.sorted`:
     /// every panic of a placement fires here, before any counter write.
+    #[inline(always)]
     fn prepare_place(&self, probes: &[usize], k: usize, scratch: &mut PlaceScratch) {
         assert!(k >= 1, "a placement request must place at least one ball");
         assert!(
@@ -345,6 +346,7 @@ impl AtomicStore {
     /// The uncounted core of a placement: read, decide and CAS-commit the
     /// request [`AtomicStore::prepare_place`] left in `scratch.sorted`.
     /// The caller counts the operation around it.
+    #[inline(always)]
     fn place_prepared<R: RngCore + ?Sized>(
         &self,
         k: usize,
@@ -451,14 +453,15 @@ impl AtomicStore {
     /// (a double release — counters never go negative).
     pub fn release(&self, bins: &[usize]) {
         self.begin_op();
-        self.release_uncounted(bins);
+        self.release_uncounted(bins.iter().copied());
         self.end_op();
     }
 
     /// The uncounted core of [`AtomicStore::release`]; the caller counts
     /// the operation around it.
-    fn release_uncounted(&self, bins: &[usize]) {
-        for &bin in bins {
+    #[inline(always)]
+    fn release_uncounted(&self, bins: impl IntoIterator<Item = usize>) {
+        for bin in bins {
             loop {
                 let current = self.truth.get(bin);
                 assert!(
@@ -648,41 +651,34 @@ impl TickStore for AtomicStore {
     type Scratch<'s> = (Vec<usize>, Vec<Xoshiro256PlusPlus>, PlaceScratch);
 
     /// Draws [`DRAW_BATCH`] requests at a time ([`Run::draw_batch`],
-    /// prefetching their probed counters), then CAS-commits them one by
-    /// one: the per-request stream every backend draws.
-    fn commit(&self, run: &Run<'_>, ids: IdRange, (probes, rngs, scratch): &mut Self::Scratch<'_>) {
+    /// prefetching their probed counters from two workers on), then
+    /// CAS-commits them one by one: the per-request stream every backend
+    /// draws.
+    fn commit(&self, run: &Run<'_>, ids: IdRange, scratch: &mut Self::Scratch<'_>) {
         if ids.0 == ids.1 {
             return;
         }
-        let (k, d) = (run.config.k, run.config.d);
         self.begin_op();
-        for batch in id_batches(ids, DRAW_BATCH) {
-            run.draw_batch(batch, Some(&self.truth), probes, rngs);
-            for ((id, request), rng) in (batch.0..batch.1)
-                .zip(probes.chunks(d))
-                .zip(rngs.iter_mut())
-            {
-                self.prepare_place(request, k, scratch);
-                self.place_prepared(k, rng, scratch);
-                run.table.set(id, &scratch.bins);
-            }
+        if run.prefetches() {
+            self.commit_slice::<true>(run, ids, scratch);
+        } else {
+            self.commit_slice::<false>(run, ids, scratch);
         }
         self.end_op();
     }
 
-    /// Releases the departures in order, prefetching the table rows and
-    /// the counters of those a few places ahead
-    /// ([`Run::prefetch_departures`]).
-    fn release(&self, run: &Run<'_>, ids: &[u32], (bins, _, _): &mut Self::Scratch<'_>) {
+    /// Releases the departures in order, from two workers on prefetching
+    /// the table rows and the counters of those a few places ahead
+    /// ([`Run::for_each_departure`]).
+    fn release(&self, run: &Run<'_>, ids: &[u32], _: &mut Self::Scratch<'_>) {
         if ids.is_empty() {
             return;
         }
         self.begin_op();
-        for (i, &id) in ids.iter().enumerate() {
-            run.prefetch_departures(ids, i, |bin| self.truth.prefetch(bin));
-            bins.clear();
-            run.table.get(id, bins);
-            self.release_uncounted(bins);
+        if run.prefetches() {
+            self.release_slice::<true>(run, ids);
+        } else {
+            self.release_slice::<false>(run, ids);
         }
         self.end_op();
     }
@@ -707,6 +703,45 @@ impl TickStore for AtomicStore {
 
     fn invariants_ok(&self) -> bool {
         self.check_invariants()
+    }
+}
+
+/// The uncounted phase slices of the open-loop [`TickStore`] impl, with
+/// prefetching on (`P`) or compiled out. Each is compiled twice, so
+/// these and the placement and release cores they call are marked
+/// `#[inline(always)]`: left to itself, the compiler stops inlining the
+/// CAS loops into either copy, which costs the one-thread path a call
+/// per request.
+impl AtomicStore {
+    #[inline(always)]
+    fn commit_slice<const P: bool>(
+        &self,
+        run: &Run<'_>,
+        ids: IdRange,
+        (probes, rngs, scratch): &mut <Self as TickStore>::Scratch<'_>,
+    ) {
+        let (k, d) = (run.config.k, run.config.d);
+        for batch in id_batches(ids, DRAW_BATCH) {
+            run.draw_batch::<P, _>(batch, Some(&self.truth), probes, rngs);
+            // Each RNG moves out of the batch into a local, which the
+            // compiler can keep in registers through the decision.
+            for ((id, request), mut rng) in
+                (batch.0..batch.1).zip(probes.chunks(d)).zip(rngs.drain(..))
+            {
+                self.prepare_place(request, k, scratch);
+                self.place_prepared(k, &mut rng, scratch);
+                run.table.set(id, &scratch.bins);
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn release_slice<const P: bool>(&self, run: &Run<'_>, ids: &[u32]) {
+        run.for_each_departure::<P>(
+            ids,
+            |bin| self.truth.prefetch(bin),
+            |id| self.release_uncounted(run.table.bins(id)),
+        );
     }
 }
 

@@ -509,8 +509,6 @@ pub(crate) struct Run<'a> {
     /// `derive_seed(seed, PLACEMENT_STREAM)`, hoisted out of
     /// [`OpenLoopConfig::request_seed`]'s per-request work.
     place_base: u64,
-    /// Whether the run prefetches ([`PREFETCH_MIN_THREADS`]).
-    prefetch: bool,
 }
 
 impl<'a> Run<'a> {
@@ -525,18 +523,26 @@ impl<'a> Run<'a> {
             schedule,
             table,
             place_base: derive_seed(config.seed, PLACEMENT_STREAM),
-            prefetch: config.threads >= PREFETCH_MIN_THREADS,
         }
+    }
+
+    /// Whether the run prefetches ([`PREFETCH_MIN_THREADS`]). The hot
+    /// loops take the answer as a const parameter `P`, chosen once per
+    /// phase slice, so that the one-thread path compiles with no prefetch
+    /// code in them: a runtime test of the gate there, even one hoisted
+    /// out of the loops, cost the one-thread lock-free and shared-nothing
+    /// paths about 5%.
+    pub(crate) fn prefetches(&self) -> bool {
+        self.config.threads >= PREFETCH_MIN_THREADS
     }
 
     /// Draws the requests `ids`: replaces `probes` with their `d` probes
     /// each, in id order, and `rngs` with their placement RNGs,
     /// positioned at the tie keys. Each request's draw is pure in
     /// `(seed, id)`, so how a driver batches its ids changes no stream.
-    /// When the run prefetches and a `view` is given, each probe's line
-    /// in the view the batch will be decided against is prefetched as
-    /// soon as it is drawn.
-    pub(crate) fn draw_batch<V: LoadView + ?Sized>(
+    /// With `P`, each probe's line in `view`, the view the batch will be
+    /// decided against, is prefetched as soon as it is drawn.
+    pub(crate) fn draw_batch<const P: bool, V: LoadView + ?Sized>(
         &self,
         ids: IdRange,
         view: Option<&V>,
@@ -544,14 +550,13 @@ impl<'a> Run<'a> {
         rngs: &mut Vec<Xoshiro256PlusPlus>,
     ) {
         let config = self.config;
-        let view = view.filter(|_| self.prefetch);
         probes.clear();
         rngs.clear();
         for id in ids.0..ids.1 {
             let mut rng = Xoshiro256PlusPlus::from_u64(derive_seed(self.place_base, u64::from(id)));
             for _ in 0..config.d {
                 let bin = config.probes.sample(&mut rng, config.bins);
-                if let Some(view) = view {
+                if let (true, Some(view)) = (P, view) {
                     view.prefetch(bin);
                 }
                 probes.push(bin);
@@ -560,25 +565,27 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Before departure `departing[i]` is released, and when the run
-    /// prefetches: prefetches the table row of the departure
-    /// [`ROW_AHEAD`] places later, and hands each bin of the one
-    /// [`BINS_AHEAD`] places later (its row prefetched earlier) to
+    /// Hands each departing request id to `release`, in order. With `P`,
+    /// each release is preceded by a prefetch of the table row of the
+    /// departure [`ROW_AHEAD`] places later, and each bin of the one
+    /// [`BINS_AHEAD`] places later (its row prefetched earlier) goes to
     /// `prefetch_bin`.
-    pub(crate) fn prefetch_departures(
+    pub(crate) fn for_each_departure<const P: bool>(
         &self,
         departing: &[u32],
-        i: usize,
         mut prefetch_bin: impl FnMut(usize),
+        mut release: impl FnMut(u32),
     ) {
-        if !self.prefetch {
-            return;
-        }
-        if let Some(&id) = departing.get(i + ROW_AHEAD) {
-            self.table.prefetch(id);
-        }
-        if let Some(&id) = departing.get(i + BINS_AHEAD) {
-            self.table.bins(id).for_each(&mut prefetch_bin);
+        for (i, &id) in departing.iter().enumerate() {
+            if P {
+                if let Some(&ahead) = departing.get(i + ROW_AHEAD) {
+                    self.table.prefetch(ahead);
+                }
+                if let Some(&ahead) = departing.get(i + BINS_AHEAD) {
+                    self.table.bins(ahead).for_each(&mut prefetch_bin);
+                }
+            }
+            release(id);
         }
     }
 }
@@ -635,7 +642,7 @@ impl TickStore for ShardedStore {
     ) {
         let (k, d) = (run.config.k, run.config.d);
         for batch_ids in id_batches(ids, run.config.max_batch) {
-            run.draw_batch(batch_ids, NO_VIEW, probes, rngs);
+            run.draw_batch::<false, _>(batch_ids, NO_VIEW, probes, rngs);
             self.place_batch_into(probes, d, k, rngs, batch);
             for (id, bins) in (batch_ids.0..batch_ids.1).zip(batch.bins.chunks(k)) {
                 run.table.set(id, bins);
