@@ -26,10 +26,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::pad::CachePadded;
 
-/// Spins a waiter makes before it starts yielding its core. A few
-/// microseconds of spinning covers the skew between workers that run on
-/// their own cores; past it, the peer it waits for is most likely not
-/// running, and only a yield lets it run.
+/// Spins a waiter makes before it starts yielding its core: some tens of
+/// microseconds on x86, where one spin-loop hint takes tens to about 140
+/// cycles. That covers the skew between workers that run on their own
+/// cores; past it, the peer it waits for is most likely not running,
+/// and only a yield lets it run.
 const SPINS_BEFORE_YIELD: u32 = 1 << 10;
 
 /// A reusable spin-then-yield barrier for a fixed number of parties.

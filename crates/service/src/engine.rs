@@ -682,8 +682,6 @@ fn owned_tick<const P: bool>(
             &mut scratch.probes,
             &mut scratch.rngs,
         );
-        // Each RNG moves out of the batch into a local, which the
-        // compiler can keep in registers through the decision.
         let drawn = scratch
             .probes
             .chunks_mut(config.d)

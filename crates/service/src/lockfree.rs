@@ -723,8 +723,6 @@ impl AtomicStore {
         let (k, d) = (run.config.k, run.config.d);
         for batch in id_batches(ids, DRAW_BATCH) {
             run.draw_batch::<P, _>(batch, Some(&self.truth), probes, rngs);
-            // Each RNG moves out of the batch into a local, which the
-            // compiler can keep in registers through the decision.
             for ((id, request), mut rng) in
                 (batch.0..batch.1).zip(probes.chunks(d)).zip(rngs.drain(..))
             {
