@@ -13,7 +13,7 @@
 use rand::RngCore;
 
 use crate::error::ConfigError;
-use crate::kernel::{expand_slots, height_slot, select_k_least};
+use crate::kernel::{expand_slots, height_slot, select_k_least, sort_probes};
 use crate::process::{HeightSink, RoundProcess, RoundStats};
 use crate::state::LoadVector;
 
@@ -91,7 +91,7 @@ impl RoundProcess for DynamicKChoice {
     {
         let n = state.n();
         kdchoice_prng::sample::fill_with_replacement(rng, n, self.d, &mut self.samples);
-        self.samples.sort_unstable();
+        sort_probes(&mut self.samples);
         expand_slots(
             &self.samples,
             rng,

@@ -5,7 +5,7 @@ use kdchoice_prng::sample::UniformBin;
 use rand::RngCore;
 
 use crate::error::ConfigError;
-use crate::kernel::{transposition_sort, SMALL_D};
+use crate::kernel::{sort_probes, transposition_sort, SMALL_D};
 use crate::policy::RoundPolicy;
 use crate::probes::ProbeDistribution;
 use crate::process::{HeightSink, RoundProcess, RoundStats};
@@ -218,7 +218,7 @@ impl KdChoice {
         R: RngCore + ?Sized,
         S: HeightSink + ?Sized,
     {
-        self.samples.sort_unstable();
+        sort_probes(&mut self.samples);
         self.tentative.clear();
         let mut i = 0;
         while i < self.samples.len() {
@@ -280,7 +280,7 @@ impl KdChoice {
         R: RngCore + ?Sized,
         S: HeightSink + ?Sized,
     {
-        self.samples.sort_unstable();
+        sort_probes(&mut self.samples);
         self.samples.dedup();
         self.candidates.clear();
         for &bin in self.samples.iter() {

@@ -73,6 +73,8 @@ pub fn cmp_slots<S: TentativeSlot>(a: &S, b: &S) -> Ordering {
 /// multiplicity) into `slots`, cleared on entry. `base(bin)` is read once
 /// per distinct bin; the `occ`-th probe of a bin (`occ = 1..=m`) draws one
 /// tie key and becomes `slot(&base, bin, occ, tie)`, in sorted-probe order.
+/// Sort the probes with [`sort_probes`]; debug builds panic on unsorted
+/// probes, whose repeats would not be adjacent.
 #[inline]
 pub fn expand_slots<B, S, R>(
     sorted_probes: &[usize],
@@ -83,6 +85,10 @@ pub fn expand_slots<B, S, R>(
 ) where
     R: RngCore + ?Sized,
 {
+    debug_assert!(
+        sorted_probes.is_sorted(),
+        "probes must be sorted ascending (sort_probes)"
+    );
     slots.clear();
     let mut i = 0;
     while i < sorted_probes.len() {
@@ -146,6 +152,40 @@ pub fn select_k_least<S: TentativeSlot>(slots: &mut [S], k: usize) -> &mut [S] {
 /// Largest slot count served by the const-D paths: `decide_small` here and
 /// the round engine's `round_small` in `kd.rs`.
 pub(crate) const SMALL_D: usize = 16;
+
+/// Sorts a probe set ascending, the order [`crate::decide_k_least`] and
+/// [`expand_slots`] take. Sets of 2 to 16 probes (the const-D paths'
+/// limit) run a branchless odd-even transposition network unrolled at
+/// their length; longer sets fall back to `sort_unstable`. A multiset of
+/// `usize` has one ascending order, so the result is always what
+/// `sort_unstable` gives.
+#[inline]
+pub fn sort_probes(probes: &mut [usize]) {
+    #[inline(always)]
+    fn network<const D: usize>(probes: &mut [usize]) {
+        let probes: &mut [usize; D] = probes.try_into().expect("matched on the length");
+        transposition_sort(probes);
+    }
+    match probes.len() {
+        0 | 1 => {}
+        2 => network::<2>(probes),
+        3 => network::<3>(probes),
+        4 => network::<4>(probes),
+        5 => network::<5>(probes),
+        6 => network::<6>(probes),
+        7 => network::<7>(probes),
+        8 => network::<8>(probes),
+        9 => network::<9>(probes),
+        10 => network::<10>(probes),
+        11 => network::<11>(probes),
+        12 => network::<12>(probes),
+        13 => network::<13>(probes),
+        14 => network::<14>(probes),
+        15 => network::<15>(probes),
+        16 => network::<16>(probes),
+        _ => probes.sort_unstable(),
+    }
+}
 
 /// Sorts `key` ascending with an odd-even transposition network: `D`
 /// unrolled passes of branchless compare-exchanges (`min`/`max` compile
@@ -388,6 +428,97 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The longest probe set the tests sort, one past twice the networks'
+    /// limit, so the `sort_unstable` fallback runs on 17 to 33 probes.
+    const SORT_LENGTHS: usize = 2 * SMALL_D + 1;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
+
+        /// `sort_probes` against `sort_unstable` at every length from 0 to
+        /// `2 * SMALL_D + 1`: on values from `0..4`, where most probes
+        /// repeat, and on the whole `usize` range, with about one value
+        /// in four forced to `usize::MAX`.
+        #[test]
+        fn sort_probes_matches_sort_unstable(
+            few in proptest::collection::vec(0..4usize, SORT_LENGTHS..SORT_LENGTHS + 1),
+            wide in proptest::collection::vec(0..=usize::MAX, SORT_LENGTHS..SORT_LENGTHS + 1),
+            top in proptest::collection::vec(0..4u32, SORT_LENGTHS..SORT_LENGTHS + 1),
+        ) {
+            let wide: Vec<usize> = wide
+                .iter()
+                .zip(&top)
+                .map(|(&v, &t)| if t == 0 { usize::MAX } else { v })
+                .collect();
+            for len in 0..=SORT_LENGTHS {
+                for values in [&few[..len], &wide[..len]] {
+                    let mut got = values.to_vec();
+                    sort_probes(&mut got);
+                    let mut want = values.to_vec();
+                    want.sort_unstable();
+                    proptest::prop_assert_eq!(got, want, "len {}", len);
+                }
+            }
+        }
+
+        /// `decide_k_least` on probes sorted by `sort_probes` and by
+        /// `sort_unstable`, for every `d` up to `2 * SMALL_D + 1` and
+        /// every `k <= d`: the same winners, the same heights in `slots`,
+        /// the same max height and the same generator position after.
+        #[test]
+        fn decide_k_least_agrees_on_either_sort(
+            seed in 0..u64::MAX,
+            loads in proptest::collection::vec(0..4u32, 1..12),
+            picks in proptest::collection::vec(0..1024usize, SORT_LENGTHS..SORT_LENGTHS + 1),
+        ) {
+            for d in 1..=SORT_LENGTHS {
+                let unsorted: Vec<usize> = picks[..d].iter().map(|&p| p % loads.len()).collect();
+                let mut network = unsorted.clone();
+                sort_probes(&mut network);
+                let mut reference = unsorted;
+                reference.sort_unstable();
+                for k in 1..=d {
+                    let decide = |probes: &[usize]| {
+                        let mut rng = Xoshiro256PlusPlus::from_u64(seed ^ (d * 41 + k) as u64);
+                        let view = LoggedLoads { loads: &loads, reads: RefCell::new(Vec::new()) };
+                        let (mut slots, mut winners) = (Vec::new(), Vec::new());
+                        let max = decide_k_least(&view, probes, k, &mut rng, &mut slots, &mut winners);
+                        (winners, slots, max, rng.next_u64(), view.reads.into_inner())
+                    };
+                    proptest::prop_assert_eq!(decide(&network), decide(&reference), "d {} k {}", d, k);
+                }
+            }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "probes must be sorted ascending")]
+    fn decide_k_least_rejects_unsorted_probes_in_debug_builds() {
+        let mut rng = Xoshiro256PlusPlus::from_u64(0);
+        let view = LoggedLoads {
+            loads: &[0; 4],
+            reads: RefCell::new(Vec::new()),
+        };
+        decide_k_least(
+            &view,
+            &[2, 0, 2],
+            1,
+            &mut rng,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        );
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "probes must be sorted ascending")]
+    fn expand_slots_rejects_unsorted_probes_in_debug_builds() {
+        let mut rng = Xoshiro256PlusPlus::from_u64(0);
+        let mut slots: Vec<(u32, u64, usize)> = Vec::new();
+        expand_slots(&[2, 0, 2], &mut rng, &mut slots, |_| 0u32, height_slot);
     }
 
     #[test]

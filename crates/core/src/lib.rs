@@ -87,7 +87,9 @@ pub use driver::{
 pub use dynamic::DynamicKChoice;
 pub use error::ConfigError;
 pub use kd::KdChoice;
-pub use kernel::{cmp_slots, expand_slots, height_slot, select_k_least, SlotKey, TentativeSlot};
+pub use kernel::{
+    cmp_slots, expand_slots, height_slot, select_k_least, sort_probes, SlotKey, TentativeSlot,
+};
 pub use policy::RoundPolicy;
 pub use probes::{two_tier_capacities, ProbeDistribution};
 pub use process::{HeightSink, RoundProcess, RoundStats};

@@ -3,7 +3,7 @@
 use rand::RngCore;
 
 use crate::error::ConfigError;
-use crate::kernel::{cmp_slots, expand_slots, height_slot};
+use crate::kernel::{cmp_slots, expand_slots, height_slot, sort_probes};
 use crate::process::{HeightSink, RoundProcess, RoundStats};
 use crate::state::LoadVector;
 
@@ -139,7 +139,7 @@ impl RoundProcess for SerializedKdChoice {
         // generator exactly like d successive bounded draws) and build
         // tentative slots with multiplicity-consistent heights.
         kdchoice_prng::sample::fill_with_replacement(rng, n, self.d, &mut self.samples);
-        self.samples.sort_unstable();
+        sort_probes(&mut self.samples);
         expand_slots(
             &self.samples,
             rng,

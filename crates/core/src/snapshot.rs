@@ -264,7 +264,9 @@ impl LoadView for SharedLoadSnapshot {
 }
 
 /// The [`LoadView`] instance of the decision kernel: expands
-/// `sorted_probes` (ascending) at heights `view_load(bin) + occ`, keeps
+/// `sorted_probes` (ascending; sort them with [`crate::sort_probes`], which
+/// runs a branchless network up to 16 probes) at heights
+/// `view_load(bin) + occ`, keeps
 /// the `k` least ([`select_k_least`]), and appends the winner bins to
 /// `bins_out` in winner order. Every probed bin is prefetched first;
 /// that draws nothing. Returns the winners' maximum tentative height.
@@ -283,7 +285,9 @@ impl LoadView for SharedLoadSnapshot {
 ///
 /// # Panics
 ///
-/// Panics unless `1 <= k <= sorted_probes.len()`.
+/// Panics unless `1 <= k <= sorted_probes.len()`. Debug builds also
+/// panic on unsorted probes: a repeated bin must be a run of adjacent
+/// probes for the multiplicity rule to see it.
 pub fn decide_k_least<V, R>(
     view: &V,
     sorted_probes: &[usize],
@@ -296,6 +300,10 @@ where
     V: LoadView + ?Sized,
     R: RngCore + ?Sized,
 {
+    debug_assert!(
+        sorted_probes.is_sorted(),
+        "probes must be sorted ascending (sort_probes)"
+    );
     for &bin in sorted_probes {
         view.prefetch(bin);
     }

@@ -33,7 +33,7 @@ use kdchoice_prng::demand::DemandDistribution;
 use kdchoice_prng::Xoshiro256PlusPlus;
 
 use crate::driver::{HeightHistogram, RunConfig, RunResult};
-use crate::kernel::{expand_slots, select_k_least};
+use crate::kernel::{expand_slots, select_k_least, sort_probes};
 use crate::probes::ProbeDistribution;
 use crate::process::HeightSink;
 use crate::state::LoadVector;
@@ -663,7 +663,7 @@ pub fn run_once_vector(
         } else {
             probes.fill(&mut rng, n, d, &mut samples);
         }
-        samples.sort_unstable();
+        sort_probes(&mut samples);
         demand.sample_into(&mut rng, dims, &mut demand_buf);
         winners.clear();
         decide_k_least_vector(
@@ -746,7 +746,7 @@ mod tests {
             } else {
                 probes.fill(&mut rng, n, d, &mut samples);
             }
-            samples.sort_unstable();
+            sort_probes(&mut samples);
             winners.clear();
             decide_k_least(&slab, &samples, balls, &mut rng, &mut slots, &mut winners);
             for &(height, _, bin) in &slots[..balls] {

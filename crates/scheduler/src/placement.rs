@@ -4,7 +4,8 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use kdchoice_core::{
-    decide_k_least, expand_slots, select_k_least, BinStore, LoadView, PlacementObjective,
+    decide_k_least, expand_slots, select_k_least, sort_probes, BinStore, LoadView,
+    PlacementObjective,
 };
 use kdchoice_prng::sample::{fill_with_replacement, random_argmin};
 use rand::RngCore;
@@ -234,7 +235,7 @@ impl PlacementStrategy {
             }
         };
         fill_with_replacement(rng, n, budget, probes);
-        probes.sort_unstable();
+        sort_probes(probes);
         chosen.clear();
         decide_k_least(loads, probes, k, rng, slots, chosen);
         budget as u64
@@ -433,7 +434,7 @@ pub fn select_k_least_loaded_vector<R: RngCore + ?Sized>(
 /// An ascending copy of `samples`, the kernel's probe order.
 fn sorted(samples: &[usize]) -> Vec<usize> {
     let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
+    sort_probes(&mut sorted);
     sorted
 }
 

@@ -69,11 +69,11 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use kdchoice_core::{decide_k_least, BinSlab, LoadSnapshot, StoreKind};
+use kdchoice_core::{decide_k_least, sort_probes, BinSlab, LoadSnapshot, StoreKind};
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
 use rand::RngCore;
 
-use crate::barrier::SpinBarrier;
+use crate::barrier::{Poison, SpinBarrier};
 use crate::pad::CachePadded;
 use crate::pipeline::{
     id_batches, want_sample, worker_slice, DriveOutcome, Run, TickSample, DRAW_BATCH,
@@ -286,6 +286,9 @@ pub struct OwnedShardEngine {
     n: usize,
     refresh: usize,
     kind: StoreKind,
+    /// Set by a worker that unwinds; the rendezvous and the full-ring
+    /// submit loop panic on it instead of waiting for that worker.
+    poison: Poison,
 }
 
 impl OwnedShardEngine {
@@ -387,6 +390,7 @@ impl OwnedShardEngine {
             n,
             refresh,
             kind,
+            poison: Poison::default(),
         };
         (engine, states)
     }
@@ -501,9 +505,11 @@ impl OwnedShardEngine {
     /// phase as done in `pushed`, then keeps draining its inbox, never
     /// parking, until `pushed` reaches `goal`, and drains once more. On
     /// return every message pushed before `goal` was reached is applied.
+    /// Panics if a peer unwinds meanwhile (the engine's poison flag).
     fn rendezvous(&self, w: usize, own: &mut ShardState, pushed: &AtomicUsize, goal: usize) {
         pushed.fetch_add(1, Ordering::Release);
         while pushed.load(Ordering::Acquire) < goal {
+            self.poison.check();
             if self.drain(w, own) == 0 {
                 std::thread::yield_now();
             }
@@ -519,7 +525,8 @@ impl OwnedShardEngine {
     /// Routes one add/remove for `bin` from worker `from`: applied
     /// directly when `from` owns the bin, enqueued to the owner's ring
     /// otherwise. A full ring is survived by draining `from`'s own inbox
-    /// (which is what makes the routing deadlock-free) and yielding.
+    /// (which is what makes the routing deadlock-free) and yielding; it
+    /// panics instead if a peer unwinds meanwhile (the poison flag).
     fn submit(&self, from: usize, msg: u64, own: &mut ShardState) {
         let bin = (msg & !OP_REMOVE) as usize;
         let to = self.owner_of(bin);
@@ -529,6 +536,7 @@ impl OwnedShardEngine {
         }
         let ring = self.ring(from, to);
         while !ring.try_push(msg) {
+            self.poison.check();
             if self.drain(from, own) == 0 {
                 std::thread::yield_now();
             }
@@ -691,7 +699,7 @@ fn owned_tick<const P: bool>(
                 engine.drain(w, state);
             }
             i += 1;
-            probes.sort_unstable();
+            sort_probes(probes);
             scratch.bins.clear();
             engine.decide(
                 probes,
@@ -756,6 +764,7 @@ pub(crate) fn drive_open_loop_owned(run: &Run<'_>) -> DriveOutcome {
     let (engine, barrier, pushed) = (&engine, &barrier, &pushed);
     let sampled = sampled_ticks.len();
     let worker = move |w: usize, mut state: ShardState| {
+        let _unwinding = (engine.poison.on_unwind(), barrier.poison().on_unwind());
         let mut scratch = TickScratch::new(config.d, config.k);
         let mut samples: LocalSamples = Vec::with_capacity(sampled);
         for t in 0..ticks {
@@ -855,6 +864,7 @@ pub(crate) fn run_service_workload_owned(config: &ServiceWorkloadConfig) -> Serv
                 let engine = &engine;
                 let done = &done;
                 scope.spawn(move || {
+                    let _unwinding = engine.poison.on_unwind();
                     let mut rng = Xoshiro256PlusPlus::from_u64(derive_seed(config.seed, w as u64));
                     let mut probes_scratch = vec![0usize; config.d];
                     let mut slots_scratch = Vec::with_capacity(config.d);
@@ -866,7 +876,7 @@ pub(crate) fn run_service_workload_owned(config: &ServiceWorkloadConfig) -> Serv
                     for _ in 0..config.requests_per_thread {
                         engine.drain(w, &mut state);
                         sampler.fill_seq(&mut rng, &mut probes_scratch);
-                        probes_scratch.sort_unstable();
+                        sort_probes(&mut probes_scratch);
                         bins.clear();
                         engine.decide(
                             &probes_scratch,
@@ -894,6 +904,7 @@ pub(crate) fn run_service_workload_owned(config: &ServiceWorkloadConfig) -> Serv
                         if done.load(Ordering::Acquire) == config.threads && engine.inbox_empty(w) {
                             break;
                         }
+                        engine.poison.check();
                         std::thread::yield_now();
                     }
                     engine.flush(&mut state);
@@ -1068,6 +1079,46 @@ mod tests {
         let merged = merge_states(&engine, &states);
         assert!(merged.invariants_ok);
         assert_eq!(merged.live_balls, ADDS as u64);
+    }
+
+    /// The shared-nothing wait loops under a panicking worker: with
+    /// `workers` owners, worker 0 panics before it drains anything. Every
+    /// other worker first pushes `flood` adds into worker 0's inbox, more
+    /// than a ring holds when `flood > RING_CAPACITY` (the full-ring
+    /// submit loop), then waits at the rendezvous. Each must see the
+    /// poison flag and panic, never hang.
+    fn a_panicking_owner_releases_its_peers(workers: usize, flood: usize) {
+        let panicked = crate::barrier::tests::panics_within_timeout(move || {
+            let (engine, states) = OwnedShardEngine::new(64, workers, 8);
+            let pushed = AtomicUsize::new(0);
+            let (engine, pushed) = (&engine, &pushed);
+            std::thread::scope(|scope| {
+                for (w, mut state) in states.into_iter().enumerate() {
+                    scope.spawn(move || {
+                        let _unwinding = engine.poison.on_unwind();
+                        assert!(w != 0, "worker 0 fails");
+                        let (lo, _) = engine.owned_range(0);
+                        for _ in 0..flood {
+                            engine.submit_add(w, lo, &mut state);
+                        }
+                        engine.rendezvous(w, &mut state, pushed, workers);
+                    });
+                }
+            });
+        });
+        assert!(panicked, "{workers} workers, flood {flood}");
+    }
+
+    #[test]
+    fn a_panicking_owner_releases_its_peers_at_two_workers() {
+        a_panicking_owner_releases_its_peers(2, 0);
+        a_panicking_owner_releases_its_peers(2, 2 * RING_CAPACITY);
+    }
+
+    #[test]
+    fn a_panicking_owner_releases_its_peers_at_three_workers() {
+        a_panicking_owner_releases_its_peers(3, 0);
+        a_panicking_owner_releases_its_peers(3, 2 * RING_CAPACITY);
     }
 
     #[test]

@@ -71,7 +71,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use kdchoice_core::{
-    decide_k_least, BinStore, LoadView, ProbeDistribution, SharedLoadSnapshot, StoreKind,
+    decide_k_least, sort_probes, BinStore, LoadView, ProbeDistribution, SharedLoadSnapshot,
+    StoreKind,
 };
 use kdchoice_prng::Xoshiro256PlusPlus;
 use rand::RngCore;
@@ -337,7 +338,7 @@ impl AtomicStore {
         let n = self.truth.len();
         scratch.sorted.clear();
         scratch.sorted.extend_from_slice(probes);
-        scratch.sorted.sort_unstable();
+        sort_probes(&mut scratch.sorted);
         if let Some(&last) = scratch.sorted.last() {
             assert!(last < n, "probed bin {last} out of range (n={n})");
         }

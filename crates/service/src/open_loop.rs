@@ -6,6 +6,7 @@ use kdchoice_expt::{Axis, Fields, GridError, GridSpec, Params, Scenario, Value};
 
 use crate::engine::ServiceBackend;
 use crate::pipeline::{run_open_loop, OpenLoopConfig, OpenLoopReport};
+use crate::scenario::config_error;
 use crate::service::prev_power_of_two;
 use crate::traffic::{ArrivalProcess, Lifetime, TrafficConfig};
 
@@ -161,34 +162,12 @@ impl Scenario for OpenLoopScenario {
 
     fn config_from_params(&self, params: &Params) -> Result<Self::Config, GridError> {
         let bins = params.get_usize("n", 1 << 12)?;
-        if bins == 0 {
-            return Err(params.bad_value("n", "at least one bin"));
-        }
         let k = params.get_usize("k", 2)?;
-        let d = params.get_usize("d", 4)?;
-        if k == 0 || d < k {
-            return Err(params.bad_value("d", &format!("d >= k >= 1 (k={k})")));
-        }
-        let shards = params.get_usize("shards", 16.min(prev_power_of_two(bins)))?;
-        if !shards.is_power_of_two() || shards > bins {
-            return Err(params.bad_value("shards", "a power of two <= n"));
-        }
-        let threads = params.get_usize("threads", 4)?;
-        if threads == 0 {
-            return Err(params.bad_value("threads", "at least one worker thread"));
-        }
         let backend = ServiceBackend::parse(params.get_raw("backend").unwrap_or("striped"))
             .ok_or_else(|| params.bad_value("backend", "striped | shared_nothing | lockfree"))?;
-        if backend == ServiceBackend::SharedNothing && threads > bins {
-            return Err(params.bad_value("threads", "threads <= n for shared_nothing"));
-        }
         let snapshot_refresh = params.get_usize("refresh", 1)?;
         if snapshot_refresh == 0 {
             return Err(params.bad_value("refresh", "a period of at least 1 mutation"));
-        }
-        let max_batch = params.get_usize("batch", 64)?;
-        if max_batch == 0 {
-            return Err(params.bad_value("batch", "a batch of at least 1"));
         }
         let lambda = params.get_f64("lambda", 0.9)?;
         if !(lambda.is_finite() && lambda > 0.0) {
@@ -238,49 +217,53 @@ impl Scenario for OpenLoopScenario {
         if ticks == 0 {
             return Err(params.bad_value("ticks", "at least one tick"));
         }
-        let sample_every = params.get_u32("sample", 1)?;
-        if sample_every == 0 {
-            return Err(params.bad_value("sample", "a stride of at least 1"));
-        }
         let s = params.get_f64("s", 1.0)?;
         if !(s.is_finite() && s >= 0.0) {
             return Err(params.bad_value("s", "a finite zipf exponent >= 0"));
         }
-        let probes = match params.get_raw("skew").unwrap_or("uniform") {
-            "uniform" => ProbeDistribution::Uniform,
-            "zipf" => ProbeDistribution::zipf(bins, s)
-                .map_err(|_| params.bad_value("s", "a valid zipf exponent"))?,
-            _ => return Err(params.bad_value("skew", "uniform | zipf")),
-        };
-        let capacities = match params.get_raw("caps").unwrap_or("one") {
-            "one" => None,
-            "two_tier" => Some(two_tier_capacities(bins, 10, 10)),
-            _ => return Err(params.bad_value("caps", "one | two_tier")),
-        };
         let store = StoreKind::parse(params.get_raw("store").unwrap_or("exact"))
             .ok_or_else(|| params.bad_value("store", "exact | packed4 | packed8"))?;
-        Ok(OpenLoopConfig {
+        let mut config = OpenLoopConfig {
             bins,
             k,
-            d,
-            shards,
-            threads,
+            d: params.get_usize("d", 4)?,
+            shards: 1, // with probes and capacities, set below for valid bins
+            threads: params.get_usize("threads", 4)?,
             backend,
             snapshot_refresh,
             store,
-            max_batch,
+            max_batch: params.get_usize("batch", 64)?,
             traffic: TrafficConfig {
                 arrivals,
                 lifetime,
                 ticks,
                 service_rate,
             },
-            probes,
-            capacities,
-            sample_every,
+            probes: ProbeDistribution::Uniform,
+            capacities: None,
+            sample_every: params.get_u32("sample", 1)?,
             record_events: false,
             seed: params.get_u64("seed", 0)?,
-        })
+        };
+        config
+            .validate()
+            .map_err(|err| config_error(params, &err))?;
+        config.shards = params.get_usize("shards", 16.min(prev_power_of_two(bins)))?;
+        if !config.shards.is_power_of_two() || config.shards > bins {
+            return Err(params.bad_value("shards", "a power of two <= n"));
+        }
+        config.probes = match params.get_raw("skew").unwrap_or("uniform") {
+            "uniform" => ProbeDistribution::Uniform,
+            "zipf" => ProbeDistribution::zipf(bins, s)
+                .map_err(|_| params.bad_value("s", "a valid zipf exponent"))?,
+            _ => return Err(params.bad_value("skew", "uniform | zipf")),
+        };
+        config.capacities = match params.get_raw("caps").unwrap_or("one") {
+            "one" => None,
+            "two_tier" => Some(two_tier_capacities(bins, 10, 10)),
+            _ => return Err(params.bad_value("caps", "one | two_tier")),
+        };
+        Ok(config)
     }
 
     fn smoke_grid(&self) -> GridSpec {

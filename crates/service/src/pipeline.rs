@@ -760,6 +760,7 @@ fn drive_ticks<S: TickStore>(run: &Run<'_>, store: S) -> DriveOutcome {
     let barrier = SpinBarrier::new(workers);
     let (store, barrier) = (&store, &barrier);
     let worker = move |w: usize| {
+        let _unwinding = barrier.poison().on_unwind();
         let mut scratch = S::Scratch::default();
         let mut series = Vec::new();
         if w == 0 {

@@ -1,7 +1,7 @@
 //! The closed-loop placement-service workload as a
 //! [`kdchoice_expt::Scenario`] named `service`.
 
-use kdchoice_core::{PlacementObjective, StoreKind, MAX_DIMS};
+use kdchoice_core::{ConfigError, PlacementObjective, StoreKind, MAX_DIMS};
 use kdchoice_expt::{Axis, Fields, GridError, GridSpec, Params, Scenario, Value};
 use kdchoice_prng::demand::DemandDistribution;
 
@@ -127,28 +127,8 @@ impl Scenario for ServiceScenario {
     }
 
     fn config_from_params(&self, params: &Params) -> Result<Self::Config, GridError> {
-        let bins = params.get_usize("n", 1 << 14)?;
-        if bins == 0 {
-            return Err(params.bad_value("n", "at least one bin"));
-        }
-        let k = params.get_usize("k", 2)?;
-        let d = params.get_usize("d", 4)?;
-        if k == 0 || d < k {
-            return Err(params.bad_value("d", &format!("d >= k >= 1 (k={k})")));
-        }
-        let shards = params.get_usize("shards", 8.min(crate::service::prev_power_of_two(bins)))?;
-        if !shards.is_power_of_two() || shards > bins {
-            return Err(params.bad_value("shards", "a power of two <= n"));
-        }
-        let threads = params.get_usize("threads", 4)?;
-        if threads == 0 {
-            return Err(params.bad_value("threads", "at least one client thread"));
-        }
         let backend = ServiceBackend::parse(params.get_raw("backend").unwrap_or("striped"))
             .ok_or_else(|| params.bad_value("backend", "striped | shared_nothing | lockfree"))?;
-        if backend == ServiceBackend::SharedNothing && threads > bins {
-            return Err(params.bad_value("threads", "threads <= n for shared_nothing"));
-        }
         let snapshot_refresh = params.get_usize("refresh", 1)?;
         if snapshot_refresh == 0 {
             return Err(params.bad_value("refresh", "a period of at least 1 mutation"));
@@ -171,12 +151,12 @@ impl Scenario for ServiceScenario {
         let demand =
             DemandDistribution::parse(params.get_raw("demand").unwrap_or("unit"), demand_max)
                 .map_err(|_| params.bad_value("demand", "unit | uniform | correlated | anti"))?;
-        let config = ServiceWorkloadConfig {
-            bins,
-            k,
-            d,
-            shards,
-            threads,
+        let mut config = ServiceWorkloadConfig {
+            bins: params.get_usize("n", 1 << 14)?,
+            k: params.get_usize("k", 2)?,
+            d: params.get_usize("d", 4)?,
+            shards: 1, // set below, once `validate` has passed `bins`
+            threads: params.get_usize("threads", 4)?,
             requests_per_thread: params.get_usize("requests", 10_000)?,
             window: params.get_usize("window", 0)?,
             backend,
@@ -187,6 +167,18 @@ impl Scenario for ServiceScenario {
             demand,
             seed: params.get_u64("seed", 0)?,
         };
+        config
+            .validate()
+            .map_err(|err| config_error(params, &err))?;
+        let bins = config.bins;
+        config.shards =
+            params.get_usize("shards", 8.min(crate::service::prev_power_of_two(bins)))?;
+        if !config.shards.is_power_of_two() || config.shards > bins {
+            return Err(params.bad_value("shards", "a power of two <= n"));
+        }
+        if backend == ServiceBackend::SharedNothing && config.threads > bins {
+            return Err(params.bad_value("threads", "threads <= n for shared_nothing"));
+        }
         if config.is_vector() {
             if backend != ServiceBackend::Striped {
                 return Err(params.bad_value(
@@ -207,6 +199,25 @@ impl Scenario for ServiceScenario {
         )
         .expect("service smoke grid")
     }
+}
+
+/// The [`GridError`] for a config that `validate` rejected, on the grid
+/// axis that sets the offending field.
+pub(crate) fn config_error(params: &Params, err: &ConfigError) -> GridError {
+    let field = match *err {
+        ConfigError::ZeroK => "k",
+        ConfigError::ZeroParameter(field) | ConfigError::ExceedsLimit { name: field, .. } => field,
+        // `k > d`; a grid cannot build probes for another bin count.
+        _ => "d",
+    };
+    let axis = match field {
+        "bins" => "n",
+        "max_batch" => "batch",
+        "sample_every" => "sample",
+        "snapshot_refresh" => "refresh",
+        axis => axis,
+    };
+    params.bad_value(axis, &format!("a valid config ({err})"))
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use kdchoice_core::{
-    decide_k_least_vector, BinStore, ConfigError, PlacementObjective, ProbeDistribution, StoreKind,
-    VectorLoad, VectorSlot,
+    decide_k_least_vector, sort_probes, BinStore, ConfigError, PlacementObjective,
+    ProbeDistribution, StoreKind, VectorLoad, VectorSlot,
 };
 use kdchoice_prng::demand::DemandDistribution;
 use kdchoice_prng::{derive_seed, Xoshiro256PlusPlus};
@@ -366,7 +366,7 @@ pub fn run_vector_service_workload(config: &ServiceWorkloadConfig) -> ServiceRep
         let mut demand: Vec<u32> = Vec::with_capacity(config.dims);
         move |rng: &mut Xoshiro256PlusPlus, oldest: Option<(Vec<usize>, Vec<u32>)>| {
             ProbeDistribution::Uniform.fill_each(rng, config.bins, &mut probes);
-            probes.sort_unstable();
+            sort_probes(&mut probes);
             config.demand.sample_into(rng, config.dims, &mut demand);
             let mut bins = Vec::with_capacity(config.k);
             let guard = &mut *shared.lock().expect("store mutex poisoned");

@@ -26,7 +26,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use kdchoice_core::{decide_k_least, BinSlab, BinStore, LoadView, StoreKind};
+use kdchoice_core::{decide_k_least, sort_probes, BinSlab, BinStore, LoadView, StoreKind};
 use rand::RngCore;
 
 use crate::pad::CachePadded;
@@ -372,7 +372,7 @@ impl ShardedStore {
         for (request, rng) in probes.chunks(d).zip(rngs.iter_mut()) {
             scratch.sorted.clear();
             scratch.sorted.extend_from_slice(request);
-            scratch.sorted.sort_unstable();
+            sort_probes(&mut scratch.sorted);
             let max_height = self.serve_on_guards(scratch, k, rng);
             scratch.heights.push(max_height);
         }

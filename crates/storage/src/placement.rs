@@ -18,7 +18,7 @@
 
 use std::borrow::Cow;
 
-use kdchoice_core::{cmp_slots, expand_slots, select_k_least};
+use kdchoice_core::{cmp_slots, expand_slots, select_k_least, sort_probes};
 use kdchoice_prng::sample::UniformBin;
 use rand::{Rng, RngCore};
 
@@ -143,7 +143,7 @@ fn capacity_slots<R: RngCore + ?Sized>(
     rng: &mut R,
 ) -> Vec<(f64, u64, usize)> {
     let mut sampled: Vec<usize> = (0..d).map(|_| draw(rng)).collect();
-    sampled.sort_unstable();
+    sort_probes(&mut sampled);
     let mut slots = Vec::with_capacity(d);
     expand_slots(
         &sampled,
