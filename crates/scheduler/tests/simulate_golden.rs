@@ -8,9 +8,17 @@
 //! service draw, a changed winner or winner order, or a changed event
 //! order shows up as a changed digest.
 //!
-//! The digests were generated before the scalar simulation decided
-//! through its allocation-free choice core and the event queue compared
-//! integer keys; both must reproduce them unedited. To print the table for a deliberate re-golden run
+//! Exponential and Pareto service times never tie, so the `_det` cases
+//! run deterministic service (every task takes one time unit): a job's
+//! tasks that start together complete at one time, and those digests pin
+//! the event queue's FIFO order among equal times.
+//!
+//! The first 15 digests were generated before the scalar simulation
+//! decided through its allocation-free choice core and the event queue
+//! compared integer keys; both must reproduce them unedited. The `_det`
+//! digests were generated before the simulation loops handled the top
+//! event in place and replaced it with its successor. To print the
+//! table for a deliberate re-golden run
 //! `cargo test -p kdchoice-scheduler --test simulate_golden -- --nocapture`
 //! and copy the `got` column.
 
@@ -58,14 +66,31 @@ fn pareto() -> u64 {
     digest(&simulate(&cfg, PlacementStrategy::KdChoice { d: 8 }))
 }
 
-fn vector(strategy: PlacementStrategy) -> u64 {
-    let profile = VectorJobProfile {
+fn vector_profile() -> VectorJobProfile {
+    VectorJobProfile {
         dims: 2,
         objective: PlacementObjective::MaxNorm,
         demand: DemandDistribution::uniform(3).expect("max >= 1"),
         worker_capacities: None,
-    };
-    digest(&simulate_vector(&config(8, 41), strategy, &profile))
+    }
+}
+
+fn vector(strategy: PlacementStrategy) -> u64 {
+    digest(&simulate_vector(
+        &config(8, 41),
+        strategy,
+        &vector_profile(),
+    ))
+}
+
+/// A run with every task taking exactly one time unit: the tasks a job
+/// starts at once complete at one tied time, so these cases pin the
+/// queue's FIFO order among equal event times.
+fn deterministic_config(batch: usize, seed: u64) -> ClusterConfig {
+    ClusterConfig::new(WORKERS, TASKS_PER_JOB, JOBS, seed)
+        .with_service(ServiceDistribution::Deterministic { value: 1.0 })
+        .with_utilization(RHO)
+        .with_scheduler_batch(batch)
 }
 
 const STRATEGIES: [(&str, PlacementStrategy); 6] = [
@@ -99,6 +124,16 @@ fn cases() -> Vec<(String, u64)> {
         "simulate_vector/late2/b8".into(),
         vector(PlacementStrategy::LateBinding { probes_per_task: 2 }),
     ));
+    for (name, strategy) in [STRATEGIES[4], STRATEGIES[5]] {
+        let report = simulate(&deterministic_config(1, 43), strategy);
+        cases.push((format!("simulate/{name}_det/b1"), digest(&report)));
+    }
+    let report = simulate_vector(
+        &deterministic_config(8, 47),
+        PlacementStrategy::KdChoice { d: 8 },
+        &vector_profile(),
+    );
+    cases.push(("simulate_vector/kd8_det/b8".into(), digest(&report)));
     cases
 }
 
@@ -119,6 +154,9 @@ const GOLDEN: &[(&str, u64)] = &[
     ("simulate/kd8_pareto/b1", 0xb73e2b472f62d303),
     ("simulate_vector/kd8/b8", 0x1ea0b77f7a6fb898),
     ("simulate_vector/late2/b8", 0x881088d0a4d00502),
+    ("simulate/kd8_det/b1", 0x8ab36f9f29735819),
+    ("simulate/late2_det/b1", 0x11827ef42d731d2a),
+    ("simulate_vector/kd8_det/b8", 0xda2297567031306f),
 ];
 
 #[test]
