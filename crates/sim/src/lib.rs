@@ -8,7 +8,12 @@
 //!   tie-breaking: events pop in `(time, insertion)` order, time compared
 //!   by [`f64::total_cmp`], so runs are bit-reproducible. The heap
 //!   compares one integer key per event — the time mapped to a `u64` in
-//!   `total_cmp` order, then the insertion sequence number.
+//!   `total_cmp` order, then the insertion sequence number. A loop that
+//!   schedules at most one successor per handled event can peek the
+//!   earliest event, handle it in place, then either
+//!   [`EventQueue::replace_top`] it with the successor (one sift down)
+//!   or [`EventQueue::pop`] it; `replace_top` is by definition a pop
+//!   followed by a push, so the pop order is the same either way.
 //! * [`Clock`] — monotone simulation time.
 //! * [`TimeWeighted`] — time-weighted averages for state variables such as
 //!   queue lengths.
@@ -27,6 +32,31 @@
 //! clock.advance_to(t);
 //! assert_eq!(ev, Ev::Arrive(1));
 //! assert_eq!(clock.now(), 1.0);
+//! ```
+//!
+//! The peek / handle / replace-or-pop loop: each arrival is handled
+//! while it is still on top, then replaced by its departure; a departure
+//! schedules nothing and is popped.
+//!
+//! ```
+//! use kdchoice_sim::EventQueue;
+//!
+//! #[derive(Clone, Copy, Debug, PartialEq)]
+//! enum Ev { Arrive(u32), Depart(u32) }
+//!
+//! let mut q = EventQueue::new();
+//! q.push(1.0, Ev::Arrive(1));
+//! q.push(1.5, Ev::Arrive(2));
+//! let mut handled = Vec::new();
+//! while let Some((t, &ev)) = q.peek() {
+//!     handled.push(ev);
+//!     match ev {
+//!         Ev::Arrive(id) => q.replace_top(t + 1.0, Ev::Depart(id)),
+//!         Ev::Depart(_) => q.pop(),
+//!     };
+//! }
+//! use Ev::*;
+//! assert_eq!(handled, [Arrive(1), Arrive(2), Depart(1), Depart(2)]);
 //! ```
 
 #![warn(missing_docs)]
@@ -138,9 +168,20 @@ impl<E> PartialOrd for Scheduled<E> {
 /// keys only. The key's high 64 bits are the time mapped to a `u64`
 /// whose unsigned order is `total_cmp`'s (every bit of a negative time
 /// flipped, the sign bit of a non-negative one set); its low 64 bits are
-/// the insertion sequence number. [`EventQueue::pop`] and
-/// [`EventQueue::peek_time`] recover the pushed time bit for bit from
-/// the key.
+/// the insertion sequence number. [`EventQueue::pop`],
+/// [`EventQueue::peek`] and [`EventQueue::peek_time`] recover the pushed
+/// time bit for bit from the key.
+///
+/// A simulation loop that schedules at most one successor per handled
+/// event need not pop and push: it [`peek`](EventQueue::peek)s the
+/// earliest event, handles it while it stays on top (any event the
+/// handler pushes has a later `(time, seq)` key as long as its time is
+/// not earlier, so it cannot displace the top), and ends with exactly
+/// one of [`replace_top`](EventQueue::replace_top), when the event has a
+/// successor, or [`pop`](EventQueue::pop). `replace_top` takes the next
+/// sequence number exactly as [`push`](EventQueue::push) does, so it is
+/// by definition `let old = q.pop(); q.push(time, event); old`, at the
+/// cost of one sift down instead of a sift down and two sift ups.
 #[derive(Default)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
@@ -176,6 +217,44 @@ impl<E> EventQueue<E> {
     #[inline]
     pub fn pop(&mut self) -> Option<(f64, E)> {
         self.heap.pop().map(|s| (time_of_key(s.time_key), s.event))
+    }
+
+    /// Replaces the earliest event with `event` at `time` and returns the
+    /// replaced one as `(time, event)`; on an empty queue it is a plain
+    /// [`push`](EventQueue::push) and returns `None`.
+    ///
+    /// The new event takes the next insertion sequence number exactly as
+    /// `push` does, so this is by definition a [`pop`](EventQueue::pop)
+    /// followed by a `push`: every later pop returns what it would have
+    /// returned then. It costs one sift down of the new event from the
+    /// top.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is not finite.
+    #[inline]
+    pub fn replace_top(&mut self, time: f64, event: E) -> Option<(f64, E)> {
+        assert!(time.is_finite(), "non-finite event time");
+        let new = Scheduled {
+            time_key: key_of_time(time),
+            seq: self.seq,
+            event,
+        };
+        self.seq += 1;
+        let Some(mut top) = self.heap.peek_mut() else {
+            self.heap.push(new);
+            return None;
+        };
+        let old = std::mem::replace(&mut *top, new);
+        Some((time_of_key(old.time_key), old.event))
+    }
+
+    /// The earliest pending event as `(time, &event)`, left in the queue.
+    #[inline]
+    pub fn peek(&self) -> Option<(f64, &E)> {
+        self.heap
+            .peek()
+            .map(|s| (time_of_key(s.time_key), &s.event))
     }
 
     /// The timestamp of the earliest pending event.
@@ -348,6 +427,58 @@ mod tests {
         assert_eq!(q.peek_time(), Some(4.0));
         q.pop();
         assert_eq!(q.peek_time(), Some(5.0));
+    }
+
+    #[test]
+    fn replace_top_on_an_empty_queue_is_a_push() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.replace_top(2.0, 'a'), None);
+        assert_eq!(q.len(), 1);
+        // It took a sequence number: a later push at the same time pops
+        // behind it.
+        q.push(2.0, 'b');
+        assert_eq!(q.pop(), Some((2.0, 'a')));
+        assert_eq!(q.pop(), Some((2.0, 'b')));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn peek_agrees_with_peek_time_and_the_next_pop() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek(), None);
+        for (t, label) in [(3.0, 'c'), (-0.0, 'z'), (1.0, 'a'), (1.0, 'b'), (0.0, 'p')] {
+            q.push(t, label);
+        }
+        while let Some((t, &label)) = q.peek() {
+            assert_eq!(q.peek_time().map(f64::to_bits), Some(t.to_bits()));
+            let (popped_t, popped) = q.pop().expect("peeked");
+            assert_eq!((popped_t.to_bits(), popped), (t.to_bits(), label));
+        }
+        assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn replace_top_returns_the_old_top() {
+        let mut q = EventQueue::new();
+        q.push(1.0, 'a');
+        q.push(5.0, 'e');
+        q.push(1.0, 'b');
+        // The successor sinks below the tied event pushed before it.
+        assert_eq!(q.replace_top(1.0, 'c'), Some((1.0, 'a')));
+        assert_eq!(q.replace_top(7.0, 'g'), Some((1.0, 'b')));
+        assert_eq!(q.replace_top(0.5, 'x'), Some((1.0, 'c')));
+        for expected in [(0.5, 'x'), (5.0, 'e'), (7.0, 'g')] {
+            assert_eq!(q.pop(), Some(expected));
+        }
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn replace_top_rejects_infinite_times() {
+        let mut q = EventQueue::new();
+        q.push(1.0, ());
+        q.replace_top(f64::INFINITY, ());
     }
 
     #[test]

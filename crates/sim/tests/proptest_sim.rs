@@ -144,6 +144,76 @@ proptest! {
         prop_assert_eq!(expected, next_label, "every event popped exactly once");
     }
 
+    /// The peek / handle / replace-or-pop loop against the stable-sort
+    /// reference. Interleaved `peek`, `push`, `replace_top` and `pop`
+    /// under the DES contract (every new time at or after the last
+    /// handled one, with offsets that are mostly 0, so many times tie)
+    /// see the same events as a model that keeps the pending events in
+    /// insertion order and takes the first least time: `replace_top`
+    /// removes that event and appends the new one, as a pop then a push
+    /// would. Every time comes back bit-equal to the pushed one.
+    #[test]
+    fn replace_top_matches_pop_then_push_reference(
+        ops in prop::collection::vec((0u8..4, 0usize..6), 0..300),
+    ) {
+        const OFFSETS: [f64; 6] = [0.0, 0.0, 0.0, 0.1, 1.0, 2.5];
+        let mut q = EventQueue::new();
+        let mut model: Vec<(f64, u32)> = Vec::new();
+        let earliest = |model: &[(f64, u32)]| {
+            (0..model.len()).min_by(|&a, &b| model[a].0.total_cmp(&model[b].0))
+        };
+        let mut now = 0.0f64;
+        let mut next_label = 0u32;
+        for (op, pick) in ops {
+            let time = now + OFFSETS[pick];
+            match op {
+                0 => {
+                    q.push(time, next_label);
+                    model.push((time, next_label));
+                    next_label += 1;
+                }
+                1 => {
+                    let replaced = q.replace_top(time, next_label);
+                    let expected = earliest(&model).map(|i| model.remove(i));
+                    model.push((time, next_label));
+                    next_label += 1;
+                    prop_assert_eq!(
+                        replaced.map(|(t, l)| (t.to_bits(), l)),
+                        expected.map(|(t, l)| (t.to_bits(), l))
+                    );
+                    if let Some((t, _)) = replaced {
+                        now = t;
+                    }
+                }
+                2 => {
+                    let popped = q.pop();
+                    let expected = earliest(&model).map(|i| model.remove(i));
+                    prop_assert_eq!(
+                        popped.map(|(t, l)| (t.to_bits(), l)),
+                        expected.map(|(t, l)| (t.to_bits(), l))
+                    );
+                    if let Some((t, _)) = popped {
+                        now = t;
+                    }
+                }
+                _ => {
+                    let peeked = q.peek().map(|(t, &l)| (t.to_bits(), l));
+                    let expected = earliest(&model).map(|i| (model[i].0.to_bits(), model[i].1));
+                    prop_assert_eq!(peeked, expected);
+                    if let Some((t, _)) = q.peek() {
+                        now = t;
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+        }
+        while let Some((t, l)) = q.pop() {
+            let (mt, ml) = model.remove(earliest(&model).expect("model pending"));
+            prop_assert_eq!((t.to_bits(), l), (mt.to_bits(), ml));
+        }
+        prop_assert!(model.is_empty());
+    }
+
     /// Time-weighted average is bracketed by the min and max values.
     #[test]
     fn time_weighted_average_bracketed(steps in prop::collection::vec((0.01f64..10.0, 0.0f64..100.0), 1..50)) {
