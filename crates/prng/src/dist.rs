@@ -165,9 +165,14 @@ fn standard_normal<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
 /// CDF.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundedPareto {
-    alpha: f64,
     lo: f64,
     hi: f64,
+    /// `lo^α`, computed once.
+    lo_alpha: f64,
+    /// `hi^α`, computed once.
+    hi_alpha: f64,
+    /// The inversion's exponent `-1/α`, computed once.
+    neg_inv_alpha: f64,
 }
 
 impl BoundedPareto {
@@ -183,16 +188,22 @@ impl BoundedPareto {
         if !(lo.is_finite() && hi.is_finite() && 0.0 < lo && lo < hi) {
             return Err(ParamError::new("pareto bounds must satisfy 0 < lo < hi"));
         }
-        Ok(Self { alpha, lo, hi })
+        Ok(Self {
+            lo,
+            hi,
+            lo_alpha: lo.powf(alpha),
+            hi_alpha: hi.powf(alpha),
+            neg_inv_alpha: -1.0 / alpha,
+        })
     }
 
     /// Draws one sample in `[lo, hi]`.
+    #[inline]
     pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.gen();
-        let la = self.lo.powf(self.alpha);
-        let ha = self.hi.powf(self.alpha);
+        let (la, ha) = (self.lo_alpha, self.hi_alpha);
         // Inverse of F(x) = (1 - (lo/x)^α) / (1 - (lo/hi)^α).
-        let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / self.alpha);
+        let x = (-(u * ha - u * la - ha) / (ha * la)).powf(self.neg_inv_alpha);
         x.clamp(self.lo, self.hi)
     }
 }
@@ -423,6 +434,26 @@ mod tests {
         for _ in 0..20_000 {
             let x = bp.sample(&mut rng);
             assert!((1.0..=1000.0).contains(&x), "out of bounds: {x}");
+        }
+    }
+
+    #[test]
+    fn bounded_pareto_matches_the_per_draw_formula_bit_for_bit() {
+        for (alpha, lo, hi) in [(1.5, 0.5, 50.0), (1.0, 1.0, 10_000.0), (0.3, 2.0, 3.0)] {
+            let bp = BoundedPareto::new(alpha, lo, hi).unwrap();
+            let mut a = Xoshiro256PlusPlus::from_u64(7);
+            let mut b = Xoshiro256PlusPlus::from_u64(7);
+            for _ in 0..2_000 {
+                let u: f64 = b.gen();
+                let (la, ha) = (f64::powf(lo, alpha), f64::powf(hi, alpha));
+                let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha);
+                let want = x.clamp(lo, hi);
+                assert_eq!(
+                    bp.sample(&mut a).to_bits(),
+                    want.to_bits(),
+                    "{alpha} {lo} {hi}"
+                );
+            }
         }
     }
 

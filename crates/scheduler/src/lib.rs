@@ -43,6 +43,17 @@
 //! reservation carries its job's demand vector from enqueue to claim or
 //! cancellation, so probed loads include reserved demand exactly as the
 //! scalar path's queue lengths include reservations.
+//!
+//! **Event loop.** Both simulators peek the earliest event and handle it
+//! while it stays on top of the [`EventQueue`] (the task completions an
+//! arrival starts are pushed behind it, at a later `(time, seq)` key).
+//! Each event then ends with exactly one heap operation:
+//! [`EventQueue::replace_top`] when it has a successor (the worker's next
+//! task or claimed reservation, or the next job arrival), one sift down,
+//! and [`EventQueue::pop`] otherwise. `replace_top` is by definition a
+//! pop followed by a push, so the event order and every report are the
+//! ones a pop-then-push loop gives; golden digests lock this, including
+//! deterministic-service runs whose task completions tie in time.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -239,12 +250,23 @@ struct Worker {
 }
 
 /// Simulation events.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum Event {
     /// Job with this index arrives.
     JobArrival(u32),
     /// The running task at this worker completes.
     TaskComplete(u32),
+}
+
+/// Ends the handling of the event on top of `queue`: replaces it with
+/// its `successor` (one sift down), or pops it when it has none. Either
+/// way the queue ends as a pop followed by a push would leave it.
+#[inline]
+fn retire_top(queue: &mut EventQueue<Event>, successor: Option<(f64, Event)>) {
+    match successor {
+        Some((time, event)) => queue.replace_top(time, event),
+        None => queue.pop(),
+    };
 }
 
 /// The checks both simulators make on entry.
@@ -306,6 +328,7 @@ pub fn simulate_on<B: BinStore>(
 
     let mut rng = Xoshiro256PlusPlus::from_u64(config.seed);
     let interarrival = Exponential::new(config.arrival_rate).expect("rate > 0");
+    let service_time = config.service.sampler();
     let mut workers: Vec<Worker> = (0..config.workers).map(|_| Worker::default()).collect();
     let mut queue = EventQueue::new();
     let mut clock = Clock::new();
@@ -331,9 +354,9 @@ pub fn simulate_on<B: BinStore>(
 
     queue.push(interarrival.sample(&mut rng), Event::JobArrival(0));
 
-    while let Some((t, event)) = queue.pop() {
+    while let Some((t, &event)) = queue.peek() {
         clock.advance_to(t);
-        match event {
+        let successor = match event {
             Event::JobArrival(job) => {
                 let job_idx = job as usize;
                 arrivals[job_idx] = t;
@@ -348,7 +371,7 @@ pub fn simulate_on<B: BinStore>(
                         let worker = &mut workers[w];
                         if worker.running.is_none() && launched[job_idx] < k as u32 {
                             launched[job_idx] += 1;
-                            let service = config.service.sample(&mut rng);
+                            let service = service_time.sample(&mut rng);
                             worker.running = Some(job);
                             max_queue_len = max_queue_len.max(queue_lens.add_ball(w));
                             queue.push(t + service, Event::TaskComplete(w as u32));
@@ -363,7 +386,7 @@ pub fn simulate_on<B: BinStore>(
                     while launched[job_idx] < k as u32 {
                         let w = rng.gen_range(0..config.workers);
                         launched[job_idx] += 1;
-                        let service = config.service.sample(&mut rng);
+                        let service = service_time.sample(&mut rng);
                         let worker = &mut workers[w];
                         max_queue_len = max_queue_len.max(queue_lens.add_ball(w));
                         if worker.running.is_none() {
@@ -387,7 +410,7 @@ pub fn simulate_on<B: BinStore>(
                     };
                     debug_assert_eq!(scratch.chosen.len(), k);
                     for &w in &scratch.chosen {
-                        let service = config.service.sample(&mut rng);
+                        let service = service_time.sample(&mut rng);
                         let worker = &mut workers[w];
                         max_queue_len = max_queue_len.max(queue_lens.add_ball(w));
                         if worker.running.is_none() {
@@ -402,12 +425,10 @@ pub fn simulate_on<B: BinStore>(
                 outstanding_now += k as i64;
                 outstanding.update(t, outstanding_now as f64);
                 let next = job_idx + 1;
-                if next < config.jobs {
-                    queue.push(
-                        t + interarrival.sample(&mut rng),
-                        Event::JobArrival(next as u32),
-                    );
-                }
+                (next < config.jobs).then(|| {
+                    let arrival = t + interarrival.sample(&mut rng);
+                    (arrival, Event::JobArrival(next as u32))
+                })
             }
             Event::TaskComplete(w) => {
                 let widx = w as usize;
@@ -418,20 +439,21 @@ pub fn simulate_on<B: BinStore>(
                 // Pull the next runnable entry: concrete tasks run as-is;
                 // reservations launch a task if their job still needs one,
                 // and cancel otherwise.
+                let mut successor = None;
                 while let Some(entry) = workers[widx].pending.pop_front() {
                     match entry {
                         Entry::Task(next_job, service) => {
                             workers[widx].running = Some(next_job);
-                            queue.push(t + service, Event::TaskComplete(w));
+                            successor = Some((t + service, Event::TaskComplete(w)));
                             break;
                         }
                         Entry::Reservation(res_job) => {
                             let rj = res_job as usize;
                             if launched[rj] < k as u32 {
                                 launched[rj] += 1;
-                                let service = config.service.sample(&mut rng);
+                                let service = service_time.sample(&mut rng);
                                 workers[widx].running = Some(res_job);
-                                queue.push(t + service, Event::TaskComplete(w));
+                                successor = Some((t + service, Event::TaskComplete(w)));
                                 break;
                             }
                             // Cancelled reservation: drop and keep looking.
@@ -444,8 +466,10 @@ pub fn simulate_on<B: BinStore>(
                 if remaining[fj] == 0 && fj >= warmup {
                     responses.push(t - arrivals[fj]);
                 }
+                successor
             }
-        }
+        };
+        retire_top(&mut queue, successor);
     }
 
     let response = Summary::from_iter(responses.iter().copied());
@@ -525,6 +549,7 @@ pub fn simulate_vector(
 
     let mut rng = Xoshiro256PlusPlus::from_u64(config.seed);
     let interarrival = Exponential::new(config.arrival_rate).expect("rate > 0");
+    let service_time = config.service.sampler();
     let mut workers: Vec<Worker> = (0..config.workers).map(|_| Worker::default()).collect();
     let mut queue = EventQueue::new();
     let mut clock = Clock::new();
@@ -553,9 +578,9 @@ pub fn simulate_vector(
 
     queue.push(interarrival.sample(&mut rng), Event::JobArrival(0));
 
-    while let Some((t, event)) = queue.pop() {
+    while let Some((t, &event)) = queue.peek() {
         clock.advance_to(t);
-        match event {
+        let successor = match event {
             Event::JobArrival(job) => {
                 let job_idx = job as usize;
                 arrivals[job_idx] = t;
@@ -573,7 +598,7 @@ pub fn simulate_vector(
                         let worker = &mut workers[w];
                         if worker.running.is_none() && launched[job_idx] < k as u32 {
                             launched[job_idx] += 1;
-                            let service = config.service.sample(&mut rng);
+                            let service = service_time.sample(&mut rng);
                             worker.running = Some(job);
                             max_queue_len = max_queue_len.max(store.add(w, &demand_buf));
                             queue.push(t + service, Event::TaskComplete(w as u32));
@@ -587,7 +612,7 @@ pub fn simulate_vector(
                     while launched[job_idx] < k as u32 {
                         let w = rng.gen_range(0..config.workers);
                         launched[job_idx] += 1;
-                        let service = config.service.sample(&mut rng);
+                        let service = service_time.sample(&mut rng);
                         let worker = &mut workers[w];
                         max_queue_len = max_queue_len.max(store.add(w, &demand_buf));
                         if worker.running.is_none() {
@@ -614,7 +639,7 @@ pub fn simulate_vector(
                     probe_messages += probes;
                     debug_assert_eq!(chosen.len(), k);
                     for &w in &chosen {
-                        let service = config.service.sample(&mut rng);
+                        let service = service_time.sample(&mut rng);
                         let worker = &mut workers[w];
                         max_queue_len = max_queue_len.max(store.add(w, &demand_buf));
                         if worker.running.is_none() {
@@ -631,12 +656,10 @@ pub fn simulate_vector(
                 outstanding_now += k as i64;
                 outstanding.update(t, outstanding_now as f64);
                 let next = job_idx + 1;
-                if next < config.jobs {
-                    queue.push(
-                        t + interarrival.sample(&mut rng),
-                        Event::JobArrival(next as u32),
-                    );
-                }
+                (next < config.jobs).then(|| {
+                    let arrival = t + interarrival.sample(&mut rng);
+                    (arrival, Event::JobArrival(next as u32))
+                })
             }
             Event::TaskComplete(w) => {
                 let widx = w as usize;
@@ -649,20 +672,21 @@ pub fn simulate_vector(
                 // reservations launch a task if their job still needs one
                 // (the reserved demand becomes the task's demand), and
                 // cancel — subtracting their demand — otherwise.
+                let mut successor = None;
                 while let Some(entry) = workers[widx].pending.pop_front() {
                     match entry {
                         Entry::Task(next_job, service) => {
                             workers[widx].running = Some(next_job);
-                            queue.push(t + service, Event::TaskComplete(w));
+                            successor = Some((t + service, Event::TaskComplete(w)));
                             break;
                         }
                         Entry::Reservation(res_job) => {
                             let rj = res_job as usize;
                             if launched[rj] < k as u32 {
                                 launched[rj] += 1;
-                                let service = config.service.sample(&mut rng);
+                                let service = service_time.sample(&mut rng);
                                 workers[widx].running = Some(res_job);
-                                queue.push(t + service, Event::TaskComplete(w));
+                                successor = Some((t + service, Event::TaskComplete(w)));
                                 break;
                             }
                             // Cancelled reservation: drop its demand and
@@ -675,8 +699,10 @@ pub fn simulate_vector(
                 if remaining[fj] == 0 && fj >= warmup {
                     responses.push(t - arrivals[fj]);
                 }
+                successor
             }
-        }
+        };
+        retire_top(&mut queue, successor);
     }
 
     debug_assert!(store.check_invariants(), "vector store invariants broken");

@@ -55,14 +55,46 @@ impl ServiceDistribution {
     /// Panics if the parameters are invalid (validated lazily; construct
     /// through the public fields responsibly or via config validation).
     pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
+        self.sampler().sample(rng)
+    }
+
+    /// The sampler of this distribution, with its per-draw constants
+    /// computed once; its draws are bit-identical to
+    /// [`ServiceDistribution::sample`]'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parameters are invalid.
+    pub(crate) fn sampler(&self) -> ServiceSampler {
         match *self {
-            ServiceDistribution::Exponential { mean } => Exponential::new(1.0 / mean)
-                .expect("positive mean")
-                .sample(rng),
-            ServiceDistribution::Deterministic { value } => value,
-            ServiceDistribution::Pareto { alpha, lo, hi } => BoundedPareto::new(alpha, lo, hi)
-                .expect("valid pareto parameters")
-                .sample(rng),
+            ServiceDistribution::Exponential { mean } => {
+                ServiceSampler::Exponential(Exponential::new(1.0 / mean).expect("positive mean"))
+            }
+            ServiceDistribution::Deterministic { value } => ServiceSampler::Deterministic(value),
+            ServiceDistribution::Pareto { alpha, lo, hi } => ServiceSampler::Pareto(
+                BoundedPareto::new(alpha, lo, hi).expect("valid pareto parameters"),
+            ),
+        }
+    }
+}
+
+/// A [`ServiceDistribution`] ready to draw: built once per simulation so
+/// that no task rebuilds its distribution.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ServiceSampler {
+    Exponential(Exponential),
+    Deterministic(f64),
+    Pareto(BoundedPareto),
+}
+
+impl ServiceSampler {
+    /// Draws one service time.
+    #[inline]
+    pub(crate) fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
+        match self {
+            ServiceSampler::Exponential(exp) => exp.sample(rng),
+            ServiceSampler::Deterministic(value) => *value,
+            ServiceSampler::Pareto(pareto) => pareto.sample(rng),
         }
     }
 }
