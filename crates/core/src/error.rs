@@ -30,6 +30,13 @@ pub enum ConfigError {
         /// The largest value allowed.
         limit: usize,
     },
+    /// A parameter that must be a power of two was not.
+    NotPowerOfTwo {
+        /// The offending parameter.
+        name: &'static str,
+        /// Its value.
+        value: usize,
+    },
     /// A probe distribution was built for another bin count than the
     /// bins it is asked to sample.
     ProbeSupportMismatch {
@@ -53,6 +60,9 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ExceedsLimit { name, value, limit } => {
                 write!(f, "{name} must not exceed {limit} (got {value})")
+            }
+            ConfigError::NotPowerOfTwo { name, value } => {
+                write!(f, "{name} must be a power of two (got {value})")
             }
             ConfigError::ProbeSupportMismatch { built_for, bins } => write!(
                 f,
@@ -86,6 +96,11 @@ mod tests {
             limit: 8,
         };
         assert_eq!(e.to_string(), "threads must not exceed 8 (got 9)");
+        let e = ConfigError::NotPowerOfTwo {
+            name: "shards",
+            value: 3,
+        };
+        assert_eq!(e.to_string(), "shards must be a power of two (got 3)");
         let e = ConfigError::ProbeSupportMismatch {
             built_for: 65,
             bins: 64,

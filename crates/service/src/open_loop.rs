@@ -227,7 +227,7 @@ impl Scenario for OpenLoopScenario {
             bins,
             k,
             d: params.get_usize("d", 4)?,
-            shards: 1, // with probes and capacities, set below for valid bins
+            shards: params.get_usize("shards", 16.min(prev_power_of_two(bins.max(1))))?,
             threads: params.get_usize("threads", 4)?,
             backend,
             snapshot_refresh,
@@ -239,7 +239,7 @@ impl Scenario for OpenLoopScenario {
                 ticks,
                 service_rate,
             },
-            probes: ProbeDistribution::Uniform,
+            probes: ProbeDistribution::Uniform, // with capacities, set below for valid bins
             capacities: None,
             sample_every: params.get_u32("sample", 1)?,
             record_events: false,
@@ -248,10 +248,6 @@ impl Scenario for OpenLoopScenario {
         config
             .validate()
             .map_err(|err| config_error(params, &err))?;
-        config.shards = params.get_usize("shards", 16.min(prev_power_of_two(bins)))?;
-        if !config.shards.is_power_of_two() || config.shards > bins {
-            return Err(params.bad_value("shards", "a power of two <= n"));
-        }
         config.probes = match params.get_raw("skew").unwrap_or("uniform") {
             "uniform" => ProbeDistribution::Uniform,
             "zipf" => ProbeDistribution::zipf(bins, s)

@@ -91,7 +91,7 @@ use kdchoice_stats::Histogram;
 use crate::barrier::SpinBarrier;
 use crate::engine::ServiceBackend;
 use crate::lockfree::AtomicStore;
-use crate::service::prev_power_of_two;
+use crate::service::{check_shards, prev_power_of_two};
 use crate::sharded::{BatchScratch, ShardedStore};
 use crate::traffic::{ArrivalProcess, Lifetime, RequestTiming, TrafficConfig, TrafficSchedule};
 
@@ -258,9 +258,12 @@ impl OpenLoopConfig {
     /// * [`ConfigError::ZeroK`] for `k == 0` and
     ///   [`ConfigError::KExceedsD`] for `k > d`;
     /// * [`ConfigError::ExceedsLimit`] for `bins >= u32::MAX` (the run
-    ///   records every placement as `u32` bin ids below a sentinel) and,
-    ///   on the shared-nothing backend, for `threads > bins` (each worker
-    ///   owns at least one bin);
+    ///   records every placement as `u32` bin ids below a sentinel), on
+    ///   the shared-nothing backend for `threads > bins` (each worker
+    ///   owns at least one bin), and on the striped backend for
+    ///   `shards > bins`;
+    /// * [`ConfigError::NotPowerOfTwo`] for striped `shards` that are not
+    ///   a power of two (the other backends ignore `shards`);
     /// * [`ConfigError::ProbeSupportMismatch`] for a probe distribution
     ///   built for another bin count.
     ///
@@ -304,6 +307,9 @@ impl OpenLoopConfig {
                 value: self.threads,
                 limit: self.bins,
             });
+        }
+        if self.backend == ServiceBackend::Striped {
+            check_shards(self.shards, self.bins)?;
         }
         match self.probes.expected_n() {
             Some(built_for) if built_for != self.bins => Err(ConfigError::ProbeSupportMismatch {
@@ -1144,6 +1150,36 @@ mod tests {
             limit: 64,
         };
         assert_eq!(err, Err(want));
+    }
+
+    #[test]
+    fn validate_rejects_non_power_of_two_striped_shards() {
+        for shards in [0, 3, 12] {
+            let err = validated(|c| c.shards = shards);
+            let want = ConfigError::NotPowerOfTwo {
+                name: "shards",
+                value: shards,
+            };
+            assert_eq!(err, Err(want));
+        }
+        // The other backends never build a `ShardedStore`.
+        for backend in [ServiceBackend::SharedNothing, ServiceBackend::LockFree] {
+            assert_eq!(validated(|c| (c.backend, c.shards) = (backend, 3)), Ok(()));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_more_striped_shards_than_bins() {
+        let err = validated(|c| c.shards = 128);
+        let want = ConfigError::ExceedsLimit {
+            name: "shards",
+            value: 128,
+            limit: 64,
+        };
+        assert_eq!(err, Err(want));
+        assert_eq!(validated(|c| c.shards = 64), Ok(()));
+        let lockfree = validated(|c| (c.backend, c.shards) = (ServiceBackend::LockFree, 128));
+        assert_eq!(lockfree, Ok(()));
     }
 
     #[test]

@@ -6,7 +6,9 @@ use kdchoice_expt::{Axis, Fields, GridError, GridSpec, Params, Scenario, Value};
 use kdchoice_prng::demand::DemandDistribution;
 
 use crate::engine::ServiceBackend;
-use crate::service::{run_service_workload, ServiceReport, ServiceWorkloadConfig};
+use crate::service::{
+    prev_power_of_two, run_service_workload, ServiceReport, ServiceWorkloadConfig,
+};
 
 /// The concurrent placement-service experiment family: closed-loop
 /// clients hammering a sharded (k,d)-choice service, measuring placement
@@ -151,11 +153,12 @@ impl Scenario for ServiceScenario {
         let demand =
             DemandDistribution::parse(params.get_raw("demand").unwrap_or("unit"), demand_max)
                 .map_err(|_| params.bad_value("demand", "unit | uniform | correlated | anti"))?;
-        let mut config = ServiceWorkloadConfig {
-            bins: params.get_usize("n", 1 << 14)?,
+        let bins = params.get_usize("n", 1 << 14)?;
+        let config = ServiceWorkloadConfig {
+            bins,
             k: params.get_usize("k", 2)?,
             d: params.get_usize("d", 4)?,
-            shards: 1, // set below, once `validate` has passed `bins`
+            shards: params.get_usize("shards", 8.min(prev_power_of_two(bins.max(1))))?,
             threads: params.get_usize("threads", 4)?,
             requests_per_thread: params.get_usize("requests", 10_000)?,
             window: params.get_usize("window", 0)?,
@@ -170,15 +173,6 @@ impl Scenario for ServiceScenario {
         config
             .validate()
             .map_err(|err| config_error(params, &err))?;
-        let bins = config.bins;
-        config.shards =
-            params.get_usize("shards", 8.min(crate::service::prev_power_of_two(bins)))?;
-        if !config.shards.is_power_of_two() || config.shards > bins {
-            return Err(params.bad_value("shards", "a power of two <= n"));
-        }
-        if backend == ServiceBackend::SharedNothing && config.threads > bins {
-            return Err(params.bad_value("threads", "threads <= n for shared_nothing"));
-        }
         if config.is_vector() {
             if backend != ServiceBackend::Striped {
                 return Err(params.bad_value(
@@ -206,7 +200,9 @@ impl Scenario for ServiceScenario {
 pub(crate) fn config_error(params: &Params, err: &ConfigError) -> GridError {
     let field = match *err {
         ConfigError::ZeroK => "k",
-        ConfigError::ZeroParameter(field) | ConfigError::ExceedsLimit { name: field, .. } => field,
+        ConfigError::ZeroParameter(field)
+        | ConfigError::ExceedsLimit { name: field, .. }
+        | ConfigError::NotPowerOfTwo { name: field, .. } => field,
         // `k > d`; a grid cannot build probes for another bin count.
         _ => "d",
     };

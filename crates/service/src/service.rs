@@ -89,17 +89,20 @@ impl ServiceWorkloadConfig {
             || self.demand != DemandDistribution::Unit
     }
 
-    /// Checks the parameters every backend needs: at least one bin and
-    /// one client thread, and `1 <= k <= d`. Backend-specific limits
-    /// (power-of-two shards, `threads <= bins` for shared-nothing, the
-    /// vector workload's striped/exact restriction) are checked where
-    /// the backend is built.
+    /// Checks the parameters a run relies on: at least one bin and one
+    /// client thread, `1 <= k <= d`, and the backend's own limits
+    /// (power-of-two `shards <= bins` for the striped backend, `threads
+    /// <= bins` for shared-nothing). The vector workload's striped/exact
+    /// restriction is checked where the scenario is parsed.
     ///
     /// # Errors
     ///
     /// [`ConfigError::ZeroParameter`] for zero `bins` or `threads`,
-    /// [`ConfigError::ZeroK`] for `k == 0`, and
-    /// [`ConfigError::KExceedsD`] for `k > d`.
+    /// [`ConfigError::ZeroK`] for `k == 0`,
+    /// [`ConfigError::KExceedsD`] for `k > d`,
+    /// [`ConfigError::NotPowerOfTwo`] for striped `shards` that are not a
+    /// power of two, and [`ConfigError::ExceedsLimit`] for striped
+    /// `shards > bins` or shared-nothing `threads > bins`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.bins == 0 {
             return Err(ConfigError::ZeroParameter("bins"));
@@ -116,7 +119,17 @@ impl ServiceWorkloadConfig {
                 d: self.d,
             });
         }
-        Ok(())
+        match self.backend {
+            ServiceBackend::Striped => check_shards(self.shards, self.bins),
+            ServiceBackend::SharedNothing if self.threads > self.bins => {
+                Err(ConfigError::ExceedsLimit {
+                    name: "threads",
+                    value: self.threads,
+                    limit: self.bins,
+                })
+            }
+            _ => Ok(()),
+        }
     }
 
     /// [`ServiceWorkloadConfig::validate`], panicking with its message.
@@ -125,6 +138,25 @@ impl ServiceWorkloadConfig {
             panic!("invalid service config: {e}");
         }
     }
+}
+
+/// The striped backend's shard limits: `shards` is a power of two no
+/// larger than `bins`, as `ShardedStore::new` requires.
+pub(crate) fn check_shards(shards: usize, bins: usize) -> Result<(), ConfigError> {
+    if !shards.is_power_of_two() {
+        return Err(ConfigError::NotPowerOfTwo {
+            name: "shards",
+            value: shards,
+        });
+    }
+    if shards > bins {
+        return Err(ConfigError::ExceedsLimit {
+            name: "shards",
+            value: shards,
+            limit: bins,
+        });
+    }
+    Ok(())
 }
 
 /// The largest power of two ≤ `n` (`n ≥ 1`) — the round-*down* helper
@@ -429,6 +461,54 @@ mod tests {
         cfg.threads = 1;
         cfg.bins = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::ZeroParameter("bins")));
+    }
+
+    #[test]
+    fn validate_rejects_non_power_of_two_striped_shards() {
+        let mut cfg = ServiceWorkloadConfig::new(8, 1, 1, 0);
+        for shards in [0, 3, 6] {
+            cfg.shards = shards;
+            let want = ConfigError::NotPowerOfTwo {
+                name: "shards",
+                value: shards,
+            };
+            assert_eq!(cfg.validate(), Err(want));
+        }
+        // The other backends ignore `shards`.
+        for backend in [ServiceBackend::SharedNothing, ServiceBackend::LockFree] {
+            cfg.backend = backend;
+            assert_eq!(cfg.validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_more_striped_shards_than_bins() {
+        let mut cfg = ServiceWorkloadConfig::new(8, 1, 1, 0);
+        cfg.shards = 16;
+        let want = ConfigError::ExceedsLimit {
+            name: "shards",
+            value: 16,
+            limit: 8,
+        };
+        assert_eq!(cfg.validate(), Err(want));
+        cfg.shards = 8;
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_rejects_more_shared_nothing_threads_than_bins() {
+        let mut cfg = ServiceWorkloadConfig::new(8, 9, 1, 0);
+        // The striped and lock-free clients share the bins.
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.backend = ServiceBackend::SharedNothing;
+        let want = ConfigError::ExceedsLimit {
+            name: "threads",
+            value: 9,
+            limit: 8,
+        };
+        assert_eq!(cfg.validate(), Err(want));
+        cfg.threads = 8;
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
