@@ -91,18 +91,19 @@ impl ServiceWorkloadConfig {
 
     /// Checks the parameters a run relies on: at least one bin and one
     /// client thread, `1 <= k <= d`, and the backend's own limits
-    /// (power-of-two `shards <= bins` for the striped backend, `threads
-    /// <= bins` for shared-nothing). The vector workload's striped/exact
-    /// restriction is checked where the scenario is parsed.
+    /// (power-of-two `shards <= bins` for the scalar striped workload,
+    /// the only one that builds a `ShardedStore`; `threads <= bins` for
+    /// shared-nothing). The vector workload's striped/exact restriction
+    /// is checked where it runs and where the scenario is parsed.
     ///
     /// # Errors
     ///
     /// [`ConfigError::ZeroParameter`] for zero `bins` or `threads`,
     /// [`ConfigError::ZeroK`] for `k == 0`,
     /// [`ConfigError::KExceedsD`] for `k > d`,
-    /// [`ConfigError::NotPowerOfTwo`] for striped `shards` that are not a
-    /// power of two, and [`ConfigError::ExceedsLimit`] for striped
-    /// `shards > bins` or shared-nothing `threads > bins`.
+    /// [`ConfigError::NotPowerOfTwo`] for scalar striped `shards` that
+    /// are not a power of two, and [`ConfigError::ExceedsLimit`] for
+    /// scalar striped `shards > bins` or shared-nothing `threads > bins`.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.bins == 0 {
             return Err(ConfigError::ZeroParameter("bins"));
@@ -120,7 +121,7 @@ impl ServiceWorkloadConfig {
             });
         }
         match self.backend {
-            ServiceBackend::Striped => check_shards(self.shards, self.bins),
+            ServiceBackend::Striped if !self.is_vector() => check_shards(self.shards, self.bins),
             ServiceBackend::SharedNothing if self.threads > self.bins => {
                 Err(ConfigError::ExceedsLimit {
                     name: "threads",
@@ -474,11 +475,14 @@ mod tests {
             };
             assert_eq!(cfg.validate(), Err(want));
         }
-        // The other backends ignore `shards`.
+        // The other backends and the vector workload ignore `shards`.
         for backend in [ServiceBackend::SharedNothing, ServiceBackend::LockFree] {
             cfg.backend = backend;
             assert_eq!(cfg.validate(), Ok(()));
         }
+        cfg.backend = ServiceBackend::Striped;
+        cfg.dims = 2;
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
