@@ -217,8 +217,7 @@ pub struct ServiceReport {
 /// # Panics
 ///
 /// Panics with the [`ServiceWorkloadConfig::validate`] message on an
-/// invalid configuration, and on the backend's own limits
-/// (non-power-of-two shards, `threads > bins` for shared-nothing).
+/// invalid configuration, the backend's own limits included.
 pub fn run_service_workload(config: &ServiceWorkloadConfig) -> ServiceReport {
     if config.is_vector() {
         return run_vector_service_workload(config);

@@ -434,8 +434,9 @@ mod tests {
         let mut q = EventQueue::new();
         assert_eq!(q.replace_top(2.0, 'a'), None);
         assert_eq!(q.len(), 1);
-        // It took a sequence number: a later push at the same time pops
-        // behind it.
+        // It took a sequence number as `push` does, so a later push at
+        // the same time pops behind it.
+        assert_eq!(q.seq, 1);
         q.push(2.0, 'b');
         assert_eq!(q.pop(), Some((2.0, 'a')));
         assert_eq!(q.pop(), Some((2.0, 'b')));
@@ -467,6 +468,7 @@ mod tests {
         assert_eq!(q.replace_top(1.0, 'c'), Some((1.0, 'a')));
         assert_eq!(q.replace_top(7.0, 'g'), Some((1.0, 'b')));
         assert_eq!(q.replace_top(0.5, 'x'), Some((1.0, 'c')));
+        assert_eq!(q.seq, 6, "one sequence number per push or replace_top");
         for expected in [(0.5, 'x'), (5.0, 'e'), (7.0, 'g')] {
             assert_eq!(q.pop(), Some(expected));
         }
