@@ -21,8 +21,13 @@
 //! table for a deliberate re-golden run
 //! `cargo test -p kdchoice-scheduler --test simulate_golden -- --nocapture`
 //! and copy the `got` column.
+//!
+//! The vector `random`, `per_task2` and `_capacity` digests (dims 2, at
+//! both batch sizes; the capacity cases under the two-tier capacity map)
+//! were generated before `simulate_on` and `simulate_vector` became two
+//! instances of one event loop.
 
-use kdchoice_core::PlacementObjective;
+use kdchoice_core::{two_tier_capacities, PlacementObjective};
 use kdchoice_prng::demand::DemandDistribution;
 use kdchoice_scheduler::{
     simulate, simulate_vector, ClusterConfig, PlacementStrategy, ServiceDistribution,
@@ -83,6 +88,18 @@ fn vector(strategy: PlacementStrategy) -> u64 {
     ))
 }
 
+/// The capacity objective over the two-tier map (every fourth worker
+/// four times as large), which runs the capacity-normalised keys in both
+/// the per-task and the k-least choice.
+fn capacity_profile() -> VectorJobProfile {
+    VectorJobProfile {
+        dims: 2,
+        objective: PlacementObjective::NormalizedByCapacity,
+        demand: DemandDistribution::uniform(3).expect("max >= 1"),
+        worker_capacities: Some(two_tier_capacities(WORKERS, 4, 4)),
+    }
+}
+
 /// A run with every task taking exactly one time unit: the tasks a job
 /// starts at once complete at one tied time, so these cases pin the
 /// queue's FIFO order among equal event times.
@@ -134,6 +151,19 @@ fn cases() -> Vec<(String, u64)> {
         &vector_profile(),
     );
     cases.push(("simulate_vector/kd8_det/b8".into(), digest(&report)));
+    for batch in [1, 8] {
+        for (name, strategy) in [STRATEGIES[0], STRATEGIES[1]] {
+            let report = simulate_vector(&config(batch, 53), strategy, &vector_profile());
+            cases.push((format!("simulate_vector/{name}/b{batch}"), digest(&report)));
+        }
+        for (name, strategy) in [STRATEGIES[1], STRATEGIES[4]] {
+            let report = simulate_vector(&config(batch, 59), strategy, &capacity_profile());
+            cases.push((
+                format!("simulate_vector/{name}_capacity/b{batch}"),
+                digest(&report),
+            ));
+        }
+    }
     cases
 }
 
@@ -157,6 +187,14 @@ const GOLDEN: &[(&str, u64)] = &[
     ("simulate/kd8_det/b1", 0x8ab36f9f29735819),
     ("simulate/late2_det/b1", 0x11827ef42d731d2a),
     ("simulate_vector/kd8_det/b8", 0xda2297567031306f),
+    ("simulate_vector/random/b1", 0x224226a081a35629),
+    ("simulate_vector/per_task2/b1", 0x9e7095d786130d6f),
+    ("simulate_vector/per_task2_capacity/b1", 0x9aa10f5456ab8030),
+    ("simulate_vector/kd8_capacity/b1", 0xc2b476db3fb17098),
+    ("simulate_vector/random/b8", 0x224226a081a35629),
+    ("simulate_vector/per_task2/b8", 0x2713465ddd163a4c),
+    ("simulate_vector/per_task2_capacity/b8", 0x36d6f0a088ad48cb),
+    ("simulate_vector/kd8_capacity/b8", 0xeb7199aa69ffa619),
 ];
 
 #[test]
