@@ -45,6 +45,13 @@ pub enum ConfigError {
         /// The bin count of the configuration.
         bins: usize,
     },
+    /// A real-valued parameter fell outside the range a run needs.
+    OutOfRange {
+        /// The offending parameter.
+        name: &'static str,
+        /// The range it must lie in.
+        need: &'static str,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -68,6 +75,7 @@ impl fmt::Display for ConfigError {
                 f,
                 "probe distribution built for wrong bin count ({built_for}, not {bins})"
             ),
+            ConfigError::OutOfRange { name, need } => write!(f, "{name} out of range: need {need}"),
         }
     }
 }
@@ -106,6 +114,11 @@ mod tests {
             bins: 64,
         };
         assert!(e.to_string().contains("wrong bin count (65, not 64)"));
+        let e = ConfigError::OutOfRange {
+            name: "utilization",
+            need: "< 1",
+        };
+        assert_eq!(e.to_string(), "utilization out of range: need < 1");
     }
 
     #[test]

@@ -44,16 +44,28 @@
 //! cancellation, so probed loads include reserved demand exactly as the
 //! scalar path's queue lengths include reservations.
 //!
-//! **Event loop.** Both simulators peek the earliest event and handle it
-//! while it stays on top of the [`EventQueue`] (the task completions an
-//! arrival starts are pushed behind it, at a later `(time, seq)` key).
-//! Each event then ends with exactly one heap operation:
-//! [`EventQueue::replace_top`] when it has a successor (the worker's next
-//! task or claimed reservation, or the next job arrival), one sift down,
-//! and [`EventQueue::pop`] otherwise. `replace_top` is by definition a
-//! pop followed by a push, so the event order and every report are the
-//! ones a pop-then-push loop gives; golden digests lock this, including
-//! deterministic-service runs whose task completions tie in time.
+//! **One event loop.** [`simulate`], [`simulate_on`] and
+//! [`simulate_vector`] are instances of one crate-private loop,
+//! monomorphised over the load substrate: scalar queue lengths in any
+//! [`BinStore`], or demand vectors in a `VectorLoad`. The substrate draws
+//! a job's demand at arrival (unit demand draws nothing), adds and
+//! removes a task's load, makes the one-shot choice and reports its
+//! gaps; the loop owns the events, the workers, late binding, the probe
+//! snapshot and the report. The snapshot rule is the same on both
+//! substrates: at `scheduler_batch` 1 a job reads the live loads, and at
+//! batch `b` a snapshot of every worker's load is copied once every `b`
+//! jobs.
+//!
+//! The loop peeks the earliest event and handles it while it stays on
+//! top of the [`EventQueue`] (the task completions an arrival starts are
+//! pushed behind it, at a later `(time, seq)` key). Each event then ends
+//! with exactly one heap operation: [`EventQueue::replace_top`] when it
+//! has a successor (the worker's next task or claimed reservation, or
+//! the next job arrival), one sift down, and [`EventQueue::pop`]
+//! otherwise. `replace_top` is by definition a pop followed by a push, so
+//! the event order and every report are the ones a pop-then-push loop
+//! gives; golden digests lock this, including deterministic-service runs
+//! whose task completions tie in time.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -62,14 +74,14 @@ mod placement;
 mod scenario;
 mod workload;
 
-pub use placement::{select_k_least_loaded, select_k_least_loaded_vector, PlacementStrategy};
-use placement::{ChoiceScratch, LiveLoads, SliceLoads};
+pub use placement::{select_k_least_loaded, PlacementStrategy};
+use placement::{ChoiceScratch, LiveLoads, SliceLoads, VectorView};
 pub use scenario::{SchedulerExperiment, SchedulerScenario};
 pub use workload::ServiceDistribution;
 
 use std::collections::VecDeque;
 
-use kdchoice_core::{BinStore, LoadVector, PlacementObjective, VectorLoad};
+use kdchoice_core::{BinStore, ConfigError, LoadVector, PlacementObjective, VectorLoad, MAX_DIMS};
 use kdchoice_prng::demand::DemandDistribution;
 use kdchoice_prng::dist::Exponential;
 use kdchoice_prng::Xoshiro256PlusPlus;
@@ -153,6 +165,57 @@ impl ClusterConfig {
     /// The offered load `λ·k·E[S]/workers`.
     pub fn utilization(&self) -> f64 {
         self.arrival_rate * self.tasks_per_job as f64 * self.service.mean() / self.workers as f64
+    }
+
+    /// Checks every field a simulation relies on, and `strategy` against
+    /// the job shape; the simulators panic with this error's message.
+    ///
+    /// # Errors
+    ///
+    /// * [`ConfigError::ZeroParameter`] for zero `workers`,
+    ///   `tasks_per_job`, `jobs` or `scheduler_batch`, or a zero per-task
+    ///   `d` or batch-sampling or late-binding `probes_per_task`;
+    /// * [`ConfigError::KExceedsD`] for (k,d)-choice with `d < k`;
+    /// * [`ConfigError::BadProbability`] for a `warmup_fraction` outside
+    ///   `[0, 1]`;
+    /// * [`ConfigError::OutOfRange`] for an `arrival_rate` that is not
+    ///   finite and positive, a service distribution that cannot be drawn
+    ///   from, or a utilization of 1 or more (an unstable cluster).
+    pub fn validate(&self, strategy: PlacementStrategy) -> Result<(), ConfigError> {
+        for (name, value) in [
+            ("workers", self.workers),
+            ("tasks_per_job", self.tasks_per_job),
+            ("jobs", self.jobs),
+            ("scheduler_batch", self.scheduler_batch),
+        ] {
+            if value == 0 {
+                return Err(ConfigError::ZeroParameter(name));
+            }
+        }
+        if !(0.0..=1.0).contains(&self.warmup_fraction) {
+            return Err(ConfigError::BadProbability("warmup_fraction"));
+        }
+        Exponential::new(self.arrival_rate).map_err(|_| ConfigError::OutOfRange {
+            name: "arrival_rate",
+            need: "finite and > 0",
+        })?;
+        self.service.sampler()?;
+        let utilization = self.utilization();
+        if utilization.is_nan() || utilization >= 1.0 {
+            return Err(ConfigError::OutOfRange {
+                name: "utilization",
+                need: "< 1 (the cluster is unstable otherwise)",
+            });
+        }
+        strategy.validate(self.tasks_per_job)
+    }
+
+    /// [`ClusterConfig::validate`], panicking with its message: the check
+    /// every simulation makes on entry.
+    fn assert_valid(&self, strategy: PlacementStrategy) {
+        if let Err(e) = self.validate(strategy) {
+            panic!("invalid cluster config: {e}");
+        }
     }
 }
 
@@ -258,40 +321,14 @@ enum Event {
     TaskComplete(u32),
 }
 
-/// Ends the handling of the event on top of `queue`: replaces it with
-/// its `successor` (one sift down), or pops it when it has none. Either
-/// way the queue ends as a pop followed by a push would leave it.
-#[inline]
-fn retire_top(queue: &mut EventQueue<Event>, successor: Option<(f64, Event)>) {
-    match successor {
-        Some((time, event)) => queue.replace_top(time, event),
-        None => queue.pop(),
-    };
-}
-
-/// The checks both simulators make on entry.
-fn validate_run(config: &ClusterConfig, strategy: PlacementStrategy) {
-    assert!(config.workers > 0, "need at least one worker");
-    assert!(config.tasks_per_job > 0, "need at least one task per job");
-    assert!(config.jobs > 0, "need at least one job");
-    assert!(
-        config.scheduler_batch >= 1,
-        "scheduler batch must be at least 1"
-    );
-    assert!(
-        config.utilization() < 1.0,
-        "unstable configuration: utilization {:.3} >= 1",
-        config.utilization()
-    );
-    strategy.validate(config.tasks_per_job, config.workers);
-}
-
 /// Runs one simulation; deterministic in `(config, strategy)`.
 ///
 /// # Panics
 ///
-/// Panics if the configuration is unstable (utilization ≥ 1) or degenerate
-/// (zero workers/jobs/tasks, or a `scheduler_batch` of 0).
+/// Panics if [`ClusterConfig::validate`] rejects the configuration: an
+/// unstable one (utilization ≥ 1), a degenerate one (zero
+/// workers/jobs/tasks, or a `scheduler_batch` of 0), an invalid service
+/// distribution, or a strategy whose probe parameter does not fit the job.
 ///
 /// ```
 /// use kdchoice_scheduler::{simulate, ClusterConfig, PlacementStrategy};
@@ -302,11 +339,10 @@ fn validate_run(config: &ClusterConfig, strategy: PlacementStrategy) {
 /// assert!(report.response.mean() > 0.0);
 /// ```
 pub fn simulate(config: &ClusterConfig, strategy: PlacementStrategy) -> SchedulerReport {
-    assert!(config.workers > 0, "need at least one worker");
+    config.assert_valid(strategy);
     // Worker queue lengths live in the shared bin-load substrate; any
     // `BinStore` implementation slots in via `simulate_on`.
-    let queue_lens = LoadVector::new(config.workers);
-    simulate_on(config, strategy, queue_lens)
+    simulate_on(config, strategy, LoadVector::new(config.workers))
 }
 
 /// [`simulate`] over an explicit [`BinStore`] tracking worker queue
@@ -320,184 +356,20 @@ pub fn simulate(config: &ClusterConfig, strategy: PlacementStrategy) -> Schedule
 pub fn simulate_on<B: BinStore>(
     config: &ClusterConfig,
     strategy: PlacementStrategy,
-    mut queue_lens: B,
+    queue_lens: B,
 ) -> SchedulerReport {
-    validate_run(config, strategy);
+    config.assert_valid(strategy);
     assert_eq!(queue_lens.n(), config.workers, "one bin per worker");
     assert_eq!(queue_lens.total_balls(), 0, "store must start empty");
-
-    let mut rng = Xoshiro256PlusPlus::from_u64(config.seed);
-    let interarrival = Exponential::new(config.arrival_rate).expect("rate > 0");
-    let service_time = config.service.sampler();
-    let mut workers: Vec<Worker> = (0..config.workers).map(|_| Worker::default()).collect();
-    let mut queue = EventQueue::new();
-    let mut clock = Clock::new();
-
-    let k = config.tasks_per_job;
-    let warmup = ((config.jobs as f64) * config.warmup_fraction).floor() as usize;
-    let mut arrivals: Vec<f64> = vec![0.0; config.jobs];
-    let mut remaining: Vec<u32> = vec![0; config.jobs];
-    // Tasks launched so far per job (only consulted by late binding).
-    let mut launched: Vec<u32> = vec![0; config.jobs];
-    let mut responses: Vec<f64> = Vec::with_capacity(config.jobs - warmup);
-    let mut probe_messages = 0u64;
-    let mut outstanding = TimeWeighted::new(0.0, 0.0);
-    let mut outstanding_now = 0i64;
-    let mut max_queue_len = 0u32;
-    let mut peak_gap = 0.0f64;
-    // The probed queue-length snapshot, refreshed once per scheduler
-    // batch; fresh probes (scheduler_batch = 1) read the live store and
-    // never fill it.
-    let mut snapshot: Vec<u32> = Vec::new();
-    let mut jobs_since_refresh = 0usize;
-    let mut scratch = ChoiceScratch::default();
-
-    queue.push(interarrival.sample(&mut rng), Event::JobArrival(0));
-
-    while let Some((t, &event)) = queue.peek() {
-        clock.advance_to(t);
-        let successor = match event {
-            Event::JobArrival(job) => {
-                let job_idx = job as usize;
-                arrivals[job_idx] = t;
-                remaining[job_idx] = k as u32;
-                if let PlacementStrategy::LateBinding { probes_per_task } = strategy {
-                    // Place reservations on d·k probed workers; idle workers
-                    // claim a task immediately, busy workers enqueue.
-                    let probes = probes_per_task * k;
-                    probe_messages += probes as u64;
-                    for _ in 0..probes {
-                        let w = rng.gen_range(0..config.workers);
-                        let worker = &mut workers[w];
-                        if worker.running.is_none() && launched[job_idx] < k as u32 {
-                            launched[job_idx] += 1;
-                            let service = service_time.sample(&mut rng);
-                            worker.running = Some(job);
-                            max_queue_len = max_queue_len.max(queue_lens.add_ball(w));
-                            queue.push(t + service, Event::TaskComplete(w as u32));
-                        } else if launched[job_idx] < k as u32 {
-                            worker.pending.push_back(Entry::Reservation(job));
-                            max_queue_len = max_queue_len.max(queue_lens.add_ball(w));
-                        }
-                    }
-                    // Degenerate safety net: if every probe hit the same few
-                    // idle workers and fewer than k tasks have homes, bind
-                    // the remainder to random workers (Sparrow retries).
-                    while launched[job_idx] < k as u32 {
-                        let w = rng.gen_range(0..config.workers);
-                        launched[job_idx] += 1;
-                        let service = service_time.sample(&mut rng);
-                        let worker = &mut workers[w];
-                        max_queue_len = max_queue_len.max(queue_lens.add_ball(w));
-                        if worker.running.is_none() {
-                            worker.running = Some(job);
-                            queue.push(t + service, Event::TaskComplete(w as u32));
-                        } else {
-                            worker.pending.push_back(Entry::Task(job, service));
-                        }
-                    }
-                } else {
-                    // Probe and choose workers for the k tasks up front,
-                    // reading live queue lengths or the stale snapshot.
-                    probe_messages += if config.scheduler_batch == 1 {
-                        strategy.choose_into(&LiveLoads(&queue_lens), k, &mut rng, &mut scratch)
-                    } else {
-                        if jobs_since_refresh == 0 {
-                            queue_lens.copy_loads_into(&mut snapshot);
-                        }
-                        jobs_since_refresh = (jobs_since_refresh + 1) % config.scheduler_batch;
-                        strategy.choose_into(&SliceLoads(&snapshot), k, &mut rng, &mut scratch)
-                    };
-                    debug_assert_eq!(scratch.chosen.len(), k);
-                    for &w in &scratch.chosen {
-                        let service = service_time.sample(&mut rng);
-                        let worker = &mut workers[w];
-                        max_queue_len = max_queue_len.max(queue_lens.add_ball(w));
-                        if worker.running.is_none() {
-                            worker.running = Some(job);
-                            queue.push(t + service, Event::TaskComplete(w as u32));
-                        } else {
-                            worker.pending.push_back(Entry::Task(job, service));
-                        }
-                    }
-                }
-                peak_gap = peak_gap.max(queue_lens.gap());
-                outstanding_now += k as i64;
-                outstanding.update(t, outstanding_now as f64);
-                let next = job_idx + 1;
-                (next < config.jobs).then(|| {
-                    let arrival = t + interarrival.sample(&mut rng);
-                    (arrival, Event::JobArrival(next as u32))
-                })
-            }
-            Event::TaskComplete(w) => {
-                let widx = w as usize;
-                let finished_job = workers[widx].running.take().expect("worker was busy");
-                queue_lens.remove_ball(widx);
-                outstanding_now -= 1;
-                outstanding.update(t, outstanding_now as f64);
-                // Pull the next runnable entry: concrete tasks run as-is;
-                // reservations launch a task if their job still needs one,
-                // and cancel otherwise.
-                let mut successor = None;
-                while let Some(entry) = workers[widx].pending.pop_front() {
-                    match entry {
-                        Entry::Task(next_job, service) => {
-                            workers[widx].running = Some(next_job);
-                            successor = Some((t + service, Event::TaskComplete(w)));
-                            break;
-                        }
-                        Entry::Reservation(res_job) => {
-                            let rj = res_job as usize;
-                            if launched[rj] < k as u32 {
-                                launched[rj] += 1;
-                                let service = service_time.sample(&mut rng);
-                                workers[widx].running = Some(res_job);
-                                successor = Some((t + service, Event::TaskComplete(w)));
-                                break;
-                            }
-                            // Cancelled reservation: drop and keep looking.
-                            queue_lens.remove_ball(widx);
-                        }
-                    }
-                }
-                let fj = finished_job as usize;
-                remaining[fj] -= 1;
-                if remaining[fj] == 0 && fj >= warmup {
-                    responses.push(t - arrivals[fj]);
-                }
-                successor
-            }
-        };
-        retire_top(&mut queue, successor);
-    }
-
-    let response = Summary::from_iter(responses.iter().copied());
-    let pct = quantiles(&responses, &[0.5, 0.9, 0.99]);
-    let percentiles = if pct.len() == 3 {
-        [pct[0], pct[1], pct[2]]
-    } else {
-        [0.0; 3]
-    };
-    SchedulerReport {
-        strategy: strategy.name().into_owned(),
-        jobs_measured: responses.len(),
-        response,
-        response_percentiles: percentiles,
-        probe_messages,
-        probes_per_job: probe_messages as f64 / config.jobs as f64,
-        mean_outstanding: outstanding.average(clock.now()),
-        max_queue_len,
-        dim_gaps: vec![peak_gap],
-    }
+    run(config, strategy, ScalarLoads(queue_lens), 1)
 }
 
 /// [`simulate`] with multidimensional job demands: jobs draw a demand
 /// vector per [`VectorJobProfile::demand`] at arrival (shared by the
 /// job's `k` tasks), workers accumulate demand in a
 /// [`kdchoice_core::VectorLoad`], and probes compete on
-/// [`VectorJobProfile::objective`] keys over a (possibly stale, per
-/// `scheduler_batch`) strided load snapshot.
+/// [`VectorJobProfile::objective`] keys over the strided loads (live, or
+/// a stale snapshot per `scheduler_batch`).
 ///
 /// The FIFO service model, event ordering, and every scalar observable
 /// are those of [`simulate`]; the per-job RNG stream is `demand draws →
@@ -522,34 +394,197 @@ pub fn simulate_vector(
     strategy: PlacementStrategy,
     profile: &VectorJobProfile,
 ) -> SchedulerReport {
-    validate_run(config, strategy);
+    config.assert_valid(strategy);
     let dims = profile.dims;
     assert!(
         profile.objective.validate(dims),
         "objective does not validate against dims={dims}"
     );
-
-    let mut store = match &profile.worker_capacities {
+    let store = match &profile.worker_capacities {
         Some(caps) => {
             assert_eq!(caps.len(), config.workers, "one capacity per worker");
             VectorLoad::with_capacities(dims, caps)
         }
         None => VectorLoad::new(dims, config.workers),
     };
-    // Capacities are immutable: replicate the scalar map across
-    // dimensions once (the `VectorLoad::with_capacities` layout) for the
-    // snapshot-side kernel.
-    let caps_strided: Option<Vec<u32>> = profile.worker_capacities.as_ref().map(|caps| {
-        let mut strided = Vec::with_capacity(caps.len() * dims);
-        for &c in caps {
-            strided.resize(strided.len() + dims, c);
-        }
-        strided
-    });
+    let loads = VectorLoads {
+        store,
+        profile,
+        job_demands: vec![[0; MAX_DIMS]; config.jobs],
+        demand_buf: Vec::with_capacity(dims),
+    };
+    run(config, strategy, loads, dims)
+}
 
+/// The load substrate of one simulation: what a job's arrival draws, what
+/// a task adds to its worker, how probes read loads, which gaps are
+/// observed. [`run`]'s event loop owns everything else.
+trait JobLoads {
+    /// Begins `job`'s arrival, before any of its probes are drawn.
+    fn arrive(&mut self, job: usize, rng: &mut Xoshiro256PlusPlus);
+
+    /// Adds a task or reservation of `job` at `w`; returns `w`'s queue length.
+    fn add(&mut self, w: usize, job: usize) -> u32;
+
+    /// Removes a task or cancelled reservation of `job` from `w`.
+    fn remove(&mut self, w: usize, job: usize);
+
+    /// Copies every worker's load into `snapshot`.
+    fn copy_loads_into(&self, snapshot: &mut Vec<u32>);
+
+    /// Chooses `job`'s workers into `scratch.chosen` from `snapshot`, or
+    /// from the live loads when it is `None`; returns the probe messages.
+    fn choose(
+        &self,
+        strategy: PlacementStrategy,
+        job: usize,
+        k: usize,
+        snapshot: Option<&[u32]>,
+        rng: &mut Xoshiro256PlusPlus,
+        scratch: &mut ChoiceScratch,
+    ) -> u64;
+
+    /// Raises each dimension's peak gap to its current gap.
+    fn record_gaps(&self, peaks: &mut [f64]);
+
+    /// Whether no task's load is left and the substrate is consistent.
+    fn drained(&self) -> bool;
+}
+
+/// Scalar queue lengths in any [`BinStore`]: a task adds one ball.
+struct ScalarLoads<B>(B);
+
+impl<B: BinStore> JobLoads for ScalarLoads<B> {
+    #[inline]
+    fn arrive(&mut self, _job: usize, _rng: &mut Xoshiro256PlusPlus) {}
+
+    #[inline]
+    fn add(&mut self, w: usize, _job: usize) -> u32 {
+        self.0.add_ball(w)
+    }
+
+    #[inline]
+    fn remove(&mut self, w: usize, _job: usize) {
+        self.0.remove_ball(w);
+    }
+
+    #[inline]
+    fn copy_loads_into(&self, snapshot: &mut Vec<u32>) {
+        self.0.copy_loads_into(snapshot);
+    }
+
+    #[inline]
+    fn choose(
+        &self,
+        strategy: PlacementStrategy,
+        _job: usize,
+        k: usize,
+        snapshot: Option<&[u32]>,
+        rng: &mut Xoshiro256PlusPlus,
+        scratch: &mut ChoiceScratch,
+    ) -> u64 {
+        match snapshot {
+            None => strategy.choose_into(&LiveLoads(&self.0), k, rng, scratch),
+            Some(loads) => strategy.choose_into(&SliceLoads(loads), k, rng, scratch),
+        }
+    }
+
+    #[inline]
+    fn record_gaps(&self, peaks: &mut [f64]) {
+        peaks[0] = peaks[0].max(self.0.gap());
+    }
+
+    fn drained(&self) -> bool {
+        self.0.total_balls() == 0
+    }
+}
+
+/// D-dimensional demands in a [`VectorLoad`]: a task adds its job's
+/// demand vector, kept from arrival until the job's last task completes,
+/// so that every removal (a cancelled reservation's included) subtracts
+/// exactly what was added.
+struct VectorLoads<'a> {
+    store: VectorLoad,
+    profile: &'a VectorJobProfile,
+    /// Each job's demand vector in its first `dims` entries.
+    job_demands: Vec<[u32; MAX_DIMS]>,
+    /// The arriving job's demand draw.
+    demand_buf: Vec<u32>,
+}
+
+impl JobLoads for VectorLoads<'_> {
+    #[inline]
+    fn arrive(&mut self, job: usize, rng: &mut Xoshiro256PlusPlus) {
+        let dims = self.profile.dims;
+        self.profile
+            .demand
+            .sample_into(rng, dims, &mut self.demand_buf);
+        self.job_demands[job][..dims].copy_from_slice(&self.demand_buf);
+    }
+
+    #[inline]
+    fn add(&mut self, w: usize, job: usize) -> u32 {
+        self.store
+            .add(w, &self.job_demands[job][..self.profile.dims])
+    }
+
+    #[inline]
+    fn remove(&mut self, w: usize, job: usize) {
+        self.store
+            .remove(w, &self.job_demands[job][..self.profile.dims]);
+    }
+
+    #[inline]
+    fn copy_loads_into(&self, snapshot: &mut Vec<u32>) {
+        snapshot.clear();
+        snapshot.extend_from_slice(self.store.loads_strided());
+    }
+
+    #[inline]
+    fn choose(
+        &self,
+        strategy: PlacementStrategy,
+        job: usize,
+        k: usize,
+        snapshot: Option<&[u32]>,
+        rng: &mut Xoshiro256PlusPlus,
+        scratch: &mut ChoiceScratch,
+    ) -> u64 {
+        let view = VectorView {
+            loads: snapshot.unwrap_or(self.store.loads_strided()),
+            store: &self.store,
+            demand: &self.job_demands[job][..self.profile.dims],
+            objective: &self.profile.objective,
+        };
+        strategy.choose_into(&view, k, rng, scratch)
+    }
+
+    #[inline]
+    fn record_gaps(&self, peaks: &mut [f64]) {
+        for (j, peak) in peaks.iter_mut().enumerate() {
+            *peak = peak.max(self.store.dim_gap(j));
+        }
+    }
+
+    fn drained(&self) -> bool {
+        self.store.check_invariants() && self.store.balls().total_balls() == 0
+    }
+}
+
+/// The event loop of every simulation, over the load substrate `loads`
+/// (validated and empty) of `dims` dimensions.
+fn run<L: JobLoads>(
+    config: &ClusterConfig,
+    strategy: PlacementStrategy,
+    mut loads: L,
+    dims: usize,
+) -> SchedulerReport {
     let mut rng = Xoshiro256PlusPlus::from_u64(config.seed);
-    let interarrival = Exponential::new(config.arrival_rate).expect("rate > 0");
-    let service_time = config.service.sampler();
+    let interarrival = Exponential::new(config.arrival_rate).expect("validated arrival rate");
+    let service_time = config
+        .service
+        .sampler()
+        .expect("validated service distribution");
     let mut workers: Vec<Worker> = (0..config.workers).map(|_| Worker::default()).collect();
     let mut queue = EventQueue::new();
     let mut clock = Clock::new();
@@ -560,21 +595,17 @@ pub fn simulate_vector(
     let mut remaining: Vec<u32> = vec![0; config.jobs];
     // Tasks launched so far per job (only consulted by late binding).
     let mut launched: Vec<u32> = vec![0; config.jobs];
-    // Each job's demand vector, kept until its last task completes so
-    // removals (including cancelled reservations) subtract exactly what
-    // was added.
-    let mut job_demands: Vec<u32> = vec![0; config.jobs * dims];
-    let mut demand_buf: Vec<u32> = vec![0; dims];
     let mut responses: Vec<f64> = Vec::with_capacity(config.jobs - warmup);
     let mut probe_messages = 0u64;
     let mut outstanding = TimeWeighted::new(0.0, 0.0);
     let mut outstanding_now = 0i64;
     let mut max_queue_len = 0u32;
-    let mut peak_dim_gaps = vec![0.0f64; dims];
-    // The probed strided load snapshot; refreshed once per scheduler
-    // batch, like the scalar path's queue-length snapshot.
-    let mut snapshot: Vec<u32> = vec![0; config.workers * dims];
+    let mut peak_gaps = vec![0.0f64; dims];
+    // The probed load snapshot, refreshed once per scheduler batch; fresh
+    // probes (scheduler_batch = 1) read the live loads and never fill it.
+    let mut snapshot: Vec<u32> = Vec::new();
     let mut jobs_since_refresh = 0usize;
+    let mut scratch = ChoiceScratch::default();
 
     queue.push(interarrival.sample(&mut rng), Event::JobArrival(0));
 
@@ -585,12 +616,12 @@ pub fn simulate_vector(
                 let job_idx = job as usize;
                 arrivals[job_idx] = t;
                 remaining[job_idx] = k as u32;
-                profile.demand.sample_into(&mut rng, dims, &mut demand_buf);
-                job_demands[job_idx * dims..(job_idx + 1) * dims].copy_from_slice(&demand_buf);
+                loads.arrive(job_idx, &mut rng);
                 if let PlacementStrategy::LateBinding { probes_per_task } = strategy {
-                    // Event-driven, as in `simulate`: reservations carry
-                    // the job's demand vector so probed loads include
-                    // reserved demand; idle workers claim immediately.
+                    // Place reservations on d·k probed workers; idle workers
+                    // claim a task immediately, busy workers enqueue. A
+                    // reservation holds its job's load until it claims a
+                    // task or cancels.
                     let probes = probes_per_task * k;
                     probe_messages += probes as u64;
                     for _ in 0..probes {
@@ -600,21 +631,22 @@ pub fn simulate_vector(
                             launched[job_idx] += 1;
                             let service = service_time.sample(&mut rng);
                             worker.running = Some(job);
-                            max_queue_len = max_queue_len.max(store.add(w, &demand_buf));
+                            max_queue_len = max_queue_len.max(loads.add(w, job_idx));
                             queue.push(t + service, Event::TaskComplete(w as u32));
                         } else if launched[job_idx] < k as u32 {
                             worker.pending.push_back(Entry::Reservation(job));
-                            max_queue_len = max_queue_len.max(store.add(w, &demand_buf));
+                            max_queue_len = max_queue_len.max(loads.add(w, job_idx));
                         }
                     }
-                    // The same safety net as the scalar path: bind any
-                    // still-homeless tasks to random workers.
+                    // Degenerate safety net: if every probe hit the same few
+                    // idle workers and fewer than k tasks have homes, bind
+                    // the remainder to random workers (Sparrow retries).
                     while launched[job_idx] < k as u32 {
                         let w = rng.gen_range(0..config.workers);
                         launched[job_idx] += 1;
                         let service = service_time.sample(&mut rng);
                         let worker = &mut workers[w];
-                        max_queue_len = max_queue_len.max(store.add(w, &demand_buf));
+                        max_queue_len = max_queue_len.max(loads.add(w, job_idx));
                         if worker.running.is_none() {
                             worker.running = Some(job);
                             queue.push(t + service, Event::TaskComplete(w as u32));
@@ -623,25 +655,24 @@ pub fn simulate_vector(
                         }
                     }
                 } else {
-                    if jobs_since_refresh == 0 {
-                        snapshot.copy_from_slice(store.loads_strided());
-                    }
-                    jobs_since_refresh = (jobs_since_refresh + 1) % config.scheduler_batch;
-                    let (chosen, probes) = strategy.choose_workers_vector(
-                        &snapshot,
-                        dims,
-                        caps_strided.as_deref(),
-                        &demand_buf,
-                        &profile.objective,
-                        k,
-                        &mut rng,
-                    );
-                    probe_messages += probes;
-                    debug_assert_eq!(chosen.len(), k);
-                    for &w in &chosen {
+                    // Probe and choose workers for the k tasks up front,
+                    // reading the live loads or the stale snapshot.
+                    let view = if config.scheduler_batch == 1 {
+                        None
+                    } else {
+                        if jobs_since_refresh == 0 {
+                            loads.copy_loads_into(&mut snapshot);
+                        }
+                        jobs_since_refresh = (jobs_since_refresh + 1) % config.scheduler_batch;
+                        Some(&snapshot[..])
+                    };
+                    probe_messages +=
+                        loads.choose(strategy, job_idx, k, view, &mut rng, &mut scratch);
+                    debug_assert_eq!(scratch.chosen.len(), k);
+                    for &w in &scratch.chosen {
                         let service = service_time.sample(&mut rng);
                         let worker = &mut workers[w];
-                        max_queue_len = max_queue_len.max(store.add(w, &demand_buf));
+                        max_queue_len = max_queue_len.max(loads.add(w, job_idx));
                         if worker.running.is_none() {
                             worker.running = Some(job);
                             queue.push(t + service, Event::TaskComplete(w as u32));
@@ -650,9 +681,7 @@ pub fn simulate_vector(
                         }
                     }
                 }
-                for (j, peak) in peak_dim_gaps.iter_mut().enumerate() {
-                    *peak = peak.max(store.dim_gap(j));
-                }
+                loads.record_gaps(&mut peak_gaps);
                 outstanding_now += k as i64;
                 outstanding.update(t, outstanding_now as f64);
                 let next = job_idx + 1;
@@ -665,13 +694,13 @@ pub fn simulate_vector(
                 let widx = w as usize;
                 let finished_job = workers[widx].running.take().expect("worker was busy");
                 let fj = finished_job as usize;
-                store.remove(widx, &job_demands[fj * dims..(fj + 1) * dims]);
+                loads.remove(widx, fj);
                 outstanding_now -= 1;
                 outstanding.update(t, outstanding_now as f64);
                 // Pull the next runnable entry: concrete tasks run as-is;
                 // reservations launch a task if their job still needs one
-                // (the reserved demand becomes the task's demand), and
-                // cancel — subtracting their demand — otherwise.
+                // (the reserved load becomes the task's), and cancel —
+                // removing their load — otherwise.
                 let mut successor = None;
                 while let Some(entry) = workers[widx].pending.pop_front() {
                     match entry {
@@ -689,9 +718,8 @@ pub fn simulate_vector(
                                 successor = Some((t + service, Event::TaskComplete(w)));
                                 break;
                             }
-                            // Cancelled reservation: drop its demand and
-                            // keep looking.
-                            store.remove(widx, &job_demands[rj * dims..(rj + 1) * dims]);
+                            // Cancelled reservation: drop and keep looking.
+                            loads.remove(widx, rj);
                         }
                     }
                 }
@@ -702,11 +730,14 @@ pub fn simulate_vector(
                 successor
             }
         };
-        retire_top(&mut queue, successor);
+        // One heap operation ends the event: a pop, or a pop then a push
+        // in one sift down.
+        match successor {
+            Some((time, event)) => queue.replace_top(time, event),
+            None => queue.pop(),
+        };
     }
-
-    debug_assert!(store.check_invariants(), "vector store invariants broken");
-    debug_assert_eq!(store.balls().total_balls(), 0, "tasks leaked demand");
+    debug_assert!(loads.drained(), "tasks leaked load");
 
     let response = Summary::from_iter(responses.iter().copied());
     let pct = quantiles(&responses, &[0.5, 0.9, 0.99]);
@@ -724,7 +755,7 @@ pub fn simulate_vector(
         probes_per_job: probe_messages as f64 / config.jobs as f64,
         mean_outstanding: outstanding.average(clock.now()),
         max_queue_len,
-        dim_gaps: peak_dim_gaps,
+        dim_gaps: peak_gaps,
     }
 }
 
@@ -917,30 +948,167 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scheduler batch must be at least 1")]
+    #[should_panic(expected = "scheduler_batch must be positive")]
     fn zero_scheduler_batch_field_rejected_by_simulate() {
         let _ = simulate(&zero_batch_literal(), PlacementStrategy::KdChoice { d: 5 });
     }
 
     #[test]
-    #[should_panic(expected = "scheduler batch must be at least 1")]
+    #[should_panic(expected = "scheduler_batch must be positive")]
     fn zero_scheduler_batch_field_rejected_by_late_binding() {
         let strategy = PlacementStrategy::LateBinding { probes_per_task: 2 };
         let _ = simulate(&zero_batch_literal(), strategy);
     }
 
     #[test]
-    #[should_panic(expected = "scheduler batch must be at least 1")]
+    #[should_panic(expected = "scheduler_batch must be positive")]
     fn zero_scheduler_batch_field_rejected_by_simulate_vector() {
         let strategy = PlacementStrategy::KdChoice { d: 5 };
         let _ = simulate_vector(&zero_batch_literal(), strategy, &VectorJobProfile::scalar());
     }
 
     #[test]
-    #[should_panic(expected = "scheduler batch must be at least 1")]
+    #[should_panic(expected = "scheduler_batch must be positive")]
     fn zero_scheduler_batch_field_rejected_by_vector_late_binding() {
         let strategy = PlacementStrategy::LateBinding { probes_per_task: 2 };
         let _ = simulate_vector(&zero_batch_literal(), strategy, &VectorJobProfile::scalar());
+    }
+
+    #[test]
+    fn validate_accepts_every_strategy_at_its_limits() {
+        let cfg = base_config(16);
+        for strategy in [
+            PlacementStrategy::Random,
+            PlacementStrategy::PerTaskDChoice { d: 1 },
+            PlacementStrategy::BatchSampling { probes_per_task: 1 },
+            PlacementStrategy::KdChoice { d: 4 },
+            PlacementStrategy::LateBinding { probes_per_task: 1 },
+        ] {
+            assert_eq!(cfg.validate(strategy), Ok(()), "{strategy}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_zero_probes_for_every_probing_strategy() {
+        let cfg = base_config(16);
+        for (strategy, want) in [
+            (
+                PlacementStrategy::PerTaskDChoice { d: 0 },
+                ConfigError::ZeroParameter("d"),
+            ),
+            (
+                PlacementStrategy::BatchSampling { probes_per_task: 0 },
+                ConfigError::ZeroParameter("probes_per_task"),
+            ),
+            (
+                PlacementStrategy::LateBinding { probes_per_task: 0 },
+                ConfigError::ZeroParameter("probes_per_task"),
+            ),
+            (
+                PlacementStrategy::KdChoice { d: 3 },
+                ConfigError::KExceedsD { k: 4, d: 3 },
+            ),
+        ] {
+            assert_eq!(cfg.validate(strategy), Err(want), "{strategy}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_degenerate_cluster_fields() {
+        let kd = PlacementStrategy::KdChoice { d: 5 };
+        let with = |change: fn(&mut ClusterConfig)| {
+            let mut cfg = base_config(16);
+            change(&mut cfg);
+            cfg.validate(kd)
+        };
+        assert_eq!(
+            with(|c| c.workers = 0),
+            Err(ConfigError::ZeroParameter("workers"))
+        );
+        assert_eq!(
+            with(|c| c.tasks_per_job = 0),
+            Err(ConfigError::ZeroParameter("tasks_per_job"))
+        );
+        assert_eq!(
+            with(|c| c.jobs = 0),
+            Err(ConfigError::ZeroParameter("jobs"))
+        );
+        assert_eq!(
+            with(|c| c.scheduler_batch = 0),
+            Err(ConfigError::ZeroParameter("scheduler_batch"))
+        );
+        assert_eq!(
+            with(|c| c.warmup_fraction = 1.5),
+            Err(ConfigError::BadProbability("warmup_fraction"))
+        );
+        for arrival_rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let cfg = ClusterConfig {
+                arrival_rate,
+                ..base_config(16)
+            };
+            let got = cfg.validate(kd);
+            assert!(
+                matches!(
+                    got,
+                    Err(ConfigError::OutOfRange {
+                        name: "arrival_rate",
+                        ..
+                    })
+                ),
+                "rate {arrival_rate}: {got:?}"
+            );
+        }
+        let unstable = with(|c| c.arrival_rate *= 2.0);
+        assert!(
+            matches!(
+                unstable,
+                Err(ConfigError::OutOfRange {
+                    name: "utilization",
+                    ..
+                })
+            ),
+            "{unstable:?}"
+        );
+    }
+
+    #[test]
+    fn validate_rejects_service_distributions_that_cannot_be_drawn() {
+        let kd = PlacementStrategy::KdChoice { d: 5 };
+        for service in [
+            ServiceDistribution::Exponential { mean: 0.0 },
+            ServiceDistribution::Exponential { mean: -1.0 },
+            ServiceDistribution::Exponential { mean: f64::NAN },
+            ServiceDistribution::Deterministic { value: -0.5 },
+            ServiceDistribution::Deterministic {
+                value: f64::INFINITY,
+            },
+            ServiceDistribution::Pareto {
+                alpha: 0.0,
+                lo: 1.0,
+                hi: 2.0,
+            },
+            ServiceDistribution::Pareto {
+                alpha: 1.5,
+                lo: 2.0,
+                hi: 1.0,
+            },
+        ] {
+            let cfg = ClusterConfig {
+                service,
+                ..base_config(16)
+            };
+            let got = cfg.validate(kd);
+            assert!(
+                matches!(got, Err(ConfigError::OutOfRange { .. })),
+                "{service:?}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid cluster config: d must be positive")]
+    fn simulate_panics_with_the_validate_message() {
+        let _ = simulate(&base_config(16), PlacementStrategy::PerTaskDChoice { d: 0 });
     }
 
     #[test]
@@ -1025,36 +1193,38 @@ mod tests {
 
     #[test]
     fn vector_simulation_at_dims_1_is_bit_identical_to_scalar() {
-        // The tentpole lock at the simulator level: the degenerate
+        // The lock at the simulator level: the degenerate
         // profile reproduces `simulate` bit for bit, for every strategy
         // — including event-driven late binding — same RNG draws, same
         // winners, same report.
-        let cfg = base_config(20);
+        // Both probe paths run: live loads at batch 1, a snapshot
+        // refreshed every 8 jobs at batch 8.
         let profile = VectorJobProfile::scalar();
         assert!(!profile.is_vector());
-        for strategy in [
-            PlacementStrategy::Random,
-            PlacementStrategy::PerTaskDChoice { d: 2 },
-            PlacementStrategy::BatchSampling { probes_per_task: 2 },
-            PlacementStrategy::KdChoice { d: 5 },
-            PlacementStrategy::LateBinding { probes_per_task: 2 },
-        ] {
-            let scalar = simulate(&cfg, strategy);
-            let vector = simulate_vector(&cfg, strategy, &profile);
-            assert_eq!(scalar.jobs_measured, vector.jobs_measured, "{strategy}");
-            assert_eq!(scalar.response.mean(), vector.response.mean(), "{strategy}");
-            assert_eq!(
-                scalar.response_percentiles, vector.response_percentiles,
-                "{strategy}"
-            );
-            assert_eq!(scalar.probe_messages, vector.probe_messages, "{strategy}");
-            assert_eq!(scalar.max_queue_len, vector.max_queue_len, "{strategy}");
-            assert_eq!(
-                scalar.mean_outstanding, vector.mean_outstanding,
-                "{strategy}"
-            );
-            assert_eq!(scalar.dim_gaps, vector.dim_gaps, "{strategy}");
-            assert_eq!(vector.dim_gaps.len(), 1, "{strategy}");
+        for batch in [1, 8] {
+            let cfg = base_config(20).with_scheduler_batch(batch);
+            for strategy in [
+                PlacementStrategy::Random,
+                PlacementStrategy::PerTaskDChoice { d: 2 },
+                PlacementStrategy::BatchSampling { probes_per_task: 2 },
+                PlacementStrategy::KdChoice { d: 5 },
+                PlacementStrategy::LateBinding { probes_per_task: 2 },
+            ] {
+                let scalar = simulate(&cfg, strategy);
+                let vector = simulate_vector(&cfg, strategy, &profile);
+                let at = format!("{strategy} batch {batch}");
+                assert_eq!(scalar.jobs_measured, vector.jobs_measured, "{at}");
+                assert_eq!(scalar.response.mean(), vector.response.mean(), "{at}");
+                assert_eq!(
+                    scalar.response_percentiles, vector.response_percentiles,
+                    "{at}"
+                );
+                assert_eq!(scalar.probe_messages, vector.probe_messages, "{at}");
+                assert_eq!(scalar.max_queue_len, vector.max_queue_len, "{at}");
+                assert_eq!(scalar.mean_outstanding, vector.mean_outstanding, "{at}");
+                assert_eq!(scalar.dim_gaps, vector.dim_gaps, "{at}");
+                assert_eq!(vector.dim_gaps.len(), 1, "{at}");
+            }
         }
     }
 

@@ -1,11 +1,10 @@
 //! Worker-selection strategies for job scheduling.
 
 use std::borrow::Cow;
-use std::cmp::Ordering;
 
 use kdchoice_core::{
-    decide_k_least, expand_slots, select_k_least, sort_probes, BinStore, LoadView,
-    PlacementObjective,
+    decide_k_least, expand_slots, select_k_least, sort_probes, BinStore, ConfigError, LoadView,
+    PlacementObjective, VectorLoad,
 };
 use kdchoice_prng::sample::{fill_with_replacement, random_argmin};
 use rand::RngCore;
@@ -49,38 +48,143 @@ impl<B: BinStore + ?Sized> LoadView for LiveLoads<'_, B> {
 pub(crate) struct ChoiceScratch {
     /// The probed workers, sorted in place before a k-least decision.
     probes: Vec<usize>,
-    /// The decision kernel's tentative slots.
+    /// The scalar decision kernel's tentative slots.
     slots: Vec<(u32, u64, usize)>,
+    /// The vector decision's tentative slots, keyed by the objective.
+    key_slots: Vec<(f64, u64, usize)>,
     /// The chosen workers, one per task, in winner order.
     pub(crate) chosen: Vec<usize>,
 }
 
-/// `f64` under `total_cmp`, so objective keys can drive the same
-/// `random_argmin` reservoir the scalar per-task path uses. Keys are
-/// integer-valued for the scalar and max-norm objectives, where
+/// What a one-shot choice reads of the workers: how many there are, the
+/// key a per-task probe compares, and the k-least decision over the
+/// sorted probes in `scratch.probes`, written to `scratch.chosen`.
+pub(crate) trait ProbeView {
+    /// The per-task comparison key.
+    type Key: Ord;
+
+    /// The number of workers probes are drawn from.
+    fn workers(&self) -> usize;
+
+    /// The key worker `w` offers one task.
+    fn task_key(&self, w: usize) -> Self::Key;
+
+    /// Appends the `k` winners among `scratch.probes` to
+    /// `scratch.chosen`, one tie key per tentative slot in probe order.
+    fn decide<R: RngCore + ?Sized>(&self, k: usize, rng: &mut R, scratch: &mut ChoiceScratch);
+}
+
+/// Scalar queue lengths: the key is the length, and the decision is
+/// [`decide_k_least`] at heights `load + occ`.
+impl<V: LoadView + ?Sized> ProbeView for V {
+    type Key = u32;
+
+    #[inline]
+    fn workers(&self) -> usize {
+        self.view_n()
+    }
+
+    #[inline]
+    fn task_key(&self, w: usize) -> u32 {
+        self.view_load(w)
+    }
+
+    #[inline]
+    fn decide<R: RngCore + ?Sized>(&self, k: usize, rng: &mut R, scratch: &mut ChoiceScratch) {
+        let ChoiceScratch {
+            probes,
+            slots,
+            chosen,
+            ..
+        } = scratch;
+        decide_k_least(self, probes, k, rng, slots, chosen);
+    }
+}
+
+/// D-dimensional worker loads as a one-shot choice reads them: the job's
+/// `k` tasks share one `demand` vector and compete on `objective` keys
+/// instead of scalar queue lengths. `loads` is the live table of `store`
+/// or a stale snapshot of it, in its `[w * dims + j]` layout; `store`
+/// also gives the dimensionality and the capacities.
+///
+/// The choice is draw for draw the scalar one: the same probe batches,
+/// one tie key per tentative slot in sorted order (batch/kd), the same
+/// reservoir tie-breaking (per-task). With `dims = 1`, the scalar
+/// objective and unit demand, keys are the scalar heights as integer
+/// `f64`s, so the winners are bit-identical to the scalar choice on the
+/// same stream (locked by test).
+pub(crate) struct VectorView<'a> {
+    /// Strided worker loads.
+    pub(crate) loads: &'a [u32],
+    /// The store `loads` was read from.
+    pub(crate) store: &'a VectorLoad,
+    /// The job's demand vector, `dims` long.
+    pub(crate) demand: &'a [u32],
+    /// The probe comparison key.
+    pub(crate) objective: &'a PlacementObjective,
+}
+
+impl<'a> VectorView<'a> {
+    /// Worker `w`'s load vector and capacities.
+    #[inline]
+    fn worker(&self, w: usize) -> (&'a [u32], Option<&'a [u32]>) {
+        let dims = self.store.dims();
+        (
+            &self.loads[w * dims..(w + 1) * dims],
+            self.store.capacity_vec(w),
+        )
+    }
+}
+
+/// The `occ`-th tentative task of a worker is keyed at
+/// `objective(load + occ · demand)`, and the kernel keeps the `k` least.
+impl ProbeView for VectorView<'_> {
+    type Key = i64;
+
+    #[inline]
+    fn workers(&self) -> usize {
+        debug_assert_eq!(self.loads.len(), self.store.loads_strided().len());
+        self.store.n()
+    }
+
+    #[inline]
+    fn task_key(&self, w: usize) -> i64 {
+        let (load, caps) = self.worker(w);
+        total_order_key(self.objective.tentative_key(load, self.demand, 1, caps))
+    }
+
+    #[inline]
+    fn decide<R: RngCore + ?Sized>(&self, k: usize, rng: &mut R, scratch: &mut ChoiceScratch) {
+        let ChoiceScratch {
+            probes,
+            key_slots,
+            chosen,
+            ..
+        } = scratch;
+        expand_slots(
+            probes,
+            rng,
+            key_slots,
+            |w| self.worker(w),
+            |&(load, caps), w, occ, tie| {
+                let key = self.objective.tentative_key(load, self.demand, occ, caps);
+                (key, tie, w)
+            },
+        );
+        chosen.extend(select_k_least(key_slots, k).iter().map(|s| s.2));
+    }
+}
+
+/// An `f64` key as an `i64` whose order and equality are `total_cmp`'s
+/// (the same bit flip `f64::total_cmp` makes), so objective keys can
+/// drive the `random_argmin` reservoir the scalar per-task path uses.
+/// Keys are integer-valued for the scalar and max-norm objectives, where
 /// `total_cmp` equality coincides with integer equality — the property
 /// the dims=1 tie-count (and therefore RNG-stream) identity rests on.
-#[derive(Debug, Clone, Copy)]
-struct TotalF64(f64);
-
-impl PartialEq for TotalF64 {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.total_cmp(&other.0) == Ordering::Equal
-    }
-}
-
-impl Eq for TotalF64 {}
-
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
+#[inline]
+fn total_order_key(key: f64) -> i64 {
+    let bits = key.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// How a job's `k` tasks pick their workers.
@@ -148,24 +252,17 @@ impl PlacementStrategy {
         }
     }
 
-    /// Panics when the strategy is incompatible with the job shape.
-    pub(crate) fn validate(&self, k: usize, workers: usize) {
+    /// Checks the strategy's probe parameter against `k` tasks per job.
+    pub(crate) fn validate(&self, k: usize) -> Result<(), ConfigError> {
         match *self {
-            PlacementStrategy::Random => {}
-            PlacementStrategy::PerTaskDChoice { d } => {
-                assert!(d >= 1, "per-task d-choice needs d >= 1");
+            PlacementStrategy::PerTaskDChoice { d: 0 } => Err(ConfigError::ZeroParameter("d")),
+            PlacementStrategy::BatchSampling { probes_per_task: 0 }
+            | PlacementStrategy::LateBinding { probes_per_task: 0 } => {
+                Err(ConfigError::ZeroParameter("probes_per_task"))
             }
-            PlacementStrategy::BatchSampling { probes_per_task } => {
-                assert!(probes_per_task >= 1, "batch sampling needs >= 1 probe/task");
-            }
-            PlacementStrategy::KdChoice { d } => {
-                assert!(d >= k, "(k,d)-choice needs d >= k (k={k}, d={d})");
-            }
-            PlacementStrategy::LateBinding { probes_per_task } => {
-                assert!(probes_per_task >= 1, "late binding needs >= 1 probe/task");
-            }
+            PlacementStrategy::KdChoice { d } if d < k => Err(ConfigError::KExceedsD { k, d }),
+            _ => Ok(()),
         }
-        assert!(workers >= 1);
     }
 
     /// Chooses the workers for the `k` tasks of one job given the current
@@ -192,11 +289,11 @@ impl PlacementStrategy {
     }
 
     /// The one-shot choice core behind [`PlacementStrategy::choose_workers`]
-    /// and the scalar simulator: writes the `k` tasks' workers into
+    /// and both simulations: writes the `k` tasks' workers into
     /// `scratch.chosen` and returns the probe messages. Batch sampling and
-    /// (k,d)-choice sort their probes in place and decide through
-    /// [`decide_k_least`], as [`select_k_least_loaded`] does, in the same
-    /// winner order.
+    /// (k,d)-choice sort their probes in place and decide through the
+    /// view's k-least rule (for scalar loads [`decide_k_least`], as
+    /// [`select_k_least_loaded`] does, in the same winner order).
     pub(crate) fn choose_into<V, R>(
         &self,
         loads: &V,
@@ -205,25 +302,21 @@ impl PlacementStrategy {
         scratch: &mut ChoiceScratch,
     ) -> u64
     where
-        V: LoadView + ?Sized,
+        V: ProbeView + ?Sized,
         R: RngCore + ?Sized,
     {
-        let n = loads.view_n();
-        let ChoiceScratch {
-            probes,
-            slots,
-            chosen,
-        } = scratch;
+        let n = loads.workers();
         let budget = match *self {
             PlacementStrategy::Random => {
-                fill_with_replacement(rng, n, k, chosen);
+                fill_with_replacement(rng, n, k, &mut scratch.chosen);
                 return 0;
             }
             PlacementStrategy::PerTaskDChoice { d } => {
+                let ChoiceScratch { probes, chosen, .. } = scratch;
                 chosen.clear();
                 for _ in 0..k {
                     fill_with_replacement(rng, n, d, probes);
-                    let idx = random_argmin(rng, probes, |&w| loads.view_load(w)).expect("d >= 1");
+                    let idx = random_argmin(rng, probes, |&w| loads.task_key(w)).expect("d >= 1");
                     chosen.push(probes[idx]);
                 }
                 return (k * d) as u64;
@@ -234,111 +327,11 @@ impl PlacementStrategy {
                 unreachable!("late binding is event-driven; handled by the simulator")
             }
         };
-        fill_with_replacement(rng, n, budget, probes);
-        sort_probes(probes);
-        chosen.clear();
-        decide_k_least(loads, probes, k, rng, slots, chosen);
+        fill_with_replacement(rng, n, budget, &mut scratch.probes);
+        sort_probes(&mut scratch.probes);
+        scratch.chosen.clear();
+        loads.decide(k, rng, scratch);
         budget as u64
-    }
-
-    /// The vector analogue of [`PlacementStrategy::choose_workers`]:
-    /// workers carry `dims`-dimensional load vectors (`loads_strided[w *
-    /// dims + j]`, a possibly stale snapshot) and optional per-dimension
-    /// capacities in the same strided layout; the job's `k` tasks share
-    /// one `demand` vector and compete on `objective` keys instead of
-    /// scalar queue lengths.
-    ///
-    /// **RNG contract:** draw for draw identical to the scalar method —
-    /// the same `fill_with_replacement` probe batches, one tie-break per
-    /// tentative slot in sorted order (batch/kd), the same reservoir
-    /// tie-breaking (per-task). With `dims = 1`, the scalar objective,
-    /// and unit demand, keys are the scalar heights as integer `f64`s,
-    /// so the chosen workers are bit-identical to the scalar method on
-    /// the same stream (locked by test).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the strided slices are not multiples of `dims`.
-    /// [`PlacementStrategy::LateBinding`] is unreachable here exactly as
-    /// in the scalar method: it makes no one-shot worker choice — the
-    /// simulator drives its reservations event by event.
-    #[allow(clippy::too_many_arguments)]
-    pub fn choose_workers_vector<R: RngCore + ?Sized>(
-        &self,
-        loads_strided: &[u32],
-        dims: usize,
-        caps_strided: Option<&[u32]>,
-        demand: &[u32],
-        objective: &PlacementObjective,
-        k: usize,
-        rng: &mut R,
-    ) -> (Vec<usize>, u64) {
-        assert!(
-            dims >= 1 && loads_strided.len().is_multiple_of(dims),
-            "strided loads must be a multiple of dims"
-        );
-        assert_eq!(demand.len(), dims, "demand/dims mismatch");
-        let n = loads_strided.len() / dims;
-        match *self {
-            PlacementStrategy::Random => {
-                let mut chosen = Vec::with_capacity(k);
-                fill_with_replacement(rng, n, k, &mut chosen);
-                (chosen, 0)
-            }
-            PlacementStrategy::PerTaskDChoice { d } => {
-                let mut chosen = Vec::with_capacity(k);
-                let mut samples = Vec::with_capacity(d);
-                for _ in 0..k {
-                    fill_with_replacement(rng, n, d, &mut samples);
-                    let idx = random_argmin(rng, &samples, |&w| {
-                        let load = &loads_strided[w * dims..(w + 1) * dims];
-                        let caps = caps_strided.map(|c| &c[w * dims..(w + 1) * dims]);
-                        TotalF64(objective.tentative_key(load, demand, 1, caps))
-                    })
-                    .expect("d >= 1");
-                    chosen.push(samples[idx]);
-                }
-                (chosen, (k * d) as u64)
-            }
-            PlacementStrategy::BatchSampling { probes_per_task } => {
-                let probes = probes_per_task * k;
-                let mut samples = Vec::with_capacity(probes);
-                fill_with_replacement(rng, n, probes, &mut samples);
-                (
-                    select_k_least_loaded_vector(
-                        &samples,
-                        loads_strided,
-                        dims,
-                        caps_strided,
-                        demand,
-                        objective,
-                        k,
-                        rng,
-                    ),
-                    probes as u64,
-                )
-            }
-            PlacementStrategy::KdChoice { d } => {
-                let mut samples = Vec::with_capacity(d);
-                fill_with_replacement(rng, n, d, &mut samples);
-                (
-                    select_k_least_loaded_vector(
-                        &samples,
-                        loads_strided,
-                        dims,
-                        caps_strided,
-                        demand,
-                        objective,
-                        k,
-                        rng,
-                    ),
-                    d as u64,
-                )
-            }
-            PlacementStrategy::LateBinding { .. } => {
-                unreachable!("late binding is event-driven; handled by the simulator")
-            }
-        }
     }
 }
 
@@ -387,48 +380,6 @@ pub fn select_k_least_loaded<R: RngCore + ?Sized>(
         &mut chosen,
     );
     chosen
-}
-
-/// [`select_k_least_loaded`] over D-dimensional worker loads: the
-/// `occ`-th tentative task of a worker is keyed at
-/// `objective(load + occ · demand)` and the kernel keeps the `k` least.
-/// With dims=1, the scalar objective and unit demand this is
-/// stream-identical to the scalar selection.
-///
-/// `loads_strided`/`caps_strided` use the `[w * dims + j]` layout of
-/// `kdchoice_core::VectorLoad::loads_strided`.
-///
-/// # Panics
-///
-/// Panics unless `1 <= k <= samples.len()` and the strided slices are
-/// multiples of `dims`.
-#[allow(clippy::too_many_arguments)]
-pub fn select_k_least_loaded_vector<R: RngCore + ?Sized>(
-    samples: &[usize],
-    loads_strided: &[u32],
-    dims: usize,
-    caps_strided: Option<&[u32]>,
-    demand: &[u32],
-    objective: &PlacementObjective,
-    k: usize,
-    rng: &mut R,
-) -> Vec<usize> {
-    assert!(
-        dims >= 1 && loads_strided.len().is_multiple_of(dims),
-        "strided loads must be a multiple of dims"
-    );
-    let mut slots = Vec::with_capacity(samples.len());
-    expand_slots(
-        &sorted(samples),
-        rng,
-        &mut slots,
-        |w| {
-            let load = &loads_strided[w * dims..(w + 1) * dims];
-            (load, caps_strided.map(|c| &c[w * dims..(w + 1) * dims]))
-        },
-        |&(load, caps), w, occ, tie| (objective.tentative_key(load, demand, occ, caps), tie, w),
-    );
-    select_k_least(&mut slots, k).iter().map(|s| s.2).collect()
 }
 
 /// An ascending copy of `samples`, the kernel's probe order.
@@ -544,9 +495,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs d >= k")]
+    #[should_panic(expected = "k must not exceed d (got k=4, d=2)")]
     fn kd_strategy_validates_d_at_least_k() {
-        PlacementStrategy::KdChoice { d: 2 }.validate(4, 10);
+        assert_eq!(
+            PlacementStrategy::KdChoice { d: 2 }.validate(4),
+            Err(ConfigError::KExceedsD { k: 4, d: 2 })
+        );
+        // The simulators refuse the strategy with the error's message.
+        let cfg = crate::ClusterConfig::new(10, 4, 10, 1).with_utilization(0.5);
+        let _ = crate::simulate(&cfg, PlacementStrategy::KdChoice { d: 2 });
+    }
+
+    /// The vector k-least decision over the sorted `probes`.
+    fn select_vector(
+        probes: &[usize],
+        view: &VectorView<'_>,
+        k: usize,
+        rng: &mut Xoshiro256PlusPlus,
+    ) -> Vec<usize> {
+        let mut scratch = ChoiceScratch::default();
+        scratch.probes.extend_from_slice(probes);
+        view.decide(k, rng, &mut scratch);
+        scratch.chosen
     }
 
     #[test]
@@ -555,6 +525,12 @@ mod tests {
         // same workers out, same stream position after — for every
         // one-shot strategy.
         let loads: Vec<u32> = (0..32).map(|w| (w * 7 % 5) as u32).collect();
+        let view = VectorView {
+            loads: &loads,
+            store: &VectorLoad::new(1, 32),
+            demand: &[1],
+            objective: &PlacementObjective::Scalar,
+        };
         for (label, strategy) in [
             ("random", PlacementStrategy::Random),
             ("per-task", PlacementStrategy::PerTaskDChoice { d: 3 }),
@@ -567,16 +543,9 @@ mod tests {
             let mut rng_a = Xoshiro256PlusPlus::from_u64(42);
             let mut rng_b = Xoshiro256PlusPlus::from_u64(42);
             let (scalar, probes_a) = strategy.choose_workers(&loads, 4, &mut rng_a);
-            let (vector, probes_b) = strategy.choose_workers_vector(
-                &loads,
-                1,
-                None,
-                &[1],
-                &PlacementObjective::Scalar,
-                4,
-                &mut rng_b,
-            );
-            assert_eq!(scalar, vector, "{label}: winners diverged");
+            let mut scratch = ChoiceScratch::default();
+            let probes_b = strategy.choose_into(&view, 4, &mut rng_b, &mut scratch);
+            assert_eq!(scalar, scratch.chosen, "{label}: winners diverged");
             assert_eq!(probes_a, probes_b, "{label}: probe counts diverged");
             assert_eq!(
                 rng_a.next_u64(),
@@ -591,32 +560,21 @@ mod tests {
         // Worker 0 is scalar-lighter (sum 4 < 6) but spiked on dim 0;
         // max-norm placement of a (1,1) demand must prefer the balanced
         // worker 1, while the scalar objective prefers worker 0.
-        let loads = [4, 0, 3, 3]; // dims = 2: w0 = (4,0), w1 = (3,3)
-        let demand = [1, 1];
+        let store = VectorLoad::new(2, 2);
+        let max_norm = VectorView {
+            loads: &[4, 0, 3, 3], // dims = 2: w0 = (4,0), w1 = (3,3)
+            store: &store,
+            demand: &[1, 1],
+            objective: &PlacementObjective::MaxNorm,
+        };
+        let scalar = VectorView {
+            objective: &PlacementObjective::Scalar,
+            ..max_norm
+        };
         for _ in 0..20 {
             let mut rng = Xoshiro256PlusPlus::from_u64(9);
-            let w = select_k_least_loaded_vector(
-                &[0, 1],
-                &loads,
-                2,
-                None,
-                &demand,
-                &PlacementObjective::MaxNorm,
-                1,
-                &mut rng,
-            );
-            assert_eq!(w, vec![1]);
-            let w = select_k_least_loaded_vector(
-                &[0, 1],
-                &loads,
-                2,
-                None,
-                &demand,
-                &PlacementObjective::Scalar,
-                1,
-                &mut rng,
-            );
-            assert_eq!(w, vec![0]);
+            assert_eq!(select_vector(&[0, 1], &max_norm, 1, &mut rng), vec![1]);
+            assert_eq!(select_vector(&[0, 1], &scalar, 1, &mut rng), vec![0]);
         }
     }
 
@@ -624,34 +582,31 @@ mod tests {
     fn vector_select_capacity_objective_prefers_fat_worker() {
         // Same loads, but worker 0 has 8x capacity on every dimension:
         // normalized load (6/8, 2/8) beats worker 1's (1,1).
-        let loads = [6, 2, 1, 1];
-        let caps = [8, 8, 1, 1];
         let mut rng = Xoshiro256PlusPlus::from_u64(10);
-        let w = select_k_least_loaded_vector(
-            &[0, 1],
-            &loads,
-            2,
-            Some(&caps),
-            &[1, 1],
-            &PlacementObjective::NormalizedByCapacity,
-            1,
-            &mut rng,
-        );
-        assert_eq!(w, vec![0]);
+        let view = VectorView {
+            loads: &[6, 2, 1, 1],
+            store: &VectorLoad::with_vector_capacities(2, &[8, 8, 1, 1]),
+            demand: &[1, 1],
+            objective: &PlacementObjective::NormalizedByCapacity,
+        };
+        assert_eq!(select_vector(&[0, 1], &view, 1, &mut rng), vec![0]);
     }
 
     #[test]
     #[should_panic(expected = "event-driven")]
     fn late_binding_makes_no_one_shot_vector_choice() {
         let mut rng = Xoshiro256PlusPlus::from_u64(11);
-        let _ = PlacementStrategy::LateBinding { probes_per_task: 2 }.choose_workers_vector(
-            &[0, 0],
-            1,
-            None,
-            &[1],
-            &PlacementObjective::Scalar,
+        let view = VectorView {
+            loads: &[0, 0],
+            store: &VectorLoad::new(1, 2),
+            demand: &[1],
+            objective: &PlacementObjective::Scalar,
+        };
+        let _ = PlacementStrategy::LateBinding { probes_per_task: 2 }.choose_into(
+            &view,
             1,
             &mut rng,
+            &mut ChoiceScratch::default(),
         );
     }
 }

@@ -6,7 +6,7 @@
 //! through the shared work-stealing `SweepRunner`, each cell a
 //! deterministic [`simulate`] call.
 
-use kdchoice_core::{two_tier_capacities, PlacementObjective, MAX_DIMS};
+use kdchoice_core::{two_tier_capacities, ConfigError, PlacementObjective, MAX_DIMS};
 use kdchoice_expt::{Axis, Fields, GridError, GridSpec, Params, Scenario, Value};
 use kdchoice_prng::demand::DemandDistribution;
 
@@ -148,12 +148,15 @@ impl Scenario for SchedulerScenario {
         let workers = params.get_usize("workers", 64)?;
         let k = params.get_usize("k", 4)?;
         let jobs = params.get_usize("jobs", 2000)?;
-        if workers == 0 || k == 0 || jobs == 0 {
-            return Err(params.bad_value("workers", "workers, k, and jobs all >= 1"));
-        }
+        // The builders below panic on these two; `ClusterConfig::validate`
+        // checks everything else.
         let rho = params.get_f64("rho", 0.8)?;
         if !(rho > 0.0 && rho < 1.0) {
             return Err(params.bad_value("rho", "a utilization in (0,1)"));
+        }
+        let batch = params.get_usize("batch", 1)?;
+        if batch == 0 {
+            return Err(params.bad_value("batch", "at least 1"));
         }
         let strategy = match params.get_raw("strategy").unwrap_or("kd") {
             "random" => PlacementStrategy::Random,
@@ -163,13 +166,9 @@ impl Scenario for SchedulerScenario {
             "batch" => PlacementStrategy::BatchSampling {
                 probes_per_task: params.get_usize("d", 2)?,
             },
-            "kd" => {
-                let d = params.get_usize("d", k + 1)?;
-                if d < k {
-                    return Err(params.bad_value("d", &format!("d >= k for kd (k={k})")));
-                }
-                PlacementStrategy::KdChoice { d }
-            }
+            "kd" => PlacementStrategy::KdChoice {
+                d: params.get_usize("d", k + 1)?,
+            },
             "late" => PlacementStrategy::LateBinding {
                 probes_per_task: params.get_usize("d", 2)?,
             },
@@ -180,10 +179,22 @@ impl Scenario for SchedulerScenario {
             "det" => ServiceDistribution::Deterministic { value: 1.0 },
             _ => return Err(params.bad_value("service", "exp | det")),
         };
-        let batch = params.get_usize("batch", 1)?;
-        if batch == 0 {
-            return Err(params.bad_value("batch", "at least 1"));
-        }
+        let seed = params.get_u64("seed", 0)?;
+        let cluster = ClusterConfig::new(workers, k, jobs, seed)
+            .with_service(service)
+            .with_utilization(rho)
+            .with_scheduler_batch(batch);
+        cluster.validate(strategy).map_err(|err| {
+            // The offending field's axis: `rho` and `batch` were checked above.
+            let axis = match err {
+                ConfigError::ZeroParameter("workers") => "workers",
+                ConfigError::ZeroParameter("tasks_per_job") => "k",
+                ConfigError::ZeroParameter("jobs") => "jobs",
+                ConfigError::ZeroParameter(_) | ConfigError::KExceedsD { .. } => "d",
+                _ => "rho",
+            };
+            params.bad_value(axis, &format!("a valid config ({err})"))
+        })?;
         let dims = params.get_usize("dims", 1)?;
         if dims == 0 || dims > MAX_DIMS {
             return Err(params.bad_value("dims", &format!("1 <= dims <= {MAX_DIMS}")));
@@ -211,11 +222,6 @@ impl Scenario for SchedulerScenario {
             demand,
             worker_capacities,
         };
-        let seed = params.get_u64("seed", 0)?;
-        let cluster = ClusterConfig::new(workers, k, jobs, seed)
-            .with_service(service)
-            .with_utilization(rho)
-            .with_scheduler_batch(batch);
         Ok(SchedulerExperiment {
             cluster,
             strategy,
@@ -286,6 +292,34 @@ mod tests {
         assert!(configs_from_grid(&SchedulerScenario, &bad, 0).is_err());
         let unstable = GridSpec::parse_str("rho=1.5").unwrap();
         assert!(configs_from_grid(&SchedulerScenario, &unstable, 0).is_err());
+    }
+
+    #[test]
+    fn zero_probe_grids_are_grid_errors_not_panics() {
+        for strategy in ["per-task", "batch", "late", "kd"] {
+            let grid = GridSpec::parse_str(&format!("strategy={strategy} d=0")).unwrap();
+            match configs_from_grid(&SchedulerScenario, &grid, 0) {
+                Err(GridError::BadValue { axis, .. }) => assert_eq!(axis, "d", "{strategy}"),
+                other => panic!("{strategy} d=0: expected a d error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_shapes_are_grid_errors_on_their_axis() {
+        for (grid, want) in [
+            ("workers=0", "workers"),
+            ("workers=0 caps=two_tier", "workers"),
+            ("k=0", "k"),
+            ("jobs=0", "jobs"),
+            ("k=4 strategy=kd d=3", "d"),
+        ] {
+            let spec = GridSpec::parse_str(grid).unwrap();
+            match configs_from_grid(&SchedulerScenario, &spec, 0) {
+                Err(GridError::BadValue { axis, .. }) => assert_eq!(axis, want, "{grid}"),
+                other => panic!("{grid}: expected a {want} error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Service-time distributions for the cluster workload.
 
+use kdchoice_core::ConfigError;
 use kdchoice_prng::dist::{BoundedPareto, Exponential};
 use rand::RngCore;
 
@@ -53,27 +54,32 @@ impl ServiceDistribution {
     /// # Panics
     ///
     /// Panics if the parameters are invalid (validated lazily; construct
-    /// through the public fields responsibly or via config validation).
+    /// through the public fields responsibly or via
+    /// [`crate::ClusterConfig::validate`]).
     pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.sampler().sample(rng)
+        self.sampler().unwrap_or_else(|e| panic!("{e}")).sample(rng)
     }
 
     /// The sampler of this distribution, with its per-draw constants
     /// computed once; its draws are bit-identical to
-    /// [`ServiceDistribution::sample`]'s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameters are invalid.
-    pub(crate) fn sampler(&self) -> ServiceSampler {
+    /// [`ServiceDistribution::sample`]'s. Fails with
+    /// [`ConfigError::OutOfRange`] on parameters it cannot draw from.
+    pub(crate) fn sampler(&self) -> Result<ServiceSampler, ConfigError> {
+        let out_of_range = |name, need| ConfigError::OutOfRange { name, need };
         match *self {
-            ServiceDistribution::Exponential { mean } => {
-                ServiceSampler::Exponential(Exponential::new(1.0 / mean).expect("positive mean"))
+            ServiceDistribution::Exponential { mean } => Exponential::new(1.0 / mean)
+                .map(ServiceSampler::Exponential)
+                .map_err(|_| out_of_range("exponential service mean", "finite and > 0")),
+            ServiceDistribution::Deterministic { value } if value.is_finite() && value >= 0.0 => {
+                Ok(ServiceSampler::Deterministic(value))
             }
-            ServiceDistribution::Deterministic { value } => ServiceSampler::Deterministic(value),
-            ServiceDistribution::Pareto { alpha, lo, hi } => ServiceSampler::Pareto(
-                BoundedPareto::new(alpha, lo, hi).expect("valid pareto parameters"),
-            ),
+            ServiceDistribution::Deterministic { .. } => Err(out_of_range(
+                "deterministic service time",
+                "finite and >= 0",
+            )),
+            ServiceDistribution::Pareto { alpha, lo, hi } => BoundedPareto::new(alpha, lo, hi)
+                .map(ServiceSampler::Pareto)
+                .map_err(|_| out_of_range("pareto service", "alpha > 0 and 0 < lo < hi")),
         }
     }
 }
