@@ -975,41 +975,38 @@ mod tests {
     }
 
     #[test]
-    fn validate_accepts_every_strategy_at_its_limits() {
-        let cfg = base_config(16);
-        for strategy in [
-            PlacementStrategy::Random,
-            PlacementStrategy::PerTaskDChoice { d: 1 },
-            PlacementStrategy::BatchSampling { probes_per_task: 1 },
-            PlacementStrategy::KdChoice { d: 4 },
-            PlacementStrategy::LateBinding { probes_per_task: 1 },
-        ] {
-            assert_eq!(cfg.validate(strategy), Ok(()), "{strategy}");
-        }
-    }
-
-    #[test]
-    fn validate_rejects_zero_probes_for_every_probing_strategy() {
-        let cfg = base_config(16);
+    fn validate_checks_each_strategy_at_its_limits() {
+        let cfg = base_config(16); // k = 4
         for (strategy, want) in [
+            (PlacementStrategy::Random, Ok(())),
+            (PlacementStrategy::PerTaskDChoice { d: 1 }, Ok(())),
             (
                 PlacementStrategy::PerTaskDChoice { d: 0 },
-                ConfigError::ZeroParameter("d"),
+                Err(ConfigError::ZeroParameter("d")),
+            ),
+            (
+                PlacementStrategy::BatchSampling { probes_per_task: 1 },
+                Ok(()),
             ),
             (
                 PlacementStrategy::BatchSampling { probes_per_task: 0 },
-                ConfigError::ZeroParameter("probes_per_task"),
+                Err(ConfigError::ZeroParameter("probes_per_task")),
+            ),
+            (PlacementStrategy::KdChoice { d: 4 }, Ok(())),
+            (
+                PlacementStrategy::KdChoice { d: 3 },
+                Err(ConfigError::KExceedsD { k: 4, d: 3 }),
+            ),
+            (
+                PlacementStrategy::LateBinding { probes_per_task: 1 },
+                Ok(()),
             ),
             (
                 PlacementStrategy::LateBinding { probes_per_task: 0 },
-                ConfigError::ZeroParameter("probes_per_task"),
-            ),
-            (
-                PlacementStrategy::KdChoice { d: 3 },
-                ConfigError::KExceedsD { k: 4, d: 3 },
+                Err(ConfigError::ZeroParameter("probes_per_task")),
             ),
         ] {
-            assert_eq!(cfg.validate(strategy), Err(want), "{strategy}");
+            assert_eq!(cfg.validate(strategy), want, "{strategy}");
         }
     }
 
@@ -1103,12 +1100,6 @@ mod tests {
                 "{service:?}: {got:?}"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid cluster config: d must be positive")]
-    fn simulate_panics_with_the_validate_message() {
-        let _ = simulate(&base_config(16), PlacementStrategy::PerTaskDChoice { d: 0 });
     }
 
     #[test]

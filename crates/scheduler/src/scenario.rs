@@ -295,29 +295,24 @@ mod tests {
     }
 
     #[test]
-    fn zero_probe_grids_are_grid_errors_not_panics() {
-        for strategy in ["per-task", "batch", "late", "kd"] {
-            let grid = GridSpec::parse_str(&format!("strategy={strategy} d=0")).unwrap();
-            match configs_from_grid(&SchedulerScenario, &grid, 0) {
-                Err(GridError::BadValue { axis, .. }) => assert_eq!(axis, "d", "{strategy}"),
-                other => panic!("{strategy} d=0: expected a d error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn degenerate_shapes_are_grid_errors_on_their_axis() {
-        for (grid, want) in [
+    fn bad_grids_are_grid_errors_on_their_axis() {
+        for (grid, axis) in [
+            // Zero probes per task or per job: rejected by
+            // `ClusterConfig::validate`, not a panic in the run.
+            ("strategy=per-task d=0", "d"),
+            ("strategy=batch d=0", "d"),
+            ("strategy=late d=0", "d"),
+            ("strategy=kd d=0", "d"),
+            ("k=4 strategy=kd d=3", "d"),
             ("workers=0", "workers"),
             ("workers=0 caps=two_tier", "workers"),
             ("k=0", "k"),
             ("jobs=0", "jobs"),
-            ("k=4 strategy=kd d=3", "d"),
         ] {
             let spec = GridSpec::parse_str(grid).unwrap();
             match configs_from_grid(&SchedulerScenario, &spec, 0) {
-                Err(GridError::BadValue { axis, .. }) => assert_eq!(axis, want, "{grid}"),
-                other => panic!("{grid}: expected a {want} error, got {other:?}"),
+                Err(GridError::BadValue { axis: got, .. }) => assert_eq!(got, axis, "{grid}"),
+                other => panic!("{grid}: expected a {axis} error, got {other:?}"),
             }
         }
     }
