@@ -81,7 +81,7 @@ pub use workload::ServiceDistribution;
 
 use std::collections::VecDeque;
 
-use kdchoice_core::{BinStore, ConfigError, LoadVector, PlacementObjective, VectorLoad, MAX_DIMS};
+use kdchoice_core::{BinStore, ConfigError, LoadVector, PlacementObjective, VectorLoad};
 use kdchoice_prng::demand::DemandDistribution;
 use kdchoice_prng::dist::Exponential;
 use kdchoice_prng::Xoshiro256PlusPlus;
@@ -361,7 +361,7 @@ pub fn simulate_on<B: BinStore>(
     config.assert_valid(strategy);
     assert_eq!(queue_lens.n(), config.workers, "one bin per worker");
     assert_eq!(queue_lens.total_balls(), 0, "store must start empty");
-    run(config, strategy, ScalarLoads(queue_lens), 1)
+    run(config, strategy, queue_lens, 1)
 }
 
 /// [`simulate`] with multidimensional job demands: jobs draw a demand
@@ -410,7 +410,7 @@ pub fn simulate_vector(
     let loads = VectorLoads {
         store,
         profile,
-        job_demands: vec![[0; MAX_DIMS]; config.jobs],
+        job_demands: vec![0; config.jobs * dims],
         demand_buf: Vec::with_capacity(dims),
     };
     run(config, strategy, loads, dims)
@@ -420,8 +420,10 @@ pub fn simulate_vector(
 /// a task adds to its worker, how probes read loads, which gaps are
 /// observed. [`run`]'s event loop owns everything else.
 trait JobLoads {
-    /// Begins `job`'s arrival, before any of its probes are drawn.
-    fn arrive(&mut self, job: usize, rng: &mut Xoshiro256PlusPlus);
+    /// Begins `job`'s arrival, before any of its probes are drawn: draws
+    /// its demand, where it has one (unit demand draws nothing).
+    #[inline]
+    fn arrive(&mut self, _job: usize, _rng: &mut Xoshiro256PlusPlus) {}
 
     /// Adds a task or reservation of `job` at `w`; returns `w`'s queue length.
     fn add(&mut self, w: usize, job: usize) -> u32;
@@ -430,7 +432,7 @@ trait JobLoads {
     fn remove(&mut self, w: usize, job: usize);
 
     /// Copies every worker's load into `snapshot`.
-    fn copy_loads_into(&self, snapshot: &mut Vec<u32>);
+    fn snapshot_into(&self, snapshot: &mut Vec<u32>);
 
     /// Chooses `job`'s workers into `scratch.chosen` from `snapshot`, or
     /// from the live loads when it is `None`; returns the probe messages.
@@ -452,25 +454,20 @@ trait JobLoads {
 }
 
 /// Scalar queue lengths in any [`BinStore`]: a task adds one ball.
-struct ScalarLoads<B>(B);
-
-impl<B: BinStore> JobLoads for ScalarLoads<B> {
-    #[inline]
-    fn arrive(&mut self, _job: usize, _rng: &mut Xoshiro256PlusPlus) {}
-
+impl<B: BinStore> JobLoads for B {
     #[inline]
     fn add(&mut self, w: usize, _job: usize) -> u32 {
-        self.0.add_ball(w)
+        self.add_ball(w)
     }
 
     #[inline]
     fn remove(&mut self, w: usize, _job: usize) {
-        self.0.remove_ball(w);
+        self.remove_ball(w);
     }
 
     #[inline]
-    fn copy_loads_into(&self, snapshot: &mut Vec<u32>) {
-        self.0.copy_loads_into(snapshot);
+    fn snapshot_into(&self, snapshot: &mut Vec<u32>) {
+        self.copy_loads_into(snapshot);
     }
 
     #[inline]
@@ -484,18 +481,18 @@ impl<B: BinStore> JobLoads for ScalarLoads<B> {
         scratch: &mut ChoiceScratch,
     ) -> u64 {
         match snapshot {
-            None => strategy.choose_into(&LiveLoads(&self.0), k, rng, scratch),
+            None => strategy.choose_into(&LiveLoads(self), k, rng, scratch),
             Some(loads) => strategy.choose_into(&SliceLoads(loads), k, rng, scratch),
         }
     }
 
     #[inline]
     fn record_gaps(&self, peaks: &mut [f64]) {
-        peaks[0] = peaks[0].max(self.0.gap());
+        peaks[0] = peaks[0].max(self.gap());
     }
 
     fn drained(&self) -> bool {
-        self.0.total_balls() == 0
+        self.total_balls() == 0
     }
 }
 
@@ -506,36 +503,43 @@ impl<B: BinStore> JobLoads for ScalarLoads<B> {
 struct VectorLoads<'a> {
     store: VectorLoad,
     profile: &'a VectorJobProfile,
-    /// Each job's demand vector in its first `dims` entries.
-    job_demands: Vec<[u32; MAX_DIMS]>,
+    /// Each job's demand vector, `dims` entries per job.
+    job_demands: Vec<u32>,
     /// The arriving job's demand draw.
     demand_buf: Vec<u32>,
+}
+
+impl VectorLoads<'_> {
+    /// Where `job`'s demand vector sits in `job_demands`.
+    #[inline]
+    fn demand_range(&self, job: usize) -> std::ops::Range<usize> {
+        let dims = self.profile.dims;
+        job * dims..(job + 1) * dims
+    }
 }
 
 impl JobLoads for VectorLoads<'_> {
     #[inline]
     fn arrive(&mut self, job: usize, rng: &mut Xoshiro256PlusPlus) {
-        let dims = self.profile.dims;
-        self.profile
-            .demand
-            .sample_into(rng, dims, &mut self.demand_buf);
-        self.job_demands[job][..dims].copy_from_slice(&self.demand_buf);
+        let range = self.demand_range(job);
+        let demand = &self.profile.demand;
+        demand.sample_into(rng, range.len(), &mut self.demand_buf);
+        self.job_demands[range].copy_from_slice(&self.demand_buf);
     }
 
     #[inline]
     fn add(&mut self, w: usize, job: usize) -> u32 {
-        self.store
-            .add(w, &self.job_demands[job][..self.profile.dims])
+        self.store.add(w, &self.job_demands[self.demand_range(job)])
     }
 
     #[inline]
     fn remove(&mut self, w: usize, job: usize) {
         self.store
-            .remove(w, &self.job_demands[job][..self.profile.dims]);
+            .remove(w, &self.job_demands[self.demand_range(job)]);
     }
 
     #[inline]
-    fn copy_loads_into(&self, snapshot: &mut Vec<u32>) {
+    fn snapshot_into(&self, snapshot: &mut Vec<u32>) {
         snapshot.clear();
         snapshot.extend_from_slice(self.store.loads_strided());
     }
@@ -553,7 +557,7 @@ impl JobLoads for VectorLoads<'_> {
         let view = VectorView {
             loads: snapshot.unwrap_or(self.store.loads_strided()),
             store: &self.store,
-            demand: &self.job_demands[job][..self.profile.dims],
+            demand: &self.job_demands[self.demand_range(job)],
             objective: &self.profile.objective,
         };
         strategy.choose_into(&view, k, rng, scratch)
@@ -657,15 +661,14 @@ fn run<L: JobLoads>(
                 } else {
                     // Probe and choose workers for the k tasks up front,
                     // reading the live loads or the stale snapshot.
-                    let view = if config.scheduler_batch == 1 {
-                        None
-                    } else {
+                    let stale = config.scheduler_batch > 1;
+                    if stale {
                         if jobs_since_refresh == 0 {
-                            loads.copy_loads_into(&mut snapshot);
+                            loads.snapshot_into(&mut snapshot);
                         }
                         jobs_since_refresh = (jobs_since_refresh + 1) % config.scheduler_batch;
-                        Some(&snapshot[..])
-                    };
+                    }
+                    let view = stale.then_some(&snapshot[..]);
                     probe_messages +=
                         loads.choose(strategy, job_idx, k, view, &mut rng, &mut scratch);
                     debug_assert_eq!(scratch.chosen.len(), k);
@@ -692,8 +695,7 @@ fn run<L: JobLoads>(
             }
             Event::TaskComplete(w) => {
                 let widx = w as usize;
-                let finished_job = workers[widx].running.take().expect("worker was busy");
-                let fj = finished_job as usize;
+                let fj = workers[widx].running.take().expect("worker was busy") as usize;
                 loads.remove(widx, fj);
                 outstanding_now -= 1;
                 outstanding.update(t, outstanding_now as f64);
