@@ -52,6 +52,12 @@ pub enum ConfigError {
         /// The range it must lie in.
         need: &'static str,
     },
+    /// A placement objective that is not well-formed over the configured
+    /// number of load dimensions (see `PlacementObjective::validate`).
+    ObjectiveDims {
+        /// The configured number of dimensions.
+        dims: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -76,6 +82,11 @@ impl fmt::Display for ConfigError {
                 "probe distribution built for wrong bin count ({built_for}, not {bins})"
             ),
             ConfigError::OutOfRange { name, need } => write!(f, "{name} out of range: need {need}"),
+            ConfigError::ObjectiveDims { dims } => write!(
+                f,
+                "objective does not validate against dims={dims} \
+                 (a weighted norm needs one finite weight per dimension)"
+            ),
         }
     }
 }
@@ -119,6 +130,10 @@ mod tests {
             need: "< 1",
         };
         assert_eq!(e.to_string(), "utilization out of range: need < 1");
+        let e = ConfigError::ObjectiveDims { dims: 3 };
+        assert!(e
+            .to_string()
+            .starts_with("objective does not validate against dims=3"));
     }
 
     #[test]

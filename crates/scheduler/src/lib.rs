@@ -81,7 +81,7 @@ pub use workload::ServiceDistribution;
 
 use std::collections::VecDeque;
 
-use kdchoice_core::{BinStore, ConfigError, LoadVector, PlacementObjective, VectorLoad};
+use kdchoice_core::{BinStore, ConfigError, LoadVector, PlacementObjective, VectorLoad, MAX_DIMS};
 use kdchoice_prng::demand::DemandDistribution;
 use kdchoice_prng::dist::Exponential;
 use kdchoice_prng::Xoshiro256PlusPlus;
@@ -251,6 +251,43 @@ impl VectorJobProfile {
         }
     }
 
+    /// Checks the profile against a cluster of `workers` workers; the
+    /// vector simulator panics with this error's message.
+    ///
+    /// # Errors
+    ///
+    /// * [`ConfigError::ZeroParameter`] for `dims == 0` and
+    ///   [`ConfigError::ExceedsLimit`] for `dims > MAX_DIMS`;
+    /// * [`ConfigError::ObjectiveDims`] for an objective that does not
+    ///   fit `dims` (a weighted norm without one finite weight per
+    ///   dimension);
+    /// * [`ConfigError::OutOfRange`] for a capacity map without one entry
+    ///   per worker, and [`ConfigError::ZeroParameter`] for a zero
+    ///   capacity in it.
+    pub fn validate(&self, workers: usize) -> Result<(), ConfigError> {
+        if self.dims == 0 {
+            return Err(ConfigError::ZeroParameter("dims"));
+        }
+        if self.dims > MAX_DIMS {
+            return Err(ConfigError::ExceedsLimit {
+                name: "dims",
+                value: self.dims,
+                limit: MAX_DIMS,
+            });
+        }
+        if !self.objective.validate(self.dims) {
+            return Err(ConfigError::ObjectiveDims { dims: self.dims });
+        }
+        match &self.worker_capacities {
+            Some(caps) if caps.len() != workers => Err(ConfigError::OutOfRange {
+                name: "worker_capacities",
+                need: "one capacity per worker",
+            }),
+            Some(caps) if caps.contains(&0) => Err(ConfigError::ZeroParameter("worker_capacities")),
+            _ => Ok(()),
+        }
+    }
+
     /// Whether this profile exercises anything beyond the scalar path.
     pub fn is_vector(&self) -> bool {
         self.dims != 1
@@ -386,25 +423,21 @@ pub fn simulate_on<B: BinStore>(
 ///
 /// # Panics
 ///
-/// Panics under [`simulate`]'s conditions, if the objective does not
-/// validate against `profile.dims`, or if a capacity map's length
-/// differs from `config.workers`.
+/// Panics under [`simulate`]'s conditions, or with the message of
+/// [`VectorJobProfile::validate`] if it rejects `profile` for
+/// `config.workers` workers.
 pub fn simulate_vector(
     config: &ClusterConfig,
     strategy: PlacementStrategy,
     profile: &VectorJobProfile,
 ) -> SchedulerReport {
     config.assert_valid(strategy);
+    if let Err(e) = profile.validate(config.workers) {
+        panic!("invalid vector job profile: {e}");
+    }
     let dims = profile.dims;
-    assert!(
-        profile.objective.validate(dims),
-        "objective does not validate against dims={dims}"
-    );
     let store = match &profile.worker_capacities {
-        Some(caps) => {
-            assert_eq!(caps.len(), config.workers, "one capacity per worker");
-            VectorLoad::with_capacities(dims, caps)
-        }
+        Some(caps) => VectorLoad::with_capacities(dims, caps),
         None => VectorLoad::new(dims, config.workers),
     };
     let loads = VectorLoads {
@@ -1294,6 +1327,75 @@ mod tests {
             objective: PlacementObjective::WeightedNorm(vec![1.0, 0.5]),
             demand: DemandDistribution::Unit,
             worker_capacities: None,
+        };
+        let _ = simulate_vector(&cfg, PlacementStrategy::KdChoice { d: 5 }, &profile);
+    }
+
+    #[test]
+    fn vector_profile_validate_names_each_bad_field() {
+        use PlacementObjective::{MaxNorm, NormalizedByCapacity, Scalar, WeightedNorm};
+        let workers = 64;
+        let profile = |dims, objective, worker_capacities| VectorJobProfile {
+            dims,
+            objective,
+            demand: DemandDistribution::Unit,
+            worker_capacities,
+        };
+        let caps_error = ConfigError::OutOfRange {
+            name: "worker_capacities",
+            need: "one capacity per worker",
+        };
+        for (bad, want) in [
+            (profile(0, Scalar, None), ConfigError::ZeroParameter("dims")),
+            (
+                profile(MAX_DIMS + 1, MaxNorm, None),
+                ConfigError::ExceedsLimit {
+                    name: "dims",
+                    value: MAX_DIMS + 1,
+                    limit: MAX_DIMS,
+                },
+            ),
+            (
+                profile(3, WeightedNorm(vec![1.0, 0.5]), None),
+                ConfigError::ObjectiveDims { dims: 3 },
+            ),
+            (
+                profile(2, WeightedNorm(vec![1.0, f64::NAN]), None),
+                ConfigError::ObjectiveDims { dims: 2 },
+            ),
+            (
+                profile(2, NormalizedByCapacity, Some(vec![1; workers - 1])),
+                caps_error.clone(),
+            ),
+            (
+                profile(2, NormalizedByCapacity, Some(vec![1; workers + 1])),
+                caps_error,
+            ),
+            (
+                profile(2, NormalizedByCapacity, Some(vec![0; workers])),
+                ConfigError::ZeroParameter("worker_capacities"),
+            ),
+        ] {
+            assert_eq!(bad.validate(workers), Err(want), "{bad:?}");
+        }
+        let widest = profile(
+            MAX_DIMS,
+            WeightedNorm(vec![1.0; MAX_DIMS]),
+            Some(vec![2; workers]),
+        );
+        assert_eq!(widest.validate(workers), Ok(()));
+        assert_eq!(VectorJobProfile::scalar().validate(workers), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid vector job profile: worker_capacities out of range")]
+    fn vector_mode_rejects_a_capacity_map_of_the_wrong_length() {
+        let cfg = base_config(25);
+        let profile = VectorJobProfile {
+            dims: 2,
+            objective: PlacementObjective::NormalizedByCapacity,
+            demand: DemandDistribution::Unit,
+            worker_capacities: Some(vec![1; cfg.workers + 1]),
         };
         let _ = simulate_vector(&cfg, PlacementStrategy::KdChoice { d: 5 }, &profile);
     }

@@ -196,14 +196,13 @@ impl Scenario for SchedulerScenario {
             params.bad_value(axis, &format!("a valid config ({err})"))
         })?;
         let dims = params.get_usize("dims", 1)?;
-        if dims == 0 || dims > MAX_DIMS {
-            return Err(params.bad_value("dims", &format!("1 <= dims <= {MAX_DIMS}")));
-        }
-        let objective =
-            PlacementObjective::parse(params.get_raw("objective").unwrap_or("scalar"), dims)
-                .ok_or_else(|| {
-                    params.bad_value("objective", "scalar | max_norm | weighted | capacity")
-                })?;
+        // Weights for at most `MAX_DIMS` dimensions: a larger `dims`
+        // allocates nothing before `VectorJobProfile::validate` rejects it.
+        let objective = PlacementObjective::parse(
+            params.get_raw("objective").unwrap_or("scalar"),
+            dims.min(MAX_DIMS),
+        )
+        .ok_or_else(|| params.bad_value("objective", "scalar | max_norm | weighted | capacity"))?;
         let demand_max = params.get_u32("demand_max", 4)?;
         if demand_max == 0 {
             return Err(params.bad_value("demand_max", "a per-dimension demand of at least 1"));
@@ -222,6 +221,14 @@ impl Scenario for SchedulerScenario {
             demand,
             worker_capacities,
         };
+        profile.validate(workers).map_err(|err| {
+            let axis = match err {
+                ConfigError::ObjectiveDims { .. } => "objective",
+                ConfigError::ZeroParameter("dims") | ConfigError::ExceedsLimit { .. } => "dims",
+                _ => "caps",
+            };
+            params.bad_value(axis, &format!("a valid profile ({err})"))
+        })?;
         Ok(SchedulerExperiment {
             cluster,
             strategy,
@@ -308,6 +315,10 @@ mod tests {
             ("workers=0 caps=two_tier", "workers"),
             ("k=0", "k"),
             ("jobs=0", "jobs"),
+            // Rejected by `VectorJobProfile::validate`.
+            ("dims=0", "dims"),
+            ("dims=9", "dims"),
+            ("dims=4611686018427387904 objective=weighted", "dims"),
         ] {
             let spec = GridSpec::parse_str(grid).unwrap();
             match configs_from_grid(&SchedulerScenario, &spec, 0) {

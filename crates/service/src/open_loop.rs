@@ -328,6 +328,19 @@ mod tests {
         ));
     }
 
+    /// A trace the grid builds but `TrafficConfig::validate` rejects is a
+    /// grid error on the axis that set it, not a panic in the run.
+    #[test]
+    fn an_infinite_arrival_rate_is_a_lambda_error() {
+        for spec in ["lambda=1e308", "arrivals=onoff lambda=1e307"] {
+            let grid = GridSpec::parse_str(spec).unwrap();
+            match configs_from_grid(&OpenLoopScenario, &grid, 0) {
+                Err(GridError::BadValue { axis, .. }) => assert_eq!(axis, "lambda", "{spec}"),
+                other => panic!("{spec}: expected a lambda error, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn hetero_axes_build_weighted_configs() {
         let grid = GridSpec::parse_str("skew=zipf s=1.5 caps=two_tier n=2^7 ticks=80").unwrap();

@@ -264,11 +264,10 @@ impl OpenLoopConfig {
     ///   `shards > bins`;
     /// * [`ConfigError::NotPowerOfTwo`] for striped `shards` that are not
     ///   a power of two (the other backends ignore `shards`);
+    /// * [`ConfigError::OutOfRange`] for a traffic trace that
+    ///   [`TrafficConfig::validate`] rejects, naming its field;
     /// * [`ConfigError::ProbeSupportMismatch`] for a probe distribution
     ///   built for another bin count.
-    ///
-    /// The traffic trace is checked when its schedule is generated
-    /// ([`TrafficSchedule::generate`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
         let shared_nothing = self.backend == ServiceBackend::SharedNothing;
         for (name, value) in [
@@ -311,6 +310,7 @@ impl OpenLoopConfig {
         if self.backend == ServiceBackend::Striped {
             check_shards(self.shards, self.bins)?;
         }
+        self.traffic.validate()?;
         match self.probes.expected_n() {
             Some(built_for) if built_for != self.bins => Err(ConfigError::ProbeSupportMismatch {
                 built_for,
@@ -725,13 +725,13 @@ pub(crate) struct DriveOutcome {
 /// # Panics
 ///
 /// Panics, before any work, if [`OpenLoopConfig::validate`] rejects the
-/// configuration or its traffic trace is invalid.
+/// configuration, its traffic trace included.
 pub fn run_open_loop(config: &OpenLoopConfig) -> OpenLoopReport {
     if let Err(e) = config.validate() {
         panic!("invalid open-loop config: {e}");
     }
     let schedule = TrafficSchedule::generate(&config.traffic, config.traffic_seed())
-        .unwrap_or_else(|e| panic!("invalid open-loop config: {e}"));
+        .expect("validated traffic trace");
 
     let table = PlacementTable::new(schedule.timings.len(), config.k, config.bins);
     let run = Run::new(config, &schedule, &table);
@@ -984,6 +984,22 @@ mod tests {
         }
     }
 
+    /// The striped lock round at its widest: one shard per bin, two
+    /// workers racing for them, balls conserved and the event stream kept.
+    #[test]
+    fn striped_two_threads_with_a_shard_per_bin_conserve() {
+        let mut base = small_config(7, 1, 1.1);
+        base.record_events = true;
+        let reference = run_open_loop(&base);
+        let mut cfg = small_config(7, 2, 1.1);
+        (cfg.shards, cfg.record_events) = (cfg.bins, true);
+        let report = run_open_loop(&cfg);
+        assert!(report.conserved);
+        assert!(report.balls_released > 0);
+        assert_eq!(report.events, reference.events);
+        assert_eq!(report.live_balls, reference.live_balls);
+    }
+
     #[test]
     fn sample_every_thins_the_series_but_keeps_the_last_tick() {
         let mut cfg = small_config(7, 1, 0.8);
@@ -1190,6 +1206,64 @@ mod tests {
             bins: 64,
         };
         assert_eq!(err, Err(want));
+    }
+
+    /// Each traffic check, reported as the field it names.
+    #[test]
+    fn validate_rejects_each_bad_traffic_field() {
+        let base = small_config(7, 1, 0.9).traffic;
+        let arrivals = |arrivals| TrafficConfig { arrivals, ..base };
+        let lifetime = |lifetime| TrafficConfig { lifetime, ..base };
+        let on_off = |rate, on, off| arrivals(ArrivalProcess::OnOff { rate, on, off });
+        let cases = [
+            (
+                arrivals(ArrivalProcess::Poisson { rate: f64::NAN }),
+                "poisson arrival rate",
+            ),
+            (
+                arrivals(ArrivalProcess::Burst { period: 0, size: 1 }),
+                "burst period",
+            ),
+            (
+                arrivals(ArrivalProcess::Burst { period: 4, size: 0 }),
+                "burst size",
+            ),
+            (on_off(0.0, 1, 1), "on/off rate"),
+            (on_off(1.0, 0, 1), "on phase"),
+            (on_off(1.0, u32::MAX, 1), "on + off cycle"),
+            (
+                lifetime(Lifetime::Exponential { mean: -1.0 }),
+                "exponential lifetime mean",
+            ),
+            (
+                lifetime(Lifetime::Deterministic { ticks: 0 }),
+                "deterministic lifetime",
+            ),
+            (TrafficConfig { ticks: 0, ..base }, "ticks"),
+            (
+                TrafficConfig {
+                    service_rate: 0,
+                    ..base
+                },
+                "service rate",
+            ),
+        ];
+        for (traffic, field) in cases {
+            let want = ConfigError::from(traffic.validate().unwrap_err());
+            assert!(
+                matches!(want, ConfigError::OutOfRange { name, .. } if name == field),
+                "{field}: {want:?}"
+            );
+            assert_eq!(validated(|c| c.traffic = traffic), Err(want), "{field}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid open-loop config: service rate out of range")]
+    fn run_open_loop_panics_with_the_validation_message_on_a_bad_trace() {
+        let mut cfg = small_config(7, 1, 0.9);
+        cfg.traffic.service_rate = 0;
+        let _ = run_open_loop(&cfg);
     }
 
     #[test]

@@ -202,7 +202,8 @@ pub(crate) fn config_error(params: &Params, err: &ConfigError) -> GridError {
         ConfigError::ZeroK => "k",
         ConfigError::ZeroParameter(field)
         | ConfigError::ExceedsLimit { name: field, .. }
-        | ConfigError::NotPowerOfTwo { name: field, .. } => field,
+        | ConfigError::NotPowerOfTwo { name: field, .. }
+        | ConfigError::OutOfRange { name: field, .. } => field,
         // `k > d`; a grid cannot build probes for another bin count.
         _ => "d",
     };
@@ -211,6 +212,11 @@ pub(crate) fn config_error(params: &Params, err: &ConfigError) -> GridError {
         "max_batch" => "batch",
         "sample_every" => "sample",
         "snapshot_refresh" => "refresh",
+        // The open-loop traffic fields (`TrafficConfig::validate`).
+        "poisson arrival rate" | "on/off rate" => "lambda",
+        "exponential lifetime mean" | "deterministic lifetime" => "mu",
+        "service rate" => "rate",
+        "burst period" | "burst size" | "on phase" | "on + off cycle" => "arrivals",
         axis => axis,
     };
     params.bad_value(axis, &format!("a valid config ({err})"))

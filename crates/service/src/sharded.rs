@@ -10,11 +10,14 @@
 //! spot by construction.
 //!
 //! **Lock discipline.** Every multi-shard operation (placement, batch
-//! placement, release) sorts and dedups the shard ids it touches and
-//! locks them in ascending order — the single global lock order that
-//! makes concurrent requests deadlock-free — and holds all of them from
-//! the first load read to the last commit, so each request is one
-//! linearization point.
+//! placement, release) locks the distinct shards it touches in ascending
+//! order — the single global lock order that makes concurrent requests
+//! deadlock-free — and holds all of them from the first load read to the
+//! last commit, so each request is one linearization point. A lock round
+//! over `p` bins touching `m` distinct shards costs O(p + m log m): each
+//! bin marks its shard in a reusable shard → guard-position table, only
+//! the `m` marked shards are sorted and locked, and every load read,
+//! commit and release finds its guard by one table read.
 //!
 //! **Determinism.** One shard driven by one thread is bit-identical to a
 //! plain [`LoadVector`](kdchoice_core::LoadVector) (locked by the proptest in
@@ -31,12 +34,74 @@ use rand::RngCore;
 
 use crate::pad::CachePadded;
 
+/// The [`HeldShards::guard_at`] entry of a shard the round does not hold.
+const NOT_HELD: u32 = u32::MAX;
+
+/// One lock round's shard locks: the held guards and, per shard, where
+/// its guard sits among them. Reused across rounds, so a round allocates
+/// nothing once the buffers have grown.
+#[derive(Default)]
+struct HeldShards<'s> {
+    /// Shard id → position of its guard in `guards`; [`NOT_HELD`] for
+    /// every shard outside the current round.
+    guard_at: Vec<u32>,
+    /// The held shard ids, ascending: `guards[i]` locks shard `held[i]`.
+    held: Vec<usize>,
+    guards: Vec<MutexGuard<'s, BinSlab>>,
+}
+
+impl<'s> HeldShards<'s> {
+    /// Locks the distinct shards of `bins` in the canonical ascending
+    /// order that makes concurrent requests deadlock-free. Each bin marks
+    /// its shard in `guard_at`; only the distinct shards are sorted, then
+    /// locked, each recording its guard's position.
+    fn lock(&mut self, store: &'s ShardedStore, bins: &[usize]) {
+        debug_assert!(self.held.is_empty(), "the previous round was unlocked");
+        if self.guard_at.len() < store.shards.len() {
+            self.guard_at.resize(store.shards.len(), NOT_HELD);
+        }
+        for &bin in bins {
+            let shard = store.shard_of(bin);
+            if self.guard_at[shard] == NOT_HELD {
+                self.guard_at[shard] = 0; // marked; its position is set below
+                self.held.push(shard);
+            }
+        }
+        self.held.sort_unstable();
+        for (pos, &shard) in self.held.iter().enumerate() {
+            self.guard_at[shard] = pos as u32;
+            self.guards
+                .push(store.shards[shard].lock().expect("no poisoned shard"));
+        }
+    }
+
+    /// The held slab of `shard`.
+    #[inline]
+    fn slab(&self, shard: usize) -> &BinSlab {
+        &self.guards[self.guard_at[shard] as usize]
+    }
+
+    /// The held slab of `shard`, mutably.
+    #[inline]
+    fn slab_mut(&mut self, shard: usize) -> &mut BinSlab {
+        &mut self.guards[self.guard_at[shard] as usize]
+    }
+
+    /// Releases every held lock and resets only the held shards' entries.
+    fn unlock(&mut self) {
+        for &shard in &self.held {
+            self.guard_at[shard] = NOT_HELD;
+        }
+        self.held.clear();
+        self.guards.clear();
+    }
+}
+
 /// The loads one request reads through the shard guards it holds: the
 /// [`LoadView`] that [`ShardedStore`]'s placements decide against.
 struct GuardedLoads<'a, 's> {
     store: &'a ShardedStore,
-    shard_ids: &'a [usize],
-    guards: &'a [MutexGuard<'s, BinSlab>],
+    round: &'a HeldShards<'s>,
 }
 
 impl LoadView for GuardedLoads<'_, '_> {
@@ -47,7 +112,9 @@ impl LoadView for GuardedLoads<'_, '_> {
 
     #[inline]
     fn view_load(&self, bin: usize) -> u32 {
-        self.guards[self.store.guard_of(self.shard_ids, bin)].load(self.store.local_of(bin))
+        self.round
+            .slab(self.store.shard_of(bin))
+            .load(self.store.local_of(bin))
     }
 }
 
@@ -65,14 +132,14 @@ pub struct Placement {
 
 /// Reusable per-worker scratch for [`ShardedStore::place_batch_into`]
 /// and [`ShardedStore::release_into`]: the decision buffers, the held
-/// shard locks, and the last batch's winners. Every buffer keeps its
-/// capacity across batches, so a worker commits without allocating once
-/// they have grown. [`ShardedStore::place_batch`] and
-/// [`ShardedStore::release`] run on a fresh one per call.
+/// shard locks with their shard → guard table, and the last batch's
+/// winners. Every buffer keeps its capacity across batches, so a worker
+/// commits without allocating once they have grown.
+/// [`ShardedStore::place_batch`] and [`ShardedStore::release`] run on a
+/// fresh one per call.
 #[derive(Default)]
 pub(crate) struct BatchScratch<'s> {
-    shard_ids: Vec<usize>,
-    guards: Vec<MutexGuard<'s, BinSlab>>,
+    round: HeldShards<'s>,
     sorted: Vec<usize>,
     slots: Vec<(u32, u64, usize)>,
     /// The last batch's winner bins, `k` per request in batch order.
@@ -89,7 +156,10 @@ pub(crate) struct BatchScratch<'s> {
 ///   [`ShardedStore::release`] take `&self`, lock only the shards a
 ///   batch touches (in canonical ascending order, so concurrent
 ///   requests cannot deadlock), and commit atomically with respect to
-///   other requests.
+///   other requests. A lock round over `p` bins in `m` distinct shards
+///   costs O(p + m log m) on top of the `m` acquisitions: only the
+///   distinct shards are sorted, and each load read, commit and release
+///   finds its guard through a shard → guard table, not a search.
 /// * **[`BinStore`] surface** — `&mut self` mutators go through
 ///   `Mutex::get_mut` (no lock overhead when exclusively owned), and
 ///   `&self` observables lock shard by shard and merge, so a
@@ -220,45 +290,18 @@ impl ShardedStore {
         bin >> self.bits
     }
 
-    /// The position of `bin`'s shard guard among held guards keyed by
-    /// `shard_ids` (sorted, deduped, every probed shard locked).
-    #[inline]
-    fn guard_of(&self, shard_ids: &[usize], bin: usize) -> usize {
-        shard_ids
-            .binary_search(&self.shard_of(bin))
-            .expect("shard was locked")
-    }
-
     #[inline]
     fn global_of(&self, shard: usize, local: usize) -> usize {
         (local << self.bits) | shard
-    }
-
-    /// Sorts and dedups `shard_ids` into the canonical ascending order
-    /// that makes concurrent requests deadlock-free, then locks them in
-    /// that order, appending the guards to `guards` in the same order.
-    fn lock_in_order<'s>(
-        &'s self,
-        shard_ids: &mut Vec<usize>,
-        guards: &mut Vec<MutexGuard<'s, BinSlab>>,
-    ) {
-        shard_ids.sort_unstable();
-        shard_ids.dedup();
-        guards.extend(
-            shard_ids
-                .iter()
-                .map(|&s| self.shards[s].lock().expect("no poisoned shard")),
-        );
     }
 
     /// The read–decide–commit step of every request in
     /// [`ShardedStore::place_batch_into`]: decides `scratch.sorted` (one
     /// request's probes, ascending) through the core kernel
     /// ([`decide_k_least`]) over a [`GuardedLoads`] view of the held
-    /// `scratch.guards` (keyed by the sorted `scratch.shard_ids`, covering
-    /// every probed shard), appends the winners to `scratch.bins`, then
-    /// commits them in winner order under the same guards. Returns the
-    /// tallest committed ball height.
+    /// `scratch.round` (covering every probed shard), appends the winners
+    /// to `scratch.bins`, then commits them in winner order under the same
+    /// guards. Returns the tallest committed ball height.
     fn serve_on_guards<R: RngCore + ?Sized>(
         &self,
         scratch: &mut BatchScratch<'_>,
@@ -266,23 +309,20 @@ impl ShardedStore {
         rng: &mut R,
     ) -> u32 {
         let BatchScratch {
-            shard_ids,
-            guards,
+            round,
             sorted,
             slots,
             bins,
             ..
         } = scratch;
         let start = bins.len();
-        let view = GuardedLoads {
-            store: self,
-            shard_ids,
-            guards,
-        };
+        let view = GuardedLoads { store: self, round };
         decide_k_least(&view, sorted, k, rng, slots, bins);
         let mut max_height = 0u32;
         for &bin in &bins[start..] {
-            let height = guards[self.guard_of(shard_ids, bin)].add_ball(self.local_of(bin));
+            let height = round
+                .slab_mut(self.shard_of(bin))
+                .add_ball(self.local_of(bin));
             max_height = max_height.max(height);
         }
         max_height
@@ -298,7 +338,10 @@ impl ShardedStore {
     ///
     /// The union of shards touched by any probe in the batch is locked
     /// once, in canonical ascending order, before any load is read, and
-    /// released only after every ball is committed. The requests are
+    /// released only after every ball is committed. Finding that union
+    /// costs O(probes + m log m) for its `m` distinct shards (each probe
+    /// marks its shard; only the marked shards are sorted), and every
+    /// load read and commit reaches its guard in O(1). The requests are
     /// decided and committed **sequentially in batch order** under the
     /// held locks — each request sees every earlier request's balls,
     /// exactly as if the batch had been issued one single-request batch at
@@ -364,11 +407,7 @@ impl ShardedStore {
         if rngs.is_empty() {
             return;
         }
-        scratch.shard_ids.clear();
-        scratch
-            .shard_ids
-            .extend(probes.iter().map(|&b| self.shard_of(b)));
-        self.lock_in_order(&mut scratch.shard_ids, &mut scratch.guards);
+        scratch.round.lock(self, probes);
         for (request, rng) in probes.chunks(d).zip(rngs.iter_mut()) {
             scratch.sorted.clear();
             scratch.sorted.extend_from_slice(request);
@@ -376,7 +415,7 @@ impl ShardedStore {
             let max_height = self.serve_on_guards(scratch, k, rng);
             scratch.heights.push(max_height);
         }
-        scratch.guards.clear();
+        scratch.round.unlock();
     }
 
     /// Serves a release request: removes one ball from every bin in
@@ -392,8 +431,8 @@ impl ShardedStore {
     }
 
     /// [`ShardedStore::release`] through caller-owned scratch: reuses its
-    /// shard-id and guard buffers, so it allocates nothing once they have
-    /// grown — the open-loop release path.
+    /// lock-round buffers, so it allocates nothing once they have grown —
+    /// the open-loop release path.
     ///
     /// # Panics
     ///
@@ -404,19 +443,14 @@ impl ShardedStore {
             "release out of range (n = {})",
             self.n
         );
-        let BatchScratch {
-            shard_ids, guards, ..
-        } = scratch;
-        shard_ids.clear();
-        shard_ids.extend(bins.iter().map(|&b| self.shard_of(b)));
-        self.lock_in_order(shard_ids, guards);
+        let round = &mut scratch.round;
+        round.lock(self, bins);
         for &bin in bins {
-            let pos = shard_ids
-                .binary_search(&self.shard_of(bin))
-                .expect("shard was locked");
-            guards[pos].remove_ball(self.local_of(bin));
+            round
+                .slab_mut(self.shard_of(bin))
+                .remove_ball(self.local_of(bin));
         }
-        guards.clear();
+        round.unlock();
     }
 
     /// Verifies every shard's internal invariants plus the merged-view
@@ -859,6 +893,117 @@ mod tests {
             store.release(&p.bins);
         }
         assert_eq!(store.total_balls(), 0);
+        assert!(store.check_invariants());
+    }
+
+    /// The bin count of the lock-round tests.
+    const ROUND_BINS: usize = 128;
+
+    /// Shard counts the lock-round property runs over, one shard per bin
+    /// last.
+    const ROUND_SHARDS: [usize; 5] = [1, 2, 16, 64, ROUND_BINS];
+
+    /// A store whose bin `b` holds `b` balls, so a load read through a
+    /// guard names the bin it reached.
+    fn store_loaded_with_bin_ids(n: usize, shards: usize) -> ShardedStore {
+        let mut store = ShardedStore::new(n, shards);
+        for bin in 0..n {
+            for _ in 0..bin {
+                store.add_ball(bin);
+            }
+        }
+        store
+    }
+
+    /// Whether no shard is marked, held or locked.
+    fn round_is_clear(store: &ShardedStore, round: &HeldShards<'_>) -> bool {
+        round.guard_at.iter().all(|&pos| pos == NOT_HELD)
+            && round.held.is_empty()
+            && round.guards.is_empty()
+            && store.shards.iter().all(|shard| shard.try_lock().is_ok())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// A lock round over random bins holds exactly the sorted,
+        /// deduplicated shards of those bins (computed here the way the
+        /// round once computed it: one shard id per bin, sorted, deduped),
+        /// locks no other shard, reaches every bin through its own
+        /// shard's guard, and leaves no entry behind once unlocked.
+        #[test]
+        fn lock_round_holds_exactly_the_probed_shards(
+            shard_idx in 0..ROUND_SHARDS.len(),
+            bins in proptest::collection::vec(0..ROUND_BINS, 1..300),
+        ) {
+            let shards = ROUND_SHARDS[shard_idx];
+            let store = store_loaded_with_bin_ids(ROUND_BINS, shards);
+            let mut round = HeldShards::default();
+            round.lock(&store, &bins);
+            let mut want: Vec<usize> = bins.iter().map(|&b| b % shards).collect();
+            want.sort_unstable();
+            want.dedup();
+            proptest::prop_assert_eq!(&round.held, &want);
+            proptest::prop_assert_eq!(round.guards.len(), want.len());
+            for (shard, slot) in store.shards.iter().enumerate() {
+                let held = want.binary_search(&shard).is_ok();
+                proptest::prop_assert_eq!(slot.try_lock().is_err(), held, "shard {}", shard);
+            }
+            let view = GuardedLoads { store: &store, round: &round };
+            for &bin in &bins {
+                let pos = round.guard_at[bin % shards] as usize;
+                proptest::prop_assert_eq!(round.held[pos], bin % shards);
+                proptest::prop_assert_eq!(view.view_load(bin), bin as u32);
+            }
+            round.unlock();
+            proptest::prop_assert!(round_is_clear(&store, &round));
+        }
+    }
+
+    /// Two batches and then a release, each over its own shards, through
+    /// one reused scratch: every round leaves the table clear, and the
+    /// loads match the same operations run on fresh scratch each.
+    #[test]
+    fn lock_rounds_over_disjoint_shards_leave_no_stale_entry() {
+        let (n, shards, d, k) = (64, 16, 4, 2);
+        let mut store = ShardedStore::new(n, shards);
+        let mut reference = ShardedStore::new(n, shards);
+        // Shards 4..8 hold the balls the release removes.
+        let preloaded = [4, 5, 6, 7, 20, 21];
+        for &bin in &preloaded {
+            store.add_ball(bin);
+            reference.add_ball(bin);
+        }
+        let batches: [&[usize]; 2] = [
+            &[0, 1, 2, 3, 16, 17, 18, 19],   // shards 0..4
+            &[8, 9, 10, 11, 24, 25, 26, 27], // shards 8..12
+        ];
+        let mut scratch = BatchScratch::default();
+        for (i, probes) in batches.into_iter().enumerate() {
+            let seed = |r: u64| Xoshiro256PlusPlus::from_u64(10 * i as u64 + r);
+            let mut rngs = [seed(0), seed(1)];
+            store.place_batch_into(probes, d, k, &mut rngs, &mut scratch);
+            assert!(round_is_clear(&store, &scratch.round), "batch {i}");
+            let mut rngs = [seed(0), seed(1)];
+            let want = reference.place_batch(probes, d, k, &mut rngs);
+            let want: Vec<usize> = want.iter().flat_map(|p| p.bins.clone()).collect();
+            assert_eq!(scratch.bins, want, "batch {i}");
+        }
+        store.release_into(&preloaded, &mut scratch);
+        assert!(round_is_clear(&store, &scratch.round), "release");
+        reference.release(&preloaded);
+        // One last round over every shard reads no stale position.
+        let every: Vec<usize> = (0..n).collect();
+        let mut rngs: Vec<_> = (0..n / d)
+            .map(|r| Xoshiro256PlusPlus::from_u64(99 + r as u64))
+            .collect();
+        store.place_batch_into(&every, d, k, &mut rngs.clone(), &mut scratch);
+        assert!(round_is_clear(&store, &scratch.round), "full round");
+        reference.place_batch(&every, d, k, &mut rngs);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        store.copy_loads_into(&mut a);
+        reference.copy_loads_into(&mut b);
+        assert_eq!(a, b);
         assert!(store.check_invariants());
     }
 

@@ -31,6 +31,7 @@
 //! zero while the system keeps up, growing without bound once the
 //! arrival rate exceeds the service rate.
 
+use kdchoice_core::ConfigError;
 use kdchoice_prng::dist::{Exponential, Poisson};
 use kdchoice_prng::Xoshiro256PlusPlus;
 
@@ -87,26 +88,29 @@ impl ArrivalProcess {
         match *self {
             ArrivalProcess::Poisson { rate } => {
                 if !(rate.is_finite() && rate > 0.0) {
-                    return Err(TrafficError::new("poisson arrival rate must be > 0"));
+                    return Err(TrafficError::new("poisson arrival rate", "finite and > 0"));
                 }
             }
             ArrivalProcess::Burst { period, size } => {
                 if period == 0 {
-                    return Err(TrafficError::new("burst period must be at least 1 tick"));
+                    return Err(TrafficError::new("burst period", "at least 1 tick"));
                 }
                 if size == 0 {
-                    return Err(TrafficError::new("burst size must be at least 1"));
+                    return Err(TrafficError::new("burst size", "at least 1"));
                 }
             }
             ArrivalProcess::OnOff { rate, on, off } => {
                 if !(rate.is_finite() && rate > 0.0) {
-                    return Err(TrafficError::new("on/off rate must be > 0"));
+                    return Err(TrafficError::new("on/off rate", "finite and > 0"));
                 }
                 if on == 0 {
-                    return Err(TrafficError::new("on phase must be at least 1 tick"));
+                    return Err(TrafficError::new("on phase", "at least 1 tick"));
                 }
                 if on.checked_add(off).is_none() {
-                    return Err(TrafficError::new("on + off cycle overflows"));
+                    return Err(TrafficError::new(
+                        "on + off cycle",
+                        "at most u32::MAX ticks",
+                    ));
                 }
             }
         }
@@ -146,13 +150,17 @@ impl Lifetime {
         match *self {
             Lifetime::Exponential { mean } => {
                 if !(mean.is_finite() && mean > 0.0) {
-                    return Err(TrafficError::new("exponential lifetime mean must be > 0"));
+                    return Err(TrafficError::new(
+                        "exponential lifetime mean",
+                        "finite and > 0",
+                    ));
                 }
             }
             Lifetime::Deterministic { ticks } => {
                 if ticks == 0 {
                     return Err(TrafficError::new(
-                        "deterministic lifetime must be at least 1 tick",
+                        "deterministic lifetime",
+                        "at least 1 tick",
                     ));
                 }
             }
@@ -161,25 +169,42 @@ impl Lifetime {
     }
 }
 
-/// An invalid traffic configuration.
+/// An invalid traffic configuration: the offending field and what it
+/// must be.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficError {
-    what: &'static str,
+    name: &'static str,
+    need: &'static str,
 }
 
 impl TrafficError {
-    fn new(what: &'static str) -> Self {
-        Self { what }
+    fn new(name: &'static str, need: &'static str) -> Self {
+        Self { name, need }
     }
 }
 
 impl std::fmt::Display for TrafficError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid traffic config: {}", self.what)
+        write!(
+            f,
+            "invalid traffic config: {} must be {}",
+            self.name, self.need
+        )
     }
 }
 
 impl std::error::Error for TrafficError {}
+
+/// A traffic field out of range, as the open-loop config reports it
+/// ([`crate::OpenLoopConfig::validate`]).
+impl From<TrafficError> for ConfigError {
+    fn from(e: TrafficError) -> Self {
+        ConfigError::OutOfRange {
+            name: e.name,
+            need: e.need,
+        }
+    }
+}
 
 /// Configuration of one open-loop traffic trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -209,12 +234,10 @@ impl TrafficConfig {
         self.arrivals.validate()?;
         self.lifetime.validate()?;
         if self.ticks == 0 {
-            return Err(TrafficError::new("need at least 1 tick"));
+            return Err(TrafficError::new("ticks", "at least 1"));
         }
         if self.service_rate == 0 {
-            return Err(TrafficError::new(
-                "service rate must be at least 1 per tick",
-            ));
+            return Err(TrafficError::new("service rate", "at least 1 per tick"));
         }
         Ok(())
     }
