@@ -329,10 +329,17 @@ mod tests {
     }
 
     /// A trace the grid builds but `TrafficConfig::validate` rejects is a
-    /// grid error on the axis that set it, not a panic in the run.
+    /// grid error on the axis that set it, not a panic in the run: an
+    /// infinite rate, and a finite one (`lambda=1e300`) whose expected
+    /// arrivals overflow the `u32` request ids. Only configs are built;
+    /// no schedule is generated.
     #[test]
     fn an_infinite_arrival_rate_is_a_lambda_error() {
-        for spec in ["lambda=1e308", "arrivals=onoff lambda=1e307"] {
+        for spec in [
+            "lambda=1e308",
+            "arrivals=onoff lambda=1e307",
+            "lambda=1e300",
+        ] {
             let grid = GridSpec::parse_str(spec).unwrap();
             match configs_from_grid(&OpenLoopScenario, &grid, 0) {
                 Err(GridError::BadValue { axis, .. }) => assert_eq!(axis, "lambda", "{spec}"),

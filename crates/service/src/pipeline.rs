@@ -100,9 +100,14 @@ const TRAFFIC_STREAM: u64 = 0;
 /// Seed-stream tag that per-request placement RNGs derive under.
 const PLACEMENT_STREAM: u64 = 1;
 
-/// Worker threads from which the open-loop drivers prefetch: the probe
-/// lines of every batch [`Run::draw_batch`] draws, and the placement-table
-/// rows (lock-free: also the bins) of upcoming departures.
+/// Worker threads from which the open-loop drivers prefetch. Lock-free
+/// and shared-nothing prefetch the probe lines of every batch
+/// [`Run::draw_batch`] draws, and the placement-table rows (lock-free:
+/// also the bins) of upcoming departures. Striped draws with no view,
+/// since its loads sit behind the shard locks: each of its lock rounds
+/// instead prefetches the lines of every bin it probes or releases right
+/// after it takes the locks, when no other worker can write them (see
+/// the `sharded` module's lock discipline).
 ///
 /// With two or more workers, the lines a worker reads were mostly last
 /// written by another core, so each read misses in its private caches
@@ -532,12 +537,13 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Whether the run prefetches ([`PREFETCH_MIN_THREADS`]). The hot
-    /// loops take the answer as a const parameter `P`, chosen once per
-    /// phase slice, so that the one-thread path compiles with no prefetch
-    /// code in them: a runtime test of the gate there, even one hoisted
-    /// out of the loops, cost the one-thread lock-free and shared-nothing
-    /// paths about 5%.
+    /// Whether the run prefetches ([`PREFETCH_MIN_THREADS`]). The
+    /// lock-free and shared-nothing hot loops take the answer as a const
+    /// parameter `P`, chosen once per phase slice, so that the one-thread
+    /// path compiles with no prefetch code in them: a runtime test of the
+    /// gate there, even one hoisted out of the loops, cost the one-thread
+    /// lock-free and shared-nothing paths about 5%. Striped tests it once
+    /// per lock round of up to `max_batch` requests, as a plain `bool`.
     pub(crate) fn prefetches(&self) -> bool {
         self.config.threads >= PREFETCH_MIN_THREADS
     }
@@ -639,7 +645,10 @@ impl TickStore for ShardedStore {
 
     /// Commits `max_batch` requests per [`ShardedStore::place_batch`]
     /// lock round. Its loads sit behind the shard locks, so it draws with
-    /// no view to prefetch.
+    /// no view to prefetch; with [`Run::prefetches`], each round
+    /// prefetches its probed lines once it holds their shards, when no
+    /// other worker can write them. The gate is one branch per round, so
+    /// it is a plain `bool`, not a const parameter.
     fn commit<'s>(
         &'s self,
         run: &Run<'_>,
@@ -647,9 +656,10 @@ impl TickStore for ShardedStore {
         (probes, rngs, batch): &mut Self::Scratch<'s>,
     ) {
         let (k, d) = (run.config.k, run.config.d);
+        let prefetch = run.prefetches();
         for batch_ids in id_batches(ids, run.config.max_batch) {
             run.draw_batch::<false, _>(batch_ids, NO_VIEW, probes, rngs);
-            self.place_batch_into(probes, d, k, rngs, batch);
+            self.place_batch_into(probes, d, k, rngs, batch, prefetch);
             for (id, bins) in (batch_ids.0..batch_ids.1).zip(batch.bins.chunks(k)) {
                 run.table.set(id, bins);
             }
@@ -657,14 +667,17 @@ impl TickStore for ShardedStore {
     }
 
     /// Releases `max_batch` requests' balls per lock round (the probe
-    /// buffer holds the bin list, the batch scratch the shard locks).
+    /// buffer holds the bin list, the batch scratch the shard locks);
+    /// with [`Run::prefetches`], each round prefetches the bins it is
+    /// about to decrement once it holds their shards.
     fn release<'s>(&'s self, run: &Run<'_>, ids: &[u32], (bins, _, batch): &mut Self::Scratch<'s>) {
+        let prefetch = run.prefetches();
         for chunk in ids.chunks(run.config.max_batch) {
             bins.clear();
             for &id in chunk {
                 run.table.get(id, bins);
             }
-            self.release_into(bins, batch);
+            self.release_into(bins, batch, prefetch);
         }
     }
 

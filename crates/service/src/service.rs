@@ -237,9 +237,9 @@ pub fn run_service_workload(config: &ServiceWorkloadConfig) -> ServiceReport {
         move |rng: &mut Xoshiro256PlusPlus, oldest: Option<Vec<usize>>| {
             ProbeDistribution::Uniform.fill_each(rng, config.bins, &mut probes);
             let rngs = std::slice::from_mut(rng);
-            shared.place_batch_into(&probes, config.d, config.k, rngs, &mut scratch);
+            shared.place_batch_into(&probes, config.d, config.k, rngs, &mut scratch, false);
             if let Some(oldest) = oldest {
-                shared.release_into(&oldest, &mut scratch);
+                shared.release_into(&oldest, &mut scratch, false);
             }
             scratch.bins.clone()
         }

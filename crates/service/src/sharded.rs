@@ -19,6 +19,17 @@
 //! the `m` marked shards are sorted and locked, and every load read,
 //! commit and release finds its guard by one table read.
 //!
+//! Only loads, decisions and commits run under the locks. A batch's
+//! probes are copied and sorted per request before the round locks, and
+//! a round may then prefetch the line of every bin it is about to read
+//! or decrement: once it holds a bin's shard no other thread can write
+//! that line, so the prefetched copy is the one the round reads. With
+//! two workers those lines were mostly last written by the other core,
+//! and the prefetches overlap the misses a round would otherwise take
+//! one request at a time. The open-loop driver turns this on from its
+//! prefetch thread count; the public [`ShardedStore::place_batch`] and
+//! [`ShardedStore::release`] and the closed loop leave it off.
+//!
 //! **Determinism.** One shard driven by one thread is bit-identical to a
 //! plain [`LoadVector`](kdchoice_core::LoadVector) (locked by the proptest in
 //! `tests/store_equivalence.rs`). Under concurrency, per-request probe
@@ -27,6 +38,7 @@
 //! shape — is scheduler-driven. Conservation and per-shard invariants
 //! hold under any interleaving.
 
+use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
 
 use kdchoice_core::{decide_k_least, sort_probes, BinSlab, BinStore, LoadView, StoreKind};
@@ -104,6 +116,20 @@ struct GuardedLoads<'a, 's> {
     round: &'a HeldShards<'s>,
 }
 
+impl GuardedLoads<'_, '_> {
+    /// Prefetches `bin`'s line in its held slab ([`LoadView::prefetch`]).
+    /// Deliberately not the view's [`LoadView::prefetch`], which
+    /// [`decide_k_least`] calls on every request: a round prefetches
+    /// only when its caller asks, so the one-thread path issues none.
+    #[inline]
+    fn prefetch(&self, bin: usize) {
+        LoadView::prefetch(
+            self.round.slab(self.store.shard_of(bin)),
+            self.store.local_of(bin),
+        );
+    }
+}
+
 impl LoadView for GuardedLoads<'_, '_> {
     #[inline]
     fn view_n(&self) -> usize {
@@ -140,6 +166,8 @@ pub struct Placement {
 #[derive(Default)]
 pub(crate) struct BatchScratch<'s> {
     round: HeldShards<'s>,
+    /// The batch's probes, each request's `d` sorted in place before the
+    /// round locks.
     sorted: Vec<usize>,
     slots: Vec<(u32, u64, usize)>,
     /// The last batch's winner bins, `k` per request in batch order.
@@ -295,9 +323,19 @@ impl ShardedStore {
         (local << self.bits) | shard
     }
 
+    /// Prefetches the line of every bin in `bins` through the guards of
+    /// `round`, which holds all their shards: no other thread can write
+    /// those lines until the round unlocks.
+    fn prefetch_held(&self, round: &HeldShards<'_>, bins: &[usize]) {
+        let view = GuardedLoads { store: self, round };
+        for &bin in bins {
+            view.prefetch(bin);
+        }
+    }
+
     /// The read–decide–commit step of every request in
-    /// [`ShardedStore::place_batch_into`]: decides `scratch.sorted` (one
-    /// request's probes, ascending) through the core kernel
+    /// [`ShardedStore::place_batch_into`]: decides `scratch.sorted[probes]`
+    /// (one request's probes, ascending) through the core kernel
     /// ([`decide_k_least`]) over a [`GuardedLoads`] view of the held
     /// `scratch.round` (covering every probed shard), appends the winners
     /// to `scratch.bins`, then commits them in winner order under the same
@@ -305,6 +343,7 @@ impl ShardedStore {
     fn serve_on_guards<R: RngCore + ?Sized>(
         &self,
         scratch: &mut BatchScratch<'_>,
+        probes: Range<usize>,
         k: usize,
         rng: &mut R,
     ) -> u32 {
@@ -317,7 +356,7 @@ impl ShardedStore {
         } = scratch;
         let start = bins.len();
         let view = GuardedLoads { store: self, round };
-        decide_k_least(&view, sorted, k, rng, slots, bins);
+        decide_k_least(&view, &sorted[probes], k, rng, slots, bins);
         let mut max_height = 0u32;
         for &bin in &bins[start..] {
             let height = round
@@ -336,7 +375,8 @@ impl ShardedStore {
     /// tentative slots — a bin probed `m` times contributes `m` slots of
     /// heights `L+1, …, L+m`, exactly the paper's multiplicity rule.
     ///
-    /// The union of shards touched by any probe in the batch is locked
+    /// Every request's probes are sorted first, outside any lock. Then
+    /// the union of shards touched by any probe in the batch is locked
     /// once, in canonical ascending order, before any load is read, and
     /// released only after every ball is committed. Finding that union
     /// costs O(probes + m log m) for its `m` distinct shards (each probe
@@ -362,7 +402,7 @@ impl ShardedStore {
         rngs: &mut [R],
     ) -> Vec<Placement> {
         let mut scratch = BatchScratch::default();
-        self.place_batch_into(probes, d, k, rngs, &mut scratch);
+        self.place_batch_into(probes, d, k, rngs, &mut scratch, false);
         scratch
             .bins
             .chunks(k)
@@ -377,7 +417,10 @@ impl ShardedStore {
     /// [`ShardedStore::place_batch`] into caller-owned scratch: leaves
     /// request `i`'s winners in `scratch.bins[i*k..(i+1)*k]` and its
     /// maximum height in `scratch.heights[i]`, and allocates nothing once
-    /// the scratch buffers have grown — the open-loop commit path.
+    /// the scratch buffers have grown — the open-loop commit path. With
+    /// `prefetch`, the round prefetches every probed bin's line as soon
+    /// as it holds the shards (see the module's lock discipline); no
+    /// draw, decision or commit changes.
     ///
     /// # Panics
     ///
@@ -389,6 +432,7 @@ impl ShardedStore {
         k: usize,
         rngs: &mut [R],
         scratch: &mut BatchScratch<'s>,
+        prefetch: bool,
     ) {
         assert!(k >= 1, "a placement request must place at least one ball");
         assert!(k <= d, "cannot place {k} balls on {d} probed slots");
@@ -407,12 +451,15 @@ impl ShardedStore {
         if rngs.is_empty() {
             return;
         }
-        scratch.round.lock(self, probes);
-        for (request, rng) in probes.chunks(d).zip(rngs.iter_mut()) {
-            scratch.sorted.clear();
-            scratch.sorted.extend_from_slice(request);
-            sort_probes(&mut scratch.sorted);
-            let max_height = self.serve_on_guards(scratch, k, rng);
+        scratch.sorted.clear();
+        scratch.sorted.extend_from_slice(probes);
+        scratch.sorted.chunks_mut(d).for_each(sort_probes);
+        scratch.round.lock(self, &scratch.sorted);
+        if prefetch {
+            self.prefetch_held(&scratch.round, &scratch.sorted);
+        }
+        for (i, rng) in rngs.iter_mut().enumerate() {
+            let max_height = self.serve_on_guards(scratch, i * d..(i + 1) * d, k, rng);
             scratch.heights.push(max_height);
         }
         scratch.round.unlock();
@@ -427,17 +474,24 @@ impl ShardedStore {
     ///
     /// Panics if any bin is out of range or has no ball to remove.
     pub fn release(&self, bins: &[usize]) {
-        self.release_into(bins, &mut BatchScratch::default());
+        self.release_into(bins, &mut BatchScratch::default(), false);
     }
 
     /// [`ShardedStore::release`] through caller-owned scratch: reuses its
     /// lock-round buffers, so it allocates nothing once they have grown —
-    /// the open-loop release path.
+    /// the open-loop release path. With `prefetch`, the round prefetches
+    /// the line of every bin it is about to decrement once it holds the
+    /// shards.
     ///
     /// # Panics
     ///
     /// As [`ShardedStore::release`].
-    pub(crate) fn release_into<'s>(&'s self, bins: &[usize], scratch: &mut BatchScratch<'s>) {
+    pub(crate) fn release_into<'s>(
+        &'s self,
+        bins: &[usize],
+        scratch: &mut BatchScratch<'s>,
+        prefetch: bool,
+    ) {
         assert!(
             bins.iter().all(|&b| b < self.n),
             "release out of range (n = {})",
@@ -445,6 +499,9 @@ impl ShardedStore {
         );
         let round = &mut scratch.round;
         round.lock(self, bins);
+        if prefetch {
+            self.prefetch_held(round, bins);
+        }
         for &bin in bins {
             round
                 .slab_mut(self.shard_of(bin))
@@ -915,6 +972,13 @@ mod tests {
         store
     }
 
+    /// Every bin's load, in bin order.
+    fn loads_of(store: &ShardedStore) -> Vec<u32> {
+        let mut loads = Vec::new();
+        store.copy_loads_into(&mut loads);
+        loads
+    }
+
     /// Whether no shard is marked, held or locked.
     fn round_is_clear(store: &ShardedStore, round: &HeldShards<'_>) -> bool {
         round.guard_at.iter().all(|&pos| pos == NOT_HELD)
@@ -958,6 +1022,67 @@ mod tests {
             round.unlock();
             proptest::prop_assert!(round_is_clear(&store, &round));
         }
+
+        /// A lock round that prefetches its held lines decides, commits
+        /// and releases exactly as one that does not: equal winners,
+        /// heights, loads and next RNG draw at every shard count, with
+        /// duplicate probes (a narrow probe range makes most requests
+        /// repeat a bin) and `k = d` included. A third store serves the
+        /// same requests one per batch, so every batch, 64 requests in
+        /// about half of them, also yields the winners of its requests
+        /// issued alone: the sort before the lock is per request.
+        #[test]
+        fn prefetched_rounds_match_unprefetched_rounds(
+            shard_idx in 0..ROUND_SHARDS.len(),
+            d in 1usize..7,
+            k_pick in 0usize..6,
+            narrow in proptest::arbitrary::any::<bool>(),
+            seed in proptest::arbitrary::any::<u64>(),
+            batches in proptest::collection::vec(
+                (1usize..129, proptest::collection::vec(0..ROUND_BINS, 384..385)),
+                1..4,
+            ),
+        ) {
+            let shards = ROUND_SHARDS[shard_idx];
+            let k = 1 + k_pick % d;
+            let stores = [(); 3].map(|()| ShardedStore::new(ROUND_BINS, shards));
+            let [on, off, alone] = &stores;
+            let mut scratch = [(); 3].map(|()| BatchScratch::default());
+            let [s_on, s_off, s_alone] = &mut scratch;
+            let mut placed = Vec::new();
+            for (b, (requests, probes)) in batches.iter().enumerate() {
+                let requests = (*requests).min(64);
+                let probes: Vec<usize> = probes[..requests * d]
+                    .iter()
+                    .map(|&bin| if narrow { bin % 8 } else { bin })
+                    .collect();
+                let rngs: Vec<_> = (0..requests)
+                    .map(|i| Xoshiro256PlusPlus::from_u64(seed ^ (b * 64 + i) as u64))
+                    .collect();
+                let (mut r_on, mut r_off) = (rngs.clone(), rngs.clone());
+                on.place_batch_into(&probes, d, k, &mut r_on, s_on, true);
+                off.place_batch_into(&probes, d, k, &mut r_off, s_off, false);
+                proptest::prop_assert_eq!(&s_on.bins, &s_off.bins);
+                proptest::prop_assert_eq!(&s_on.heights, &s_off.heights);
+                for (a, b) in r_on.iter_mut().zip(&mut r_off) {
+                    proptest::prop_assert_eq!(a.next_u64(), b.next_u64());
+                }
+                proptest::prop_assert_eq!(loads_of(on), loads_of(off));
+                for (i, mut rng) in rngs.into_iter().enumerate() {
+                    let request = &probes[i * d..(i + 1) * d];
+                    alone.place_batch_into(request, d, k, std::slice::from_mut(&mut rng), s_alone, false);
+                    proptest::prop_assert_eq!(&s_alone.bins[..], &s_on.bins[i * k..(i + 1) * k]);
+                    proptest::prop_assert_eq!(s_alone.heights[0], s_on.heights[i]);
+                }
+                placed.extend_from_slice(&s_on.bins);
+            }
+            let released = &placed[..placed.len() / 2];
+            on.release_into(released, s_on, true);
+            off.release_into(released, s_off, false);
+            proptest::prop_assert_eq!(loads_of(on), loads_of(off));
+            proptest::prop_assert_eq!(on.total_balls(), (placed.len() - released.len()) as u64);
+            proptest::prop_assert!(round_is_clear(on, &s_on.round));
+        }
     }
 
     /// Two batches and then a release, each over its own shards, through
@@ -982,14 +1107,14 @@ mod tests {
         for (i, probes) in batches.into_iter().enumerate() {
             let seed = |r: u64| Xoshiro256PlusPlus::from_u64(10 * i as u64 + r);
             let mut rngs = [seed(0), seed(1)];
-            store.place_batch_into(probes, d, k, &mut rngs, &mut scratch);
+            store.place_batch_into(probes, d, k, &mut rngs, &mut scratch, false);
             assert!(round_is_clear(&store, &scratch.round), "batch {i}");
             let mut rngs = [seed(0), seed(1)];
             let want = reference.place_batch(probes, d, k, &mut rngs);
             let want: Vec<usize> = want.iter().flat_map(|p| p.bins.clone()).collect();
             assert_eq!(scratch.bins, want, "batch {i}");
         }
-        store.release_into(&preloaded, &mut scratch);
+        store.release_into(&preloaded, &mut scratch, false);
         assert!(round_is_clear(&store, &scratch.round), "release");
         reference.release(&preloaded);
         // One last round over every shard reads no stale position.
@@ -997,7 +1122,7 @@ mod tests {
         let mut rngs: Vec<_> = (0..n / d)
             .map(|r| Xoshiro256PlusPlus::from_u64(99 + r as u64))
             .collect();
-        store.place_batch_into(&every, d, k, &mut rngs.clone(), &mut scratch);
+        store.place_batch_into(&every, d, k, &mut rngs.clone(), &mut scratch, false);
         assert!(round_is_clear(&store, &scratch.round), "full round");
         reference.place_batch(&every, d, k, &mut rngs);
         let (mut a, mut b) = (Vec::new(), Vec::new());

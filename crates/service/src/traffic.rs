@@ -229,7 +229,11 @@ impl TrafficConfig {
         self.arrivals.mean_rate() / f64::from(self.service_rate)
     }
 
-    /// Validates every field.
+    /// Validates every field, and that the trace's expected arrivals
+    /// over `ticks` fit the `u32` request-id space: Poisson
+    /// `rate · ticks`, burst `size · ⌈ticks / period⌉`, on/off
+    /// `rate · (ticks spent on)`. The error names the field that sets
+    /// the count.
     pub fn validate(&self) -> Result<(), TrafficError> {
         self.arrivals.validate()?;
         self.lifetime.validate()?;
@@ -239,9 +243,43 @@ impl TrafficConfig {
         if self.service_rate == 0 {
             return Err(TrafficError::new("service rate", "at least 1 per tick"));
         }
+        let (field, expected) = self.expected_arrivals();
+        if expected > MAX_REQUESTS as f64 {
+            return Err(TrafficError::new(field, TOO_MANY_REQUESTS));
+        }
         Ok(())
     }
+
+    /// The arrival field that sets the trace's request count, and the
+    /// expected count over `ticks`. Exact in `f64` for any count within
+    /// [`MAX_REQUESTS`], and at least `2^32` for any count beyond it.
+    /// Call after [`ArrivalProcess::validate`] (periods and cycles are
+    /// then non-zero and fit `u32`).
+    fn expected_arrivals(&self) -> (&'static str, f64) {
+        let ticks = self.ticks;
+        match self.arrivals {
+            ArrivalProcess::Poisson { rate } => ("poisson arrival rate", rate * f64::from(ticks)),
+            ArrivalProcess::Burst { period, size } => (
+                "burst size",
+                size as f64 * f64::from(ticks.div_ceil(period)),
+            ),
+            ArrivalProcess::OnOff { rate, on, off } => {
+                let cycle = on + off;
+                let on_ticks =
+                    u64::from(ticks / cycle) * u64::from(on) + u64::from((ticks % cycle).min(on));
+                ("on/off rate", rate * on_ticks as f64)
+            }
+        }
+    }
 }
+
+/// The most requests one trace may hold: ids are `u32`, assigned in
+/// arrival order from 0.
+const MAX_REQUESTS: u64 = u32::MAX as u64;
+
+/// What [`TrafficConfig::validate`] and [`TrafficSchedule::generate`]
+/// require of a trace's request count.
+const TOO_MANY_REQUESTS: &str = "small enough for the trace's arrivals to fit u32 request ids";
 
 /// Sentinel commit tick for requests still queued when the clock stops.
 const NEVER: u32 = u32::MAX;
@@ -311,7 +349,10 @@ impl TrafficSchedule {
     ///
     /// # Errors
     ///
-    /// Returns [`TrafficError`] if the config is invalid.
+    /// Returns [`TrafficError`] if the config is invalid, or if the
+    /// realised arrivals outgrow the `u32` request ids that validation
+    /// admitted on their expected count (a Poisson draw above its mean);
+    /// the arrivals that would overflow are never materialized.
     pub fn generate(config: &TrafficConfig, seed: u64) -> Result<Self, TrafficError> {
         config.validate()?;
         let mut rng = Xoshiro256PlusPlus::from_u64(seed);
@@ -358,6 +399,12 @@ impl TrafficSchedule {
                     }
                 }
             };
+            if timings.len() as u64 + arriving > MAX_REQUESTS {
+                return Err(TrafficError::new(
+                    config.expected_arrivals().0,
+                    TOO_MANY_REQUESTS,
+                ));
+            }
             for _ in 0..arriving {
                 let lifetime = match config.lifetime {
                     Lifetime::Exponential { .. } => {
@@ -459,6 +506,106 @@ mod tests {
         assert!(cfg.validate().is_ok());
         let err = TrafficSchedule::generate(&poisson_config(0.0, 1, 1), 0).unwrap_err();
         assert!(err.to_string().contains("arrival rate"));
+    }
+
+    /// A trace whose expected arrivals outgrow the `u32` ids is rejected
+    /// on the field that sets the count, before any schedule exists.
+    #[test]
+    fn validation_rejects_traces_past_the_request_id_space() {
+        let limit = MAX_REQUESTS as f64;
+        let with = |arrivals, ticks| TrafficConfig {
+            arrivals,
+            ticks,
+            ..poisson_config(1.0, 1, 1)
+        };
+        for (arrivals, ticks, field) in [
+            (
+                ArrivalProcess::Poisson { rate: 1e300 },
+                1,
+                "poisson arrival rate",
+            ),
+            (
+                ArrivalProcess::Poisson {
+                    rate: limit / 4.0 + 1.0,
+                },
+                4,
+                "poisson arrival rate",
+            ),
+            (
+                ArrivalProcess::Burst {
+                    period: 1,
+                    size: u64::MAX,
+                },
+                1,
+                "burst size",
+            ),
+            // Bursts at ticks 0 and 16: two of them.
+            (
+                ArrivalProcess::Burst {
+                    period: 16,
+                    size: MAX_REQUESTS / 2 + 1,
+                },
+                17,
+                "burst size",
+            ),
+            // On at ticks 0..4 and 16..18: six on-ticks.
+            (
+                ArrivalProcess::OnOff {
+                    rate: limit / 6.0 + 1.0,
+                    on: 4,
+                    off: 12,
+                },
+                18,
+                "on/off rate",
+            ),
+        ] {
+            let err = with(arrivals, ticks).validate().unwrap_err();
+            assert_eq!(
+                err,
+                TrafficError::new(field, TOO_MANY_REQUESTS),
+                "{arrivals:?}"
+            );
+        }
+        // The same shapes at the limit pass.
+        for (arrivals, ticks) in [
+            (ArrivalProcess::Poisson { rate: limit / 4.0 }, 4),
+            (
+                ArrivalProcess::Burst {
+                    period: 16,
+                    size: MAX_REQUESTS / 2,
+                },
+                17,
+            ),
+            (
+                ArrivalProcess::OnOff {
+                    rate: limit / 6.0,
+                    on: 4,
+                    off: 12,
+                },
+                18,
+            ),
+        ] {
+            assert_eq!(with(arrivals, ticks).validate(), Ok(()), "{arrivals:?}");
+        }
+    }
+
+    /// A Poisson trace whose expected count sits at the limit passes
+    /// validation, and a seed whose first draw lands above it makes
+    /// `generate` fail before it materializes a request.
+    #[test]
+    fn generate_rejects_a_realised_count_past_the_request_id_space() {
+        let rate = MAX_REQUESTS as f64;
+        let cfg = poisson_config(rate, 1, 1);
+        assert_eq!(cfg.validate(), Ok(()));
+        let poisson = Poisson::new(rate).unwrap();
+        let seed = (0..64)
+            .find(|&seed| poisson.sample(&mut Xoshiro256PlusPlus::from_u64(seed)) > MAX_REQUESTS)
+            .expect("about half of all draws exceed the mean");
+        let err = TrafficSchedule::generate(&cfg, seed).unwrap_err();
+        assert_eq!(
+            err,
+            TrafficError::new("poisson arrival rate", TOO_MANY_REQUESTS)
+        );
     }
 
     #[test]
